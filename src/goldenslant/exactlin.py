@@ -4,23 +4,24 @@ Everything here works on plain nested lists of :class:`QuadRat`.  The
 matrices in play are tiny (ambient dimension <= 8), so clarity beats
 asymptotics: Gaussian elimination with the first nonzero pivot is exact in
 a field and is all we need.
+
+:func:`matmul` writes each row and column as integer numerators over one
+common denominator, so an output entry is four integer dot products and a
+single normalised :class:`QuadRat` instead of 2n intermediate ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
 import numpy as np
 
-from .quadrat import QuadRat
+from .quadrat import QuadRat, from_integers, integer_form
 
 QVec = list[QuadRat]
 QMat = list[list[QuadRat]]
-
-
-def qmat(rows: Iterable[Iterable[QuadRat | int | Fraction]]) -> QMat:
-    return [[QuadRat.from_value(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> QMat:
@@ -49,19 +50,21 @@ def scale(c: QuadRat | int | Fraction, a: QMat) -> QMat:
 
 
 def matmul(a: QMat, b: QMat) -> QMat:
-    bt = transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
+    rows = [integer_form(row) for row in a]
+    cols = [integer_form(col) for col in zip(*b)]
+    return [[_dot(row, col) for col in cols] for row in rows]
 
 
 def matvec(a: QMat, v: Sequence[QuadRat]) -> QVec:
-    return [_dot(row, v) for row in a]
+    col = integer_form(v)
+    return [_dot(integer_form(row), col) for row in a]
 
 
-def _dot(u: Sequence[QuadRat], v: Sequence[QuadRat]) -> QuadRat:
-    out = QuadRat(0)
-    for x, y in zip(u, v):
-        out = out + x * y
-    return out
+def _dot(u: tuple[list[int], list[int], int], v: tuple[list[int], list[int], int]) -> QuadRat:
+    """Dot product of two vectors in :func:`integer_form`."""
+    (up, uq, ud), (vp, vq, vd) = u, v
+    return from_integers(sum(map(mul, up, vp)) + 5 * sum(map(mul, uq, vq)),
+                         sum(map(mul, up, vq)) + sum(map(mul, uq, vp)), ud * vd)
 
 
 def max_abs(a: QMat) -> QuadRat:
@@ -74,62 +77,36 @@ def max_abs(a: QMat) -> QuadRat:
     return out
 
 
-def is_zero(a: QMat) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def solve(a: QMat, b: QMat) -> QMat:
     """Exact solution of ``a @ x = b`` for square invertible ``a``."""
     n = len(a)
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    cols = len(b[0])
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix in exact solve")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n : n + cols] for row in aug]
-
-
-def det(a: QMat) -> QuadRat:
-    n = len(a)
-    m = [list(row) for row in a]
-    out = QuadRat(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return QuadRat(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            out = -out
-        out = out * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out
+    m, pivots = _rref([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix in exact solve")
+    return [row[n:] for row in m]
 
 
 def leading_minors_positive(a: QMat) -> bool:
-    return all(det([row[: k + 1] for row in a[: k + 1]]).sign() > 0 for k in range(len(a)))
+    """Sylvester's test: elimination without row swaps meets only positive pivots."""
+    m = [list(row) for row in a]
+    for k, pivot_row in enumerate(m):
+        if pivot_row[k].sign() <= 0:
+            return False
+        inv = pivot_row[k].inverse()
+        for r in range(k + 1, len(m)):
+            if m[r][k]:
+                f = m[r][k] * inv
+                m[r] = [x - f * y for x, y in zip(m[r], pivot_row)]
+    return True
 
 
-def kernel_basis(a: QMat) -> list[QVec]:
-    """Basis of the right kernel ``{x : a @ x = 0}``."""
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
+def _rref(a: QMat) -> tuple[QMat, list[int]]:
+    """Reduced row echelon form of ``a`` and its pivot columns."""
+    rows = len(a)
     m = [list(row) for row in a]
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(len(a[0]) if a else 0):
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
@@ -144,6 +121,15 @@ def kernel_basis(a: QMat) -> list[QVec]:
         r += 1
         if r == rows:
             break
+    return m, pivots
+
+
+def kernel_basis(a: QMat) -> list[QVec]:
+    """Basis of the right kernel ``{x : a @ x = 0}``."""
+    if not a:
+        return []
+    cols = len(a[0])
+    m, pivots = _rref(a)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -159,26 +145,8 @@ def column_space_basis(a: QMat) -> list[QVec]:
     """Pivot columns of ``a`` (a basis of its column space)."""
     if not a:
         return []
-    rows, cols = len(a), len(a[0])
-    m = [list(row) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return [[a[i][c] for i in range(rows)] for c in pivots]
+    _, pivots = _rref(a)
+    return [[row[c] for row in a] for c in pivots]
 
 
 def to_float(a: QMat) -> np.ndarray:

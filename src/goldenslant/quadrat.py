@@ -7,6 +7,12 @@ algebraic conjugate ``1 - PSI``; both satisfy ``x**2 = x + 1`` exactly.
 All structure-level identities in this package are polynomial in these
 constants, so computing with QuadRat removes every tolerance question at
 the axiom level.
+
+A value is stored as one canonical integer triple ``(p + q*sqrt5) / d``
+with ``d > 0`` and ``gcd(p, q, d) = 1`` (H. Cohen, GTM 138, 1993), kept so
+by one gcd per operation; ``a`` and ``b`` are Fractions built on demand.
+:func:`integer_form` and :func:`from_integers` let :mod:`.exactlin` compute
+whole dot products in plain (unbounded) Python integers.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
+from typing import Sequence
 
 Rational = int | Fraction
 
@@ -25,23 +33,25 @@ _SQRT5_FLOAT = math.sqrt(5.0)
 class QuadRat:
     """Exact element ``a + b*sqrt(5)`` of Q(sqrt5)."""
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("_p", "_q", "_d")
 
-    def __init__(self, a: Rational | str = 0, b: Rational = 0):
-        if isinstance(a, str):
-            a = Fraction(a)
-        if isinstance(b, str):
-            b = Fraction(b)
-        self._a = Fraction(a)
-        self._b = Fraction(b)
+    def __init__(self, a: Rational | str = 0, b: Rational | str = 0):
+        if type(a) is int and type(b) is int:
+            self._p, self._q, self._d = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        d = lcm(a.denominator, b.denominator)
+        self._p = a.numerator * (d // a.denominator)
+        self._q = b.numerator * (d // b.denominator)
+        self._d = d
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._p, self._d)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._q, self._d)
 
     @classmethod
     def from_value(cls, x: QuadRat | Rational) -> QuadRat:
@@ -50,42 +60,37 @@ class QuadRat:
         return cls(x, 0)
 
     def __repr__(self) -> str:
-        return f"QuadRat({self._a!s}, {self._b!s})"
+        return f"QuadRat({self.a!s}, {self.b!s})"
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        if self._a == 0:
-            return f"{self._b}*sqrt5"
-        sign = "+" if self._b > 0 else "-"
-        return f"{self._a}{sign}{abs(self._b)}*sqrt5"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*sqrt5"
+        sign = "+" if b > 0 else "-"
+        return f"{a}{sign}{abs(b)}*sqrt5"
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b))
+        return hash((self._p, self._q, self._d))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = QuadRat(other)
         if isinstance(other, QuadRat):
-            return self._a == other._a and self._b == other._b
+            return self._p == other._p and self._q == other._q and self._d == other._d
         return NotImplemented
 
     def sign(self) -> int:
         """Exact sign of the real value (-1, 0 or +1)."""
-        a, b = self._a, self._b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 with 5 b^2; the larger magnitude wins.
-        diff = a * a - 5 * b * b
-        if a > 0:  # b < 0
-            return 1 if diff > 0 else (-1 if diff < 0 else 0)
-        return -1 if diff > 0 else (1 if diff < 0 else 0)
+        p, q = self._p, self._q
+        if q == 0:
+            s = p
+        elif p == 0 or (p > 0) == (q > 0):
+            s = q
+        else:  # opposite signs: the larger of p^2 and 5 q^2 wins
+            s = p if p * p > 5 * q * q else q
+        return (s > 0) - (s < 0)
 
     def __lt__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -95,41 +100,45 @@ class QuadRat:
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return self._p != 0 or self._q != 0
 
     def __add__(self, other: QuadRat | Rational) -> QuadRat:
-        other = QuadRat.from_value(other)
-        return QuadRat(self._a + other._a, self._b + other._b)
+        o = QuadRat.from_value(other)
+        d1, d2 = self._d, o._d
+        return from_integers(self._p * d2 + o._p * d1, self._q * d2 + o._q * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadRat:
-        return QuadRat(-self._a, -self._b)
+        return from_integers(-self._p, -self._q, self._d)
 
     def __sub__(self, other: QuadRat | Rational) -> QuadRat:
-        return self + (-QuadRat.from_value(other))
+        o = QuadRat.from_value(other)
+        d1, d2 = self._d, o._d
+        return from_integers(self._p * d2 - o._p * d1, self._q * d2 - o._q * d1, d1 * d2)
 
     def __rsub__(self, other: QuadRat | Rational) -> QuadRat:
-        return (-self) + other
+        return QuadRat.from_value(other) - self
 
     def __mul__(self, other: QuadRat | Rational) -> QuadRat:
-        other = QuadRat.from_value(other)
-        return QuadRat(
-            self._a * other._a + 5 * self._b * other._b,
-            self._a * other._b + self._b * other._a,
-        )
+        o = QuadRat.from_value(other)
+        p1, q1, p2, q2 = self._p, self._q, o._p, o._q
+        return from_integers(p1 * p2 + 5 * q1 * q2, p1 * q2 + q1 * p2, self._d * o._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> QuadRat:
         """Galois conjugate ``a - b*sqrt(5)``."""
-        return QuadRat(self._a, -self._b)
+        return from_integers(self._p, -self._q, self._d)
 
     def inverse(self) -> QuadRat:
-        norm = self._a * self._a - 5 * self._b * self._b
+        p, q, d = self._p, self._q, self._d
+        norm = p * p - 5 * q * q
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt5)")
-        return QuadRat(self._a / norm, -self._b / norm)
+        if norm < 0:
+            norm, d = -norm, -d
+        return from_integers(d * p, -d * q, norm)
 
     def __truediv__(self, other: QuadRat | Rational) -> QuadRat:
         return self * QuadRat.from_value(other).inverse()
@@ -155,10 +164,30 @@ class QuadRat:
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * _SQRT5_FLOAT
+        # Correctly rounded int division: the same bits as float(a) + float(b) * sqrt5.
+        return self._p / self._d + (self._q / self._d) * _SQRT5_FLOAT
 
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._q == 0
+
+
+_new = object.__new__
+
+
+def from_integers(p: int, q: int, d: int) -> QuadRat:
+    """The value ``(p + q*sqrt5) / d`` for integers with ``d > 0``."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    x = _new(QuadRat)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def integer_form(xs: Sequence[QuadRat]) -> tuple[list[int], list[int], int]:
+    """Integers ``ps``, ``qs`` and one ``d > 0`` with ``xs[i] == (ps[i] + qs[i]*sqrt5)/d``."""
+    d = lcm(*[x._d for x in xs])
+    return [x._p * (d // x._d) for x in xs], [x._q * (d // x._d) for x in xs], d
 
 
 PSI = QuadRat(Fraction(1, 2), Fraction(1, 2))

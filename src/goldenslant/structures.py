@@ -62,6 +62,7 @@ class Metric:
         self.entries = entries
         self.n = _check_square(entries, "metric")
         self.backend = "exact" if is_exact(entries) else "float"
+        self._float: Metric | None = None
         if self.backend == "exact":
             if any(entries[i][j] != entries[j][i] for i in range(self.n) for j in range(self.n)):
                 raise InvalidStructure("metric is not symmetric")
@@ -81,9 +82,12 @@ class Metric:
         return cls(np.eye(n))
 
     def to_float(self) -> Metric:
+        """Float view, built once per exact metric."""
         if self.backend == "float":
             return self
-        return Metric(xl.to_float(self.entries))
+        if self._float is None:
+            self._float = Metric(xl.to_float(self.entries))
+        return self._float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -97,11 +101,6 @@ class Metric:
 
     def cholesky(self) -> np.ndarray:
         return np.linalg.cholesky(self.matrix)
-
-    def is_euclidean(self) -> bool:
-        if self.backend == "exact":
-            return self.entries == xl.identity(self.n)
-        return bool(np.array_equal(self.entries, np.eye(self.n)))
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,7 @@ class GoldenStructure:
         self.metric = metric
         self.n = _check_square(phi, "phi")
         self.backend = "exact" if (is_exact(phi) and metric.backend == "exact") else "float"
+        self._float: GoldenStructure | None = None
         if validate:
             report = verify_golden(phi, metric, tol_struct)
             if not report.passed:
@@ -181,12 +181,12 @@ class GoldenStructure:
         return as_float(self.phi)
 
     def to_float(self) -> GoldenStructure:
+        """Float view, built once per exact structure."""
         if self.backend == "float":
             return self
-        return GoldenStructure(self.phi_float, self.metric.to_float(), validate=False)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.phi_float @ x
+        if self._float is None:
+            self._float = GoldenStructure(self.phi_float, self.metric.to_float(), validate=False)
+        return self._float
 
 
 class AlmostProductStructure:
