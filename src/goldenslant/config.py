@@ -29,6 +29,7 @@ Matrix entries are exact Q(sqrt5) strings (``"r"`` or ``"r+s*sqrt5"``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,6 +46,9 @@ from .submanifold import ImmersionSpec, SampleSpec
 
 SUITE_ORDER = ("structure", "identities", "extrinsic", "slant", "curvature")
 _IMMERSION_SUITES = {"identities", "extrinsic", "slant"}
+
+# Probes hold every trial in memory at once, so trials bound a run's memory.
+MAX_TRIALS = 100_000
 
 ANGLE_FORMULA_PROJECTION = "projection"
 ANGLE_FORMULA_UNNORMALIZED = "unnormalized"
@@ -132,18 +136,29 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}/{key}", "unknown entry")
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int | None = None,
+            maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(path, "expected an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, f"must be <= {maximum}")
     return value
 
 
-def _as_number(value, path: str) -> float:
+def _as_number(value, path: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, "expected a finite number")
+    if minimum is not None and number < minimum:
+        raise ConfigError(path, f"must be >= {minimum}")
+    return number
 
 
 def _as_matrix(value, dim: int, path: str) -> tuple[tuple[str, ...], ...]:
@@ -246,7 +261,8 @@ def parse_config(data: dict) -> ScenarioConfig:
             c_p=_as_number(_require(sf, "c_p", "/spaceform"), "/spaceform/c_p"),
             c_q=_as_number(_require(sf, "c_q", "/spaceform"), "/spaceform/c_q"),
             p=p,
-            trials=_as_int(sf.get("trials", 100), "/spaceform/trials", minimum=1),
+            trials=_as_int(sf.get("trials", 100), "/spaceform/trials", minimum=1,
+                           maximum=MAX_TRIALS),
             seed=_as_int(sf.get("seed", 0), "/spaceform/seed"),
         )
 
@@ -267,7 +283,8 @@ def parse_config(data: dict) -> ScenarioConfig:
         if not isinstance(tols, dict):
             raise ConfigError("/tolerances", "expected an object")
         _check_keys(tols, set(tolerances.as_dict()), "/tolerances")
-        updates = {k: _as_number(v, f"/tolerances/{k}") for k, v in tols.items()}
+        updates = {k: _as_number(v, f"/tolerances/{k}", minimum=0.0)
+                   for k, v in tols.items()}
         tolerances = replace(tolerances, **updates)
 
     seed = _as_int(data.get("seed", 0), "/seed")

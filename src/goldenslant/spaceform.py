@@ -12,6 +12,12 @@ the derivation action R.S.  Every statement about these tensors is
 pointwise multilinear algebra, so checks are direct evaluations over
 seeded random tuples.
 
+The tensor functions take vectors with leading trial axes, shape
+``(..., n)``, and every probe evaluates all of its trials at once: one bulk
+draw of shape ``(trials, k, n)`` gives the same tuples as ``trials``
+sequential ``(k, n)`` draws from the same generator, and one NumPy max
+reduces the residuals, so a NaN anywhere shows up in the result.
+
 The commutation of R(X,Y) with phi and its corollaries are genuinely open
 probes here: for B != 0 this tensor does NOT commute with phi (which is
 exactly what makes the R.S derivation action nonvanishing), so those
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .quadrat import PSI, QuadRat
+from .quadrat import PSI
 from .structures import GoldenStructure, golden_eigendecomp
 
 _PSI = float(PSI)
@@ -46,7 +52,6 @@ class SpaceFormModel:
     c_q: float
     structure: GoldenStructure
     frame: np.ndarray  # columns: g-orthonormal frame E_1..E_n
-    psi: QuadRat = PSI
 
     @classmethod
     def build(cls, n: int, p: int, c_p: float, c_q: float) -> SpaceFormModel:
@@ -97,37 +102,67 @@ class SpaceFormModel:
         """Coefficient of g(phi Y, Z) in the closed-form Ricci tensor."""
         return self.coeff_a * (self.trace_phi - 1.0) + self.coeff_b * (self.n - 2)
 
-    def _rng_vectors(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.standard_normal((count, self.n))
+
+def _phi(model: SpaceFormModel, v: np.ndarray) -> np.ndarray:
+    """phi V for every vector along the last axis of ``v``."""
+    return v @ model.phi.T
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean dot product along the last axis, over the leading axes."""
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _inner(model: SpaceFormModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g(U, V) over the leading axes of ``u`` and ``v`` (g is symmetric)."""
+    return _dot(u @ model.g, v)
+
+
+def _tuples(model: SpaceFormModel, trials: int, seed: int, k: int) -> np.ndarray:
+    """``trials`` seeded random k-tuples, as k arrays of shape (trials, n).
+
+    One bulk (trials, k, n) draw yields the same numbers as ``trials``
+    sequential (k, n) draws from a generator seeded with ``seed``.
+    """
+    draw = np.random.default_rng(seed).standard_normal((trials, k, model.n))
+    return draw.transpose(1, 0, 2)
+
+
+def _worst(residual: np.ndarray) -> float:
+    """Largest |entry| of a residual; NaN when any entry is NaN."""
+    return float(np.abs(residual).max())
 
 
 def curvature(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
               z: np.ndarray) -> np.ndarray:
-    """R(X, Y)Z of the space-form model."""
+    """R(X, Y)Z of the space-form model, broadcast over leading trial axes."""
     for v in (x, y, z):
-        if np.shape(v) != (model.n,):
+        if np.shape(v)[-1:] != (model.n,):
             raise DimensionMismatch(f"expected vectors of length {model.n}")
-    g, phi = model.g, model.phi
-    px, py = phi @ x, phi @ y
-    gyz, gxz = y @ g @ z, x @ g @ z
-    gpyz, gpxz = py @ g @ z, px @ g @ z
-    return (model.coeff_a * (gyz * x - gxz * y + gpyz * px - gpxz * py)
-            + model.coeff_b * (gpyz * x - gpxz * y + gyz * px - gxz * py))
+    px, py = _phi(model, x), _phi(model, y)
+    gz = z @ model.g
+    gyz, gxz, gpyz, gpxz = _dot(y, gz), _dot(x, gz), _dot(py, gz), _dot(px, gz)
+    a, b = model.coeff_a, model.coeff_b
+    return ((a * gyz + b * gpyz)[..., None] * x - (a * gxz + b * gpxz)[..., None] * y
+            + (a * gpyz + b * gyz)[..., None] * px - (a * gpxz + b * gxz)[..., None] * py)
 
 
-def ricci_framesum(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> float:
-    """S(Y, Z) as the frame contraction sum_i g(R(E_i, Y)Z, E_i)."""
-    g = model.g
-    return float(sum(
-        curvature(model, e, y, z) @ g @ e for e in model.frame.T
-    ))
+def ricci_framesum(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """S(Y, Z) as the frame contraction sum_i g(R(E_i, Y)Z, E_i).
+
+    One frame vector at a time, so memory stays that of Y and Z rather than
+    n times it.
+    """
+    total = 0.0
+    for e in model.frame.T:
+        total = total + _inner(model, curvature(model, e, y, z), e)
+    return total
 
 
-def ricci_closed(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> float:
+def ricci_closed(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """S(Y, Z) in closed form from the two constant coefficients."""
-    g = model.g
-    return model.ricci_g_coeff * float(y @ g @ z) \
-        + model.ricci_phi_coeff * float((model.phi @ y) @ g @ z)
+    return (model.ricci_g_coeff * _inner(model, y, z)
+            + model.ricci_phi_coeff * _inner(model, _phi(model, y), z))
 
 
 def _ricci(model: SpaceFormModel, path: str):
@@ -136,12 +171,8 @@ def _ricci(model: SpaceFormModel, path: str):
 
 def ricci_agreement(model: SpaceFormModel, trials: int = 100, seed: int = 0) -> float:
     """Worst |framesum - closed| over random pairs (the two must coincide)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        y, z = model._rng_vectors(rng, 2)
-        worst = max(worst, abs(ricci_framesum(model, y, z) - ricci_closed(model, y, z)))
-    return worst
+    y, z = _tuples(model, trials, seed, 2)
+    return _worst(ricci_framesum(model, y, z) - ricci_closed(model, y, z))
 
 
 def curvature_commutation_checks(model: SpaceFormModel, trials: int = 100,
@@ -152,66 +183,38 @@ def curvature_commutation_checks(model: SpaceFormModel, trials: int = 100,
     structures; for this model's closed-form tensor they fail whenever the
     mixed coefficient B is nonzero, so treat the output as a finding.
     """
-    rng = np.random.default_rng(seed)
-    g, phi = model.g, model.phi
-    res = {k: 0.0 for k in ("phi_argument", "first_slots", "both_slots",
-                            "form_both_phi", "form_swap")}
-    for _ in range(trials):
-        x, y, z, w = model._rng_vectors(rng, 4)
-        rz = curvature(model, x, y, z)
-        res["phi_argument"] = max(
-            res["phi_argument"],
-            float(np.abs(curvature(model, x, y, phi @ z) - phi @ rz).max()),
-        )
-        res["first_slots"] = max(
-            res["first_slots"],
-            float(np.abs(curvature(model, phi @ x, y, z) - curvature(model, x, phi @ y, z)).max()),
-        )
-        res["both_slots"] = max(
-            res["both_slots"],
-            float(np.abs(curvature(model, phi @ x, phi @ y, z)
-                         - curvature(model, phi @ x, y, z) - rz).max()),
-        )
-        rpz = curvature(model, x, y, phi @ z)
-        res["form_both_phi"] = max(
-            res["form_both_phi"],
-            abs(float(rpz @ g @ (phi @ w)) - float(rz @ g @ (phi @ w)) - float(rz @ g @ w)),
-        )
-        res["form_swap"] = max(
-            res["form_swap"],
-            abs(float(rpz @ g @ w) - float(rz @ g @ (phi @ w))),
-        )
-    return res
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    px, py, pz, pw = (_phi(model, v) for v in (x, y, z, w))
+    rz = curvature(model, x, y, z)
+    rpz = curvature(model, x, y, pz)
+    r_px = curvature(model, px, y, z)
+    return {
+        "phi_argument": _worst(rpz - _phi(model, rz)),
+        "first_slots": _worst(r_px - curvature(model, x, py, z)),
+        "both_slots": _worst(curvature(model, px, py, z) - r_px - rz),
+        "form_both_phi": _worst(_inner(model, rpz, pw) - _inner(model, rz, pw)
+                                - _inner(model, rz, w)),
+        "form_swap": _worst(_inner(model, rpz, w) - _inner(model, rz, pw)),
+    }
 
 
 def ricci_phi_checks(model: SpaceFormModel, trials: int = 100, seed: int = 0,
                      path: str = "framesum") -> dict[str, float]:
     """Max residuals of the four phi-identities of the Ricci tensor."""
     s = _ricci(model, path)
-    rng = np.random.default_rng(seed)
-    phi = model.phi
-    res = {k: 0.0 for k in ("phi_sq_left", "phi_sq_right", "phi_both", "phi_swap")}
-    for _ in range(trials):
-        x, y = model._rng_vectors(rng, 2)
-        px, py = phi @ x, phi @ y
-        res["phi_sq_left"] = max(
-            res["phi_sq_left"],
-            abs(s(model, phi @ px, y) - s(model, px, y) - s(model, x, y)),
-        )
-        res["phi_sq_right"] = max(
-            res["phi_sq_right"],
-            abs(s(model, x, phi @ py) - s(model, x, py) - s(model, x, y)),
-        )
-        res["phi_both"] = max(
-            res["phi_both"],
-            abs(s(model, px, py) - s(model, px, y) - s(model, x, y)),
-        )
-        res["phi_swap"] = max(res["phi_swap"], abs(s(model, px, y) - s(model, py, x)))
-    return res
+    x, y = _tuples(model, trials, seed, 2)
+    px, py = _phi(model, x), _phi(model, y)
+    s_xy, s_pxy = s(model, x, y), s(model, px, y)
+    return {
+        "phi_sq_left": _worst(s(model, _phi(model, px), y) - s_pxy - s_xy),
+        "phi_sq_right": _worst(s(model, x, _phi(model, py)) - s(model, x, py) - s_xy),
+        "phi_both": _worst(s(model, px, py) - s_pxy - s_xy),
+        "phi_swap": _worst(s_pxy - s(model, py, x)),
+    }
 
 
 def r_dot_s(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-            w: np.ndarray, path: str = "closed") -> float:
+            w: np.ndarray, path: str = "closed") -> np.ndarray:
     """Derivation action (R(X,Y).S)(Z,W) = -S(R(X,Y)Z, W) - S(Z, R(X,Y)W)."""
     s = _ricci(model, path)
     rz = curvature(model, x, y, z)
@@ -220,104 +223,67 @@ def r_dot_s(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
 
 
 def r_dot_s_closed_form(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
-                        z: np.ndarray, w: np.ndarray) -> float:
+                        z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The claimed product shape -2 beta g(R(X,Y)W, phi Z) of the derivation action."""
     rw = curvature(model, x, y, w)
-    return -2.0 * model.ricci_phi_coeff * float(rw @ model.g @ (model.phi @ z))
+    return -2.0 * model.ricci_phi_coeff * _inner(model, rw, _phi(model, z))
 
 
 def r_dot_s_closed_form_gap(model: SpaceFormModel, trials: int = 100,
                             seed: int = 0) -> float:
     """Worst |definitional - claimed closed form| of R.S over random tuples."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x, y, z, w = model._rng_vectors(rng, 4)
-        worst = max(worst, abs(r_dot_s(model, x, y, z, w)
-                               - r_dot_s_closed_form(model, x, y, z, w)))
-    return worst
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    return _worst(r_dot_s(model, x, y, z, w) - r_dot_s_closed_form(model, x, y, z, w))
 
 
 def non_semi_symmetry_probe(model: SpaceFormModel, trials: int = 100,
                             seed: int = 0) -> float:
     """max |(R(X,Y).S)(Z,W)|; a value above threshold certifies R.S != 0."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x, y, z, w = model._rng_vectors(rng, 4)
-        worst = max(worst, abs(r_dot_s(model, x, y, z, w)))
-    return worst
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    return _worst(r_dot_s(model, x, y, z, w))
 
 
 def rs_corollary_residual(model: SpaceFormModel, trials: int = 100,
                           seed: int = 0) -> float:
     """max |(R(phi X, Y).S)(phi Z, W)| over random tuples (claimed to vanish)."""
-    rng = np.random.default_rng(seed)
-    phi = model.phi
-    worst = 0.0
-    for _ in range(trials):
-        x, y, z, w = model._rng_vectors(rng, 4)
-        worst = max(worst, abs(r_dot_s(model, phi @ x, y, phi @ z, w)))
-    return worst
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    return _worst(r_dot_s(model, _phi(model, x), y, _phi(model, z), w))
 
 
 def rs_phi_propositions(model: SpaceFormModel, trials: int = 100,
                         seed: int = 0) -> dict[str, float]:
     """Max residuals of the two phi-expansion identities of R.S (findings)."""
-    rng = np.random.default_rng(seed)
-    phi = model.phi
-    res = {"arguments": 0.0, "values": 0.0}
-    for _ in range(trials):
-        x1, x2, x, y = model._rng_vectors(rng, 4)
-        px1, px2 = phi @ x1, phi @ x2
-        res["arguments"] = max(
-            res["arguments"],
-            abs(r_dot_s(model, px1, px2, x, y) - r_dot_s(model, px1, x2, x, y)
-                - r_dot_s(model, x1, x2, x, y)),
-        )
-        res["values"] = max(
-            res["values"],
-            abs(r_dot_s(model, x1, x2, phi @ x, phi @ y)
-                - r_dot_s(model, x1, x2, phi @ x, y) - r_dot_s(model, x1, x2, x, y)),
-        )
-    return res
+    x1, x2, x, y = _tuples(model, trials, seed, 4)
+    px1, px2, px, py = (_phi(model, v) for v in (x1, x2, x, y))
+    base = r_dot_s(model, x1, x2, x, y)
+    return {
+        "arguments": _worst(r_dot_s(model, px1, px2, x, y)
+                            - r_dot_s(model, px1, x2, x, y) - base),
+        "values": _worst(r_dot_s(model, x1, x2, px, py)
+                         - r_dot_s(model, x1, x2, px, y) - base),
+    }
 
 
 def bianchi_residual(model: SpaceFormModel, trials: int = 100, seed: int = 0) -> float:
     """First Bianchi identity R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x, y, z = model._rng_vectors(rng, 3)
-        total = (curvature(model, x, y, z) + curvature(model, y, z, x)
-                 + curvature(model, z, x, y))
-        worst = max(worst, float(np.abs(total).max()))
-    return worst
+    x, y, z = _tuples(model, trials, seed, 3)
+    return _worst(curvature(model, x, y, z) + curvature(model, y, z, x)
+                  + curvature(model, z, x, y))
 
 
 def pair_symmetry_residual(model: SpaceFormModel, trials: int = 100,
                            seed: int = 0) -> float:
     """Pair symmetry g(R(X,Y)Z, W) = g(R(Z,W)X, Y)."""
-    rng = np.random.default_rng(seed)
-    g = model.g
-    worst = 0.0
-    for _ in range(trials):
-        x, y, z, w = model._rng_vectors(rng, 4)
-        worst = max(worst, abs(float(curvature(model, x, y, z) @ g @ w)
-                               - float(curvature(model, z, w, x) @ g @ y)))
-    return worst
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    return _worst(_inner(model, curvature(model, x, y, z), w)
+                  - _inner(model, curvature(model, z, w, x), y))
 
 
 def antisymmetry_residual(model: SpaceFormModel, trials: int = 100,
                           seed: int = 0) -> float:
     """Antisymmetry R(X,Y)Z = -R(Y,X)Z."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x, y, z = model._rng_vectors(rng, 3)
-        worst = max(worst, float(np.abs(curvature(model, x, y, z)
-                                        + curvature(model, y, x, z)).max()))
-    return worst
+    x, y, z = _tuples(model, trials, seed, 3)
+    return _worst(curvature(model, x, y, z) + curvature(model, y, x, z))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from goldenslant.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SUITE_FAILED, list_bundled, main
 from goldenslant.config import load_config, parse_config
 from goldenslant.errors import ConfigError
-from goldenslant.suites import render_report, run_scenario
+from goldenslant.suites import render_report, run_curvature_suite, run_scenario
 
 MINIMAL = {
     "ambient": {"dim": 4,
@@ -26,6 +26,22 @@ SLANT_SCENARIO = {
     },
     "suites": ["structure", "identities", "slant"],
 }
+
+
+def _curvature_run(**spaceform):
+    """Mutation that asks for the curvature suite with these spaceform entries."""
+    def mutate(data):
+        data["suites"] = ["curvature"]
+        data["spaceform"] = {"c_p": 1, "c_q": -1, "p": 2, **spaceform}
+    return mutate
+
+
+def _p_mismatch(data):
+    # phi = psi I has a 4-dimensional psi-eigenspace, not the claimed p = 1.
+    data["ambient"]["phi"]["pattern"] = ["psi"] * 4
+    data["ambient"]["metric"] = [["2", "0", "0", "0"], ["0", "1", "0", "0"],
+                                 ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    _curvature_run(p=1)(data)
 
 
 class TestConfigParsing:
@@ -84,14 +100,32 @@ class TestConfigParsing:
             (lambda d: d.__setitem__("unknown", 1), "/unknown"),
             (lambda d: d["ambient"]["phi"].__setitem__(
                 "pattern", ["psi", "psi", "psi", "nope"]), "/ambient/phi/pattern/3"),
+            (_curvature_run(c_p=math.nan), "/spaceform/c_p"),
+            (_curvature_run(c_p=math.inf), "/spaceform/c_p"),
+            (_curvature_run(c_p=10 ** 400), "/spaceform/c_p"),
+            (lambda d: d.__setitem__("tolerances", {"tol_frame": math.nan}),
+             "/tolerances/tol_frame"),
+            (lambda d: d.__setitem__("tolerances", {"tol_angle": math.inf}),
+             "/tolerances/tol_angle"),
+            (lambda d: d.__setitem__("tolerances", {"tol_struct": -1e-9}),
+             "/tolerances/tol_struct"),
+            (_curvature_run(trials=100_001), "/spaceform/trials"),
+            (_p_mismatch, "/spaceform/p"),
         ],
     )
     def test_validation_errors_carry_pointer_paths(self, mutate, path):
         data = json.loads(json.dumps(MINIMAL))
         mutate(data)
         with pytest.raises(ConfigError) as err:
-            parse_config(data)
+            cfg = parse_config(data)
+            # spaceform.p is checked against the psi-eigenspace of the built phi.
+            run_curvature_suite(cfg, cfg.build_structure(), cfg.tolerances)
         assert err.value.path == path
+
+    def test_trials_cap_is_inclusive(self):
+        data = json.loads(json.dumps(MINIMAL))
+        _curvature_run(trials=100_000)(data)
+        assert parse_config(data).spaceform.trials == 100_000
 
     def test_immersion_needs_fewer_params_than_dim(self):
         data = json.loads(json.dumps(SLANT_SCENARIO))
@@ -150,11 +184,14 @@ class TestRunScenario:
     def test_invalid_structure_fails_dependent_suites(self):
         data = {
             "ambient": {"dim": 2, "phi": {"matrix": [["1", "0"], ["0", "1"]]}},
-            "suites": ["structure"],
+            "spaceform": {"c_p": 1, "c_q": -1, "p": 1},
+            "suites": ["structure", "curvature"],
         }
         report = run_scenario(parse_config(data))
         assert not report["overall_pass"]
-        assert "error" in report["suites"]["structure"]
+        suites = report["suites"]
+        assert "error" in suites["structure"]
+        assert suites["curvature"] == suites["structure"]
 
     def test_float_backend_forced(self):
         report = run_scenario(parse_config(MINIMAL), backend="float")
@@ -235,6 +272,35 @@ class TestCli:
         }))
         assert main(["run", str(path)]) == EXIT_CONFIG_ERROR
         assert "/immersion" in capsys.readouterr().err
+
+    def _run_mutated(self, tmp_path, mutate) -> int:
+        data = json.loads(json.dumps(MINIMAL))
+        mutate(data)
+        path = tmp_path / "mutated.cfg"
+        path.write_text(json.dumps(data))  # NaN is written as the bare token
+        return main(["run", str(path)])
+
+    def test_non_finite_curvature_is_a_config_error(self, tmp_path, capsys):
+        assert self._run_mutated(tmp_path, _curvature_run(c_p=math.nan)) == EXIT_CONFIG_ERROR
+        assert "/spaceform/c_p" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
+    def test_overflowing_curvatures_fail_quietly(self, tmp_path, capsys):
+        # B = -((1-psi) c_p + psi c_q)/4 overflows, so the residuals are NaN.
+        mutate = _curvature_run(c_p=1e308, c_q=-1e308)
+        assert self._run_mutated(tmp_path, mutate) == EXIT_SUITE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        curvature = json.loads(captured.out)["suites"]["curvature"]
+        assert not curvature["pass"]
+        assert math.isnan(curvature["identities"]["bianchi"])
+
+    def test_spaceform_p_must_match_the_ambient_structure(self, tmp_path, capsys):
+        assert self._run_mutated(tmp_path, _p_mismatch) == EXIT_SUITE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["suites"]["curvature"]["error"]
+        assert error.startswith("ConfigError: /spaceform/p:")
 
     def test_list_command(self, capsys):
         assert main(["list"]) == EXIT_OK

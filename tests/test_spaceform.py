@@ -1,6 +1,7 @@
 """Space-form curvature model: identities, Ricci program and probed claims."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from goldenslant.errors import DimensionMismatch
 from goldenslant.quadrat import PSI
 from goldenslant.spaceform import (
     SpaceFormModel,
+    _tuples,
+    _worst,
     antisymmetry_residual,
     bianchi_residual,
     curvature,
@@ -31,14 +34,21 @@ from goldenslant.structures import GoldenStructure, Metric, random_golden
 PSI_F = float(PSI)
 
 
+def _naive_coefficients(model):
+    a = -((1 - PSI_F) * model.c_p - PSI_F * model.c_q) / (2 * math.sqrt(5))
+    b = -((1 - PSI_F) * model.c_p + PSI_F * model.c_q) / 4
+    return a, b
+
+
+def _g(model, u, v):
+    return float(u @ model.g @ v)
+
+
 def _naive_curvature(model, x, y, z):
     """Independent term-by-term transcription of the curvature formula."""
     n = model.n
-    phi = np.diag([PSI_F] * model.p + [1 - PSI_F] * (n - model.p))
-    a = -((1 - PSI_F) * model.c_p - PSI_F * model.c_q) / (2 * math.sqrt(5))
-    b = -((1 - PSI_F) * model.c_p + PSI_F * model.c_q) / 4
-    def g(u, v):
-        return sum(u[i] * v[i] for i in range(n))
+    phi, g = model.phi, partial(_g, model)
+    a, b = _naive_coefficients(model)
     px = phi @ x
     py = phi @ y
     out = np.zeros(n)
@@ -256,3 +266,173 @@ class TestNablaCertificate:
         cert = nabla_identities_certificate(SpaceFormModel.build(4, 2, 0.0, 0.0))
         assert cert.coeff_a == 0.0 and cert.coeff_b == 0.0
         assert cert.ricci_g_coeff == 0.0 and cert.ricci_phi_coeff == 0.0
+
+
+# -- batched probes against a per-trial oracle ----------------------------------
+
+
+def _skewed_model(c_p, c_q):
+    """Model with a non-diagonal phi and a non-Euclidean metric.
+
+    A golden phi that is self-adjoint for the identity becomes L^-1 phi L,
+    self-adjoint for g = L^T L, under an upper-triangular change of basis L.
+    """
+    n = 6
+    lt = np.triu(np.random.default_rng(8).uniform(-0.5, 0.5, (n, n)), 1) + np.diag(
+        np.linspace(1.0, 2.0, n))
+    phi = np.linalg.solve(lt, random_golden(n, 2, seed=5).phi_float @ lt)
+    g = lt.T @ lt
+    structure = GoldenStructure(phi, Metric((g + g.T) / 2.0))
+    return SpaceFormModel.from_structure(structure, c_p, c_q)
+
+
+ORACLE_MODELS = MODELS + [_skewed_model(1.0, -1.0), _skewed_model(2.0, 3.0)]
+
+
+def _naive_ricci_coefficients(model):
+    n, tr = model.n, float(np.trace(model.phi))
+    a, b = _naive_coefficients(model)
+    return a * (n - 2) + b * tr, a * (tr - 1) + b * (n - 2)
+
+
+def _naive_ricci(model, y, z, path="closed"):
+    if path == "framesum":
+        return sum(_g(model, _naive_curvature(model, e, y, z), e) for e in model.frame.T)
+    alpha, beta = _naive_ricci_coefficients(model)
+    return alpha * _g(model, y, z) + beta * _g(model, model.phi @ y, z)
+
+
+def _naive_rs(model, x, y, z, w):
+    rz, rw = _naive_curvature(model, x, y, z), _naive_curvature(model, x, y, w)
+    return -_naive_ricci(model, rz, w) - _naive_ricci(model, z, rw)
+
+
+def _trial_commutation(m, x, y, z, w):
+    r, phi = partial(_naive_curvature, m), m.phi
+    rz, rpz = r(x, y, z), r(x, y, phi @ z)
+    return {
+        "phi_argument": rpz - phi @ rz,
+        "first_slots": r(phi @ x, y, z) - r(x, phi @ y, z),
+        "both_slots": r(phi @ x, phi @ y, z) - r(phi @ x, y, z) - rz,
+        "form_both_phi": _g(m, rpz, phi @ w) - _g(m, rz, phi @ w) - _g(m, rz, w),
+        "form_swap": _g(m, rpz, w) - _g(m, rz, phi @ w),
+    }
+
+
+def _trial_ricci_phi(path):
+    def residuals(m, x, y):
+        s, phi = partial(_naive_ricci, m, path=path), m.phi
+        px, py = phi @ x, phi @ y
+        return {
+            "phi_sq_left": s(phi @ px, y) - s(px, y) - s(x, y),
+            "phi_sq_right": s(x, phi @ py) - s(x, py) - s(x, y),
+            "phi_both": s(px, py) - s(px, y) - s(x, y),
+            "phi_swap": s(px, y) - s(py, x),
+        }
+    return residuals
+
+
+def _trial_rs_props(m, x1, x2, x, y):
+    rs, phi = partial(_naive_rs, m), m.phi
+    return {
+        "arguments": rs(phi @ x1, phi @ x2, x, y) - rs(phi @ x1, x2, x, y) - rs(x1, x2, x, y),
+        "values": rs(x1, x2, phi @ x, phi @ y) - rs(x1, x2, phi @ x, y) - rs(x1, x2, x, y),
+    }
+
+
+def _trial_rs_gap(m, x, y, z, w):
+    _, beta = _naive_ricci_coefficients(m)
+    claimed = -2 * beta * _g(m, _naive_curvature(m, x, y, w), m.phi @ z)
+    return _naive_rs(m, x, y, z, w) - claimed
+
+
+# probe, tuple size k, per-trial residuals on one sequential (k, n) draw
+ORACLE = [
+    (ricci_agreement, 2,
+     lambda m, y, z: _naive_ricci(m, y, z, "framesum") - _naive_ricci(m, y, z)),
+    (bianchi_residual, 3,
+     lambda m, x, y, z: _naive_curvature(m, x, y, z) + _naive_curvature(m, y, z, x)
+     + _naive_curvature(m, z, x, y)),
+    (pair_symmetry_residual, 4,
+     lambda m, x, y, z, w: _g(m, _naive_curvature(m, x, y, z), w)
+     - _g(m, _naive_curvature(m, z, w, x), y)),
+    (antisymmetry_residual, 3,
+     lambda m, x, y, z: _naive_curvature(m, x, y, z) + _naive_curvature(m, y, x, z)),
+    (curvature_commutation_checks, 4, _trial_commutation),
+    (partial(ricci_phi_checks, path="framesum"), 2, _trial_ricci_phi("framesum")),
+    (partial(ricci_phi_checks, path="closed"), 2, _trial_ricci_phi("closed")),
+    (rs_corollary_residual, 4,
+     lambda m, x, y, z, w: _naive_rs(m, m.phi @ x, y, m.phi @ z, w)),
+    (rs_phi_propositions, 4, _trial_rs_props),
+    (r_dot_s_closed_form_gap, 4, _trial_rs_gap),
+    (non_semi_symmetry_probe, 4, _naive_rs),
+]
+
+
+def _per_trial_worst(model, k, trial, trials, seed):
+    """The residual maxima of a scalar loop over sequential (k, n) draws."""
+    rng = np.random.default_rng(seed)
+    rows = [trial(model, *rng.standard_normal((k, model.n))) for _ in range(trials)]
+    if isinstance(rows[0], dict):
+        return {key: max(float(np.abs(row[key]).max()) for row in rows) for key in rows[0]}
+    return max(float(np.abs(row).max()) for row in rows)
+
+
+def _agree(batched, looped):
+    # 1e-12 relative; residuals at rounding level (below 1) compare absolutely.
+    return abs(batched - looped) <= 1e-12 * max(1.0, abs(looped))
+
+
+class TestBatchedProbes:
+    @pytest.mark.parametrize("probe,k,trial", ORACLE,
+                             ids=[getattr(p, "__name__", None) or
+                                  f"{p.func.__name__}-{p.keywords['path']}"
+                                  for p, _, _ in ORACLE])
+    def test_probe_matches_per_trial_loop(self, probe, k, trial):
+        for model in ORACLE_MODELS:
+            batched = probe(model, trials=6, seed=11)
+            looped = _per_trial_worst(model, k, trial, trials=6, seed=11)
+            if isinstance(looped, dict):
+                assert batched.keys() == looped.keys()
+                for key in looped:
+                    assert _agree(batched[key], looped[key]), (model.n, key)
+            else:
+                assert _agree(batched, looped), (model.n, model.c_p, model.c_q)
+
+    def test_skewed_model_is_not_diagonal(self):
+        model = ORACLE_MODELS[-1]
+        assert model.p == 2
+        assert np.abs(model.g - np.eye(model.n)).max() > 0.1
+        assert np.abs(model.phi - np.diag(np.diag(model.phi))).max() > 0.1
+        assert ricci_agreement(model, trials=50) <= 1e-9
+
+    def test_curvature_broadcasts_over_trials(self):
+        model = ORACLE_MODELS[-1]
+        x, y, z = np.random.default_rng(12).standard_normal((3, 5, model.n))
+        batched = curvature(model, x, y, z)
+        assert batched.shape == (5, model.n)
+        for t in range(5):
+            single = curvature(model, x[t], y[t], z[t])
+            assert single.shape == (model.n,)
+            assert np.abs(single - batched[t]).max() <= 1e-12
+            assert np.abs(single - _naive_curvature(model, x[t], y[t], z[t])).max() <= 1e-12
+
+    def test_dimension_mismatch_on_the_last_axis(self):
+        model = SpaceFormModel.build(4, 2, 1.0, 1.0)
+        good = np.ones((5, 4))
+        with pytest.raises(DimensionMismatch):
+            curvature(model, np.ones((5, 3)), good, good)
+        with pytest.raises(DimensionMismatch):
+            curvature(model, good, good, np.ones((4, 5)))
+
+    def test_worst_keeps_a_single_nan(self):
+        assert math.isnan(_worst(np.array([[0.5, np.nan], [-2.0, 1.0]])))
+        assert _worst(np.array([[0.5, -3.0], [-2.0, 1.0]])) == 3.0
+
+    def test_bulk_draw_equals_sequential_draws(self):
+        model = SpaceFormModel.build(8, 4, 1.0, -1.0)
+        x, y, z = _tuples(model, trials=7, seed=13, k=3)
+        rng = np.random.default_rng(13)
+        for t in range(7):
+            sequential = rng.standard_normal((3, model.n))
+            assert np.array_equal(np.stack([x[t], y[t], z[t]]), sequential)
