@@ -45,10 +45,12 @@ from .structures import (
 from .submanifold import ImmersionSpec, SampleSpec
 
 SUITE_ORDER = ("structure", "identities", "extrinsic", "slant", "curvature")
-_IMMERSION_SUITES = {"identities", "extrinsic", "slant"}
+IMMERSION_SUITES = {"identities", "extrinsic", "slant"}
 
 # Probes hold every trial in memory at once, so trials bound a run's memory.
 MAX_TRIALS = 100_000
+# The point suites evaluate every sample point in one batch, so points do too.
+MAX_POINTS = 100_000
 
 ANGLE_FORMULA_PROJECTION = "projection"
 ANGLE_FORMULA_UNNORMALIZED = "unnormalized"
@@ -118,7 +120,7 @@ class ScenarioConfig:
                        tol_angle: float | None = None) -> ScenarioConfig:
         cfg = self
         if seed is not None:
-            cfg = replace(cfg, seed=seed)
+            cfg = replace(cfg, seed=_as_int(seed, "/seed", minimum=0))
         if tol_angle is not None:
             cfg = replace(cfg, tolerances=replace(cfg.tolerances, tol_angle=tol_angle))
         return cfg
@@ -245,8 +247,10 @@ def parse_config(data: dict) -> ScenarioConfig:
                               f"need fewer parameters than ambient dimension {dim}")
         imm_params = tuple(params)
         imm_components = tuple(components)
-        if "samples" in imm:
-            imm_samples = _parse_samples(imm["samples"], len(params))
+        imm_samples = _parse_samples(imm.get("samples", {}), len(params))
+        if imm_samples.size > MAX_POINTS:
+            raise ConfigError("/immersion/samples",
+                              f"{imm_samples.size} sample points exceed the cap of {MAX_POINTS}")
 
     spaceform = None
     if "spaceform" in data:
@@ -263,7 +267,7 @@ def parse_config(data: dict) -> ScenarioConfig:
             p=p,
             trials=_as_int(sf.get("trials", 100), "/spaceform/trials", minimum=1,
                            maximum=MAX_TRIALS),
-            seed=_as_int(sf.get("seed", 0), "/spaceform/seed"),
+            seed=_as_int(sf.get("seed", 0), "/spaceform/seed", minimum=0),
         )
 
     angle_formula = ANGLE_FORMULA_PROJECTION
@@ -287,10 +291,10 @@ def parse_config(data: dict) -> ScenarioConfig:
                    for k, v in tols.items()}
         tolerances = replace(tolerances, **updates)
 
-    seed = _as_int(data.get("seed", 0), "/seed")
+    seed = _as_int(data.get("seed", 0), "/seed", minimum=0)
 
     for suite in suites:
-        if suite in _IMMERSION_SUITES and imm_params is None:
+        if suite in IMMERSION_SUITES and imm_params is None:
             raise ConfigError("/immersion", f"suite {suite!r} requires the immersion section")
         if suite == "curvature" and spaceform is None:
             raise ConfigError("/spaceform", "suite 'curvature' requires the spaceform section")

@@ -40,7 +40,6 @@ FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
     "exp": jets.exp,
     "sqrt": jets.sqrt,
 }
-_FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,30 @@ class Expr:
         return _print(self.root, 0)
 
     def eval_jet(self, point: Sequence[float]) -> Jet2:
-        if len(point) != self.m:
-            raise DomainError(f"expected {self.m} coordinates, got {len(point)}")
-        return _eval_jet(self.root, [float(x) for x in point])
+        """Value, gradient and Hessian at one point: the jets of a batch of one."""
+        jet = self.eval_jets([point])
+        return Jet2(float(jet.value[0]), jet.grad[0], jet.hess[0])
 
-    def eval_value(self, point: Sequence[float]) -> float:
-        if len(point) != self.m:
-            raise DomainError(f"expected {self.m} coordinates, got {len(point)}")
-        return _eval_value(self.root, [float(x) for x in point])
+    def eval_jets(self, points) -> Jet2:
+        """Jets at the N rows of ``points`` from one pass over the AST: value (N,),
+        grad (N, m), hess (N, m, m).  Overflowing or undefined ones raise DomainError."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.m:
+            raise DomainError(f"expected {self.m} coordinates, got {points.shape[-1]}")
+        try:
+            with np.errstate(all="ignore"):
+                jet = _eval_jet(self.root, points)
+        except OverflowError as exc:
+            raise DomainError(f"overflow: {exc}") from None
+        n, m = points.shape
+        value = np.array(np.broadcast_to(jet.value, (n,)))
+        grad = np.array(np.broadcast_to(jet.grad, (n, m)))
+        hess = np.array(np.broadcast_to(jet.hess, (n, m, m)))
+        finite = np.isfinite(value) & np.isfinite(grad).all(-1) & np.isfinite(hess).all((-2, -1))
+        if not finite.all():
+            bad = tuple(points[np.argmin(finite)].tolist())
+            raise DomainError(f"value or derivative is not finite at {bad}")
+        return Jet2(value, grad, hess)
 
     def affine_exact(self) -> tuple[QuadRat, list[QuadRat]] | None:
         """Exact ``(constant, coefficients)`` if the expression is affine over Q(sqrt5)."""
@@ -324,19 +339,19 @@ def _print(node: Node, min_prec: int) -> str:
 # evaluation
 
 
-def _eval_jet(node: Node, point: list[float]) -> Jet2:
-    m = len(point)
+def _eval_jet(node: Node, points: np.ndarray) -> Jet2:
+    m = points.shape[1]
     if isinstance(node, Lit):
         return Jet2.constant(float(node.value), m)
     if isinstance(node, Const):
         return Jet2.constant(CONSTANT_VALUES[node.name], m)
     if isinstance(node, Param):
-        return Jet2.variable(point[node.index], node.index, m)
+        return Jet2.variable(points[:, node.index], node.index, m)
     if isinstance(node, Neg):
-        return -_eval_jet(node.operand, point)
+        return -_eval_jet(node.operand, points)
     if isinstance(node, Bin):
-        left = _eval_jet(node.left, point)
-        right = _eval_jet(node.right, point)
+        left = _eval_jet(node.left, points)
+        right = _eval_jet(node.right, points)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -345,40 +360,8 @@ def _eval_jet(node: Node, point: list[float]) -> Jet2:
             return left * right
         return left / right
     if isinstance(node, Pow):
-        return _eval_jet(node.base, point) ** node.exponent
-    return FUNCTIONS[node.fn](_eval_jet(node.arg, point))
-
-
-def _eval_value(node: Node, point: list[float]) -> float:
-    if isinstance(node, Lit):
-        return float(node.value)
-    if isinstance(node, Const):
-        return CONSTANT_VALUES[node.name]
-    if isinstance(node, Param):
-        return point[node.index]
-    if isinstance(node, Neg):
-        return -_eval_value(node.operand, point)
-    if isinstance(node, Bin):
-        left = _eval_value(node.left, point)
-        right = _eval_value(node.right, point)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0.0:
-            raise DomainError("division by zero")
-        return left / right
-    if isinstance(node, Pow):
-        base = _eval_value(node.base, point)
-        if base == 0.0 and node.exponent < 0:
-            raise DomainError("zero raised to a negative power")
-        return base**node.exponent
-    arg = _eval_value(node.arg, point)
-    if node.fn == "sqrt" and arg < 0.0:
-        raise DomainError("sqrt of a negative value")
-    return _FLOAT_FUNCTIONS[node.fn](arg)
+        return _eval_jet(node.base, points) ** node.exponent
+    return FUNCTIONS[node.fn](_eval_jet(node.arg, points))
 
 
 def _affine(node: Node, m: int) -> tuple[QuadRat, list[QuadRat]] | None:
@@ -441,11 +424,17 @@ def eval_jet(e: Expr, point: Sequence[float]) -> Jet2:
     return e.eval_jet(point)
 
 
+def evaluate(components: Sequence[Expr], points) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians (N, n, m) and Hessians (N, n, m, m) of an immersion at (N, m) ``points``."""
+    jets = [comp.eval_jets(points) for comp in components]
+    return np.stack([j.grad for j in jets], axis=1), np.stack([j.hess for j in jets], axis=1)
+
+
 def jacobian(components: Sequence[Expr], point: Sequence[float]) -> np.ndarray:
     """n x m Jacobian of an immersion given by ``components`` at ``point``."""
-    return np.array([comp.eval_jet(point).grad for comp in components])
+    return evaluate(components, [point])[0][0]
 
 
 def hessians(components: Sequence[Expr], point: Sequence[float]) -> np.ndarray:
     """n x m x m array of component Hessians at ``point``."""
-    return np.array([comp.eval_jet(point).hess for comp in components])
+    return evaluate(components, [point])[1][0]

@@ -1,15 +1,16 @@
-"""Second-order forward-mode automatic differentiation.
+"""Second-order forward-mode automatic differentiation over a batch of points.
 
 A :class:`Jet2` carries a value, a gradient and a symmetric Hessian with
 respect to ``m`` parameters and propagates them through arithmetic and the
-elementary functions used by the immersion DSL.  Immersions here are
-low-dimensional, so jets give exact-to-rounding Jacobians and Hessians
-without any symbolic machinery.
+elementary functions used by the immersion DSL.  Leading axes are a batch
+(value ``(...)``, grad ``(..., m)``, hess ``(..., m, m)``) that every rule
+broadcasts over, so one pass differentiates an expression at every sample
+point (Taylor propagation, Griewank & Walther, *Evaluating Derivatives*).
+Overflow gives ``inf``/``nan`` here; ``Expr.eval_jets`` rejects those.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Jet2:
-    value: float
+    value: np.ndarray | float
     grad: np.ndarray
     hess: np.ndarray
 
@@ -28,14 +29,14 @@ class Jet2:
         return cls(float(value), np.zeros(m), np.zeros((m, m)))
 
     @classmethod
-    def variable(cls, value: float, index: int, m: int) -> Jet2:
+    def variable(cls, value, index: int, m: int) -> Jet2:
         g = np.zeros(m)
         g[index] = 1.0
-        return cls(float(value), g, np.zeros((m, m)))
+        return cls(np.asarray(value, dtype=float), g, np.zeros((m, m)))
 
     @property
     def m(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     def __add__(self, other: Jet2 | float) -> Jet2:
         other = _lift(other, self.m)
@@ -54,22 +55,23 @@ class Jet2:
 
     def __mul__(self, other: Jet2 | float) -> Jet2:
         other = _lift(other, self.m)
-        cross = np.outer(self.grad, other.grad)
+        u, v = _axis(self.value), _axis(other.value)
+        cross = self.grad[..., :, None] * other.grad[..., None, :]
         return Jet2(
             self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-            self.value * other.hess + other.value * self.hess + cross + cross.T,
+            u * other.grad + v * self.grad,
+            u[..., None] * other.hess + v[..., None] * self.hess + cross
+            + np.swapaxes(cross, -1, -2),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Jet2 | float) -> Jet2:
         other = _lift(other, self.m)
-        if other.value == 0.0:
+        w = np.asarray(other.value, dtype=float)
+        if np.any(w == 0.0):
             raise DomainError("division by zero")
-        return self * other._chain(1.0 / other.value,
-                                   -1.0 / other.value**2,
-                                   2.0 / other.value**3)
+        return self * other._chain(1.0 / w, -1.0 / w**2, 2.0 / w**3)
 
     def __rtruediv__(self, other: Jet2 | float) -> Jet2:
         return _lift(other, self.m) / self
@@ -77,15 +79,22 @@ class Jet2:
     def __pow__(self, k: int) -> Jet2:
         if k == 0:
             return Jet2.constant(1.0, self.m)
-        if self.value == 0.0 and k < 0:
+        v = np.asarray(self.value, dtype=float)
+        if k < 0 and np.any(v == 0.0):
             raise DomainError("zero raised to a negative power")
-        v = self.value
+        k = float(k)  # OverflowError beyond the float range
         return self._chain(v**k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2) if k != 1 else 0.0)
 
-    def _chain(self, f: float, fp: float, fpp: float) -> Jet2:
+    def _chain(self, f, fp, fpp) -> Jet2:
         """Compose with a scalar function given f(v), f'(v), f''(v)."""
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(f, fp * self.grad, fp * self.hess + fpp * outer)
+        d1 = _axis(fp)
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
+        return Jet2(f, d1 * self.grad, d1[..., None] * self.hess + _axis(fpp)[..., None] * outer)
+
+
+def _axis(x) -> np.ndarray:
+    """Batch values with one trailing axis, to scale gradient rows."""
+    return np.asarray(x, dtype=float)[..., None]
 
 
 def _lift(x: Jet2 | float, m: int) -> Jet2:
@@ -95,22 +104,23 @@ def _lift(x: Jet2 | float, m: int) -> Jet2:
 
 
 def sin(x: Jet2) -> Jet2:
-    return x._chain(math.sin(x.value), math.cos(x.value), -math.sin(x.value))
+    return x._chain(np.sin(x.value), np.cos(x.value), -np.sin(x.value))
 
 
 def cos(x: Jet2) -> Jet2:
-    return x._chain(math.cos(x.value), -math.sin(x.value), -math.cos(x.value))
+    return x._chain(np.cos(x.value), -np.sin(x.value), -np.cos(x.value))
 
 
 def exp(x: Jet2) -> Jet2:
-    e = math.exp(x.value)
+    e = np.exp(x.value)
     return x._chain(e, e, e)
 
 
 def sqrt(x: Jet2) -> Jet2:
-    if x.value < 0.0:
+    v = np.asarray(x.value)
+    if np.any(v < 0.0):
         raise DomainError("sqrt of a negative value")
-    if x.value == 0.0:
+    if np.any(v == 0.0):
         raise DomainError("sqrt has no finite derivative at zero")
-    r = math.sqrt(x.value)
-    return x._chain(r, 0.5 / r, -0.25 / (r * x.value))
+    r = np.sqrt(v)
+    return x._chain(r, 0.5 / r, -0.25 / (r * v))

@@ -37,10 +37,15 @@ from .submanifold import (
     ExactInducedOperators,
     ImmersionSpec,
     InducedOperators,
+    PointGeometry,
     SampleSpec,
     TangentFrame,
-    frame_at,
-    induced_operators,
+    _amax,
+    _dot,
+    _t,
+    frame_at,  # noqa: F401  (still importable from this module)
+    point_geometry,
+    trial_draws,
 )
 
 DEFAULT_TOL_ANGLE = 1e-6
@@ -71,18 +76,15 @@ class SlantReport:
         return self.classification in _SLANT_KINDS
 
 
-def _angle_from_ops(ops: InducedOperators, x: np.ndarray, tol_class: float) -> float:
+def _angles(p: np.ndarray, q: np.ndarray, x: np.ndarray, tol_class: float) -> np.ndarray:
+    """Angles of phi X with the tangent space for directions ``x`` (..., D, m)."""
     # Because g(phi X, PX) = |PX|^2, the defining arccos equals
     # atan2(|QX|, |PX|), which stays accurate where arccos degenerates.
-    px = ops.p @ x
-    qx = ops.q @ x if ops.q.size else np.zeros(0)
-    pn = float(np.linalg.norm(px))
-    qn = float(np.linalg.norm(qx))
-    if pn == 0.0 and qn == 0.0:
+    pn = np.linalg.norm(x @ _t(p), axis=-1)
+    qn = np.linalg.norm(x @ _t(q), axis=-1)
+    if np.any((pn == 0.0) & (qn == 0.0)):
         raise ZeroVector("phi X vanished; structure cannot be golden")
-    if pn <= tol_class * math.hypot(pn, qn):
-        return math.pi / 2
-    return math.atan2(qn, pn)
+    return np.where(pn <= tol_class * np.hypot(pn, qn), math.pi / 2, np.arctan2(qn, pn))
 
 
 def slant_angle_at(frame: TangentFrame, ops: InducedOperators, x: Sequence[float],
@@ -93,7 +95,7 @@ def slant_angle_at(frame: TangentFrame, ops: InducedOperators, x: Sequence[float
         raise ZeroVector(f"direction must have {frame.m} tangent coordinates")
     if not np.linalg.norm(vec):
         raise ZeroVector("slant angle of the zero vector is undefined")
-    return _angle_from_ops(ops, vec, tol_class)
+    return float(_angles(ops.p, ops.q, vec[None], tol_class)[0])
 
 
 def reference_cosine(ops: InducedOperators, x: Sequence[float]) -> float:
@@ -105,7 +107,7 @@ def reference_cosine(ops: InducedOperators, x: Sequence[float]) -> float:
     """
     vec = np.asarray(x, dtype=float)
     px = ops.p @ vec
-    qx = ops.q @ vec if ops.q.size else np.zeros(0)
+    qx = ops.q @ vec
     phin = math.sqrt(float(px @ px) + float(qx @ qx))
     if phin == 0.0:
         raise ZeroVector("phi X vanished")
@@ -116,30 +118,33 @@ def classify(imm: ImmersionSpec, structure: GoldenStructure,
              samples: SampleSpec | None = None, directions: int = 20, seed: int = 0,
              tol_angle: float = DEFAULT_TOL_ANGLE, tol_class: float = DEFAULT_TOL_CLASS,
              tol_frame: float = DEFAULT_TOL_FRAME, trials: int = 100) -> SlantReport:
-    """Sample the slant angle over a grid and a direction set, then classify.
+    """:func:`classify_geometry` at the points of ``samples`` (default: the immersion's)."""
+    spec = samples or imm.sample_spec
+    geom = point_geometry(imm, structure.metric, structure, spec.points())
+    return classify_geometry(geom, directions, seed, tol_angle, tol_class, trials)
 
+
+def classify_geometry(geom: PointGeometry, directions: int = 20, seed: int = 0,
+                      tol_angle: float = DEFAULT_TOL_ANGLE,
+                      tol_class: float = DEFAULT_TOL_CLASS, trials: int = 100) -> SlantReport:
+    """Sample the slant angle over the points of a geometry and a direction set, then classify.
+
+    Each point takes the m tangent-frame axes and ``directions`` random unit
+    directions, all drawn from one stream seeded with ``seed``, point by point.
     The angle spread (max - min over all samples) decides slantness; the
     mean angle then separates invariant, anti-invariant and proper slant.
     For slant results the characterization, the P/Q product identities and
     the tQ identity are evaluated along every sampled frame and their worst
     residuals attached to the report.
     """
-    spec = samples or imm.sample_spec
+    ops, n_points, m = geom.ops, geom.size, geom.ops.m
     rng = np.random.default_rng(seed)
-    angles: list[float] = []
-    ops_per_point: list[InducedOperators] = []
-    for point in spec.points():
-        frame = frame_at(imm, point, structure.metric)
-        ops = induced_operators(frame, structure)
-        ops_per_point.append(ops)
-        dirs = [np.eye(imm.m)[i] for i in range(imm.m)]
-        for _ in range(directions):
-            d = rng.standard_normal(imm.m)
-            d /= np.linalg.norm(d)
-            dirs.append(d)
-        angles.extend(_angle_from_ops(ops, d, tol_class) for d in dirs)
+    drawn = rng.standard_normal((n_points, directions, m))
+    drawn /= np.linalg.norm(drawn, axis=-1, keepdims=True)
+    axes = np.broadcast_to(np.eye(m), (n_points, m, m))
+    angles = _angles(ops.p, ops.q, np.concatenate([axes, drawn], axis=1), tol_class)
     theta = float(np.mean(angles))
-    spread = float(max(angles) - min(angles))
+    spread = float(angles.max() - angles.min())
     if spread <= tol_angle:
         if theta <= tol_angle:
             kind = INVARIANT
@@ -159,22 +164,16 @@ def classify(imm: ImmersionSpec, structure: GoldenStructure,
     )
     if not report.is_slant():
         return report
-    residuals: dict[str, float] = {}
-    for i, ops in enumerate(ops_per_point):
-        residuals["characterization"] = max(
-            residuals.get("characterization", 0.0),
-            characterization_residual(ops, report, seed=seed + i),
-        )
-        lemma_p, lemma_q = lemma_pq_identities(ops, report, trials=trials, seed=seed + i)
-        residuals["lemma_p"] = max(residuals.get("lemma_p", 0.0), lemma_p)
-        residuals["lemma_q"] = max(residuals.get("lemma_q", 0.0), lemma_q)
-        residuals["tq"] = max(residuals.get("tq", 0.0), tq_identity_residual(ops, report))
-        if kind != ANTI_INVARIANT:
-            residuals["corollary"] = max(
-                residuals.get("corollary", 0.0),
-                corollary_residual(ops, report, seed=seed + i),
-            )
-    return replace(report, residuals=residuals)
+    lemma_p, lemma_q = lemma_pq_identities(ops, report, trials, seed)
+    residuals = {
+        "characterization": characterization_residual(ops, report, seed=seed),
+        "lemma_p": lemma_p,
+        "lemma_q": lemma_q,
+        "tq": tq_identity_residual(ops, report),
+    }
+    if kind != ANTI_INVARIANT:
+        residuals["corollary"] = corollary_residual(ops, report, seed=seed)
+    return replace(report, residuals={k: float(np.max(v)) for k, v in residuals.items()})
 
 
 def _require_slant(report: SlantReport) -> None:
@@ -182,18 +181,24 @@ def _require_slant(report: SlantReport) -> None:
         raise NotSlant(f"classification is {report.classification}")
 
 
+def _out(value: np.ndarray) -> np.ndarray | float:
+    """A float for one point, the per-point array for stacked operators.
+
+    The residuals below take the operators of one point or of a stack; point
+    i of a stack samples its trials from ``seed + i``.
+    """
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def characterization_residual(ops: InducedOperators, report: SlantReport,
                               trials: int = 20, seed: int = 0) -> float:
     """Worst residual of ``P^2 = lambda (P + I)``, operator and quadratic form."""
     _require_slant(report)
     p, lam = ops.p, report.lam
-    m = p.shape[0]
-    worst = float(np.abs(p @ p - lam * (p + np.eye(m))).max())
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = rng.standard_normal(m)
-        worst = max(worst, abs(float(x @ (p @ (p @ x)) - lam * (x @ x + x @ (p @ x)))))
-    return worst
+    x = trial_draws(seed, p.shape[:-2], (trials, ops.m))
+    px = x @ _t(p)
+    form = _dot(x, px @ _t(p)) - lam * (_dot(x, x) + _dot(x, px))
+    return _out(np.maximum(_amax(p @ p - lam * (p + np.eye(ops.m))), _amax(form, -1)))
 
 
 def corollary_residual(ops: InducedOperators, report: SlantReport,
@@ -202,14 +207,11 @@ def corollary_residual(ops: InducedOperators, report: SlantReport,
     _require_slant(report)
     if report.classification == ANTI_INVARIANT or report.lam <= 0.0:
         raise LambdaZero("corollary needs lambda > 0 (not anti-invariant)")
-    p, lam = ops.p, report.lam
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(p.shape[0])
-        phi2 = float(x @ (p @ x) + x @ x)  # g(phi^2 X, X) = g(PX, X) + g(X, X)
-        worst = max(worst, abs(phi2 - float(x @ (p @ (p @ x))) / lam))
-    return worst
+    p = ops.p
+    x = trial_draws(seed, p.shape[:-2], (trials, ops.m))
+    px = x @ _t(p)
+    phi2 = _dot(x, px) + _dot(x, x)  # g(phi^2 X, X) = g(PX, X) + g(X, X)
+    return _out(_amax(phi2 - _dot(x, px @ _t(p)) / report.lam, -1))
 
 
 def lemma_pq_identities(ops: InducedOperators, report: SlantReport,
@@ -217,15 +219,11 @@ def lemma_pq_identities(ops: InducedOperators, report: SlantReport,
     """Residuals of the cos^2 and sin^2 product identities over random pairs."""
     _require_slant(report)
     p, q = ops.p, ops.q
-    lam, k = report.lam, report.k
-    rng = np.random.default_rng(seed)
-    worst_p = worst_q = 0.0
-    for _ in range(trials):
-        x, y = rng.standard_normal((2, p.shape[0]))
-        px, py = p @ x, p @ y
-        worst_p = max(worst_p, abs(float(px @ py - lam * (x @ y + x @ py))))
-        qq = float((q @ x) @ (q @ y)) if q.size else 0.0
-        worst_q = max(worst_q, abs(qq - k * float(x @ y + px @ y)))
+    pairs = trial_draws(seed, p.shape[:-2], (trials, 2, ops.m))
+    x, y = pairs[..., 0, :], pairs[..., 1, :]
+    px, py = x @ _t(p), y @ _t(p)
+    worst_p = _amax(_dot(px, py) - report.lam * (_dot(x, y) + _dot(x, py)), -1)
+    worst_q = _amax(_dot(x @ _t(q), y @ _t(q)) - report.k * (_dot(x, y) + _dot(px, y)), -1)
     return worst_p, worst_q
 
 
@@ -233,12 +231,10 @@ def tq_identity_residual(ops: InducedOperators, report: SlantReport) -> float:
     """Worst residual of ``tQ = (1 - lambda)(P + I)`` and ``tQ = -P^2 + P + I``."""
     _require_slant(report)
     p = ops.p
-    m = p.shape[0]
-    tq = ops.t @ ops.q if ops.q.size else np.zeros((m, m))
-    eye = np.eye(m)
-    r1 = float(np.abs(tq - (1.0 - report.lam) * (p + eye)).max())
-    r2 = float(np.abs(tq + p @ p - p - eye).max())
-    return max(r1, r2)
+    tq = ops.t @ ops.q
+    eye = np.eye(ops.m)
+    return _out(np.maximum(_amax(tq - (1.0 - report.lam) * (p + eye)),
+                           _amax(tq + p @ p - p - eye)))
 
 
 # ---------------------------------------------------------------------------

@@ -150,13 +150,19 @@ def curvature(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
 def ricci_framesum(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """S(Y, Z) as the frame contraction sum_i g(R(E_i, Y)Z, E_i).
 
-    One frame vector at a time, so memory stays that of Y and Z rather than
-    n times it.
+    Each term of g(R(E, Y)Z, E) is a product of a Y/Z factor and a frame
+    factor.  The Y/Z factors (phi Y, g Z and their inner products) are
+    computed once, the frame factors once per frame vector as matrix
+    products over the frame, so memory stays that of Y and Z.
     """
-    total = 0.0
-    for e in model.frame.T:
-        total = total + _inner(model, curvature(model, e, y, z), e)
-    return total
+    e, a, b = model.frame, model.coeff_a, model.coeff_b
+    pe, ge = model.phi @ e, model.g @ e
+    py, gz = _phi(model, y), z @ model.g
+    gyz, gpyz = _dot(y, gz), _dot(py, gz)
+    gez, gpez = gz @ e, gz @ pe  # g(E_i, Z), g(phi E_i, Z)
+    return ((a * gyz + b * gpyz) * np.sum(e * ge) + (a * gpyz + b * gyz) * np.sum(pe * ge)
+            - ((a * gez + b * gpez) * (y @ ge)).sum(axis=-1)
+            - ((a * gpez + b * gez) * (py @ ge)).sum(axis=-1))
 
 
 def ricci_closed(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:

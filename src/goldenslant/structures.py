@@ -93,12 +93,6 @@ class Metric:
     def matrix(self) -> np.ndarray:
         return as_float(self.entries)
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.matrix @ y)
-
-    def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(x, x), 0.0))
-
     def cholesky(self) -> np.ndarray:
         return np.linalg.cholesky(self.matrix)
 

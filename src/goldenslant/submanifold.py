@@ -13,7 +13,9 @@ together with self-adjointness of ``P`` and the metric split
 ``g(PX,PY) + g(QX,QY) = g(X,Y) + g(PX,Y)``.
 
 Operators are expressed in orthonormal frames, so plain transposes realize
-metric adjoints.  Affine immersions with coefficients in Q(sqrt5) get a
+metric adjoints.  A scenario evaluates all of its sample points in one
+batched pass (:func:`point_geometry`); the single-point functions are views
+of a batch of one.  Affine immersions with coefficients in Q(sqrt5) get a
 parallel exact route in the raw (non-orthonormal) tangent basis, where the
 same identities hold as statements about exact zeros.
 """
@@ -21,6 +23,7 @@ same identities hold as statements about exact zeros.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import exactlin as xl
 from .errors import DimensionMismatch, RankDeficient
-from .expr import Expr, hessians, jacobian, parse
+from .expr import Expr, evaluate, jacobian, parse
 from .quadrat import QuadRat
 from .structures import GoldenStructure, Metric, is_exact
 
@@ -47,6 +50,11 @@ class SampleSpec:
     @classmethod
     def default(cls, m: int) -> SampleSpec:
         return cls(grid=tuple((-1.0, 1.0, 3) for _ in range(m)))
+
+    @property
+    def size(self) -> int:
+        """Number of sample points, counted without building them."""
+        return math.prod(count for _, _, count in self.grid) + len(self.extra_points)
 
     def points(self) -> list[tuple[float, ...]]:
         axes = [np.linspace(lo, hi, count) for lo, hi, count in self.grid]
@@ -88,9 +96,6 @@ class ImmersionSpec:
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
         return jacobian(self.components, point)
 
-    def hessians(self, point: Sequence[float]) -> np.ndarray:
-        return hessians(self.components, point)
-
     def affine_exact(self) -> xl.QMat | None:
         """Exact constant Jacobian (n x m over Q(sqrt5)) for affine immersions."""
         rows = []
@@ -104,9 +109,13 @@ class ImmersionSpec:
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """Orthonormal tangent and normal frames at one parameter point."""
+    """g-orthonormal tangent and normal frames at one parameter point.
 
-    point: tuple[float, ...]
+    Frames stacked over N points carry a leading point axis: ``point`` is
+    then an (N, m) array and every matrix gains an axis of length N.
+    """
+
+    point: tuple[float, ...] | np.ndarray
     raw_tangents: np.ndarray  # n x m Jacobian columns
     tangent_onb: np.ndarray  # n x m
     normal_onb: np.ndarray  # n x (n - m)
@@ -114,83 +123,88 @@ class TangentFrame:
 
     @property
     def m(self) -> int:
-        return self.tangent_onb.shape[1]
+        return self.tangent_onb.shape[-1]
 
     @property
     def n(self) -> int:
-        return self.tangent_onb.shape[0]
+        return self.tangent_onb.shape[-2]
 
-    def gram_residual(self) -> float:
-        """Deviation of the combined frame from g-orthonormality."""
-        full = np.hstack([self.tangent_onb, self.normal_onb])
-        return float(np.abs(full.T @ self.metric.matrix @ full - np.eye(self.n)).max())
+    def at(self, i: int) -> TangentFrame:
+        """The frame at point ``i`` of a stack."""
+        return TangentFrame(tuple(self.point[i].tolist()), self.raw_tangents[i],
+                            self.tangent_onb[i], self.normal_onb[i], self.metric)
+
+    def gram_residual(self) -> np.ndarray | float:
+        """Deviation of the combined frame from g-orthonormality, per point of a stack."""
+        full = np.concatenate([self.tangent_onb, self.normal_onb], axis=-1)
+        return _amax(_t(full) @ self.metric.matrix @ full - np.eye(self.n))
 
     def tangent_coords(self, ambient: np.ndarray) -> np.ndarray:
-        return self.tangent_onb.T @ self.metric.matrix @ ambient
-
-    def normal_coords(self, ambient: np.ndarray) -> np.ndarray:
-        return self.normal_onb.T @ self.metric.matrix @ ambient
+        return _t(self.tangent_onb) @ self.metric.matrix @ ambient
 
 
-def _orthonormalize(columns: np.ndarray, metric: Metric,
-                    against: list[np.ndarray]) -> list[np.ndarray]:
-    """Modified Gram-Schmidt in the metric, with one re-orthogonalization pass."""
-    out: list[np.ndarray] = []
-    for col in columns.T:
-        w = col.astype(float).copy()
-        for _ in range(2):
-            for b in itertools.chain(against, out):
-                w -= metric.inner(b, w) * b
-        nrm = metric.norm(w)
-        if nrm < _RANK_TOL:
-            raise RankDeficient("vector collapsed during orthonormalization")
-        out.append(w / nrm)
-    return out
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return np.swapaxes(a, -1, -2)
 
 
-def _complete_to_basis(tangent: list[np.ndarray], metric: Metric, n: int) -> list[np.ndarray]:
-    """Greedy completion of the tangent frame to an ambient g-orthonormal basis."""
-    normals: list[np.ndarray] = []
-    for _ in range(n - len(tangent)):
-        best, best_norm = None, -1.0
-        for i in range(n):
-            w = np.zeros(n)
-            w[i] = 1.0
-            for _ in range(2):
-                for b in itertools.chain(tangent, normals):
-                    w -= metric.inner(b, w) * b
-            nrm = metric.norm(w)
-            if nrm > best_norm:
-                best, best_norm = w, nrm
-        if best is None or best_norm < _RANK_TOL:
-            raise RankDeficient("could not complete the normal frame")
-        normals.append(best / best_norm)
-    return normals
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product along the last axis."""
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _amax(a: np.ndarray, axis=(-2, -1)) -> np.ndarray | float:
+    """max |entry| over ``axis`` (NaN if any entry is): a float, or one per point."""
+    out = np.abs(a).max(axis=axis, initial=0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def trial_draws(seed: int, stack: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """Seeded standard normals of ``shape`` for one point (``stack == ()``) or a stack.
+
+    Point i of a stack of N (``stack == (N,)``) draws from ``seed + i``, so a
+    stacked check samples what N single-point checks seeded ``seed + i`` do.
+    """
+    if not stack:
+        return np.random.default_rng(seed).standard_normal(shape)
+    return np.array([np.random.default_rng(seed + i).standard_normal(shape)
+                     for i in range(stack[0])])
+
+
+def _stacked_frames(points: np.ndarray, jac: np.ndarray, metric: Metric) -> TangentFrame:
+    """Frames at every point from one stacked QR in Cholesky coordinates.
+
+    With ``G = L L^T``, the complete QR of ``L^T J`` is Euclidean-orthonormal,
+    so ``L^{-T} Q`` is g-orthonormal.  The tangent columns are signed as
+    Gram-Schmidt on the Jacobian columns signs them; the normal columns are
+    the QR completion.
+    """
+    smallest = np.linalg.svd(jac, compute_uv=False).min(axis=-1)
+    bad = np.flatnonzero(~(smallest >= _RANK_TOL))
+    if bad.size:
+        i = bad[0]
+        raise RankDeficient(f"Jacobian smallest singular value {smallest[i]:.3e} "
+                            f"at {tuple(points[i].tolist())}")
+    m = jac.shape[-1]
+    chol = metric.cholesky()
+    q, r = np.linalg.qr(chol.T @ jac, mode="complete")
+    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    q[..., :m] *= signs[..., None, :]
+    basis = np.linalg.solve(chol.T, q)
+    return TangentFrame(points, jac, basis[..., :m], basis[..., m:], metric)
 
 
 def frame_at(imm: ImmersionSpec, point: Sequence[float], metric: Metric) -> TangentFrame:
     """Orthonormal tangent/normal frames of ``imm`` at ``point``."""
-    if metric.n != imm.n:
-        raise DimensionMismatch("metric dimension does not match the ambient space")
-    jac = imm.jacobian(point)
-    smallest = np.linalg.svd(jac, compute_uv=False).min()
-    if smallest < _RANK_TOL:
-        raise RankDeficient(f"Jacobian smallest singular value {smallest:.3e} at {tuple(point)}")
-    fmetric = metric.to_float()
-    tangent = _orthonormalize(jac, fmetric, against=[])
-    normal = _complete_to_basis(tangent, fmetric, imm.n)
-    return TangentFrame(
-        point=tuple(float(x) for x in point),
-        raw_tangents=jac,
-        tangent_onb=np.column_stack(tangent),
-        normal_onb=np.column_stack(normal) if normal else np.zeros((imm.n, 0)),
-        metric=fmetric,
-    )
+    return point_geometry(imm, metric, points=[point]).frame.at(0)
 
 
 @dataclass(frozen=True)
 class InducedOperators:
-    """Matrices of P, Q, t, s in the orthonormal frames of ``frame``."""
+    """Matrices of P, Q, t, s in the orthonormal frames of ``frame``.
+
+    Operators of stacked frames carry the same leading point axis.
+    """
 
     p: np.ndarray  # m x m
     q: np.ndarray  # (n-m) x m
@@ -200,32 +214,74 @@ class InducedOperators:
 
     @property
     def m(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
+
+    def at(self, i: int) -> InducedOperators:
+        """The operators at point ``i`` of a stack."""
+        return InducedOperators(self.p[i], self.q[i], self.t[i], self.s[i], self.frame.at(i))
 
 
 def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> InducedOperators:
-    """Project ``phi`` through the frames of ``frame``."""
+    """Project ``phi`` through the frames of ``frame`` (one point or a stack)."""
     if structure.n != frame.n:
         raise DimensionMismatch("structure and frame ambient dimensions differ")
-    phi = structure.phi_float
+    m = frame.m
+    full = np.concatenate([frame.tangent_onb, frame.normal_onb], axis=-1)
+    blocks = _t(full) @ (frame.metric.matrix @ structure.phi_float @ full)
+    return InducedOperators(p=blocks[..., :m, :m], q=blocks[..., m:, :m],
+                            t=blocks[..., :m, m:], s=blocks[..., m:, m:], frame=frame)
+
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """Every sample point of a scenario, evaluated once and shared by the point suites.
+
+    Arrays lead with the point axis: the stacked ``frame`` (Jacobians in
+    ``raw_tangents``), ``hessians`` (N x n x m x m), ``h`` in normal-frame
+    coordinates (N x m x m x (n-m)), ``christoffel`` in the raw tangent basis
+    (N x m x m x m) and, given a structure, the stacked ``ops``.
+    """
+
+    imm: ImmersionSpec
+    frame: TangentFrame
+    hessians: np.ndarray
+    h: np.ndarray
+    christoffel: np.ndarray
+    ops: InducedOperators | None
+    structure: GoldenStructure | None
+
+    @property
+    def size(self) -> int:
+        return self.hessians.shape[0]
+
+
+def point_geometry(imm: ImmersionSpec, metric: Metric,
+                   structure: GoldenStructure | None = None,
+                   points: Sequence[Sequence[float]] | None = None) -> PointGeometry:
+    """One batched pass over ``points`` (default: the immersion's sample points):
+    jets, frames, ``h``, Christoffel coefficients and, given ``structure``, P, Q, t, s."""
+    if metric.n != imm.n:
+        raise DimensionMismatch("metric dimension does not match the ambient space")
+    pts = np.array(imm.sample_spec.points() if points is None else points, dtype=float)
+    jac, hess = evaluate(imm.components, pts)
+    frame = _stacked_frames(pts, jac, metric.to_float())
+    # Split D2x into its normal part (normal-frame coordinates) and its
+    # tangential part (coefficients in the raw tangent basis).
     g = frame.metric.matrix
-    tb, nb = frame.tangent_onb, frame.normal_onb
-    return InducedOperators(
-        p=tb.T @ g @ phi @ tb,
-        q=nb.T @ g @ phi @ tb,
-        t=tb.T @ g @ phi @ nb,
-        s=nb.T @ g @ phi @ nb,
-        frame=frame,
-    )
+    etg = _t(jac) @ g
+    h = np.einsum("...kn,...nij->...ijk", _t(frame.normal_onb) @ g, hess)
+    rhs = np.einsum("...an,...nij->...ija", etg, hess)
+    christoffel = np.linalg.solve((etg @ jac)[:, None, None], rhs[..., None])[..., 0]
+    if structure is not None:
+        structure = structure.to_float()
+    ops = None if structure is None else induced_operators(frame, structure)
+    return PointGeometry(imm, frame, hess, h, christoffel, ops, structure)
 
 
 @dataclass(frozen=True)
 class IdentityReport:
     residuals: dict[str, float]
     passed: bool
-
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
 
 
 def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
@@ -237,35 +293,32 @@ def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
     The matrix identities are checked entrywise; the two metric identities
     are additionally sampled on ``trials`` random tangent pairs.  The
     reassembly residuals confirm that ``phi X`` recombines from the
-    operator blocks in ambient coordinates.
+    operator blocks in ambient coordinates.  For stacked operators each
+    residual holds one value per point, point i sampling from ``seed + i``.
     """
     p, q, t, s = ops.p, ops.q, ops.t, ops.s
-    m = p.shape[0]
-    k = s.shape[0]
-    res = {
-        "p_squared": float(np.abs(p @ p - p - np.eye(m) + t @ q).max()),
-        "q_projection": float(np.abs(q - q @ p - s @ q).max()),
-        "s_squared": float(np.abs(s @ s - s - np.eye(k) + q @ t).max()) if k else 0.0,
-        "t_projection": float(np.abs(t - p @ t - t @ s).max()) if k else 0.0,
-    }
-    adj = float(np.abs(p - p.T).max())
-    split = float(np.abs(p.T @ p + q.T @ q - np.eye(m) - p.T).max())
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x, y = rng.standard_normal((2, m))
-        adj = max(adj, abs(float((p @ x) @ y - x @ (p @ y))))
-        split = max(
-            split,
-            abs(float((p @ x) @ (p @ y) + (q @ x) @ (q @ y) - x @ y - (p @ x) @ y)),
-        )
-    res["p_self_adjoint"] = adj
-    res["metric_split"] = split
-
+    eye_m, eye_k = np.eye(p.shape[-1]), np.eye(s.shape[-1])
+    pairs = trial_draws(seed, p.shape[:-2], (trials, 2, ops.m))
+    x, y = pairs[..., 0, :], pairs[..., 1, :]
+    px, py, qx, qy = x @ _t(p), y @ _t(p), x @ _t(q), y @ _t(q)
     phi = structure.phi_float
     tb, nb = frame.tangent_onb, frame.normal_onb
-    res["reassembly_tangent"] = float(np.abs(phi @ tb - tb @ p - nb @ q).max())
-    res["reassembly_normal"] = float(np.abs(phi @ nb - tb @ t - nb @ s).max()) if k else 0.0
-    return IdentityReport(residuals=res, passed=max(res.values()) <= tol_frame)
+    res = {
+        "p_squared": _amax(p @ p - p - eye_m + t @ q),
+        "q_projection": _amax(q - q @ p - s @ q),
+        "s_squared": _amax(s @ s - s - eye_k + q @ t),
+        "t_projection": _amax(t - p @ t - t @ s),
+        "p_self_adjoint": np.maximum(_amax(p - _t(p)), _amax(_dot(px, y) - _dot(x, py), -1)),
+        "metric_split": np.maximum(
+            _amax(_t(p) @ p + _t(q) @ q - eye_m - _t(p)),
+            _amax(_dot(px, py) + _dot(qx, qy) - _dot(x, y) - _dot(px, y), -1),
+        ),
+        "reassembly_tangent": _amax(phi @ tb - tb @ p - nb @ q),
+        "reassembly_normal": _amax(phi @ nb - tb @ t - nb @ s),
+    }
+    res = {k: float(v) if np.ndim(v) == 0 else v for k, v in res.items()}
+    passed = all(bool(np.all(v <= tol_frame)) for v in res.values())
+    return IdentityReport(residuals=res, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -287,16 +340,19 @@ def invariance_test(ops: InducedOperators,
     be a golden structure; its residuals are recorded so the equivalence is
     verified rather than assumed.
     """
-    q_max = float(np.abs(ops.q).max()) if ops.q.size else 0.0
-    p_max = float(np.abs(ops.p).max())
-    if q_max <= tol_class:
-        m = ops.m
-        golden = float(np.abs(ops.p @ ops.p - ops.p - np.eye(m)).max())
-        selfadj = float(np.abs(ops.p - ops.p.T).max())
-        return InvarianceResult("invariant", q_max, p_max, golden, selfadj)
-    if p_max <= tol_class:
-        return InvarianceResult("anti_invariant", q_max, p_max)
-    return InvarianceResult("neither", q_max, p_max)
+    kind = str(invariance_kinds(ops, tol_class))
+    q_max, p_max = _amax(ops.q), _amax(ops.p)
+    if kind == "invariant":
+        golden = _amax(ops.p @ ops.p - ops.p - np.eye(ops.m))
+        return InvarianceResult(kind, q_max, p_max, golden, _amax(ops.p - ops.p.T))
+    return InvarianceResult(kind, q_max, p_max)
+
+
+def invariance_kinds(ops: InducedOperators,
+                     tol_class: float = DEFAULT_TOL_CLASS) -> np.ndarray:
+    """invariance_test's kind at one point (a 0-d array) or at every point of a stack."""
+    return np.where(_amax(ops.q) <= tol_class, "invariant",
+                    np.where(_amax(ops.p) <= tol_class, "anti_invariant", "neither"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,22 +18,18 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
 from . import __version__
 from . import exactlin as xl
-from .config import ANGLE_FORMULA_UNNORMALIZED, ScenarioConfig, Tolerances
+from .config import ANGLE_FORMULA_UNNORMALIZED, IMMERSION_SUITES, ScenarioConfig, Tolerances
 from .errors import ConfigError, GoldenslantError
-from .extrinsic import (
-    anti_invariant_shape_vanishing,
-    gauss_split_residual,
-    invariant_connection_check,
-    second_fundamental_form,
-)
+from .extrinsic import gauss_split_residuals, invariant_residuals, shape_vanishing_probe
 from .quadrat import QuadRat
-from .slant import classify, exact_slant_data, reference_cosine
+from .slant import classify_geometry, exact_slant_data, reference_cosine
 from .spaceform import (
     SpaceFormModel,
     antisymmetry_residual,
@@ -56,12 +52,13 @@ from .structures import (
     verify_golden,
 )
 from .submanifold import (
+    PointGeometry,
     exact_frame,
     exact_identity_residuals,
     exact_induced_operators,
-    frame_at,
-    induced_operators,
-    invariance_test,
+    frame_at,  # noqa: F401  (still importable from this module)
+    invariance_kinds,
+    point_geometry,
     structural_identity_residuals,
 )
 
@@ -101,28 +98,18 @@ def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
     }
 
 
-def run_identities_suite(cfg: ScenarioConfig, structure: GoldenStructure,
-                         tol: Tolerances, seed: int) -> dict:
-    imm = cfg.build_immersion()
-    metric = structure.metric
-    worst: dict[str, float] = {}
-    gram = 0.0
-    points = imm.sample_spec.points()
-    for i, point in enumerate(points):
-        frame = frame_at(imm, point, metric)
-        gram = max(gram, frame.gram_residual())
-        ops = induced_operators(frame, structure.to_float())
-        rep = structural_identity_residuals(ops, frame, structure.to_float(),
-                                            seed=seed + i, tol_frame=tol.tol_frame)
-        for key, value in rep.residuals.items():
-            worst[key] = max(worst.get(key, 0.0), value)
+def run_identities_suite(structure: GoldenStructure, geom: PointGeometry, tol: Tolerances,
+                         seed: int) -> dict:
+    rep = structural_identity_residuals(geom.ops, geom.frame, geom.structure, seed=seed)
+    worst = {key: _fl(np.max(values)) for key, values in rep.residuals.items()}
+    gram = _fl(np.max(geom.frame.gram_residual()))
     result = {
-        "points": len(points),
+        "points": geom.size,
         "residuals": worst,
         "frame_gram": gram,
     }
-    passed = max(worst.values()) <= tol.tol_frame and gram <= 1e-10
-    ef = exact_frame(imm, structure.metric) if structure.backend == "exact" else None
+    passed = all(v <= tol.tol_frame for v in worst.values()) and gram <= 1e-10
+    ef = exact_frame(geom.imm, structure.metric) if structure.backend == "exact" else None
     if ef is not None:
         eops = exact_induced_operators(ef, structure)
         exact = exact_identity_residuals(eops)
@@ -139,24 +126,13 @@ def run_identities_suite(cfg: ScenarioConfig, structure: GoldenStructure,
     return result
 
 
-def run_extrinsic_suite(cfg: ScenarioConfig, structure: GoldenStructure,
-                        tol: Tolerances) -> dict:
-    imm = cfg.build_immersion()
-    fstructure = structure.to_float()
-    metric = fstructure.metric
-    points = imm.sample_spec.points()
-    r_tan = r_nor = h_sym = 0.0
-    kinds: list[str] = []
-    for point in points:
-        rt, rn = gauss_split_residual(imm, point, fstructure)
-        r_tan, r_nor = max(r_tan, rt), max(r_nor, rn)
-        sff = second_fundamental_form(imm, point, metric)
-        h_sym = max(h_sym, _fl(np.abs(sff.h - sff.h.transpose(1, 0, 2)).max()))
-        ops = induced_operators(sff.frame, fstructure)
-        kinds.append(invariance_test(ops, tol.tol_class).kind)
-    kind = kinds[0] if len(set(kinds)) == 1 else "mixed"
+def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
+    r_tan, r_nor = (_fl(np.max(r)) for r in gauss_split_residuals(geom))
+    h_sym = _fl(np.max(np.abs(geom.h - geom.h.transpose(0, 2, 1, 3))))
+    kinds = set(invariance_kinds(geom.ops, tol.tol_class).tolist())
+    kind = kinds.pop() if len(kinds) == 1 else "mixed"
     result: dict[str, Any] = {
-        "points": len(points),
+        "points": geom.size,
         "classification": kind,
         "residuals": {
             "gauss_tangential": r_tan,
@@ -164,21 +140,15 @@ def run_extrinsic_suite(cfg: ScenarioConfig, structure: GoldenStructure,
             "h_symmetry": h_sym,
         },
     }
-    passed = max(r_tan, r_nor, h_sym) <= tol.tol_frame
+    passed = all(v <= tol.tol_frame for v in (r_tan, r_nor, h_sym))
     findings: dict[str, Any] = {}
     if kind == "invariant":
-        r_par = r_wei = 0.0
-        for point in points:
-            a, b = invariant_connection_check(imm, point, fstructure, tol.tol_class)
-            r_par, r_wei = max(r_par, a), max(r_wei, b)
+        r_par, r_wei = (_fl(np.max(r)) for r in invariant_residuals(geom))
         result["residuals"]["invariant_parallel"] = r_par
         result["residuals"]["invariant_weingarten"] = r_wei
-        passed = passed and max(r_par, r_wei) <= tol.tol_frame
+        passed = passed and r_par <= tol.tol_frame and r_wei <= tol.tol_frame
     elif kind == "anti_invariant":
-        probe = 0.0
-        for point in points:
-            probe = max(probe, anti_invariant_shape_vanishing(imm, point, fstructure,
-                                                              tol.tol_class))
+        probe = _fl(np.max(shape_vanishing_probe(geom)))
         findings["shape_operator_max"] = probe
         findings["shape_vanishing_conforms"] = probe <= tol.tol_frame
     result["findings"] = findings
@@ -187,14 +157,10 @@ def run_extrinsic_suite(cfg: ScenarioConfig, structure: GoldenStructure,
 
 
 def run_slant_suite(cfg: ScenarioConfig, structure: GoldenStructure,
-                    tol: Tolerances, seed: int) -> dict:
-    imm = cfg.build_immersion()
-    fstructure = structure.to_float()
-    report = classify(imm, fstructure, seed=seed, tol_angle=tol.tol_angle,
-                      tol_class=tol.tol_class, tol_frame=tol.tol_frame)
-    first_point = imm.sample_spec.points()[0]
-    frame = frame_at(imm, first_point, fstructure.metric)
-    ops = induced_operators(frame, fstructure)
+                    geom: PointGeometry, tol: Tolerances, seed: int) -> dict:
+    report = classify_geometry(geom, seed=seed, tol_angle=tol.tol_angle,
+                               tol_class=tol.tol_class)
+    frame, ops = geom.frame.at(0), geom.ops.at(0)
     # The variant formula is not scale-invariant, so feed it the raw tangent.
     raw_e1 = frame.tangent_coords(frame.raw_tangents[:, 0])
     ref = reference_cosine(ops, raw_e1)
@@ -214,13 +180,11 @@ def run_slant_suite(cfg: ScenarioConfig, structure: GoldenStructure,
         "angle_formula": cfg.angle_formula,
         "flags": flags,
     }
-    passed = True
-    if report.residuals:
-        passed = max(report.residuals.values()) <= tol.tol_frame
+    passed = all(v <= tol.tol_frame for v in report.residuals.values())
     if cfg.angle_formula == ANGLE_FORMULA_UNNORMALIZED:
         # The requested cosine variant must at least be a valid cosine.
         passed = passed and not flags["reference_invalid"]
-    ef = exact_frame(imm, structure.metric) if structure.backend == "exact" else None
+    ef = exact_frame(geom.imm, structure.metric) if structure.backend == "exact" else None
     if ef is not None:
         eops = exact_induced_operators(ef, structure)
         data = exact_slant_data(eops)
@@ -330,19 +294,28 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     except GoldenslantError as exc:
         build_error = f"{type(exc).__name__}: {exc}"
 
+    # Every point suite reads one batched pass over the sample points.
+    geom, geom_error = None, None
+    if build_error is None and IMMERSION_SUITES.intersection(cfg.suites):
+        try:
+            geom = point_geometry(cfg.build_immersion(), structure.metric, structure)
+        except GoldenslantError as exc:
+            geom_error = f"{type(exc).__name__}: {exc}"
+
     for suite in cfg.suites:
-        if build_error is not None:
-            report["suites"][suite] = {"pass": False, "error": build_error}
+        error = geom_error if suite in IMMERSION_SUITES else None
+        if build_error is not None or error is not None:
+            report["suites"][suite] = {"pass": False, "error": build_error or error}
             continue
         try:
             if suite == "structure":
                 report["suites"][suite] = run_structure_suite(structure, tol)
             elif suite == "identities":
-                report["suites"][suite] = run_identities_suite(cfg, structure, tol, seed)
+                report["suites"][suite] = run_identities_suite(structure, geom, tol, seed)
             elif suite == "extrinsic":
-                report["suites"][suite] = run_extrinsic_suite(cfg, structure, tol)
+                report["suites"][suite] = run_extrinsic_suite(geom, tol)
             elif suite == "slant":
-                report["suites"][suite] = run_slant_suite(cfg, structure, tol, seed)
+                report["suites"][suite] = run_slant_suite(cfg, structure, geom, tol, seed)
             elif suite == "curvature":
                 report["suites"][suite] = run_curvature_suite(cfg, structure, tol)
         except GoldenslantError as exc:
@@ -352,20 +325,26 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     return report
 
 
+# Strict JSON has no NaN or Infinity, so non-finite floats become these strings.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, QuadRat):
         return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return _NON_FINITE[repr(value)]
     return value
 
 
 def render_report(report: dict) -> str:
-    """Deterministic text form of a report (sorted keys, stable floats)."""
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Deterministic strict-JSON text of a report (sorted keys, stable floats)."""
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"

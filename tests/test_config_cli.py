@@ -5,10 +5,18 @@ import math
 
 import pytest
 
+import numpy as np
+
 from goldenslant.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SUITE_FAILED, list_bundled, main
-from goldenslant.config import load_config, parse_config
+from goldenslant.config import MAX_POINTS, load_config, parse_config
 from goldenslant.errors import ConfigError
-from goldenslant.suites import render_report, run_curvature_suite, run_scenario
+from goldenslant.submanifold import point_geometry
+from goldenslant.suites import (
+    render_report,
+    run_curvature_suite,
+    run_identities_suite,
+    run_scenario,
+)
 
 MINIMAL = {
     "ambient": {"dim": 4,
@@ -34,6 +42,23 @@ def _curvature_run(**spaceform):
         data["suites"] = ["curvature"]
         data["spaceform"] = {"c_p": 1, "c_q": -1, "p": 2, **spaceform}
     return mutate
+
+
+def _immersion(components=("u", "u^2", "0", "0"), params=("u",), **samples):
+    """Mutation that asks for the point suites on this immersion and samples."""
+    def mutate(data):
+        data["suites"] = ["identities", "extrinsic", "slant"]
+        data["immersion"] = {"params": list(params), "components": list(components)}
+        if samples:
+            data["immersion"]["samples"] = samples
+    return mutate
+
+
+def _strict_json(text: str) -> dict:
+    """json.loads that rejects the non-standard NaN/Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def _p_mismatch(data):
@@ -111,6 +136,9 @@ class TestConfigParsing:
              "/tolerances/tol_struct"),
             (_curvature_run(trials=100_001), "/spaceform/trials"),
             (_p_mismatch, "/spaceform/p"),
+            (lambda d: d.__setitem__("seed", -1), "/seed"),
+            (_curvature_run(seed=-1), "/spaceform/seed"),
+            (_immersion(grid=[[0, 1, MAX_POINTS]], extra_points=[[2]]), "/immersion/samples"),
         ],
     )
     def test_validation_errors_carry_pointer_paths(self, mutate, path):
@@ -126,6 +154,16 @@ class TestConfigParsing:
         data = json.loads(json.dumps(MINIMAL))
         _curvature_run(trials=100_000)(data)
         assert parse_config(data).spaceform.trials == 100_000
+
+    def test_points_cap_is_inclusive(self):
+        # Points are counted from the grid, never built.
+        data = json.loads(json.dumps(MINIMAL))
+        _immersion(["u", "v", "0", "0"], ["u", "v"], grid=[[0, 1, 1000], [0, 1, 100]])(data)
+        assert parse_config(data).immersion_samples.size == MAX_POINTS
+        data["immersion"]["samples"]["extra_points"] = [[0, 0]]
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.path == "/immersion/samples"
 
     def test_immersion_needs_fewer_params_than_dim(self):
         data = json.loads(json.dumps(SLANT_SCENARIO))
@@ -192,6 +230,23 @@ class TestRunScenario:
         suites = report["suites"]
         assert "error" in suites["structure"]
         assert suites["curvature"] == suites["structure"]
+
+    def test_nan_identity_residual_fails_the_suite(self):
+        cfg = parse_config(SLANT_SCENARIO)
+        structure = cfg.build_structure().to_float()
+        geom = point_geometry(cfg.build_immersion(), structure.metric, structure)
+        # One point after the first; s leaves the first residual, p_squared, finite,
+        # which a Python max() seeded with it would keep over a later NaN.
+        geom.ops.s[1, 0, 0] = np.nan
+        result = run_identities_suite(structure, geom, cfg.tolerances, seed=0)
+        assert math.isnan(result["residuals"]["s_squared"])
+        assert result["residuals"]["p_squared"] <= 1e-12
+        assert not result["pass"]
+
+    def test_non_finite_floats_render_as_strict_json(self):
+        text = render_report({"x": math.nan, "y": [math.inf, -math.inf],
+                              "z": np.float64("nan")})
+        assert _strict_json(text) == {"x": "NaN", "y": ["Infinity", "-Infinity"], "z": "NaN"}
 
     def test_float_backend_forced(self):
         report = run_scenario(parse_config(MINIMAL), backend="float")
@@ -291,9 +346,26 @@ class TestCli:
         assert self._run_mutated(tmp_path, mutate) == EXIT_SUITE_FAILED
         captured = capsys.readouterr()
         assert captured.err == ""
-        curvature = json.loads(captured.out)["suites"]["curvature"]
+        curvature = _strict_json(captured.out)["suites"]["curvature"]
         assert not curvature["pass"]
-        assert math.isnan(curvature["identities"]["bianchi"])
+        assert curvature["identities"]["bianchi"] == "NaN"
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
+    @pytest.mark.parametrize("component", ["exp(1000*u)", "u^2^30"])
+    def test_overflowing_immersion_is_a_typed_suite_error(self, tmp_path, capsys, component):
+        mutate = _immersion((component, "u", "0", "0"), grid=[[0.5, 2, 3]])
+        assert self._run_mutated(tmp_path, mutate) == EXIT_SUITE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        suites = _strict_json(captured.out)["suites"]
+        for name in ("identities", "extrinsic", "slant"):
+            assert suites[name]["error"].startswith("DomainError:"), suites[name]
+
+    def test_negative_seed_flag_is_a_config_error(self, capsys):
+        assert main(["run", "paper_example_3", "--seed", "-5"]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: /seed:")
 
     def test_spaceform_p_must_match_the_ambient_structure(self, tmp_path, capsys):
         assert self._run_mutated(tmp_path, _p_mismatch) == EXIT_SUITE_FAILED
