@@ -24,12 +24,10 @@ from .errors import (
 from .expr import Expr, eval_jet, parse
 from .extrinsic import (
     SecondFundamentalForm,
-    ShapeOperator,
     anti_invariant_shape_vanishing,
     gauss_split_residual,
     invariant_connection_check,
     second_fundamental_form,
-    shape_operator,
 )
 from .jets import Jet2
 from .quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, parse_quadrat
@@ -75,7 +73,6 @@ from .submanifold import (
     TangentFrame,
     frame_at,
     induced_operators,
-    invariance_test,
     structural_identity_residuals,
 )
 from .suites import render_report, run_scenario

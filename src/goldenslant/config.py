@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ExprSyntaxError
+from .expr import Expr, parse
 from .quadrat import parse_quadrat
 from .structures import (
     AlmostProductStructure,
@@ -89,7 +90,7 @@ class ScenarioConfig:
     phi_payload: tuple
     suites: tuple[str, ...]
     immersion_params: tuple[str, ...] | None = None
-    immersion_components: tuple[str, ...] | None = None
+    immersion_components: tuple[Expr, ...] | None = None
     immersion_samples: SampleSpec | None = None
     spaceform: SpaceformSection | None = None
     angle_formula: str = ANGLE_FORMULA_PROJECTION
@@ -109,12 +110,12 @@ class ScenarioConfig:
         rows = [[parse_quadrat(cell) for cell in row] for row in self.phi_payload]
         if self.phi_kind == "matrix":
             return GoldenStructure(rows, metric)
-        return golden_from_product(AlmostProductStructure(rows, metric))
+        # golden_from_product checks the involution, once.
+        return golden_from_product(AlmostProductStructure(rows, metric, validate=False))
 
     def build_immersion(self) -> ImmersionSpec:
-        return ImmersionSpec.from_strings(
-            self.immersion_params, self.immersion_components, self.immersion_samples
-        )
+        return ImmersionSpec(self.immersion_params, self.immersion_components,
+                             self.immersion_samples)
 
     def with_overrides(self, seed: int | None = None,
                        tol_angle: float | None = None) -> ScenarioConfig:
@@ -122,6 +123,7 @@ class ScenarioConfig:
         if seed is not None:
             cfg = replace(cfg, seed=_as_int(seed, "/seed", minimum=0))
         if tol_angle is not None:
+            tol_angle = _as_number(tol_angle, "/tolerances/tol_angle", minimum=0.0)
             cfg = replace(cfg, tolerances=replace(cfg.tolerances, tol_angle=tol_angle))
         return cfg
 
@@ -161,6 +163,13 @@ def _as_number(value, path: str, minimum: float | None = None) -> float:
     if minimum is not None and number < minimum:
         raise ConfigError(path, f"must be >= {minimum}")
     return number
+
+
+def _as_expr(text: str, params: list[str], path: str) -> Expr:
+    try:
+        return parse(text, params)
+    except ExprSyntaxError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _as_matrix(value, dim: int, path: str) -> tuple[tuple[str, ...], ...]:
@@ -246,7 +255,8 @@ def parse_config(data: dict) -> ScenarioConfig:
             raise ConfigError("/immersion/params",
                               f"need fewer parameters than ambient dimension {dim}")
         imm_params = tuple(params)
-        imm_components = tuple(components)
+        imm_components = tuple(_as_expr(text, params, f"/immersion/components/{i}")
+                               for i, text in enumerate(components))
         imm_samples = _parse_samples(imm.get("samples", {}), len(params))
         if imm_samples.size > MAX_POINTS:
             raise ConfigError("/immersion/samples",

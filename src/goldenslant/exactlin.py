@@ -1,63 +1,54 @@
 """Small dense linear algebra over Q(sqrt5).
 
-Everything here works on plain nested lists of :class:`QuadRat`.  The
-matrices in play are tiny (ambient dimension <= 8), so clarity beats
-asymptotics: Gaussian elimination with the first nonzero pivot is exact in
-a field and is all we need.
+A :class:`QMatrix` is a numpy object array of :class:`QuadRat` whose ``@``
+runs :func:`matmul`.  Everything else is numpy's own elementwise object
+arithmetic: ``+``, ``-``, ``*`` and ``/`` by a scalar (written on the
+right, ``m * c``), ``abs``, ``.T``/``.mT`` and indexing.  One formula
+therefore serves exact matrices and float arrays alike.
 
-:func:`matmul` writes each row and column as integer numerators over one
-common denominator, so an output entry is four integer dot products and a
-single normalised :class:`QuadRat` instead of 2n intermediate ones.
+The matrices in play are tiny (ambient dimension <= 8), so clarity beats
+asymptotics: Gaussian elimination with the first nonzero pivot is exact in
+a field and is all we need.  :func:`matmul` writes each row and column as
+integer numerators over one common denominator, so an output entry is four
+integer dot products and a single normalised :class:`QuadRat` instead of
+2n intermediate ones.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 import numpy as np
 
 from .quadrat import QuadRat, from_integers, integer_form
 
 QVec = list[QuadRat]
-QMat = list[list[QuadRat]]
 
 
-def identity(n: int) -> QMat:
-    return [[QuadRat(1 if i == j else 0) for j in range(n)] for i in range(n)]
+class QMatrix(np.ndarray):
+    """Matrix over Q(sqrt5): an object array of QuadRat entries with an exact ``@``."""
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
 
-def zeros(rows: int, cols: int) -> QMat:
-    return [[QuadRat(0) for _ in range(cols)] for _ in range(rows)]
+_to_quadrat = np.frompyfunc(QuadRat.from_value, 1, 1)
 
 
-def transpose(a: QMat) -> QMat:
-    return [list(col) for col in zip(*a)]
+def qmatrix(rows) -> QMatrix:
+    """Exact matrix of nested ``rows``; int and Fraction entries become QuadRat."""
+    if isinstance(rows, QMatrix):
+        return rows
+    return _to_quadrat(np.array(rows, dtype=object)).view(QMatrix)
 
 
-def add(a: QMat, b: QMat) -> QMat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def sub(a: QMat, b: QMat) -> QMat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scale(c: QuadRat | int | Fraction, a: QMat) -> QMat:
-    c = QuadRat.from_value(c)
-    return [[c * x for x in row] for row in a]
-
-
-def matmul(a: QMat, b: QMat) -> QMat:
-    rows = [integer_form(row) for row in a]
-    cols = [integer_form(col) for col in zip(*b)]
-    return [[_dot(row, col) for col in cols] for row in rows]
-
-
-def matvec(a: QMat, v: Sequence[QuadRat]) -> QVec:
-    col = integer_form(v)
-    return [_dot(integer_form(row), col) for row in a]
+def matmul(a, b) -> QMatrix:
+    rows = [integer_form(row) for row in np.asarray(a).tolist()]
+    cols = [integer_form(col) for col in zip(*np.asarray(b).tolist())]
+    return qmatrix([[_dot(row, col) for col in cols] for row in rows])
 
 
 def _dot(u: tuple[list[int], list[int], int], v: tuple[list[int], list[int], int]) -> QuadRat:
@@ -67,26 +58,16 @@ def _dot(u: tuple[list[int], list[int], int], v: tuple[list[int], list[int], int
                          sum(map(mul, up, vq)) + sum(map(mul, uq, vp)), ud * vd)
 
 
-def max_abs(a: QMat) -> QuadRat:
-    out = QuadRat(0)
-    for row in a:
-        for x in row:
-            ax = abs(x)
-            if ax > out:
-                out = ax
-    return out
-
-
-def solve(a: QMat, b: QMat) -> QMat:
+def solve(a, b) -> QMatrix:
     """Exact solution of ``a @ x = b`` for square invertible ``a``."""
     n = len(a)
     m, pivots = _rref([list(ra) + list(rb) for ra, rb in zip(a, b)])
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix in exact solve")
-    return [row[n:] for row in m]
+    return qmatrix([row[n:] for row in m])
 
 
-def leading_minors_positive(a: QMat) -> bool:
+def leading_minors_positive(a) -> bool:
     """Sylvester's test: elimination without row swaps meets only positive pivots."""
     m = [list(row) for row in a]
     for k, pivot_row in enumerate(m):
@@ -100,13 +81,13 @@ def leading_minors_positive(a: QMat) -> bool:
     return True
 
 
-def _rref(a: QMat) -> tuple[QMat, list[int]]:
+def _rref(a) -> tuple[list[QVec], list[int]]:
     """Reduced row echelon form of ``a`` and its pivot columns."""
     rows = len(a)
     m = [list(row) for row in a]
     pivots: list[int] = []
     r = 0
-    for c in range(len(a[0]) if a else 0):
+    for c in range(len(m[0]) if rows else 0):
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
@@ -124,9 +105,9 @@ def _rref(a: QMat) -> tuple[QMat, list[int]]:
     return m, pivots
 
 
-def kernel_basis(a: QMat) -> list[QVec]:
+def kernel_basis(a) -> list[QVec]:
     """Basis of the right kernel ``{x : a @ x = 0}``."""
-    if not a:
+    if not len(a):
         return []
     cols = len(a[0])
     m, pivots = _rref(a)
@@ -141,17 +122,6 @@ def kernel_basis(a: QMat) -> list[QVec]:
     return basis
 
 
-def column_space_basis(a: QMat) -> list[QVec]:
-    """Pivot columns of ``a`` (a basis of its column space)."""
-    if not a:
-        return []
-    _, pivots = _rref(a)
-    return [[row[c] for row in a] for c in pivots]
-
-
-def to_float(a: QMat) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a], dtype=float)
-
-
-def from_columns(cols: Sequence[Sequence[QuadRat]]) -> QMat:
-    return [list(row) for row in zip(*cols)]
+def column_space_basis(a: QMatrix) -> QMatrix:
+    """The pivot columns of ``a``, a basis of its column space, as a matrix."""
+    return a[:, _rref(a)[1]]

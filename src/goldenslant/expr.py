@@ -15,7 +15,10 @@ and ``sqrt``.  Numbers are decimal literals and are kept as exact
 fractions in the AST so that affine expressions over Q(sqrt5) can be
 lifted to the exact backend.
 
-``parse(to_text(e), params)`` reproduces ``e`` node for node.
+``parse(to_text(e), params)`` reproduces ``e`` node for node.  Parsing
+bounds the work an expression can ask for: the tree may nest at most
+``MAX_DEPTH`` levels deep, and an exponent tower ``a^b^c`` is refused
+before its value would pass 64 bits.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .quadrat import PSI, QuadRat, SQRT5
 
 CONSTANT_VALUES = {"psi": float(PSI), "sqrt5": math.sqrt(5.0), "pi": math.pi}
 EXACT_CONSTANTS = {"psi": PSI, "sqrt5": SQRT5}
+# Evaluation, printing and the parser itself recurse once per level.
+MAX_DEPTH = 100
 FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
     "sin": jets.sin,
     "cos": jets.cos,
@@ -181,6 +186,13 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.params = {name: i for i, name in enumerate(params)}
+        self.depth = 0
+
+    def nest(self, step: int) -> None:
+        self.depth += step
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels",
+                                  self.peek().offset)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -211,11 +223,15 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Node:
+        self.nest(1)
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            node = Neg(self.parse_unary())
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> Node:
         base = self.parse_atom()
@@ -237,7 +253,14 @@ class _Parser:
         value = int(tok.text)
         if self.peek().kind == "OP" and self.peek().text == "^":
             self.advance()
-            value = value ** self.parse_exponent()
+            self.nest(1)
+            offset = self.peek().offset
+            power = self.parse_exponent()
+            self.depth -= 1
+            if power < 0 or (value > 1 and power * math.log2(value) >= 64):
+                raise ExprSyntaxError("an exponent tower must be a nonnegative integer "
+                                      "below 2^64", offset)
+            value = value ** power
         return sign * value
 
     def parse_atom(self) -> Node:
@@ -278,6 +301,13 @@ def parse(text: str, params: Sequence[str]) -> Expr:
     tail = parser.peek()
     if tail.kind != "END":
         raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}", tail.offset)
+    # A long chain such as u+u+...+u is deep without nesting.
+    height, level = 0, [root]
+    while level:
+        height += 1
+        level = [c for node in level for c in vars(node).values() if isinstance(c, Node)]
+    if height > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
     return Expr(root, tuple(params))
 
 

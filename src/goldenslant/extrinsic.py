@@ -28,7 +28,6 @@ from .submanifold import (
     PointGeometry,
     TangentFrame,
     _amax,
-    _t,
     frame_at,  # noqa: F401  (still importable from this module)
     invariance_kinds,
     point_geometry,
@@ -52,19 +51,9 @@ class SecondFundamentalForm:
     def h_onb(self) -> np.ndarray:
         """h re-indexed by the orthonormal tangent frame instead of raw tangents."""
         e = self.frame.raw_tangents
-        etg = _t(e) @ self.frame.metric.matrix
+        etg = e.mT @ self.frame.metric.matrix
         coords = np.linalg.solve(etg @ e, etg @ self.frame.tangent_onb)  # m x m
         return np.einsum("...ia,...jb,...ijc->...abc", coords, coords, self.h)
-
-
-@dataclass(frozen=True)
-class ShapeOperator:
-    """Map V -> A_V with g(A_V X, Y) = g(h(X, Y), V), in orthonormal frames."""
-
-    h_onb: np.ndarray  # m x m x (n - m)
-
-    def __call__(self, v_normal: np.ndarray) -> np.ndarray:
-        return np.einsum("abc,c->ab", self.h_onb, v_normal)
 
 
 def second_fundamental_form(imm: ImmersionSpec, point: Sequence[float],
@@ -73,10 +62,6 @@ def second_fundamental_form(imm: ImmersionSpec, point: Sequence[float],
     geom = point_geometry(imm, metric, points=[point])
     return SecondFundamentalForm(h=geom.h[0], christoffel_t=geom.christoffel[0],
                                  frame=geom.frame.at(0))
-
-
-def shape_operator(sff: SecondFundamentalForm) -> ShapeOperator:
-    return ShapeOperator(sff.h_onb())
 
 
 def _amax3(a: np.ndarray) -> np.ndarray:
@@ -89,9 +74,9 @@ def _phi_hessian_split(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray, np.
     frame = geom.frame
     g = frame.metric.matrix
     v = np.einsum("ab,...bij->...aij", geom.structure.phi_float, geom.hessians)
-    tg = _t(frame.tangent_onb) @ g
+    tg = frame.tangent_onb.mT @ g
     tan = np.einsum("...an,...nij->...ija", tg, v)
-    nor = np.einsum("...kn,...nij->...ijk", _t(frame.normal_onb) @ g, v)
+    nor = np.einsum("...kn,...nij->...ijk", frame.normal_onb.mT @ g, v)
     nabla = np.einsum("...ab,...ijb->...ija", tg @ frame.raw_tangents, geom.christoffel)
     return tan, nor, nabla
 
@@ -136,7 +121,7 @@ def invariant_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     ops = geom.ops
     tan, _, nabla = _phi_hessian_split(geom)
     e = geom.frame.raw_tangents
-    etg = _t(e) @ geom.frame.metric.matrix
+    etg = e.mT @ geom.frame.metric.matrix
     p_raw = np.linalg.solve(etg @ e, etg @ geom.structure.phi_float @ e)
     h_py = np.einsum("...kj,...ikc->...ijc", p_raw, geom.h)
     return _amax3(tan - _apply(ops.p, nabla)), _amax3(h_py - _apply(ops.s, geom.h))

@@ -167,9 +167,6 @@ class QuadRat:
         # Correctly rounded int division: the same bits as float(a) + float(b) * sqrt5.
         return self._p / self._d + (self._q / self._d) * _SQRT5_FLOAT
 
-    def is_rational(self) -> bool:
-        return self._q == 0
-
 
 _new = object.__new__
 
@@ -215,10 +212,13 @@ def parse_quadrat(text: str) -> QuadRat:
     m = _ENTRY_RE.match(text)
     if m is None or (m.group("r") is None and "sqrt5" not in text):
         raise ValueError(f"cannot parse Q(sqrt5) entry: {text!r}")
-    a = Fraction(m.group("r")) if m.group("r") is not None else Fraction(0)
-    b = Fraction(0)
-    if "sqrt5" in text:
-        b = Fraction(m.group("s")) if m.group("s") is not None else Fraction(1)
-        if m.group("sgn") == "-":
-            b = -b
+    try:
+        a = Fraction(m.group("r")) if m.group("r") is not None else Fraction(0)
+        b = Fraction(0)
+        if "sqrt5" in text:
+            b = Fraction(m.group("s")) if m.group("s") is not None else Fraction(1)
+            if m.group("sgn") == "-":
+                b = -b
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in Q(sqrt5) entry: {text!r}") from None
     return QuadRat(a, b)

@@ -11,7 +11,7 @@ operator identity ``P^2 = lambda (P + I)`` on tangent vectors with
     tQ = (1 - lambda) (P + I) = -P^2 + P + I
 
 checked here both in floating point along sampled frames and exactly over
-Q(sqrt5) for affine immersions.
+Q(sqrt5) for affine immersions, each by one function for both backends.
 
 One reference formula for a worked slant family omits the ``|X|``
 normalization from the cosine; :func:`reference_cosine` computes that
@@ -27,10 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import exactlin as xl
 from .errors import LambdaZero, NotSlant, ZeroVector
 from .quadrat import QuadRat
-from .structures import GoldenStructure
+from .structures import GoldenStructure, _eye
 from .submanifold import (
     DEFAULT_TOL_CLASS,
     DEFAULT_TOL_FRAME,
@@ -42,7 +41,6 @@ from .submanifold import (
     TangentFrame,
     _amax,
     _dot,
-    _t,
     frame_at,  # noqa: F401  (still importable from this module)
     point_geometry,
     trial_draws,
@@ -80,8 +78,8 @@ def _angles(p: np.ndarray, q: np.ndarray, x: np.ndarray, tol_class: float) -> np
     """Angles of phi X with the tangent space for directions ``x`` (..., D, m)."""
     # Because g(phi X, PX) = |PX|^2, the defining arccos equals
     # atan2(|QX|, |PX|), which stays accurate where arccos degenerates.
-    pn = np.linalg.norm(x @ _t(p), axis=-1)
-    qn = np.linalg.norm(x @ _t(q), axis=-1)
+    pn = np.linalg.norm(x @ p.mT, axis=-1)
+    qn = np.linalg.norm(x @ q.mT, axis=-1)
     if np.any((pn == 0.0) & (qn == 0.0)):
         raise ZeroVector("phi X vanished; structure cannot be golden")
     return np.where(pn <= tol_class * np.hypot(pn, qn), math.pi / 2, np.arctan2(qn, pn))
@@ -196,9 +194,9 @@ def characterization_residual(ops: InducedOperators, report: SlantReport,
     _require_slant(report)
     p, lam = ops.p, report.lam
     x = trial_draws(seed, p.shape[:-2], (trials, ops.m))
-    px = x @ _t(p)
-    form = _dot(x, px @ _t(p)) - lam * (_dot(x, x) + _dot(x, px))
-    return _out(np.maximum(_amax(p @ p - lam * (p + np.eye(ops.m))), _amax(form, -1)))
+    px = x @ p.mT
+    form = _dot(x, px @ p.mT) - lam * (_dot(x, x) + _dot(x, px))
+    return _out(np.maximum(_characterization(p, lam), _amax(form, -1)))
 
 
 def corollary_residual(ops: InducedOperators, report: SlantReport,
@@ -209,32 +207,57 @@ def corollary_residual(ops: InducedOperators, report: SlantReport,
         raise LambdaZero("corollary needs lambda > 0 (not anti-invariant)")
     p = ops.p
     x = trial_draws(seed, p.shape[:-2], (trials, ops.m))
-    px = x @ _t(p)
+    px = x @ p.mT
     phi2 = _dot(x, px) + _dot(x, x)  # g(phi^2 X, X) = g(PX, X) + g(X, X)
-    return _out(_amax(phi2 - _dot(x, px @ _t(p)) / report.lam, -1))
+    return _out(_amax(phi2 - _dot(x, px @ p.mT) / report.lam, -1))
 
 
 def lemma_pq_identities(ops: InducedOperators, report: SlantReport,
                         trials: int = 100, seed: int = 0) -> tuple[float, float]:
-    """Residuals of the cos^2 and sin^2 product identities over random pairs."""
+    """Residuals of the cos^2 and sin^2 product identities, as matrices and over random pairs."""
     _require_slant(report)
     p, q = ops.p, ops.q
     pairs = trial_draws(seed, p.shape[:-2], (trials, 2, ops.m))
     x, y = pairs[..., 0, :], pairs[..., 1, :]
-    px, py = x @ _t(p), y @ _t(p)
+    px, py = x @ p.mT, y @ p.mT
     worst_p = _amax(_dot(px, py) - report.lam * (_dot(x, y) + _dot(x, py)), -1)
-    worst_q = _amax(_dot(x @ _t(q), y @ _t(q)) - report.k * (_dot(x, y) + _dot(px, y)), -1)
-    return worst_p, worst_q
+    worst_q = _amax(_dot(x @ q.mT, y @ q.mT) - report.k * (_dot(x, y) + _dot(px, y)), -1)
+    lemma_p, lemma_q = _lemma_residuals(p, q, np.eye(ops.m), np.eye(q.shape[-2]),
+                                        report.lam, report.k)
+    return _out(np.maximum(lemma_p, worst_p)), _out(np.maximum(lemma_q, worst_q))
 
 
 def tq_identity_residual(ops: InducedOperators, report: SlantReport) -> float:
     """Worst residual of ``tQ = (1 - lambda)(P + I)`` and ``tQ = -P^2 + P + I``."""
     _require_slant(report)
-    p = ops.p
-    tq = ops.t @ ops.q
-    eye = np.eye(ops.m)
-    return _out(np.maximum(_amax(tq - (1.0 - report.lam) * (p + eye)),
-                           _amax(tq + p @ p - p - eye)))
+    return _out(np.maximum(*_tq_residuals(ops.p, ops.t, ops.q, report.lam)))
+
+
+# ---------------------------------------------------------------------------
+# the slant identities, written once for exact matrices and float stacks
+
+
+def _characterization(p, lam):
+    """max |P^2 - lambda (P + I)|."""
+    return _amax(p @ p - (p + _eye(p)) * lam)
+
+
+def _cos2_forms(p, gt):
+    """Matrices of g(PX, PY) and g(X, Y) + g(X, PY); ``gt`` is the tangent basis Gram matrix."""
+    return p.mT @ gt @ p, gt + gt @ p
+
+
+def _lemma_residuals(p, q, gt, gn, lam, k):
+    """Worst residuals of g(PX, PY) = lambda (g(X, Y) + g(X, PY)) and
+    g(QX, QY) = k (g(X, Y) + g(PX, Y)) as matrices, ``gn`` the normal basis Gram matrix."""
+    pp, p_rhs = _cos2_forms(p, gt)
+    return _amax(pp - p_rhs * lam), _amax(q.mT @ gn @ q - (gt + p.mT @ gt) * k)
+
+
+def _tq_residuals(p, t, q, lam):
+    """Worst residuals of tQ = (1 - lambda)(P + I) and tQ = -P^2 + P + I."""
+    tq, eye = t @ q, _eye(p)
+    return _amax(tq - (p + eye) * (1 - lam)), _amax(tq + p @ p - p - eye)
 
 
 # ---------------------------------------------------------------------------
@@ -242,60 +265,10 @@ def tq_identity_residual(ops: InducedOperators, report: SlantReport) -> float:
 
 
 def exact_lambda_candidates(eops: ExactInducedOperators) -> list[QuadRat]:
-    """cos^2(theta) per raw basis direction: |P e_i|^2 / |phi e_i|^2, exactly."""
-    p = eops.p
-    gt = eops.frame.gram_tangent
-    m = len(p)
-    out = []
-    for i in range(m):
-        x = [QuadRat(1 if j == i else 0) for j in range(m)]
-        px = xl.matvec(p, x)
-        num = _bilinear(px, gt, px)
-        den = _bilinear(x, gt, x) + _bilinear(px, gt, x)
-        out.append(num / den)
-    return out
-
-
-def _bilinear(u, gram, v) -> QuadRat:
-    total = QuadRat(0)
-    for i, row in enumerate(gram):
-        for j, gij in enumerate(row):
-            total = total + u[i] * gij * v[j]
-    return total
-
-
-def exact_characterization_residual(eops: ExactInducedOperators, lam: QuadRat) -> QuadRat:
-    p = eops.p
-    m = len(p)
-    target = xl.scale(lam, xl.add(p, xl.identity(m)))
-    return xl.max_abs(xl.sub(xl.matmul(p, p), target))
-
-
-def exact_lemma_residuals(eops: ExactInducedOperators,
-                          lam: QuadRat) -> tuple[QuadRat, QuadRat]:
-    p, q = eops.p, eops.q
-    gt, gn = eops.frame.gram_tangent, eops.frame.gram_normal
-    pt = xl.transpose(p)
-    kos = xl.sub(
-        xl.matmul(pt, xl.matmul(gt, p)),
-        xl.scale(lam, xl.add(gt, xl.matmul(gt, p))),
-    )
-    sin2 = QuadRat(1) - lam
-    sin_part = xl.sub(
-        xl.matmul(xl.transpose(q), xl.matmul(gn, q)),
-        xl.scale(sin2, xl.add(gt, xl.matmul(pt, gt))),
-    )
-    return xl.max_abs(kos), xl.max_abs(sin_part)
-
-
-def exact_tq_residuals(eops: ExactInducedOperators, lam: QuadRat) -> tuple[QuadRat, QuadRat]:
-    p = eops.p
-    m = len(p)
-    eye = xl.identity(m)
-    tq = xl.matmul(eops.t, eops.q)
-    r1 = xl.max_abs(xl.sub(tq, xl.scale(QuadRat(1) - lam, xl.add(p, eye))))
-    r2 = xl.max_abs(xl.sub(xl.add(tq, xl.matmul(p, p)), xl.add(p, eye)))
-    return r1, r2
+    """cos^2(theta) per raw basis direction e_i, exactly: the ratio of the diagonals
+    of the lemma's g(PX, PY) and g(X, Y) + g(X, PY) matrices."""
+    pp, p_rhs = _cos2_forms(eops.p, eops.frame.gram_tangent)
+    return list(np.diagonal(pp) / np.diagonal(p_rhs))
 
 
 def exact_slant_data(eops: ExactInducedOperators) -> dict:
@@ -308,9 +281,11 @@ def exact_slant_data(eops: ExactInducedOperators) -> dict:
     candidates = exact_lambda_candidates(eops)
     lam = candidates[0]
     uniform = all(c == lam for c in candidates)
-    char = exact_characterization_residual(eops, lam)
-    lemma_p, lemma_q = exact_lemma_residuals(eops, lam)
-    tq1, tq2 = exact_tq_residuals(eops, lam)
+    p, frame = eops.p, eops.frame
+    char = _characterization(p, lam)
+    lemma_p, lemma_q = _lemma_residuals(p, eops.q, frame.gram_tangent, frame.gram_normal,
+                                        lam, 1 - lam)
+    tq1, tq2 = _tq_residuals(p, eops.t, eops.q, lam)
     return {
         "lambda": lam,
         "lambda_uniform": uniform,

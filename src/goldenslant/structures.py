@@ -7,16 +7,18 @@ correspondence
 
     phi = (I + sqrt5 * F) / 2        F = (2 * phi - I) / sqrt5
 
-Two numeric backends coexist.  The exact backend stores matrices as nested
-lists of :class:`~goldenslant.quadrat.QuadRat` and makes every axiom check
-a statement about exact zeros; the float backend stores numpy arrays and
-checks residuals against ``tol_struct``.
+Two numeric backends coexist.  The exact backend stores matrices as
+:class:`~goldenslant.exactlin.QMatrix` (entries in Q(sqrt5)) and makes
+every axiom check a statement about exact zeros; the float backend stores
+numpy arrays and checks residuals against ``tol_struct``.  Each axiom is
+written once, in matrix operators both types share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,23 +31,28 @@ from .errors import (
     InvalidStructure,
     MetricIncompat,
 )
-from .quadrat import ONE_MINUS_PSI, PSI, QuadRat, SQRT5
+from .quadrat import ONE_MINUS_PSI, PSI, SQRT5
 
 DEFAULT_TOL_STRUCT = 1e-9
 
 
 def is_exact(m) -> bool:
-    return not isinstance(m, np.ndarray)
+    return not isinstance(m, np.ndarray) or m.dtype == object
 
 
 def as_float(m) -> np.ndarray:
-    return m if isinstance(m, np.ndarray) else xl.to_float(m)
+    return np.asarray(m, dtype=float)
 
 
-def _max_abs(m) -> float:
-    if is_exact(m):
-        return float(xl.max_abs(m))
-    return float(np.abs(m).max()) if m.size else 0.0
+def _eye(a):
+    """Identity matching the last axis and the number type of ``a``."""
+    return np.eye(a.shape[-1], dtype=a.dtype)
+
+
+def _amax(a, axis=(-2, -1)):
+    """max |entry| over ``axis`` (NaN if any entry is): a scalar, or one per point."""
+    out = np.abs(a).max(axis=axis)
+    return out.item() if out.ndim == 0 else out
 
 
 def _check_square(m, name: str) -> int:
@@ -55,39 +62,40 @@ def _check_square(m, name: str) -> int:
     return n
 
 
+def _operands(m, metric: Metric):
+    """``m`` and the metric matrix in one number type: exact when both are."""
+    if is_exact(m) and metric.backend == "exact":
+        return xl.qmatrix(m), metric.entries
+    return as_float(m), metric.matrix
+
+
 class Metric:
     """Symmetric positive-definite bilinear form, exact or float."""
 
     def __init__(self, entries):
-        self.entries = entries
         self.n = _check_square(entries, "metric")
         self.backend = "exact" if is_exact(entries) else "float"
-        self._float: Metric | None = None
+        self.entries = xl.qmatrix(entries) if self.backend == "exact" else entries
+        if not np.array_equal(self.entries, self.entries.T):
+            raise InvalidStructure("metric is not symmetric")
         if self.backend == "exact":
-            if any(entries[i][j] != entries[j][i] for i in range(self.n) for j in range(self.n)):
-                raise InvalidStructure("metric is not symmetric")
-            if not xl.leading_minors_positive(entries):
-                raise InvalidStructure("metric is not positive definite")
+            positive = xl.leading_minors_positive(self.entries)
         else:
-            if not np.array_equal(entries, entries.T):
-                raise InvalidStructure("metric is not symmetric")
-            for k in range(1, self.n + 1):
-                if np.linalg.det(entries[:k, :k]) <= 0:
-                    raise InvalidStructure("metric is not positive definite")
+            positive = all(np.linalg.det(entries[:k, :k]) > 0 for k in range(1, self.n + 1))
+        if not positive:
+            raise InvalidStructure("metric is not positive definite")
 
     @classmethod
     def euclidean(cls, n: int, backend: str = "exact") -> Metric:
-        if backend == "exact":
-            return cls(xl.identity(n))
-        return cls(np.eye(n))
+        return cls(np.eye(n, dtype=object if backend == "exact" else float))
 
     def to_float(self) -> Metric:
         """Float view, built once per exact metric."""
-        if self.backend == "float":
-            return self
-        if self._float is None:
-            self._float = Metric(xl.to_float(self.entries))
-        return self._float
+        return self if self.backend == "float" else self._float_view
+
+    @cached_property
+    def _float_view(self) -> Metric:
+        return Metric(self.matrix)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -108,29 +116,12 @@ class StructureReport:
     backend: str
     exact_zero: bool
 
-    def max_residual(self) -> float:
-        return max(self.residual_structure, self.residual_self_adjoint, self.residual_compat)
 
-
-def _structure_residuals(phi, metric: Metric):
-    """Residual matrices of phi^2-phi-I, G phi - phi^T G and the derived metric identity."""
-    if is_exact(phi) and metric.backend == "exact":
-        g = metric.entries
-        n = len(phi)
-        phi2 = xl.matmul(phi, phi)
-        r_struct = xl.sub(xl.sub(phi2, phi), xl.identity(n))
-        phit = xl.transpose(phi)
-        r_adj = xl.sub(xl.matmul(g, phi), xl.matmul(phit, g))
-        # g(phi X, phi Y) - g(phi X, Y) - g(X, Y) as bilinear forms
-        r_compat = xl.sub(xl.sub(xl.matmul(phit, xl.matmul(g, phi)), xl.matmul(phit, g)), g)
-        return r_struct, r_adj, r_compat, True
-    p = as_float(phi)
-    g = metric.matrix
-    n = p.shape[0]
-    r_struct = p @ p - p - np.eye(n)
-    r_adj = g @ p - p.T @ g
-    r_compat = p.T @ g @ p - p.T @ g - g
-    return r_struct, r_adj, r_compat, False
+def _structure_residuals(phi, g):
+    """Residual matrices of phi^2 - phi - I, G phi - phi^T G and the derived metric identity."""
+    phit = phi.T
+    # g(phi X, phi Y) - g(phi X, Y) - g(X, Y) as bilinear forms
+    return phi @ phi - phi - _eye(phi), g @ phi - phit @ g, phit @ g @ phi - phit @ g - g
 
 
 def verify_golden(phi, metric: Metric, tol_struct: float = DEFAULT_TOL_STRUCT) -> StructureReport:
@@ -138,31 +129,30 @@ def verify_golden(phi, metric: Metric, tol_struct: float = DEFAULT_TOL_STRUCT) -
     n = _check_square(phi, "phi")
     if n != metric.n:
         raise DimensionMismatch(f"phi is {n}x{n} but metric is {metric.n}x{metric.n}")
-    r_struct, r_adj, r_compat, exact = _structure_residuals(phi, metric)
-    rs, ra, rc = _max_abs(r_struct), _max_abs(r_adj), _max_abs(r_compat)
-    passed = max(rs, ra, rc) <= tol_struct
-    return StructureReport(
-        residual_structure=rs,
-        residual_self_adjoint=ra,
-        residual_compat=rc,
-        passed=passed,
-        backend="exact" if exact else "float",
-        exact_zero=exact and rs == 0.0 and ra == 0.0 and rc == 0.0,
-    )
+    phi, g = _operands(phi, metric)
+    rs, ra, rc = (float(_amax(r)) for r in _structure_residuals(phi, g))
+    exact = is_exact(phi)
+    return StructureReport(rs, ra, rc, passed=all(r <= tol_struct for r in (rs, ra, rc)),
+                           backend="exact" if exact else "float",
+                           exact_zero=exact and not any((rs, ra, rc)))
 
 
 class GoldenStructure:
-    """Validated golden structure ``(phi, g)`` on an n-dimensional space."""
+    """Validated golden structure ``(phi, g)`` on an n-dimensional space.
+
+    ``report`` is the :class:`StructureReport` of the axiom check: the one
+    validation ran, or (for ``validate=False``) one run on first access.
+    """
 
     def __init__(self, phi, metric: Metric, validate: bool = True,
                  tol_struct: float = DEFAULT_TOL_STRUCT):
-        self.phi = phi
-        self.metric = metric
         self.n = _check_square(phi, "phi")
-        self.backend = "exact" if (is_exact(phi) and metric.backend == "exact") else "float"
-        self._float: GoldenStructure | None = None
+        self.phi, _ = _operands(phi, metric)
+        self.backend = "exact" if is_exact(self.phi) else "float"
+        self.metric = metric if self.backend == "exact" else metric.to_float()
+        self.tol_struct = tol_struct
         if validate:
-            report = verify_golden(phi, metric, tol_struct)
+            report = self.report
             if not report.passed:
                 raise InvalidStructure(
                     f"golden axioms violated: structure={report.residual_structure:.3e}, "
@@ -170,17 +160,21 @@ class GoldenStructure:
                     f"compat={report.residual_compat:.3e}"
                 )
 
+    @cached_property
+    def report(self) -> StructureReport:
+        return verify_golden(self.phi, self.metric, self.tol_struct)
+
     @property
     def phi_float(self) -> np.ndarray:
         return as_float(self.phi)
 
     def to_float(self) -> GoldenStructure:
         """Float view, built once per exact structure."""
-        if self.backend == "float":
-            return self
-        if self._float is None:
-            self._float = GoldenStructure(self.phi_float, self.metric.to_float(), validate=False)
-        return self._float
+        return self if self.backend == "float" else self._float_view
+
+    @cached_property
+    def _float_view(self) -> GoldenStructure:
+        return GoldenStructure(self.phi_float, self.metric.to_float(), validate=False)
 
 
 class AlmostProductStructure:
@@ -188,12 +182,12 @@ class AlmostProductStructure:
 
     def __init__(self, f, metric: Metric, validate: bool = True,
                  tol_struct: float = DEFAULT_TOL_STRUCT):
-        self.f = f
-        self.metric = metric
         self.n = _check_square(f, "F")
-        self.backend = "exact" if (is_exact(f) and metric.backend == "exact") else "float"
+        self.f, _ = _operands(f, metric)
+        self.backend = "exact" if is_exact(self.f) else "float"
+        self.metric = metric if self.backend == "exact" else metric.to_float()
         if validate:
-            _check_involution(f, metric, tol_struct)
+            _check_involution(self.f, self.metric, tol_struct)
 
     @property
     def f_float(self) -> np.ndarray:
@@ -204,56 +198,51 @@ def _check_involution(f, metric: Metric, tol: float) -> None:
     n = _check_square(f, "F")
     if n != metric.n:
         raise DimensionMismatch("F and metric dimensions differ")
-    if is_exact(f) and metric.backend == "exact":
-        r_inv = _max_abs(xl.sub(xl.matmul(f, f), xl.identity(n)))
-        g = metric.entries
-        r_met = _max_abs(xl.sub(xl.matmul(g, f), xl.matmul(xl.transpose(f), g)))
-    else:
-        ff = as_float(f)
-        g = metric.matrix
-        r_inv = _max_abs(ff @ ff - np.eye(n))
-        r_met = _max_abs(g @ ff - ff.T @ g)
+    f, g = _operands(f, metric)
+    r_inv = float(_amax(f @ f - _eye(f)))
+    r_met = float(_amax(g @ f - f.T @ g))
     if r_inv > tol:
         raise InvalidInvolution(f"F^2 - I has residual {r_inv:.3e}")
     if r_met > tol:
         raise MetricIncompat(f"G F - F^T G has residual {r_met:.3e}")
 
 
+def _sqrt5(m):
+    """sqrt5 in the number type of ``m``."""
+    return SQRT5 if is_exact(m) else math.sqrt(5.0)
+
+
+def golden_matrix(f):
+    """``phi = (I + sqrt5 F)/2`` for an exact or float involution matrix ``F``."""
+    return (_eye(f) + f * _sqrt5(f)) / 2
+
+
+def product_matrix(phi):
+    """``F = (2 phi - I)/sqrt5`` for an exact or float golden matrix ``phi``."""
+    return (2 * phi - _eye(phi)) / _sqrt5(phi)
+
+
 def golden_from_product(f: AlmostProductStructure,
                         tol_struct: float = DEFAULT_TOL_STRUCT) -> GoldenStructure:
     """Golden structure ``phi = (I + sqrt5 F)/2`` induced by an involution."""
     _check_involution(f.f, f.metric, tol_struct)
-    if f.backend == "exact":
-        n = f.n
-        phi = xl.scale(QuadRat(1, 0) / 2, xl.add(xl.identity(n), xl.scale(SQRT5, f.f)))
-    else:
-        phi = (np.eye(f.n) + math.sqrt(5.0) * f.f_float) / 2.0
-    return GoldenStructure(phi, f.metric, tol_struct=tol_struct)
+    return GoldenStructure(golden_matrix(f.f), f.metric, tol_struct=tol_struct)
 
 
 def product_from_golden(s: GoldenStructure,
                         tol_struct: float = DEFAULT_TOL_STRUCT) -> AlmostProductStructure:
     """Involution ``F = (2 phi - I)/sqrt5`` underlying a golden structure."""
-    if s.backend == "exact":
-        n = s.n
-        f = xl.scale(SQRT5.inverse(), xl.sub(xl.scale(2, s.phi), xl.identity(n)))
-    else:
-        f = (2.0 * s.phi_float - np.eye(s.n)) / math.sqrt(5.0)
-    return AlmostProductStructure(f, s.metric, tol_struct=tol_struct)
+    return AlmostProductStructure(product_matrix(s.phi), s.metric, tol_struct=tol_struct)
 
 
 def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> GoldenStructure:
     """Exact diagonal golden structure from a list of ``"psi"``/``"one_minus_psi"``."""
-    n = len(pattern)
-    phi = xl.zeros(n, n)
-    for i, name in enumerate(pattern):
-        if name == "psi":
-            phi[i][i] = PSI
-        elif name == "one_minus_psi":
-            phi[i][i] = ONE_MINUS_PSI
-        else:
+    roots = {"psi": PSI, "one_minus_psi": ONE_MINUS_PSI}
+    for name in pattern:
+        if name not in roots:
             raise InvalidStructure(f"unknown eigenvalue pattern entry {name!r}")
-    return GoldenStructure(phi, metric or Metric.euclidean(n))
+    phi = np.diag(np.array([roots[name] for name in pattern], dtype=object))
+    return GoldenStructure(phi, metric or Metric.euclidean(len(pattern)))
 
 
 def random_golden(n: int, p: int, seed: int) -> GoldenStructure:
@@ -289,13 +278,9 @@ def golden_eigendecomp(s: GoldenStructure):
     diagonalized, so the returned columns are g-orthonormal.
     """
     if s.backend == "exact":
-        n = s.n
-        proj_psi = xl.scale(SQRT5.inverse(), xl.sub(s.phi, xl.scale(ONE_MINUS_PSI, xl.identity(n))))
-        proj_neg = xl.scale(SQRT5.inverse(), xl.sub(xl.scale(PSI, xl.identity(n)), s.phi))
-        basis_psi = xl.column_space_basis(proj_psi)
-        basis_neg = xl.column_space_basis(proj_neg)
-        return xl.from_columns(basis_psi) if basis_psi else [[] for _ in range(n)], \
-            xl.from_columns(basis_neg) if basis_neg else [[] for _ in range(n)]
+        eye = _eye(s.phi)
+        return (xl.column_space_basis((s.phi - eye * ONE_MINUS_PSI) / SQRT5),
+                xl.column_space_basis((eye * PSI - s.phi) / SQRT5))
     phi = s.phi_float
     lt = s.metric.cholesky().T
     lt_inv = np.linalg.inv(lt)

@@ -15,9 +15,10 @@ together with self-adjointness of ``P`` and the metric split
 Operators are expressed in orthonormal frames, so plain transposes realize
 metric adjoints.  A scenario evaluates all of its sample points in one
 batched pass (:func:`point_geometry`); the single-point functions are views
-of a batch of one.  Affine immersions with coefficients in Q(sqrt5) get a
-parallel exact route in the raw (non-orthonormal) tangent basis, where the
-same identities hold as statements about exact zeros.
+of a batch of one.  Affine immersions with coefficients in Q(sqrt5) also get
+an exact route in the raw (non-orthonormal) tangent basis: the same
+identity functions, handed the Gram matrices of the raw bases, then check
+statements about exact zeros.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import exactlin as xl
 from .errors import DimensionMismatch, RankDeficient
 from .expr import Expr, evaluate, jacobian, parse
 from .quadrat import QuadRat
-from .structures import GoldenStructure, Metric, is_exact
+from .structures import GoldenStructure, Metric, _amax, _eye, is_exact
 
 DEFAULT_TOL_FRAME = 1e-9
 DEFAULT_TOL_CLASS = 1e-7
@@ -96,15 +97,12 @@ class ImmersionSpec:
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
         return jacobian(self.components, point)
 
-    def affine_exact(self) -> xl.QMat | None:
+    def affine_exact(self) -> xl.QMatrix | None:
         """Exact constant Jacobian (n x m over Q(sqrt5)) for affine immersions."""
-        rows = []
-        for comp in self.components:
-            form = comp.affine_exact()
-            if form is None:
-                return None
-            rows.append(form[1])
-        return rows
+        forms = [comp.affine_exact() for comp in self.components]
+        if any(form is None for form in forms):
+            return None
+        return xl.qmatrix([form[1] for form in forms])
 
 
 @dataclass(frozen=True)
@@ -137,26 +135,15 @@ class TangentFrame:
     def gram_residual(self) -> np.ndarray | float:
         """Deviation of the combined frame from g-orthonormality, per point of a stack."""
         full = np.concatenate([self.tangent_onb, self.normal_onb], axis=-1)
-        return _amax(_t(full) @ self.metric.matrix @ full - np.eye(self.n))
+        return _amax(full.mT @ self.metric.matrix @ full - np.eye(self.n))
 
     def tangent_coords(self, ambient: np.ndarray) -> np.ndarray:
-        return _t(self.tangent_onb) @ self.metric.matrix @ ambient
-
-
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose of the last two axes."""
-    return np.swapaxes(a, -1, -2)
+        return self.tangent_onb.mT @ self.metric.matrix @ ambient
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot product along the last axis."""
     return np.einsum("...i,...i->...", u, v)
-
-
-def _amax(a: np.ndarray, axis=(-2, -1)) -> np.ndarray | float:
-    """max |entry| over ``axis`` (NaN if any entry is): a float, or one per point."""
-    out = np.abs(a).max(axis=axis, initial=0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def trial_draws(seed: int, stack: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
@@ -227,7 +214,7 @@ def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> Induce
         raise DimensionMismatch("structure and frame ambient dimensions differ")
     m = frame.m
     full = np.concatenate([frame.tangent_onb, frame.normal_onb], axis=-1)
-    blocks = _t(full) @ (frame.metric.matrix @ structure.phi_float @ full)
+    blocks = full.mT @ (frame.metric.matrix @ structure.phi_float @ full)
     return InducedOperators(p=blocks[..., :m, :m], q=blocks[..., m:, :m],
                             t=blocks[..., :m, m:], s=blocks[..., m:, m:], frame=frame)
 
@@ -239,7 +226,9 @@ class PointGeometry:
     Arrays lead with the point axis: the stacked ``frame`` (Jacobians in
     ``raw_tangents``), ``hessians`` (N x n x m x m), ``h`` in normal-frame
     coordinates (N x m x m x (n-m)), ``christoffel`` in the raw tangent basis
-    (N x m x m x m) and, given a structure, the stacked ``ops``.
+    (N x m x m x m) and, given a structure, the stacked ``ops``.  ``exact``
+    holds the scenario's exact route (P, Q, t, s over Q(sqrt5)) when it has
+    one and a suite reads it.
     """
 
     imm: ImmersionSpec
@@ -249,6 +238,7 @@ class PointGeometry:
     christoffel: np.ndarray
     ops: InducedOperators | None
     structure: GoldenStructure | None
+    exact: ExactInducedOperators | None = None
 
     @property
     def size(self) -> int:
@@ -268,8 +258,8 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
     # Split D2x into its normal part (normal-frame coordinates) and its
     # tangential part (coefficients in the raw tangent basis).
     g = frame.metric.matrix
-    etg = _t(jac) @ g
-    h = np.einsum("...kn,...nij->...ijk", _t(frame.normal_onb) @ g, hess)
+    etg = jac.mT @ g
+    h = np.einsum("...kn,...nij->...ijk", frame.normal_onb.mT @ g, hess)
     rhs = np.einsum("...an,...nij->...ija", etg, hess)
     christoffel = np.linalg.solve((etg @ jac)[:, None, None], rhs[..., None])[..., 0]
     if structure is not None:
@@ -281,76 +271,57 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
 @dataclass(frozen=True)
 class IdentityReport:
     residuals: dict[str, float]
-    passed: bool
 
 
-def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
-                                  structure: GoldenStructure, trials: int = 20,
-                                  seed: int = 0,
-                                  tol_frame: float = DEFAULT_TOL_FRAME) -> IdentityReport:
-    """Residuals of the four block identities, self-adjointness and the metric split.
+def block_identity_residuals(p, q, t, s, gt, gn) -> dict:
+    """Max-abs residuals of the four block identities, self-adjointness and the metric split.
 
-    The matrix identities are checked entrywise; the two metric identities
-    are additionally sampled on ``trials`` random tangent pairs.  The
-    reassembly residuals confirm that ``phi X`` recombines from the
-    operator blocks in ambient coordinates.  For stacked operators each
-    residual holds one value per point, point i sampling from ``seed + i``.
+    ``gt`` and ``gn`` are the Gram matrices of the tangent and normal bases
+    the blocks are written in (identities for orthonormal frames).  Exact
+    blocks give exact residuals; float stacks give one residual per point.
     """
-    p, q, t, s = ops.p, ops.q, ops.t, ops.s
-    eye_m, eye_k = np.eye(p.shape[-1]), np.eye(s.shape[-1])
-    pairs = trial_draws(seed, p.shape[:-2], (trials, 2, ops.m))
-    x, y = pairs[..., 0, :], pairs[..., 1, :]
-    px, py, qx, qy = x @ _t(p), y @ _t(p), x @ _t(q), y @ _t(q)
-    phi = structure.phi_float
-    tb, nb = frame.tangent_onb, frame.normal_onb
-    res = {
+    eye_m, eye_k = _eye(p), _eye(s)
+    return {
         "p_squared": _amax(p @ p - p - eye_m + t @ q),
         "q_projection": _amax(q - q @ p - s @ q),
         "s_squared": _amax(s @ s - s - eye_k + q @ t),
         "t_projection": _amax(t - p @ t - t @ s),
-        "p_self_adjoint": np.maximum(_amax(p - _t(p)), _amax(_dot(px, y) - _dot(x, py), -1)),
-        "metric_split": np.maximum(
-            _amax(_t(p) @ p + _t(q) @ q - eye_m - _t(p)),
-            _amax(_dot(px, py) + _dot(qx, qy) - _dot(x, y) - _dot(px, y), -1),
-        ),
-        "reassembly_tangent": _amax(phi @ tb - tb @ p - nb @ q),
-        "reassembly_normal": _amax(phi @ nb - tb @ t - nb @ s),
+        "p_self_adjoint": _amax(gt @ p - p.mT @ gt),
+        "metric_split": _amax(p.mT @ gt @ p + q.mT @ gn @ q - gt - p.mT @ gt),
     }
-    res = {k: float(v) if np.ndim(v) == 0 else v for k, v in res.items()}
-    passed = all(bool(np.all(v <= tol_frame)) for v in res.values())
-    return IdentityReport(residuals=res, passed=passed)
 
 
-@dataclass(frozen=True)
-class InvarianceResult:
-    """Classification of a tangent space under phi, with the induced-structure check."""
+def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
+                                  structure: GoldenStructure, trials: int = 20,
+                                  seed: int = 0) -> IdentityReport:
+    """:func:`block_identity_residuals` in the orthonormal frames, plus samples and reassembly.
 
-    kind: str  # invariant | anti_invariant | neither
-    q_max: float
-    p_max: float
-    induced_golden_residual: float | None = None
-    induced_self_adjoint_residual: float | None = None
-
-
-def invariance_test(ops: InducedOperators,
-                    tol_class: float = DEFAULT_TOL_CLASS) -> InvarianceResult:
-    """invariant iff Q vanishes, anti-invariant iff P vanishes.
-
-    When the invariant branch fires, the induced pair ``(P, g)`` must itself
-    be a golden structure; its residuals are recorded so the equivalence is
-    verified rather than assumed.
+    The two metric identities are additionally sampled on ``trials`` random
+    tangent pairs.  The reassembly residuals confirm that ``phi X``
+    recombines from the operator blocks in ambient coordinates.  For stacked
+    operators each residual holds one value per point, point i sampling
+    from ``seed + i``.
     """
-    kind = str(invariance_kinds(ops, tol_class))
-    q_max, p_max = _amax(ops.q), _amax(ops.p)
-    if kind == "invariant":
-        golden = _amax(ops.p @ ops.p - ops.p - np.eye(ops.m))
-        return InvarianceResult(kind, q_max, p_max, golden, _amax(ops.p - ops.p.T))
-    return InvarianceResult(kind, q_max, p_max)
+    p, q, t, s = ops.p, ops.q, ops.t, ops.s
+    res = block_identity_residuals(p, q, t, s, np.eye(p.shape[-1]), np.eye(s.shape[-1]))
+    pairs = trial_draws(seed, p.shape[:-2], (trials, 2, ops.m))
+    x, y = pairs[..., 0, :], pairs[..., 1, :]
+    px, py, qx, qy = x @ p.mT, y @ p.mT, x @ q.mT, y @ q.mT
+    phi = structure.phi_float
+    tb, nb = frame.tangent_onb, frame.normal_onb
+    res["p_self_adjoint"] = np.maximum(res["p_self_adjoint"],
+                                       _amax(_dot(px, y) - _dot(x, py), -1))
+    res["metric_split"] = np.maximum(
+        res["metric_split"], _amax(_dot(px, py) + _dot(qx, qy) - _dot(x, y) - _dot(px, y), -1))
+    res["reassembly_tangent"] = _amax(phi @ tb - tb @ p - nb @ q)
+    res["reassembly_normal"] = _amax(phi @ nb - tb @ t - nb @ s)
+    return IdentityReport({k: float(v) if np.ndim(v) == 0 else v for k, v in res.items()})
 
 
 def invariance_kinds(ops: InducedOperators,
                      tol_class: float = DEFAULT_TOL_CLASS) -> np.ndarray:
-    """invariance_test's kind at one point (a 0-d array) or at every point of a stack."""
+    """invariant where Q vanishes, anti-invariant where P vanishes, else neither: at one
+    point (a 0-d array) or at every point of a stack."""
     return np.where(_amax(ops.q) <= tol_class, "invariant",
                     np.where(_amax(ops.p) <= tol_class, "anti_invariant", "neither"))
 
@@ -363,10 +334,10 @@ def invariance_kinds(ops: InducedOperators,
 class ExactFrame:
     """Raw tangent basis and exact g-orthogonal normal complement."""
 
-    tangent: xl.QMat  # n x m constant Jacobian
-    normal: xl.QMat  # n x (n - m)
-    gram_tangent: xl.QMat
-    gram_normal: xl.QMat
+    tangent: xl.QMatrix  # n x m constant Jacobian
+    normal: xl.QMatrix  # n x (n - m)
+    gram_tangent: xl.QMatrix
+    gram_normal: xl.QMatrix
     metric: Metric
 
 
@@ -374,10 +345,10 @@ class ExactFrame:
 class ExactInducedOperators:
     """P, Q, t, s over Q(sqrt5) in the raw tangent / complement bases."""
 
-    p: xl.QMat
-    q: xl.QMat
-    t: xl.QMat
-    s: xl.QMat
+    p: xl.QMatrix
+    q: xl.QMatrix
+    t: xl.QMatrix
+    s: xl.QMatrix
     frame: ExactFrame
 
 
@@ -389,14 +360,12 @@ def exact_frame(imm: ImmersionSpec, metric: Metric) -> ExactFrame | None:
     if jac is None:
         return None
     g = metric.entries
-    et_g = xl.matmul(xl.transpose(jac), g)
+    et_g = jac.T @ g
     normal_vectors = xl.kernel_basis(et_g)
     if len(normal_vectors) != imm.n - imm.m:
         return None  # exact Jacobian is rank deficient
-    normal = xl.from_columns(normal_vectors)
-    gram_t = xl.matmul(et_g, jac)
-    gram_n = xl.matmul(xl.transpose(normal), xl.matmul(g, normal))
-    return ExactFrame(jac, normal, gram_t, gram_n, metric)
+    normal = xl.qmatrix(normal_vectors).T
+    return ExactFrame(jac, normal, et_g @ jac, normal.T @ g @ normal, metric)
 
 
 def exact_induced_operators(frame: ExactFrame,
@@ -404,44 +373,15 @@ def exact_induced_operators(frame: ExactFrame,
     """Block coordinates of phi in the basis [tangent | normal], exactly."""
     if not is_exact(structure.phi):
         raise DimensionMismatch("exact induced operators need an exact structure")
-    n = len(frame.tangent)
-    m = len(frame.tangent[0])
-    basis = [frame.tangent[i] + frame.normal[i] for i in range(n)]
-    coords = xl.solve(basis, xl.matmul(structure.phi, basis))
-    return ExactInducedOperators(
-        p=[row[:m] for row in coords[:m]],
-        q=[row[:m] for row in coords[m:]],
-        t=[row[m:] for row in coords[:m]],
-        s=[row[m:] for row in coords[m:]],
-        frame=frame,
-    )
+    m = frame.tangent.shape[1]
+    basis = np.concatenate([frame.tangent, frame.normal], axis=1)
+    coords = xl.solve(basis, structure.phi @ basis)
+    return ExactInducedOperators(p=coords[:m, :m], q=coords[m:, :m], t=coords[:m, m:],
+                                 s=coords[m:, m:], frame=frame)
 
 
 def exact_identity_residuals(ops: ExactInducedOperators) -> dict[str, QuadRat]:
-    """The structural identities as exact max-abs residuals (all must be 0)."""
-    p, q, t, s = ops.p, ops.q, ops.t, ops.s
-    m = len(p)
-    gt, gn = ops.frame.gram_tangent, ops.frame.gram_normal
-    eye = xl.identity(m)
-    eye_n = xl.identity(len(s))
-    res = {
-        "p_squared": xl.max_abs(xl.sub(xl.add(xl.matmul(p, p), xl.matmul(t, q)), xl.add(p, eye))),
-        "q_projection": xl.max_abs(xl.sub(q, xl.add(xl.matmul(q, p), xl.matmul(s, q)))),
-        "s_squared": xl.max_abs(
-            xl.sub(xl.add(xl.matmul(s, s), xl.matmul(q, t)), xl.add(s, eye_n))
-        ),
-        "t_projection": xl.max_abs(xl.sub(t, xl.add(xl.matmul(p, t), xl.matmul(t, s)))),
-        "p_self_adjoint": xl.max_abs(
-            xl.sub(xl.matmul(xl.transpose(p), gt), xl.matmul(gt, p))
-        ),
-        "metric_split": xl.max_abs(
-            xl.sub(
-                xl.add(
-                    xl.matmul(xl.transpose(p), xl.matmul(gt, p)),
-                    xl.matmul(xl.transpose(q), xl.matmul(gn, q)),
-                ),
-                xl.add(gt, xl.matmul(gt, p)),
-            )
-        ),
-    }
-    return res
+    """:func:`block_identity_residuals` over Q(sqrt5) in the raw bases (all must be 0)."""
+    frame = ops.frame
+    return block_identity_residuals(ops.p, ops.q, ops.t, ops.s,
+                                    frame.gram_tangent, frame.gram_normal)

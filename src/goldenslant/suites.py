@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from . import exactlin as xl
 from .config import ANGLE_FORMULA_UNNORMALIZED, IMMERSION_SUITES, ScenarioConfig, Tolerances
 from .errors import ConfigError, GoldenslantError
 from .extrinsic import gauss_split_residuals, invariant_residuals, shape_vanishing_probe
@@ -46,10 +46,10 @@ from .spaceform import (
 )
 from .structures import (
     GoldenStructure,
+    _amax,
     golden_eigendecomp,
-    golden_from_product,
-    product_from_golden,
-    verify_golden,
+    golden_matrix,
+    product_matrix,
 )
 from .submanifold import (
     PointGeometry,
@@ -63,36 +63,24 @@ from .submanifold import (
 )
 
 NONVANISHING_THRESHOLD = 1e-6
-
-
-def _fl(x) -> float:
-    return float(x)
+EXACT_SUITES = {"identities", "slant"}
 
 
 def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
-    report = verify_golden(structure.phi, structure.metric, tol.tol_struct)
-    aps = product_from_golden(structure, tol.tol_struct)
-    back = golden_from_product(aps, tol.tol_struct)
-    if structure.backend == "exact":
-        roundtrip = _fl(xl.max_abs(xl.sub(back.phi, structure.phi)))
-    else:
-        roundtrip = _fl(np.abs(back.phi_float - structure.phi_float).max())
-    basis_psi, basis_neg = golden_eigendecomp(structure)
-    if structure.backend == "exact":
-        dims = [len(basis_psi[0]) if basis_psi and basis_psi[0] else 0,
-                len(basis_neg[0]) if basis_neg and basis_neg[0] else 0]
-    else:
-        dims = [int(basis_psi.shape[1]), int(basis_neg.shape[1])]
-    passed = report.passed and roundtrip <= tol.tol_struct and sum(dims) == structure.n
+    """Report the axiom check the structure's build ran, the F round trip and the eigenspaces."""
+    report = structure.report
+    phi = structure.phi
+    residuals = {
+        "structure_equation": report.residual_structure,
+        "self_adjoint": report.residual_self_adjoint,
+        "metric_compat": report.residual_compat,
+        "product_roundtrip": float(_amax(golden_matrix(product_matrix(phi)) - phi)),
+    }
+    dims = [int(basis.shape[1]) for basis in golden_eigendecomp(structure)]
     return {
-        "pass": passed,
+        "pass": all(v <= tol.tol_struct for v in residuals.values()) and sum(dims) == structure.n,
         "backend": report.backend,
-        "residuals": {
-            "structure_equation": report.residual_structure,
-            "self_adjoint": report.residual_self_adjoint,
-            "metric_compat": report.residual_compat,
-            "product_roundtrip": roundtrip,
-        },
+        "residuals": residuals,
         "exact_zero": report.exact_zero,
         "eigenspace_dims": dims,
     }
@@ -101,34 +89,31 @@ def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
 def run_identities_suite(structure: GoldenStructure, geom: PointGeometry, tol: Tolerances,
                          seed: int) -> dict:
     rep = structural_identity_residuals(geom.ops, geom.frame, geom.structure, seed=seed)
-    worst = {key: _fl(np.max(values)) for key, values in rep.residuals.items()}
-    gram = _fl(np.max(geom.frame.gram_residual()))
+    worst = {key: float(np.max(values)) for key, values in rep.residuals.items()}
+    gram = float(np.max(geom.frame.gram_residual()))
     result = {
         "points": geom.size,
         "residuals": worst,
         "frame_gram": gram,
     }
     passed = all(v <= tol.tol_frame for v in worst.values()) and gram <= 1e-10
-    ef = exact_frame(geom.imm, structure.metric) if structure.backend == "exact" else None
-    if ef is not None:
-        eops = exact_induced_operators(ef, structure)
-        exact = exact_identity_residuals(eops)
+    result["exact"] = {"available": False}
+    if geom.exact is not None:
+        exact = exact_identity_residuals(geom.exact)
         all_zero = all(not v for v in exact.values())
         result["exact"] = {
             "available": True,
             "all_zero": all_zero,
-            "residuals": {k: _fl(v) for k, v in exact.items()},
+            "residuals": {k: float(v) for k, v in exact.items()},
         }
         passed = passed and all_zero
-    else:
-        result["exact"] = {"available": False}
     result["pass"] = passed
     return result
 
 
 def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
-    r_tan, r_nor = (_fl(np.max(r)) for r in gauss_split_residuals(geom))
-    h_sym = _fl(np.max(np.abs(geom.h - geom.h.transpose(0, 2, 1, 3))))
+    r_tan, r_nor = (float(np.max(r)) for r in gauss_split_residuals(geom))
+    h_sym = float(np.max(np.abs(geom.h - geom.h.transpose(0, 2, 1, 3))))
     kinds = set(invariance_kinds(geom.ops, tol.tol_class).tolist())
     kind = kinds.pop() if len(kinds) == 1 else "mixed"
     result: dict[str, Any] = {
@@ -143,12 +128,12 @@ def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
     passed = all(v <= tol.tol_frame for v in (r_tan, r_nor, h_sym))
     findings: dict[str, Any] = {}
     if kind == "invariant":
-        r_par, r_wei = (_fl(np.max(r)) for r in invariant_residuals(geom))
+        r_par, r_wei = (float(np.max(r)) for r in invariant_residuals(geom))
         result["residuals"]["invariant_parallel"] = r_par
         result["residuals"]["invariant_weingarten"] = r_wei
         passed = passed and r_par <= tol.tol_frame and r_wei <= tol.tol_frame
     elif kind == "anti_invariant":
-        probe = _fl(np.max(shape_vanishing_probe(geom)))
+        probe = float(np.max(shape_vanishing_probe(geom)))
         findings["shape_operator_max"] = probe
         findings["shape_vanishing_conforms"] = probe <= tol.tol_frame
     result["findings"] = findings
@@ -156,8 +141,8 @@ def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
     return result
 
 
-def run_slant_suite(cfg: ScenarioConfig, structure: GoldenStructure,
-                    geom: PointGeometry, tol: Tolerances, seed: int) -> dict:
+def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances,
+                    seed: int) -> dict:
     report = classify_geometry(geom, seed=seed, tol_angle=tol.tol_angle,
                                tol_class=tol.tol_class)
     frame, ops = geom.frame.at(0), geom.ops.at(0)
@@ -184,17 +169,16 @@ def run_slant_suite(cfg: ScenarioConfig, structure: GoldenStructure,
     if cfg.angle_formula == ANGLE_FORMULA_UNNORMALIZED:
         # The requested cosine variant must at least be a valid cosine.
         passed = passed and not flags["reference_invalid"]
-    ef = exact_frame(geom.imm, structure.metric) if structure.backend == "exact" else None
-    if ef is not None:
-        eops = exact_induced_operators(ef, structure)
-        data = exact_slant_data(eops)
+    result["exact"] = {"available": False}
+    if geom.exact is not None:
+        data = exact_slant_data(geom.exact)
         exact_result = {
             "available": True,
             "is_slant": bool(data["is_slant"]),
             "lambda": str(data["lambda"]),
-            "lambda_float": _fl(data["lambda"]),
+            "lambda_float": float(data["lambda"]),
             "residuals": {
-                k: _fl(data[k])
+                k: float(data[k])
                 for k in ("characterization", "lemma_p", "lemma_q",
                           "tq_lambda_form", "tq_block_form")
             },
@@ -202,8 +186,6 @@ def run_slant_suite(cfg: ScenarioConfig, structure: GoldenStructure,
         result["exact"] = exact_result
         if data["is_slant"]:
             passed = passed and all(v == 0.0 for v in exact_result["residuals"].values())
-    else:
-        result["exact"] = {"available": False}
     result["pass"] = passed
     return result
 
@@ -298,7 +280,12 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     geom, geom_error = None, None
     if build_error is None and IMMERSION_SUITES.intersection(cfg.suites):
         try:
-            geom = point_geometry(cfg.build_immersion(), structure.metric, structure)
+            imm = cfg.build_immersion()
+            geom = point_geometry(imm, structure.metric, structure)
+            # The exact route, when the scenario has one and a suite reads it.
+            frame = exact_frame(imm, structure.metric) if EXACT_SUITES & set(cfg.suites) else None
+            if frame is not None:
+                geom = replace(geom, exact=exact_induced_operators(frame, structure))
         except GoldenslantError as exc:
             geom_error = f"{type(exc).__name__}: {exc}"
 
@@ -315,7 +302,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             elif suite == "extrinsic":
                 report["suites"][suite] = run_extrinsic_suite(geom, tol)
             elif suite == "slant":
-                report["suites"][suite] = run_slant_suite(cfg, structure, geom, tol, seed)
+                report["suites"][suite] = run_slant_suite(cfg, geom, tol, seed)
             elif suite == "curvature":
                 report["suites"][suite] = run_curvature_suite(cfg, structure, tol)
         except GoldenslantError as exc:

@@ -139,6 +139,16 @@ class TestConfigParsing:
             (lambda d: d.__setitem__("seed", -1), "/seed"),
             (_curvature_run(seed=-1), "/spaceform/seed"),
             (_immersion(grid=[[0, 1, MAX_POINTS]], extra_points=[[2]]), "/immersion/samples"),
+            (lambda d: d["ambient"].__setitem__("phi", {"matrix": [
+                ["1/0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+                ["0", "0", "0", "1"]]}), "/ambient/phi/matrix/0/0"),
+            (lambda d: d["ambient"].__setitem__("metric", [
+                ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+                ["0", "0", "0", "0/0"]]), "/ambient/metric/3/3"),
+            (_immersion(("u", "(" * 2000 + "u" + ")" * 2000, "0", "0")),
+             "/immersion/components/1"),
+            (_immersion(("u", "u^9^9^9", "0", "0")), "/immersion/components/1"),
+            (_immersion(("u", "u+", "0", "0")), "/immersion/components/1"),
         ],
     )
     def test_validation_errors_carry_pointer_paths(self, mutate, path):
@@ -383,6 +393,27 @@ class TestCli:
         assert main(["explain", "identities"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "P^2 = P + I - tQ" in out and "Q = QP + sQ" in out
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-0.5"])
+    def test_tol_angle_flag_follows_the_tolerance_rule(self, value, capsys):
+        assert main(["run", "paper_example_3", f"--tol-angle={value}"]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: /tolerances/tol_angle:")
+
+    def test_zero_denominator_exits_2_at_the_entry(self, tmp_path, capsys):
+        mutate = lambda d: d["ambient"].__setitem__("phi", {"matrix": [  # noqa: E731
+            ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "2/0"],
+            ["0", "0", "0", "1"]]})
+        assert self._run_mutated(tmp_path, mutate) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: /ambient/phi/matrix/2/3:")
+
+    def test_deep_component_exits_2_at_its_pointer(self, tmp_path, capsys):
+        mutate = _immersion(("(" * 2000 + "u" + ")" * 2000, "u", "0", "0"))
+        assert self._run_mutated(tmp_path, mutate) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: /immersion/components/0: expression nests deeper")
+        assert len(err.splitlines()) == 1
 
     def test_tol_angle_override_lands_in_report(self, capsys):
         assert main(["run", "paper_example_3", "--tol-angle", "1e-4"]) == EXIT_OK

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from goldenslant.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from goldenslant.expr import Bin, Call, Const, Lit, Neg, Param, Pow, parse
+from goldenslant.expr import MAX_DEPTH, Bin, Call, Const, Lit, Neg, Param, Pow, parse
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI
 
 PARAMS = ["u1", "u2"]
@@ -46,6 +46,29 @@ class TestParsing:
 
     def test_negative_exponent(self):
         assert parse("u1^-2", PARAMS).root == Pow(Param("u1", 0), -2)
+
+    def test_nesting_is_capped_at_max_depth(self):
+        # The operand inside 99 parentheses sits at level 100.
+        assert parse("(" * (MAX_DEPTH - 1) + "u1" + ")" * (MAX_DEPTH - 1), PARAMS).root \
+            == Param("u1", 0)
+        for text in ("(" * 2000 + "u1" + ")" * 2000, "-" * 2000 + "u1",
+                     "sin(" * 150 + "u1" + ")" * 150, "2^" * 2000 + "1"):
+            with pytest.raises(ExprSyntaxError, match="nests deeper than"):
+                parse(text, PARAMS)
+
+    def test_long_chains_are_deep_trees(self):
+        # u1+u1+...+u1 is a left-leaning tree: evaluation recurses once per term.
+        assert parse("+".join(["u1"] * MAX_DEPTH), PARAMS).to_text().count("+") == MAX_DEPTH - 1
+        with pytest.raises(ExprSyntaxError, match="nests deeper than"):
+            parse("+".join(["u1"] * (MAX_DEPTH + 1)), PARAMS)
+
+    def test_exponent_tower_is_bounded_before_it_is_computed(self):
+        assert parse("u1^2^63", PARAMS).root == Pow(Param("u1", 0), 2 ** 63)
+        assert parse("u1^1^1000", PARAMS).root == Pow(Param("u1", 0), 1)
+        for text, offset in [("u1^2^64", 5), ("u1^9^9^9", 5), ("u1^10^100", 6), ("u1^2^-1", 5)]:
+            with pytest.raises(ExprSyntaxError, match="exponent tower") as err:
+                parse(text, PARAMS)
+            assert err.value.offset == offset
 
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ExprSyntaxError):

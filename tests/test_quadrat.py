@@ -281,9 +281,9 @@ def test_exactlin_matmul_matches_the_pair_oracle(operands):
     a, b = operands
     got = xl.matmul(_quad(a), _quad(b))
     assert [[_pair(x) for x in row] for row in got] == _pmatmul(a, b)
-    col = [row[0] for row in b]
-    assert [_pair(x) for x in xl.matvec(_quad(a), [QuadRat(*x) for x in col])] \
-        == [row[0] for row in _pmatmul(a, [[x] for x in col])]
+    got = xl.qmatrix(_quad(a)) @ xl.qmatrix(_quad(b))
+    assert isinstance(got, xl.QMatrix)
+    assert [[_pair(x) for x in row] for row in got] == _pmatmul(a, b)
 
 
 @settings(max_examples=50, deadline=None)
