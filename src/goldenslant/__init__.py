@@ -38,7 +38,6 @@ from .slant import (
     corollary_residual,
     lemma_pq_identities,
     reference_cosine,
-    slant_angle_at,
     tq_identity_residual,
 )
 from .spaceform import (

@@ -47,9 +47,9 @@ extrinsic suite: second fundamental form and split checks (flat ambient)
   spaces; the vanishing claim is probed, not assumed.
 """,
     "slant": """\
-slant suite: angle sampling and classification
+slant suite: angles at the eigenvectors of P and classification
   angle                cos theta(X) = |g(phi X, PX)| / (|PX| |phi X|)
-  classification       spread of theta over points and directions <= tol_angle
+  classification       spread of theta over points and eigenvectors <= tol_angle
   characterization     P^2 = lambda (P + I) with lambda = cos^2 theta
   corollary            g(phi^2 X, X) = g(P^2 X, X) / lambda   (lambda > 0)
   lemma_p              g(PX, PY) = cos^2 theta (g(X, Y) + g(X, PY))

@@ -346,7 +346,10 @@ def _parse_samples(value, m: int) -> SampleSpec:
     else:
         grid = [(-1.0, 1.0, 3)] * m
     extra = []
-    for i, pt in enumerate(value.get("extra_points", [])):
+    points = value.get("extra_points", [])
+    if not isinstance(points, list):
+        raise ConfigError("/immersion/samples/extra_points", "expected a list of points")
+    for i, pt in enumerate(points):
         path = f"/immersion/samples/extra_points/{i}"
         if not isinstance(pt, list) or len(pt) != m:
             raise ConfigError(path, f"expected {m} coordinates")
@@ -360,6 +363,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError("", f"config file not found: {path}")
     try:
         data = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable or not UTF-8
+        raise ConfigError("", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from None
     return parse_config(data)

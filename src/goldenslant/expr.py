@@ -18,7 +18,8 @@ lifted to the exact backend.
 ``parse(to_text(e), params)`` reproduces ``e`` node for node.  Parsing
 bounds the work an expression can ask for: the tree may nest at most
 ``MAX_DEPTH`` levels deep, and an exponent tower ``a^b^c`` is refused
-before its value would pass 64 bits.
+before its value would pass 64 bits.  The exact lift stops short of constant
+powers beyond ``MAX_POWER_BITS``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,17 @@ import numpy as np
 from . import jets
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from .jets import Jet2
-from .quadrat import PSI, QuadRat, SQRT5
+from .quadrat import PSI, SQRT5, QuadRat, integer_form
 
 CONSTANT_VALUES = {"psi": float(PSI), "sqrt5": math.sqrt(5.0), "pi": math.pi}
 EXACT_CONSTANTS = {"psi": PSI, "sqrt5": SQRT5}
 # Evaluation, printing and the parser itself recurse once per level.
 MAX_DEPTH = 100
+# Bit budget of an exact constant power c^N, whose size grows linearly in the
+# exponent literal: with c = (p + q sqrt5)/d and b the largest bit length of
+# p, q and d (of 1/c for N < 0), every integer of c^N has at most (b + 2)|N|
+# bits.  A power over budget is not lifted, leaving the float route alone.
+MAX_POWER_BITS = 4096
 FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
     "sin": jets.sin,
     "cos": jets.cos,
@@ -445,7 +451,12 @@ def _affine(node: Node, m: int) -> tuple[QuadRat, list[QuadRat]] | None:
             return None
         if not c and node.exponent < 0:
             return None
-        return c**node.exponent, list(zero)
+        base = c if node.exponent > 0 else c.inverse()
+        ps, qs, d = integer_form([base])  # base = (ps[0] + qs[0] sqrt5) / d
+        bits = max(ps[0].bit_length(), qs[0].bit_length(), d.bit_length())
+        if abs(node.exponent) * (bits + 2) > MAX_POWER_BITS:
+            return None
+        return base ** abs(node.exponent), list(zero)
     return None
 
 

@@ -10,7 +10,7 @@ operator identity ``P^2 = lambda (P + I)`` on tangent vectors with
     g(QX, QY) = sin^2(theta) (g(X, Y) + g(PX, Y))
     tQ = (1 - lambda) (P + I) = -P^2 + P + I
 
-checked here both in floating point along sampled frames and exactly over
+checked here both in floating point at every sample point and exactly over
 Q(sqrt5) for affine immersions, each by one function for both backends.
 
 One reference formula for a worked slant family omits the ``|X|``
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import LambdaZero, NotSlant, ZeroVector
 from .quadrat import QuadRat
-from .structures import GoldenStructure, _eye
+from .structures import GoldenStructure, _amax, _eye, _spectral
 from .submanifold import (
     DEFAULT_TOL_CLASS,
     DEFAULT_TOL_FRAME,
@@ -38,12 +38,8 @@ from .submanifold import (
     InducedOperators,
     PointGeometry,
     SampleSpec,
-    TangentFrame,
-    _amax,
-    _dot,
     frame_at,  # noqa: F401  (still importable from this module)
     point_geometry,
-    trial_draws,
 )
 
 DEFAULT_TOL_ANGLE = 1e-6
@@ -85,17 +81,6 @@ def _angles(p: np.ndarray, q: np.ndarray, x: np.ndarray, tol_class: float) -> np
     return np.where(pn <= tol_class * np.hypot(pn, qn), math.pi / 2, np.arctan2(qn, pn))
 
 
-def slant_angle_at(frame: TangentFrame, ops: InducedOperators, x: Sequence[float],
-                   tol_class: float = DEFAULT_TOL_CLASS) -> float:
-    """Angle between ``phi X`` and the tangent space, ``X`` in tangent-frame coordinates."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (frame.m,):
-        raise ZeroVector(f"direction must have {frame.m} tangent coordinates")
-    if not np.linalg.norm(vec):
-        raise ZeroVector("slant angle of the zero vector is undefined")
-    return float(_angles(ops.p, ops.q, vec[None], tol_class)[0])
-
-
 def reference_cosine(ops: InducedOperators, x: Sequence[float]) -> float:
     """Signed cosine variant g(phi X, X)/|phi X| that skips the |X| factor.
 
@@ -125,22 +110,22 @@ def classify(imm: ImmersionSpec, structure: GoldenStructure,
 def classify_geometry(geom: PointGeometry, directions: int = 20, seed: int = 0,
                       tol_angle: float = DEFAULT_TOL_ANGLE,
                       tol_class: float = DEFAULT_TOL_CLASS, trials: int = 100) -> SlantReport:
-    """Sample the slant angle over the points of a geometry and a direction set, then classify.
+    """Slant angles at the eigen-directions of P at every point of a geometry, then classify.
 
-    Each point takes the m tangent-frame axes and ``directions`` random unit
-    directions, all drawn from one stream seeded with ``seed``, point by point.
-    The angle spread (max - min over all samples) decides slantness; the
-    mean angle then separates invariant, anti-invariant and proper slant.
-    For slant results the characterization, the P/Q product identities and
-    the tQ identity are evaluated along every sampled frame and their worst
-    residuals attached to the report.
+    In orthonormal frames P is symmetric and ``|phi X|^2 = g(X, (P + I) X)``,
+    so along ``X = sum c_i v_i`` over P's eigenvectors ``cos^2 theta(X)`` is a
+    positive-weighted average of ``mu_i^2 / (mu_i + 1)``: the extreme angles
+    over all directions are taken at the eigenvectors.  Their spread
+    (max - min) decides slantness exactly; their mean angle then separates
+    invariant, anti-invariant and proper slant.  For slant results the
+    characterization, the P/Q product identities and the tQ identity are
+    evaluated at every point and their worst residuals attached to the
+    report.  ``directions``, ``seed`` and ``trials`` are ignored; they once
+    sized and seeded random samples.
     """
-    ops, n_points, m = geom.ops, geom.size, geom.ops.m
-    rng = np.random.default_rng(seed)
-    drawn = rng.standard_normal((n_points, directions, m))
-    drawn /= np.linalg.norm(drawn, axis=-1, keepdims=True)
-    axes = np.broadcast_to(np.eye(m), (n_points, m, m))
-    angles = _angles(ops.p, ops.q, np.concatenate([axes, drawn], axis=1), tol_class)
+    ops = geom.ops
+    _, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
+    angles = _angles(ops.p, ops.q, vectors.mT, tol_class)
     theta = float(np.mean(angles))
     spread = float(angles.max() - angles.min())
     if spread <= tol_angle:
@@ -162,15 +147,15 @@ def classify_geometry(geom: PointGeometry, directions: int = 20, seed: int = 0,
     )
     if not report.is_slant():
         return report
-    lemma_p, lemma_q = lemma_pq_identities(ops, report, trials, seed)
+    lemma_p, lemma_q = lemma_pq_identities(ops, report)
     residuals = {
-        "characterization": characterization_residual(ops, report, seed=seed),
+        "characterization": characterization_residual(ops, report),
         "lemma_p": lemma_p,
         "lemma_q": lemma_q,
         "tq": tq_identity_residual(ops, report),
     }
     if kind != ANTI_INVARIANT:
-        residuals["corollary"] = corollary_residual(ops, report, seed=seed)
+        residuals["corollary"] = corollary_residual(ops, report)
     return replace(report, residuals={k: float(np.max(v)) for k, v in residuals.items()})
 
 
@@ -179,67 +164,52 @@ def _require_slant(report: SlantReport) -> None:
         raise NotSlant(f"classification is {report.classification}")
 
 
-def _out(value: np.ndarray) -> np.ndarray | float:
-    """A float for one point, the per-point array for stacked operators.
-
-    The residuals below take the operators of one point or of a stack; point
-    i of a stack samples its trials from ``seed + i``.
-    """
-    return float(value) if np.ndim(value) == 0 else value
+# The residuals below take the operators of one point (a float) or of a stack
+# (one value per point).  The identities that are bilinear forms are measured
+# by the spectral norm of their matrices: the worst value of the form on any
+# unit pair, and never below the worst entry.  Their ``trials`` and ``seed``
+# parameters are ignored; they once drew sample vectors.
 
 
 def characterization_residual(ops: InducedOperators, report: SlantReport,
                               trials: int = 20, seed: int = 0) -> float:
-    """Worst residual of ``P^2 = lambda (P + I)``, operator and quadratic form."""
+    """Spectral norm of ``P^2 - lambda (P + I)``."""
     _require_slant(report)
-    p, lam = ops.p, report.lam
-    x = trial_draws(seed, p.shape[:-2], (trials, ops.m))
-    px = x @ p.mT
-    form = _dot(x, px @ p.mT) - lam * (_dot(x, x) + _dot(x, px))
-    return _out(np.maximum(_characterization(p, lam), _amax(form, -1)))
+    return _characterization(ops.p, report.lam, _spectral)
 
 
 def corollary_residual(ops: InducedOperators, report: SlantReport,
                        trials: int = 20, seed: int = 0) -> float:
-    """Quadratic-form residual of ``phi^2 = P^2 / lambda`` on tangent vectors."""
+    """Spectral norm of the form ``g(phi^2 X, Y) - g(P^2 X, Y) / lambda`` on tangent vectors."""
     _require_slant(report)
     if report.classification == ANTI_INVARIANT or report.lam <= 0.0:
         raise LambdaZero("corollary needs lambda > 0 (not anti-invariant)")
     p = ops.p
-    x = trial_draws(seed, p.shape[:-2], (trials, ops.m))
-    px = x @ p.mT
-    phi2 = _dot(x, px) + _dot(x, x)  # g(phi^2 X, X) = g(PX, X) + g(X, X)
-    return _out(_amax(phi2 - _dot(x, px @ p.mT) / report.lam, -1))
+    phi2 = p + _eye(p)  # g(phi^2 X, Y) = g(PX, Y) + g(X, Y)
+    return _spectral(phi2 - p @ p / report.lam)
 
 
 def lemma_pq_identities(ops: InducedOperators, report: SlantReport,
                         trials: int = 100, seed: int = 0) -> tuple[float, float]:
-    """Residuals of the cos^2 and sin^2 product identities, as matrices and over random pairs."""
+    """Spectral norms of the cos^2 and sin^2 product identities."""
     _require_slant(report)
-    p, q = ops.p, ops.q
-    pairs = trial_draws(seed, p.shape[:-2], (trials, 2, ops.m))
-    x, y = pairs[..., 0, :], pairs[..., 1, :]
-    px, py = x @ p.mT, y @ p.mT
-    worst_p = _amax(_dot(px, py) - report.lam * (_dot(x, y) + _dot(x, py)), -1)
-    worst_q = _amax(_dot(x @ q.mT, y @ q.mT) - report.k * (_dot(x, y) + _dot(px, y)), -1)
-    lemma_p, lemma_q = _lemma_residuals(p, q, np.eye(ops.m), np.eye(q.shape[-2]),
-                                        report.lam, report.k)
-    return _out(np.maximum(lemma_p, worst_p)), _out(np.maximum(lemma_q, worst_q))
+    return _lemma_residuals(ops.p, ops.q, np.eye(ops.m), np.eye(ops.q.shape[-2]),
+                            report.lam, report.k, _spectral)
 
 
 def tq_identity_residual(ops: InducedOperators, report: SlantReport) -> float:
     """Worst residual of ``tQ = (1 - lambda)(P + I)`` and ``tQ = -P^2 + P + I``."""
     _require_slant(report)
-    return _out(np.maximum(*_tq_residuals(ops.p, ops.t, ops.q, report.lam)))
+    return np.maximum(*_tq_residuals(ops.p, ops.t, ops.q, report.lam))
 
 
 # ---------------------------------------------------------------------------
 # the slant identities, written once for exact matrices and float stacks
 
 
-def _characterization(p, lam):
-    """max |P^2 - lambda (P + I)|."""
-    return _amax(p @ p - (p + _eye(p)) * lam)
+def _characterization(p, lam, norm=_amax):
+    """``norm`` of P^2 - lambda (P + I), max |entry| by default."""
+    return norm(p @ p - (p + _eye(p)) * lam)
 
 
 def _cos2_forms(p, gt):
@@ -247,11 +217,12 @@ def _cos2_forms(p, gt):
     return p.mT @ gt @ p, gt + gt @ p
 
 
-def _lemma_residuals(p, q, gt, gn, lam, k):
-    """Worst residuals of g(PX, PY) = lambda (g(X, Y) + g(X, PY)) and
-    g(QX, QY) = k (g(X, Y) + g(PX, Y)) as matrices, ``gn`` the normal basis Gram matrix."""
+def _lemma_residuals(p, q, gt, gn, lam, k, norm=_amax):
+    """Residuals of g(PX, PY) = lambda (g(X, Y) + g(X, PY)) and
+    g(QX, QY) = k (g(X, Y) + g(PX, Y)) as ``norm`` (max |entry| by default) of
+    their matrices, ``gn`` the normal basis Gram matrix."""
     pp, p_rhs = _cos2_forms(p, gt)
-    return _amax(pp - p_rhs * lam), _amax(q.mT @ gn @ q - (gt + p.mT @ gt) * k)
+    return norm(pp - p_rhs * lam), norm(q.mT @ gn @ q - (gt + p.mT @ gt) * k)
 
 
 def _tq_residuals(p, t, q, lam):

@@ -55,6 +55,19 @@ def _amax(a, axis=(-2, -1)):
     return out.item() if out.ndim == 0 else out
 
 
+def _spectral(a):
+    """Largest singular value over the last two axes: a scalar, or one per point.
+
+    It is the largest value of the bilinear form of ``a`` on unit pairs, so
+    never below the largest entry.  A matrix with a non-finite entry gets its
+    :func:`_amax` (Inf or NaN), which fails every check.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    norm = np.linalg.norm(np.where(finite[..., None, None], a, 0.0), 2, axis=(-2, -1))
+    out = np.where(finite, norm, _amax(a))
+    return out.item() if out.ndim == 0 else out
+
+
 def _check_square(m, name: str) -> int:
     n = len(m)
     if any(len(row) != n for row in m):

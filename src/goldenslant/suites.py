@@ -86,9 +86,8 @@ def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
     }
 
 
-def run_identities_suite(structure: GoldenStructure, geom: PointGeometry, tol: Tolerances,
-                         seed: int) -> dict:
-    rep = structural_identity_residuals(geom.ops, geom.frame, geom.structure, seed=seed)
+def run_identities_suite(geom: PointGeometry, tol: Tolerances) -> dict:
+    rep = structural_identity_residuals(geom.ops, geom.frame, geom.structure)
     worst = {key: float(np.max(values)) for key, values in rep.residuals.items()}
     gram = float(np.max(geom.frame.gram_residual()))
     result = {
@@ -141,10 +140,8 @@ def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
     return result
 
 
-def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances,
-                    seed: int) -> dict:
-    report = classify_geometry(geom, seed=seed, tol_angle=tol.tol_angle,
-                               tol_class=tol.tol_class)
+def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -> dict:
+    report = classify_geometry(geom, tol_angle=tol.tol_angle, tol_class=tol.tol_class)
     frame, ops = geom.frame.at(0), geom.ops.at(0)
     # The variant formula is not scale-invariant, so feed it the raw tangent.
     raw_e1 = frame.tangent_coords(frame.raw_tangents[:, 0])
@@ -254,7 +251,11 @@ def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  backend: str = "auto") -> dict:
-    """Execute the requested suites and assemble the report dictionary."""
+    """Execute the requested suites and assemble the report dictionary.
+
+    The run seed (default: the config's) is echoed as ``meta.seed``; the point
+    suites draw nothing at random, and the curvature suite uses ``spaceform.seed``.
+    """
     tol = cfg.tolerances
     seed = cfg.seed if seed is None else seed
     report: dict[str, Any] = {
@@ -298,11 +299,11 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             if suite == "structure":
                 report["suites"][suite] = run_structure_suite(structure, tol)
             elif suite == "identities":
-                report["suites"][suite] = run_identities_suite(structure, geom, tol, seed)
+                report["suites"][suite] = run_identities_suite(geom, tol)
             elif suite == "extrinsic":
                 report["suites"][suite] = run_extrinsic_suite(geom, tol)
             elif suite == "slant":
-                report["suites"][suite] = run_slant_suite(cfg, geom, tol, seed)
+                report["suites"][suite] = run_slant_suite(cfg, geom, tol)
             elif suite == "curvature":
                 report["suites"][suite] = run_curvature_suite(cfg, structure, tol)
         except GoldenslantError as exc:

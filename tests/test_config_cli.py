@@ -1,9 +1,12 @@
 """Config parsing, suite runner, bundled scenarios and the CLI."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -248,7 +251,7 @@ class TestRunScenario:
         # One point after the first; s leaves the first residual, p_squared, finite,
         # which a Python max() seeded with it would keep over a later NaN.
         geom.ops.s[1, 0, 0] = np.nan
-        result = run_identities_suite(structure, geom, cfg.tolerances, seed=0)
+        result = run_identities_suite(geom, cfg.tolerances)
         assert math.isnan(result["residuals"]["s_squared"])
         assert result["residuals"]["p_squared"] <= 1e-12
         assert not result["pass"]
@@ -326,6 +329,15 @@ class TestCli:
     def test_missing_config_is_a_config_error(self, capsys):
         assert main(["run", "no_such_config"]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
+
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe{}")
+        for source in (tmp_path, binary):  # a directory, then a file that is not UTF-8
+            assert main(["run", str(source)]) == EXIT_CONFIG_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: ") and len(captured.err.splitlines()) == 1
 
     def test_config_requiring_missing_section_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -424,3 +436,94 @@ class TestCli:
         assert main(["run", "paper_example_3", "--seed", "42"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["meta"]["seed"] == 42
+
+    def test_constant_power_past_the_bit_bound_runs_on_the_float_route(self, tmp_path, capsys):
+        mutate = _immersion(("u", "u+0.5^4000000", "0", "0"))
+        assert self._run_mutated(tmp_path, mutate) == EXIT_OK
+        suites = json.loads(capsys.readouterr().out)["suites"]
+        assert suites["identities"]["exact"] == {"available": False}
+        assert suites["slant"]["exact"] == {"available": False}
+        assert suites["slant"]["classification"] == "invariant"
+
+
+# A config that reaches every section and suite, on a few points and trials.
+FUZZ_BASE = {
+    "ambient": {"dim": 4,
+                "metric": [["1", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "1", "0"],
+                           ["0", "0", "0", "1"]],
+                "phi": {"pattern": ["psi", "one_minus_psi", "psi", "one_minus_psi"]}},
+    "immersion": {"params": ["u", "v"], "components": ["u", "v", "u*v", "sin(u)"],
+                  "samples": {"grid": [[-1, 1, 2], [-1, 1, 2]], "extra_points": [[0, 0]]}},
+    "spaceform": {"c_p": 1, "c_q": -1, "p": 2, "trials": 5, "seed": 3},
+    "slant": {"angle_formula": "projection"},
+    "tolerances": {"tol_angle": 1e-6},
+    "suites": ["structure", "identities", "extrinsic", "slant", "curvature"],
+    "seed": 0,
+}
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, the root excluded."""
+    out = []
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        out.append(path + (key,))
+        out.extend(_paths(child, path + (key,)))
+    return out
+
+
+_FUZZ_PATHS = _paths(FUZZ_BASE)
+_TOKENS = ["u", "v", "w", "psi", "sqrt5", "pi", "sin(", "exp(", "sqrt(", "(", ")", "+", "-",
+           "*", "/", "^", "0", "2", "0.5", "30", "9", " ", ".", "1e3", "#"]
+_expr_text = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(width=64),
+    st.sampled_from(["psi", "one_minus_psi", "1/0", "1/2+1/2*sqrt5", "unnormalized",
+                     "curvature", "slant", "u"]),
+    _expr_text,
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["grid", "pattern", "c_p", "x", "extra_points"]),
+                      inner, max_size=3),
+    max_leaves=8,
+)
+_mutation = st.tuples(st.sampled_from(_FUZZ_PATHS), st.sampled_from(["set", "delete"]),
+                      _json_values)
+
+
+def _mutated(mutations) -> dict:
+    data = json.loads(json.dumps(FUZZ_BASE))
+    for path, action, value in mutations:
+        try:  # an earlier mutation may have removed or replaced the path
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            if action == "delete":
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(_mutation, max_size=3),
+       components=st.none() | st.lists(_expr_text, min_size=4, max_size=4))
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # it would reach stderr
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, mutations, components):
+    data = _mutated(mutations)
+    if components is not None and isinstance(data.get("immersion"), dict):
+        data["immersion"]["components"] = components
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.cfg"
+    path.write_text(json.dumps(data))  # NaN and Infinity are written as bare tokens
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert code in (EXIT_OK, EXIT_SUITE_FAILED, EXIT_CONFIG_ERROR)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("config error:")), lines
+    assert (code == EXIT_CONFIG_ERROR) == bool(lines)

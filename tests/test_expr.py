@@ -7,8 +7,19 @@ import numpy as np
 import pytest
 
 from goldenslant.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from goldenslant.expr import MAX_DEPTH, Bin, Call, Const, Lit, Neg, Param, Pow, parse
-from goldenslant.quadrat import ONE_MINUS_PSI, PSI
+from goldenslant.expr import (
+    MAX_DEPTH,
+    MAX_POWER_BITS,
+    Bin,
+    Call,
+    Const,
+    Lit,
+    Neg,
+    Param,
+    Pow,
+    parse,
+)
+from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
 
 PARAMS = ["u1", "u2"]
 
@@ -265,3 +276,19 @@ class TestAffineExtraction:
     def test_constant_power_is_exact(self):
         const, coeffs = parse("psi^2*u1", PARAMS).affine_exact()
         assert coeffs[0] == PSI + 1
+
+    @pytest.mark.parametrize("text", ["u1+0.5^4000000", "u1+2^-5000", "u1+(0.5^1000)^1000",
+                                      "u1+psi^-100000", "u1+(1+sqrt5)^-4000000",
+                                      "(1/3)^4097*u1", f"u1+0.5^{MAX_POWER_BITS // 4 + 1}"])
+    def test_constant_power_past_the_bit_bound_has_no_exact_form(self, text):
+        # The float route still evaluates it; only the exact lift is skipped.
+        expr = parse(text, PARAMS)
+        assert expr.affine_exact() is None
+        assert math.isfinite(expr.eval_jet((0.5, 0.5)).value)
+
+    def test_constant_power_within_the_bit_bound_stays_exact(self):
+        # 0.5 = 1/2 has b = 2 bits, so (b + 2) |N| <= MAX_POWER_BITS up to N = MAX_POWER_BITS / 4.
+        n = MAX_POWER_BITS // 4
+        assert parse(f"u1+0.5^{n}", PARAMS).affine_exact()[0] == QuadRat(Fraction(1, 2 ** n))
+        assert parse(f"u1+2^-{n}", PARAMS).affine_exact()[0] == QuadRat(Fraction(1, 2 ** n))
+        assert parse("u1+psi^-3", PARAMS).affine_exact()[0] == (PSI - 1) ** 3

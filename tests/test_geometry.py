@@ -11,6 +11,7 @@ frame Gram residual.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,15 +21,23 @@ from goldenslant.extrinsic import (
     gauss_split_residuals,
     second_fundamental_form,
 )
-from goldenslant.slant import classify_geometry
+from goldenslant.slant import (
+    PROPER_SLANT,
+    SlantReport,
+    _angles,
+    characterization_residual,
+    classify_geometry,
+    corollary_residual,
+    lemma_pq_identities,
+)
 from goldenslant.structures import GoldenStructure, Metric, diagonal_golden, random_golden
 from goldenslant.submanifold import (
     ImmersionSpec,
+    SampleSpec,
     frame_at,
     induced_operators,
     point_geometry,
     structural_identity_residuals,
-    trial_draws,
 )
 
 TOL = 1e-12
@@ -138,33 +147,16 @@ def test_batched_slant_angles_match_per_point_reference(imm, structure, derivati
     rng = np.random.default_rng(23)
     points = np.column_stack([rng.uniform(*u_range, 12), rng.uniform(*v_range, 12)])
     geom = point_geometry(imm, structure.metric, structure, points)
-    report = classify_geometry(geom, directions=7, seed=5)
-    draws = np.random.default_rng(5)  # one stream, drawn point by point
+    report = classify_geometry(geom)
     angles = []
     for u, v in points:
         jac, hess = derivatives(u, v)
         ref = _reference(jac, hess, structure.metric.matrix, structure.phi_float)
-        dirs = list(np.eye(2))
-        for _ in range(7):
-            d = draws.standard_normal(2)
-            dirs.append(d / np.linalg.norm(d))
-        angles.extend(_angle(ref["p"], ref["q"], d) for d in dirs)
+        # The extreme angles over all directions are taken at P's eigenvectors.
+        _, vectors = np.linalg.eigh(ref["p"])
+        angles.extend(_angle(ref["p"], ref["q"], d) for d in vectors.T)
     assert abs(report.theta - float(np.mean(angles))) <= TOL
     assert abs(report.angle_spread - (max(angles) - min(angles))) <= TOL
-
-
-def test_bulk_direction_draw_equals_sequential_draws():
-    bulk = np.random.default_rng(11).standard_normal((6, 20, 3))
-    rng = np.random.default_rng(11)
-    sequential = np.array([[rng.standard_normal(3) for _ in range(20)] for _ in range(6)])
-    assert np.array_equal(bulk, sequential)
-
-
-def test_stacked_trial_draws_use_one_stream_per_point():
-    stacked = trial_draws(40, (5,), (3, 2, 2))
-    assert np.array_equal(trial_draws(40, (), (3, 2, 2)), stacked[0])
-    for i, draw in enumerate(stacked):
-        assert np.array_equal(draw, np.random.default_rng(40 + i).standard_normal((3, 2, 2)))
 
 
 def test_single_point_views_equal_their_batch_entries():
@@ -187,3 +179,139 @@ def test_single_point_views_equal_their_batch_entries():
         r_tan, r_nor = gauss_split_residual(SURFACE5, point, structure)
         assert (r_tan, r_nor) == pytest.approx((gauss[0][i], gauss[1][i]), abs=1e-14)
 
+
+
+def _sampled_classification(geom, tol_angle, tol_class=1e-7, directions=20, seed=0):
+    """The earlier estimate: each point's m frame axes plus ``directions`` random
+    unit directions, all drawn from one stream, point by point."""
+    ops, n_points, m = geom.ops, geom.size, geom.ops.m
+    drawn = np.random.default_rng(seed).standard_normal((n_points, directions, m))
+    drawn /= np.linalg.norm(drawn, axis=-1, keepdims=True)
+    axes = np.broadcast_to(np.eye(m), (n_points, m, m))
+    angles = _angles(ops.p, ops.q, np.concatenate([axes, drawn], axis=1), tol_class)
+    theta, spread = float(np.mean(angles)), float(angles.max() - angles.min())
+    if spread > tol_angle:
+        return spread, "non_slant"
+    if theta <= tol_angle:
+        return spread, "invariant"
+    return spread, "anti_invariant" if math.pi / 2 - theta <= tol_angle else "proper_slant"
+
+
+def _eigenbases(structure):
+    """g-orthonormal bases of the psi and 1 - psi eigenspaces of phi."""
+    g = structure.metric.matrix
+    chol = np.linalg.cholesky(g)
+    gphi = g @ structure.phi_float  # symmetric: phi is g-self-adjoint
+    sym = np.linalg.solve(chol, np.linalg.solve(chol, gphi.T).T)
+    mu, y = np.linalg.eigh((sym + sym.T) / 2.0)
+    basis = np.linalg.solve(chol.T, y)
+    return basis[:, mu > 0.5], basis[:, mu < 0.5]
+
+
+def _random_scenario(rng, seed):
+    """A skewed golden structure and an immersion that is invariant, anti-invariant,
+    proper slant, generic affine or curved."""
+    n = int(rng.integers(4, 8))
+    p = int(rng.integers(2, n - 1))
+    structure = _skewed_structure(n, p, seed)
+    v, w = _eigenbases(structure)
+    kind = ["invariant", "anti_invariant", "slant", "affine", "curved"][seed % 5]
+    if kind == "invariant":
+        m = int(rng.integers(1, min(p, n - 1) + 1))
+        tangents = v[:, :m]
+    elif kind in ("anti_invariant", "slant"):
+        m = int(rng.integers(1, min(p, n - p) + 1))
+        # tan(alpha) = psi makes g(phi X, X) vanish: P = 0.
+        alpha = math.atan((1 + math.sqrt(5)) / 2) if kind == "anti_invariant" else rng.uniform(0.1, 1.4)
+        tangents = math.cos(alpha) * v[:, :m] + math.sin(alpha) * w[:, :m]
+    else:
+        m = int(rng.integers(1, n))
+        tangents = rng.standard_normal((n, m))
+    tangents = tangents @ (np.eye(m) + 0.3 * rng.standard_normal((m, m)))
+    params = [f"u{j + 1}" for j in range(m)]
+    components = []
+    for i, row in enumerate(tangents):
+        terms = [f"({c:.17f})*{u}" for c, u in zip(row, params)]
+        if kind == "curved":
+            terms.append(f"({rng.uniform(-1, 1):.17f})*{params[i % m]}^2")
+        components.append("+".join(terms))
+    count = 3 if m <= 2 else 2
+    imm = ImmersionSpec.from_strings(params, components,
+                                     SampleSpec(grid=((-0.7, 0.7, count),) * m))
+    return imm, structure
+
+
+def test_exact_spread_bounds_the_sampled_spread_on_random_scenarios():
+    rng = np.random.default_rng(2024)
+    tol_angle = 1e-6
+    kinds = set()
+    for seed in range(60):
+        imm, structure = _random_scenario(rng, seed)
+        geom = point_geometry(imm, structure.metric, structure)
+        report = classify_geometry(geom, tol_angle=tol_angle)
+        sampled_spread, sampled_kind = _sampled_classification(geom, tol_angle)
+        assert report.angle_spread >= sampled_spread - 1e-12, seed
+        if not tol_angle / 10 <= sampled_spread <= 10 * tol_angle:
+            assert report.classification == sampled_kind, seed
+        kinds.add(report.classification)
+    assert kinds == {"invariant", "anti_invariant", "proper_slant", "non_slant"}
+
+
+def _unit(rng, shape):
+    x = rng.standard_normal(shape)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
+    rng = np.random.default_rng(41)
+    structure = _skewed_structure(5, 2, seed=3)
+    points = np.column_stack([rng.uniform(-0.8, 0.8, 9), rng.uniform(-0.8, 0.8, 9)])
+    geom = point_geometry(SURFACE5, structure.metric, structure, points)
+    # Perturbed operators, so that every identity leaves a visible residual.
+    ops = replace(geom.ops, p=geom.ops.p + 1e-3 * rng.standard_normal(geom.ops.p.shape),
+                  q=geom.ops.q + 1e-3 * rng.standard_normal(geom.ops.q.shape))
+    lam = 0.6
+    report = SlantReport(PROPER_SLANT, math.acos(math.sqrt(lam)), lam, 1.0 - lam, 0.0)
+    p, q, eye = ops.p, ops.q, np.eye(2)
+    x, y = _unit(rng, (9, 200, 2)), _unit(rng, (9, 200, 2))
+    px, py, qx, qy = x @ p.mT, y @ p.mT, x @ q.mT, y @ q.mT
+
+    def dot(a, b):
+        return np.einsum("...i,...i->...", a, b)
+
+    identities = structural_identity_residuals(ops, geom.frame, structure).residuals
+    lemma_p, lemma_q = lemma_pq_identities(ops, report)
+    # residual, its matrix, and the form the earlier samples evaluated on (x, y)
+    cases = {
+        "p_self_adjoint": (identities["p_self_adjoint"], p.mT - p, dot(px, y) - dot(x, py)),
+        "metric_split": (identities["metric_split"], p.mT @ p + q.mT @ q - eye - p.mT,
+                         dot(px, py) + dot(qx, qy) - dot(x, y) - dot(px, y)),
+        "characterization": (characterization_residual(ops, report),
+                             p @ p - lam * (p + eye),
+                             dot(x, px @ p.mT) - lam * (dot(x, x) + dot(x, px))),
+        "corollary": (corollary_residual(ops, report), p + eye - p @ p / lam,
+                      dot(x, px) + dot(x, x) - dot(x, px @ p.mT) / lam),
+        "lemma_p": (lemma_p, p.mT @ p - lam * (eye + p),
+                    dot(px, py) - lam * (dot(x, y) + dot(x, py))),
+        "lemma_q": (lemma_q, q.mT @ q - report.k * (eye + p.mT),
+                    dot(qx, qy) - report.k * (dot(x, y) + dot(px, y))),
+    }
+    for name, (value, matrix, form) in cases.items():
+        assert value.shape == (9,), name
+        assert np.all(value >= np.abs(matrix).max(axis=(-2, -1)) * (1 - 1e-12)), name
+        assert np.all(value >= np.abs(form).max(axis=-1) * (1 - 1e-12)), name
+        assert np.all(value <= 2 * np.abs(matrix).max(axis=(-2, -1))), name  # ||M|| <= m max|M_ij|
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_residual_of_a_non_finite_operator_fails(bad):
+    structure = _skewed_structure(5, 2, seed=3)
+    geom = point_geometry(SURFACE5, structure.metric, structure, [(0.1, 0.2), (0.3, -0.4)])
+    p = geom.ops.p.copy()
+    p[1, 0, 1] = bad
+    with np.errstate(invalid="ignore"):
+        res = structural_identity_residuals(replace(geom.ops, p=p), geom.frame,
+                                            structure).residuals
+    for key in ("p_self_adjoint", "metric_split"):
+        assert res[key][0] <= 1e-12
+        assert not res[key][1] <= 1e9, key

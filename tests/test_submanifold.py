@@ -1,5 +1,6 @@
 """Frames, induced operators and the structural identity suite."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -80,6 +81,22 @@ class TestFrameAt:
     def test_metric_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             frame_at(INVARIANT_IMM, (0.0, 0.0), Metric.euclidean(3, backend="float"))
+
+
+class TestSampleSpec:
+    @pytest.mark.parametrize("grid,extra", [
+        (((-1.0, 1.0, 3),), ()),
+        (((-1.0, 1.0, 3), (0.0, 2.5, 4)), ((0.3, -0.7), (9.0, 9.0))),
+        (((0.1, 0.2, 1), (-3.0, 3.0, 5), (1.0, -1.0, 2)), ((0.0, 0.0, 0.0),)),
+    ])
+    def test_points_follow_the_product_order(self, grid, extra):
+        spec = SampleSpec(grid=grid, extra_points=extra)
+        axes = [np.linspace(lo, hi, count) for lo, hi, count in grid]
+        expected = [tuple(float(x) for x in combo) for combo in itertools.product(*axes)]
+        expected += [tuple(p) for p in extra]
+        points = spec.points()
+        assert points.shape == (spec.size, len(grid)) and len(points) == spec.size
+        assert [tuple(p) for p in points.tolist()] == expected
 
 
 class TestInducedOperators:
