@@ -35,7 +35,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ExprSyntaxError
 from .expr import Expr, parse
-from .quadrat import parse_quadrat
+from .quadrat import QuadRat, parse_quadrat
 from .structures import (
     AlmostProductStructure,
     GoldenStructure,
@@ -85,9 +85,9 @@ class SpaceformSection:
 @dataclass(frozen=True)
 class ScenarioConfig:
     dim: int
-    metric_rows: tuple[tuple[str, ...], ...] | None
+    metric_rows: tuple[tuple[QuadRat, ...], ...] | None
     phi_kind: str  # matrix | pattern | from_involution
-    phi_payload: tuple
+    phi_payload: tuple  # pattern names, or the parsed matrix rows
     suites: tuple[str, ...]
     immersion_params: tuple[str, ...] | None = None
     immersion_components: tuple[Expr, ...] | None = None
@@ -100,18 +100,17 @@ class ScenarioConfig:
     def build_metric(self) -> Metric:
         if self.metric_rows is None:
             return Metric.euclidean(self.dim)
-        entries = [[parse_quadrat(cell) for cell in row] for row in self.metric_rows]
-        return Metric(entries)
+        return Metric(self.metric_rows)
 
     def build_structure(self) -> GoldenStructure:
         metric = self.build_metric()
         if self.phi_kind == "pattern":
             return diagonal_golden(self.phi_payload, metric)
-        rows = [[parse_quadrat(cell) for cell in row] for row in self.phi_payload]
         if self.phi_kind == "matrix":
-            return GoldenStructure(rows, metric)
+            return GoldenStructure(self.phi_payload, metric)
         # golden_from_product checks the involution, once.
-        return golden_from_product(AlmostProductStructure(rows, metric, validate=False))
+        return golden_from_product(AlmostProductStructure(self.phi_payload, metric,
+                                                          validate=False))
 
     def build_immersion(self) -> ImmersionSpec:
         return ImmersionSpec(self.immersion_params, self.immersion_components,
@@ -172,21 +171,23 @@ def _as_expr(text: str, params: list[str], path: str) -> Expr:
         raise ConfigError(path, str(exc)) from None
 
 
-def _as_matrix(value, dim: int, path: str) -> tuple[tuple[str, ...], ...]:
+def _as_matrix(value, dim: int, path: str) -> tuple[tuple[QuadRat, ...], ...]:
+    """The parsed rows of a matrix of Q(sqrt5) strings."""
     if not isinstance(value, list) or len(value) != dim:
         raise ConfigError(path, f"expected {dim} rows")
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:
             raise ConfigError(f"{path}/{i}", f"expected {dim} entries")
+        cells = []
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
                 raise ConfigError(f"{path}/{i}/{j}", "matrix entries are Q(sqrt5) strings")
             try:
-                parse_quadrat(cell)
+                cells.append(parse_quadrat(cell))
             except ValueError as exc:
                 raise ConfigError(f"{path}/{i}/{j}", str(exc)) from None
-        rows.append(tuple(row))
+        rows.append(tuple(cells))
     return tuple(rows)
 
 

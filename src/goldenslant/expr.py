@@ -25,6 +25,7 @@ powers beyond ``MAX_POWER_BITS``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -34,7 +35,7 @@ import numpy as np
 from . import jets
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from .jets import Jet2
-from .quadrat import PSI, SQRT5, QuadRat, integer_form
+from .quadrat import PSI, SQRT5, QuadRat
 
 CONSTANT_VALUES = {"psi": float(PSI), "sqrt5": math.sqrt(5.0), "pi": math.pi}
 EXACT_CONSTANTS = {"psi": PSI, "sqrt5": SQRT5}
@@ -138,7 +139,10 @@ class Expr:
 
     def affine_exact(self) -> tuple[QuadRat, list[QuadRat]] | None:
         """Exact ``(constant, coefficients)`` if the expression is affine over Q(sqrt5)."""
-        return _affine(self.root, self.m)
+        form = _affine(self.root)
+        if form is None:
+            return None
+        return form[0], [form[1].get(i, _ZERO) for i in range(self.m)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,64 +404,70 @@ def _eval_jet(node: Node, points: np.ndarray) -> Jet2:
     return FUNCTIONS[node.fn](_eval_jet(node.arg, points))
 
 
-def _affine(node: Node, m: int) -> tuple[QuadRat, list[QuadRat]] | None:
-    """Exact affine form over Q(sqrt5), or None when unavailable."""
-    zero = [QuadRat(0)] * m
+_ZERO, _ONE = QuadRat(0), QuadRat(1)
+
+
+def _affine(node: Node) -> tuple[QuadRat, dict[int, QuadRat]] | None:
+    """Exact affine form over Q(sqrt5): the constant and the nonzero coefficients
+    by parameter index, or None when unavailable."""
     if isinstance(node, Lit):
-        return QuadRat(node.value), list(zero)
+        return QuadRat(node.value), {}
     if isinstance(node, Const):
         exact = EXACT_CONSTANTS.get(node.name)
-        return (exact, list(zero)) if exact is not None else None
+        return (exact, {}) if exact is not None else None
     if isinstance(node, Param):
-        coeffs = list(zero)
-        coeffs[node.index] = QuadRat(1)
-        return QuadRat(0), coeffs
+        return _ZERO, {node.index: _ONE}
     if isinstance(node, Neg):
-        inner = _affine(node.operand, m)
+        inner = _affine(node.operand)
         if inner is None:
             return None
         c, coeffs = inner
-        return -c, [-x for x in coeffs]
+        return -c, {i: -x for i, x in coeffs.items()}
     if isinstance(node, Bin):
-        left = _affine(node.left, m)
-        right = _affine(node.right, m)
+        left = _affine(node.left)
+        right = _affine(node.right)
         if left is None or right is None:
             return None
         (cl, vl), (cr, vr) = left, right
-        if node.op == "+":
-            return cl + cr, [x + y for x, y in zip(vl, vr)]
-        if node.op == "-":
-            return cl - cr, [x - y for x, y in zip(vl, vr)]
+        if node.op in "+-":
+            op = operator.add if node.op == "+" else operator.sub
+            coeffs = dict(vl)
+            for i, y in vr.items():
+                coeffs[i] = op(coeffs.get(i, _ZERO), y)
+            return op(cl, cr), {i: x for i, x in coeffs.items() if x}
         if node.op == "*":
-            if not any(vl):
-                return cl * cr, [cl * y for y in vr]
-            if not any(vr):
-                return cl * cr, [cr * x for x in vl]
+            if not vl:
+                return cl * cr, _scaled(vr, cl)
+            if not vr:
+                return cl * cr, _scaled(vl, cr)
             return None
-        if any(vr) or not cr:
+        if vr or not cr:
             return None
         inv = cr.inverse()
-        return cl * inv, [x * inv for x in vl]
+        return cl * inv, _scaled(vl, inv)
     if isinstance(node, Pow):
-        inner = _affine(node.base, m)
+        inner = _affine(node.base)
         if inner is None:
             return None
         c, coeffs = inner
         if node.exponent == 0:
-            return QuadRat(1), list(zero)
+            return _ONE, {}
         if node.exponent == 1:
             return c, coeffs
-        if any(coeffs):
+        if coeffs:
             return None
         if not c and node.exponent < 0:
             return None
         base = c if node.exponent > 0 else c.inverse()
-        ps, qs, d = integer_form([base])  # base = (ps[0] + qs[0] sqrt5) / d
-        bits = max(ps[0].bit_length(), qs[0].bit_length(), d.bit_length())
+        bits = max(x.bit_length() for x in base.integers)
         if abs(node.exponent) * (bits + 2) > MAX_POWER_BITS:
             return None
-        return base ** abs(node.exponent), list(zero)
+        return base ** abs(node.exponent), {}
     return None
+
+
+def _scaled(coeffs: dict[int, QuadRat], c: QuadRat) -> dict[int, QuadRat]:
+    return {i: x * c for i, x in coeffs.items()} if c else {}
 
 
 def eval_jet(e: Expr, point: Sequence[float]) -> Jet2:

@@ -11,8 +11,10 @@ the axiom level.
 A value is stored as one canonical integer triple ``(p + q*sqrt5) / d``
 with ``d > 0`` and ``gcd(p, q, d) = 1`` (H. Cohen, GTM 138, 1993), kept so
 by one gcd per operation; ``a`` and ``b`` are Fractions built on demand.
-:func:`integer_form` and :func:`from_integers` let :mod:`.exactlin` compute
-whole dot products in plain (unbounded) Python integers.
+QuadRat is the scalar type: exact matrices (:mod:`.exactlin`) keep whole
+arrays of such integers over one denominator, and give a QuadRat for an
+entry read out, an exact max or a lambda.  :attr:`QuadRat.integers`,
+:func:`from_integers` and :func:`sign` move values between the two forms.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Sequence
 
 Rational = int | Fraction
 
@@ -39,7 +40,8 @@ class QuadRat:
         if type(a) is int and type(b) is int:
             self._p, self._q, self._d = a, b, 1
             return
-        a, b = Fraction(a), Fraction(b)
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
         d = lcm(a.denominator, b.denominator)
         self._p = a.numerator * (d // a.denominator)
         self._q = b.numerator * (d // b.denominator)
@@ -52,12 +54,6 @@ class QuadRat:
     @property
     def b(self) -> Fraction:
         return Fraction(self._q, self._d)
-
-    @classmethod
-    def from_value(cls, x: QuadRat | Rational) -> QuadRat:
-        if isinstance(x, QuadRat):
-            return x
-        return cls(x, 0)
 
     def __repr__(self) -> str:
         return f"QuadRat({self.a!s}, {self.b!s})"
@@ -81,16 +77,14 @@ class QuadRat:
             return self._p == other._p and self._q == other._q and self._d == other._d
         return NotImplemented
 
+    @property
+    def integers(self) -> tuple[int, int, int]:
+        """The canonical ``(p, q, d)`` with value ``(p + q*sqrt5)/d``."""
+        return self._p, self._q, self._d
+
     def sign(self) -> int:
         """Exact sign of the real value (-1, 0 or +1)."""
-        p, q = self._p, self._q
-        if q == 0:
-            s = p
-        elif p == 0 or (p > 0) == (q > 0):
-            s = q
-        else:  # opposite signs: the larger of p^2 and 5 q^2 wins
-            s = p if p * p > 5 * q * q else q
-        return (s > 0) - (s < 0)
+        return sign(self._p, self._q)
 
     def __lt__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -103,7 +97,9 @@ class QuadRat:
         return self._p != 0 or self._q != 0
 
     def __add__(self, other: QuadRat | Rational) -> QuadRat:
-        o = QuadRat.from_value(other)
+        o = _exact(other)
+        if o is None:
+            return NotImplemented
         d1, d2 = self._d, o._d
         return from_integers(self._p * d2 + o._p * d1, self._q * d2 + o._q * d1, d1 * d2)
 
@@ -113,15 +109,19 @@ class QuadRat:
         return from_integers(-self._p, -self._q, self._d)
 
     def __sub__(self, other: QuadRat | Rational) -> QuadRat:
-        o = QuadRat.from_value(other)
+        o = _exact(other)
+        if o is None:
+            return NotImplemented
         d1, d2 = self._d, o._d
         return from_integers(self._p * d2 - o._p * d1, self._q * d2 - o._q * d1, d1 * d2)
 
     def __rsub__(self, other: QuadRat | Rational) -> QuadRat:
-        return QuadRat.from_value(other) - self
+        return -self + other
 
     def __mul__(self, other: QuadRat | Rational) -> QuadRat:
-        o = QuadRat.from_value(other)
+        o = _exact(other)
+        if o is None:
+            return NotImplemented
         p1, q1, p2, q2 = self._p, self._q, o._p, o._q
         return from_integers(p1 * p2 + 5 * q1 * q2, p1 * q2 + q1 * p2, self._d * o._d)
 
@@ -141,10 +141,11 @@ class QuadRat:
         return from_integers(d * p, -d * q, norm)
 
     def __truediv__(self, other: QuadRat | Rational) -> QuadRat:
-        return self * QuadRat.from_value(other).inverse()
+        o = _exact(other)
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other: QuadRat | Rational) -> QuadRat:
-        return QuadRat.from_value(other) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int) -> QuadRat:
         if not isinstance(n, int):
@@ -171,6 +172,17 @@ class QuadRat:
 _new = object.__new__
 
 
+def _exact(x) -> QuadRat | None:
+    """``x`` as a QuadRat, or None unless it is a QuadRat or a rational number.
+
+    Any other operand makes an operator return NotImplemented, so a float
+    never becomes exact and a matrix operand gets its own reflected operator.
+    """
+    if isinstance(x, QuadRat):
+        return x
+    return QuadRat(x) if isinstance(x, Rational) else None
+
+
 def from_integers(p: int, q: int, d: int) -> QuadRat:
     """The value ``(p + q*sqrt5) / d`` for integers with ``d > 0``."""
     g = gcd(p, q, d)
@@ -181,10 +193,15 @@ def from_integers(p: int, q: int, d: int) -> QuadRat:
     return x
 
 
-def integer_form(xs: Sequence[QuadRat]) -> tuple[list[int], list[int], int]:
-    """Integers ``ps``, ``qs`` and one ``d > 0`` with ``xs[i] == (ps[i] + qs[i]*sqrt5)/d``."""
-    d = lcm(*[x._d for x in xs])
-    return [x._p * (d // x._d) for x in xs], [x._q * (d // x._d) for x in xs], d
+def sign(p: int, q: int) -> int:
+    """Exact sign (-1, 0 or +1) of ``p + q*sqrt5`` for integers ``p`` and ``q``."""
+    if q == 0:
+        s = p
+    elif p == 0 or (p > 0) == (q > 0):
+        s = q
+    else:  # opposite signs: the larger of p^2 and 5 q^2 wins
+        s = p if p * p > 5 * q * q else q
+    return (s > 0) - (s < 0)
 
 
 PSI = QuadRat(Fraction(1, 2), Fraction(1, 2))

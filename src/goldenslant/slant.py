@@ -89,12 +89,18 @@ def reference_cosine(ops: InducedOperators, x: Sequence[float]) -> float:
     raw (unnormalized) tangent coordinates.
     """
     vec = np.asarray(x, dtype=float)
+    # The value is homogeneous of degree 1 in X.  Evaluating it at X / 2^e with
+    # 2^e >= max |X_i| and scaling back keeps every product finite and, the
+    # scaling being exact, gives the same bits whenever nothing overflowed.
+    exp = math.frexp(float(np.max(np.abs(vec))))[1]
+    vec = np.ldexp(vec, -exp)
     px = ops.p @ vec
     qx = ops.q @ vec
     phin = math.sqrt(float(px @ px) + float(qx @ qx))
     if phin == 0.0:
         raise ZeroVector("phi X vanished")
-    return float(px @ vec) / phin
+    with np.errstate(over="ignore"):  # a value beyond the float range becomes inf
+        return float(np.ldexp(float(px @ vec) / phin, exp))
 
 
 def classify(imm: ImmersionSpec, structure: GoldenStructure,
@@ -239,7 +245,7 @@ def exact_lambda_candidates(eops: ExactInducedOperators) -> list[QuadRat]:
     """cos^2(theta) per raw basis direction e_i, exactly: the ratio of the diagonals
     of the lemma's g(PX, PY) and g(X, Y) + g(X, PY) matrices."""
     pp, p_rhs = _cos2_forms(eops.p, eops.frame.gram_tangent)
-    return list(np.diagonal(pp) / np.diagonal(p_rhs))
+    return [x / y for x, y in zip(pp.diagonal(), p_rhs.diagonal())]
 
 
 def exact_slant_data(eops: ExactInducedOperators) -> dict:

@@ -8,7 +8,7 @@ correspondence
     phi = (I + sqrt5 * F) / 2        F = (2 * phi - I) / sqrt5
 
 Two numeric backends coexist.  The exact backend stores matrices as
-:class:`~goldenslant.exactlin.QMatrix` (entries in Q(sqrt5)) and makes
+:class:`~goldenslant.exactlin.QMatrix` (integer arrays over Q(sqrt5)) and makes
 every axiom check a statement about exact zeros; the float backend stores
 numpy arrays and checks residuals against ``tol_struct``.  Each axiom is
 written once, in matrix operators both types share.
@@ -37,7 +37,8 @@ DEFAULT_TOL_STRUCT = 1e-9
 
 
 def is_exact(m) -> bool:
-    return not isinstance(m, np.ndarray) or m.dtype == object
+    """An exact matrix, or nested rows or an object array that become one."""
+    return isinstance(m, xl.QMatrix) or not isinstance(m, np.ndarray) or m.dtype == object
 
 
 def as_float(m) -> np.ndarray:
@@ -46,11 +47,18 @@ def as_float(m) -> np.ndarray:
 
 def _eye(a):
     """Identity matching the last axis and the number type of ``a``."""
+    if isinstance(a, xl.QMatrix):
+        return xl.eye(a.shape[-1])
     return np.eye(a.shape[-1], dtype=a.dtype)
 
 
 def _amax(a, axis=(-2, -1)):
-    """max |entry| over ``axis`` (NaN if any entry is): a scalar, or one per point."""
+    """max |entry| over ``axis`` (NaN if any entry is): a scalar, or one per point.
+
+    An exact matrix gives its exact max |entry| as a QuadRat.
+    """
+    if isinstance(a, xl.QMatrix):
+        return xl.amax(a)
     out = np.abs(a).max(axis=axis)
     return out.item() if out.ndim == 0 else out
 
@@ -89,7 +97,7 @@ class Metric:
         self.n = _check_square(entries, "metric")
         self.backend = "exact" if is_exact(entries) else "float"
         self.entries = xl.qmatrix(entries) if self.backend == "exact" else entries
-        if not np.array_equal(self.entries, self.entries.T):
+        if not np.all(self.entries == self.entries.T):
             raise InvalidStructure("metric is not symmetric")
         if self.backend == "exact":
             positive = xl.leading_minors_positive(self.entries)
@@ -100,7 +108,7 @@ class Metric:
 
     @classmethod
     def euclidean(cls, n: int, backend: str = "exact") -> Metric:
-        return cls(np.eye(n, dtype=object if backend == "exact" else float))
+        return cls(xl.eye(n) if backend == "exact" else np.eye(n))
 
     def to_float(self) -> Metric:
         """Float view, built once per exact metric."""
@@ -132,9 +140,9 @@ class StructureReport:
 
 def _structure_residuals(phi, g):
     """Residual matrices of phi^2 - phi - I, G phi - phi^T G and the derived metric identity."""
-    phit = phi.T
+    phit_g = phi.T @ g
     # g(phi X, phi Y) - g(phi X, Y) - g(X, Y) as bilinear forms
-    return phi @ phi - phi - _eye(phi), g @ phi - phit @ g, phit @ g @ phi - phit @ g - g
+    return phi @ phi - phi - _eye(phi), g @ phi - phit_g, phit_g @ phi - phit_g - g
 
 
 def verify_golden(phi, metric: Metric, tol_struct: float = DEFAULT_TOL_STRUCT) -> StructureReport:

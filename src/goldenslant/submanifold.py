@@ -237,17 +237,20 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
         raise DimensionMismatch("metric dimension does not match the ambient space")
     pts = np.asarray(imm.sample_spec.points() if points is None else points, dtype=float)
     jac, hess = evaluate(imm.components, pts)
-    frame = _stacked_frames(pts, jac, metric.to_float())
-    # Split D2x into its normal part (normal-frame coordinates) and its
-    # tangential part (coefficients in the raw tangent basis).
-    g = frame.metric.matrix
-    etg = jac.mT @ g
-    h = np.einsum("...kn,...nij->...ijk", frame.normal_onb.mT @ g, hess)
-    rhs = np.einsum("...an,...nij->...ija", etg, hess)
-    christoffel = np.linalg.solve((etg @ jac)[:, None, None], rhs[..., None])[..., 0]
     if structure is not None:
         structure = structure.to_float()
-    ops = None if structure is None else induced_operators(frame, structure)
+    # Products that overflow give non-finite values, which fail the checks
+    # that read them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        frame = _stacked_frames(pts, jac, metric.to_float())
+        # Split D2x into its normal part (normal-frame coordinates) and its
+        # tangential part (coefficients in the raw tangent basis).
+        g = frame.metric.matrix
+        etg = jac.mT @ g
+        h = np.einsum("...kn,...nij->...ijk", frame.normal_onb.mT @ g, hess)
+        rhs = np.einsum("...an,...nij->...ija", etg, hess)
+        christoffel = np.linalg.solve((etg @ jac)[:, None, None], rhs[..., None])[..., 0]
+        ops = None if structure is None else induced_operators(frame, structure)
     return PointGeometry(imm, frame, hess, h, christoffel, ops, structure)
 
 
@@ -340,10 +343,9 @@ def exact_frame(imm: ImmersionSpec, metric: Metric) -> ExactFrame | None:
         return None
     g = metric.entries
     et_g = jac.T @ g
-    normal_vectors = xl.kernel_basis(et_g)
-    if len(normal_vectors) != imm.n - imm.m:
+    normal = xl.kernel_basis(et_g).T
+    if normal.shape[1] != imm.n - imm.m:
         return None  # exact Jacobian is rank deficient
-    normal = xl.qmatrix(normal_vectors).T
     return ExactFrame(jac, normal, et_g @ jac, normal.T @ g @ normal, metric)
 
 
@@ -353,7 +355,7 @@ def exact_induced_operators(frame: ExactFrame,
     if not is_exact(structure.phi):
         raise DimensionMismatch("exact induced operators need an exact structure")
     m = frame.tangent.shape[1]
-    basis = np.concatenate([frame.tangent, frame.normal], axis=1)
+    basis = xl.concatenate([frame.tangent, frame.normal], axis=1)
     coords = xl.solve(basis, structure.phi @ basis)
     return ExactInducedOperators(p=coords[:m, :m], q=coords[m:, :m], t=coords[:m, m:],
                                  s=coords[m:, m:], frame=frame)

@@ -146,9 +146,10 @@ def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -
     # The variant formula is not scale-invariant, so feed it the raw tangent.
     raw_e1 = frame.tangent_coords(frame.raw_tangents[:, 0])
     ref = reference_cosine(ops, raw_e1)
+    # Written so that a non-finite cosine sets both flags.
     flags = {
-        "reference_mismatch": abs(abs(ref) - report.cos_theta) > tol.tol_angle,
-        "reference_invalid": abs(ref) > 1.0 + 1e-12,
+        "reference_mismatch": not abs(abs(ref) - report.cos_theta) <= tol.tol_angle,
+        "reference_invalid": not abs(ref) <= 1.0 + 1e-12,
     }
     result: dict[str, Any] = {
         "classification": report.classification,

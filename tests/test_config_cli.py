@@ -527,3 +527,36 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, mutations, components):
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("config error:")), lines
     assert (code == EXIT_CONFIG_ERROR) == bool(lines)
+
+
+def _huge_sample(start: float) -> dict:
+    """FUZZ_BASE, slant suite only, unnormalized cosine, one grid axis starting at ``start``."""
+    data = json.loads(json.dumps(FUZZ_BASE))
+    data["immersion"]["samples"]["grid"][1][0] = start
+    data["slant"] = {"angle_formula": "unnormalized"}
+    data["suites"] = ["slant"]
+    return data
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start", [1e160, 8.286481015334895e+153])
+def test_huge_samples_fail_the_unnormalized_cosine_quietly(tmp_path, start):
+    # Both once overflowed: a NaN cosine that passed unflagged, and a wrong 0.0.
+    path = tmp_path / "huge.cfg"
+    path.write_text(json.dumps(_huge_sample(start)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert err.getvalue() == "" and code == EXIT_SUITE_FAILED
+    slant = json.loads(out.getvalue())["suites"]["slant"]
+    assert slant["flags"] == {"reference_invalid": True, "reference_mismatch": True}
+    assert math.isfinite(slant["reference_cosine"]) and slant["reference_cosine"] > 1.0
+    assert slant["pass"] is False
+
+
+def test_non_finite_reference_cosine_sets_both_flags(monkeypatch):
+    import goldenslant.suites as suites
+    monkeypatch.setattr(suites, "reference_cosine", lambda ops, x: math.nan)
+    slant = run_scenario(parse_config(_huge_sample(-1.0)))["suites"]["slant"]
+    assert slant["flags"] == {"reference_invalid": True, "reference_mismatch": True}
+    assert slant["pass"] is False

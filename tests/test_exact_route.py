@@ -14,7 +14,9 @@ from goldenslant.slant import _characterization, _lemma_residuals, _tq_residuals
 from goldenslant.structures import (
     AlmostProductStructure,
     Metric,
+    _amax,
     _check_involution,
+    _structure_residuals,
     diagonal_golden,
     golden_from_product,
     verify_golden,
@@ -82,7 +84,7 @@ def test_shared_identities_are_exact_zeros_and_float_small(scenario):
     assume(frame is not None)  # a rank-deficient Jacobian has no exact route
     exact = exact_identity_residuals(exact_induced_operators(frame, structure))
     assert all(isinstance(v, QuadRat) and not v for v in exact.values()), exact
-    assume(np.linalg.svd(xl.qmatrix(jac).astype(float), compute_uv=False).min() > 1e-3)
+    assume(np.linalg.svd(np.asarray(xl.qmatrix(jac), dtype=float), compute_uv=False).min() > 1e-3)
     ops = point_geometry(imm, metric, structure).ops
     eye_m, eye_k = np.eye(ops.p.shape[-1]), np.eye(ops.s.shape[-1])
     floats = block_identity_residuals(ops.p, ops.q, ops.t, ops.s, eye_m, eye_k)
@@ -125,7 +127,7 @@ class TestExactMatrix:
         assert isinstance(a[0, 1], QuadRat) and a[0, 1] == 1
         for value in (a @ a, a + a, a - a, a * PSI, a / 2, a.T, a.mT, a[:1, :]):
             assert isinstance(value, xl.QMatrix)
-        assert isinstance(np.abs(a).max().item(), QuadRat)
+        assert _amax(a) == PSI and isinstance(_amax(a), QuadRat)
         assert (a @ a)[0, 0] == PSI * PSI
         assert np.array_equal((a * 2 - a).T, a.T)
 
@@ -138,7 +140,7 @@ class TestExactMatrix:
 
     def test_float_arrays_convert_entrywise(self):
         a = xl.qmatrix([[PSI, 0], [0, 1]])
-        assert np.array_equal(a.astype(float), np.diag([float(PSI), 1.0]))
+        assert np.array_equal(np.asarray(a, dtype=float), np.diag([float(PSI), 1.0]))
 
 
 # A from_involution scenario: F swaps e1 and e2 and fixes e3, negates e4.
@@ -218,3 +220,28 @@ class TestOnePass:
         suites = run_scenario(_scenario(["structure", "identities"], f, metric))["suites"]
         assert suites["structure"] == {"pass": False, "error": error}
         assert suites["identities"] == suites["structure"]
+
+
+class _CountedMatmuls(np.ndarray):
+    """A float array that counts the matmuls it takes part in."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.calls.append(1)
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_structure_residuals_take_four_matmuls(monkeypatch):
+    # phi^2, phi^T g, g phi and (phi^T g) phi: phi^T g is formed once.
+    structure = _scenario(["structure"]).build_structure()
+    calls = _count(monkeypatch, xl, "matmul")
+    assert verify_golden(structure.phi, structure.metric).exact_zero
+    assert len(calls) == 4
+    calls = _CountedMatmuls.calls = []
+    float_view = structure.to_float()
+    residuals = _structure_residuals(float_view.phi.view(_CountedMatmuls),
+                                     float_view.metric.matrix)
+    assert max(np.abs(r).max() for r in residuals) <= 1e-12
+    assert len(calls) == 4

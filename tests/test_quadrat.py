@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -310,3 +311,184 @@ def test_exactlin_kernel_basis_matches_the_pair_oracle(a):
         assert _pmatmul(a, [[x] for x in v]) == [[zero] for _ in a]
     if basis:
         assert _prank(basis) == len(basis)
+
+
+# ---------------------------------------------------------------------------
+# QMatrix, the integer-array form, against a per-entry QuadRat oracle.  Wide
+# numerators reach past 2^64 and mixed denominators force common ones.
+
+_wide = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+_entry = st.builds(lambda p, q, d: QuadRat(Fraction(p, d), Fraction(q, d)), _wide, _wide,
+                   st.integers(1, 12) | st.integers(1, 2**66))
+_scalar = st.one_of(st.integers(-5, 5), st.integers(2**64, 2**66),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=9), _entry)
+
+
+def _rows(shape):
+    return st.lists(st.lists(_entry, min_size=shape[1], max_size=shape[1]),
+                    min_size=shape[0], max_size=shape[0])
+
+
+_shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+def _values(m) -> list:
+    """The entries of an exact matrix (or vector) as nested lists of QuadRat."""
+    return np.asarray(m).tolist()
+
+
+def _canonical(m) -> bool:
+    """Lowest terms: ``d > 0`` and no common factor of ``d`` and all the numerators."""
+    return m.d > 0 and math.gcd(m.d, *m.p.flat, *m.q.flat) == 1
+
+
+def _entrywise(f, *mats):
+    return [[f(*xs) for xs in zip(*rows)] for rows in zip(*mats)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shapes.flatmap(lambda s: st.tuples(_rows(s), _rows(s))), _scalar)
+def test_qmatrix_operators_match_the_entry_oracle(pair, c):
+    a, b = pair
+    qa, qb = xl.qmatrix(a), xl.qmatrix(b)
+    cases = {
+        "add": (qa + qb, _entrywise(lambda x, y: x + y, a, b)),
+        "sub": (qa - qb, _entrywise(lambda x, y: x - y, a, b)),
+        "mul": (qa * qb, _entrywise(lambda x, y: x * y, a, b)),
+        "neg": (-qa, _entrywise(lambda x: -x, a)),
+        "add scalar": (qa + c, _entrywise(lambda x: x + c, a)),
+        "scalar add": (c + qa, _entrywise(lambda x: c + x, a)),
+        "sub scalar": (qa - c, _entrywise(lambda x: x - c, a)),
+        "scalar sub": (c - qa, _entrywise(lambda x: c - x, a)),
+        "mul scalar": (qa * c, _entrywise(lambda x: x * c, a)),
+        "scalar mul": (c * qa, _entrywise(lambda x: c * x, a)),
+        "transpose": (qa.T, [list(col) for col in zip(*a)]),
+        "mT": (qa.mT, [list(col) for col in zip(*a)]),
+        "slice": (qa[::-1, :1], [row[:1] for row in a[::-1]]),
+        "concatenate": (xl.concatenate([qa, qb], axis=1), [x + y for x, y in zip(a, b)]),
+    }
+    if c:
+        cases["div scalar"] = (qa / c, _entrywise(lambda x: x / c, a))
+    for name, (got, want) in cases.items():
+        assert isinstance(got, xl.QMatrix) and _canonical(got), name
+        assert _values(got) == want, name
+    assert qa[0, 0] == a[0][0] and isinstance(qa[0, 0], QuadRat)
+    assert (qa + qb) - qb == qa and not (qa == qa + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(_rows(s[:2]), _rows(s[1:]))))
+def test_qmatrix_matmul_matches_the_entry_oracle(pair):
+    a, b = pair
+    got = xl.qmatrix(a) @ xl.qmatrix(b)
+    want = [[sum((x * y for x, y in zip(row, col)), QuadRat(0)) for col in zip(*b)]
+            for row in a]
+    assert _canonical(got) and _values(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shapes.flatmap(_rows))
+def test_float_view_has_the_bits_of_each_entry(a):
+    view = np.asarray(xl.qmatrix(a), dtype=float)
+    assert [[x.hex() for x in row] for row in view.tolist()] == [
+        [float(x).hex() for x in row] for row in a]
+
+
+# Lucas over Fibonacci numbers approach sqrt5, so L_k - F_k sqrt5 nearly cancels.
+_fib = [0, 1]
+_lucas = [2, 1]
+while len(_fib) < 80:
+    _fib.append(_fib[-1] + _fib[-2])
+    _lucas.append(_lucas[-1] + _lucas[-2])
+_near_zero = st.builds(lambda k, s, d: QuadRat(Fraction(s * _lucas[k], d), Fraction(-s * _fib[k], d)),
+                       st.integers(40, 79), st.sampled_from([1, -1]), st.integers(1, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_entry | _near_zero | st.just(QuadRat(0)), min_size=1, max_size=9))
+def test_exact_amax_matches_the_entry_oracle(values):
+    from goldenslant.structures import _amax
+    m = xl.qmatrix([values])
+    got = _amax(m)
+    assert isinstance(got, QuadRat) and got == max(abs(x) for x in values)
+    assert (not got) == all(not x for x in values)
+
+
+def test_exact_amax_of_near_cancelling_values():
+    from goldenslant.structures import _amax
+    tiny = [QuadRat(_lucas[k], -_fib[k]) for k in (60, 61, 62)]  # |.| = psi^-k, alternating signs
+    assert [x.sign() for x in tiny] == [1, -1, 1]
+    assert _amax(xl.qmatrix([tiny])) == abs(tiny[0])
+    assert _amax(xl.qmatrix([[QuadRat(0)] * 3] * 2)) == 0
+
+
+def _rank_deficient(draw, rows, cols, rank):
+    """A rows x cols matrix of rank <= rank, a product of small Q(sqrt5) factors."""
+    if rank == 0:
+        return [[QuadRat(0)] * cols for _ in range(rows)]
+    small = st.builds(lambda p, q: QuadRat(Fraction(p, 2), q), st.integers(-3, 3), st.integers(-1, 1))
+    left = draw(st.lists(st.lists(small, min_size=rank, max_size=rank), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(small, min_size=cols, max_size=cols), min_size=rank, max_size=rank))
+    return [[sum((x * y for x, y in zip(row, col)), QuadRat(0)) for col in zip(*right)]
+            for row in left]
+
+
+@st.composite
+def _eliminations(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(rows, cols)))
+    a = _rank_deficient(draw, rows, cols, rank)
+    if draw(st.booleans()) and rows > 1:  # a zero leading entry forces a row swap
+        a[0] = [QuadRat(0)] + a[0][1:]
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(_eliminations())
+def test_kernel_and_column_space_on_rank_deficient_matrices(a):
+    rows, cols = len(a), len(a[0])
+    rank = _prank([[_pair(x) for x in row] for row in a])
+    kernel = xl.kernel_basis(a)
+    assert len(kernel) == cols - rank and _canonical(kernel)
+    if len(kernel):
+        assert not any(x for row in _values(xl.qmatrix(a) @ kernel.T) for x in row)
+        assert _prank([[_pair(x) for x in v] for v in _values(kernel)]) == len(kernel)
+    basis = xl.column_space_basis(xl.qmatrix(a))
+    assert basis.shape == (rows, rank)
+    if rank:
+        assert _prank([[_pair(x) for x in row] for row in _values(basis)]) == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.data())))
+def test_solve_with_row_swaps_and_singular_systems(args):
+    n, data = args
+    a = _rank_deficient(data.draw, n, n, data.draw(st.integers(n - 1, n)))
+    k = data.draw(st.integers(1, 3))
+    b = data.draw(st.lists(st.lists(_entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        a = [[QuadRat(0)] + a[0][1:]] + a[1:]  # a zero pivot position needs a swap
+    if _prank([[_pair(x) for x in row] for row in a]) < n:
+        with pytest.raises(ZeroDivisionError):
+            xl.solve(a, b)
+        return
+    x = xl.solve(a, b)
+    assert _canonical(x) and _values(xl.qmatrix(a) @ x) == b
+
+
+def test_entries_beyond_64_bits_survive_elimination():
+    big = QuadRat(Fraction(2**100 + 1, 3**50), Fraction(-(2**90), 7**40))
+    a = xl.qmatrix([[big, 1], [2**70, big * big]])
+    x = xl.solve(a, xl.eye(2))
+    assert a @ x == xl.eye(2) and x @ a == xl.eye(2)
+    assert xl.leading_minors_positive(a @ a.T)
+    assert not xl.leading_minors_positive(-(a @ a.T))
+
+
+def test_floats_never_enter_an_exact_matrix():
+    a = xl.qmatrix([[1, 2], [3, 4]])
+    for bad in (lambda: a * 0.5, lambda: 0.5 * a, lambda: a + np.ones((2, 2)),
+                lambda: np.ones((2, 2)) @ a, lambda: xl.qmatrix([[0.5]]), lambda: PSI + 0.5):
+        with pytest.raises(TypeError):
+            bad()

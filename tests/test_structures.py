@@ -159,8 +159,8 @@ class TestEigendecomp:
     def test_diagonal_structure_spans(self):
         s = diagonal_golden(["psi", "psi", "one_minus_psi", "one_minus_psi"])
         basis_psi, basis_neg = golden_eigendecomp(s)
-        psi_cols = basis_psi.astype(float)
-        neg_cols = basis_neg.astype(float)
+        psi_cols = np.asarray(basis_psi, dtype=float)
+        neg_cols = np.asarray(basis_neg, dtype=float)
         assert psi_cols.shape == (4, 2) and neg_cols.shape == (4, 2)
         assert np.abs(psi_cols[2:]).max() == 0.0  # spans {e1, e2}
         assert np.abs(neg_cols[:2]).max() == 0.0  # spans {e3, e4}
