@@ -1,79 +1,54 @@
-"""Golden structures, slant submanifolds and space-form curvature checks."""
+"""Golden structures, slant submanifolds and space-form curvature checks.
+
+Exports resolve on first use (PEP 562): ``import goldenslant`` loads no
+submodule, and ``goldenslant.NAME`` imports only the module that defines
+NAME, so loading a config never imports numpy.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .config import ScenarioConfig, Tolerances, load_config, parse_config
-from .errors import (
-    BadSignature,
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    ExprSyntaxError,
-    GoldenslantError,
-    InvalidInvolution,
-    InvalidStructure,
-    LambdaZero,
-    MetricIncompat,
-    NotAntiInvariant,
-    NotInvariant,
-    NotSlant,
-    RankDeficient,
-    UnknownIdentifier,
-    ZeroVector,
-)
-from .expr import Expr, eval_jet, parse
-from .extrinsic import (
-    SecondFundamentalForm,
-    anti_invariant_shape_vanishing,
-    gauss_split_residual,
-    invariant_connection_check,
-    second_fundamental_form,
-)
-from .jets import Jet2
-from .quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, parse_quadrat
-from .slant import (
-    SlantReport,
-    characterization_residual,
-    classify,
-    corollary_residual,
-    lemma_pq_identities,
-    reference_cosine,
-    tq_identity_residual,
-)
-from .spaceform import (
-    SpaceFormModel,
-    curvature,
-    curvature_commutation_checks,
-    nabla_identities_certificate,
-    non_semi_symmetry_probe,
-    r_dot_s,
-    r_dot_s_closed_form,
-    ricci_closed,
-    ricci_framesum,
-    ricci_phi_checks,
-    rs_phi_propositions,
-)
-from .structures import (
-    AlmostProductStructure,
-    GoldenStructure,
-    Metric,
-    StructureReport,
-    diagonal_golden,
-    golden_eigendecomp,
-    golden_from_product,
-    product_from_golden,
-    random_golden,
-    verify_golden,
-)
-from .submanifold import (
-    ImmersionSpec,
-    InducedOperators,
-    SampleSpec,
-    TangentFrame,
-    frame_at,
-    induced_operators,
-    structural_identity_residuals,
-)
-from .suites import render_report, run_scenario
+# defining submodule -> the names it exports here (a submodule exports itself)
+_EXPORTS = {
+    "config": "config SampleSpec ScenarioConfig Tolerances load_config parse_config",
+    "errors": "errors BadSignature ConfigError DimensionMismatch DomainError ExprSyntaxError "
+              "GoldenslantError InvalidInvolution InvalidStructure LambdaZero MetricIncompat "
+              "NotAntiInvariant NotInvariant NotSlant RankDeficient UnknownIdentifier "
+              "ZeroVector",
+    "exactlin": "exactlin",
+    "expr": "expr Expr eval_jet parse",
+    "extrinsic": "extrinsic SecondFundamentalForm anti_invariant_shape_vanishing "
+                 "gauss_split_residual invariant_connection_check second_fundamental_form",
+    "jets": "jets Jet2",
+    "quadrat": "quadrat ONE_MINUS_PSI PSI SQRT5 QuadRat parse_quadrat",
+    "slant": "slant SlantReport characterization_residual classify corollary_residual "
+             "lemma_pq_identities reference_cosine tq_identity_residual",
+    "spaceform": "spaceform SpaceFormModel curvature curvature_commutation_checks "
+                 "nabla_identities_certificate non_semi_symmetry_probe r_dot_s "
+                 "r_dot_s_closed_form ricci_closed ricci_framesum ricci_phi_checks "
+                 "rs_phi_propositions",
+    "structures": "structures AlmostProductStructure GoldenStructure Metric StructureReport "
+                  "diagonal_golden golden_eigendecomp golden_from_product product_from_golden "
+                  "random_golden verify_golden",
+    "submanifold": "submanifold ImmersionSpec InducedOperators TangentFrame frame_at "
+                   "induced_operators structural_identity_residuals",
+    "suites": "suites render_report run_scenario",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Nothing is cached: each access reads the defining module's current binding,
+    # so a function replaced there and later restored is never left behind here.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = _import_module(f"{__name__}.{module}")
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,11 +9,10 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError
-from .suites import render_report, run_scenario
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
-EXIT_CONFIG_ERROR = 2
+EXIT_CONFIG_ERROR = 2  # also an unwritable --report path
 
 _EXPLAIN = {
     "structure": """\
@@ -141,10 +140,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
+    # The suites, and numpy with them, load only for a run.
+    from .suites import render_report, run_scenario
+
     report = run_scenario(cfg, seed=args.seed, backend=args.backend)
     text = render_report(report)
     if args.report:
-        Path(args.report).write_text(text)
+        try:
+            Path(args.report).write_text(text)
+        except OSError as exc:  # a directory, a missing parent, no permission
+            print(f"report error: --report {args.report}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     print(text, end="")
     return EXIT_OK if report["overall_pass"] else EXIT_SUITE_FAILED
 

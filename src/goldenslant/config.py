@@ -30,20 +30,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, ExprSyntaxError
 from .expr import Expr, parse
 from .quadrat import QuadRat, parse_quadrat
-from .structures import (
-    AlmostProductStructure,
-    GoldenStructure,
-    Metric,
-    diagonal_golden,
-    golden_from_product,
-)
-from .submanifold import ImmersionSpec, SampleSpec
 
 SUITE_ORDER = ("structure", "identities", "extrinsic", "slant", "curvature")
 IMMERSION_SUITES = {"identities", "extrinsic", "slant"}
@@ -57,24 +49,17 @@ ANGLE_FORMULA_PROJECTION = "projection"
 ANGLE_FORMULA_UNNORMALIZED = "unnormalized"
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     tol_struct: float = 1e-9
     tol_frame: float = 1e-9
     tol_class: float = 1e-7
     tol_angle: float = 1e-6
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "tol_struct": self.tol_struct,
-            "tol_frame": self.tol_frame,
-            "tol_class": self.tol_class,
-            "tol_angle": self.tol_angle,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SpaceformSection:
+class SpaceformSection(NamedTuple):
     c_p: float
     c_q: float
     p: int
@@ -82,8 +67,35 @@ class SpaceformSection:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class SampleSpec(NamedTuple):
+    """Evaluation grid: per-parameter (lo, hi, count) plus explicit points."""
+
+    grid: tuple[tuple[float, float, int], ...]
+    extra_points: tuple[tuple[float, ...], ...] = ()
+
+    @classmethod
+    def default(cls, m: int) -> SampleSpec:
+        return cls(grid=tuple((-1.0, 1.0, 3) for _ in range(m)))
+
+    @property
+    def size(self) -> int:
+        """Number of sample points, counted without building them."""
+        return math.prod(count for _, _, count in self.grid) + len(self.extra_points)
+
+    def points(self):
+        """The (N, m) sample points: the grid, last parameter fastest, then the extra points."""
+        import numpy as np
+
+        axes = [np.linspace(lo, hi, count) for lo, hi, count in self.grid]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        extra = np.array(self.extra_points, dtype=float).reshape(-1, len(axes))
+        return np.concatenate([grid, extra])
+
+
+class ScenarioConfig(NamedTuple):
+    """A validated config.  The ``build_*`` methods import the numeric modules
+    they construct from, so loading a config imports none of them."""
+
     dim: int
     metric_rows: tuple[tuple[QuadRat, ...], ...] | None
     phi_kind: str  # matrix | pattern | from_involution
@@ -97,12 +109,21 @@ class ScenarioConfig:
     tolerances: Tolerances = Tolerances()
     seed: int = 0
 
-    def build_metric(self) -> Metric:
+    def build_metric(self):
+        from .structures import Metric
+
         if self.metric_rows is None:
             return Metric.euclidean(self.dim)
         return Metric(self.metric_rows)
 
-    def build_structure(self) -> GoldenStructure:
+    def build_structure(self):
+        from .structures import (
+            AlmostProductStructure,
+            GoldenStructure,
+            diagonal_golden,
+            golden_from_product,
+        )
+
         metric = self.build_metric()
         if self.phi_kind == "pattern":
             return diagonal_golden(self.phi_payload, metric)
@@ -112,7 +133,9 @@ class ScenarioConfig:
         return golden_from_product(AlmostProductStructure(self.phi_payload, metric,
                                                           validate=False))
 
-    def build_immersion(self) -> ImmersionSpec:
+    def build_immersion(self):
+        from .submanifold import ImmersionSpec
+
         return ImmersionSpec(self.immersion_params, self.immersion_components,
                              self.immersion_samples)
 
@@ -120,10 +143,10 @@ class ScenarioConfig:
                        tol_angle: float | None = None) -> ScenarioConfig:
         cfg = self
         if seed is not None:
-            cfg = replace(cfg, seed=_as_int(seed, "/seed", minimum=0))
+            cfg = cfg._replace(seed=_as_int(seed, "/seed", minimum=0))
         if tol_angle is not None:
             tol_angle = _as_number(tol_angle, "/tolerances/tol_angle", minimum=0.0)
-            cfg = replace(cfg, tolerances=replace(cfg.tolerances, tol_angle=tol_angle))
+            cfg = cfg._replace(tolerances=cfg.tolerances._replace(tol_angle=tol_angle))
         return cfg
 
 
@@ -300,7 +323,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         _check_keys(tols, set(tolerances.as_dict()), "/tolerances")
         updates = {k: _as_number(v, f"/tolerances/{k}", minimum=0.0)
                    for k, v in tols.items()}
-        tolerances = replace(tolerances, **updates)
+        tolerances = tolerances._replace(**updates)
 
     seed = _as_int(data.get("seed", 0), "/seed", minimum=0)
 

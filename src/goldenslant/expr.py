@@ -20,21 +20,21 @@ bounds the work an expression can ask for: the tree may nest at most
 ``MAX_DEPTH`` levels deep, and an exponent tower ``a^b^c`` is refused
 before its value would pass 64 bits.  The exact lift stops short of constant
 powers beyond ``MAX_POWER_BITS``.
+
+Parsing, printing and the exact lift need no numpy: only the evaluation
+entry points (``Expr.eval_jets``, :func:`evaluate`, :func:`jacobian`,
+:func:`hessians`) import it and :mod:`.jets` when they run, so a config
+loads without either.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from . import jets
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from .jets import Jet2
 from .quadrat import PSI, SQRT5, QuadRat
 
 CONSTANT_VALUES = {"psi": float(PSI), "sqrt5": math.sqrt(5.0), "pi": math.pi}
@@ -46,63 +46,67 @@ MAX_DEPTH = 100
 # p, q and d (of 1/c for N < 0), every integer of c^N has at most (b + 2)|N|
 # bits.  A power over budget is not lifted, leaving the float route alone.
 MAX_POWER_BITS = 4096
-FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
-    "sin": jets.sin,
-    "cos": jets.cos,
-    "exp": jets.exp,
-    "sqrt": jets.sqrt,
-}
+# Their jet rules are the functions of the same names in :mod:`.jets`.
+FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+class _Record:
+    """Fields named by ``__slots__``; equal to a record of the same type with equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    index: int
+class Lit(_Record):
+    __slots__ = ("value",)  # a Fraction
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Param(_Record):
+    __slots__ = ("name", "index")
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Const(_Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
+class Neg(_Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
+class Bin(_Record):
+    __slots__ = ("op", "left", "right")  # op is one of + - * /
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
+class Pow(_Record):
+    __slots__ = ("base", "exponent")  # an int exponent
+
+
+class Call(_Record):
+    __slots__ = ("fn", "arg")
 
 
 Node = Lit | Param | Const | Neg | Bin | Pow | Call
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Parsed expression over a fixed parameter list."""
+class Expr(_Record):
+    """Parsed expression over a fixed parameter list: ``root`` and the ``params`` tuple."""
 
-    root: Node
-    params: tuple[str, ...]
+    __slots__ = ("root", "params")
 
     @property
     def m(self) -> int:
@@ -111,20 +115,26 @@ class Expr:
     def to_text(self) -> str:
         return _print(self.root, 0)
 
-    def eval_jet(self, point: Sequence[float]) -> Jet2:
+    def eval_jet(self, point: Sequence[float]):
         """Value, gradient and Hessian at one point: the jets of a batch of one."""
+        from .jets import Jet2
+
         jet = self.eval_jets([point])
         return Jet2(float(jet.value[0]), jet.grad[0], jet.hess[0])
 
-    def eval_jets(self, points) -> Jet2:
+    def eval_jets(self, points):
         """Jets at the N rows of ``points`` from one pass over the AST: value (N,),
         grad (N, m), hess (N, m, m).  Overflowing or undefined ones raise DomainError."""
+        import numpy as np
+
+        from .jets import Jet2, evaluate_tree
+
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.m:
             raise DomainError(f"expected {self.m} coordinates, got {points.shape[-1]}")
         try:
             with np.errstate(all="ignore"):
-                jet = _eval_jet(self.root, points)
+                jet = evaluate_tree(self.root, points)
         except OverflowError as exc:
             raise DomainError(f"overflow: {exc}") from None
         n, m = points.shape
@@ -149,8 +159,7 @@ class Expr:
 # tokenizer / parser
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM, IDENT, OP, END
     text: str
     offset: int
@@ -315,7 +324,7 @@ def parse(text: str, params: Sequence[str]) -> Expr:
     height, level = 0, [root]
     while level:
         height += 1
-        level = [c for node in level for c in vars(node).values() if isinstance(c, Node)]
+        level = [c for node in level for c in node._values() if isinstance(c, _Record)]
     if height > MAX_DEPTH:
         raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
     return Expr(root, tuple(params))
@@ -376,32 +385,7 @@ def _print(node: Node, min_prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-def _eval_jet(node: Node, points: np.ndarray) -> Jet2:
-    m = points.shape[1]
-    if isinstance(node, Lit):
-        return Jet2.constant(float(node.value), m)
-    if isinstance(node, Const):
-        return Jet2.constant(CONSTANT_VALUES[node.name], m)
-    if isinstance(node, Param):
-        return Jet2.variable(points[:, node.index], node.index, m)
-    if isinstance(node, Neg):
-        return -_eval_jet(node.operand, points)
-    if isinstance(node, Bin):
-        left = _eval_jet(node.left, points)
-        right = _eval_jet(node.right, points)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
-    if isinstance(node, Pow):
-        return _eval_jet(node.base, points) ** node.exponent
-    return FUNCTIONS[node.fn](_eval_jet(node.arg, points))
+# exact lift and evaluation entry points
 
 
 _ZERO, _ONE = QuadRat(0), QuadRat(1)
@@ -470,22 +454,24 @@ def _scaled(coeffs: dict[int, QuadRat], c: QuadRat) -> dict[int, QuadRat]:
     return {i: x * c for i, x in coeffs.items()} if c else {}
 
 
-def eval_jet(e: Expr, point: Sequence[float]) -> Jet2:
+def eval_jet(e: Expr, point: Sequence[float]):
     """Value, gradient and Hessian of ``e`` at ``point``."""
     return e.eval_jet(point)
 
 
-def evaluate(components: Sequence[Expr], points) -> tuple[np.ndarray, np.ndarray]:
+def evaluate(components: Sequence[Expr], points):
     """Jacobians (N, n, m) and Hessians (N, n, m, m) of an immersion at (N, m) ``points``."""
+    import numpy as np
+
     jets = [comp.eval_jets(points) for comp in components]
     return np.stack([j.grad for j in jets], axis=1), np.stack([j.hess for j in jets], axis=1)
 
 
-def jacobian(components: Sequence[Expr], point: Sequence[float]) -> np.ndarray:
+def jacobian(components: Sequence[Expr], point: Sequence[float]):
     """n x m Jacobian of an immersion given by ``components`` at ``point``."""
     return evaluate(components, [point])[0][0]
 
 
-def hessians(components: Sequence[Expr], point: Sequence[float]) -> np.ndarray:
+def hessians(components: Sequence[Expr], point: Sequence[float]):
     """n x m x m array of component Hessians at ``point``."""
     return evaluate(components, [point])[1][0]

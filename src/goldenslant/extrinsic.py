@@ -15,8 +15,7 @@ geometry of one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +33,7 @@ from .submanifold import (
 )
 
 
-@dataclass(frozen=True)
-class SecondFundamentalForm:
+class SecondFundamentalForm(NamedTuple):
     """Normal and tangential parts of the immersion Hessian at a point (or a stack).
 
     ``h[i, j]`` holds the normal-frame coordinates of the normal part of

@@ -6,23 +6,25 @@ elementary functions used by the immersion DSL.  Leading axes are a batch
 (value ``(...)``, grad ``(..., m)``, hess ``(..., m, m)``) that every rule
 broadcasts over, so one pass differentiates an expression at every sample
 point (Taylor propagation, Griewank & Walther, *Evaluating Derivatives*).
+:func:`evaluate_tree` runs a parsed :mod:`.expr` tree on these rules.
 Overflow gives ``inf``/``nan`` here; ``Expr.eval_jets`` rejects those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
+from .expr import CONSTANT_VALUES, Bin, Const, Lit, Neg, Node, Param, Pow
 
 
-@dataclass(frozen=True)
 class Jet2:
-    value: np.ndarray | float
-    grad: np.ndarray
-    hess: np.ndarray
+    """Value ``(...)``, gradient ``(..., m)`` and Hessian ``(..., m, m)``."""
+
+    __slots__ = ("value", "grad", "hess")
+
+    def __init__(self, value: np.ndarray | float, grad: np.ndarray, hess: np.ndarray):
+        self.value, self.grad, self.hess = value, grad, hess
 
     @classmethod
     def constant(cls, value: float, m: int) -> Jet2:
@@ -124,3 +126,32 @@ def sqrt(x: Jet2) -> Jet2:
         raise DomainError("sqrt has no finite derivative at zero")
     r = np.sqrt(v)
     return x._chain(r, 0.5 / r, -0.25 / (r * v))
+
+
+_FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt}
+
+
+def evaluate_tree(node: Node, points: np.ndarray) -> Jet2:
+    """Jets of an expression tree at the (N, m) ``points``, one rule per node."""
+    m = points.shape[1]
+    if isinstance(node, Lit):
+        return Jet2.constant(float(node.value), m)
+    if isinstance(node, Const):
+        return Jet2.constant(CONSTANT_VALUES[node.name], m)
+    if isinstance(node, Param):
+        return Jet2.variable(points[:, node.index], node.index, m)
+    if isinstance(node, Neg):
+        return -evaluate_tree(node.operand, points)
+    if isinstance(node, Bin):
+        left = evaluate_tree(node.left, points)
+        right = evaluate_tree(node.right, points)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        return left / right
+    if isinstance(node, Pow):
+        return evaluate_tree(node.base, points) ** node.exponent
+    return _FUNCTIONS[node.fn](evaluate_tree(node.arg, points))

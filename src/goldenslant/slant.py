@@ -22,11 +22,12 @@ steep members of the family) without guessing intent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import SampleSpec
 from .errors import LambdaZero, NotSlant, ZeroVector
 from .quadrat import QuadRat
 from .structures import GoldenStructure, _amax, _eye, _spectral
@@ -37,7 +38,6 @@ from .submanifold import (
     ImmersionSpec,
     InducedOperators,
     PointGeometry,
-    SampleSpec,
     frame_at,  # noqa: F401  (still importable from this module)
     point_geometry,
 )
@@ -51,8 +51,7 @@ NON_SLANT = "non_slant"
 _SLANT_KINDS = (INVARIANT, ANTI_INVARIANT, PROPER_SLANT)
 
 
-@dataclass(frozen=True)
-class SlantReport:
+class SlantReport(NamedTuple):
     """Classification plus the angle data and identity residuals backing it."""
 
     classification: str
@@ -60,7 +59,7 @@ class SlantReport:
     lam: float  # cos^2 theta
     k: float  # sin^2 theta
     angle_spread: float
-    residuals: dict[str, float] = field(default_factory=dict)
+    residuals: Mapping[str, float] = MappingProxyType({})
 
     @property
     def cos_theta(self) -> float:
@@ -153,16 +152,19 @@ def classify_geometry(geom: PointGeometry, directions: int = 20, seed: int = 0,
     )
     if not report.is_slant():
         return report
-    lemma_p, lemma_q = lemma_pq_identities(ops, report)
+    p, q = ops.p, ops.q
+    pp = p @ p
+    lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, np.eye(ops.m)), q,
+                                        np.eye(q.shape[-2]), lam, report.k, _spectral)
     residuals = {
-        "characterization": characterization_residual(ops, report),
+        "characterization": _characterization(p, pp, lam, _spectral),
         "lemma_p": lemma_p,
         "lemma_q": lemma_q,
-        "tq": tq_identity_residual(ops, report),
+        "tq": np.maximum(*_tq_residuals(p, pp, ops.t, q, lam)),
     }
     if kind != ANTI_INVARIANT:
-        residuals["corollary"] = corollary_residual(ops, report)
-    return replace(report, residuals={k: float(np.max(v)) for k, v in residuals.items()})
+        residuals["corollary"] = _corollary(p, pp, lam)
+    return report._replace(residuals={k: float(np.max(v)) for k, v in residuals.items()})
 
 
 def _require_slant(report: SlantReport) -> None:
@@ -181,7 +183,7 @@ def characterization_residual(ops: InducedOperators, report: SlantReport,
                               trials: int = 20, seed: int = 0) -> float:
     """Spectral norm of ``P^2 - lambda (P + I)``."""
     _require_slant(report)
-    return _characterization(ops.p, report.lam, _spectral)
+    return _characterization(ops.p, ops.p @ ops.p, report.lam, _spectral)
 
 
 def corollary_residual(ops: InducedOperators, report: SlantReport,
@@ -190,62 +192,73 @@ def corollary_residual(ops: InducedOperators, report: SlantReport,
     _require_slant(report)
     if report.classification == ANTI_INVARIANT or report.lam <= 0.0:
         raise LambdaZero("corollary needs lambda > 0 (not anti-invariant)")
-    p = ops.p
-    phi2 = p + _eye(p)  # g(phi^2 X, Y) = g(PX, Y) + g(X, Y)
-    return _spectral(phi2 - p @ p / report.lam)
+    return _corollary(ops.p, ops.p @ ops.p, report.lam)
 
 
 def lemma_pq_identities(ops: InducedOperators, report: SlantReport,
                         trials: int = 100, seed: int = 0) -> tuple[float, float]:
     """Spectral norms of the cos^2 and sin^2 product identities."""
     _require_slant(report)
-    return _lemma_residuals(ops.p, ops.q, np.eye(ops.m), np.eye(ops.q.shape[-2]),
-                            report.lam, report.k, _spectral)
+    return _lemma_residuals(*_cos2_forms(ops.p, np.eye(ops.m)), ops.q,
+                            np.eye(ops.q.shape[-2]), report.lam, report.k, _spectral)
 
 
 def tq_identity_residual(ops: InducedOperators, report: SlantReport) -> float:
     """Worst residual of ``tQ = (1 - lambda)(P + I)`` and ``tQ = -P^2 + P + I``."""
     _require_slant(report)
-    return np.maximum(*_tq_residuals(ops.p, ops.t, ops.q, report.lam))
+    return np.maximum(*_tq_residuals(ops.p, ops.p @ ops.p, ops.t, ops.q, report.lam))
 
 
 # ---------------------------------------------------------------------------
-# the slant identities, written once for exact matrices and float stacks
+# the slant identities, written once for exact matrices and float stacks;
+# ``pp`` is P^2, formed once by the caller and shared
 
 
-def _characterization(p, lam, norm=_amax):
+def _characterization(p, pp, lam, norm=_amax):
     """``norm`` of P^2 - lambda (P + I), max |entry| by default."""
-    return norm(p @ p - (p + _eye(p)) * lam)
+    return norm(pp - (p + _eye(p)) * lam)
+
+
+def _corollary(p, pp, lam):
+    """Spectral norm of g(phi^2 X, Y) - g(P^2 X, Y) / lambda, with
+    g(phi^2 X, Y) = g(PX, Y) + g(X, Y)."""
+    return _spectral(p + _eye(p) - pp / lam)
 
 
 def _cos2_forms(p, gt):
-    """Matrices of g(PX, PY) and g(X, Y) + g(X, PY); ``gt`` is the tangent basis Gram matrix."""
-    return p.mT @ gt @ p, gt + gt @ p
+    """Matrices of g(PX, PY) and g(X, Y) + g(X, PY); ``gt`` is the tangent basis Gram
+    matrix, so both come from the one product ``gt @ p``."""
+    gt_p = gt @ p
+    return gt_p.mT @ p, gt + gt_p
 
 
-def _lemma_residuals(p, q, gt, gn, lam, k, norm=_amax):
+def _lemma_residuals(pp_form, p_rhs, q, gn, lam, k, norm=_amax):
     """Residuals of g(PX, PY) = lambda (g(X, Y) + g(X, PY)) and
     g(QX, QY) = k (g(X, Y) + g(PX, Y)) as ``norm`` (max |entry| by default) of
-    their matrices, ``gn`` the normal basis Gram matrix."""
-    pp, p_rhs = _cos2_forms(p, gt)
-    return norm(pp - p_rhs * lam), norm(q.mT @ gn @ q - (gt + p.mT @ gt) * k)
+    their matrices, from the :func:`_cos2_forms` ``pp_form`` and ``p_rhs`` (whose
+    transpose is the matrix of g(X, Y) + g(PX, Y)); ``gn`` is the normal basis
+    Gram matrix."""
+    return norm(pp_form - p_rhs * lam), norm(q.mT @ gn @ q - p_rhs.mT * k)
 
 
-def _tq_residuals(p, t, q, lam):
+def _tq_residuals(p, pp, t, q, lam):
     """Worst residuals of tQ = (1 - lambda)(P + I) and tQ = -P^2 + P + I."""
     tq, eye = t @ q, _eye(p)
-    return _amax(tq - (p + eye) * (1 - lam)), _amax(tq + p @ p - p - eye)
+    return _amax(tq - (p + eye) * (1 - lam)), _amax(tq + pp - p - eye)
 
 
 # ---------------------------------------------------------------------------
 # exact route
 
 
+def _lambda_candidates(pp_form, p_rhs) -> list[QuadRat]:
+    return [x / y for x, y in zip(pp_form.diagonal(), p_rhs.diagonal())]
+
+
 def exact_lambda_candidates(eops: ExactInducedOperators) -> list[QuadRat]:
     """cos^2(theta) per raw basis direction e_i, exactly: the ratio of the diagonals
     of the lemma's g(PX, PY) and g(X, Y) + g(X, PY) matrices."""
-    pp, p_rhs = _cos2_forms(eops.p, eops.frame.gram_tangent)
-    return [x / y for x, y in zip(pp.diagonal(), p_rhs.diagonal())]
+    return _lambda_candidates(*_cos2_forms(eops.p, eops.frame.gram_tangent))
 
 
 def exact_slant_data(eops: ExactInducedOperators) -> dict:
@@ -253,16 +266,18 @@ def exact_slant_data(eops: ExactInducedOperators) -> dict:
 
     The immersion is exactly slant iff the lambda candidates agree and the
     characterization residual is zero; the remaining residuals are then
-    forced to zero and double-check the arithmetic.
+    forced to zero and double-check the arithmetic.  Each matrix product is
+    formed once: six exact matmuls in all.
     """
-    candidates = exact_lambda_candidates(eops)
+    p, q, frame = eops.p, eops.q, eops.frame
+    forms = _cos2_forms(p, frame.gram_tangent)
+    candidates = _lambda_candidates(*forms)
     lam = candidates[0]
     uniform = all(c == lam for c in candidates)
-    p, frame = eops.p, eops.frame
-    char = _characterization(p, lam)
-    lemma_p, lemma_q = _lemma_residuals(p, eops.q, frame.gram_tangent, frame.gram_normal,
-                                        lam, 1 - lam)
-    tq1, tq2 = _tq_residuals(p, eops.t, eops.q, lam)
+    pp = p @ p
+    char = _characterization(p, pp, lam)
+    lemma_p, lemma_q = _lemma_residuals(*forms, q, frame.gram_normal, lam, 1 - lam)
+    tq1, tq2 = _tq_residuals(p, pp, eops.t, q, lam)
     return {
         "lambda": lam,
         "lambda_uniform": uniform,

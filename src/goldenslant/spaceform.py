@@ -30,7 +30,7 @@ nabla S vanish identically and both sides of their phi-identities are 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ _PSI = float(PSI)
 _SQRT5 = math.sqrt(5.0)
 
 
-@dataclass(frozen=True)
-class SpaceFormModel:
+class SpaceFormModel(NamedTuple):
     """Constant-coefficient model with sectional curvatures (c_p, c_q)."""
 
     n: int
@@ -292,8 +291,7 @@ def antisymmetry_residual(model: SpaceFormModel, trials: int = 100,
     return _worst(curvature(model, x, y, z) + curvature(model, y, x, z))
 
 
-@dataclass(frozen=True)
-class NablaCertificate:
+class NablaCertificate(NamedTuple):
     """Structural certificate that nabla R and nabla S vanish in this model.
 
     All four displayed constants are point-independent, and phi and g are

@@ -17,9 +17,8 @@ written once, in matrix operators both types share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,8 +125,7 @@ class Metric:
         return np.linalg.cholesky(self.matrix)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Residuals of the golden-structure axioms for a candidate (phi, g)."""
 
     residual_structure: float

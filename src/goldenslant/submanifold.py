@@ -23,13 +23,12 @@ statements about exact zeros.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import exactlin as xl
+from .config import SampleSpec
 from .errors import DimensionMismatch, RankDeficient
 from .expr import Expr, evaluate, jacobian, parse
 from .quadrat import QuadRat
@@ -40,41 +39,15 @@ DEFAULT_TOL_CLASS = 1e-7
 _RANK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Evaluation grid: per-parameter (lo, hi, count) plus explicit points."""
-
-    grid: tuple[tuple[float, float, int], ...]
-    extra_points: tuple[tuple[float, ...], ...] = ()
-
-    @classmethod
-    def default(cls, m: int) -> SampleSpec:
-        return cls(grid=tuple((-1.0, 1.0, 3) for _ in range(m)))
-
-    @property
-    def size(self) -> int:
-        """Number of sample points, counted without building them."""
-        return math.prod(count for _, _, count in self.grid) + len(self.extra_points)
-
-    def points(self) -> np.ndarray:
-        """The (N, m) sample points: the grid, last parameter fastest, then the extra points."""
-        axes = [np.linspace(lo, hi, count) for lo, hi, count in self.grid]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        extra = np.array(self.extra_points, dtype=float).reshape(-1, len(axes))
-        return np.concatenate([grid, extra])
-
-
-@dataclass(frozen=True)
 class ImmersionSpec:
     """Parametric map from an m-dimensional domain into n-dimensional space."""
 
-    params: tuple[str, ...]
-    components: tuple[Expr, ...]
-    sample_spec: SampleSpec = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("params", "components", "sample_spec")
 
-    def __post_init__(self):
-        if self.sample_spec is None:
-            object.__setattr__(self, "sample_spec", SampleSpec.default(self.m))
+    def __init__(self, params: tuple[str, ...], components: tuple[Expr, ...],
+                 sample_spec: SampleSpec | None = None):
+        self.params, self.components = params, components
+        self.sample_spec = SampleSpec.default(self.m) if sample_spec is None else sample_spec
         if self.m >= self.n:
             raise DimensionMismatch(
                 f"immersion needs fewer parameters ({self.m}) than ambient dimensions ({self.n})"
@@ -105,8 +78,7 @@ class ImmersionSpec:
         return xl.qmatrix([form[1] for form in forms])
 
 
-@dataclass(frozen=True)
-class TangentFrame:
+class TangentFrame(NamedTuple):
     """g-orthonormal tangent and normal frames at one parameter point.
 
     Frames stacked over N points carry a leading point axis: ``point`` is
@@ -169,8 +141,7 @@ def frame_at(imm: ImmersionSpec, point: Sequence[float], metric: Metric) -> Tang
     return point_geometry(imm, metric, points=[point]).frame.at(0)
 
 
-@dataclass(frozen=True)
-class InducedOperators:
+class InducedOperators(NamedTuple):
     """Matrices of P, Q, t, s in the orthonormal frames of ``frame``.
 
     Operators of stacked frames carry the same leading point axis.
@@ -202,8 +173,7 @@ def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> Induce
                             t=blocks[..., :m, m:], s=blocks[..., m:, m:], frame=frame)
 
 
-@dataclass(frozen=True)
-class PointGeometry:
+class PointGeometry(NamedTuple):
     """Every sample point of a scenario, evaluated once and shared by the point suites.
 
     Arrays lead with the point axis: the stacked ``frame`` (Jacobians in
@@ -254,8 +224,7 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
     return PointGeometry(imm, frame, hess, h, christoffel, ops, structure)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     residuals: dict[str, float]
 
 
@@ -312,8 +281,7 @@ def invariance_kinds(ops: InducedOperators,
 # exact route for affine immersions
 
 
-@dataclass(frozen=True)
-class ExactFrame:
+class ExactFrame(NamedTuple):
     """Raw tangent basis and exact g-orthogonal normal complement."""
 
     tangent: xl.QMatrix  # n x m constant Jacobian
@@ -323,8 +291,7 @@ class ExactFrame:
     metric: Metric
 
 
-@dataclass(frozen=True)
-class ExactInducedOperators:
+class ExactInducedOperators(NamedTuple):
     """P, Q, t, s over Q(sqrt5) in the raw tangent / complement bases."""
 
     p: xl.QMatrix

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -287,7 +286,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             # The exact route, when the scenario has one and a suite reads it.
             frame = exact_frame(imm, structure.metric) if EXACT_SUITES & set(cfg.suites) else None
             if frame is not None:
-                geom = replace(geom, exact=exact_induced_operators(frame, structure))
+                geom = geom._replace(exact=exact_induced_operators(frame, structure))
         except GoldenslantError as exc:
             geom_error = f"{type(exc).__name__}: {exc}"
 
@@ -321,7 +320,7 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a NamedTuple record
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()

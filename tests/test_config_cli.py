@@ -326,6 +326,15 @@ class TestCli:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("target", ["a directory", "a missing parent"])
+    def test_unwritable_report_path_exits_2(self, tmp_path, capsys, target):
+        path = tmp_path if target == "a directory" else tmp_path / "missing" / "x.json"
+        assert main(["run", "paper_example_1", "--report", str(path)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"report error: --report {path}: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_missing_config_is_a_config_error(self, capsys):
         assert main(["run", "no_such_config"]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err

@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 import goldenslant.exactlin as xl
 from goldenslant.config import parse_config
 from goldenslant.quadrat import PSI, QuadRat
-from goldenslant.slant import _characterization, _lemma_residuals, _tq_residuals, exact_slant_data
+from goldenslant.slant import (
+    _characterization,
+    _cos2_forms,
+    _lemma_residuals,
+    _tq_residuals,
+    exact_slant_data,
+)
 from goldenslant.structures import (
     AlmostProductStructure,
     Metric,
@@ -115,9 +121,10 @@ def test_slant_identities_are_exact_zeros_and_float_small(a, b, k, data):
     lam = float(data_exact["lambda"])
     ops = point_geometry(imm, structure.metric, structure).ops
     eye_m, eye_k = np.eye(k), np.eye(k)
-    floats = (_characterization(ops.p, lam),
-              *_lemma_residuals(ops.p, ops.q, eye_m, eye_k, lam, 1 - lam),
-              *_tq_residuals(ops.p, ops.t, ops.q, lam))
+    pp = ops.p @ ops.p
+    floats = (_characterization(ops.p, pp, lam),
+              *_lemma_residuals(*_cos2_forms(ops.p, eye_m), ops.q, eye_k, lam, 1 - lam),
+              *_tq_residuals(ops.p, pp, ops.t, ops.q, lam))
     assert max(float(np.max(v)) for v in floats) <= 1e-12, floats
 
 
@@ -245,3 +252,14 @@ def test_structure_residuals_take_four_matmuls(monkeypatch):
                                      float_view.metric.matrix)
     assert max(np.abs(r).max() for r in residuals) <= 1e-12
     assert len(calls) == 4
+
+
+def test_exact_slant_data_takes_six_matmuls(monkeypatch):
+    # g_t P, (g_t P)^T P, P^2, Q^T g_n, (Q^T g_n) Q and tQ: each formed once.
+    cfg = _scenario(["slant"])
+    structure = cfg.build_structure()
+    eops = exact_induced_operators(exact_frame(cfg.build_immersion(), structure.metric),
+                                   structure)
+    calls = _count(monkeypatch, xl, "matmul")
+    exact_slant_data(eops)
+    assert len(calls) == 6

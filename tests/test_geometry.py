@@ -11,7 +11,6 @@ frame Gram residual.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,8 +267,8 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
     points = np.column_stack([rng.uniform(-0.8, 0.8, 9), rng.uniform(-0.8, 0.8, 9)])
     geom = point_geometry(SURFACE5, structure.metric, structure, points)
     # Perturbed operators, so that every identity leaves a visible residual.
-    ops = replace(geom.ops, p=geom.ops.p + 1e-3 * rng.standard_normal(geom.ops.p.shape),
-                  q=geom.ops.q + 1e-3 * rng.standard_normal(geom.ops.q.shape))
+    ops = geom.ops._replace(p=geom.ops.p + 1e-3 * rng.standard_normal(geom.ops.p.shape),
+                            q=geom.ops.q + 1e-3 * rng.standard_normal(geom.ops.q.shape))
     lam = 0.6
     report = SlantReport(PROPER_SLANT, math.acos(math.sqrt(lam)), lam, 1.0 - lam, 0.0)
     p, q, eye = ops.p, ops.q, np.eye(2)
@@ -310,7 +309,7 @@ def test_spectral_residual_of_a_non_finite_operator_fails(bad):
     p = geom.ops.p.copy()
     p[1, 0, 1] = bad
     with np.errstate(invalid="ignore"):
-        res = structural_identity_residuals(replace(geom.ops, p=p), geom.frame,
+        res = structural_identity_residuals(geom.ops._replace(p=p), geom.frame,
                                             structure).residuals
     for key in ("p_self_adjoint", "metric_split"):
         assert res[key][0] <= 1e-12
