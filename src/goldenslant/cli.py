@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 from importlib import resources
 from pathlib import Path
@@ -101,6 +100,8 @@ def resolve_config(name_or_path: str) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # only the command line needs it, not the config path
+
     parser = argparse.ArgumentParser(
         prog="goldenslant",
         description="Verify golden-structure, slant-submanifold and space-form "

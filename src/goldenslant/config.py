@@ -40,8 +40,12 @@ from .quadrat import QuadRat, parse_quadrat
 SUITE_ORDER = ("structure", "identities", "extrinsic", "slant", "curvature")
 IMMERSION_SUITES = {"identities", "extrinsic", "slant"}
 
-# Probes hold every trial in memory at once, so trials bound a run's memory.
+# The curvature program holds its whole draw of 4 * trials * dim numbers in
+# memory at once, so trials bound a run's memory.
 MAX_TRIALS = 100_000
+# Exact validation costs grow as dim^3 and the curvature draw as dim, so the
+# dimension bounds a run's work as well.
+MAX_DIM = 32
 # The point suites evaluate every sample point in one batch, so points do too.
 MAX_POINTS = 100_000
 
@@ -224,7 +228,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     if not isinstance(ambient, dict):
         raise ConfigError("/ambient", "expected an object")
     _check_keys(ambient, {"dim", "metric", "phi"}, "/ambient")
-    dim = _as_int(_require(ambient, "dim", "/ambient"), "/ambient/dim", minimum=1)
+    dim = _as_int(_require(ambient, "dim", "/ambient"), "/ambient/dim", minimum=1,
+                 maximum=MAX_DIM)
 
     metric_rows = None
     if "metric" in ambient:

@@ -13,10 +13,14 @@ pointwise multilinear algebra, so checks are direct evaluations over
 seeded random tuples.
 
 The tensor functions take vectors with leading trial axes, shape
-``(..., n)``, and every probe evaluates all of its trials at once: one bulk
-draw of shape ``(trials, k, n)`` gives the same tuples as ``trials``
-sequential ``(k, n)`` draws from the same generator, and one NumPy max
-reduces the residuals, so a NaN anywhere shows up in the result.
+``(..., n)``.  :func:`curvature_program` runs every probe over one seeded
+draw of ``4 * trials * n`` normals.  A probe on k-tuples reads the first
+``k * trials * n`` of them, which are exactly the numbers a fresh
+``(trials, k, n)`` draw from the same seed would give, and that in turn
+equals ``trials`` sequential ``(k, n)`` draws.  Each distinct tuple, phi
+image and tensor value is evaluated once and shared by the probes that
+read it; one NumPy max reduces each residual, so a NaN anywhere shows up in
+the result.
 
 The commutation of R(X,Y) with phi and its corollaries are genuinely open
 probes here: for B != 0 this tensor does NOT commute with phi (which is
@@ -42,15 +46,29 @@ _PSI = float(PSI)
 _SQRT5 = math.sqrt(5.0)
 
 
-class SpaceFormModel(NamedTuple):
-    """Constant-coefficient model with sectional curvatures (c_p, c_q)."""
+class SpaceFormModel:
+    """Constant-coefficient model with sectional curvatures (c_p, c_q).
 
-    n: int
-    p: int
-    c_p: float
-    c_q: float
-    structure: GoldenStructure
-    frame: np.ndarray  # columns: g-orthonormal frame E_1..E_n
+    The constants every tensor evaluation reads (phi, g, trace(phi), A, B and
+    the two Ricci coefficients) are computed once, when the model is made.
+    """
+
+    __slots__ = ("n", "p", "c_p", "c_q", "structure", "frame", "phi", "g", "trace_phi",
+                 "coeff_a", "coeff_b", "ricci_g_coeff", "ricci_phi_coeff")
+
+    def __init__(self, n: int, p: int, c_p: float, c_q: float,
+                 structure: GoldenStructure, frame: np.ndarray):
+        self.n, self.p, self.c_p, self.c_q = n, p, c_p, c_q
+        self.structure = structure
+        self.frame = frame  # columns: g-orthonormal frame E_1..E_n
+        self.phi = structure.phi_float
+        self.g = structure.metric.matrix
+        self.trace_phi = float(np.trace(self.phi))
+        a = self.coeff_a = -((1.0 - _PSI) * c_p - _PSI * c_q) / (2.0 * _SQRT5)
+        b = self.coeff_b = -((1.0 - _PSI) * c_p + _PSI * c_q) / 4.0
+        # The coefficients of g(Y, Z) and g(phi Y, Z) in the closed-form Ricci tensor.
+        self.ricci_g_coeff = a * (n - 2) + b * self.trace_phi
+        self.ricci_phi_coeff = a * (self.trace_phi - 1.0) + b * (n - 2)
 
     @classmethod
     def build(cls, n: int, p: int, c_p: float, c_q: float) -> SpaceFormModel:
@@ -70,36 +88,6 @@ class SpaceFormModel(NamedTuple):
         frame = np.hstack([basis_psi, basis_neg])
         return cls(n=s.n, p=basis_psi.shape[1], c_p=float(c_p), c_q=float(c_q),
                    structure=s, frame=frame)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.structure.phi_float
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.structure.metric.matrix
-
-    @property
-    def trace_phi(self) -> float:
-        return float(np.trace(self.phi))
-
-    @property
-    def coeff_a(self) -> float:
-        return -((1.0 - _PSI) * self.c_p - _PSI * self.c_q) / (2.0 * _SQRT5)
-
-    @property
-    def coeff_b(self) -> float:
-        return -((1.0 - _PSI) * self.c_p + _PSI * self.c_q) / 4.0
-
-    @property
-    def ricci_g_coeff(self) -> float:
-        """Coefficient of g(Y, Z) in the closed-form Ricci tensor."""
-        return self.coeff_a * (self.n - 2) + self.coeff_b * self.trace_phi
-
-    @property
-    def ricci_phi_coeff(self) -> float:
-        """Coefficient of g(phi Y, Z) in the closed-form Ricci tensor."""
-        return self.coeff_a * (self.trace_phi - 1.0) + self.coeff_b * (self.n - 2)
 
 
 def _phi(model: SpaceFormModel, v: np.ndarray) -> np.ndarray:
@@ -125,6 +113,17 @@ def _tuples(model: SpaceFormModel, trials: int, seed: int, k: int) -> np.ndarray
     """
     draw = np.random.default_rng(seed).standard_normal((trials, k, model.n))
     return draw.transpose(1, 0, 2)
+
+
+def _prefix(tuples: np.ndarray, k: int) -> np.ndarray:
+    """The k-tuples that ``_tuples`` would draw from the seed of ``tuples``.
+
+    NumPy fills a draw in order, so they are the first ``k * trials * n``
+    numbers of the larger draw: views, laid out as a fresh draw would be.
+    """
+    _, trials, n = tuples.shape
+    flat = tuples.transpose(1, 0, 2).reshape(-1)
+    return flat[:k * trials * n].reshape(trials, k, n).transpose(1, 0, 2)
 
 
 def _worst(residual: np.ndarray) -> float:
@@ -170,14 +169,136 @@ def ricci_closed(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndar
             + model.ricci_phi_coeff * _inner(model, _phi(model, y), z))
 
 
-def _ricci(model: SpaceFormModel, path: str):
-    return ricci_framesum if path == "framesum" else ricci_closed
+def r_dot_s(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+            w: np.ndarray, path: str = "closed") -> np.ndarray:
+    """Derivation action (R(X,Y).S)(Z,W) = -S(R(X,Y)Z, W) - S(Z, R(X,Y)W)."""
+    s = ricci_framesum if path == "framesum" else ricci_closed
+    return _derivation(model, s, z, w, curvature(model, x, y, z), curvature(model, x, y, w))
+
+
+def _derivation(model: SpaceFormModel, s, z: np.ndarray, w: np.ndarray,
+                rz: np.ndarray, rw: np.ndarray) -> np.ndarray:
+    """(R(X,Y).S)(Z, W) from RZ = R(X,Y)Z and RW = R(X,Y)W, with S = ``s``."""
+    return -s(model, rz, w) - s(model, z, rw)
+
+
+def r_dot_s_closed_form(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
+                        z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The claimed product shape -2 beta g(R(X,Y)W, phi Z) of the derivation action."""
+    return _claimed_r_dot_s(model, curvature(model, x, y, w), _phi(model, z))
+
+
+def _claimed_r_dot_s(model: SpaceFormModel, rw: np.ndarray, pz: np.ndarray) -> np.ndarray:
+    """-2 beta g(RW, phi Z) from RW = R(X,Y)W and phi Z."""
+    return -2.0 * model.ricci_phi_coeff * _inner(model, rw, pz)
+
+
+class CurvatureProgram(NamedTuple):
+    """The worst residual of every curvature-suite probe over one draw."""
+
+    identities: dict[str, float]  # hard checks: Ricci agreement, Bianchi, symmetries
+    ricci_phi: dict[str, dict[str, float]]  # path (framesum, closed) -> phi-identities
+    commutation: dict[str, float]
+    rs_corollary: float
+    rs_phi_propositions: dict[str, float]
+    rs_closed_form_gap: float
+    non_semi_symmetry_probe: float
+
+
+def curvature_program(model: SpaceFormModel, trials: int = 100,
+                      seed: int = 0) -> CurvatureProgram:
+    """Every probe of the curvature suite over ``trials`` tuples drawn from ``seed``.
+
+    The probes on pairs and on triples read prefixes of the one 4-tuple
+    draw (see :func:`_prefix`).  Each group of probes runs in its own
+    function, so its arrays are released before the next group starts.
+    """
+    quads = _tuples(model, trials, seed, 4)
+    agreement, ricci_phi = _pair_probes(model, *_prefix(quads, 2))
+    bianchi, antisymmetry = _triple_probes(model, *_prefix(quads, 3))
+    pair_symmetry, commutation, corollary, rs_props, gap, probe = _quad_probes(model, *quads)
+    return CurvatureProgram(
+        identities={"ricci_framesum_vs_closed": agreement, "bianchi": bianchi,
+                    "pair_symmetry": pair_symmetry, "antisymmetry": antisymmetry},
+        ricci_phi=ricci_phi,
+        commutation=commutation,
+        rs_corollary=corollary,
+        rs_phi_propositions=rs_props,
+        rs_closed_form_gap=gap,
+        non_semi_symmetry_probe=probe,
+    )
+
+
+def _pair_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray):
+    """Framesum vs closed Ricci, and the four phi-identities of S on both paths."""
+    px, py = _phi(model, x), _phi(model, y)
+    ppx, ppy = _phi(model, px), _phi(model, py)
+    ricci_phi, s_pair = {}, {}
+    for path, s in (("framesum", ricci_framesum), ("closed", ricci_closed)):
+        s_xy, s_pxy = s(model, x, y), s(model, px, y)
+        ricci_phi[path] = {
+            "phi_sq_left": _worst(s(model, ppx, y) - s_pxy - s_xy),
+            "phi_sq_right": _worst(s(model, x, ppy) - s(model, x, py) - s_xy),
+            "phi_both": _worst(s(model, px, py) - s_pxy - s_xy),
+            "phi_swap": _worst(s_pxy - s(model, py, x)),
+        }
+        s_pair[path] = s_xy
+    return _worst(s_pair["framesum"] - s_pair["closed"]), ricci_phi
+
+
+def _triple_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """First Bianchi identity and antisymmetry R(X,Y)Z = -R(Y,X)Z."""
+    rz = curvature(model, x, y, z)
+    bianchi = _worst(rz + curvature(model, y, z, x) + curvature(model, z, x, y))
+    return bianchi, _worst(rz + curvature(model, y, x, z))
+
+
+def _quad_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                 w: np.ndarray):
+    """Pair symmetry, the phi-commutation family and the R.S findings.
+
+    ``rs_*`` values are (R(X,Y).S)(Z,W) with the closed-form S, the suffix
+    naming the phi images among X, Y, Z, W.  The order keeps at most three
+    curvature arrays alive at once.
+    """
+    px, py, pz, pw = (_phi(model, v) for v in (x, y, z, w))
+    rz = curvature(model, x, y, z)
+    pair_symmetry = _worst(_inner(model, rz, w) - _inner(model, curvature(model, z, w, x), y))
+    rw = curvature(model, x, y, w)
+    rs = _derivation(model, ricci_closed, z, w, rz, rw)
+    gap = _worst(rs - _claimed_r_dot_s(model, rw, pz))
+    rpz = curvature(model, x, y, pz)
+    rs_pz = _derivation(model, ricci_closed, pz, w, rpz, rw)
+    del rw
+    rs_pz_pw = _derivation(model, ricci_closed, pz, pw, rpz, curvature(model, x, y, pw))
+    values = _worst(rs_pz_pw - rs_pz - rs)
+    g_rz_pw = _inner(model, rz, pw)
+    phi_argument = _worst(rpz - _phi(model, rz))
+    form_both_phi = _worst(_inner(model, rpz, pw) - g_rz_pw - _inner(model, rz, w))
+    form_swap = _worst(_inner(model, rpz, w) - g_rz_pw)
+    del rpz
+    r_px = curvature(model, px, y, z)
+    first_slots = _worst(r_px - curvature(model, x, py, z))
+    r_pxpy = curvature(model, px, py, z)
+    both_slots = _worst(r_pxpy - r_px - rz)
+    del rz
+    rs_pxpy = _derivation(model, ricci_closed, z, w, r_pxpy, curvature(model, px, py, w))
+    del r_pxpy
+    rw_px = curvature(model, px, y, w)
+    arguments = _worst(rs_pxpy - _derivation(model, ricci_closed, z, w, r_px, rw_px) - rs)
+    del r_px
+    corollary = _worst(_derivation(model, ricci_closed, pz, w, curvature(model, px, y, pz),
+                                   rw_px))
+    commutation = {"phi_argument": phi_argument, "first_slots": first_slots,
+                   "both_slots": both_slots, "form_both_phi": form_both_phi,
+                   "form_swap": form_swap}
+    rs_props = {"arguments": arguments, "values": values}
+    return pair_symmetry, commutation, corollary, rs_props, gap, _worst(rs)
 
 
 def ricci_agreement(model: SpaceFormModel, trials: int = 100, seed: int = 0) -> float:
     """Worst |framesum - closed| over random pairs (the two must coincide)."""
-    y, z = _tuples(model, trials, seed, 2)
-    return _worst(ricci_framesum(model, y, z) - ricci_closed(model, y, z))
+    return curvature_program(model, trials, seed).identities["ricci_framesum_vs_closed"]
 
 
 def curvature_commutation_checks(model: SpaceFormModel, trials: int = 100,
@@ -188,107 +309,54 @@ def curvature_commutation_checks(model: SpaceFormModel, trials: int = 100,
     structures; for this model's closed-form tensor they fail whenever the
     mixed coefficient B is nonzero, so treat the output as a finding.
     """
-    x, y, z, w = _tuples(model, trials, seed, 4)
-    px, py, pz, pw = (_phi(model, v) for v in (x, y, z, w))
-    rz = curvature(model, x, y, z)
-    rpz = curvature(model, x, y, pz)
-    r_px = curvature(model, px, y, z)
-    return {
-        "phi_argument": _worst(rpz - _phi(model, rz)),
-        "first_slots": _worst(r_px - curvature(model, x, py, z)),
-        "both_slots": _worst(curvature(model, px, py, z) - r_px - rz),
-        "form_both_phi": _worst(_inner(model, rpz, pw) - _inner(model, rz, pw)
-                                - _inner(model, rz, w)),
-        "form_swap": _worst(_inner(model, rpz, w) - _inner(model, rz, pw)),
-    }
+    return curvature_program(model, trials, seed).commutation
 
 
 def ricci_phi_checks(model: SpaceFormModel, trials: int = 100, seed: int = 0,
                      path: str = "framesum") -> dict[str, float]:
     """Max residuals of the four phi-identities of the Ricci tensor."""
-    s = _ricci(model, path)
-    x, y = _tuples(model, trials, seed, 2)
-    px, py = _phi(model, x), _phi(model, y)
-    s_xy, s_pxy = s(model, x, y), s(model, px, y)
-    return {
-        "phi_sq_left": _worst(s(model, _phi(model, px), y) - s_pxy - s_xy),
-        "phi_sq_right": _worst(s(model, x, _phi(model, py)) - s(model, x, py) - s_xy),
-        "phi_both": _worst(s(model, px, py) - s_pxy - s_xy),
-        "phi_swap": _worst(s_pxy - s(model, py, x)),
-    }
-
-
-def r_dot_s(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-            w: np.ndarray, path: str = "closed") -> np.ndarray:
-    """Derivation action (R(X,Y).S)(Z,W) = -S(R(X,Y)Z, W) - S(Z, R(X,Y)W)."""
-    s = _ricci(model, path)
-    rz = curvature(model, x, y, z)
-    rw = curvature(model, x, y, w)
-    return -s(model, rz, w) - s(model, z, rw)
-
-
-def r_dot_s_closed_form(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
-                        z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The claimed product shape -2 beta g(R(X,Y)W, phi Z) of the derivation action."""
-    rw = curvature(model, x, y, w)
-    return -2.0 * model.ricci_phi_coeff * _inner(model, rw, _phi(model, z))
+    return curvature_program(model, trials, seed).ricci_phi[path]
 
 
 def r_dot_s_closed_form_gap(model: SpaceFormModel, trials: int = 100,
                             seed: int = 0) -> float:
     """Worst |definitional - claimed closed form| of R.S over random tuples."""
-    x, y, z, w = _tuples(model, trials, seed, 4)
-    return _worst(r_dot_s(model, x, y, z, w) - r_dot_s_closed_form(model, x, y, z, w))
+    return curvature_program(model, trials, seed).rs_closed_form_gap
 
 
 def non_semi_symmetry_probe(model: SpaceFormModel, trials: int = 100,
                             seed: int = 0) -> float:
     """max |(R(X,Y).S)(Z,W)|; a value above threshold certifies R.S != 0."""
-    x, y, z, w = _tuples(model, trials, seed, 4)
-    return _worst(r_dot_s(model, x, y, z, w))
+    return curvature_program(model, trials, seed).non_semi_symmetry_probe
 
 
 def rs_corollary_residual(model: SpaceFormModel, trials: int = 100,
                           seed: int = 0) -> float:
     """max |(R(phi X, Y).S)(phi Z, W)| over random tuples (claimed to vanish)."""
-    x, y, z, w = _tuples(model, trials, seed, 4)
-    return _worst(r_dot_s(model, _phi(model, x), y, _phi(model, z), w))
+    return curvature_program(model, trials, seed).rs_corollary
 
 
 def rs_phi_propositions(model: SpaceFormModel, trials: int = 100,
                         seed: int = 0) -> dict[str, float]:
     """Max residuals of the two phi-expansion identities of R.S (findings)."""
-    x1, x2, x, y = _tuples(model, trials, seed, 4)
-    px1, px2, px, py = (_phi(model, v) for v in (x1, x2, x, y))
-    base = r_dot_s(model, x1, x2, x, y)
-    return {
-        "arguments": _worst(r_dot_s(model, px1, px2, x, y)
-                            - r_dot_s(model, px1, x2, x, y) - base),
-        "values": _worst(r_dot_s(model, x1, x2, px, py)
-                         - r_dot_s(model, x1, x2, px, y) - base),
-    }
+    return curvature_program(model, trials, seed).rs_phi_propositions
 
 
 def bianchi_residual(model: SpaceFormModel, trials: int = 100, seed: int = 0) -> float:
     """First Bianchi identity R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0."""
-    x, y, z = _tuples(model, trials, seed, 3)
-    return _worst(curvature(model, x, y, z) + curvature(model, y, z, x)
-                  + curvature(model, z, x, y))
+    return curvature_program(model, trials, seed).identities["bianchi"]
 
 
 def pair_symmetry_residual(model: SpaceFormModel, trials: int = 100,
                            seed: int = 0) -> float:
     """Pair symmetry g(R(X,Y)Z, W) = g(R(Z,W)X, Y)."""
-    x, y, z, w = _tuples(model, trials, seed, 4)
-    return _worst(_inner(model, curvature(model, x, y, z), w)
-                  - _inner(model, curvature(model, z, w, x), y))
+    return curvature_program(model, trials, seed).identities["pair_symmetry"]
 
 
 def antisymmetry_residual(model: SpaceFormModel, trials: int = 100,
                           seed: int = 0) -> float:
     """Antisymmetry R(X,Y)Z = -R(Y,X)Z."""
-    x, y, z = _tuples(model, trials, seed, 3)
-    return _worst(curvature(model, x, y, z) + curvature(model, y, x, z))
+    return curvature_program(model, trials, seed).identities["antisymmetry"]
 
 
 class NablaCertificate(NamedTuple):

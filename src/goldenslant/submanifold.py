@@ -248,8 +248,7 @@ def block_identity_residuals(p, q, t, s, gt, gn, form_norm=_amax) -> dict:
 
 
 def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
-                                  structure: GoldenStructure, trials: int = 20,
-                                  seed: int = 0) -> IdentityReport:
+                                  structure: GoldenStructure) -> IdentityReport:
     """:func:`block_identity_residuals` in the orthonormal frames, plus reassembly.
 
     The two metric identities are bilinear forms, measured by the spectral
@@ -257,7 +256,7 @@ def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
     pair, and never below the worst entry.  The reassembly residuals confirm
     that ``phi X`` recombines from the operator blocks in ambient
     coordinates.  For stacked operators each residual holds one value per
-    point.  ``trials`` and ``seed`` are ignored; they once drew sample pairs.
+    point.
     """
     p, q, t, s = ops.p, ops.q, ops.t, ops.s
     res = block_identity_residuals(p, q, t, s, np.eye(p.shape[-1]), np.eye(s.shape[-1]),

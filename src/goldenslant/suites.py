@@ -29,20 +29,7 @@ from .errors import ConfigError, GoldenslantError
 from .extrinsic import gauss_split_residuals, invariant_residuals, shape_vanishing_probe
 from .quadrat import QuadRat
 from .slant import classify_geometry, exact_slant_data, reference_cosine
-from .spaceform import (
-    SpaceFormModel,
-    antisymmetry_residual,
-    bianchi_residual,
-    curvature_commutation_checks,
-    nabla_identities_certificate,
-    non_semi_symmetry_probe,
-    pair_symmetry_residual,
-    r_dot_s_closed_form_gap,
-    ricci_agreement,
-    ricci_phi_checks,
-    rs_corollary_residual,
-    rs_phi_propositions,
-)
+from .spaceform import SpaceFormModel, curvature_program, nabla_identities_certificate
 from .structures import (
     GoldenStructure,
     _amax,
@@ -197,21 +184,8 @@ def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
     trials, seed = sf.trials, sf.seed
     # Overflowing curvatures give Inf/NaN residuals, which fail the checks below.
     with np.errstate(over="ignore", invalid="ignore"):
-        identities = {
-            "ricci_framesum_vs_closed": ricci_agreement(model, trials, seed),
-            "bianchi": bianchi_residual(model, trials, seed),
-            "pair_symmetry": pair_symmetry_residual(model, trials, seed),
-            "antisymmetry": antisymmetry_residual(model, trials, seed),
-        }
-        ricci_phi = {
-            "framesum": ricci_phi_checks(model, trials, seed, path="framesum"),
-            "closed": ricci_phi_checks(model, trials, seed, path="closed"),
-        }
-        commutation = curvature_commutation_checks(model, trials, seed)
-        corollary = rs_corollary_residual(model, trials, seed)
-        rs_props = rs_phi_propositions(model, trials, seed)
-        gap = r_dot_s_closed_form_gap(model, trials, seed)
-        probe = non_semi_symmetry_probe(model, trials, seed)
+        (identities, ricci_phi, commutation, corollary, rs_props, gap,
+         probe) = curvature_program(model, trials, seed)
     passed = (identities["ricci_framesum_vs_closed"] <= tol.tol_frame
               and identities["bianchi"] <= 1e-10
               and identities["pair_symmetry"] <= 1e-10

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from goldenslant.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SUITE_FAILED, list_bundled, main
-from goldenslant.config import MAX_POINTS, load_config, parse_config
+from goldenslant.config import MAX_DIM, MAX_POINTS, load_config, parse_config
 from goldenslant.errors import ConfigError
 from goldenslant.submanifold import point_geometry
 from goldenslant.suites import (
@@ -44,6 +44,13 @@ def _curvature_run(**spaceform):
     def mutate(data):
         data["suites"] = ["curvature"]
         data["spaceform"] = {"c_p": 1, "c_q": -1, "p": 2, **spaceform}
+    return mutate
+
+
+def _dim(n):
+    """Mutation to an n-dimensional ambient space with a matching phi pattern."""
+    def mutate(data):
+        data["ambient"] = {"dim": n, "phi": {"pattern": ["psi"] * n}}
     return mutate
 
 
@@ -138,6 +145,7 @@ class TestConfigParsing:
             (lambda d: d.__setitem__("tolerances", {"tol_struct": -1e-9}),
              "/tolerances/tol_struct"),
             (_curvature_run(trials=100_001), "/spaceform/trials"),
+            (_dim(MAX_DIM + 1), "/ambient/dim"),
             (_p_mismatch, "/spaceform/p"),
             (lambda d: d.__setitem__("seed", -1), "/seed"),
             (_curvature_run(seed=-1), "/spaceform/seed"),
@@ -167,6 +175,11 @@ class TestConfigParsing:
         data = json.loads(json.dumps(MINIMAL))
         _curvature_run(trials=100_000)(data)
         assert parse_config(data).spaceform.trials == 100_000
+
+    def test_dim_cap_is_inclusive(self):
+        data = json.loads(json.dumps(MINIMAL))
+        _dim(MAX_DIM)(data)
+        assert parse_config(data).dim == MAX_DIM
 
     def test_points_cap_is_inclusive(self):
         # Points are counted from the grid, never built.

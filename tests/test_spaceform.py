@@ -6,16 +6,22 @@ from functools import partial
 import numpy as np
 import pytest
 
+from goldenslant import spaceform
+from goldenslant.config import parse_config
 from goldenslant.errors import DimensionMismatch
 from goldenslant.quadrat import PSI
 from goldenslant.spaceform import (
     SpaceFormModel,
+    _inner,
+    _phi,
+    _prefix,
     _tuples,
     _worst,
     antisymmetry_residual,
     bianchi_residual,
     curvature,
     curvature_commutation_checks,
+    curvature_program,
     nabla_identities_certificate,
     non_semi_symmetry_probe,
     pair_symmetry_residual,
@@ -30,6 +36,7 @@ from goldenslant.spaceform import (
     rs_phi_propositions,
 )
 from goldenslant.structures import GoldenStructure, Metric, random_golden
+from goldenslant.suites import run_curvature_suite
 
 PSI_F = float(PSI)
 
@@ -436,3 +443,151 @@ class TestBatchedProbes:
         for t in range(7):
             sequential = rng.standard_normal((3, model.n))
             assert np.array_equal(np.stack([x[t], y[t], z[t]]), sequential)
+
+
+# -- the one-draw program against the per-probe bodies it replaced --------------
+
+
+def _probe_by_probe(model, trials, seed):
+    """Each probe with its own draw, sharing nothing: the bodies before the program."""
+    r, phi, inner = partial(curvature, model), partial(_phi, model), partial(_inner, model)
+
+    def ricci_phi(path):
+        s = ricci_framesum if path == "framesum" else ricci_closed
+        x, y = _tuples(model, trials, seed, 2)
+        px, py = phi(x), phi(y)
+        s_xy, s_pxy = s(model, x, y), s(model, px, y)
+        return {
+            "phi_sq_left": _worst(s(model, phi(px), y) - s_pxy - s_xy),
+            "phi_sq_right": _worst(s(model, x, phi(py)) - s(model, x, py) - s_xy),
+            "phi_both": _worst(s(model, px, py) - s_pxy - s_xy),
+            "phi_swap": _worst(s_pxy - s(model, py, x)),
+        }
+
+    y, z = _tuples(model, trials, seed, 2)
+    agreement = _worst(ricci_framesum(model, y, z) - ricci_closed(model, y, z))
+    x, y, z = _tuples(model, trials, seed, 3)
+    bianchi = _worst(r(x, y, z) + r(y, z, x) + r(z, x, y))
+    x, y, z = _tuples(model, trials, seed, 3)
+    antisymmetry = _worst(r(x, y, z) + r(y, x, z))
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    pair_symmetry = _worst(inner(r(x, y, z), w) - inner(r(z, w, x), y))
+
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    px, py, pz, pw = (phi(v) for v in (x, y, z, w))
+    rz, rpz, r_px = r(x, y, z), r(x, y, pz), r(px, y, z)
+    commutation = {
+        "phi_argument": _worst(rpz - phi(rz)),
+        "first_slots": _worst(r_px - r(x, py, z)),
+        "both_slots": _worst(r(px, py, z) - r_px - rz),
+        "form_both_phi": _worst(inner(rpz, pw) - inner(rz, pw) - inner(rz, w)),
+        "form_swap": _worst(inner(rpz, w) - inner(rz, pw)),
+    }
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    corollary = _worst(r_dot_s(model, phi(x), y, phi(z), w))
+    x1, x2, x, y = _tuples(model, trials, seed, 4)
+    px1, px2, px, py = (phi(v) for v in (x1, x2, x, y))
+    base = r_dot_s(model, x1, x2, x, y)
+    rs_props = {
+        "arguments": _worst(r_dot_s(model, px1, px2, x, y) - r_dot_s(model, px1, x2, x, y)
+                            - base),
+        "values": _worst(r_dot_s(model, x1, x2, px, py) - r_dot_s(model, x1, x2, px, y)
+                         - base),
+    }
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    gap = _worst(r_dot_s(model, x, y, z, w) - r_dot_s_closed_form(model, x, y, z, w))
+    x, y, z, w = _tuples(model, trials, seed, 4)
+    probe = _worst(r_dot_s(model, x, y, z, w))
+    return {
+        "identities": {"ricci_framesum_vs_closed": agreement, "bianchi": bianchi,
+                       "pair_symmetry": pair_symmetry, "antisymmetry": antisymmetry},
+        "ricci_phi": {"framesum": ricci_phi("framesum"), "closed": ricci_phi("closed")},
+        "commutation": commutation,
+        "rs_corollary": corollary,
+        "rs_phi_propositions": rs_props,
+        "rs_closed_form_gap": gap,
+        "non_semi_symmetry_probe": probe,
+    }
+
+
+# probe -> the keys of its value in the program's result
+PROBE_READS = [
+    (ricci_agreement, ("identities", "ricci_framesum_vs_closed")),
+    (bianchi_residual, ("identities", "bianchi")),
+    (pair_symmetry_residual, ("identities", "pair_symmetry")),
+    (antisymmetry_residual, ("identities", "antisymmetry")),
+    (ricci_phi_checks, ("ricci_phi", "framesum")),
+    (partial(ricci_phi_checks, path="closed"), ("ricci_phi", "closed")),
+    (curvature_commutation_checks, ("commutation",)),
+    (rs_corollary_residual, ("rs_corollary",)),
+    (rs_phi_propositions, ("rs_phi_propositions",)),
+    (r_dot_s_closed_form_gap, ("rs_closed_form_gap",)),
+    (non_semi_symmetry_probe, ("non_semi_symmetry_probe",)),
+]
+
+
+def _read(result, keys):
+    for key in keys:
+        result = result[key]
+    return result
+
+
+def _curvature_config(n, c_p, c_q, trials, seed):
+    p = n // 2
+    return parse_config({
+        "ambient": {"dim": n, "phi": {"pattern": ["psi"] * p + ["one_minus_psi"] * (n - p)}},
+        "spaceform": {"c_p": c_p, "c_q": c_q, "p": p, "trials": trials, "seed": seed},
+        "suites": ["curvature"],
+    })
+
+
+class TestCurvatureProgram:
+    @pytest.mark.parametrize("trials", [1, 5, 200])
+    def test_smaller_tuples_are_prefixes_of_the_four_tuple_draw(self, trials):
+        model = SpaceFormModel.build(8, 4, 1.0, -1.0)
+        quads = _tuples(model, trials, 13, 4)
+        flat = np.random.default_rng(13).standard_normal(4 * trials * model.n)
+        for k in (2, 3):
+            fresh = _tuples(model, trials, 13, k)
+            head = flat[:k * trials * model.n].reshape(trials, k, model.n).transpose(1, 0, 2)
+            assert np.array_equal(fresh, head)
+            shared = _prefix(quads, k)
+            assert np.array_equal(shared, fresh)
+            # The same layout too, so every product over them rounds the same way.
+            assert shared.strides == fresh.strides
+
+    @pytest.mark.parametrize("trials,seed", [(100, 0), (100, 7), (1, 0), (1, 7)])
+    def test_probes_and_suite_equal_the_probe_by_probe_bodies(self, trials, seed):
+        for model in MODELS:
+            expected = _probe_by_probe(model, trials, seed)
+            assert curvature_program(model, trials, seed)._asdict() == expected
+            for probe, keys in PROBE_READS:
+                assert probe(model, trials, seed) == _read(expected, keys), keys
+            cfg = _curvature_config(model.n, model.c_p, model.c_q, trials, seed)
+            structure = cfg.build_structure()
+            expected = _probe_by_probe(
+                SpaceFormModel.from_structure(structure, model.c_p, model.c_q), trials, seed)
+            report = run_curvature_suite(cfg, structure, cfg.tolerances)
+            assert report["identities"] == expected["identities"]
+            assert report["ricci_phi"] == expected["ricci_phi"]
+            for key in ("commutation", "rs_corollary", "rs_phi_propositions",
+                        "rs_closed_form_gap", "non_semi_symmetry_probe"):
+                assert report["findings"][key] == expected[key], key
+
+    def test_suite_draws_once_and_evaluates_each_curvature_once(self, monkeypatch):
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            counted("draw", np.random.default_rng))
+        monkeypatch.setattr(spaceform, "curvature", counted("curvature", curvature))
+        cfg = _curvature_config(8, 1.0, -1.0, trials=200, seed=7)
+        run_curvature_suite(cfg, cfg.build_structure(), cfg.tolerances)
+        # 4 distinct R values on the triples and 11 on the 4-tuples.
+        assert calls.count("draw") == 1
+        assert calls.count("curvature") == 15

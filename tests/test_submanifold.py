@@ -179,7 +179,7 @@ class TestStructuralIdentities:
             for point in imm.sample_spec.points()[:2]:
                 frame = frame_at(imm, point, structure.metric)
                 ops = induced_operators(frame, structure)
-                rep = structural_identity_residuals(ops, frame, structure, seed=trial)
+                rep = structural_identity_residuals(ops, frame, structure)
                 assert max(rep.residuals.values()) <= 1e-9, rep.residuals
 
 
