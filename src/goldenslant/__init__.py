@@ -24,10 +24,9 @@ _EXPORTS = {
     "quadrat": "quadrat ONE_MINUS_PSI PSI SQRT5 QuadRat parse_quadrat",
     "slant": "slant SlantReport characterization_residual classify corollary_residual "
              "lemma_pq_identities reference_cosine tq_identity_residual",
-    "spaceform": "spaceform SpaceFormModel curvature curvature_commutation_checks "
-                 "nabla_identities_certificate non_semi_symmetry_probe r_dot_s "
-                 "r_dot_s_closed_form ricci_closed ricci_framesum ricci_phi_checks "
-                 "rs_phi_propositions",
+    "spaceform": "spaceform SpaceFormModel curvature curvature_program "
+                 "nabla_identities_certificate r_dot_s r_dot_s_closed_form ricci_closed "
+                 "ricci_framesum",
     "structures": "structures AlmostProductStructure GoldenStructure Metric StructureReport "
                   "diagonal_golden golden_eigendecomp golden_from_product product_from_golden "
                   "random_golden verify_golden",

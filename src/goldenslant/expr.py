@@ -22,9 +22,9 @@ before its value would pass 64 bits.  The exact lift stops short of constant
 powers beyond ``MAX_POWER_BITS``.
 
 Parsing, printing and the exact lift need no numpy: only the evaluation
-entry points (``Expr.eval_jets``, :func:`evaluate`, :func:`jacobian`,
-:func:`hessians`) import it and :mod:`.jets` when they run, so a config
-loads without either.
+entry points (``Expr.eval_jets``, :func:`evaluate`, :func:`evaluate_affine`,
+:func:`jacobian`, :func:`hessians`) import it when they run, and the jet
+route also imports :mod:`.jets`, so a config loads without either.
 """
 
 from __future__ import annotations
@@ -129,9 +129,7 @@ class Expr(_Record):
 
         from .jets import Jet2, evaluate_tree
 
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.m:
-            raise DomainError(f"expected {self.m} coordinates, got {points.shape[-1]}")
+        points = _points(points, self.m)
         try:
             with np.errstate(all="ignore"):
                 jet = evaluate_tree(self.root, points)
@@ -141,10 +139,8 @@ class Expr(_Record):
         value = np.array(np.broadcast_to(jet.value, (n,)))
         grad = np.array(np.broadcast_to(jet.grad, (n, m)))
         hess = np.array(np.broadcast_to(jet.hess, (n, m, m)))
-        finite = np.isfinite(value) & np.isfinite(grad).all(-1) & np.isfinite(hess).all((-2, -1))
-        if not finite.all():
-            bad = tuple(points[np.argmin(finite)].tolist())
-            raise DomainError(f"value or derivative is not finite at {bad}")
+        _require_finite(points, np.isfinite(value) & np.isfinite(grad).all(-1)
+                        & np.isfinite(hess).all((-2, -1)))
         return Jet2(value, grad, hess)
 
     def affine_exact(self) -> tuple[QuadRat, list[QuadRat]] | None:
@@ -409,8 +405,8 @@ def _affine(node: Node) -> tuple[QuadRat, dict[int, QuadRat]] | None:
         return -c, {i: -x for i, x in coeffs.items()}
     if isinstance(node, Bin):
         left = _affine(node.left)
-        right = _affine(node.right)
-        if left is None or right is None:
+        right = None if left is None else _affine(node.right)
+        if right is None:
             return None
         (cl, vl), (cr, vr) = left, right
         if node.op in "+-":
@@ -459,12 +455,43 @@ def eval_jet(e: Expr, point: Sequence[float]):
     return e.eval_jet(point)
 
 
+def _points(points, m: int):
+    """``points`` as an (N, m) float array."""
+    import numpy as np
+
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != m:
+        raise DomainError(f"expected {m} coordinates, got {points.shape[-1]}")
+    return points
+
+
+def _require_finite(points, finite) -> None:
+    """DomainError at the first of the (N, m) ``points`` where the (N,) ``finite`` is False."""
+    if not finite.all():
+        bad = tuple(points[finite.argmin()].tolist())
+        raise DomainError(f"value or derivative is not finite at {bad}")
+
+
 def evaluate(components: Sequence[Expr], points):
     """Jacobians (N, n, m) and Hessians (N, n, m, m) of an immersion at (N, m) ``points``."""
     import numpy as np
 
     jets = [comp.eval_jets(points) for comp in components]
     return np.stack([j.grad for j in jets], axis=1), np.stack([j.hess for j in jets], axis=1)
+
+
+def evaluate_affine(constant, jacobian, points):
+    """Jacobians (N, n, m) of ``constant + jacobian @ x`` at (N, m) ``points``, read-only.
+    Its values are formed only to be checked as :func:`evaluate` checks them."""
+    import numpy as np
+
+    points = _points(points, jacobian.shape[1])
+    with np.errstate(all="ignore"):
+        values = constant + points @ jacobian.T
+    finite = np.isfinite(values) & np.isfinite(jacobian).all(-1)
+    for column in finite.T:  # component by component, as in evaluate()
+        _require_finite(points, column)
+    return np.broadcast_to(jacobian, (len(points), *jacobian.shape))
 
 
 def jacobian(components: Sequence[Expr], point: Sequence[float]):

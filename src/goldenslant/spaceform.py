@@ -296,69 +296,6 @@ def _quad_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndar
     return pair_symmetry, commutation, corollary, rs_props, gap, _worst(rs)
 
 
-def ricci_agreement(model: SpaceFormModel, trials: int = 100, seed: int = 0) -> float:
-    """Worst |framesum - closed| over random pairs (the two must coincide)."""
-    return curvature_program(model, trials, seed).identities["ricci_framesum_vs_closed"]
-
-
-def curvature_commutation_checks(model: SpaceFormModel, trials: int = 100,
-                                 seed: int = 0) -> dict[str, float]:
-    """Max residuals of the five phi-commutation statements for R.
-
-    These hold for curvature tensors of metrics with parallel golden
-    structures; for this model's closed-form tensor they fail whenever the
-    mixed coefficient B is nonzero, so treat the output as a finding.
-    """
-    return curvature_program(model, trials, seed).commutation
-
-
-def ricci_phi_checks(model: SpaceFormModel, trials: int = 100, seed: int = 0,
-                     path: str = "framesum") -> dict[str, float]:
-    """Max residuals of the four phi-identities of the Ricci tensor."""
-    return curvature_program(model, trials, seed).ricci_phi[path]
-
-
-def r_dot_s_closed_form_gap(model: SpaceFormModel, trials: int = 100,
-                            seed: int = 0) -> float:
-    """Worst |definitional - claimed closed form| of R.S over random tuples."""
-    return curvature_program(model, trials, seed).rs_closed_form_gap
-
-
-def non_semi_symmetry_probe(model: SpaceFormModel, trials: int = 100,
-                            seed: int = 0) -> float:
-    """max |(R(X,Y).S)(Z,W)|; a value above threshold certifies R.S != 0."""
-    return curvature_program(model, trials, seed).non_semi_symmetry_probe
-
-
-def rs_corollary_residual(model: SpaceFormModel, trials: int = 100,
-                          seed: int = 0) -> float:
-    """max |(R(phi X, Y).S)(phi Z, W)| over random tuples (claimed to vanish)."""
-    return curvature_program(model, trials, seed).rs_corollary
-
-
-def rs_phi_propositions(model: SpaceFormModel, trials: int = 100,
-                        seed: int = 0) -> dict[str, float]:
-    """Max residuals of the two phi-expansion identities of R.S (findings)."""
-    return curvature_program(model, trials, seed).rs_phi_propositions
-
-
-def bianchi_residual(model: SpaceFormModel, trials: int = 100, seed: int = 0) -> float:
-    """First Bianchi identity R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0."""
-    return curvature_program(model, trials, seed).identities["bianchi"]
-
-
-def pair_symmetry_residual(model: SpaceFormModel, trials: int = 100,
-                           seed: int = 0) -> float:
-    """Pair symmetry g(R(X,Y)Z, W) = g(R(Z,W)X, Y)."""
-    return curvature_program(model, trials, seed).identities["pair_symmetry"]
-
-
-def antisymmetry_residual(model: SpaceFormModel, trials: int = 100,
-                          seed: int = 0) -> float:
-    """Antisymmetry R(X,Y)Z = -R(Y,X)Z."""
-    return curvature_program(model, trials, seed).identities["antisymmetry"]
-
-
 class NablaCertificate(NamedTuple):
     """Structural certificate that nabla R and nabla S vanish in this model.
 

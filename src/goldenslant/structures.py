@@ -26,6 +26,7 @@ from . import exactlin as xl
 from .errors import (
     BadSignature,
     DimensionMismatch,
+    DomainError,
     InvalidInvolution,
     InvalidStructure,
     MetricIncompat,
@@ -41,7 +42,12 @@ def is_exact(m) -> bool:
 
 
 def as_float(m) -> np.ndarray:
-    return np.asarray(m, dtype=float)
+    """Float view of a matrix; an exact entry past the float range is a DomainError."""
+    out = np.asarray(m, dtype=float)
+    if isinstance(m, xl.QMatrix) and not np.isfinite(out).all():
+        entry = np.unravel_index(np.argmin(np.isfinite(out)), out.shape)
+        raise DomainError(f"exact entry {tuple(map(int, entry))} is beyond the float range")
+    return out
 
 
 def _eye(a):
@@ -207,10 +213,6 @@ class AlmostProductStructure:
         self.metric = metric if self.backend == "exact" else metric.to_float()
         if validate:
             _check_involution(self.f, self.metric, tol_struct)
-
-    @property
-    def f_float(self) -> np.ndarray:
-        return as_float(self.f)
 
 
 def _check_involution(f, metric: Metric, tol: float) -> None:

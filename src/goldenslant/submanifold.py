@@ -23,6 +23,7 @@ statements about exact zeros.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from . import exactlin as xl
 from .config import SampleSpec
 from .errors import DimensionMismatch, RankDeficient
-from .expr import Expr, evaluate, jacobian, parse
+from .expr import Expr, evaluate, evaluate_affine, parse
 from .quadrat import QuadRat
 from .structures import GoldenStructure, Metric, _amax, _eye, _spectral, is_exact
 
@@ -41,8 +42,6 @@ _RANK_TOL = 1e-8
 
 class ImmersionSpec:
     """Parametric map from an m-dimensional domain into n-dimensional space."""
-
-    __slots__ = ("params", "components", "sample_spec")
 
     def __init__(self, params: tuple[str, ...], components: tuple[Expr, ...],
                  sample_spec: SampleSpec | None = None):
@@ -67,15 +66,11 @@ class ImmersionSpec:
     def n(self) -> int:
         return len(self.components)
 
-    def jacobian(self, point: Sequence[float]) -> np.ndarray:
-        return jacobian(self.components, point)
-
-    def affine_exact(self) -> xl.QMatrix | None:
-        """Exact constant Jacobian (n x m over Q(sqrt5)) for affine immersions."""
+    @cached_property
+    def affine_form(self) -> tuple[xl.QMatrix, xl.QMatrix] | None:
+        """Exact constant (n,) and Jacobian (n x m) of an affine immersion, else None."""
         forms = [comp.affine_exact() for comp in self.components]
-        if any(form is None for form in forms):
-            return None
-        return xl.qmatrix([form[1] for form in forms])
+        return None if None in forms else tuple(map(xl.qmatrix, zip(*forms)))
 
 
 class TangentFrame(NamedTuple):
@@ -202,24 +197,33 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
                    structure: GoldenStructure | None = None,
                    points: Sequence[Sequence[float]] | None = None) -> PointGeometry:
     """One batched pass over ``points`` (default: the immersion's sample points):
-    jets, frames, ``h``, Christoffel coefficients and, given ``structure``, P, Q, t, s."""
+    jets, frames, ``h``, Christoffel coefficients and, given ``structure``, P, Q, t, s.
+    An affine immersion reads its exact form instead of jets: its second derivatives are 0."""
     if metric.n != imm.n:
         raise DimensionMismatch("metric dimension does not match the ambient space")
     pts = np.asarray(imm.sample_spec.points() if points is None else points, dtype=float)
-    jac, hess = evaluate(imm.components, pts)
+    form = imm.affine_form
+    if form is None:
+        jac, hess = evaluate(imm.components, pts)
+    else:
+        jac = evaluate_affine(*(np.asarray(x, dtype=float) for x in form), pts)
+        size, n, m = jac.shape
+        hess = np.zeros((size, n, m, m))
+        h, christoffel = np.zeros((size, m, m, n - m)), np.zeros((size, m, m, m))
     if structure is not None:
         structure = structure.to_float()
     # Products that overflow give non-finite values, which fail the checks
     # that read them.
     with np.errstate(over="ignore", invalid="ignore"):
         frame = _stacked_frames(pts, jac, metric.to_float())
-        # Split D2x into its normal part (normal-frame coordinates) and its
-        # tangential part (coefficients in the raw tangent basis).
-        g = frame.metric.matrix
-        etg = jac.mT @ g
-        h = np.einsum("...kn,...nij->...ijk", frame.normal_onb.mT @ g, hess)
-        rhs = np.einsum("...an,...nij->...ija", etg, hess)
-        christoffel = np.linalg.solve((etg @ jac)[:, None, None], rhs[..., None])[..., 0]
+        if form is None:
+            # Split D2x into its normal part (normal-frame coordinates) and its
+            # tangential part (coefficients in the raw tangent basis).
+            g = frame.metric.matrix
+            etg = jac.mT @ g
+            h = np.einsum("...kn,...nij->...ijk", frame.normal_onb.mT @ g, hess)
+            rhs = np.einsum("...an,...nij->...ija", etg, hess)
+            christoffel = np.linalg.solve((etg @ jac)[:, None, None], rhs[..., None])[..., 0]
         ops = None if structure is None else induced_operators(frame, structure)
     return PointGeometry(imm, frame, hess, h, christoffel, ops, structure)
 
@@ -304,10 +308,10 @@ def exact_frame(imm: ImmersionSpec, metric: Metric) -> ExactFrame | None:
     """Exact frame data, or None when the immersion or metric is not exact."""
     if metric.backend != "exact":
         return None
-    jac = imm.affine_exact()
-    if jac is None:
+    form = imm.affine_form
+    if form is None:
         return None
-    g = metric.entries
+    jac, g = form[1], metric.entries
     et_g = jac.T @ g
     normal = xl.kernel_basis(et_g).T
     if normal.shape[1] != imm.n - imm.m:

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from goldenslant.expr import jacobian
 from goldenslant.extrinsic import (
     anti_invariant_shape_vanishing,
     gauss_split_residual,
@@ -23,16 +24,7 @@ from goldenslant.extrinsic import (
 )
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
 from goldenslant.slant import classify, exact_slant_data
-from goldenslant.spaceform import (
-    SpaceFormModel,
-    bianchi_residual,
-    curvature_commutation_checks,
-    non_semi_symmetry_probe,
-    pair_symmetry_residual,
-    ricci_agreement,
-    ricci_phi_checks,
-    rs_corollary_residual,
-)
+from goldenslant.spaceform import SpaceFormModel, curvature_program
 from goldenslant.structures import diagonal_golden, random_golden, verify_golden
 from goldenslant.submanifold import (
     ImmersionSpec,
@@ -185,7 +177,7 @@ def test_c5_structural_identity_fuzz():
             [f"u{i + 1}" for i in range(m)], components,
             SampleSpec(grid=tuple((-1.0, 1.0, 2) for _ in range(m))),
         )
-        jac = imm.jacobian(imm.sample_spec.points()[0])
+        jac = jacobian(imm.components, imm.sample_spec.points()[0])
         if np.linalg.svd(jac, compute_uv=False).min() < 1e-4:
             continue  # reroll degenerate draws
         pairs += 1
@@ -217,7 +209,7 @@ def test_c6_extrinsic_suite():
         ]
         imm = ImmersionSpec.from_strings(["u1", "u2"], components)
         point = tuple(rng.uniform(-0.5, 0.5, 2))
-        if np.linalg.svd(imm.jacobian(point), compute_uv=False).min() < 1e-4:
+        if np.linalg.svd(jacobian(imm.components, point), compute_uv=False).min() < 1e-4:
             continue
         count += 1
         r_tan, r_nor = gauss_split_residual(imm, point, struct4)
@@ -267,16 +259,16 @@ def spaceform_results():
     results = {}
     for n in (2, 4, 6, 8):
         for cp, cq in CURVATURE_PAIRS:
-            model = SpaceFormModel.build(n, n // 2, cp, cq)
+            program = curvature_program(SpaceFormModel.build(n, n // 2, cp, cq), 100, seed=7)
             results[(n, cp, cq)] = {
-                "ricci_agreement": ricci_agreement(model, 100, seed=7),
-                "commutation": curvature_commutation_checks(model, 100, seed=7),
-                "ricci_phi_framesum": ricci_phi_checks(model, 100, seed=7),
-                "ricci_phi_closed": ricci_phi_checks(model, 100, seed=7, path="closed"),
-                "corollary": rs_corollary_residual(model, 100, seed=7),
-                "probe": non_semi_symmetry_probe(model, 100, seed=7),
-                "bianchi": bianchi_residual(model, 100, seed=7),
-                "pair_symmetry": pair_symmetry_residual(model, 100, seed=7),
+                "ricci_agreement": program.identities["ricci_framesum_vs_closed"],
+                "commutation": program.commutation,
+                "ricci_phi_framesum": program.ricci_phi["framesum"],
+                "ricci_phi_closed": program.ricci_phi["closed"],
+                "corollary": program.rs_corollary,
+                "probe": program.non_semi_symmetry_probe,
+                "bianchi": program.identities["bianchi"],
+                "pair_symmetry": program.identities["pair_symmetry"],
             }
     results["elapsed"] = time.perf_counter() - start
     return results

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from goldenslant.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SUITE_FAILED, list_bundled, main
-from goldenslant.config import MAX_DIM, MAX_POINTS, load_config, parse_config
-from goldenslant.errors import ConfigError
+from goldenslant.config import MAX_DIM, MAX_POINTS, SampleSpec, load_config, parse_config
+from goldenslant.errors import ConfigError, DomainError
+from goldenslant.expr import parse
 from goldenslant.submanifold import point_geometry
 from goldenslant.suites import (
     render_report,
@@ -395,15 +396,46 @@ class TestCli:
         assert curvature["identities"]["bianchi"] == "NaN"
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
-    @pytest.mark.parametrize("component", ["exp(1000*u)", "u^2^30"])
-    def test_overflowing_immersion_is_a_typed_suite_error(self, tmp_path, capsys, component):
-        mutate = _immersion((component, "u", "0", "0"), grid=[[0.5, 2, 3]])
+    @pytest.mark.parametrize("component,grid", [
+        ("exp(1000*u)", [0.5, 2, 3]), ("u^2^30", [0.5, 2, 3]),
+        # Affine, so evaluated from the exact form: a coefficient past the float
+        # range, and values past it.
+        ("10^200*10^200*u", [-1, 1, 3]), ("10^150*u+10^160", [-1e200, 1e200, 3]),
+    ])
+    def test_overflowing_immersion_is_a_typed_suite_error(self, tmp_path, capsys, component,
+                                                          grid):
+        mutate = _immersion((component, "u", "0", "0"), grid=[grid])
         assert self._run_mutated(tmp_path, mutate) == EXIT_SUITE_FAILED
         captured = capsys.readouterr()
         assert captured.err == ""
         suites = _strict_json(captured.out)["suites"]
+        # The jet route's message and witness point, whichever route ran.
+        with pytest.raises(DomainError) as jets:
+            parse(component, ["u"]).eval_jets(SampleSpec(grid=(tuple(grid),)).points())
         for name in ("identities", "extrinsic", "slant"):
-            assert suites[name]["error"].startswith("DomainError:"), suites[name]
+            assert suites[name]["error"] == f"DomainError: {jets.value}", suites[name]
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
+    @pytest.mark.parametrize("suites", [["structure", "identities", "slant"], ["curvature"]])
+    def test_metric_past_the_float_range_is_a_typed_suite_error(self, tmp_path, capsys,
+                                                                suites):
+        def mutate(data):
+            # An exact metric entry of 10^400 has no float view.
+            data["ambient"]["metric"] = [[str(10 ** 400 if i == j == 0 else int(i == j))
+                                          for j in range(4)] for i in range(4)]
+            _immersion(("u", "u", "0", "0"))(data)
+            _curvature_run()(data)
+            data["suites"] = suites
+        assert self._run_mutated(tmp_path, mutate) == EXIT_SUITE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = _strict_json(captured.out)["suites"]
+        for name in suites:
+            if name == "structure":
+                assert report[name]["pass"] and report[name]["exact_zero"]
+            else:
+                assert report[name]["error"] == ("DomainError: exact entry (0, 0) is beyond "
+                                                 "the float range"), report[name]
 
     def test_negative_seed_flag_is_a_config_error(self, capsys):
         assert main(["run", "paper_example_3", "--seed", "-5"]) == EXIT_CONFIG_ERROR

@@ -2,13 +2,16 @@
 
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import goldenslant.exactlin as xl
-from goldenslant.config import parse_config
+from goldenslant.cli import resolve_config
+from goldenslant.config import load_config, parse_config
+from goldenslant.expr import Expr
 from goldenslant.quadrat import PSI, QuadRat
 from goldenslant.slant import (
     _characterization,
@@ -149,6 +152,19 @@ class TestExactMatrix:
         a = xl.qmatrix([[PSI, 0], [0, 1]])
         assert np.array_equal(np.asarray(a, dtype=float), np.diag([float(PSI), 1.0]))
 
+    @pytest.mark.parametrize("k", [10, 40, 200, 1000])
+    def test_float_view_of_cancelling_entries_is_accurate(self, k):
+        # (1 - psi)^k = (L_k - F_k sqrt5)/2, whose two terms cancel about 1.4 k bits.
+        view = np.asarray(xl.qmatrix([[(1 - PSI) ** k, PSI]]), dtype=float)
+        assert view[0, 0] == pytest.approx(float(1 - PSI) ** k, rel=4 * k * 2.0 ** -52)
+        assert view[0, 1] == float(PSI)
+
+    def test_float_view_past_the_float_range_is_infinite(self):
+        view = np.asarray(xl.qmatrix([[10 ** 400, -(10 ** 400), (1 - PSI) ** 1000 * 7]]),
+                          dtype=float)
+        assert view[0, 0] == np.inf and view[0, 1] == -np.inf
+        assert view[0, 2] == pytest.approx(7 * float(1 - PSI) ** 1000, rel=1e-12)
+
 
 # A from_involution scenario: F swaps e1 and e2 and fixes e3, negates e4.
 INVOLUTION = [["0", "1", "0", "0"], ["1", "0", "0", "0"],
@@ -263,3 +279,107 @@ def test_exact_slant_data_takes_six_matmuls(monkeypatch):
     calls = _count(monkeypatch, xl, "matmul")
     exact_slant_data(eops)
     assert len(calls) == 6
+
+
+# -- the affine route: the exact Jacobian feeds the float pass ------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+AFFINE_BUNDLED = ("paper_example_3", "paper_example_4_k1", "paper_example_4_k2_paperformula")
+
+
+def _jet_route(imm: ImmersionSpec, metric, structure):
+    """``point_geometry`` of ``imm`` on the jet route: a copy whose components claim
+    no affine form."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Expr, "affine_exact", lambda self: None)
+        copy = ImmersionSpec(imm.params, imm.components, imm.sample_spec)
+        return point_geometry(copy, metric, structure)
+
+
+def _assert_routes_agree(imm: ImmersionSpec, metric, structure) -> None:
+    affine = point_geometry(imm, metric, structure)
+    assert imm.affine_form is not None
+    jets = _jet_route(imm, metric, structure)
+    for name in ("hessians", "h", "christoffel"):
+        assert getattr(affine, name).shape == getattr(jets, name).shape, name
+        assert not getattr(affine, name).any() and not getattr(jets, name).any(), name
+    # A few ulp, grown by the conditioning of the metric the frames are built in.
+    ulps = 8 * np.finfo(float).eps * np.linalg.cond(metric.to_float().matrix)
+    pairs = {
+        "jacobian": (affine.frame.raw_tangents, jets.frame.raw_tangents),
+        "tangent_onb": (affine.frame.tangent_onb, jets.frame.tangent_onb),
+        "normal_onb": (affine.frame.normal_onb, jets.frame.normal_onb),
+        **{name: (getattr(affine.ops, name), getattr(jets.ops, name)) for name in "pqts"},
+    }
+    for name, (a, b) in pairs.items():
+        assert np.abs(a - b).max() <= ulps * max(1.0, np.abs(b).max()), name
+
+
+@pytest.mark.parametrize("source", AFFINE_BUNDLED)
+def test_affine_route_matches_the_jet_route_on_bundled_configs(source):
+    cfg = load_config(resolve_config(source))
+    structure = cfg.build_structure()
+    _assert_routes_agree(cfg.build_immersion(), structure.metric, structure)
+
+
+def test_affine_route_matches_the_jet_route_on_cancelling_coefficients():
+    # The exact coefficients (1 - psi)^k are differences of huge integers.
+    imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "(1-psi)^20*u1+u2",
+                                                    "(1-psi)^200*u2", "u1-u2"])
+    structure = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"])
+    _assert_routes_agree(imm, structure.metric, structure)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 101])
+def test_affine_route_matches_the_jet_route_on_exact_dense(seed, tmp_path):
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench import workloads
+    finally:
+        sys.path.remove(str(ROOT))
+    cfg = load_config(workloads.build("exact_dense", seed, tmp_path).sources[0])
+    structure = cfg.build_structure()
+    _assert_routes_agree(cfg.build_immersion(), structure.metric, structure)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_scenarios())
+def test_affine_route_matches_the_jet_route_on_drawn_immersions(scenario):
+    f, metric, jac = scenario
+    assume(np.linalg.svd(np.asarray(xl.qmatrix(jac), dtype=float), compute_uv=False).min() > 1e-3)
+    structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+    _assert_routes_agree(_immersion(jac), metric, structure)
+
+
+def _count_method(monkeypatch, cls, name) -> list:
+    """Count calls to the method ``cls.name``."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_affine_scenario_walks_each_component_once_and_evaluates_no_jets(monkeypatch):
+    jets = _count_method(monkeypatch, Expr, "eval_jets")
+    walks = _count_method(monkeypatch, Expr, "affine_exact")
+    report = run_scenario(_scenario(["structure", "identities", "slant"]))
+    assert report["overall_pass"] and report["suites"]["slant"]["exact"]["available"]
+    assert (len(jets), len(walks)) == (0, 4)
+
+
+def test_curved_scenario_evaluates_jets_once_per_component(monkeypatch):
+    jets = _count_method(monkeypatch, Expr, "eval_jets")
+    cfg = parse_config({
+        "ambient": {"dim": 4, "phi": {"pattern": ["psi", "one_minus_psi", "psi",
+                                                  "one_minus_psi"]}},
+        "immersion": {"params": ["u", "v"],
+                      "components": ["u*cos(v)", "u*sin(v)", "v", "u^2/3"]},
+        "suites": ["identities", "extrinsic", "slant"],
+    })
+    assert run_scenario(cfg)["overall_pass"]
+    assert len(jets) == 4

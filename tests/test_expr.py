@@ -17,6 +17,8 @@ from goldenslant.expr import (
     Neg,
     Param,
     Pow,
+    evaluate,
+    evaluate_affine,
     parse,
 )
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
@@ -292,3 +294,17 @@ class TestAffineExtraction:
         assert parse(f"u1+0.5^{n}", PARAMS).affine_exact()[0] == QuadRat(Fraction(1, 2 ** n))
         assert parse(f"u1+2^-{n}", PARAMS).affine_exact()[0] == QuadRat(Fraction(1, 2 ** n))
         assert parse("u1+psi^-3", PARAMS).affine_exact()[0] == (PSI - 1) ** 3
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 1e10], [1e10, 0.0]],  # components are checked in order, then points
+        [[0.0, 0.0, 0.0]],  # the wrong number of coordinates
+    ])
+    def test_affine_evaluation_fails_as_the_jets_do(self, points):
+        components = [parse(text, PARAMS) for text in ("10^300*u1", "10^300*u2", "u1+1")]
+        with pytest.raises(DomainError) as jets:
+            evaluate(components, points)
+        constant = np.array([0.0, 0.0, 1.0])
+        jacobian = np.array([[1e300, 0.0], [0.0, 1e300], [1.0, 0.0]])
+        with pytest.raises(DomainError) as affine:
+            evaluate_affine(constant, jacobian, points)
+        assert str(affine.value) == str(jets.value)

@@ -17,23 +17,13 @@ from goldenslant.spaceform import (
     _prefix,
     _tuples,
     _worst,
-    antisymmetry_residual,
-    bianchi_residual,
     curvature,
-    curvature_commutation_checks,
     curvature_program,
     nabla_identities_certificate,
-    non_semi_symmetry_probe,
-    pair_symmetry_residual,
     r_dot_s,
     r_dot_s_closed_form,
-    r_dot_s_closed_form_gap,
-    ricci_agreement,
     ricci_closed,
     ricci_framesum,
-    ricci_phi_checks,
-    rs_corollary_residual,
-    rs_phi_propositions,
 )
 from goldenslant.structures import GoldenStructure, Metric, random_golden
 from goldenslant.suites import run_curvature_suite
@@ -70,6 +60,20 @@ def _naive_curvature(model, x, y, z):
     return out
 
 
+def _agreement(model, trials):
+    return curvature_program(model, trials).identities["ricci_framesum_vs_closed"]
+
+
+def _commutation(model, trials):
+    return curvature_program(model, trials).commutation
+
+
+def _read(result, keys):
+    for key in keys:
+        result = result[key]
+    return result
+
+
 MODELS = [SpaceFormModel.build(n, n // 2, cp, cq)
           for n in (2, 4, 6, 8)
           for cp, cq in ((0, 0), (1, 1), (1, -1), (2, 3))]
@@ -96,12 +100,13 @@ class TestCurvatureTensor:
 
     def test_antisymmetry_manifest(self):
         for model in MODELS:
-            assert antisymmetry_residual(model, trials=20) <= 1e-12
+            assert curvature_program(model, trials=20).identities["antisymmetry"] <= 1e-12
 
     def test_bianchi_and_pair_symmetry(self):
         for model in MODELS:
-            assert bianchi_residual(model, trials=50) <= 1e-10
-            assert pair_symmetry_residual(model, trials=50) <= 1e-10
+            identities = curvature_program(model, trials=50).identities
+            assert identities["bianchi"] <= 1e-10
+            assert identities["pair_symmetry"] <= 1e-10
 
     def test_dimension_mismatch(self):
         model = SpaceFormModel.build(4, 2, 1.0, 1.0)
@@ -127,7 +132,7 @@ class TestRicci:
 
     def test_framesum_agrees_with_closed_form(self):
         for model in MODELS:
-            assert ricci_agreement(model, trials=100) <= 1e-9
+            assert _agreement(model, trials=100) <= 1e-9
 
     def test_coefficient_recovery_by_least_squares(self):
         # Fitting S samples against {g(Y,Z), g(phiY,Z)} must recover the two
@@ -146,15 +151,15 @@ class TestRicci:
 
     def test_phi_identities_hold_on_both_paths(self):
         for model in MODELS:
+            ricci_phi = curvature_program(model, trials=50).ricci_phi
             for path in ("framesum", "closed"):
-                res = ricci_phi_checks(model, trials=50, path=path)
-                assert max(res.values()) <= 1e-9, (model.c_p, model.c_q, path)
+                assert max(ricci_phi[path].values()) <= 1e-9, (model.c_p, model.c_q, path)
 
     def test_random_structure_model(self):
         structure = random_golden(6, 2, seed=5)
         model = SpaceFormModel.from_structure(structure, 1.0, -1.0)
         assert model.p == 2
-        assert ricci_agreement(model, trials=50) <= 1e-9
+        assert _agreement(model, trials=50) <= 1e-9
 
 
 class TestCommutationFindings:
@@ -167,18 +172,18 @@ class TestCommutationFindings:
 
     def test_flat_model_conforms(self):
         model = SpaceFormModel.build(4, 2, 0.0, 0.0)
-        assert max(curvature_commutation_checks(model, trials=20).values()) == 0.0
+        assert max(_commutation(model, trials=20).values()) == 0.0
 
     def test_scalar_structure_conforms_for_any_curvatures(self):
         # p = n: phi is a multiple of the identity and commutes with anything.
         model = SpaceFormModel.build(4, 4, 1.0, -1.0)
-        assert max(curvature_commutation_checks(model, trials=20).values()) <= 1e-12
+        assert max(_commutation(model, trials=20).values()) <= 1e-12
 
     def test_mixed_eigenspaces_violate_commutation_when_b_nonzero(self):
         for cp, cq in ((1.0, 1.0), (1.0, -1.0), (2.0, 3.0)):
             model = SpaceFormModel.build(4, 2, cp, cq)
             assert abs(model.coeff_b) > 0.1
-            res = curvature_commutation_checks(model, trials=50)
+            res = _commutation(model, trials=50)
             assert max(res.values()) > 0.1, (cp, cq, res)
 
     def test_violation_magnitude_on_canonical_tuple(self):
@@ -198,7 +203,7 @@ class TestCommutationFindings:
                                     validate=False)
         model = SpaceFormModel(n=4, p=2, c_p=1.0, c_q=1.0, structure=structure,
                                frame=np.eye(4))
-        res = curvature_commutation_checks(model, trials=50)
+        res = _commutation(model, trials=50)
         assert max(res.values()) > 1e-3
 
 
@@ -216,23 +221,24 @@ class TestDerivationAction:
                        - independent) <= 1e-9
 
     def test_flat_model_everything_vanishes(self):
-        model = SpaceFormModel.build(4, 2, 0.0, 0.0)
-        assert non_semi_symmetry_probe(model, trials=20) == 0.0
-        assert rs_corollary_residual(model, trials=20) == 0.0
-        assert r_dot_s_closed_form_gap(model, trials=20) == 0.0
-        assert max(rs_phi_propositions(model, trials=20).values()) == 0.0
+        result = curvature_program(SpaceFormModel.build(4, 2, 0.0, 0.0), trials=20)
+        assert result.non_semi_symmetry_probe == 0.0
+        assert result.rs_corollary == 0.0
+        assert result.rs_closed_form_gap == 0.0
+        assert max(result.rs_phi_propositions.values()) == 0.0
 
     def test_balanced_equal_curvatures_kill_the_phi_coefficient(self):
         # c_p = c_q with a balanced signature forces beta = 0, hence R.S = 0.
         for n in (4, 6, 8):
             model = SpaceFormModel.build(n, n // 2, 1.0, 1.0)
             assert abs(model.ricci_phi_coeff) <= 1e-12
-            assert non_semi_symmetry_probe(model, trials=20) <= 1e-10
-            assert rs_corollary_residual(model, trials=20) <= 1e-10
+            result = curvature_program(model, trials=20)
+            assert result.non_semi_symmetry_probe <= 1e-10
+            assert result.rs_corollary <= 1e-10
 
     def test_generic_curvatures_are_not_semi_symmetric(self):
         model = SpaceFormModel.build(4, 2, 1.0, -1.0)
-        assert non_semi_symmetry_probe(model, trials=100, seed=1) > 1e-6
+        assert curvature_program(model, trials=100, seed=1).non_semi_symmetry_probe > 1e-6
 
     def test_closed_form_gap_formula(self):
         # definitional - claimed = -beta (g(RZ, phi W) - g(RW, phi Z))
@@ -254,8 +260,9 @@ class TestDerivationAction:
         for cp, cq in ((1.0, -1.0), (2.0, 3.0)):
             model = SpaceFormModel.build(4, 2, cp, cq)
             assert abs(model.ricci_phi_coeff) > 0.1
-            assert rs_corollary_residual(model, trials=50) > 0.1
-            assert max(rs_phi_propositions(model, trials=50).values()) > 0.1
+            result = curvature_program(model, trials=50)
+            assert result.rs_corollary > 0.1
+            assert max(result.rs_phi_propositions.values()) > 0.1
 
 
 class TestNablaCertificate:
@@ -353,26 +360,28 @@ def _trial_rs_gap(m, x, y, z, w):
     return _naive_rs(m, x, y, z, w) - claimed
 
 
-# probe, tuple size k, per-trial residuals on one sequential (k, n) draw
+# probe name, the keys of its value in the program's result, tuple size k,
+# per-trial residuals on one sequential (k, n) draw
 ORACLE = [
-    (ricci_agreement, 2,
+    ("ricci_agreement", ("identities", "ricci_framesum_vs_closed"), 2,
      lambda m, y, z: _naive_ricci(m, y, z, "framesum") - _naive_ricci(m, y, z)),
-    (bianchi_residual, 3,
+    ("bianchi_residual", ("identities", "bianchi"), 3,
      lambda m, x, y, z: _naive_curvature(m, x, y, z) + _naive_curvature(m, y, z, x)
      + _naive_curvature(m, z, x, y)),
-    (pair_symmetry_residual, 4,
+    ("pair_symmetry_residual", ("identities", "pair_symmetry"), 4,
      lambda m, x, y, z, w: _g(m, _naive_curvature(m, x, y, z), w)
      - _g(m, _naive_curvature(m, z, w, x), y)),
-    (antisymmetry_residual, 3,
+    ("antisymmetry_residual", ("identities", "antisymmetry"), 3,
      lambda m, x, y, z: _naive_curvature(m, x, y, z) + _naive_curvature(m, y, x, z)),
-    (curvature_commutation_checks, 4, _trial_commutation),
-    (partial(ricci_phi_checks, path="framesum"), 2, _trial_ricci_phi("framesum")),
-    (partial(ricci_phi_checks, path="closed"), 2, _trial_ricci_phi("closed")),
-    (rs_corollary_residual, 4,
+    ("curvature_commutation_checks", ("commutation",), 4, _trial_commutation),
+    ("ricci_phi_checks-framesum", ("ricci_phi", "framesum"), 2,
+     _trial_ricci_phi("framesum")),
+    ("ricci_phi_checks-closed", ("ricci_phi", "closed"), 2, _trial_ricci_phi("closed")),
+    ("rs_corollary_residual", ("rs_corollary",), 4,
      lambda m, x, y, z, w: _naive_rs(m, m.phi @ x, y, m.phi @ z, w)),
-    (rs_phi_propositions, 4, _trial_rs_props),
-    (r_dot_s_closed_form_gap, 4, _trial_rs_gap),
-    (non_semi_symmetry_probe, 4, _naive_rs),
+    ("rs_phi_propositions", ("rs_phi_propositions",), 4, _trial_rs_props),
+    ("r_dot_s_closed_form_gap", ("rs_closed_form_gap",), 4, _trial_rs_gap),
+    ("non_semi_symmetry_probe", ("non_semi_symmetry_probe",), 4, _naive_rs),
 ]
 
 
@@ -391,13 +400,11 @@ def _agree(batched, looped):
 
 
 class TestBatchedProbes:
-    @pytest.mark.parametrize("probe,k,trial", ORACLE,
-                             ids=[getattr(p, "__name__", None) or
-                                  f"{p.func.__name__}-{p.keywords['path']}"
-                                  for p, _, _ in ORACLE])
-    def test_probe_matches_per_trial_loop(self, probe, k, trial):
+    @pytest.mark.parametrize("keys,k,trial", [row[1:] for row in ORACLE],
+                             ids=[row[0] for row in ORACLE])
+    def test_probe_matches_per_trial_loop(self, keys, k, trial):
         for model in ORACLE_MODELS:
-            batched = probe(model, trials=6, seed=11)
+            batched = _read(curvature_program(model, trials=6, seed=11)._asdict(), keys)
             looped = _per_trial_worst(model, k, trial, trials=6, seed=11)
             if isinstance(looped, dict):
                 assert batched.keys() == looped.keys()
@@ -411,7 +418,7 @@ class TestBatchedProbes:
         assert model.p == 2
         assert np.abs(model.g - np.eye(model.n)).max() > 0.1
         assert np.abs(model.phi - np.diag(np.diag(model.phi))).max() > 0.1
-        assert ricci_agreement(model, trials=50) <= 1e-9
+        assert _agreement(model, trials=50) <= 1e-9
 
     def test_curvature_broadcasts_over_trials(self):
         model = ORACLE_MODELS[-1]
@@ -510,28 +517,6 @@ def _probe_by_probe(model, trials, seed):
     }
 
 
-# probe -> the keys of its value in the program's result
-PROBE_READS = [
-    (ricci_agreement, ("identities", "ricci_framesum_vs_closed")),
-    (bianchi_residual, ("identities", "bianchi")),
-    (pair_symmetry_residual, ("identities", "pair_symmetry")),
-    (antisymmetry_residual, ("identities", "antisymmetry")),
-    (ricci_phi_checks, ("ricci_phi", "framesum")),
-    (partial(ricci_phi_checks, path="closed"), ("ricci_phi", "closed")),
-    (curvature_commutation_checks, ("commutation",)),
-    (rs_corollary_residual, ("rs_corollary",)),
-    (rs_phi_propositions, ("rs_phi_propositions",)),
-    (r_dot_s_closed_form_gap, ("rs_closed_form_gap",)),
-    (non_semi_symmetry_probe, ("non_semi_symmetry_probe",)),
-]
-
-
-def _read(result, keys):
-    for key in keys:
-        result = result[key]
-    return result
-
-
 def _curvature_config(n, c_p, c_q, trials, seed):
     p = n // 2
     return parse_config({
@@ -561,8 +546,6 @@ class TestCurvatureProgram:
         for model in MODELS:
             expected = _probe_by_probe(model, trials, seed)
             assert curvature_program(model, trials, seed)._asdict() == expected
-            for probe, keys in PROBE_READS:
-                assert probe(model, trials, seed) == _read(expected, keys), keys
             cfg = _curvature_config(model.n, model.c_p, model.c_q, trials, seed)
             structure = cfg.build_structure()
             expected = _probe_by_probe(

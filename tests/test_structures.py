@@ -179,7 +179,7 @@ class TestEigendecomp:
         assert np.abs(phi @ basis_psi - PSI_F * basis_psi).max() <= 1e-10
         assert np.abs(phi @ basis_neg - (1 - PSI_F) * basis_neg).max() <= 1e-10
         # The psi eigenspace is the +1 eigenspace of the underlying involution.
-        f = product_from_golden(s).f_float
+        f = product_from_golden(s).f
         assert np.abs(f @ basis_psi - basis_psi).max() <= 1e-10
         # g-orthogonality across the two spaces
         assert np.abs(basis_psi.T @ basis_neg).max() <= 1e-10
