@@ -23,10 +23,6 @@ class InvalidStructure(GoldenslantError):
     pass
 
 
-class BadSignature(GoldenslantError):
-    pass
-
-
 class ExprSyntaxError(GoldenslantError):
     """Malformed expression text; ``offset`` is the byte position of the problem."""
 
@@ -52,22 +48,6 @@ class RankDeficient(GoldenslantError):
 
 
 class ZeroVector(GoldenslantError):
-    pass
-
-
-class NotInvariant(GoldenslantError):
-    pass
-
-
-class NotAntiInvariant(GoldenslantError):
-    pass
-
-
-class NotSlant(GoldenslantError):
-    pass
-
-
-class LambdaZero(GoldenslantError):
     pass
 
 

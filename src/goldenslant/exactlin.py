@@ -13,9 +13,9 @@ over all of its integers, so equal matrices hold equal arrays.
 * ``.T``, ``.mT``, slicing, :meth:`QMatrix.diagonal`, :func:`eye` and
   :func:`concatenate` keep the form; reading one entry gives a QuadRat.
 * ``numpy.asarray(m, dtype=float)`` is the float view: the bits of ``float(QuadRat)``
-  per entry, except that one whose terms cancel (``(1 - psi)^40``) is taken from
-  the integers to within an ulp, and one past the float range is infinite.
-  Without a dtype it is an object array of QuadRat.
+  per entry (:func:`~goldenslant.quadrat.to_float`, so an entry whose terms cancel,
+  such as ``(1 - psi)^40``, is taken from the integers to within an ulp, and one
+  past the float range is infinite).  Without a dtype it is an object array of QuadRat.
 
 No float enters: any other operand is a TypeError, and numpy's own
 operators defer to these.  One formula therefore serves exact matrices and
@@ -32,32 +32,16 @@ gives the unique reduced row echelon form.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
-from .quadrat import QuadRat, from_integers, sign
+from .quadrat import SQRT5_FLOAT, QuadRat, fast_sum_holds, from_integers, rounded, sign, to_float
 
-_SQRT5_FLOAT = math.sqrt(5.0)
 _quadrats = np.frompyfunc(from_integers, 3, 1)
-
-
-def _entry(p: int, q: int, d: int) -> float:
-    """``(p + q*sqrt5)/d`` within an ulp however its terms cancel; infinite past the range."""
-    # Unless 0, |p + q*sqrt5| = |p^2 - 5q^2| / |p - q*sqrt5| >= 1/(|p| + 3|q|), so
-    # scaled by 2^k it passes 2^62, and the integer square root is off by under 1.
-    k = 2 * max(p.bit_length(), q.bit_length()) + 64
-    root = math.isqrt(5 * q * q << 2 * k)
-    num = (p << k) + (root if q > 0 else -root)
-    try:
-        return num / (d << k)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-_entries = np.frompyfunc(_entry, 3, 1)
+_floats = np.frompyfunc(to_float, 3, 1)
+_rounded = np.frompyfunc(rounded, 3, 1)
 
 
 class QMatrix:
@@ -104,18 +88,17 @@ class QMatrix:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if dtype is None or np.dtype(dtype) == object:
             return _quadrats(self.p, self.q, self.d)
-        # Correctly rounded int divisions: the bits of float(QuadRat) per entry,
-        # except where the two terms cancel more than 8 bits or leave the float range.
+        # quadrat.to_float on whole arrays, so every entry has the bits of float(QuadRat)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                p = (self.p / self.d).astype(float)
-                q = (self.q / self.d).astype(float) * _SQRT5_FLOAT
+                a = (self.p / self.d).astype(float)
+                b = (self.q / self.d).astype(float) * SQRT5_FLOAT
             except OverflowError:
-                return _entries(self.p, self.q, self.d).astype(dtype)
-            view = p + q
-            lost = np.abs(view) * 256 < np.abs(p) + np.abs(q)
-        if np.count_nonzero(lost):
-            view[lost] = _entries(self.p[lost], self.q[lost], self.d)
+                return _floats(self.p, self.q, self.d).astype(dtype)
+            view = a + b
+            redo = ~fast_sum_holds(view, a, b)
+        if np.count_nonzero(redo):
+            view[redo] = _rounded(self.p[redo], self.q[redo], self.d)
         return view.astype(dtype, copy=False)
 
     def __eq__(self, other) -> bool:

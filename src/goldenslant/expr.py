@@ -115,13 +115,6 @@ class Expr(_Record):
     def to_text(self) -> str:
         return _print(self.root, 0)
 
-    def eval_jet(self, point: Sequence[float]):
-        """Value, gradient and Hessian at one point: the jets of a batch of one."""
-        from .jets import Jet2
-
-        jet = self.eval_jets([point])
-        return Jet2(float(jet.value[0]), jet.grad[0], jet.hess[0])
-
     def eval_jets(self, points):
         """Jets at the N rows of ``points`` from one pass over the AST: value (N,),
         grad (N, m), hess (N, m, m).  Overflowing or undefined ones raise DomainError."""
@@ -448,11 +441,6 @@ def _affine(node: Node) -> tuple[QuadRat, dict[int, QuadRat]] | None:
 
 def _scaled(coeffs: dict[int, QuadRat], c: QuadRat) -> dict[int, QuadRat]:
     return {i: x * c for i, x in coeffs.items()} if c else {}
-
-
-def eval_jet(e: Expr, point: Sequence[float]):
-    """Value, gradient and Hessian of ``e`` at ``point``."""
-    return e.eval_jet(point)
 
 
 def _points(points, m: int):

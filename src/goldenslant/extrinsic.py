@@ -9,57 +9,18 @@ turns the tangential/normal split of the structure equation into entrywise
 residual checks.
 
 The checks take a :class:`~goldenslant.submanifold.PointGeometry` and
-return one residual per point; the single-point functions are views of a
-geometry of one point.
+return one residual per point.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
-
 import numpy as np
 
-from .errors import NotAntiInvariant, NotInvariant
-from .structures import GoldenStructure, Metric
 from .submanifold import (
-    DEFAULT_TOL_CLASS,
-    ImmersionSpec,
     PointGeometry,
-    TangentFrame,
     _amax,
-    frame_at,  # noqa: F401  (still importable from this module)
-    invariance_kinds,
-    point_geometry,
+    frame_at,  # noqa: F401  (perfbench's wrapper test reads this binding)
 )
-
-
-class SecondFundamentalForm(NamedTuple):
-    """Normal and tangential parts of the immersion Hessian at a point (or a stack).
-
-    ``h[i, j]`` holds the normal-frame coordinates of the normal part of
-    d^2 x / du_i du_j; ``christoffel_t[i, j]`` holds the induced-connection
-    coefficients of its tangential part in the raw tangent basis.  Both are
-    symmetric in (i, j) because mixed partials are.
-    """
-
-    h: np.ndarray  # m x m x (n - m)
-    christoffel_t: np.ndarray  # m x m x m
-    frame: TangentFrame
-
-    def h_onb(self) -> np.ndarray:
-        """h re-indexed by the orthonormal tangent frame instead of raw tangents."""
-        e = self.frame.raw_tangents
-        etg = e.mT @ self.frame.metric.matrix
-        coords = np.linalg.solve(etg @ e, etg @ self.frame.tangent_onb)  # m x m
-        return np.einsum("...ia,...jb,...ijc->...abc", coords, coords, self.h)
-
-
-def second_fundamental_form(imm: ImmersionSpec, point: Sequence[float],
-                            metric: Metric) -> SecondFundamentalForm:
-    """Split each Hessian vector into tangential and normal parts."""
-    geom = point_geometry(imm, metric, points=[point])
-    return SecondFundamentalForm(h=geom.h[0], christoffel_t=geom.christoffel[0],
-                                 frame=geom.frame.at(0))
 
 
 def _amax3(a: np.ndarray) -> np.ndarray:
@@ -99,14 +60,6 @@ def gauss_split_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     return r_tan, r_nor
 
 
-def gauss_split_residual(imm: ImmersionSpec, point: Sequence[float],
-                         structure: GoldenStructure) -> tuple[float, float]:
-    """:func:`gauss_split_residuals` at one point."""
-    r_tan, r_nor = gauss_split_residuals(point_geometry(imm, structure.metric, structure,
-                                                        [point]))
-    return float(r_tan[0]), float(r_nor[0])
-
-
 def invariant_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-point residuals of both invariant-submanifold identities.
 
@@ -125,17 +78,6 @@ def invariant_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     return _amax3(tan - _apply(ops.p, nabla)), _amax3(h_py - _apply(ops.s, geom.h))
 
 
-def invariant_connection_check(imm: ImmersionSpec, point: Sequence[float],
-                               structure: GoldenStructure,
-                               tol_class: float = DEFAULT_TOL_CLASS) -> tuple[float, float]:
-    """:func:`invariant_residuals` at one point, which must be invariant."""
-    geom = point_geometry(imm, structure.metric, structure, [point])
-    if invariance_kinds(geom.ops, tol_class)[0] != "invariant":
-        raise NotInvariant(f"tangent space at {tuple(point)} is not phi-invariant")
-    r_parallel, r_weingarten = invariant_residuals(geom)
-    return float(r_parallel[0]), float(r_weingarten[0])
-
-
 def shape_vanishing_probe(geom: PointGeometry) -> np.ndarray:
     """Per-point max-abs of the shape operators A_{phi Y} over tangent frame directions Y.
 
@@ -144,15 +86,12 @@ def shape_vanishing_probe(geom: PointGeometry) -> np.ndarray:
     ``Q e_b`` the normal coordinates of ``phi e_b``, so a nonzero result is
     a genuine finding about the claim, not an artifact.
     """
-    h_onb = SecondFundamentalForm(geom.h, geom.christoffel, geom.frame).h_onb()
-    return _amax3(np.einsum("...abc,...cd->...abd", h_onb, geom.ops.q))
+    return _amax3(np.einsum("...abc,...cd->...abd", _h_onb(geom), geom.ops.q))
 
 
-def anti_invariant_shape_vanishing(imm: ImmersionSpec, point: Sequence[float],
-                                   structure: GoldenStructure,
-                                   tol_class: float = DEFAULT_TOL_CLASS) -> float:
-    """:func:`shape_vanishing_probe` at one point, which must be anti-invariant."""
-    geom = point_geometry(imm, structure.metric, structure, [point])
-    if invariance_kinds(geom.ops, tol_class)[0] != "anti_invariant":
-        raise NotAntiInvariant(f"tangent space at {tuple(point)} is not anti-invariant")
-    return float(shape_vanishing_probe(geom)[0])
+def _h_onb(geom: PointGeometry) -> np.ndarray:
+    """h re-indexed by the orthonormal tangent frame instead of raw tangents."""
+    e = geom.frame.raw_tangents
+    etg = e.mT @ geom.frame.metric.matrix
+    coords = np.linalg.solve(etg @ e, etg @ geom.frame.tangent_onb)  # m x m
+    return np.einsum("...ia,...jb,...ijc->...abc", coords, coords, geom.h)

@@ -15,6 +15,11 @@ QuadRat is the scalar type: exact matrices (:mod:`.exactlin`) keep whole
 arrays of such integers over one denominator, and give a QuadRat for an
 entry read out, an exact max or a lambda.  :attr:`QuadRat.integers`,
 :func:`from_integers` and :func:`sign` move values between the two forms.
+
+``float(x)`` and the float view of an exact matrix share one formula,
+:func:`to_float`: two correctly rounded int divisions and one float sum,
+recomputed from the integers to within an ulp where the sum cancels more
+than 8 bits or leaves the float range (infinite only past it).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from math import gcd, lcm
 
 Rational = int | Fraction
 
-_SQRT5_FLOAT = math.sqrt(5.0)
+SQRT5_FLOAT = math.sqrt(5.0)
 
 
 @total_ordering
@@ -127,10 +132,6 @@ class QuadRat:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> QuadRat:
-        """Galois conjugate ``a - b*sqrt(5)``."""
-        return from_integers(self._p, -self._q, self._d)
-
     def inverse(self) -> QuadRat:
         p, q, d = self._p, self._q, self._d
         norm = p * p - 5 * q * q
@@ -165,11 +166,40 @@ class QuadRat:
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        # Correctly rounded int division: the same bits as float(a) + float(b) * sqrt5.
-        return self._p / self._d + (self._q / self._d) * _SQRT5_FLOAT
+        return to_float(self._p, self._q, self._d)
 
 
 _new = object.__new__
+
+
+def to_float(p: int, q: int, d: int) -> float:
+    """``(p + q*sqrt5)/d`` as the fast sum ``p/d + (q/d)*sqrt5`` of two correctly
+    rounded int divisions, or by :func:`rounded` where that sum fails :func:`fast_sum_holds`."""
+    try:
+        a, b = p / d, q / d * SQRT5_FLOAT
+    except OverflowError:  # an int quotient past the float range
+        return rounded(p, q, d)
+    total = a + b
+    return total if fast_sum_holds(total, a, b) else rounded(p, q, d)
+
+
+def fast_sum_holds(total, a, b):
+    """Whether the float sum ``total = a + b`` of the two terms is finite and cancels at
+    most 8 bits, so that its relative error stays under 2^-43: floats or float arrays."""
+    return (abs(a) + abs(b) <= abs(total) * 256) & (abs(total) < math.inf)
+
+
+def rounded(p: int, q: int, d: int) -> float:
+    """``(p + q*sqrt5)/d`` within an ulp however its terms cancel; infinite past the range."""
+    # Unless 0, |p + q*sqrt5| = |p^2 - 5q^2| / |p - q*sqrt5| >= 1/(|p| + 3|q|), so
+    # scaled by 2^k it passes 2^62, and the integer square root is off by under 1.
+    k = 2 * max(p.bit_length(), q.bit_length()) + 64
+    root = math.isqrt(5 * q * q << 2 * k)
+    num = (p << k) + (root if q > 0 else -root)
+    try:
+        return num / (d << k)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _exact(x) -> QuadRat | None:
@@ -207,8 +237,6 @@ def sign(p: int, q: int) -> int:
 PSI = QuadRat(Fraction(1, 2), Fraction(1, 2))
 ONE_MINUS_PSI = QuadRat(Fraction(1, 2), Fraction(-1, 2))
 SQRT5 = QuadRat(0, 1)
-
-PSI_FLOAT = float(PSI)
 
 _ENTRY_RE = re.compile(
     r"""^\s*

@@ -27,18 +27,15 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import SampleSpec
-from .errors import LambdaZero, NotSlant, ZeroVector
-from .quadrat import QuadRat
+from .errors import ZeroVector
 from .structures import GoldenStructure, _amax, _eye, _spectral
 from .submanifold import (
     DEFAULT_TOL_CLASS,
-    DEFAULT_TOL_FRAME,
     ExactInducedOperators,
     ImmersionSpec,
     InducedOperators,
     PointGeometry,
-    frame_at,  # noqa: F401  (still importable from this module)
+    frame_at,  # noqa: F401  (perfbench's wrapper test reads this binding)
     point_geometry,
 )
 
@@ -103,18 +100,15 @@ def reference_cosine(ops: InducedOperators, x: Sequence[float]) -> float:
 
 
 def classify(imm: ImmersionSpec, structure: GoldenStructure,
-             samples: SampleSpec | None = None, directions: int = 20, seed: int = 0,
-             tol_angle: float = DEFAULT_TOL_ANGLE, tol_class: float = DEFAULT_TOL_CLASS,
-             tol_frame: float = DEFAULT_TOL_FRAME, trials: int = 100) -> SlantReport:
-    """:func:`classify_geometry` at the points of ``samples`` (default: the immersion's)."""
-    spec = samples or imm.sample_spec
-    geom = point_geometry(imm, structure.metric, structure, spec.points())
-    return classify_geometry(geom, directions, seed, tol_angle, tol_class, trials)
+             tol_angle: float = DEFAULT_TOL_ANGLE,
+             tol_class: float = DEFAULT_TOL_CLASS) -> SlantReport:
+    """:func:`classify_geometry` at the immersion's sample points."""
+    geom = point_geometry(imm, structure.metric, structure)
+    return classify_geometry(geom, tol_angle, tol_class)
 
 
-def classify_geometry(geom: PointGeometry, directions: int = 20, seed: int = 0,
-                      tol_angle: float = DEFAULT_TOL_ANGLE,
-                      tol_class: float = DEFAULT_TOL_CLASS, trials: int = 100) -> SlantReport:
+def classify_geometry(geom: PointGeometry, tol_angle: float = DEFAULT_TOL_ANGLE,
+                      tol_class: float = DEFAULT_TOL_CLASS) -> SlantReport:
     """Slant angles at the eigen-directions of P at every point of a geometry, then classify.
 
     In orthonormal frames P is symmetric and ``|phi X|^2 = g(X, (P + I) X)``,
@@ -125,8 +119,9 @@ def classify_geometry(geom: PointGeometry, directions: int = 20, seed: int = 0,
     invariant, anti-invariant and proper slant.  For slant results the
     characterization, the P/Q product identities and the tQ identity are
     evaluated at every point and their worst residuals attached to the
-    report.  ``directions``, ``seed`` and ``trials`` are ignored; they once
-    sized and seeded random samples.
+    report.  The bilinear-form identities are measured by the spectral norm
+    of their matrices: the worst value of the form on any unit pair, and
+    never below the worst entry.
     """
     ops = geom.ops
     _, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
@@ -167,51 +162,9 @@ def classify_geometry(geom: PointGeometry, directions: int = 20, seed: int = 0,
     return report._replace(residuals={k: float(np.max(v)) for k, v in residuals.items()})
 
 
-def _require_slant(report: SlantReport) -> None:
-    if not report.is_slant():
-        raise NotSlant(f"classification is {report.classification}")
-
-
-# The residuals below take the operators of one point (a float) or of a stack
-# (one value per point).  The identities that are bilinear forms are measured
-# by the spectral norm of their matrices: the worst value of the form on any
-# unit pair, and never below the worst entry.  Their ``trials`` and ``seed``
-# parameters are ignored; they once drew sample vectors.
-
-
-def characterization_residual(ops: InducedOperators, report: SlantReport,
-                              trials: int = 20, seed: int = 0) -> float:
-    """Spectral norm of ``P^2 - lambda (P + I)``."""
-    _require_slant(report)
-    return _characterization(ops.p, ops.p @ ops.p, report.lam, _spectral)
-
-
-def corollary_residual(ops: InducedOperators, report: SlantReport,
-                       trials: int = 20, seed: int = 0) -> float:
-    """Spectral norm of the form ``g(phi^2 X, Y) - g(P^2 X, Y) / lambda`` on tangent vectors."""
-    _require_slant(report)
-    if report.classification == ANTI_INVARIANT or report.lam <= 0.0:
-        raise LambdaZero("corollary needs lambda > 0 (not anti-invariant)")
-    return _corollary(ops.p, ops.p @ ops.p, report.lam)
-
-
-def lemma_pq_identities(ops: InducedOperators, report: SlantReport,
-                        trials: int = 100, seed: int = 0) -> tuple[float, float]:
-    """Spectral norms of the cos^2 and sin^2 product identities."""
-    _require_slant(report)
-    return _lemma_residuals(*_cos2_forms(ops.p, np.eye(ops.m)), ops.q,
-                            np.eye(ops.q.shape[-2]), report.lam, report.k, _spectral)
-
-
-def tq_identity_residual(ops: InducedOperators, report: SlantReport) -> float:
-    """Worst residual of ``tQ = (1 - lambda)(P + I)`` and ``tQ = -P^2 + P + I``."""
-    _require_slant(report)
-    return np.maximum(*_tq_residuals(ops.p, ops.p @ ops.p, ops.t, ops.q, report.lam))
-
-
 # ---------------------------------------------------------------------------
-# the slant identities, written once for exact matrices and float stacks;
-# ``pp`` is P^2, formed once by the caller and shared
+# the slant identities, written once for exact matrices and float stacks (one
+# value per point); ``pp`` is P^2, formed once by the caller and shared
 
 
 def _characterization(p, pp, lam, norm=_amax):
@@ -251,16 +204,6 @@ def _tq_residuals(p, pp, t, q, lam):
 # exact route
 
 
-def _lambda_candidates(pp_form, p_rhs) -> list[QuadRat]:
-    return [x / y for x, y in zip(pp_form.diagonal(), p_rhs.diagonal())]
-
-
-def exact_lambda_candidates(eops: ExactInducedOperators) -> list[QuadRat]:
-    """cos^2(theta) per raw basis direction e_i, exactly: the ratio of the diagonals
-    of the lemma's g(PX, PY) and g(X, Y) + g(X, PY) matrices."""
-    return _lambda_candidates(*_cos2_forms(eops.p, eops.frame.gram_tangent))
-
-
 def exact_slant_data(eops: ExactInducedOperators) -> dict:
     """Exact slant certificate: lambda candidates plus all identity residuals.
 
@@ -271,7 +214,9 @@ def exact_slant_data(eops: ExactInducedOperators) -> dict:
     """
     p, q, frame = eops.p, eops.q, eops.frame
     forms = _cos2_forms(p, frame.gram_tangent)
-    candidates = _lambda_candidates(*forms)
+    # cos^2(theta) along each raw basis direction e_i: the ratio of the
+    # diagonals of the lemma's g(PX, PY) and g(X, Y) + g(X, PY) matrices
+    candidates = [x / y for x, y in zip(forms[0].diagonal(), forms[1].diagonal())]
     lam = candidates[0]
     uniform = all(c == lam for c in candidates)
     pp = p @ p

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import exactlin as xl
 from .errors import (
-    BadSignature,
     DimensionMismatch,
     DomainError,
     InvalidInvolution,
@@ -264,29 +263,6 @@ def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> Gol
             raise InvalidStructure(f"unknown eigenvalue pattern entry {name!r}")
     phi = np.diag(np.array([roots[name] for name in pattern], dtype=object))
     return GoldenStructure(phi, metric or Metric.euclidean(len(pattern)))
-
-
-def random_golden(n: int, p: int, seed: int) -> GoldenStructure:
-    """Random golden structure with a ``p``-dimensional psi-eigenspace.
-
-    A signature matrix diag(+1 x p, -1 x (n-p)) is conjugated by a product
-    of seeded Householder reflectors, which keeps ``F**2 = I`` and the
-    Euclidean compatibility exact up to rounding.  Deterministic per
-    ``(n, p, seed)``.
-    """
-    if not 0 <= p <= n:
-        raise BadSignature(f"need 0 <= p <= n, got p={p}, n={n}")
-    rng = np.random.default_rng(seed)
-    q = np.eye(n)
-    for _ in range(max(n - 1, 1)):
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        q = q - 2.0 * np.outer(v, v @ q)
-    sig = np.diag([1.0] * p + [-1.0] * (n - p))
-    f = q @ sig @ q.T
-    f = (f + f.T) / 2.0
-    aps = AlmostProductStructure(f, Metric.euclidean(n, backend="float"))
-    return golden_from_product(aps)
 
 
 def golden_eigendecomp(s: GoldenStructure):

@@ -14,11 +14,10 @@ together with self-adjointness of ``P`` and the metric split
 
 Operators are expressed in orthonormal frames, so plain transposes realize
 metric adjoints.  A scenario evaluates all of its sample points in one
-batched pass (:func:`point_geometry`); the single-point functions are views
-of a batch of one.  Affine immersions with coefficients in Q(sqrt5) also get
-an exact route in the raw (non-orthonormal) tangent basis: the same
-identity functions, handed the Gram matrices of the raw bases, then check
-statements about exact zeros.
+batched pass (:func:`point_geometry`).  Affine immersions with coefficients
+in Q(sqrt5) also get an exact route in the raw (non-orthonormal) tangent
+basis: the same identity functions, handed the Gram matrices of the raw
+bases, then check statements about exact zeros.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .expr import Expr, evaluate, evaluate_affine, parse
 from .quadrat import QuadRat
 from .structures import GoldenStructure, Metric, _amax, _eye, _spectral, is_exact
 
-DEFAULT_TOL_FRAME = 1e-9
 DEFAULT_TOL_CLASS = 1e-7
 _RANK_TOL = 1e-8
 

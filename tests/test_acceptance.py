@@ -17,15 +17,11 @@ import numpy as np
 import pytest
 
 from goldenslant.expr import jacobian
-from goldenslant.extrinsic import (
-    anti_invariant_shape_vanishing,
-    gauss_split_residual,
-    invariant_connection_check,
-)
+from goldenslant.extrinsic import gauss_split_residuals, invariant_residuals, shape_vanishing_probe
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
 from goldenslant.slant import classify, exact_slant_data
 from goldenslant.spaceform import SpaceFormModel, curvature_program
-from goldenslant.structures import diagonal_golden, random_golden, verify_golden
+from goldenslant.structures import diagonal_golden, verify_golden
 from goldenslant.submanifold import (
     ImmersionSpec,
     SampleSpec,
@@ -34,11 +30,13 @@ from goldenslant.submanifold import (
     exact_induced_operators,
     frame_at,
     induced_operators,
+    invariance_kinds,
     structural_identity_residuals,
 )
 from goldenslant.suites import render_report, run_scenario
 from goldenslant.config import load_config
 from goldenslant.cli import resolve_config
+from support import at_point, random_golden
 
 PSI_F = float(PSI)
 
@@ -212,8 +210,8 @@ def test_c6_extrinsic_suite():
         if np.linalg.svd(jacobian(imm.components, point), compute_uv=False).min() < 1e-4:
             continue
         count += 1
-        r_tan, r_nor = gauss_split_residual(imm, point, struct4)
-        worst_gauss = max(worst_gauss, r_tan, r_nor)
+        r_tan, r_nor = gauss_split_residuals(at_point(imm, point, struct4))
+        worst_gauss = max(worst_gauss, r_tan[0], r_nor[0])
     gauss_ok = worst_gauss <= 1e-9
 
     # invariant identity h(X, PY) = s h(X, Y) on genuinely invariant cases
@@ -228,7 +226,10 @@ def test_c6_extrinsic_suite():
     for imm, structure, pts in ((curved, struct6, [(0.0, 0.0), (0.3, -0.2)]),
                                 (affine, struct4, [(0.2, 0.4)])):
         for point in pts:
-            worst_inv = max(worst_inv, *invariant_connection_check(imm, point, structure))
+            geom = at_point(imm, point, structure)
+            assert invariance_kinds(geom.ops)[0] == "invariant"
+            r_par, r_wei = invariant_residuals(geom)
+            worst_inv = max(worst_inv, r_par[0], r_wei[0])
     inv_ok = worst_inv <= 1e-9
 
     # the anti-invariant shape-vanishing claim is probed and reported
@@ -237,7 +238,9 @@ def test_c6_extrinsic_suite():
     bent = ImmersionSpec.from_strings(
         ["u1", "u2"], ["u1", "psi*u1+0.05*u1^2", "u2", "psi*u2"]
     )
-    probe = anti_invariant_shape_vanishing(bent, (0.0, 0.0), anti_struct)
+    geom = at_point(bent, (0.0, 0.0), anti_struct)
+    assert invariance_kinds(geom.ops)[0] == "anti_invariant"
+    probe = float(shape_vanishing_probe(geom)[0])
     conforms = probe <= 1e-9
     probe_reported = math.isfinite(probe)
     print(f"[acceptance] 6 shape-vanishing finding: value={probe:.3e}, "

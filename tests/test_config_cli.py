@@ -417,12 +417,17 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
     @pytest.mark.parametrize("suites", [["structure", "identities", "slant"], ["curvature"]])
-    def test_metric_past_the_float_range_is_a_typed_suite_error(self, tmp_path, capsys,
-                                                                suites):
+    @pytest.mark.parametrize("entry", ["metric", "phi"])
+    def test_exact_entry_past_the_float_range_is_a_typed_suite_error(self, tmp_path, capsys,
+                                                                     entry, suites):
         def mutate(data):
-            # An exact metric entry of 10^400 has no float view.
-            data["ambient"]["metric"] = [[str(10 ** 400 if i == j == 0 else int(i == j))
-                                          for j in range(4)] for i in range(4)]
+            # An exact entry of 10^400 has no float view.
+            matrix = [[str(10 ** 400 if i == j == 0 else int(i == j)) for j in range(4)]
+                      for i in range(4)]
+            if entry == "metric":
+                data["ambient"]["metric"] = matrix
+            else:
+                data["ambient"]["phi"] = {"matrix": matrix}
             _immersion(("u", "u", "0", "0"))(data)
             _curvature_run()(data)
             data["suites"] = suites
@@ -431,7 +436,12 @@ class TestCli:
         assert captured.err == ""
         report = _strict_json(captured.out)["suites"]
         for name in suites:
-            if name == "structure":
+            if entry == "phi":
+                # phi^2 - phi - I has a (0, 0) entry near 10^800, an infinite residual.
+                assert report[name]["error"] == (
+                    "InvalidStructure: golden axioms violated: structure=inf, "
+                    "self-adjoint=0.000e+00, compat=inf"), report[name]
+            elif name == "structure":
                 assert report[name]["pass"] and report[name]["exact_zero"]
             else:
                 assert report[name]["error"] == ("DomainError: exact entry (0, 0) is beyond "

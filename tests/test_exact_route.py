@@ -1,5 +1,6 @@
 """One implementation per identity, one exact pass per scenario, one validation per build."""
 
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -154,10 +155,15 @@ class TestExactMatrix:
 
     @pytest.mark.parametrize("k", [10, 40, 200, 1000])
     def test_float_view_of_cancelling_entries_is_accurate(self, k):
-        # (1 - psi)^k = (L_k - F_k sqrt5)/2, whose two terms cancel about 1.4 k bits.
-        view = np.asarray(xl.qmatrix([[(1 - PSI) ** k, PSI]]), dtype=float)
+        # (1 - psi)^k = (L_k - F_k sqrt5)/2, whose two terms cancel about 1.4 k bits;
+        # in -10^308 + 10^308 sqrt5 the second term alone is past the float range.
+        entries = [(1 - PSI) ** k, PSI, QuadRat(-(10 ** 308), 10 ** 308)]
+        view = np.asarray(xl.qmatrix([entries]), dtype=float)
         assert view[0, 0] == pytest.approx(float(1 - PSI) ** k, rel=4 * k * 2.0 ** -52)
         assert view[0, 1] == float(PSI)
+        assert view[0, 2] == pytest.approx((math.sqrt(5.0) - 1) * 1e308, rel=2.0 ** -51)
+        # float(QuadRat) is the same formula, entry by entry
+        assert [float(x).hex() for x in entries] == [x.hex() for x in view[0].tolist()]
 
     def test_float_view_past_the_float_range_is_infinite(self):
         view = np.asarray(xl.qmatrix([[10 ** 400, -(10 ** 400), (1 - PSI) ** 1000 * 7]]),

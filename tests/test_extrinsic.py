@@ -3,17 +3,16 @@
 import math
 
 import numpy as np
-import pytest
 
-from goldenslant.errors import NotAntiInvariant, NotInvariant
 from goldenslant.extrinsic import (
-    anti_invariant_shape_vanishing,
-    gauss_split_residual,
-    invariant_connection_check,
-    second_fundamental_form,
+    _h_onb,
+    gauss_split_residuals,
+    invariant_residuals,
+    shape_vanishing_probe,
 )
 from goldenslant.structures import GoldenStructure, Metric, diagonal_golden
-from goldenslant.submanifold import ImmersionSpec
+from goldenslant.submanifold import ImmersionSpec, invariance_kinds
+from support import at_point
 
 EUCLID4 = Metric.euclidean(4, backend="float")
 STRUCT4 = diagonal_golden(["psi", "psi", "one_minus_psi", "one_minus_psi"]).to_float()
@@ -24,54 +23,75 @@ SPHERE_PATCH = ImmersionSpec.from_strings(
 )
 
 
+def _gauss_split(imm, point, structure):
+    r_tan, r_nor = gauss_split_residuals(at_point(imm, point, structure))
+    return float(r_tan[0]), float(r_nor[0])
+
+
+def _invariant(imm, point, structure):
+    """Both invariant residuals at ``point``, whose tangent space must be invariant."""
+    geom = at_point(imm, point, structure)
+    assert invariance_kinds(geom.ops)[0] == "invariant"
+    r_parallel, r_weingarten = invariant_residuals(geom)
+    return float(r_parallel[0]), float(r_weingarten[0])
+
+
+def _shape_probe(imm, point, structure):
+    """The shape-vanishing probe at ``point``, whose tangent space must be anti-invariant."""
+    geom = at_point(imm, point, structure)
+    assert invariance_kinds(geom.ops)[0] == "anti_invariant"
+    return float(shape_vanishing_probe(geom)[0])
+
+
 class TestSecondFundamentalForm:
     def test_affine_immersion_has_no_curvature_data(self):
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1+u2", "0"])
-        sff = second_fundamental_form(imm, (0.5, -0.5), EUCLID4)
-        assert np.abs(sff.h).max() == 0.0
-        assert np.abs(sff.christoffel_t).max() == 0.0
+        geom = at_point(imm, (0.5, -0.5), metric=EUCLID4)
+        assert np.abs(geom.h).max() == 0.0
+        assert np.abs(geom.christoffel).max() == 0.0
 
     def test_sphere_patch_normal_curvature(self):
         # At (0, 0): tangents are e3 and e2; d2x/du1^2 = (-1, 0, 0, 0), purely
         # normal with unit magnitude along the first axis.
-        sff = second_fundamental_form(SPHERE_PATCH, (0.0, 0.0), EUCLID4)
-        frame = sff.frame
-        ambient_h11 = frame.normal_onb @ sff.h[0, 0]
+        geom = at_point(SPHERE_PATCH, (0.0, 0.0), metric=EUCLID4)
+        h = geom.h[0]
+        ambient_h11 = geom.frame.normal_onb[0] @ h[0, 0]
         assert np.abs(ambient_h11 - np.array([-1.0, 0.0, 0.0, 0.0])).max() <= 1e-12
-        assert math.isclose(np.linalg.norm(sff.h[0, 0]), 1.0, abs_tol=1e-12)
+        assert math.isclose(np.linalg.norm(h[0, 0]), 1.0, abs_tol=1e-12)
 
     def test_paraboloid_hessian_split(self):
-        sff = second_fundamental_form(PARABOLOID, (0.0, 0.0), EUCLID4)
-        frame = sff.frame
-        h11 = frame.normal_onb @ sff.h[0, 0]
-        h22 = frame.normal_onb @ sff.h[1, 1]
+        geom = at_point(PARABOLOID, (0.0, 0.0), metric=EUCLID4)
+        h, normal = geom.h[0], geom.frame.normal_onb[0]
+        h11 = normal @ h[0, 0]
+        h22 = normal @ h[1, 1]
         assert np.abs(h11 - np.array([0, 0, 2.0, 0])).max() <= 1e-12
         assert np.abs(h22 - np.array([0, 0, 2.0, 0])).max() <= 1e-12
-        assert np.abs(sff.h[0, 1]).max() <= 1e-12
-        assert np.abs(sff.christoffel_t).max() <= 1e-12
+        assert np.abs(h[0, 1]).max() <= 1e-12
+        assert np.abs(geom.christoffel).max() <= 1e-12
 
     def test_h_is_symmetric(self):
         imm = ImmersionSpec.from_strings(
             ["u1", "u2"], ["u1", "u2", "u1^2*u2+sin(u1*u2)", "cos(u1)*u2^2"]
         )
-        sff = second_fundamental_form(imm, (0.3, 0.7), EUCLID4)
-        assert np.abs(sff.h - sff.h.transpose(1, 0, 2)).max() <= 1e-12
-        assert np.abs(sff.christoffel_t - sff.christoffel_t.transpose(1, 0, 2)).max() <= 1e-12
+        geom = at_point(imm, (0.3, 0.7), metric=EUCLID4)
+        h, christoffel = geom.h[0], geom.christoffel[0]
+        assert np.abs(h - h.transpose(1, 0, 2)).max() <= 1e-12
+        assert np.abs(christoffel - christoffel.transpose(1, 0, 2)).max() <= 1e-12
 
     def test_shape_operator_self_adjoint(self):
         # A_V is the contraction of h with V: g(A_V X, Y) = g(h(X, Y), V).
-        sff = second_fundamental_form(PARABOLOID, (0.2, 0.6), EUCLID4)
-        a_v = np.einsum("abc,c->ab", sff.h_onb(), np.array([1.0, -2.0]))
+        h_onb = _h_onb(at_point(PARABOLOID, (0.2, 0.6), metric=EUCLID4))[0]
+        a_v = np.einsum("abc,c->ab", h_onb, np.array([1.0, -2.0]))
         assert np.abs(a_v - a_v.T).max() <= 1e-12
 
 
 class TestGaussSplit:
     def test_affine_is_exactly_zero(self):
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1-u2", "0"])
-        assert gauss_split_residual(imm, (0.1, 0.9), STRUCT4) == (0.0, 0.0)
+        assert _gauss_split(imm, (0.1, 0.9), STRUCT4) == (0.0, 0.0)
 
     def test_paraboloid_residuals_vanish(self):
-        r_tan, r_nor = gauss_split_residual(PARABOLOID, (0.3, -0.2), STRUCT4)
+        r_tan, r_nor = _gauss_split(PARABOLOID, (0.3, -0.2), STRUCT4)
         assert r_tan <= 1e-9 and r_nor <= 1e-9
 
     def test_split_is_structure_independent(self):
@@ -81,7 +101,7 @@ class TestGaussSplit:
         phi[0, 1] += 0.3
         phi[1, 0] += 0.3
         broken = GoldenStructure(phi, EUCLID4, validate=False)
-        r_tan, r_nor = gauss_split_residual(PARABOLOID, (0.3, -0.2), broken)
+        r_tan, r_nor = _gauss_split(PARABOLOID, (0.3, -0.2), broken)
         assert r_tan <= 1e-9 and r_nor <= 1e-9
 
     def test_random_quadratic_immersions(self):
@@ -96,7 +116,7 @@ class TestGaussSplit:
             imm = ImmersionSpec.from_strings(["u1", "u2"], components)
             point = tuple(rng.uniform(-0.5, 0.5, 2))
             try:
-                r_tan, r_nor = gauss_split_residual(imm, point, STRUCT4)
+                r_tan, r_nor = _gauss_split(imm, point, STRUCT4)
             except Exception:
                 continue  # rank-deficient draw
             assert max(r_tan, r_nor) <= 1e-9
@@ -107,13 +127,13 @@ class TestInvariantConnection:
         imm = ImmersionSpec.from_strings(
             ["u1", "u2"], ["u1*cos(0.5)", "u1*sin(0.5)", "u2", "0"]
         )
-        assert invariant_connection_check(imm, (0.2, 0.4), STRUCT4) == (0.0, 0.0)
+        assert _invariant(imm, (0.2, 0.4), STRUCT4) == (0.0, 0.0)
 
     def test_bent_inside_psi_plane_stays_invariant(self):
         # bending confined to the psi eigenplane keeps the tangent space
         # invariant at the origin; both residuals stay at rounding level
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1+u1^2", "u2", "0", "0"])
-        r_par, r_wei = invariant_connection_check(imm, (0.0, 0.0), STRUCT4)
+        r_par, r_wei = _invariant(imm, (0.0, 0.0), STRUCT4)
         assert r_par <= 1e-9 and r_wei <= 1e-9
 
     def test_curved_invariant_submanifold_with_nonzero_h(self):
@@ -125,16 +145,10 @@ class TestInvariantConnection:
             ["u1", "u2"], ["u1", "u2", "u1^2+u2^2", "u1*u2", "0", "0"]
         )
         for point in [(0.0, 0.0), (0.3, -0.2)]:
-            sff_residuals = invariant_connection_check(imm, point, struct6)
+            sff_residuals = _invariant(imm, point, struct6)
             assert max(sff_residuals) <= 1e-9
-        sff = second_fundamental_form(imm, (0.3, -0.2), struct6.metric)
-        assert np.abs(sff.h).max() > 0.1  # the check was not vacuous
-
-    def test_not_invariant_input_raises(self):
-        imm = ImmersionSpec.from_strings(["u1"], ["u1", "psi*u1"])
-        struct2 = diagonal_golden(["psi", "one_minus_psi"]).to_float()
-        with pytest.raises(NotInvariant):
-            invariant_connection_check(imm, (0.0,), struct2)
+        geom = at_point(imm, (0.3, -0.2), metric=struct6.metric)
+        assert np.abs(geom.h).max() > 0.1  # the check was not vacuous
 
 
 class TestAntiInvariantProbe:
@@ -142,7 +156,7 @@ class TestAntiInvariantProbe:
 
     def test_affine_anti_invariant_vanishes(self):
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "psi*u1", "u2", "psi*u2"])
-        assert anti_invariant_shape_vanishing(imm, (0.2, 0.8), self.STRUCT) == 0.0
+        assert _shape_probe(imm, (0.2, 0.8), self.STRUCT) == 0.0
 
     def test_curved_anti_invariant_patch_reports_violation(self):
         # Quadratic normal bending keeps the origin tangent space
@@ -151,12 +165,5 @@ class TestAntiInvariantProbe:
         imm = ImmersionSpec.from_strings(
             ["u1", "u2"], ["u1", "psi*u1+0.05*u1^2", "u2", "psi*u2"]
         )
-        probe = anti_invariant_shape_vanishing(imm, (0.0, 0.0), self.STRUCT)
+        probe = _shape_probe(imm, (0.0, 0.0), self.STRUCT)
         assert probe > 1e-3  # finding: the vanishing claim fails off the affine case
-
-    def test_invariant_input_raises(self):
-        imm = ImmersionSpec.from_strings(
-            ["u1", "u2"], ["u1*cos(0.5)", "u1*sin(0.5)", "u2", "0"]
-        )
-        with pytest.raises(NotAntiInvariant):
-            anti_invariant_shape_vanishing(imm, (0.0, 0.0), STRUCT4)

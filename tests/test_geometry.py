@@ -15,21 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from goldenslant.extrinsic import (
-    gauss_split_residual,
-    gauss_split_residuals,
-    second_fundamental_form,
-)
+from goldenslant.extrinsic import gauss_split_residuals
 from goldenslant.slant import (
-    PROPER_SLANT,
-    SlantReport,
     _angles,
-    characterization_residual,
+    _characterization,
+    _corollary,
+    _cos2_forms,
+    _lemma_residuals,
     classify_geometry,
-    corollary_residual,
-    lemma_pq_identities,
 )
-from goldenslant.structures import GoldenStructure, Metric, diagonal_golden, random_golden
+from goldenslant.structures import GoldenStructure, Metric, _spectral, diagonal_golden
 from goldenslant.submanifold import (
     ImmersionSpec,
     SampleSpec,
@@ -38,6 +33,7 @@ from goldenslant.submanifold import (
     point_geometry,
     structural_identity_residuals,
 )
+from support import at_point, random_golden
 
 TOL = 1e-12
 
@@ -158,7 +154,7 @@ def test_batched_slant_angles_match_per_point_reference(imm, structure, derivati
     assert abs(report.angle_spread - (max(angles) - min(angles))) <= TOL
 
 
-def test_single_point_views_equal_their_batch_entries():
+def test_one_point_geometry_equals_its_batch_entries():
     structure = _skewed_structure(5, 2, seed=3)
     points = [(0.1, 0.2), (-0.4, 0.7), (0.6, -0.3)]
     geom = point_geometry(SURFACE5, structure.metric, structure, points)
@@ -173,10 +169,10 @@ def test_single_point_views_equal_their_batch_entries():
         report = structural_identity_residuals(ops, frame, structure)
         for key, value in report.residuals.items():
             assert abs(value - batched[key][i]) <= 1e-14, key
-        sff = second_fundamental_form(SURFACE5, point, structure.metric)
-        assert np.abs(sff.h - geom.h[i]).max() <= 1e-14
-        r_tan, r_nor = gauss_split_residual(SURFACE5, point, structure)
-        assert (r_tan, r_nor) == pytest.approx((gauss[0][i], gauss[1][i]), abs=1e-14)
+        one = at_point(SURFACE5, point, structure)
+        assert np.abs(one.h[0] - geom.h[i]).max() <= 1e-14
+        r_tan, r_nor = gauss_split_residuals(one)
+        assert (r_tan[0], r_nor[0]) == pytest.approx((gauss[0][i], gauss[1][i]), abs=1e-14)
 
 
 
@@ -270,7 +266,7 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
     ops = geom.ops._replace(p=geom.ops.p + 1e-3 * rng.standard_normal(geom.ops.p.shape),
                             q=geom.ops.q + 1e-3 * rng.standard_normal(geom.ops.q.shape))
     lam = 0.6
-    report = SlantReport(PROPER_SLANT, math.acos(math.sqrt(lam)), lam, 1.0 - lam, 0.0)
+    k = 1.0 - lam
     p, q, eye = ops.p, ops.q, np.eye(2)
     x, y = _unit(rng, (9, 200, 2)), _unit(rng, (9, 200, 2))
     px, py, qx, qy = x @ p.mT, y @ p.mT, x @ q.mT, y @ q.mT
@@ -279,21 +275,23 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
         return np.einsum("...i,...i->...", a, b)
 
     identities = structural_identity_residuals(ops, geom.frame, structure).residuals
-    lemma_p, lemma_q = lemma_pq_identities(ops, report)
+    # the residuals classify_geometry attaches, at the given lambda
+    lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, eye), q, np.eye(q.shape[-2]), lam, k,
+                                        _spectral)
     # residual, its matrix, and the form the earlier samples evaluated on (x, y)
     cases = {
         "p_self_adjoint": (identities["p_self_adjoint"], p.mT - p, dot(px, y) - dot(x, py)),
         "metric_split": (identities["metric_split"], p.mT @ p + q.mT @ q - eye - p.mT,
                          dot(px, py) + dot(qx, qy) - dot(x, y) - dot(px, y)),
-        "characterization": (characterization_residual(ops, report),
+        "characterization": (_characterization(p, p @ p, lam, _spectral),
                              p @ p - lam * (p + eye),
                              dot(x, px @ p.mT) - lam * (dot(x, x) + dot(x, px))),
-        "corollary": (corollary_residual(ops, report), p + eye - p @ p / lam,
+        "corollary": (_corollary(p, p @ p, lam), p + eye - p @ p / lam,
                       dot(x, px) + dot(x, x) - dot(x, px @ p.mT) / lam),
         "lemma_p": (lemma_p, p.mT @ p - lam * (eye + p),
                     dot(px, py) - lam * (dot(x, y) + dot(x, py))),
-        "lemma_q": (lemma_q, q.mT @ q - report.k * (eye + p.mT),
-                    dot(qx, qy) - report.k * (dot(x, y) + dot(px, y))),
+        "lemma_q": (lemma_q, q.mT @ q - k * (eye + p.mT),
+                    dot(qx, qy) - k * (dot(x, y) + dot(px, y))),
     }
     for name, (value, matrix, form) in cases.items():
         assert value.shape == (9,), name

@@ -1,0 +1,111 @@
+"""A stdlib ``ast`` scan of the package for two kinds of dead code.
+
+* A module-level import that its module never reads (pyflakes' F401). An
+  import line marked ``# noqa: F401`` is kept on purpose and passes.
+* A private (``_name``) top-level function, class or constant that no module
+  of the package reads: not by name, not as an attribute and not by import.
+"""
+
+import ast
+from pathlib import Path
+
+import goldenslant
+
+PACKAGE = Path(goldenslant.__file__).resolve().parent
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    """Names read through a plain name."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a literal ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def unused_imports(sources: dict[str, str]) -> list[str]:
+    """``file:line: name`` for each module-level import its module never reads."""
+    found = []
+    for filename, text in sources.items():
+        tree, lines = ast.parse(text), text.splitlines()
+        used = _loaded(tree) | _exported(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{filename}:{alias.lineno}: {bound}")
+    return found
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names read by name, as an attribute, or by a ``from ... import``."""
+    out = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """``file:line: name`` for each private top-level definition no module reads."""
+    trees = {filename: ast.parse(text) for filename, text in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
+    return [f"{filename}:{lineno}: {name}"
+            for filename, tree in trees.items()
+            for name, lineno in _top_level_names(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_no_unused_module_level_import():
+    assert unused_imports(_package_sources()) == []
+
+
+def test_no_unreferenced_private_helper():
+    assert unreferenced_privates(_package_sources()) == []
+
+
+def test_the_scan_finds_dead_code_and_honours_noqa():
+    sources = {
+        "a.py": ("from __future__ import annotations\n"
+                 "import os\n"
+                 "import sys  # noqa: F401\n"
+                 "from .b import _used, used_too\n"
+                 "def _dead():\n"
+                 "    return used_too\n"
+                 "_CONST = 1\n"),
+        "b.py": ("import numpy as np\n"
+                 "def _used():\n"
+                 "    return np.pi\n"
+                 "def _aliased():\n"
+                 "    pass\n"
+                 "used_too = _aliased\n"),
+    }
+    assert unused_imports(sources) == ["a.py:2: os", "a.py:4: _used"]
+    assert unreferenced_privates(sources) == ["a.py:5: _dead", "a.py:7: _CONST"]

@@ -1,14 +1,15 @@
 """Exact Q(sqrt5) arithmetic."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import goldenslant.exactlin as xl
-from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat, SQRT5, parse_quadrat
+from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat, SQRT5, fast_sum_holds, parse_quadrat
 
 _small_fractions = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 _quadrats = st.builds(QuadRat, _small_fractions, _small_fractions)
@@ -210,9 +211,18 @@ def test_canonical_form_of_unreduced_inputs():
 
 
 @given(_pairs)
-def test_float_matches_the_fraction_formula_bit_for_bit(x):
-    expected = float(x[0]) + float(x[1]) * math.sqrt(5.0)
-    assert float(QuadRat(*x)).hex() == expected.hex()
+@example((Fraction(9, 4), Fraction(-1)))  # 9/4 - sqrt5 cancels 8.3 bits
+@example((Fraction(-(10**308)), Fraction(10**308)))  # 10^308 sqrt5 alone is past the range
+def test_float_is_the_fraction_formula_unless_it_cancels(x):
+    a, b = float(x[0]), float(x[1]) * math.sqrt(5.0)
+    got = float(QuadRat(*x))
+    if fast_sum_holds(a + b, a, b):
+        assert got.hex() == (a + b).hex()
+    else:  # within an ulp of a 200-digit value
+        with localcontext(prec=200):
+            exact = float(Decimal(x[0].numerator) / x[0].denominator
+                          + Decimal(x[1].numerator) / x[1].denominator * Decimal(5).sqrt())
+        assert abs(got - exact) <= math.ulp(exact)
 
 
 def test_numerators_beyond_64_bits_stay_exact():

@@ -6,18 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goldenslant.errors import LambdaZero, NotSlant, ZeroVector
+from goldenslant.errors import ZeroVector
 from goldenslant.quadrat import PSI, QuadRat
 from goldenslant.slant import (
     _angles,
-    characterization_residual,
     classify,
-    corollary_residual,
-    exact_lambda_candidates,
+    classify_geometry,
     exact_slant_data,
-    lemma_pq_identities,
     reference_cosine,
-    tq_identity_residual,
 )
 from goldenslant.structures import diagonal_golden
 from goldenslant.submanifold import (
@@ -28,6 +24,7 @@ from goldenslant.submanifold import (
     frame_at,
     induced_operators,
 )
+from support import at_point
 
 INVARIANT_IMM = ImmersionSpec.from_strings(
     ["u1", "u2"], ["u1*cos(0.5)", "u1*sin(0.5)", "u2", "0"]
@@ -53,6 +50,11 @@ ANTI_STRUCT = diagonal_golden(["psi", "one_minus_psi"]).to_float()
 def _ops(imm, structure, point):
     frame = frame_at(imm, point, structure.metric)
     return frame, induced_operators(frame, structure)
+
+
+def _residual(imm, structure, point, name):
+    """The slant identity residual ``name`` that classification attaches at one point."""
+    return classify_geometry(at_point(imm, point, structure)).residuals[name]
 
 
 def _angle_of(ops, x):
@@ -125,13 +127,6 @@ class TestClassify:
         for rep in (classify(SLANT_IMM, SLANT_STRUCT), classify(ANTI_IMM, ANTI_STRUCT)):
             assert abs(rep.lam + rep.k - 1.0) <= 1e-12
 
-    def test_classification_stable_under_resampling(self):
-        for seed in (0, 1, 99):
-            assert classify(SLANT_IMM, SLANT_STRUCT, seed=seed).classification \
-                == "proper_slant"
-            assert classify(INVARIANT_IMM, INVARIANT_STRUCT, seed=seed).classification \
-                == "invariant"
-
     def test_residuals_attached_for_slant_results(self):
         rep = classify(SLANT_IMM, SLANT_STRUCT)
         assert set(rep.residuals) == {"characterization", "lemma_p", "lemma_q",
@@ -156,73 +151,59 @@ class TestCharacterization:
         assert p * p == lam * (p + 1)
 
     def test_float_residual_small(self):
-        rep = classify(SLANT_IMM, SLANT_STRUCT)
-        _, ops = _ops(SLANT_IMM, SLANT_STRUCT, (0.0, 0.0))
-        assert characterization_residual(ops, rep) <= 1e-12
+        assert _residual(SLANT_IMM, SLANT_STRUCT, (0.0, 0.0), "characterization") <= 1e-12
 
     def test_invariant_reduces_to_golden_identity(self):
         rep = classify(INVARIANT_IMM, INVARIANT_STRUCT)
-        _, ops = _ops(INVARIANT_IMM, INVARIANT_STRUCT, (0.3, 0.3))
         assert rep.lam == pytest.approx(1.0, abs=1e-12)
-        assert characterization_residual(ops, rep) <= 1e-9
+        assert _residual(INVARIANT_IMM, INVARIANT_STRUCT, (0.3, 0.3),
+                         "characterization") <= 1e-9
 
-    def test_not_slant_raises(self):
+    def test_not_slant_gets_no_residuals(self):
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1^2", "0"])
         rep = classify(imm, INVARIANT_STRUCT)
-        _, ops = _ops(imm, INVARIANT_STRUCT, (0.5, 0.5))
-        with pytest.raises(NotSlant):
-            characterization_residual(ops, rep)
+        assert rep.classification == "non_slant" and not rep.residuals
 
 
 class TestCorollaryAndLemma:
     def test_corollary_zero_for_slant_example(self):
-        rep = classify(SLANT_IMM, SLANT_STRUCT)
-        _, ops = _ops(SLANT_IMM, SLANT_STRUCT, (0.0, 0.0))
-        assert corollary_residual(ops, rep) <= 1e-12
+        assert _residual(SLANT_IMM, SLANT_STRUCT, (0.0, 0.0), "corollary") <= 1e-12
 
     def test_corollary_zero_for_invariant(self):
-        rep = classify(INVARIANT_IMM, INVARIANT_STRUCT)
-        _, ops = _ops(INVARIANT_IMM, INVARIANT_STRUCT, (0.1, 0.1))
-        assert corollary_residual(ops, rep) <= 1e-9
+        assert _residual(INVARIANT_IMM, INVARIANT_STRUCT, (0.1, 0.1), "corollary") <= 1e-9
 
-    def test_corollary_rejects_anti_invariant(self):
+    def test_corollary_skipped_for_anti_invariant(self):
+        # The corollary divides by lambda, which is 0 here.
         rep = classify(ANTI_IMM, ANTI_STRUCT)
-        _, ops = _ops(ANTI_IMM, ANTI_STRUCT, (0.0,))
-        with pytest.raises(LambdaZero):
-            corollary_residual(ops, rep)
+        assert rep.classification == "anti_invariant" and rep.lam <= 1e-24
+        assert "corollary" not in rep.residuals and "tq" in rep.residuals
 
     def test_lemma_identities_small_on_examples(self):
         for imm, structure in [(SLANT_IMM, SLANT_STRUCT), (STEEP_IMM, STEEP_STRUCT),
                                (INVARIANT_IMM, INVARIANT_STRUCT)]:
-            rep = classify(imm, structure)
-            _, ops = _ops(imm, structure, (0.4, 0.2))
-            r_p, r_q = lemma_pq_identities(ops, rep, trials=100)
-            assert r_p <= 1e-10 and r_q <= 1e-10
+            assert _residual(imm, structure, (0.4, 0.2), "lemma_p") <= 1e-10
+            assert _residual(imm, structure, (0.4, 0.2), "lemma_q") <= 1e-10
 
 
 class TestTqIdentity:
     def test_invariant_gives_zero(self):
-        rep = classify(INVARIANT_IMM, INVARIANT_STRUCT)
-        _, ops = _ops(INVARIANT_IMM, INVARIANT_STRUCT, (0.1, 0.2))
-        assert tq_identity_residual(ops, rep) <= 1e-9
+        assert _residual(INVARIANT_IMM, INVARIANT_STRUCT, (0.1, 0.2), "tq") <= 1e-9
 
     def test_slant_example_value_is_five_ninths(self):
-        rep = classify(SLANT_IMM, SLANT_STRUCT)
         _, ops = _ops(SLANT_IMM, SLANT_STRUCT, (0.0, 0.0))
         tq = ops.t @ ops.q
         assert np.abs(tq - (5.0 / 9.0) * np.eye(2)).max() <= 1e-12
-        assert tq_identity_residual(ops, rep) <= 1e-12
+        assert _residual(SLANT_IMM, SLANT_STRUCT, (0.0, 0.0), "tq") <= 1e-12
         # rational identity: (1 - 16/21)(4/3 + 1) = 5/9 = -(4/3)^2 + 4/3 + 1
         lam = Fraction(16, 21)
         p = Fraction(4, 3)
         assert (1 - lam) * (p + 1) == Fraction(5, 9) == -p * p + p + 1
 
     def test_anti_invariant_tq_is_identity(self):
-        rep = classify(ANTI_IMM, ANTI_STRUCT)
         _, ops = _ops(ANTI_IMM, ANTI_STRUCT, (0.0,))
         tq = ops.t @ ops.q
         assert np.abs(tq - np.eye(1)).max() <= 1e-12
-        assert tq_identity_residual(ops, rep) <= 1e-12
+        assert _residual(ANTI_IMM, ANTI_STRUCT, (0.0,), "tq") <= 1e-12
 
 
 class TestExactRoute:
@@ -249,8 +230,7 @@ class TestExactRoute:
         eops = exact_induced_operators(
             exact_frame(SLANT_IMM, SLANT_STRUCT_EXACT.metric), SLANT_STRUCT_EXACT
         )
-        candidates = exact_lambda_candidates(eops)
-        assert candidates[0] == candidates[1]
+        assert exact_slant_data(eops)["lambda_uniform"]
 
 
 class TestReferenceCosine:

@@ -25,8 +25,9 @@ from goldenslant.spaceform import (
     ricci_closed,
     ricci_framesum,
 )
-from goldenslant.structures import GoldenStructure, Metric, random_golden
+from goldenslant.structures import GoldenStructure, Metric
 from goldenslant.suites import run_curvature_suite
+from support import random_golden
 
 PSI_F = float(PSI)
 

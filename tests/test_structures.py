@@ -5,7 +5,6 @@ import pytest
 
 import goldenslant.exactlin as xl
 from goldenslant.errors import (
-    BadSignature,
     DimensionMismatch,
     InvalidInvolution,
     InvalidStructure,
@@ -20,9 +19,9 @@ from goldenslant.structures import (
     golden_eigendecomp,
     golden_from_product,
     product_from_golden,
-    random_golden,
     verify_golden,
 )
+from support import random_golden
 
 PSI_F = float(PSI)
 
@@ -135,10 +134,6 @@ class TestRandomGolden:
         assert np.array_equal(a.phi_float, b.phi_float)
         c = random_golden(5, 2, seed=10)
         assert not np.array_equal(a.phi_float, c.phi_float)
-
-    def test_bad_signature(self):
-        with pytest.raises(BadSignature):
-            random_golden(3, 4, seed=0)
 
     def test_determinant_is_product_of_eigenvalues(self):
         for n, p, seed in [(4, 2, 0), (6, 2, 3), (5, 4, 1), (8, 4, 2)]:

@@ -13,7 +13,6 @@ from goldenslant.structures import (
     GoldenStructure,
     Metric,
     diagonal_golden,
-    random_golden,
     verify_golden,
 )
 from goldenslant.submanifold import (
@@ -27,6 +26,7 @@ from goldenslant.submanifold import (
     invariance_kinds,
     structural_identity_residuals,
 )
+from support import random_golden
 
 PSI_F = float(PSI)
 
