@@ -36,11 +36,13 @@ Exact route: the same identities over Q(sqrt5) for affine immersions.
 """,
     "extrinsic": """\
 extrinsic suite: second fundamental form and split checks (flat ambient)
-  gauss_tangential     tan(phi D2x_ij) = P Gamma_ij + t h_ij
-  gauss_normal         nor(phi D2x_ij) = Q Gamma_ij + s h_ij
-  h_symmetry           h_ij = h_ji
-  invariant_parallel   tan(phi D2x_ij) = P Gamma_ij      (invariant tangent spaces)
+  gauss_tangential     tan(phi D2x_ij) = P tan(D2x_ij) + t h_ij
+  gauss_normal         nor(phi D2x_ij) = Q tan(D2x_ij) + s h_ij
+  h_symmetry           h_ij = h_ji, with h_ij = nor(D2x_ij)
+  invariant_parallel   tan(phi D2x_ij) = P tan(D2x_ij)   (invariant tangent spaces)
   invariant_weingarten h(X, PY) = s h(X, Y)              (invariant tangent spaces)
+  tan and nor are coordinates in the orthonormal tangent and normal frames,
+  the frames P, Q, t and s are written in.
   finding: shape_operator_max = max |A_{phi Y}| for anti-invariant tangent
   spaces; the vanishing claim is probed, not assumed.
 """,
@@ -115,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--tol-angle", type=float, default=None,
                        help="override the slant angle tolerance")
-    run_p.add_argument("--backend", choices=["auto", "exact", "float"], default="auto",
+    run_p.add_argument("--backend", choices=["auto", "float"], default="auto",
                        help="numeric backend for the ambient structure")
 
     sub.add_parser("list", help="list bundled reproduction configs")

@@ -3,10 +3,11 @@
 The ambient space is flat with a constant ``phi``, so the ambient
 derivative of a coordinate tangent field is just the immersion Hessian and
 the derivative of ``phi Y`` along ``X`` is ``phi`` applied to it.  Splitting
-these vectors through the frames gives the induced connection coefficients
-(tangential part) and the second fundamental form ``h`` (normal part), and
-turns the tangential/normal split of the structure equation into entrywise
-residual checks.
+these vectors through the orthonormal frames gives their tangential part and
+the second fundamental form ``h`` (normal part), and turns the
+tangential/normal split of the structure equation into entrywise residual
+checks.  Everything is written in the frames that P, Q, t and s live in, so
+no connection coefficients are solved for.
 
 The checks take a :class:`~goldenslant.submanifold.PointGeometry` and
 return one residual per point.
@@ -27,17 +28,12 @@ def _amax3(a: np.ndarray) -> np.ndarray:
     return _amax(a, (-3, -2, -1))
 
 
-def _phi_hessian_split(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tangent and normal coordinates of phi D2x_ij, and tangent coordinates of
-    the connection term sum_k Gamma_ij^k e_k, each indexed [point, i, j, coordinate]."""
+def _phi_hessian_split(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent and normal coordinates of phi D2x_ij, each indexed [point, i, j, coordinate]."""
     frame = geom.frame
-    g = frame.metric.matrix
     v = np.einsum("ab,...bij->...aij", geom.structure.phi_float, geom.hessians)
-    tg = frame.tangent_onb.mT @ g
-    tan = np.einsum("...an,...nij->...ija", tg, v)
-    nor = np.einsum("...kn,...nij->...ijk", frame.normal_onb.mT @ g, v)
-    nabla = np.einsum("...ab,...ijb->...ija", tg @ frame.raw_tangents, geom.christoffel)
-    return tan, nor, nabla
+    coords = np.einsum("...kn,...nij->...ijk", frame.onb.mT @ frame.metric.matrix, v)
+    return coords[..., :frame.m], coords[..., frame.m:]
 
 
 def _apply(op: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -48,15 +44,16 @@ def _apply(op: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def gauss_split_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-point residuals of the tangential and normal split of ``phi`` applied to Hessians.
 
-    tangential(phi D2x_ij) = P christoffel_ij + t h_ij and
-    normal(phi D2x_ij) = Q christoffel_ij + s h_ij.  The split is
-    definitional for any linear ambient operator, so these vanish whether or
-    not ``phi`` is golden; they validate the frame/operator bookkeeping.
+    tan(phi D2x_ij) = P tan(D2x_ij) + t h_ij and
+    nor(phi D2x_ij) = Q tan(D2x_ij) + s h_ij, all in frame coordinates.  The
+    split is definitional for any linear ambient operator, so these vanish
+    whether or not ``phi`` is golden; they validate the frame/operator
+    bookkeeping.
     """
     ops = geom.ops
-    tan, nor, nabla = _phi_hessian_split(geom)
-    r_tan = _amax3(tan - _apply(ops.p, nabla) - _apply(ops.t, geom.h))
-    r_nor = _amax3(nor - _apply(ops.q, nabla) - _apply(ops.s, geom.h))
+    tan, nor = _phi_hessian_split(geom)
+    r_tan = _amax3(tan - _apply(ops.p, geom.tangential) - _apply(ops.t, geom.h))
+    r_nor = _amax3(nor - _apply(ops.q, geom.tangential) - _apply(ops.s, geom.h))
     return r_tan, r_nor
 
 
@@ -64,18 +61,17 @@ def invariant_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-point residuals of both invariant-submanifold identities.
 
     First value: the parallelism of the induced structure, i.e. the
-    tangential part of ``phi D2x_ij`` minus ``P`` applied to the connection
-    coefficients (the ``t h`` term drops since ``t = 0`` wherever ``Q = 0``).
-    Second value: ``h(X, PY) - s h(X, Y)`` over the coordinate basis.  Both
-    presume invariant tangent spaces.
+    tangential part of ``phi D2x_ij`` minus ``P`` applied to the tangential
+    part of ``D2x_ij`` (the ``t h`` term drops since ``t = 0`` wherever
+    ``Q = 0``).  Second value: ``h(X, PY) - s h(X, Y)`` over the coordinate
+    basis.  Both presume invariant tangent spaces.
     """
     ops = geom.ops
-    tan, _, nabla = _phi_hessian_split(geom)
-    e = geom.frame.raw_tangents
-    etg = e.mT @ geom.frame.metric.matrix
-    p_raw = np.linalg.solve(etg @ e, etg @ geom.structure.phi_float @ e)
-    h_py = np.einsum("...kj,...ikc->...ijc", p_raw, geom.h)
-    return _amax3(tan - _apply(ops.p, nabla)), _amax3(h_py - _apply(ops.s, geom.h))
+    tan, _ = _phi_hessian_split(geom)
+    # The raw tangents are E = T C, so P reads C^-1 P C in the raw basis.
+    c = geom.frame.tangent_coords(geom.frame.raw_tangents)
+    h_py = np.einsum("...kj,...ikc->...ijc", np.linalg.solve(c, ops.p @ c), geom.h)
+    return _amax3(tan - _apply(ops.p, geom.tangential)), _amax3(h_py - _apply(ops.s, geom.h))
 
 
 def shape_vanishing_probe(geom: PointGeometry) -> np.ndarray:
@@ -91,7 +87,6 @@ def shape_vanishing_probe(geom: PointGeometry) -> np.ndarray:
 
 def _h_onb(geom: PointGeometry) -> np.ndarray:
     """h re-indexed by the orthonormal tangent frame instead of raw tangents."""
-    e = geom.frame.raw_tangents
-    etg = e.mT @ geom.frame.metric.matrix
-    coords = np.linalg.solve(etg @ e, etg @ geom.frame.tangent_onb)  # m x m
+    # The raw tangents are E = T C, so the frame is T = E C^-1.
+    coords = np.linalg.inv(geom.frame.tangent_coords(geom.frame.raw_tangents))
     return np.einsum("...ia,...jb,...ijc->...abc", coords, coords, geom.h)

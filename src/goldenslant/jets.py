@@ -40,23 +40,16 @@ class Jet2:
     def m(self) -> int:
         return self.grad.shape[-1]
 
-    def __add__(self, other: Jet2 | float) -> Jet2:
-        other = _lift(other, self.m)
+    def __add__(self, other: Jet2) -> Jet2:
         return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-
-    __radd__ = __add__
 
     def __neg__(self) -> Jet2:
         return Jet2(-self.value, -self.grad, -self.hess)
 
-    def __sub__(self, other: Jet2 | float) -> Jet2:
-        return self + (-_lift(other, self.m))
+    def __sub__(self, other: Jet2) -> Jet2:
+        return self + (-other)
 
-    def __rsub__(self, other: Jet2 | float) -> Jet2:
-        return (-self) + other
-
-    def __mul__(self, other: Jet2 | float) -> Jet2:
-        other = _lift(other, self.m)
+    def __mul__(self, other: Jet2) -> Jet2:
         u, v = _axis(self.value), _axis(other.value)
         cross = self.grad[..., :, None] * other.grad[..., None, :]
         return Jet2(
@@ -66,17 +59,11 @@ class Jet2:
             + np.swapaxes(cross, -1, -2),
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Jet2 | float) -> Jet2:
-        other = _lift(other, self.m)
+    def __truediv__(self, other: Jet2) -> Jet2:
         w = np.asarray(other.value, dtype=float)
         if np.any(w == 0.0):
             raise DomainError("division by zero")
         return self * other._chain(1.0 / w, -1.0 / w**2, 2.0 / w**3)
-
-    def __rtruediv__(self, other: Jet2 | float) -> Jet2:
-        return _lift(other, self.m) / self
 
     def __pow__(self, k: int) -> Jet2:
         if k == 0:
@@ -97,12 +84,6 @@ class Jet2:
 def _axis(x) -> np.ndarray:
     """Batch values with one trailing axis, to scale gradient rows."""
     return np.asarray(x, dtype=float)[..., None]
-
-
-def _lift(x: Jet2 | float, m: int) -> Jet2:
-    if isinstance(x, Jet2):
-        return x
-    return Jet2.constant(float(x), m)
 
 
 def sin(x: Jet2) -> Jet2:

@@ -19,7 +19,7 @@ entry read out, an exact max or a lambda.  :attr:`QuadRat.integers`,
 ``float(x)`` and the float view of an exact matrix share one formula,
 :func:`to_float`: two correctly rounded int divisions and one float sum,
 recomputed from the integers to within an ulp where the sum cancels more
-than 8 bits or leaves the float range (infinite only past it).
+than 2 bits or leaves the float range (infinite only past it).
 """
 
 from __future__ import annotations
@@ -185,8 +185,8 @@ def to_float(p: int, q: int, d: int) -> float:
 
 def fast_sum_holds(total, a, b):
     """Whether the float sum ``total = a + b`` of the two terms is finite and cancels at
-    most 8 bits, so that its relative error stays under 2^-43: floats or float arrays."""
-    return (abs(a) + abs(b) <= abs(total) * 256) & (abs(total) < math.inf)
+    most 2 bits, so that its relative error stays under 2^-49: floats or float arrays."""
+    return (abs(a) + abs(b) <= abs(total) * 4) & (abs(total) < math.inf)
 
 
 def rounded(p: int, q: int, d: int) -> float:

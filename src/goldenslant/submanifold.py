@@ -97,9 +97,14 @@ class TangentFrame(NamedTuple):
         return TangentFrame(tuple(self.point[i].tolist()), self.raw_tangents[i],
                             self.tangent_onb[i], self.normal_onb[i], self.metric)
 
+    @property
+    def onb(self) -> np.ndarray:
+        """The combined frame [tangent | normal] (n x n)."""
+        return np.concatenate([self.tangent_onb, self.normal_onb], axis=-1)
+
     def gram_residual(self) -> np.ndarray | float:
         """Deviation of the combined frame from g-orthonormality, per point of a stack."""
-        full = np.concatenate([self.tangent_onb, self.normal_onb], axis=-1)
+        full = self.onb
         return _amax(full.mT @ self.metric.matrix @ full - np.eye(self.n))
 
     def tangent_coords(self, ambient: np.ndarray) -> np.ndarray:
@@ -135,7 +140,7 @@ def frame_at(imm: ImmersionSpec, point: Sequence[float], metric: Metric) -> Tang
 
 
 class InducedOperators(NamedTuple):
-    """Matrices of P, Q, t, s in the orthonormal frames of ``frame``.
+    """Matrices of P, Q, t, s in the orthonormal frames they were projected through.
 
     Operators of stacked frames carry the same leading point axis.
     """
@@ -144,7 +149,6 @@ class InducedOperators(NamedTuple):
     q: np.ndarray  # (n-m) x m
     t: np.ndarray  # m x (n-m)
     s: np.ndarray  # (n-m) x (n-m)
-    frame: TangentFrame
 
     @property
     def m(self) -> int:
@@ -152,7 +156,7 @@ class InducedOperators(NamedTuple):
 
     def at(self, i: int) -> InducedOperators:
         """The operators at point ``i`` of a stack."""
-        return InducedOperators(self.p[i], self.q[i], self.t[i], self.s[i], self.frame.at(i))
+        return InducedOperators(self.p[i], self.q[i], self.t[i], self.s[i])
 
 
 def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> InducedOperators:
@@ -160,28 +164,27 @@ def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> Induce
     if structure.n != frame.n:
         raise DimensionMismatch("structure and frame ambient dimensions differ")
     m = frame.m
-    full = np.concatenate([frame.tangent_onb, frame.normal_onb], axis=-1)
+    full = frame.onb
     blocks = full.mT @ (frame.metric.matrix @ structure.phi_float @ full)
     return InducedOperators(p=blocks[..., :m, :m], q=blocks[..., m:, :m],
-                            t=blocks[..., :m, m:], s=blocks[..., m:, m:], frame=frame)
+                            t=blocks[..., :m, m:], s=blocks[..., m:, m:])
 
 
 class PointGeometry(NamedTuple):
     """Every sample point of a scenario, evaluated once and shared by the point suites.
 
     Arrays lead with the point axis: the stacked ``frame`` (Jacobians in
-    ``raw_tangents``), ``hessians`` (N x n x m x m), ``h`` in normal-frame
-    coordinates (N x m x m x (n-m)), ``christoffel`` in the raw tangent basis
-    (N x m x m x m) and, given a structure, the stacked ``ops``.  ``exact``
-    holds the scenario's exact route (P, Q, t, s over Q(sqrt5)) when it has
-    one and a suite reads it.
+    ``raw_tangents``), ``hessians`` (N x n x m x m), their frame coordinates
+    split into ``tangential`` (N x m x m x m) and the second fundamental form
+    ``h`` (N x m x m x (n-m)), and, given a structure, the stacked ``ops``.
+    ``exact`` holds the scenario's exact route (P, Q, t, s over Q(sqrt5))
+    when it has one and a suite reads it.
     """
 
-    imm: ImmersionSpec
     frame: TangentFrame
     hessians: np.ndarray
+    tangential: np.ndarray
     h: np.ndarray
-    christoffel: np.ndarray
     ops: InducedOperators | None
     structure: GoldenStructure | None
     exact: ExactInducedOperators | None = None
@@ -195,7 +198,7 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
                    structure: GoldenStructure | None = None,
                    points: Sequence[Sequence[float]] | None = None) -> PointGeometry:
     """One batched pass over ``points`` (default: the immersion's sample points):
-    jets, frames, ``h``, Christoffel coefficients and, given ``structure``, P, Q, t, s.
+    jets, frames, the frame coordinates of the Hessians and, given ``structure``, P, Q, t, s.
     An affine immersion reads its exact form instead of jets: its second derivatives are 0."""
     if metric.n != imm.n:
         raise DimensionMismatch("metric dimension does not match the ambient space")
@@ -205,25 +208,18 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
         jac, hess = evaluate(imm.components, pts)
     else:
         jac = evaluate_affine(*(np.asarray(x, dtype=float) for x in form), pts)
-        size, n, m = jac.shape
-        hess = np.zeros((size, n, m, m))
-        h, christoffel = np.zeros((size, m, m, n - m)), np.zeros((size, m, m, m))
+        hess = np.zeros(jac.shape + jac.shape[-1:])
     if structure is not None:
         structure = structure.to_float()
     # Products that overflow give non-finite values, which fail the checks
     # that read them.
     with np.errstate(over="ignore", invalid="ignore"):
         frame = _stacked_frames(pts, jac, metric.to_float())
-        if form is None:
-            # Split D2x into its normal part (normal-frame coordinates) and its
-            # tangential part (coefficients in the raw tangent basis).
-            g = frame.metric.matrix
-            etg = jac.mT @ g
-            h = np.einsum("...kn,...nij->...ijk", frame.normal_onb.mT @ g, hess)
-            rhs = np.einsum("...an,...nij->...ija", etg, hess)
-            christoffel = np.linalg.solve((etg @ jac)[:, None, None], rhs[..., None])[..., 0]
+        # Coordinates of D2x_ij in [tangent | normal]: the first m are its
+        # tangential part, the rest the second fundamental form h_ij.
+        split = np.einsum("...kn,...nij->...ijk", frame.onb.mT @ frame.metric.matrix, hess)
         ops = None if structure is None else induced_operators(frame, structure)
-    return PointGeometry(imm, frame, hess, h, christoffel, ops, structure)
+    return PointGeometry(frame, hess, split[..., :frame.m], split[..., frame.m:], ops, structure)
 
 
 class IdentityReport(NamedTuple):

@@ -184,33 +184,32 @@ def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
     trials, seed = sf.trials, sf.seed
     # Overflowing curvatures give Inf/NaN residuals, which fail the checks below.
     with np.errstate(over="ignore", invalid="ignore"):
-        (identities, ricci_phi, commutation, corollary, rs_props, gap,
-         probe) = curvature_program(model, trials, seed)
-    passed = (identities["ricci_framesum_vs_closed"] <= tol.tol_frame
-              and identities["bianchi"] <= 1e-10
-              and identities["pair_symmetry"] <= 1e-10
-              and identities["antisymmetry"] <= 1e-10
-              and all(v <= tol.tol_frame for path in ricci_phi.values()
+        prog = curvature_program(model, trials, seed)
+    passed = (prog.identities["ricci_framesum_vs_closed"] <= tol.tol_frame
+              and prog.identities["bianchi"] <= 1e-10
+              and prog.identities["pair_symmetry"] <= 1e-10
+              and prog.identities["antisymmetry"] <= 1e-10
+              and all(v <= tol.tol_frame for path in prog.ricci_phi.values()
                       for v in path.values()))
     findings = {
-        "commutation": commutation,
-        "commutation_conforms": all(v <= tol.tol_frame for v in commutation.values()),
-        "rs_corollary": corollary,
-        "rs_corollary_conforms": corollary <= tol.tol_frame,
-        "rs_phi_propositions": rs_props,
-        "rs_phi_conforms": all(v <= 1e-8 for v in rs_props.values()),
-        "rs_closed_form_gap": gap,
-        "rs_closed_form_conforms": gap <= tol.tol_frame,
-        "non_semi_symmetry_probe": probe,
-        "non_semi_symmetry_nonvanishing": probe > NONVANISHING_THRESHOLD,
+        "commutation": prog.commutation,
+        "commutation_conforms": all(v <= tol.tol_frame for v in prog.commutation.values()),
+        "rs_corollary": prog.rs_corollary,
+        "rs_corollary_conforms": prog.rs_corollary <= tol.tol_frame,
+        "rs_phi_propositions": prog.rs_phi_propositions,
+        "rs_phi_conforms": all(v <= 1e-8 for v in prog.rs_phi_propositions.values()),
+        "rs_closed_form_gap": prog.rs_closed_form_gap,
+        "rs_closed_form_conforms": prog.rs_closed_form_gap <= tol.tol_frame,
+        "non_semi_symmetry_probe": prog.non_semi_symmetry_probe,
+        "non_semi_symmetry_nonvanishing": prog.non_semi_symmetry_probe > NONVANISHING_THRESHOLD,
     }
     cert = nabla_identities_certificate(model)
     return {
         "pass": passed,
         "model": {"n": model.n, "p": model.p, "c_p": model.c_p, "c_q": model.c_q,
                   "trace_phi": model.trace_phi, "trials": trials, "seed": seed},
-        "identities": identities,
-        "ricci_phi": ricci_phi,
+        "identities": prog.identities,
+        "ricci_phi": prog.ricci_phi,
         "findings": findings,
         "certificate": {
             "certified": cert.certified,

@@ -349,6 +349,19 @@ class TestCli:
         assert captured.err.startswith(f"report error: --report {path}: ")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "paper_example_1", "--backend", "exact"],
+        ["run", "paper_example_1", "--backend", "gpu"],
+        ["run", "paper_example_1", "--seed", "x"],
+        ["frobnicate"],
+    ], ids=["backend-exact", "backend-unknown", "seed-not-an-int", "unknown-command"])
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: goldenslant")
+
     def test_missing_config_is_a_config_error(self, capsys):
         assert main(["run", "no_such_config"]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err

@@ -306,7 +306,7 @@ def _assert_routes_agree(imm: ImmersionSpec, metric, structure) -> None:
     affine = point_geometry(imm, metric, structure)
     assert imm.affine_form is not None
     jets = _jet_route(imm, metric, structure)
-    for name in ("hessians", "h", "christoffel"):
+    for name in ("hessians", "tangential", "h"):
         assert getattr(affine, name).shape == getattr(jets, name).shape, name
         assert not getattr(affine, name).any() and not getattr(jets, name).any(), name
     # A few ulp, grown by the conditioning of the metric the frames are built in.

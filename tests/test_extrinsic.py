@@ -48,7 +48,7 @@ class TestSecondFundamentalForm:
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1+u2", "0"])
         geom = at_point(imm, (0.5, -0.5), metric=EUCLID4)
         assert np.abs(geom.h).max() == 0.0
-        assert np.abs(geom.christoffel).max() == 0.0
+        assert np.abs(geom.tangential).max() == 0.0
 
     def test_sphere_patch_normal_curvature(self):
         # At (0, 0): tangents are e3 and e2; d2x/du1^2 = (-1, 0, 0, 0), purely
@@ -67,16 +67,16 @@ class TestSecondFundamentalForm:
         assert np.abs(h11 - np.array([0, 0, 2.0, 0])).max() <= 1e-12
         assert np.abs(h22 - np.array([0, 0, 2.0, 0])).max() <= 1e-12
         assert np.abs(h[0, 1]).max() <= 1e-12
-        assert np.abs(geom.christoffel).max() <= 1e-12
+        assert np.abs(geom.tangential).max() <= 1e-12
 
     def test_h_is_symmetric(self):
         imm = ImmersionSpec.from_strings(
             ["u1", "u2"], ["u1", "u2", "u1^2*u2+sin(u1*u2)", "cos(u1)*u2^2"]
         )
         geom = at_point(imm, (0.3, 0.7), metric=EUCLID4)
-        h, christoffel = geom.h[0], geom.christoffel[0]
+        h, tangential = geom.h[0], geom.tangential[0]
         assert np.abs(h - h.transpose(1, 0, 2)).max() <= 1e-12
-        assert np.abs(christoffel - christoffel.transpose(1, 0, 2)).max() <= 1e-12
+        assert np.abs(tangential - tangential.transpose(1, 0, 2)).max() <= 1e-12
 
     def test_shape_operator_self_adjoint(self):
         # A_V is the contraction of h with V: g(A_V X, Y) = g(h(X, Y), V).
@@ -127,6 +127,11 @@ class TestInvariantConnection:
         imm = ImmersionSpec.from_strings(
             ["u1", "u2"], ["u1*cos(0.5)", "u1*sin(0.5)", "u2", "0"]
         )
+        assert _invariant(imm, (0.2, 0.4), STRUCT4) == (0.0, 0.0)
+
+    def test_jacobian_near_the_float_range_does_not_overflow(self):
+        # E^T g E is about 1e600 here; the residuals never form it.
+        imm = ImmersionSpec.from_strings(["u1", "u2"], ["10^300*u1", "u2", "0", "0"])
         assert _invariant(imm, (0.2, 0.4), STRUCT4) == (0.0, 0.0)
 
     def test_bent_inside_psi_plane_stays_invariant(self):

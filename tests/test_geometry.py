@@ -6,8 +6,8 @@ null space of ``J^T G`` (normal), and splits the Hessians point by point.
 Normal frames of the two routes may differ by a rotation, so the
 comparisons use frame-invariant quantities: ``P`` in the Gram-Schmidt
 tangent frame, ``Q^T Q``, ``h`` mapped back to ambient vectors through the
-normal frame, the Christoffel coefficients, the slant angles and the
-frame Gram residual.
+normal frame, the tangential part of the Hessians (from the textbook
+Christoffel symbols), the slant angles and the frame Gram residual.
 """
 
 import math
@@ -99,7 +99,8 @@ def _reference(jac, hess, g, phi):
     return {
         "p": tangent.T @ g @ phi @ tangent,
         "q": normal.T @ g @ phi @ tangent,
-        "christoffel": christoffel,
+        # sum_k Gamma_ij^k e_k in the Gram-Schmidt tangent frame
+        "tangential": np.einsum("ak,ijk->ija", tangent.T @ g @ jac, christoffel),
         "normal_part": normal_part,
     }
 
@@ -131,7 +132,7 @@ def test_batched_geometry_matches_per_point_reference(imm, structure, derivative
         assert np.abs(geom.hessians[i] - hess).max() <= TOL
         assert np.abs(geom.ops.p[i] - ref["p"]).max() <= TOL
         assert np.abs(geom.ops.q[i].T @ geom.ops.q[i] - ref["q"].T @ ref["q"]).max() <= TOL
-        assert np.abs(geom.christoffel[i] - ref["christoffel"]).max() <= TOL
+        assert np.abs(geom.tangential[i] - ref["tangential"]).max() <= TOL
         normal_part = np.einsum("nc,ijc->ijn", geom.frame.normal_onb[i], geom.h[i])
         assert np.abs(normal_part - ref["normal_part"]).max() <= TOL
 
@@ -174,6 +175,20 @@ def test_one_point_geometry_equals_its_batch_entries():
         r_tan, r_nor = gauss_split_residuals(one)
         assert (r_tan[0], r_nor[0]) == pytest.approx((gauss[0][i], gauss[1][i]), abs=1e-14)
 
+
+@pytest.mark.parametrize("field", ["tangential", "h"])
+def test_gauss_split_sees_a_small_change_at_one_point(field):
+    structure = _skewed_structure(5, 2, seed=3)
+    points = [(0.1, 0.2), (-0.4, 0.7), (0.6, -0.3)]
+    geom = point_geometry(SURFACE5, structure.metric, structure, points)
+    before = np.maximum(*gauss_split_residuals(geom))
+    changed = getattr(geom, field).copy()
+    changed[1, 0, 1, 0] += 1e-6
+    after = np.maximum(*gauss_split_residuals(geom._replace(**{field: changed})))
+    assert np.all(before <= 1e-12)
+    # phi is invertible, so the changed column of [P; Q] or [t; s] is not zero.
+    assert after[1] >= 1e-7
+    assert after[0] == before[0] and after[2] == before[2]
 
 
 def _sampled_classification(geom, tol_angle, tol_class=1e-7, directions=20, seed=0):

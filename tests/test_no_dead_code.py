@@ -1,9 +1,11 @@
-"""A stdlib ``ast`` scan of the package for two kinds of dead code.
+"""A stdlib ``ast`` scan of the package for three kinds of dead code.
 
 * A module-level import that its module never reads (pyflakes' F401). An
   import line marked ``# noqa: F401`` is kept on purpose and passes.
 * A private (``_name``) top-level function, class or constant that no module
   of the package reads: not by name, not as an attribute and not by import.
+* A ``NamedTuple`` field that no module of the package reads as an attribute
+  (a field only unpacked by position counts as unread).
 """
 
 import ast
@@ -83,12 +85,36 @@ def unreferenced_privates(sources: dict[str, str]) -> list[str]:
             if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
+def _namedtuple_fields(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield f"{node.name}.{stmt.target.id}", stmt.target.id, stmt.lineno
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``file:line: Class.field`` for each NamedTuple field no module reads as an attribute."""
+    trees = {filename: ast.parse(text) for filename, text in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{filename}:{lineno}: {qualified}"
+            for filename, tree in trees.items()
+            for qualified, field, lineno in _namedtuple_fields(tree)
+            if field not in read]
+
+
 def test_no_unused_module_level_import():
     assert unused_imports(_package_sources()) == []
 
 
 def test_no_unreferenced_private_helper():
     assert unreferenced_privates(_package_sources()) == []
+
+
+def test_no_unread_namedtuple_field():
+    assert unread_fields(_package_sources()) == []
 
 
 def test_the_scan_finds_dead_code_and_honours_noqa():
@@ -109,3 +135,21 @@ def test_the_scan_finds_dead_code_and_honours_noqa():
     }
     assert unused_imports(sources) == ["a.py:2: os", "a.py:4: _used"]
     assert unreferenced_privates(sources) == ["a.py:5: _dead", "a.py:7: _CONST"]
+
+
+def test_the_scan_finds_unread_namedtuple_fields():
+    sources = {
+        "a.py": ("from typing import NamedTuple\n"
+                 "class Pair(NamedTuple):\n"
+                 "    \"\"\"Doc.\"\"\"\n"
+                 "    left: int\n"
+                 "    right: int\n"
+                 "    unpacked: int = 0\n"
+                 "class Plain:\n"
+                 "    ignored: int\n"),
+        "b.py": ("def f(pair):\n"
+                 "    left, right, unpacked = pair\n"
+                 "    pair.right = 1\n"
+                 "    return pair.left\n"),
+    }
+    assert unread_fields(sources) == ["a.py:5: Pair.right", "a.py:6: Pair.unpacked"]

@@ -1,6 +1,7 @@
 """Exact Q(sqrt5) arithmetic."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import goldenslant.exactlin as xl
-from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat, SQRT5, fast_sum_holds, parse_quadrat
+from goldenslant.quadrat import (
+    ONE_MINUS_PSI,
+    PSI,
+    QuadRat,
+    SQRT5,
+    fast_sum_holds,
+    parse_quadrat,
+    rounded,
+)
 
 _small_fractions = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 _quadrats = st.builds(QuadRat, _small_fractions, _small_fractions)
@@ -223,6 +232,21 @@ def test_float_is_the_fraction_formula_unless_it_cancels(x):
             exact = float(Decimal(x[0].numerator) / x[0].denominator
                           + Decimal(x[1].numerator) / x[1].denominator * Decimal(5).sqrt())
         assert abs(got - exact) <= math.ulp(exact)
+
+
+def test_float_of_a_near_cancelling_value_is_within_a_few_ulps():
+    # p + q*sqrt5 small against its two terms: the float sum cancels up to about 22 bits.
+    rng = random.Random(2718)
+    draws = []
+    for _ in range(20000):
+        q = rng.randrange(1, 10**6) * rng.choice((-1, 1))
+        p = -round(q * math.sqrt(5.0)) + rng.randrange(-3000, 3001)
+        draws.append((p, q, rng.randrange(1, 1000)))
+    draws.append((-256130, 113638, 1))  # 115 ulps off under an 8-bit threshold
+    for p, q, d in draws:
+        exact = rounded(p, q, d)
+        got = float(QuadRat(Fraction(p, d), Fraction(q, d)))
+        assert abs(got - exact) <= 4 * math.ulp(exact), (p, q, d)
 
 
 def test_numerators_beyond_64_bits_stay_exact():
