@@ -32,7 +32,11 @@ identities suite: induced operators P, Q, t, s along the immersion
   metric_split         g(PX, PY) + g(QX, QY) = g(X, Y) + g(PX, Y)
   reassembly_tangent   phi X recombines from PX and QX in ambient coordinates
   reassembly_normal    phi V recombines from tV and sV in ambient coordinates
-Exact route: the same identities over Q(sqrt5) for affine immersions.
+Exact route (affine immersions over Q(sqrt5)): phi as one block matrix
+  C = [[P, t], [Q, s]] in the basis B = [T | N], its tangent rows from the
+  m x m tangent Gram system and its normal rows from the free rows of N.
+  The four block identities are the blocks of C^2 - C - I, the other two
+  read M = B^T g phi B; each must be exactly zero.
 """,
     "extrinsic": """\
 extrinsic suite: second fundamental form and split checks (flat ambient)

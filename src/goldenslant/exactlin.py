@@ -332,8 +332,9 @@ def leading_minors_positive(a) -> bool:
     return True
 
 
-def kernel_basis(a) -> QMatrix:
-    """Basis of the right kernel ``{x : a @ x = 0}``, one vector per row."""
+def kernel_basis(a) -> tuple[QMatrix, list[int]]:
+    """Basis of the right kernel ``{x : a @ x = 0}``, one vector per row, and its free
+    columns: the basis is the identity on them."""
     a = qmatrix(a)
     cols = a.shape[1]
     w, pivots = _echelon(_rows(a))
@@ -344,7 +345,7 @@ def kernel_basis(a) -> QMatrix:
     kq = np.zeros((len(free), cols), dtype=object)
     kp[:, free] = np.eye(len(free), dtype=object) * x.d
     kp[:, pivots], kq[:, pivots] = -x.p.T, -x.q.T
-    return QMatrix(kp, kq, x.d)
+    return QMatrix(kp, kq, x.d), free
 
 
 def column_space_basis(a: QMatrix) -> QMatrix:

@@ -12,6 +12,11 @@ operator identity ``P^2 = lambda (P + I)`` on tangent vectors with
 
 checked here both in floating point at every sample point and exactly over
 Q(sqrt5) for affine immersions, each by one function for both backends.
+Those functions read the matrices of ``g(X, PY)`` and ``g(V, QY)`` (V
+normal) as ``Gt P`` and ``Gn Q``, blocks of the lowered matrix
+``M = B^T g phi B`` (see :mod:`goldenslant.submanifold`), and ``tQ`` as
+``(C^2)_TT - P^2``, so the exact certificate shares each product with the
+exact identities.  In the orthonormal frames of the float route ``M = C``.
 
 One reference formula for a worked slant family omits the ``|X|``
 normalization from the cosine; :func:`reference_cosine` computes that
@@ -149,13 +154,14 @@ def classify_geometry(geom: PointGeometry, tol_angle: float = DEFAULT_TOL_ANGLE,
         return report
     p, q = ops.p, ops.q
     pp = p @ p
-    lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, np.eye(ops.m)), q,
-                                        np.eye(q.shape[-2]), lam, report.k, _spectral)
+    # Orthonormal frames: Gt = I, Gt P = P and Gn Q = Q.
+    lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, np.eye(ops.m), p), q, q,
+                                        lam, report.k, _spectral)
     residuals = {
         "characterization": _characterization(p, pp, lam, _spectral),
         "lemma_p": lemma_p,
         "lemma_q": lemma_q,
-        "tq": np.maximum(*_tq_residuals(p, pp, ops.t, q, lam)),
+        "tq": np.maximum(*_tq_residuals(p, pp, ops.t @ q, lam)),
     }
     if kind != ANTI_INVARIANT:
         residuals["corollary"] = _corollary(p, pp, lam)
@@ -178,25 +184,24 @@ def _corollary(p, pp, lam):
     return _spectral(p + _eye(p) - pp / lam)
 
 
-def _cos2_forms(p, gt):
-    """Matrices of g(PX, PY) and g(X, Y) + g(X, PY); ``gt`` is the tangent basis Gram
-    matrix, so both come from the one product ``gt @ p``."""
-    gt_p = gt @ p
+def _cos2_forms(p, gt, gt_p):
+    """Matrices of g(PX, PY) and g(X, Y) + g(X, PY), from the tangent basis Gram
+    matrix ``gt`` and the matrix ``gt_p`` = Gt P of g(X, PY)."""
     return gt_p.mT @ p, gt + gt_p
 
 
-def _lemma_residuals(pp_form, p_rhs, q, gn, lam, k, norm=_amax):
+def _lemma_residuals(pp_form, p_rhs, q, gn_q, lam, k, norm=_amax):
     """Residuals of g(PX, PY) = lambda (g(X, Y) + g(X, PY)) and
     g(QX, QY) = k (g(X, Y) + g(PX, Y)) as ``norm`` (max |entry| by default) of
     their matrices, from the :func:`_cos2_forms` ``pp_form`` and ``p_rhs`` (whose
-    transpose is the matrix of g(X, Y) + g(PX, Y)); ``gn`` is the normal basis
-    Gram matrix."""
-    return norm(pp_form - p_rhs * lam), norm(q.mT @ gn @ q - p_rhs.mT * k)
+    transpose is the matrix of g(X, Y) + g(PX, Y)) and ``gn_q`` = Gn Q, the
+    matrix of g(V, QY) for normal V."""
+    return norm(pp_form - p_rhs * lam), norm(q.mT @ gn_q - p_rhs.mT * k)
 
 
-def _tq_residuals(p, pp, t, q, lam):
+def _tq_residuals(p, pp, tq, lam):
     """Worst residuals of tQ = (1 - lambda)(P + I) and tQ = -P^2 + P + I."""
-    tq, eye = t @ q, _eye(p)
+    eye = _eye(p)
     return _amax(tq - (p + eye) * (1 - lam)), _amax(tq + pp - p - eye)
 
 
@@ -209,11 +214,12 @@ def exact_slant_data(eops: ExactInducedOperators) -> dict:
 
     The immersion is exactly slant iff the lambda candidates agree and the
     characterization residual is zero; the remaining residuals are then
-    forced to zero and double-check the arithmetic.  Each matrix product is
-    formed once: six exact matmuls in all.
+    forced to zero and double-check the arithmetic.  Gt P and Gn Q are the
+    blocks of ``eops.lowered`` and tQ is ``(C^2)_TT - P^2``, products the
+    exact identities share; three more exact matmuls are formed here.
     """
-    p, q, frame = eops.p, eops.q, eops.frame
-    forms = _cos2_forms(p, frame.gram_tangent)
+    p, q, m = eops.p, eops.q, eops.m
+    forms = _cos2_forms(p, eops.frame.gram_tangent, eops.lowered[:m])
     # cos^2(theta) along each raw basis direction e_i: the ratio of the
     # diagonals of the lemma's g(PX, PY) and g(X, Y) + g(X, PY) matrices
     candidates = [x / y for x, y in zip(forms[0].diagonal(), forms[1].diagonal())]
@@ -221,8 +227,8 @@ def exact_slant_data(eops: ExactInducedOperators) -> dict:
     uniform = all(c == lam for c in candidates)
     pp = p @ p
     char = _characterization(p, pp, lam)
-    lemma_p, lemma_q = _lemma_residuals(*forms, q, frame.gram_normal, lam, 1 - lam)
-    tq1, tq2 = _tq_residuals(p, pp, eops.t, q, lam)
+    lemma_p, lemma_q = _lemma_residuals(*forms, q, eops.lowered[m:], lam, 1 - lam)
+    tq1, tq2 = _tq_residuals(p, pp, eops.square[:m, :m] - pp, lam)
     return {
         "lambda": lam,
         "lambda_uniform": uniform,

@@ -71,12 +71,18 @@ def _spectral(a):
     """Largest singular value over the last two axes: a scalar, or one per point.
 
     It is the largest value of the bilinear form of ``a`` on unit pairs, so
-    never below the largest entry.  A matrix with a non-finite entry gets its
-    :func:`_amax` (Inf or NaN), which fails every check.
+    never below the largest entry.  It is the square root of the largest
+    eigenvalue of ``a^T a``, with each matrix first scaled by the power of two
+    ``2^e >= max |entry|`` (exactly, so that squares neither underflow nor
+    overflow).  A matrix with a non-finite entry gets its :func:`_amax` (Inf
+    or NaN), which fails every check; a zero matrix gets 0.0.
     """
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    norm = np.linalg.norm(np.where(finite[..., None, None], a, 0.0), 2, axis=(-2, -1))
-    out = np.where(finite, norm, _amax(a))
+    top = np.abs(a).max(axis=(-2, -1))
+    scaled = (top > 0.0) & np.isfinite(top)
+    exp = np.frexp(np.where(scaled, top, 1.0))[1][..., None, None]
+    b = np.ldexp(np.where(scaled[..., None, None], a, 0.0), -exp)
+    norm = np.ldexp(np.sqrt(np.linalg.eigvalsh(b.mT @ b)[..., -1]), exp[..., 0, 0])
+    out = np.where(scaled, norm, top)
     return out.item() if out.ndim == 0 else out
 
 
@@ -142,10 +148,15 @@ class StructureReport(NamedTuple):
 
 
 def _structure_residuals(phi, g):
-    """Residual matrices of phi^2 - phi - I, G phi - phi^T G and the derived metric identity."""
-    phit_g = phi.T @ g
+    """Residual matrices of phi^2 - phi - I, G phi - phi^T G and the derived metric identity.
+
+    :class:`Metric` checks that G is exactly symmetric, so phi^T G is the
+    transpose of G phi.
+    """
+    g_phi = g @ phi
+    phit_g = g_phi.T
     # g(phi X, phi Y) - g(phi X, Y) - g(X, Y) as bilinear forms
-    return phi @ phi - phi - _eye(phi), g @ phi - phit_g, phit_g @ phi - phit_g - g
+    return phi @ phi - phi - _eye(phi), g_phi - phit_g, phit_g @ phi - phit_g - g
 
 
 def verify_golden(phi, metric: Metric, tol_struct: float = DEFAULT_TOL_STRUCT) -> StructureReport:
@@ -220,7 +231,8 @@ def _check_involution(f, metric: Metric, tol: float) -> None:
         raise DimensionMismatch("F and metric dimensions differ")
     f, g = _operands(f, metric)
     r_inv = float(_amax(f @ f - _eye(f)))
-    r_met = float(_amax(g @ f - f.T @ g))
+    g_f = g @ f  # G is symmetric, so F^T G = (G F)^T
+    r_met = float(_amax(g_f - g_f.T))
     if r_inv > tol:
         raise InvalidInvolution(f"F^2 - I has residual {r_inv:.3e}")
     if r_met > tol:

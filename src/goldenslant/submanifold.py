@@ -12,12 +12,23 @@ four operators: ``P`` (tangent -> tangent), ``Q`` (tangent -> normal),
 together with self-adjointness of ``P`` and the metric split
 ``g(PX,PY) + g(QX,QY) = g(X,Y) + g(PX,Y)``.
 
-Operators are expressed in orthonormal frames, so plain transposes realize
-metric adjoints.  A scenario evaluates all of its sample points in one
-batched pass (:func:`point_geometry`).  Affine immersions with coefficients
-in Q(sqrt5) also get an exact route in the raw (non-orthonormal) tangent
-basis: the same identity functions, handed the Gram matrices of the raw
-bases, then check statements about exact zeros.
+The four operators are the blocks of one matrix ``C = [[P, t], [Q, s]]``,
+the matrix of ``phi`` in a basis ``B = [T | N]`` of tangent vectors ``T``
+and normal vectors ``N``.  So ``phi**2 = phi + I`` is ``C**2 = C + I``,
+whose four blocks are the four identities above, and the two metric
+identities are read from the lowered matrix ``M = B^T g phi B = Gamma C``,
+where ``Gamma = diag(Gt, Gn)`` is the Gram matrix of ``B``.  One function
+reads every identity from ``(C, M, C**2)`` for both backends.
+
+The float route writes the operators in g-orthonormal frames, where
+``Gamma = I`` and ``M = C``, so plain transposes realize metric adjoints.  A
+scenario evaluates all of its sample points in one batched pass
+(:func:`point_geometry`).  Affine immersions with coefficients in Q(sqrt5)
+also get an exact route in the raw tangent basis ``T`` and the reduced
+kernel basis ``N`` of ``T^T g``, which is the identity on its free rows.
+Because ``N`` is g-orthogonal to ``T``, the tangent rows of ``C`` solve one
+m x m system against ``Gt``, and the normal rows are read off the free rows
+of ``phi B = B C``; the identities then check statements about exact zeros.
 """
 
 from __future__ import annotations
@@ -139,35 +150,42 @@ def frame_at(imm: ImmersionSpec, point: Sequence[float], metric: Metric) -> Tang
     return point_geometry(imm, metric, points=[point]).frame.at(0)
 
 
+def _block(row: int, col: int) -> property:
+    """Block ``(row, col)`` of ``blocks`` split after the m tangent rows and columns:
+    (0, 0) is P, (1, 0) is Q, (0, 1) is t and (1, 1) is s."""
+    def get(self):
+        halves = (slice(None, self.m), slice(self.m, None))
+        return self.blocks[..., halves[row], halves[col]]
+    return property(get)
+
+
 class InducedOperators(NamedTuple):
-    """Matrices of P, Q, t, s in the orthonormal frames they were projected through.
+    """phi's matrix ``[[P, t], [Q, s]]`` in the orthonormal frame [tangent | normal]
+    it was projected through, and the tangent dimension m.
 
     Operators of stacked frames carry the same leading point axis.
     """
 
-    p: np.ndarray  # m x m
-    q: np.ndarray  # (n-m) x m
-    t: np.ndarray  # m x (n-m)
-    s: np.ndarray  # (n-m) x (n-m)
+    blocks: np.ndarray  # n x n
+    m: int
 
-    @property
-    def m(self) -> int:
-        return self.p.shape[-1]
+    p = _block(0, 0)  # m x m
+    q = _block(1, 0)  # (n-m) x m
+    t = _block(0, 1)  # m x (n-m)
+    s = _block(1, 1)  # (n-m) x (n-m)
 
     def at(self, i: int) -> InducedOperators:
         """The operators at point ``i`` of a stack."""
-        return InducedOperators(self.p[i], self.q[i], self.t[i], self.s[i])
+        return InducedOperators(self.blocks[i], self.m)
 
 
 def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> InducedOperators:
     """Project ``phi`` through the frames of ``frame`` (one point or a stack)."""
     if structure.n != frame.n:
         raise DimensionMismatch("structure and frame ambient dimensions differ")
-    m = frame.m
     full = frame.onb
     blocks = full.mT @ (frame.metric.matrix @ structure.phi_float @ full)
-    return InducedOperators(p=blocks[..., :m, :m], q=blocks[..., m:, :m],
-                            t=blocks[..., :m, m:], s=blocks[..., m:, m:])
+    return InducedOperators(blocks, frame.m)
 
 
 class PointGeometry(NamedTuple):
@@ -226,22 +244,29 @@ class IdentityReport(NamedTuple):
     residuals: dict[str, float]
 
 
-def block_identity_residuals(p, q, t, s, gt, gn, form_norm=_amax) -> dict:
+def block_identity_residuals(c, lowered, square, gt, form_norm=_amax) -> dict:
     """Max-abs residuals of the four block identities, self-adjointness and the metric split.
 
-    ``gt`` and ``gn`` are the Gram matrices of the tangent and normal bases
-    the blocks are written in (identities for orthonormal frames).  Exact
-    blocks give exact residuals; float stacks give one residual per point.
+    ``c`` is phi's matrix ``[[P, t], [Q, s]]`` in a basis [T | N] of tangent
+    and normal vectors, ``square`` is ``c @ c``, ``gt`` is the Gram matrix of
+    T and ``lowered`` holds the first m columns of ``M = [T | N]^T g phi [T | N]``
+    (more columns are ignored), so ``M_TT = Gt P`` and ``M_NT = Gn Q``.  The four
+    block identities are the four blocks of ``c^2 - c - I``; self-adjointness
+    is ``M_TT = M_TT^T`` and the metric split is
+    ``c[:, :m]^T M[:, :m] = P^T Gt P + Q^T Gn Q = Gt + M_TT^T``.  Exact
+    matrices give exact residuals; float stacks give one residual per point.
     ``form_norm`` measures the matrices of the two bilinear-form identities.
     """
-    eye_m, eye_k = _eye(p), _eye(s)
+    m = gt.shape[-1]
+    r = square - c - _eye(c)
+    m_tt = lowered[..., :m, :m]
     return {
-        "p_squared": _amax(p @ p - p - eye_m + t @ q),
-        "q_projection": _amax(q - q @ p - s @ q),
-        "s_squared": _amax(s @ s - s - eye_k + q @ t),
-        "t_projection": _amax(t - p @ t - t @ s),
-        "p_self_adjoint": form_norm(gt @ p - p.mT @ gt),
-        "metric_split": form_norm(p.mT @ gt @ p + q.mT @ gn @ q - gt - p.mT @ gt),
+        "p_squared": _amax(r[..., :m, :m]),
+        "q_projection": _amax(r[..., m:, :m]),
+        "s_squared": _amax(r[..., m:, m:]),
+        "t_projection": _amax(r[..., :m, m:]),
+        "p_self_adjoint": form_norm(m_tt - m_tt.mT),
+        "metric_split": form_norm(c[..., :m].mT @ lowered[..., :m] - gt - m_tt.mT),
     }
 
 
@@ -256,13 +281,14 @@ def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
     coordinates.  For stacked operators each residual holds one value per
     point.
     """
-    p, q, t, s = ops.p, ops.q, ops.t, ops.s
-    res = block_identity_residuals(p, q, t, s, np.eye(p.shape[-1]), np.eye(s.shape[-1]),
+    # In orthonormal frames M = C.
+    blocks = ops.blocks
+    res = block_identity_residuals(blocks, blocks, blocks @ blocks, np.eye(ops.m),
                                    form_norm=_spectral)
     phi = structure.phi_float
     tb, nb = frame.tangent_onb, frame.normal_onb
-    res["reassembly_tangent"] = _amax(phi @ tb - tb @ p - nb @ q)
-    res["reassembly_normal"] = _amax(phi @ nb - tb @ t - nb @ s)
+    res["reassembly_tangent"] = _amax(phi @ tb - tb @ ops.p - nb @ ops.q)
+    res["reassembly_normal"] = _amax(phi @ nb - tb @ ops.t - nb @ ops.s)
     return IdentityReport({k: float(v) if np.ndim(v) == 0 else v for k, v in res.items()})
 
 
@@ -279,23 +305,34 @@ def invariance_kinds(ops: InducedOperators,
 
 
 class ExactFrame(NamedTuple):
-    """Raw tangent basis and exact g-orthogonal normal complement."""
+    """Raw tangent basis T and its exact g-orthogonal complement N."""
 
     tangent: xl.QMatrix  # n x m constant Jacobian
-    normal: xl.QMatrix  # n x (n - m)
-    gram_tangent: xl.QMatrix
-    gram_normal: xl.QMatrix
+    normal: xl.QMatrix  # n x (n - m), the identity on the rows ``free``
+    free: list[int]
+    tangent_g: xl.QMatrix  # T^T g (m x n)
+    gram_tangent: xl.QMatrix  # Gt = T^T g T
     metric: Metric
 
 
 class ExactInducedOperators(NamedTuple):
-    """P, Q, t, s over Q(sqrt5) in the raw tangent / complement bases."""
+    """phi's matrix C = ``[[P, t], [Q, s]]`` over Q(sqrt5) in the basis B = [T | N], with
+    the products every exact identity reads: ``lowered`` = the first m columns of
+    M = B^T g phi B (``M_TT = Gt P``, ``M_NT = Gn Q``) and ``square`` = C^2."""
 
-    p: xl.QMatrix
-    q: xl.QMatrix
-    t: xl.QMatrix
-    s: xl.QMatrix
+    blocks: xl.QMatrix  # n x n
+    lowered: xl.QMatrix  # n x m
+    square: xl.QMatrix  # n x n
     frame: ExactFrame
+
+    p = _block(0, 0)
+    q = _block(1, 0)
+    t = _block(0, 1)
+    s = _block(1, 1)
+
+    @property
+    def m(self) -> int:
+        return self.frame.tangent.shape[1]
 
 
 def exact_frame(imm: ImmersionSpec, metric: Metric) -> ExactFrame | None:
@@ -305,28 +342,35 @@ def exact_frame(imm: ImmersionSpec, metric: Metric) -> ExactFrame | None:
     form = imm.affine_form
     if form is None:
         return None
-    jac, g = form[1], metric.entries
-    et_g = jac.T @ g
-    normal = xl.kernel_basis(et_g).T
-    if normal.shape[1] != imm.n - imm.m:
+    jac = form[1]
+    et_g = jac.T @ metric.entries
+    kernel, free = xl.kernel_basis(et_g)
+    if len(free) != imm.n - imm.m:
         return None  # exact Jacobian is rank deficient
-    return ExactFrame(jac, normal, et_g @ jac, normal.T @ g @ normal, metric)
+    return ExactFrame(jac, kernel.T, free, et_g, et_g @ jac, metric)
 
 
 def exact_induced_operators(frame: ExactFrame,
                             structure: GoldenStructure) -> ExactInducedOperators:
-    """Block coordinates of phi in the basis [tangent | normal], exactly."""
+    """phi's matrix C in the basis B = [T | N], exactly, with its lowered and squared forms.
+
+    ``phi B = B C``.  The tangent rows ``[P | t]`` solve the m x m system
+    ``Gt [P | t] = T^T g phi B``, because ``T^T g N = 0``.  The normal rows
+    need no solve: on the free rows of N, where N is the identity,
+    ``phi B = T [P | t] + [Q | s]``.
+    """
     if not is_exact(structure.phi):
         raise DimensionMismatch("exact induced operators need an exact structure")
-    m = frame.tangent.shape[1]
-    basis = xl.concatenate([frame.tangent, frame.normal], axis=1)
-    coords = xl.solve(basis, structure.phi @ basis)
-    return ExactInducedOperators(p=coords[:m, :m], q=coords[m:, :m], t=coords[:m, m:],
-                                 s=coords[m:, m:], frame=frame)
+    tangent, free, m = frame.tangent, frame.free, frame.tangent.shape[1]
+    phi_b = structure.phi @ xl.concatenate([tangent, frame.normal], axis=1)
+    m_t = frame.tangent_g @ phi_b  # T^T g phi B, the tangent rows of M
+    c_t = xl.solve(frame.gram_tangent, m_t)
+    c = xl.concatenate([c_t, phi_b[free] - tangent[free] @ c_t])
+    m_nt = frame.normal.T @ (frame.metric.entries @ phi_b[:, :m])
+    lowered = xl.concatenate([m_t[:, :m], m_nt])
+    return ExactInducedOperators(c, lowered, c @ c, frame)
 
 
 def exact_identity_residuals(ops: ExactInducedOperators) -> dict[str, QuadRat]:
     """:func:`block_identity_residuals` over Q(sqrt5) in the raw bases (all must be 0)."""
-    frame = ops.frame
-    return block_identity_residuals(ops.p, ops.q, ops.t, ops.s,
-                                    frame.gram_tangent, frame.gram_normal)
+    return block_identity_residuals(ops.blocks, ops.lowered, ops.square, ops.frame.gram_tangent)

@@ -96,8 +96,9 @@ def test_shared_identities_are_exact_zeros_and_float_small(scenario):
     assert all(isinstance(v, QuadRat) and not v for v in exact.values()), exact
     assume(np.linalg.svd(np.asarray(xl.qmatrix(jac), dtype=float), compute_uv=False).min() > 1e-3)
     ops = point_geometry(imm, metric, structure).ops
-    eye_m, eye_k = np.eye(ops.p.shape[-1]), np.eye(ops.s.shape[-1])
-    floats = block_identity_residuals(ops.p, ops.q, ops.t, ops.s, eye_m, eye_k)
+    # Orthonormal frames: the lowered matrix is the blocks matrix itself.
+    floats = block_identity_residuals(ops.blocks, ops.blocks, ops.blocks @ ops.blocks,
+                                      np.eye(ops.m))
     assert set(floats) == set(exact)
     # Float rounding in the frames grows with the condition number of g.
     bound = 1e-12 * max(1.0, np.linalg.cond(metric.matrix))
@@ -124,11 +125,10 @@ def test_slant_identities_are_exact_zeros_and_float_small(a, b, k, data):
     assert all(isinstance(data_exact[key], QuadRat) and not data_exact[key] for key in keys)
     lam = float(data_exact["lambda"])
     ops = point_geometry(imm, structure.metric, structure).ops
-    eye_m, eye_k = np.eye(k), np.eye(k)
     pp = ops.p @ ops.p
     floats = (_characterization(ops.p, pp, lam),
-              *_lemma_residuals(*_cos2_forms(ops.p, eye_m), ops.q, eye_k, lam, 1 - lam),
-              *_tq_residuals(ops.p, pp, ops.t, ops.q, lam))
+              *_lemma_residuals(*_cos2_forms(ops.p, np.eye(k), ops.p), ops.q, ops.q, lam, 1 - lam),
+              *_tq_residuals(ops.p, pp, ops.t @ ops.q, lam))
     assert max(float(np.max(v)) for v in floats) <= 1e-12, floats
 
 
@@ -262,29 +262,93 @@ class _CountedMatmuls(np.ndarray):
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
-def test_structure_residuals_take_four_matmuls(monkeypatch):
-    # phi^2, phi^T g, g phi and (phi^T g) phi: phi^T g is formed once.
+def test_structure_residuals_take_three_matmuls(monkeypatch):
+    # phi^2, g phi and (phi^T g) phi: phi^T g is the transpose of g phi.
     structure = _scenario(["structure"]).build_structure()
     calls = _count(monkeypatch, xl, "matmul")
     assert verify_golden(structure.phi, structure.metric).exact_zero
-    assert len(calls) == 4
+    assert len(calls) == 3
     calls = _CountedMatmuls.calls = []
     float_view = structure.to_float()
     residuals = _structure_residuals(float_view.phi.view(_CountedMatmuls),
                                      float_view.metric.matrix)
     assert max(np.abs(r).max() for r in residuals) <= 1e-12
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
-def test_exact_slant_data_takes_six_matmuls(monkeypatch):
-    # g_t P, (g_t P)^T P, P^2, Q^T g_n, (Q^T g_n) Q and tQ: each formed once.
+def test_involution_check_takes_two_matmuls(monkeypatch):
+    # F^2 and g F: F^T g is the transpose of g F.
+    metric = Metric(xl.qmatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]))
+    calls = _count(monkeypatch, xl, "matmul")
+    _check_involution(xl.qmatrix([[int(x) for x in row] for row in INVOLUTION]), metric, 0.0)
+    assert len(calls) == 2
+
+
+def test_exact_slant_data_takes_three_matmuls(monkeypatch):
+    # (Gt P)^T P, P^2 and Q^T (Gn Q): Gt P and Gn Q are blocks of the lowered
+    # matrix and tQ = (C^2)_TT - P^2, all formed once by exact_induced_operators.
     cfg = _scenario(["slant"])
     structure = cfg.build_structure()
     eops = exact_induced_operators(exact_frame(cfg.build_immersion(), structure.metric),
                                    structure)
     calls = _count(monkeypatch, xl, "matmul")
     exact_slant_data(eops)
-    assert len(calls) == 6
+    assert len(calls) == 3
+
+
+def test_exact_identities_take_one_matmul(monkeypatch):
+    # c[:, :m]^T M[:, :m]; the four block identities are blocks of C^2 - C - I.
+    cfg = _scenario(["identities"])
+    structure = cfg.build_structure()
+    eops = exact_induced_operators(exact_frame(cfg.build_immersion(), structure.metric),
+                                   structure)
+    calls = _count(monkeypatch, xl, "matmul")
+    assert not any(exact_identity_residuals(eops).values())
+    assert len(calls) == 1
+
+
+# -- the exact route as one block matrix ------------------------------------------
+
+
+def _oracle_blocks(frame, structure):
+    """phi's matrix in the basis [T | N] by the n x 2n elimination of solve(B, phi B)."""
+    basis = xl.concatenate([frame.tangent, frame.normal], axis=1)
+    return xl.solve(basis, structure.phi @ basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_scenarios())
+def test_blocks_equal_the_full_solve(scenario):
+    f, metric, jac = scenario
+    structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+    frame = exact_frame(_immersion(jac), metric)
+    assume(frame is not None)
+    eops = exact_induced_operators(frame, structure)
+    oracle = _oracle_blocks(frame, structure)
+    m = eops.m
+    assert eops.p == oracle[:m, :m] and eops.q == oracle[m:, :m]
+    assert eops.t == oracle[:m, m:] and eops.s == oracle[m:, m:]
+    assert eops.blocks == oracle and eops.square == oracle @ oracle
+    # M = diag(Gt, Gn) C, with the normal Gram matrix formed only here
+    gram_normal = frame.normal.T @ metric.entries @ frame.normal
+    assert eops.lowered[:m] == frame.gram_tangent @ eops.p
+    assert eops.lowered[m:] == gram_normal @ eops.q
+    assert frame.normal[frame.free] == xl.eye(len(frame.free))
+
+
+def test_exact_route_solves_only_the_tangent_gram_system(monkeypatch):
+    cfg = _scenario(["identities", "slant"])
+    structure = cfg.build_structure()
+    imm = cfg.build_immersion()
+    eliminations = _count(monkeypatch, xl, "_echelon")
+    frame = exact_frame(imm, structure.metric)
+    assert len(eliminations) == 1  # the kernel basis of T^T g
+    eliminations.clear()
+    solves = []
+    solve = xl.solve
+    monkeypatch.setattr(xl, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    exact_induced_operators(frame, structure)
+    assert solves == [(imm.m, imm.m)] and len(eliminations) == 1
 
 
 # -- the affine route: the exact Jacobian feeds the float pass ------------------

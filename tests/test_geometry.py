@@ -278,8 +278,9 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
     points = np.column_stack([rng.uniform(-0.8, 0.8, 9), rng.uniform(-0.8, 0.8, 9)])
     geom = point_geometry(SURFACE5, structure.metric, structure, points)
     # Perturbed operators, so that every identity leaves a visible residual.
-    ops = geom.ops._replace(p=geom.ops.p + 1e-3 * rng.standard_normal(geom.ops.p.shape),
-                            q=geom.ops.q + 1e-3 * rng.standard_normal(geom.ops.q.shape))
+    blocks = geom.ops.blocks.copy()
+    blocks[..., :2] += 1e-3 * rng.standard_normal(blocks[..., :2].shape)  # P and Q
+    ops = geom.ops._replace(blocks=blocks)
     lam = 0.6
     k = 1.0 - lam
     p, q, eye = ops.p, ops.q, np.eye(2)
@@ -291,8 +292,7 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
 
     identities = structural_identity_residuals(ops, geom.frame, structure).residuals
     # the residuals classify_geometry attaches, at the given lambda
-    lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, eye), q, np.eye(q.shape[-2]), lam, k,
-                                        _spectral)
+    lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, eye, p), q, q, lam, k, _spectral)
     # residual, its matrix, and the form the earlier samples evaluated on (x, y)
     cases = {
         "p_self_adjoint": (identities["p_self_adjoint"], p.mT - p, dot(px, y) - dot(x, py)),
@@ -319,10 +319,10 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
 def test_spectral_residual_of_a_non_finite_operator_fails(bad):
     structure = _skewed_structure(5, 2, seed=3)
     geom = point_geometry(SURFACE5, structure.metric, structure, [(0.1, 0.2), (0.3, -0.4)])
-    p = geom.ops.p.copy()
-    p[1, 0, 1] = bad
+    blocks = geom.ops.blocks.copy()
+    blocks[1, 0, 1] = bad  # an entry of P
     with np.errstate(invalid="ignore"):
-        res = structural_identity_residuals(geom.ops._replace(p=p), geom.frame,
+        res = structural_identity_residuals(geom.ops._replace(blocks=blocks), geom.frame,
                                             structure).residuals
     for key in ("p_self_adjoint", "metric_split"):
         assert res[key][0] <= 1e-12

@@ -337,7 +337,8 @@ def test_exactlin_solve_matches_the_pair_oracle(operands):
 @settings(max_examples=50, deadline=None)
 @given(st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(lambda s: _pmatrices(*s)))
 def test_exactlin_kernel_basis_matches_the_pair_oracle(a):
-    basis = [[_pair(x) for x in v] for v in xl.kernel_basis(_quad(a))]
+    kernel, _ = xl.kernel_basis(_quad(a))
+    basis = [[_pair(x) for x in v] for v in kernel]
     cols = len(a[0])
     assert len(basis) == cols - _prank(a)
     zero = (Fraction(0), Fraction(0))
@@ -483,8 +484,9 @@ def _eliminations(draw):
 def test_kernel_and_column_space_on_rank_deficient_matrices(a):
     rows, cols = len(a), len(a[0])
     rank = _prank([[_pair(x) for x in row] for row in a])
-    kernel = xl.kernel_basis(a)
+    kernel, free = xl.kernel_basis(a)
     assert len(kernel) == cols - rank and _canonical(kernel)
+    assert kernel[:, free] == xl.eye(len(free))
     if len(kernel):
         assert not any(x for row in _values(xl.qmatrix(a) @ kernel.T) for x in row)
         assert _prank([[_pair(x) for x in v] for v in _values(kernel)]) == len(kernel)

@@ -15,6 +15,7 @@ from goldenslant.structures import (
     AlmostProductStructure,
     GoldenStructure,
     Metric,
+    _spectral,
     diagonal_golden,
     golden_eigendecomp,
     golden_from_product,
@@ -212,3 +213,22 @@ class TestMetricAndInvariants:
     def test_validate_false_escape_hatch(self):
         s = GoldenStructure(_eye_exact(2), Metric.euclidean(2), validate=False)
         assert not verify_golden(s.phi, s.metric).passed
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e200])
+    @pytest.mark.parametrize("shape", [(40, 2, 2), (30, 3, 3), (20, 5, 5), (10, 4, 6), (3, 3)])
+    def test_matches_the_svd_norm_and_bounds_the_entries(self, shape, scale):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) * scale
+        got, svd = _spectral(a), np.linalg.norm(a, 2, axis=(-2, -1))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - svd) <= 4 * eps * svd)
+        assert np.all(got >= np.abs(a).max(axis=(-2, -1)) * (1 - 4 * eps))
+
+    def test_zero_and_non_finite_matrices(self):
+        a = np.zeros((4, 2, 2))
+        a[1, 0, 1], a[2, 1, 1], a[3, 0, 0] = np.nan, np.inf, -0.0
+        got = _spectral(a)
+        assert got[0] == 0.0 and np.isnan(got[1]) and got[2] == np.inf
+        assert got[3] == 0.0 and not np.signbit(got[3])
