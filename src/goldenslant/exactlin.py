@@ -22,13 +22,13 @@ No float enters: any other operand is a TypeError, and numpy's own
 operators defer to these.  One formula therefore serves exact matrices and
 float arrays alike.
 
-Elimination (:func:`solve`, :func:`kernel_basis`, :func:`column_space_basis`
-and :func:`leading_minors_positive`) is fraction-free on the integer rows
+Elimination (:func:`solve`, :func:`kernel_basis` and
+:func:`leading_minors_positive`) is fraction-free on the integer rows
 over Z[sqrt5], in the manner of Bareiss (Math. Comp. 22, 1968): the pivot,
 made a positive integer by its conjugate, multiplies the rows it clears
 instead of dividing the pivot row, and each changed row is then divided by
-the gcd of its integers.  The pivots are divided out once at the end, which
-gives the unique reduced row echelon form.
+the gcd of its integers.  :func:`solve` and :func:`kernel_basis` divide the
+pivots out once at the end, which gives the unique reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -271,8 +271,8 @@ def _pivot_step(w: list[list[int]], r: int, c: int, first: int) -> None:
             w[i] = _primitive([d * x - e * y - h * z for x, y, z in zip(w[i], left, right)])
 
 
-def _echelon(w: list[list[int]], reduced: bool = True) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (reduced) row echelon form of the rows ``[p | q]`` and the pivot columns.
+def _echelon(w: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of the rows ``[p | q]`` and the pivot columns.
 
     Pivot ``i`` is a positive integer at ``(i, pivots[i])``, not yet divided out.
     """
@@ -287,7 +287,7 @@ def _echelon(w: list[list[int]], reduced: bool = True) -> tuple[list[list[int]],
         if i is None:
             continue
         w[r], w[i] = w[i], w[r]
-        _pivot_step(w, r, c, 0 if reduced else r + 1)
+        _pivot_step(w, r, c, 0)
         pivots.append(c)
     return w, pivots
 
@@ -346,8 +346,3 @@ def kernel_basis(a) -> tuple[QMatrix, list[int]]:
     kp[:, free] = np.eye(len(free), dtype=object) * x.d
     kp[:, pivots], kq[:, pivots] = -x.p.T, -x.q.T
     return QMatrix(kp, kq, x.d), free
-
-
-def column_space_basis(a: QMatrix) -> QMatrix:
-    """The pivot columns of ``a``, a basis of its column space, as a matrix."""
-    return a[:, _echelon(_rows(a), reduced=False)[1]]

@@ -1,4 +1,4 @@
-"""Immersion component DSL: parsing, printing and differentiation.
+"""Immersion component DSL: parsing and differentiation.
 
 Grammar (binding from loosest to tightest, ``^`` right-associative and
 restricted to integer literal exponents)::
@@ -15,14 +15,13 @@ and ``sqrt``.  Numbers are decimal literals and are kept as exact
 fractions in the AST so that affine expressions over Q(sqrt5) can be
 lifted to the exact backend.
 
-``parse(to_text(e), params)`` reproduces ``e`` node for node.  Parsing
-bounds the work an expression can ask for: the tree may nest at most
-``MAX_DEPTH`` levels deep, and an exponent tower ``a^b^c`` is refused
+Parsing bounds the work an expression can ask for: the tree may nest at
+most ``MAX_DEPTH`` levels deep, and an exponent tower ``a^b^c`` is refused
 before its value would pass 64 bits.  The exact lift stops short of constant
 powers beyond ``MAX_POWER_BITS``.
 
-Parsing, printing and the exact lift need no numpy: only the evaluation
-entry points (``Expr.eval_jets``, :func:`evaluate`, :func:`evaluate_affine`,
+Parsing and the exact lift need no numpy: only the evaluation entry points
+(``Expr.eval_jets``, :func:`evaluate`, :func:`evaluate_affine`,
 :func:`jacobian`, :func:`hessians`) import it when they run, and the jet
 route also imports :mod:`.jets`, so a config loads without either.
 """
@@ -39,7 +38,7 @@ from .quadrat import PSI, SQRT5, QuadRat
 
 CONSTANT_VALUES = {"psi": float(PSI), "sqrt5": math.sqrt(5.0), "pi": math.pi}
 EXACT_CONSTANTS = {"psi": PSI, "sqrt5": SQRT5}
-# Evaluation, printing and the parser itself recurse once per level.
+# Evaluation and the parser itself recurse once per level.
 MAX_DEPTH = 100
 # Bit budget of an exact constant power c^N, whose size grows linearly in the
 # exponent literal: with c = (p + q sqrt5)/d and b the largest bit length of
@@ -111,9 +110,6 @@ class Expr(_Record):
     @property
     def m(self) -> int:
         return len(self.params)
-
-    def to_text(self) -> str:
-        return _print(self.root, 0)
 
     def eval_jets(self, points):
         """Jets at the N rows of ``points`` from one pass over the AST: value (N,),
@@ -317,60 +313,6 @@ def parse(text: str, params: Sequence[str]) -> Expr:
     if height > MAX_DEPTH:
         raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
     return Expr(root, tuple(params))
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, Bin):
-        return 1 if node.op in "+-" else 2
-    if isinstance(node, Neg):
-        return 3
-    if isinstance(node, Pow):
-        return 4
-    return 5
-
-
-def _frac_text(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    den = fr.denominator
-    k2 = k5 = 0
-    while den % 2 == 0:
-        den //= 2
-        k2 += 1
-    while den % 5 == 0:
-        den //= 5
-        k5 += 1
-    if den != 1:  # not a finite decimal; valid but reparses as a division
-        return f"({fr.numerator}/{fr.denominator})"
-    k = max(k2, k5)
-    digits = fr.numerator * 10**k // fr.denominator
-    s = str(digits).rjust(k + 1, "0")
-    return f"{s[:-k]}.{s[-k:]}"
-
-
-def _print(node: Node, min_prec: int) -> str:
-    if isinstance(node, Lit):
-        out = _frac_text(node.value)
-    elif isinstance(node, (Param, Const)):
-        out = node.name
-    elif isinstance(node, Neg):
-        out = "-" + _print(node.operand, 4)
-    elif isinstance(node, Bin):
-        p = _prec(node)
-        out = _print(node.left, p) + node.op + _print(node.right, p + 1)
-    elif isinstance(node, Pow):
-        out = _print(node.base, 5) + "^" + str(node.exponent)
-    elif isinstance(node, Call):
-        out = f"{node.fn}({_print(node.arg, 0)})"
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {node!r}")
-    if _prec(node) < min_prec:
-        return f"({out})"
-    return out
 
 
 # ---------------------------------------------------------------------------

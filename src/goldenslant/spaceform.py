@@ -47,47 +47,30 @@ _SQRT5 = math.sqrt(5.0)
 
 
 class SpaceFormModel:
-    """Constant-coefficient model with sectional curvatures (c_p, c_q).
+    """Constant-coefficient model with sectional curvatures (c_p, c_q) over a golden structure.
 
-    The constants every tensor evaluation reads (phi, g, trace(phi), A, B and
-    the two Ricci coefficients) are computed once, when the model is made.
+    The constants every tensor evaluation reads (the float phi and g, a
+    g-orthonormal eigenframe, trace(phi), A, B and the two Ricci
+    coefficients) are computed once, when the model is made.
     """
 
-    __slots__ = ("n", "p", "c_p", "c_q", "structure", "frame", "phi", "g", "trace_phi",
+    __slots__ = ("n", "p", "c_p", "c_q", "frame", "phi", "g", "trace_phi",
                  "coeff_a", "coeff_b", "ricci_g_coeff", "ricci_phi_coeff")
 
-    def __init__(self, n: int, p: int, c_p: float, c_q: float,
-                 structure: GoldenStructure, frame: np.ndarray):
-        self.n, self.p, self.c_p, self.c_q = n, p, c_p, c_q
-        self.structure = structure
-        self.frame = frame  # columns: g-orthonormal frame E_1..E_n
-        self.phi = structure.phi_float
-        self.g = structure.metric.matrix
+    def __init__(self, structure: GoldenStructure, c_p: float, c_q: float):
+        s = structure.to_float()
+        basis_psi, basis_neg = golden_eigendecomp(s)
+        self.frame = np.hstack([basis_psi, basis_neg])  # columns: g-orthonormal frame E_1..E_n
+        n = self.n = s.n
+        self.p, self.c_p, self.c_q = basis_psi.shape[1], float(c_p), float(c_q)
+        self.phi = s.phi_float
+        self.g = s.metric.matrix
         self.trace_phi = float(np.trace(self.phi))
-        a = self.coeff_a = -((1.0 - _PSI) * c_p - _PSI * c_q) / (2.0 * _SQRT5)
-        b = self.coeff_b = -((1.0 - _PSI) * c_p + _PSI * c_q) / 4.0
+        a = self.coeff_a = -((1.0 - _PSI) * self.c_p - _PSI * self.c_q) / (2.0 * _SQRT5)
+        b = self.coeff_b = -((1.0 - _PSI) * self.c_p + _PSI * self.c_q) / 4.0
         # The coefficients of g(Y, Z) and g(phi Y, Z) in the closed-form Ricci tensor.
         self.ricci_g_coeff = a * (n - 2) + b * self.trace_phi
         self.ricci_phi_coeff = a * (self.trace_phi - 1.0) + b * (n - 2)
-
-    @classmethod
-    def build(cls, n: int, p: int, c_p: float, c_q: float) -> SpaceFormModel:
-        """Diagonal model: psi on the first p axes, 1 - psi on the rest."""
-        from .structures import Metric
-
-        phi = np.diag([_PSI] * p + [1.0 - _PSI] * (n - p))
-        structure = GoldenStructure(phi, Metric.euclidean(n, backend="float"))
-        return cls(n=n, p=p, c_p=float(c_p), c_q=float(c_q), structure=structure,
-                   frame=np.eye(n))
-
-    @classmethod
-    def from_structure(cls, structure: GoldenStructure, c_p: float,
-                       c_q: float) -> SpaceFormModel:
-        s = structure.to_float()
-        basis_psi, basis_neg = golden_eigendecomp(s)
-        frame = np.hstack([basis_psi, basis_neg])
-        return cls(n=s.n, p=basis_psi.shape[1], c_p=float(c_p), c_q=float(c_q),
-                   structure=s, frame=frame)
 
 
 def _phi(model: SpaceFormModel, v: np.ndarray) -> np.ndarray:

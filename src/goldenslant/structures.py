@@ -10,8 +10,8 @@ correspondence
 Two numeric backends coexist.  The exact backend stores matrices as
 :class:`~goldenslant.exactlin.QMatrix` (integer arrays over Q(sqrt5)) and makes
 every axiom check a statement about exact zeros; the float backend stores
-numpy arrays and checks residuals against ``tol_struct``.  Each axiom is
-written once, in matrix operators both types share.
+numpy arrays and checks residuals against ``DEFAULT_TOL_STRUCT``.  Each axiom
+is written once, in matrix operators both types share.
 """
 
 from __future__ import annotations
@@ -137,7 +137,11 @@ class Metric:
 
 
 class StructureReport(NamedTuple):
-    """Residuals of the golden-structure axioms for a candidate (phi, g)."""
+    """Residuals of the golden-structure axioms for a candidate (phi, g).
+
+    ``exact_zero`` says all three residuals of an exact phi are exactly 0, and
+    ``structure_exact`` says so of ``phi^2 - phi - I`` alone.
+    """
 
     residual_structure: float
     residual_self_adjoint: float
@@ -145,6 +149,7 @@ class StructureReport(NamedTuple):
     passed: bool
     backend: str
     exact_zero: bool
+    structure_exact: bool
 
 
 def _structure_residuals(phi, g):
@@ -159,17 +164,20 @@ def _structure_residuals(phi, g):
     return phi @ phi - phi - _eye(phi), g_phi - phit_g, phit_g @ phi - phit_g - g
 
 
-def verify_golden(phi, metric: Metric, tol_struct: float = DEFAULT_TOL_STRUCT) -> StructureReport:
+def verify_golden(phi, metric: Metric) -> StructureReport:
     """Check the golden-structure axioms and report max-abs residuals."""
     n = _check_square(phi, "phi")
     if n != metric.n:
         raise DimensionMismatch(f"phi is {n}x{n} but metric is {metric.n}x{metric.n}")
     phi, g = _operands(phi, metric)
-    rs, ra, rc = (float(_amax(r)) for r in _structure_residuals(phi, g))
+    # Exact zeros are read before the float view, where a residual of 10^-400 is 0.0.
+    worst = [_amax(r) for r in _structure_residuals(phi, g)]
+    rs, ra, rc = map(float, worst)
     exact = is_exact(phi)
-    return StructureReport(rs, ra, rc, passed=all(r <= tol_struct for r in (rs, ra, rc)),
+    return StructureReport(rs, ra, rc, passed=all(r <= DEFAULT_TOL_STRUCT for r in (rs, ra, rc)),
                            backend="exact" if exact else "float",
-                           exact_zero=exact and not any((rs, ra, rc)))
+                           exact_zero=exact and not any(worst),
+                           structure_exact=exact and not worst[0])
 
 
 class GoldenStructure:
@@ -179,13 +187,11 @@ class GoldenStructure:
     validation ran, or (for ``validate=False``) one run on first access.
     """
 
-    def __init__(self, phi, metric: Metric, validate: bool = True,
-                 tol_struct: float = DEFAULT_TOL_STRUCT):
+    def __init__(self, phi, metric: Metric, validate: bool = True):
         self.n = _check_square(phi, "phi")
         self.phi, _ = _operands(phi, metric)
         self.backend = "exact" if is_exact(self.phi) else "float"
         self.metric = metric if self.backend == "exact" else metric.to_float()
-        self.tol_struct = tol_struct
         if validate:
             report = self.report
             if not report.passed:
@@ -197,7 +203,7 @@ class GoldenStructure:
 
     @cached_property
     def report(self) -> StructureReport:
-        return verify_golden(self.phi, self.metric, self.tol_struct)
+        return verify_golden(self.phi, self.metric)
 
     @property
     def phi_float(self) -> np.ndarray:
@@ -215,17 +221,16 @@ class GoldenStructure:
 class AlmostProductStructure:
     """Validated involution ``F`` compatible with the metric."""
 
-    def __init__(self, f, metric: Metric, validate: bool = True,
-                 tol_struct: float = DEFAULT_TOL_STRUCT):
+    def __init__(self, f, metric: Metric, validate: bool = True):
         self.n = _check_square(f, "F")
         self.f, _ = _operands(f, metric)
         self.backend = "exact" if is_exact(self.f) else "float"
         self.metric = metric if self.backend == "exact" else metric.to_float()
         if validate:
-            _check_involution(self.f, self.metric, tol_struct)
+            _check_involution(self.f, self.metric)
 
 
-def _check_involution(f, metric: Metric, tol: float) -> None:
+def _check_involution(f, metric: Metric) -> None:
     n = _check_square(f, "F")
     if n != metric.n:
         raise DimensionMismatch("F and metric dimensions differ")
@@ -233,9 +238,9 @@ def _check_involution(f, metric: Metric, tol: float) -> None:
     r_inv = float(_amax(f @ f - _eye(f)))
     g_f = g @ f  # G is symmetric, so F^T G = (G F)^T
     r_met = float(_amax(g_f - g_f.T))
-    if r_inv > tol:
+    if r_inv > DEFAULT_TOL_STRUCT:
         raise InvalidInvolution(f"F^2 - I has residual {r_inv:.3e}")
-    if r_met > tol:
+    if r_met > DEFAULT_TOL_STRUCT:
         raise MetricIncompat(f"G F - F^T G has residual {r_met:.3e}")
 
 
@@ -254,17 +259,15 @@ def product_matrix(phi):
     return (2 * phi - _eye(phi)) / _sqrt5(phi)
 
 
-def golden_from_product(f: AlmostProductStructure,
-                        tol_struct: float = DEFAULT_TOL_STRUCT) -> GoldenStructure:
+def golden_from_product(f: AlmostProductStructure) -> GoldenStructure:
     """Golden structure ``phi = (I + sqrt5 F)/2`` induced by an involution."""
-    _check_involution(f.f, f.metric, tol_struct)
-    return GoldenStructure(golden_matrix(f.f), f.metric, tol_struct=tol_struct)
+    _check_involution(f.f, f.metric)
+    return GoldenStructure(golden_matrix(f.f), f.metric)
 
 
-def product_from_golden(s: GoldenStructure,
-                        tol_struct: float = DEFAULT_TOL_STRUCT) -> AlmostProductStructure:
+def product_from_golden(s: GoldenStructure) -> AlmostProductStructure:
     """Involution ``F = (2 phi - I)/sqrt5`` underlying a golden structure."""
-    return AlmostProductStructure(product_matrix(s.phi), s.metric, tol_struct=tol_struct)
+    return AlmostProductStructure(product_matrix(s.phi), s.metric)
 
 
 def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> GoldenStructure:
@@ -277,19 +280,13 @@ def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> Gol
     return GoldenStructure(phi, metric or Metric.euclidean(len(pattern)))
 
 
-def golden_eigendecomp(s: GoldenStructure):
-    """g-orthogonal eigenspace bases for the eigenvalues psi and 1 - psi.
+def golden_eigendecomp(s: GoldenStructure) -> tuple[np.ndarray, np.ndarray]:
+    """g-orthonormal float bases of the eigenspaces for psi and 1 - psi.
 
-    Returns a pair of matrices whose columns span the two eigenspaces.  On
-    the exact backend the spectral projector ``(phi - (1-psi) I)/sqrt5`` is
-    itself exact and the bases are its pivot columns; on the float backend
-    the structure is symmetrized through the metric Cholesky factor and
-    diagonalized, so the returned columns are g-orthonormal.
+    Returns a pair of matrices whose columns span the two eigenspaces: the
+    structure is symmetrized through the metric Cholesky factor and
+    diagonalized.
     """
-    if s.backend == "exact":
-        eye = _eye(s.phi)
-        return (xl.column_space_basis((s.phi - eye * ONE_MINUS_PSI) / SQRT5),
-                xl.column_space_basis((eye * PSI - s.phi) / SQRT5))
     phi = s.phi_float
     lt = s.metric.cholesky().T
     lt_inv = np.linalg.inv(lt)

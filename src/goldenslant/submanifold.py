@@ -240,10 +240,6 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
     return PointGeometry(frame, hess, split[..., :frame.m], split[..., frame.m:], ops, structure)
 
 
-class IdentityReport(NamedTuple):
-    residuals: dict[str, float]
-
-
 def block_identity_residuals(c, lowered, square, gt, form_norm=_amax) -> dict:
     """Max-abs residuals of the four block identities, self-adjointness and the metric split.
 
@@ -271,7 +267,7 @@ def block_identity_residuals(c, lowered, square, gt, form_norm=_amax) -> dict:
 
 
 def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
-                                  structure: GoldenStructure) -> IdentityReport:
+                                  structure: GoldenStructure) -> dict:
     """:func:`block_identity_residuals` in the orthonormal frames, plus reassembly.
 
     The two metric identities are bilinear forms, measured by the spectral
@@ -289,7 +285,7 @@ def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
     tb, nb = frame.tangent_onb, frame.normal_onb
     res["reassembly_tangent"] = _amax(phi @ tb - tb @ ops.p - nb @ ops.q)
     res["reassembly_normal"] = _amax(phi @ nb - tb @ ops.t - nb @ ops.s)
-    return IdentityReport({k: float(v) if np.ndim(v) == 0 else v for k, v in res.items()})
+    return {k: float(v) if np.ndim(v) == 0 else v for k, v in res.items()}
 
 
 def invariance_kinds(ops: InducedOperators,

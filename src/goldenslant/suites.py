@@ -30,13 +30,7 @@ from .extrinsic import gauss_split_residuals, invariant_residuals, shape_vanishi
 from .quadrat import QuadRat
 from .slant import classify_geometry, exact_slant_data, reference_cosine
 from .spaceform import SpaceFormModel, curvature_program, nabla_identities_certificate
-from .structures import (
-    GoldenStructure,
-    _amax,
-    golden_eigendecomp,
-    golden_matrix,
-    product_matrix,
-)
+from .structures import GoldenStructure, _amax, golden_matrix, product_matrix
 from .submanifold import (
     PointGeometry,
     exact_frame,
@@ -53,28 +47,36 @@ EXACT_SUITES = {"identities", "slant"}
 
 
 def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
-    """Report the axiom check the structure's build ran, the F round trip and the eigenspaces."""
+    """Report the axiom check the structure's build ran, the F round trip and the eigenspaces.
+
+    ``F = (2 phi - I)/sqrt5`` is +1 on the psi-eigenspace and -1 on the
+    (1 - psi)-eigenspace, so their dimensions are ``p = (n + tr F)/2`` and
+    ``n - p``.  The two eigenspaces of an exact phi span the space exactly
+    when ``phi^2 - phi - I`` is exactly zero, which the pass requires.
+    """
     report = structure.report
-    phi = structure.phi
+    phi, n = structure.phi, structure.n
+    f = product_matrix(phi)
     residuals = {
         "structure_equation": report.residual_structure,
         "self_adjoint": report.residual_self_adjoint,
         "metric_compat": report.residual_compat,
-        "product_roundtrip": float(_amax(golden_matrix(product_matrix(phi)) - phi)),
+        "product_roundtrip": float(_amax(golden_matrix(f) - phi)),
     }
-    dims = [int(basis.shape[1]) for basis in golden_eigendecomp(structure)]
+    p = round(float((n + sum(f.diagonal())) / 2))
+    spans = report.backend == "float" or report.structure_exact
     return {
-        "pass": all(v <= tol.tol_struct for v in residuals.values()) and sum(dims) == structure.n,
+        "pass": all(v <= tol.tol_struct for v in residuals.values()) and spans,
         "backend": report.backend,
         "residuals": residuals,
         "exact_zero": report.exact_zero,
-        "eigenspace_dims": dims,
+        "eigenspace_dims": [p, n - p],
     }
 
 
 def run_identities_suite(geom: PointGeometry, tol: Tolerances) -> dict:
-    rep = structural_identity_residuals(geom.ops, geom.frame, geom.structure)
-    worst = {key: float(np.max(values)) for key, values in rep.residuals.items()}
+    residuals = structural_identity_residuals(geom.ops, geom.frame, geom.structure)
+    worst = {key: float(np.max(values)) for key, values in residuals.items()}
     gram = float(np.max(geom.frame.gram_residual()))
     result = {
         "points": geom.size,
@@ -177,7 +179,7 @@ def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -
 def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
                         tol: Tolerances) -> dict:
     sf = cfg.spaceform
-    model = SpaceFormModel.from_structure(structure, sf.c_p, sf.c_q)
+    model = SpaceFormModel(structure, sf.c_p, sf.c_q)
     if model.p != sf.p:
         raise ConfigError("/spaceform/p", f"must equal {model.p}, the dimension of "
                           "the psi-eigenspace of the ambient phi")

@@ -1,8 +1,15 @@
-"""Test helpers: the batched geometry pass at one point, and seeded random golden structures."""
+"""Test helpers: the batched geometry pass at one point, seeded random golden structures and
+diagonal space-form models."""
 
 import numpy as np
 
-from goldenslant.structures import AlmostProductStructure, Metric, golden_from_product
+from goldenslant.spaceform import SpaceFormModel
+from goldenslant.structures import (
+    AlmostProductStructure,
+    Metric,
+    diagonal_golden,
+    golden_from_product,
+)
 from goldenslant.submanifold import point_geometry
 
 
@@ -30,3 +37,9 @@ def random_golden(n: int, p: int, seed: int):
     f = q @ np.diag([1.0] * p + [-1.0] * (n - p)) @ q.T
     f = (f + f.T) / 2.0
     return golden_from_product(AlmostProductStructure(f, Metric.euclidean(n, backend="float")))
+
+
+def diagonal_model(n: int, p: int, c_p: float, c_q: float) -> SpaceFormModel:
+    """Space-form model on Euclidean R^n over the exact diagonal structure with psi on the
+    first ``p`` axes and 1 - psi on the rest."""
+    return SpaceFormModel(diagonal_golden(["psi"] * p + ["one_minus_psi"] * (n - p)), c_p, c_q)

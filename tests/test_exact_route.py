@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import goldenslant.exactlin as xl
 from goldenslant.cli import resolve_config
-from goldenslant.config import load_config, parse_config
+from goldenslant.config import Tolerances, load_config, parse_config
 from goldenslant.expr import Expr
 from goldenslant.quadrat import PSI, QuadRat
 from goldenslant.slant import (
@@ -23,6 +23,7 @@ from goldenslant.slant import (
 )
 from goldenslant.structures import (
     AlmostProductStructure,
+    GoldenStructure,
     Metric,
     _amax,
     _check_involution,
@@ -40,7 +41,8 @@ from goldenslant.submanifold import (
     exact_induced_operators,
     point_geometry,
 )
-from goldenslant.suites import run_scenario
+from goldenslant.suites import run_scenario, run_structure_suite
+from support import random_golden
 
 
 def _text(x: QuadRat) -> str:
@@ -86,8 +88,9 @@ def exact_scenarios(draw):
 @given(exact_scenarios())
 def test_shared_identities_are_exact_zeros_and_float_small(scenario):
     f, metric, jac = scenario
-    _check_involution(f, metric, 0.0)  # raises on a nonzero residual
     structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+    # phi^2 - phi - I = 5 (F^2 - I)/4 and g phi - phi^T g = sqrt5 (g F - F^T g)/2, so
+    # F is an exact involution, exactly g-compatible, when these are exact zeros.
     assert structure.report.exact_zero
     imm = _immersion(jac)
     frame = exact_frame(imm, metric)
@@ -239,6 +242,29 @@ class TestOnePass:
         suite = run_scenario(cfg)["suites"]["structure"]
         assert suite["exact_zero"] and suite["eigenspace_dims"] == [2, 2]
 
+    def test_structure_suite_needs_no_elimination(self, monkeypatch):
+        structure = _scenario(["structure"]).build_structure()
+        eliminations = _count(monkeypatch, xl, "_echelon")
+        assert run_structure_suite(structure, Tolerances())["pass"]
+        assert eliminations == []
+
+    @pytest.mark.parametrize("p", range(5))
+    def test_eigenspace_dims_on_both_backends(self, p):
+        exact = diagonal_golden(["psi"] * p + ["one_minus_psi"] * (4 - p))
+        for structure in (exact, exact.to_float(), random_golden(4, p, seed=p)):
+            suite = run_structure_suite(structure, Tolerances())
+            assert suite["pass"] and suite["eigenspace_dims"] == [p, 4 - p]
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**12), Fraction(1, 10**400)])
+    def test_nearly_golden_exact_phi_builds_but_fails_the_structure_suite(self, eps):
+        # Within the build's tolerance, but phi^2 - phi - I is not exactly 0; at
+        # 10^-400 its float view is 0.0.
+        phi = np.diag(np.array([PSI + eps, PSI, 1 - PSI, 1 - PSI], dtype=object))
+        structure = GoldenStructure(phi, Metric.euclidean(4))
+        suite = run_structure_suite(structure, Tolerances())
+        assert suite["residuals"]["structure_equation"] <= Tolerances().tol_struct
+        assert not suite["exact_zero"] and not suite["pass"]
+
     @pytest.mark.parametrize("f,metric,error", [
         ([["1", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "1", "0"],
           ["0", "0", "0", "1"]], None, "InvalidInvolution: F^2 - I has residual 3.000e+00"),
@@ -280,7 +306,7 @@ def test_involution_check_takes_two_matmuls(monkeypatch):
     # F^2 and g F: F^T g is the transpose of g F.
     metric = Metric(xl.qmatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]))
     calls = _count(monkeypatch, xl, "matmul")
-    _check_involution(xl.qmatrix([[int(x) for x in row] for row in INVOLUTION]), metric, 0.0)
+    _check_involution(xl.qmatrix([[int(x) for x in row] for row in INVOLUTION]), metric)
     assert len(calls) == 2
 
 

@@ -159,7 +159,7 @@ def test_one_point_geometry_equals_its_batch_entries():
     structure = _skewed_structure(5, 2, seed=3)
     points = [(0.1, 0.2), (-0.4, 0.7), (0.6, -0.3)]
     geom = point_geometry(SURFACE5, structure.metric, structure, points)
-    batched = structural_identity_residuals(geom.ops, geom.frame, structure).residuals
+    batched = structural_identity_residuals(geom.ops, geom.frame, structure)
     gauss = gauss_split_residuals(geom)
     for i, point in enumerate(points):
         frame = frame_at(SURFACE5, point, structure.metric)
@@ -167,8 +167,7 @@ def test_one_point_geometry_equals_its_batch_entries():
         assert frame.point == point
         assert np.abs(frame.tangent_onb - geom.frame.tangent_onb[i]).max() <= 1e-14
         assert np.abs(ops.s - geom.ops.s[i]).max() <= 1e-14
-        report = structural_identity_residuals(ops, frame, structure)
-        for key, value in report.residuals.items():
+        for key, value in structural_identity_residuals(ops, frame, structure).items():
             assert abs(value - batched[key][i]) <= 1e-14, key
         one = at_point(SURFACE5, point, structure)
         assert np.abs(one.h[0] - geom.h[i]).max() <= 1e-14
@@ -290,7 +289,7 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
     def dot(a, b):
         return np.einsum("...i,...i->...", a, b)
 
-    identities = structural_identity_residuals(ops, geom.frame, structure).residuals
+    identities = structural_identity_residuals(ops, geom.frame, structure)
     # the residuals classify_geometry attaches, at the given lambda
     lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, eye, p), q, q, lam, k, _spectral)
     # residual, its matrix, and the form the earlier samples evaluated on (x, y)
@@ -323,7 +322,7 @@ def test_spectral_residual_of_a_non_finite_operator_fails(bad):
     blocks[1, 0, 1] = bad  # an entry of P
     with np.errstate(invalid="ignore"):
         res = structural_identity_residuals(geom.ops._replace(blocks=blocks), geom.frame,
-                                            structure).residuals
+                                            structure)
     for key in ("p_self_adjoint", "metric_split"):
         assert res[key][0] <= 1e-12
         assert not res[key][1] <= 1e9, key

@@ -1,4 +1,4 @@
-"""A stdlib ``ast`` scan of the package for three kinds of dead code.
+"""A stdlib ``ast`` scan of the package for four kinds of dead code.
 
 * A module-level import that its module never reads (pyflakes' F401). An
   import line marked ``# noqa: F401`` is kept on purpose and passes.
@@ -6,14 +6,19 @@
   of the package reads: not by name, not as an attribute and not by import.
 * A ``NamedTuple`` field that no module of the package reads as an attribute
   (a field only unpacked by position counts as unread).
+* A public top-level function, or public method of a top-level class, that no
+  module of the package reads by name or as an attribute, that the package
+  does not export and that ``README.md`` never calls.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import goldenslant
 
 PACKAGE = Path(goldenslant.__file__).resolve().parent
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _package_sources() -> dict[str, str]:
@@ -105,6 +110,31 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
             if field not in read]
 
 
+def _public_definitions(tree: ast.Module):
+    """``(name, qualified name, line)`` of each public function and method."""
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for fn in methods:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                yield fn.name, prefix + fn.name, fn.lineno
+
+
+def unused_public(sources: dict[str, str], exported: set[str], readme: str) -> list[str]:
+    """``file:line: name`` for each public function or method that no module reads by
+    name or as an attribute, that is not ``exported`` and that ``readme`` never calls."""
+    trees = {filename: ast.parse(text) for filename, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= _loaded(tree)
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return [f"{filename}:{lineno}: {qualified}"
+            for filename, tree in trees.items()
+            for name, qualified, lineno in _public_definitions(tree)
+            if name not in read and name not in exported
+            and not re.search(rf"\b{re.escape(name)}\(", readme)]
+
+
 def test_no_unused_module_level_import():
     assert unused_imports(_package_sources()) == []
 
@@ -115,6 +145,10 @@ def test_no_unreferenced_private_helper():
 
 def test_no_unread_namedtuple_field():
     assert unread_fields(_package_sources()) == []
+
+
+def test_no_public_function_only_tests_reach():
+    assert unused_public(_package_sources(), set(goldenslant.__all__), README.read_text()) == []
 
 
 def test_the_scan_finds_dead_code_and_honours_noqa():
@@ -153,3 +187,30 @@ def test_the_scan_finds_unread_namedtuple_fields():
                  "    return pair.left\n"),
     }
     assert unread_fields(sources) == ["a.py:5: Pair.right", "a.py:6: Pair.unpacked"]
+
+
+def test_the_scan_finds_public_functions_nothing_reaches():
+    sources = {
+        "a.py": ("def exported():\n"
+                 "    return helper()\n"
+                 "def helper():\n"
+                 "    pass\n"
+                 "def documented():\n"
+                 "    pass\n"
+                 "def orphan():\n"
+                 "    pass\n"
+                 "class Model:\n"
+                 "    def read(self):\n"
+                 "        return self\n"
+                 "    def unread(self):\n"
+                 "        return self.read()\n"
+                 "    def _private(self):\n"
+                 "        pass\n"),
+        "b.py": ("def g(model):\n"
+                 "    return model.unread\n"
+                 "def mentioned():\n"
+                 "    pass\n"),
+    }
+    readme = "Call `documented(x)`; `mentioned` and orphan are only named.\n"
+    assert unused_public(sources, {"exported"}, readme) == [
+        "a.py:7: orphan", "b.py:1: g", "b.py:3: mentioned"]

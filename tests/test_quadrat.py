@@ -481,8 +481,8 @@ def _eliminations(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_eliminations())
-def test_kernel_and_column_space_on_rank_deficient_matrices(a):
-    rows, cols = len(a), len(a[0])
+def test_kernel_basis_on_rank_deficient_matrices(a):
+    cols = len(a[0])
     rank = _prank([[_pair(x) for x in row] for row in a])
     kernel, free = xl.kernel_basis(a)
     assert len(kernel) == cols - rank and _canonical(kernel)
@@ -490,10 +490,6 @@ def test_kernel_and_column_space_on_rank_deficient_matrices(a):
     if len(kernel):
         assert not any(x for row in _values(xl.qmatrix(a) @ kernel.T) for x in row)
         assert _prank([[_pair(x) for x in v] for v in _values(kernel)]) == len(kernel)
-    basis = xl.column_space_basis(xl.qmatrix(a))
-    assert basis.shape == (rows, rank)
-    if rank:
-        assert _prank([[_pair(x) for x in row] for row in _values(basis)]) == rank
 
 
 @settings(max_examples=60, deadline=None)

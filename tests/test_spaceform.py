@@ -27,7 +27,7 @@ from goldenslant.spaceform import (
 )
 from goldenslant.structures import GoldenStructure, Metric
 from goldenslant.suites import run_curvature_suite
-from support import random_golden
+from support import diagonal_model, random_golden
 
 PSI_F = float(PSI)
 
@@ -75,21 +75,21 @@ def _read(result, keys):
     return result
 
 
-MODELS = [SpaceFormModel.build(n, n // 2, cp, cq)
+MODELS = [diagonal_model(n, n // 2, cp, cq)
           for n in (2, 4, 6, 8)
           for cp, cq in ((0, 0), (1, 1), (1, -1), (2, 3))]
 
 
 class TestCurvatureTensor:
     def test_flat_model_vanishes(self):
-        model = SpaceFormModel.build(4, 2, 0.0, 0.0)
+        model = diagonal_model(4, 2, 0.0, 0.0)
         rng = np.random.default_rng(0)
         for _ in range(10):
             x, y, z = rng.standard_normal((3, 4))
             assert np.abs(curvature(model, x, y, z)).max() == 0.0
 
     def test_matches_independent_transcription(self):
-        model = SpaceFormModel.build(4, 2, 1.0, 2.0)
+        model = diagonal_model(4, 2, 1.0, 2.0)
         e = np.eye(4)
         direct = curvature(model, e[0], e[2], e[0])
         assert np.abs(direct - _naive_curvature(model, e[0], e[2], e[0])).max() <= 1e-14
@@ -110,21 +110,21 @@ class TestCurvatureTensor:
             assert identities["pair_symmetry"] <= 1e-10
 
     def test_dimension_mismatch(self):
-        model = SpaceFormModel.build(4, 2, 1.0, 1.0)
+        model = diagonal_model(4, 2, 1.0, 1.0)
         with pytest.raises(DimensionMismatch):
             curvature(model, np.ones(3), np.ones(4), np.ones(4))
 
 
 class TestRicci:
     def test_flat_ricci_vanishes(self):
-        model = SpaceFormModel.build(4, 2, 0.0, 0.0)
+        model = diagonal_model(4, 2, 0.0, 0.0)
         rng = np.random.default_rng(2)
         y, z = rng.standard_normal((2, 4))
         assert ricci_framesum(model, y, z) == 0.0
         assert ricci_closed(model, y, z) == 0.0
 
     def test_symmetry_of_framesum(self):
-        model = SpaceFormModel.build(6, 3, 1.0, -1.0)
+        model = diagonal_model(6, 3, 1.0, -1.0)
         rng = np.random.default_rng(3)
         for _ in range(40):
             y, z = rng.standard_normal((2, 6))
@@ -139,7 +139,7 @@ class TestRicci:
         # Fitting S samples against {g(Y,Z), g(phiY,Z)} must recover the two
         # closed-form constants; point-independence of those constants is the
         # content of Ricci symmetry in this constant model.
-        model = SpaceFormModel.build(4, 2, 1.0, 2.0)
+        model = diagonal_model(4, 2, 1.0, 2.0)
         rng = np.random.default_rng(4)
         rows, rhs = [], []
         for _ in range(100):
@@ -158,7 +158,7 @@ class TestRicci:
 
     def test_random_structure_model(self):
         structure = random_golden(6, 2, seed=5)
-        model = SpaceFormModel.from_structure(structure, 1.0, -1.0)
+        model = SpaceFormModel(structure, 1.0, -1.0)
         assert model.p == 2
         assert _agreement(model, trials=50) <= 1e-9
 
@@ -172,17 +172,17 @@ class TestCommutationFindings:
     """
 
     def test_flat_model_conforms(self):
-        model = SpaceFormModel.build(4, 2, 0.0, 0.0)
+        model = diagonal_model(4, 2, 0.0, 0.0)
         assert max(_commutation(model, trials=20).values()) == 0.0
 
     def test_scalar_structure_conforms_for_any_curvatures(self):
         # p = n: phi is a multiple of the identity and commutes with anything.
-        model = SpaceFormModel.build(4, 4, 1.0, -1.0)
+        model = diagonal_model(4, 4, 1.0, -1.0)
         assert max(_commutation(model, trials=20).values()) <= 1e-12
 
     def test_mixed_eigenspaces_violate_commutation_when_b_nonzero(self):
         for cp, cq in ((1.0, 1.0), (1.0, -1.0), (2.0, 3.0)):
-            model = SpaceFormModel.build(4, 2, cp, cq)
+            model = diagonal_model(4, 2, cp, cq)
             assert abs(model.coeff_b) > 0.1
             res = _commutation(model, trials=50)
             assert max(res.values()) > 0.1, (cp, cq, res)
@@ -190,7 +190,7 @@ class TestCommutationFindings:
     def test_violation_magnitude_on_canonical_tuple(self):
         # R(e1, e3) e1 = -B e3 with e1, e3 in different eigenspaces, so the
         # phi-argument residual on (e1, e3, e1) is exactly sqrt5 |B|.
-        model = SpaceFormModel.build(4, 2, 1.0, 1.0)
+        model = diagonal_model(4, 2, 1.0, 1.0)
         e = np.eye(4)
         lhs = curvature(model, e[0], e[2], model.phi @ e[0])
         rhs = model.phi @ curvature(model, e[0], e[2], e[0])
@@ -202,15 +202,14 @@ class TestCommutationFindings:
         phi[0, 1] = 0.05
         structure = GoldenStructure(phi, Metric.euclidean(4, backend="float"),
                                     validate=False)
-        model = SpaceFormModel(n=4, p=2, c_p=1.0, c_q=1.0, structure=structure,
-                               frame=np.eye(4))
+        model = SpaceFormModel(structure, 1.0, 1.0)
         res = _commutation(model, trials=50)
         assert max(res.values()) > 1e-3
 
 
 class TestDerivationAction:
     def test_definitional_value_matches_independent_evaluation(self):
-        model = SpaceFormModel.build(4, 2, 1.0, -1.0)
+        model = diagonal_model(4, 2, 1.0, -1.0)
         rng = np.random.default_rng(6)
         for _ in range(50):
             x, y, z, w = rng.standard_normal((4, 4))
@@ -222,7 +221,7 @@ class TestDerivationAction:
                        - independent) <= 1e-9
 
     def test_flat_model_everything_vanishes(self):
-        result = curvature_program(SpaceFormModel.build(4, 2, 0.0, 0.0), trials=20)
+        result = curvature_program(diagonal_model(4, 2, 0.0, 0.0), trials=20)
         assert result.non_semi_symmetry_probe == 0.0
         assert result.rs_corollary == 0.0
         assert result.rs_closed_form_gap == 0.0
@@ -231,19 +230,19 @@ class TestDerivationAction:
     def test_balanced_equal_curvatures_kill_the_phi_coefficient(self):
         # c_p = c_q with a balanced signature forces beta = 0, hence R.S = 0.
         for n in (4, 6, 8):
-            model = SpaceFormModel.build(n, n // 2, 1.0, 1.0)
+            model = diagonal_model(n, n // 2, 1.0, 1.0)
             assert abs(model.ricci_phi_coeff) <= 1e-12
             result = curvature_program(model, trials=20)
             assert result.non_semi_symmetry_probe <= 1e-10
             assert result.rs_corollary <= 1e-10
 
     def test_generic_curvatures_are_not_semi_symmetric(self):
-        model = SpaceFormModel.build(4, 2, 1.0, -1.0)
+        model = diagonal_model(4, 2, 1.0, -1.0)
         assert curvature_program(model, trials=100, seed=1).non_semi_symmetry_probe > 1e-6
 
     def test_closed_form_gap_formula(self):
         # definitional - claimed = -beta (g(RZ, phi W) - g(RW, phi Z))
-        model = SpaceFormModel.build(4, 2, 1.0, -1.0)
+        model = diagonal_model(4, 2, 1.0, -1.0)
         beta = model.ricci_phi_coeff
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -259,7 +258,7 @@ class TestDerivationAction:
         # Pinned finding: with beta != 0 and mixed eigenspaces, the claimed
         # vanishing of (R(phiX, Y).S)(phiZ, W) and the phi-expansions fail.
         for cp, cq in ((1.0, -1.0), (2.0, 3.0)):
-            model = SpaceFormModel.build(4, 2, cp, cq)
+            model = diagonal_model(4, 2, cp, cq)
             assert abs(model.ricci_phi_coeff) > 0.1
             result = curvature_program(model, trials=50)
             assert result.rs_corollary > 0.1
@@ -268,7 +267,7 @@ class TestDerivationAction:
 
 class TestNablaCertificate:
     def test_certificate_reports_constant_coefficients(self):
-        model = SpaceFormModel.build(4, 2, 1.0, 2.0)
+        model = diagonal_model(4, 2, 1.0, 2.0)
         cert = nabla_identities_certificate(model)
         assert cert.certified
         # A = -((1-psi) - 2 psi)/(2 sqrt5) = (15 + sqrt5)/20 and
@@ -278,7 +277,7 @@ class TestNablaCertificate:
         assert len(cert.statements) == 2
 
     def test_flat_certificate_has_zero_coefficients(self):
-        cert = nabla_identities_certificate(SpaceFormModel.build(4, 2, 0.0, 0.0))
+        cert = nabla_identities_certificate(diagonal_model(4, 2, 0.0, 0.0))
         assert cert.coeff_a == 0.0 and cert.coeff_b == 0.0
         assert cert.ricci_g_coeff == 0.0 and cert.ricci_phi_coeff == 0.0
 
@@ -298,7 +297,7 @@ def _skewed_model(c_p, c_q):
     phi = np.linalg.solve(lt, random_golden(n, 2, seed=5).phi_float @ lt)
     g = lt.T @ lt
     structure = GoldenStructure(phi, Metric((g + g.T) / 2.0))
-    return SpaceFormModel.from_structure(structure, c_p, c_q)
+    return SpaceFormModel(structure, c_p, c_q)
 
 
 ORACLE_MODELS = MODELS + [_skewed_model(1.0, -1.0), _skewed_model(2.0, 3.0)]
@@ -433,7 +432,7 @@ class TestBatchedProbes:
             assert np.abs(single - _naive_curvature(model, x[t], y[t], z[t])).max() <= 1e-12
 
     def test_dimension_mismatch_on_the_last_axis(self):
-        model = SpaceFormModel.build(4, 2, 1.0, 1.0)
+        model = diagonal_model(4, 2, 1.0, 1.0)
         good = np.ones((5, 4))
         with pytest.raises(DimensionMismatch):
             curvature(model, np.ones((5, 3)), good, good)
@@ -445,7 +444,7 @@ class TestBatchedProbes:
         assert _worst(np.array([[0.5, -3.0], [-2.0, 1.0]])) == 3.0
 
     def test_bulk_draw_equals_sequential_draws(self):
-        model = SpaceFormModel.build(8, 4, 1.0, -1.0)
+        model = diagonal_model(8, 4, 1.0, -1.0)
         x, y, z = _tuples(model, trials=7, seed=13, k=3)
         rng = np.random.default_rng(13)
         for t in range(7):
@@ -530,7 +529,7 @@ def _curvature_config(n, c_p, c_q, trials, seed):
 class TestCurvatureProgram:
     @pytest.mark.parametrize("trials", [1, 5, 200])
     def test_smaller_tuples_are_prefixes_of_the_four_tuple_draw(self, trials):
-        model = SpaceFormModel.build(8, 4, 1.0, -1.0)
+        model = diagonal_model(8, 4, 1.0, -1.0)
         quads = _tuples(model, trials, 13, 4)
         flat = np.random.default_rng(13).standard_normal(4 * trials * model.n)
         for k in (2, 3):
@@ -550,7 +549,7 @@ class TestCurvatureProgram:
             cfg = _curvature_config(model.n, model.c_p, model.c_q, trials, seed)
             structure = cfg.build_structure()
             expected = _probe_by_probe(
-                SpaceFormModel.from_structure(structure, model.c_p, model.c_q), trials, seed)
+                SpaceFormModel(structure, model.c_p, model.c_q), trials, seed)
             report = run_curvature_suite(cfg, structure, cfg.tolerances)
             assert report["identities"] == expected["identities"]
             assert report["ricci_phi"] == expected["ricci_phi"]
