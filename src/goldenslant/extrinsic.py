@@ -30,15 +30,15 @@ def _amax3(a: np.ndarray) -> np.ndarray:
 
 def _phi_hessian_split(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Tangent and normal coordinates of phi D2x_ij, each indexed [point, i, j, coordinate]."""
-    frame = geom.frame
-    v = np.einsum("ab,...bij->...aij", geom.structure.phi_float, geom.hessians)
-    coords = np.einsum("...kn,...nij->...ijk", frame.onb.mT @ frame.metric.matrix, v)
+    frame, hess = geom.frame, geom.hessians
+    coords = frame.split(geom.structure.phi_float @ hess.reshape(*hess.shape[:-2], -1))
     return coords[..., :frame.m], coords[..., frame.m:]
 
 
 def _apply(op: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``op`` applied to every vector ``vectors[..., i, j, :]``."""
-    return np.einsum("...ab,...ijb->...ija", op, vectors)
+    """``op`` applied to every vector ``vectors[..., i, j, :]``, as one matmul on their columns."""
+    columns = vectors.reshape(*vectors.shape[:-3], -1, vectors.shape[-1]).mT
+    return (op @ columns).mT.reshape(*vectors.shape[:-1], op.shape[-2])
 
 
 def gauss_split_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:

@@ -164,8 +164,8 @@ def _structure_residuals(phi, g):
     return phi @ phi - phi - _eye(phi), g_phi - phit_g, phit_g @ phi - phit_g - g
 
 
-def verify_golden(phi, metric: Metric) -> StructureReport:
-    """Check the golden-structure axioms and report max-abs residuals."""
+def _measure(phi, metric: Metric) -> tuple[StructureReport, list]:
+    """The report of phi's axioms and their max-abs residuals, exact when phi and the metric are."""
     n = _check_square(phi, "phi")
     if n != metric.n:
         raise DimensionMismatch(f"phi is {n}x{n} but metric is {metric.n}x{metric.n}")
@@ -177,7 +177,12 @@ def verify_golden(phi, metric: Metric) -> StructureReport:
     return StructureReport(rs, ra, rc, passed=all(r <= DEFAULT_TOL_STRUCT for r in (rs, ra, rc)),
                            backend="exact" if exact else "float",
                            exact_zero=exact and not any(worst),
-                           structure_exact=exact and not worst[0])
+                           structure_exact=exact and not worst[0]), worst
+
+
+def verify_golden(phi, metric: Metric) -> StructureReport:
+    """Check the golden-structure axioms and report max-abs residuals."""
+    return _measure(phi, metric)[0]
 
 
 class GoldenStructure:
@@ -235,9 +240,11 @@ def _check_involution(f, metric: Metric) -> None:
     if n != metric.n:
         raise DimensionMismatch("F and metric dimensions differ")
     f, g = _operands(f, metric)
-    r_inv = float(_amax(f @ f - _eye(f)))
     g_f = g @ f  # G is symmetric, so F^T G = (G F)^T
-    r_met = float(_amax(g_f - g_f.T))
+    _require_involution(float(_amax(f @ f - _eye(f))), float(_amax(g_f - g_f.T)))
+
+
+def _require_involution(r_inv, r_met) -> None:
     if r_inv > DEFAULT_TOL_STRUCT:
         raise InvalidInvolution(f"F^2 - I has residual {r_inv:.3e}")
     if r_met > DEFAULT_TOL_STRUCT:
@@ -260,9 +267,18 @@ def product_matrix(phi):
 
 
 def golden_from_product(f: AlmostProductStructure) -> GoldenStructure:
-    """Golden structure ``phi = (I + sqrt5 F)/2`` induced by an involution."""
-    _check_involution(f.f, f.metric)
-    return GoldenStructure(golden_matrix(f.f), f.metric)
+    """Golden structure ``phi = (I + sqrt5 F)/2`` of an involution, from one check of phi's axioms:
+    F's residual maxima are phi's rescaled, as ``phi^2 - phi - I = 5 (F^2 - I)/4`` and
+    ``G phi - phi^T G = sqrt5 (G F - F^T G)/2`` (exactly, for an exact F and metric)."""
+    if f.n != f.metric.n:
+        raise DimensionMismatch("F and metric dimensions differ")
+    phi = golden_matrix(f.f)
+    report, worst = _measure(phi, f.metric)
+    _require_involution(float(worst[0] * 4 / 5), float(worst[1] * 2 / _sqrt5(phi)))
+    structure = GoldenStructure(phi, f.metric, validate=False)
+    structure.report = report
+    # A phi that fails is built again with validation, which raises its InvalidStructure.
+    return structure if report.passed else GoldenStructure(phi, f.metric)
 
 
 def product_from_golden(s: GoldenStructure) -> AlmostProductStructure:

@@ -23,12 +23,13 @@ reads every identity from ``(C, M, C**2)`` for both backends.
 The float route writes the operators in g-orthonormal frames, where
 ``Gamma = I`` and ``M = C``, so plain transposes realize metric adjoints.  A
 scenario evaluates all of its sample points in one batched pass
-(:func:`point_geometry`).  Affine immersions with coefficients in Q(sqrt5)
-also get an exact route in the raw tangent basis ``T`` and the reduced
-kernel basis ``N`` of ``T^T g``, which is the identity on its free rows.
-Because ``N`` is g-orthogonal to ``T``, the tangent rows of ``C`` solve one
-m x m system against ``Gt``, and the normal rows are read off the free rows
-of ``phi B = B C``; the identities then check statements about exact zeros.
+(:func:`point_geometry`) that forms the Cholesky factor of g and its inverse
+once and each per-point contraction as one batched matmul.  Affine immersions
+over Q(sqrt5) also get an exact route in the raw tangent basis ``T`` and the
+reduced kernel basis ``N`` of ``T^T g``, the identity on its free rows.  As
+``N`` is g-orthogonal to ``T``, the tangent rows of ``C`` solve one m x m
+system against ``Gt``, and the normal rows are read off the free rows of
+``phi B = B C``; the identities then check statements about exact zeros.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class ImmersionSpec:
 
 
 class TangentFrame(NamedTuple):
-    """g-orthonormal tangent and normal frames at one parameter point.
+    """g-orthonormal frame [tangent | normal] at one parameter point.
 
     Frames stacked over N points carry a leading point axis: ``point`` is
     then an (N, m) array and every matrix gains an axis of length N.
@@ -91,35 +92,30 @@ class TangentFrame(NamedTuple):
 
     point: tuple[float, ...] | np.ndarray
     raw_tangents: np.ndarray  # n x m Jacobian columns
-    tangent_onb: np.ndarray  # n x m
-    normal_onb: np.ndarray  # n x (n - m)
-    metric: Metric
+    onb: np.ndarray  # n x n, the first m columns tangent
+    lowered: np.ndarray  # n x n, onb^T g = onb^-1, read by every frame coordinate
 
-    @property
-    def m(self) -> int:
-        return self.tangent_onb.shape[-1]
-
-    @property
-    def n(self) -> int:
-        return self.tangent_onb.shape[-2]
+    m = property(lambda self: self.raw_tangents.shape[-1])
+    n = property(lambda self: self.onb.shape[-1])
+    tangent_onb = property(lambda self: self.onb[..., :self.m])  # n x m, a view
+    normal_onb = property(lambda self: self.onb[..., self.m:])  # n x (n - m), a view
 
     def at(self, i: int) -> TangentFrame:
         """The frame at point ``i`` of a stack."""
         return TangentFrame(tuple(self.point[i].tolist()), self.raw_tangents[i],
-                            self.tangent_onb[i], self.normal_onb[i], self.metric)
-
-    @property
-    def onb(self) -> np.ndarray:
-        """The combined frame [tangent | normal] (n x n)."""
-        return np.concatenate([self.tangent_onb, self.normal_onb], axis=-1)
+                            self.onb[i], self.lowered[i])
 
     def gram_residual(self) -> np.ndarray | float:
-        """Deviation of the combined frame from g-orthonormality, per point of a stack."""
-        full = self.onb
-        return _amax(full.mT @ self.metric.matrix @ full - np.eye(self.n))
+        """Deviation of the frame from g-orthonormality, per point of a stack."""
+        return _amax(self.lowered @ self.onb - np.eye(self.n))
 
     def tangent_coords(self, ambient: np.ndarray) -> np.ndarray:
-        return self.tangent_onb.mT @ self.metric.matrix @ ambient
+        return self.lowered[..., :self.m, :] @ ambient
+
+    def split(self, columns: np.ndarray) -> np.ndarray:
+        """Frame coordinates [..., i, j, k] of ambient vectors ``columns[..., :, i * m + j]``."""
+        coords = (self.lowered @ columns).reshape(*columns.shape[:-1], self.m, self.m)
+        return np.moveaxis(coords, -3, -1)
 
 
 def _stacked_frames(points: np.ndarray, jac: np.ndarray, metric: Metric) -> TangentFrame:
@@ -128,7 +124,7 @@ def _stacked_frames(points: np.ndarray, jac: np.ndarray, metric: Metric) -> Tang
     With ``G = L L^T``, the complete QR of ``L^T J`` is Euclidean-orthonormal,
     so ``L^{-T} Q`` is g-orthonormal.  The tangent columns are signed as
     Gram-Schmidt on the Jacobian columns signs them; the normal columns are
-    the QR completion.
+    the QR completion.  ``L^{-T}`` is one triangular inverse, applied to all N as one matmul.
     """
     smallest = np.linalg.svd(jac, compute_uv=False).min(axis=-1)
     bad = np.flatnonzero(~(smallest >= _RANK_TOL))
@@ -141,8 +137,8 @@ def _stacked_frames(points: np.ndarray, jac: np.ndarray, metric: Metric) -> Tang
     q, r = np.linalg.qr(chol.T @ jac, mode="complete")
     signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
     q[..., :m] *= signs[..., None, :]
-    basis = np.linalg.solve(chol.T, q)
-    return TangentFrame(points, jac, basis[..., :m], basis[..., m:], metric)
+    onb = np.linalg.inv(chol.T) @ q
+    return TangentFrame(points, jac, onb, onb.mT @ metric.matrix)
 
 
 def frame_at(imm: ImmersionSpec, point: Sequence[float], metric: Metric) -> TangentFrame:
@@ -183,8 +179,7 @@ def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> Induce
     """Project ``phi`` through the frames of ``frame`` (one point or a stack)."""
     if structure.n != frame.n:
         raise DimensionMismatch("structure and frame ambient dimensions differ")
-    full = frame.onb
-    blocks = full.mT @ (frame.metric.matrix @ structure.phi_float @ full)
+    blocks = frame.lowered @ (structure.phi_float @ frame.onb)
     return InducedOperators(blocks, frame.m)
 
 
@@ -227,15 +222,14 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
     else:
         jac = evaluate_affine(*(np.asarray(x, dtype=float) for x in form), pts)
         hess = np.zeros(jac.shape + jac.shape[-1:])
-    if structure is not None:
-        structure = structure.to_float()
+    structure = None if structure is None else structure.to_float()
     # Products that overflow give non-finite values, which fail the checks
     # that read them.
     with np.errstate(over="ignore", invalid="ignore"):
         frame = _stacked_frames(pts, jac, metric.to_float())
         # Coordinates of D2x_ij in [tangent | normal]: the first m are its
         # tangential part, the rest the second fundamental form h_ij.
-        split = np.einsum("...kn,...nij->...ijk", frame.onb.mT @ frame.metric.matrix, hess)
+        split = frame.split(hess.reshape(len(pts), imm.n, -1))
         ops = None if structure is None else induced_operators(frame, structure)
     return PointGeometry(frame, hess, split[..., :frame.m], split[..., frame.m:], ops, structure)
 

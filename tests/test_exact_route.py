@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import goldenslant.exactlin as xl
 from goldenslant.cli import resolve_config
 from goldenslant.config import Tolerances, load_config, parse_config
+from goldenslant.errors import InvalidStructure
 from goldenslant.expr import Expr
 from goldenslant.quadrat import PSI, QuadRat
 from goldenslant.slant import (
@@ -30,6 +31,7 @@ from goldenslant.structures import (
     _structure_residuals,
     diagonal_golden,
     golden_from_product,
+    golden_matrix,
     verify_golden,
 )
 from goldenslant.submanifold import (
@@ -213,6 +215,7 @@ def counters(monkeypatch):
     import goldenslant.submanifold as submanifold
     return {
         "verify_golden": _count(monkeypatch, structures, "verify_golden"),
+        "axioms": _count(monkeypatch, structures, "_measure"),
         "involution": _count(monkeypatch, structures, "_check_involution"),
         "exact_frame": _count(monkeypatch, submanifold, "exact_frame"),
         "exact_induced_operators": _count(monkeypatch, submanifold, "exact_induced_operators"),
@@ -225,8 +228,10 @@ class TestOnePass:
         assert report["overall_pass"]
         assert report["suites"]["identities"]["exact"]["all_zero"]
         assert report["suites"]["slant"]["exact"]["available"]
+        # golden_from_product measures phi's axioms once and reads F's residuals from them.
         assert {name: len(calls) for name, calls in counters.items()} == {
-            "verify_golden": 1, "involution": 1, "exact_frame": 1, "exact_induced_operators": 1}
+            "verify_golden": 0, "axioms": 1, "involution": 0, "exact_frame": 1,
+            "exact_induced_operators": 1}
 
     def test_extrinsic_only_scenario_skips_the_exact_route(self, counters):
         assert run_scenario(_scenario(["extrinsic"]))["overall_pass"]
@@ -308,6 +313,32 @@ def test_involution_check_takes_two_matmuls(monkeypatch):
     calls = _count(monkeypatch, xl, "matmul")
     _check_involution(xl.qmatrix([[int(x) for x in row] for row in INVOLUTION]), metric)
     assert len(calls) == 2
+
+
+def test_golden_from_product_takes_three_matmuls(monkeypatch):
+    # phi^2, g phi and (phi^T g) phi for phi = (I + sqrt5 F)/2: F's residuals are
+    # exact rescalings of phi's, so F^2 and g F are never formed.
+    metric = Metric(xl.qmatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]))
+    f = AlmostProductStructure(xl.qmatrix([[int(x) for x in row] for row in INVOLUTION]),
+                               metric, validate=False)
+    calls = _count(monkeypatch, xl, "matmul")
+    structure = golden_from_product(f)
+    assert structure.report.exact_zero
+    assert len(calls) == 3
+
+
+def test_golden_from_product_raises_past_an_involution_within_tolerance():
+    # F^2 - I is 0.9e-9, inside the involution tolerance, so phi^2 - phi - I is
+    # 5/4 of it, past the golden one: the golden check raises as a validated build does.
+    d = Fraction(45, 10**11)
+    f = xl.qmatrix(np.diag(np.array([1 + d, -1, 1, -1], dtype=object)))
+    assert 2 * d + d * d < Fraction(1, 10**9) < 5 * (2 * d + d * d) / 4
+    metric = Metric.euclidean(4)
+    with pytest.raises(InvalidStructure) as built:
+        GoldenStructure(golden_matrix(f), metric)
+    with pytest.raises(InvalidStructure) as induced:
+        golden_from_product(AlmostProductStructure(f, metric))
+    assert str(induced.value) == str(built.value)
 
 
 def test_exact_slant_data_takes_three_matmuls(monkeypatch):

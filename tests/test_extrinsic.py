@@ -3,15 +3,24 @@
 import math
 
 import numpy as np
+import pytest
 
 from goldenslant.extrinsic import (
+    _apply,
     _h_onb,
+    _phi_hessian_split,
     gauss_split_residuals,
     invariant_residuals,
     shape_vanishing_probe,
 )
 from goldenslant.structures import GoldenStructure, Metric, diagonal_golden
-from goldenslant.submanifold import ImmersionSpec, invariance_kinds
+from goldenslant.submanifold import (
+    ImmersionSpec,
+    InducedOperators,
+    PointGeometry,
+    TangentFrame,
+    invariance_kinds,
+)
 from support import at_point
 
 EUCLID4 = Metric.euclidean(4, backend="float")
@@ -172,3 +181,60 @@ class TestAntiInvariantProbe:
         )
         probe = _shape_probe(imm, (0.0, 0.0), self.STRUCT)
         assert probe > 1e-3  # finding: the vanishing claim fails off the affine case
+
+
+# Random stacks stand in for the point pass, with m < n as an immersion needs: the
+# Hessians are not symmetric in (i, j), so an i/j swap in a contraction changes its value.
+STACKS = [(size, n, m) for size in (1, 9, 196) for n in (3, 5) for m in (1, 2, 3) if m < n]
+EPS = np.finfo(float).eps
+
+
+def _random_geometry(size, n, m):
+    rng = np.random.default_rng(1000 * size + 10 * n + m)
+    frame = TangentFrame(rng.standard_normal((size, m)), rng.standard_normal((size, n, m)),
+                         rng.standard_normal((size, n, n)), rng.standard_normal((size, n, n)))
+    hess = rng.standard_normal((size, n, m, m))
+    split = frame.split(hess.reshape(size, n, -1))
+    phi = rng.standard_normal((n, n))
+    structure = GoldenStructure(phi, Metric.euclidean(n, backend="float"), validate=False)
+    ops = InducedOperators(rng.standard_normal((size, n, n)), m)
+    return PointGeometry(frame, hess, split[..., :m], split[..., m:], ops, structure)
+
+
+def _einsum(spec, *operands):
+    """The einsum and the same sum of |terms|, the scale its rounding is measured in."""
+    return np.einsum(spec, *operands), np.einsum(spec, *map(np.abs, operands))
+
+
+def _assert_close(got, want, scale, steps):
+    """``got`` and ``want`` are two roundings of one sum whose terms take at most ``steps``
+    roundings each: both lie within ``steps`` ulps of ``scale`` of the exact sum."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2 * steps * EPS * scale)
+
+
+class TestContractionsMatchTheirEinsumDefinitions:
+    @pytest.mark.parametrize("size,n,m", STACKS)
+    def test_hessian_split(self, size, n, m):
+        geom = _random_geometry(size, n, m)
+        got = np.concatenate([geom.tangential, geom.h], axis=-1)
+        want = _einsum("...kn,...nij->...ijk", geom.frame.lowered, geom.hessians)
+        _assert_close(got, *want, n + 1)
+
+    @pytest.mark.parametrize("size,n,m", STACKS)
+    def test_phi_hessian_split(self, size, n, m):
+        geom = _random_geometry(size, n, m)
+        got = np.concatenate(_phi_hessian_split(geom), axis=-1)
+        phi, lowered = geom.structure.phi_float, geom.frame.lowered
+        v, v_scale = _einsum("ab,...bij->...aij", phi, geom.hessians)
+        want = np.einsum("...kn,...nij->...ijk", lowered, v)
+        scale = np.einsum("...kn,...nij->...ijk", np.abs(lowered), v_scale)
+        _assert_close(got, want, scale, 2 * n + 2)
+
+    @pytest.mark.parametrize("size,n,m", STACKS)
+    def test_apply(self, size, n, m):
+        geom = _random_geometry(size, n, m)
+        for op, vectors in [(geom.ops.p, geom.tangential), (geom.ops.t, geom.h),
+                            (geom.ops.q, geom.tangential), (geom.ops.s, geom.h)]:
+            want = _einsum("...ab,...ijb->...ija", op, vectors)
+            _assert_close(_apply(op, vectors), *want, op.shape[-1] + 1)

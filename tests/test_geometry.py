@@ -64,10 +64,19 @@ def _surface5_derivatives(u, v):
     return jac, hess
 
 
-def _skewed_structure(n: int, p: int, seed: int) -> GoldenStructure:
-    """phi = A^-1 phi0 A is golden and self-adjoint for the metric G = A^T A."""
+def _skewed_structure(n: int, p: int, seed: int, cond: float | None = None) -> GoldenStructure:
+    """phi = A^-1 phi0 A is golden and self-adjoint for the metric G = A^T A.
+
+    Given ``cond``, A has singular values spread geometrically from 1 to sqrt(cond) between
+    random rotations, so that cond(G) = ``cond``.
+    """
     phi0 = random_golden(n, p, seed).phi_float
-    a = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
+    rng = np.random.default_rng(seed)
+    if cond is None:
+        a = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    else:
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        a = u @ np.diag(np.geomspace(1.0, math.sqrt(cond), n)) @ v.T
     g = a.T @ a
     return GoldenStructure(np.linalg.solve(a, phi0 @ a), Metric((g + g.T) / 2.0))
 
@@ -109,37 +118,85 @@ def _angle(p, q, x):
     return math.atan2(np.linalg.norm(q @ x), np.linalg.norm(p @ x))
 
 
+ILL_CONDITIONED = _skewed_structure(5, 2, seed=5, cond=1e4)
+
+
+def _cond(structure) -> float:
+    return float(np.linalg.cond(structure.metric.matrix))
+
+
+# The ill-conditioned case's tolerance is TOL scaled by cond(g): its frames, and the
+# reference's, are only that accurate.
 CASES = [
-    pytest.param(CURVED, CURVED_STRUCT, _curved_derivatives, (0.5, 1.5), (-1.0, 1.0),
+    pytest.param(CURVED, CURVED_STRUCT, _curved_derivatives, (0.5, 1.5), (-1.0, 1.0), TOL,
                  id="curved_grid"),
     pytest.param(SURFACE5, _skewed_structure(5, 2, seed=3), _surface5_derivatives,
-                 (-0.8, 0.8), (-0.8, 0.8), id="skewed_metric"),
+                 (-0.8, 0.8), (-0.8, 0.8), TOL, id="skewed_metric"),
+    pytest.param(SURFACE5, ILL_CONDITIONED, _surface5_derivatives, (-0.8, 0.8), (-0.8, 0.8),
+                 TOL * _cond(ILL_CONDITIONED), id="ill_conditioned_metric"),
 ]
 
 
-@pytest.mark.parametrize("imm,structure,derivatives,u_range,v_range", CASES)
+def test_ill_conditioned_case_has_cond_near_10_to_the_4():
+    assert 0.99e4 <= _cond(ILL_CONDITIONED) <= 1.01e4
+
+
+@pytest.mark.parametrize("imm,structure,derivatives,u_range,v_range,tol", CASES)
 def test_batched_geometry_matches_per_point_reference(imm, structure, derivatives,
-                                                      u_range, v_range):
+                                                      u_range, v_range, tol):
     rng = np.random.default_rng(17)
     points = np.column_stack([rng.uniform(*u_range, 25), rng.uniform(*v_range, 25)])
     geom = point_geometry(imm, structure.metric, structure, points)
     g, phi = structure.metric.matrix, structure.phi_float
-    assert np.all(geom.frame.gram_residual() <= TOL)
+    assert np.all(geom.frame.gram_residual() <= tol)
     for i, (u, v) in enumerate(points):
         jac, hess = derivatives(u, v)
         ref = _reference(jac, hess, g, phi)
-        assert np.abs(geom.frame.raw_tangents[i] - jac).max() <= TOL
-        assert np.abs(geom.hessians[i] - hess).max() <= TOL
-        assert np.abs(geom.ops.p[i] - ref["p"]).max() <= TOL
-        assert np.abs(geom.ops.q[i].T @ geom.ops.q[i] - ref["q"].T @ ref["q"]).max() <= TOL
-        assert np.abs(geom.tangential[i] - ref["tangential"]).max() <= TOL
+        assert np.abs(geom.frame.raw_tangents[i] - jac).max() <= tol
+        assert np.abs(geom.hessians[i] - hess).max() <= tol
+        assert np.abs(geom.ops.p[i] - ref["p"]).max() <= tol
+        assert np.abs(geom.ops.q[i].T @ geom.ops.q[i] - ref["q"].T @ ref["q"]).max() <= tol
+        assert np.abs(geom.tangential[i] - ref["tangential"]).max() <= tol
         normal_part = np.einsum("nc,ijc->ijn", geom.frame.normal_onb[i], geom.h[i])
-        assert np.abs(normal_part - ref["normal_part"]).max() <= TOL
+        assert np.abs(normal_part - ref["normal_part"]).max() <= tol
 
 
-@pytest.mark.parametrize("imm,structure,derivatives,u_range,v_range", CASES)
+@pytest.mark.parametrize("imm,structure,u_range,v_range",
+                         [pytest.param(*case.values[:2], *case.values[3:5], id=case.id)
+                          for case in CASES])
+def test_batched_frames_equal_per_point_triangular_solves(imm, structure, u_range, v_range):
+    # The pass applies one triangular inverse L^{-T} to every QR factor Q; substitution
+    # solves L^T X = Q point by point.  Both are backward stable, so they agree to a few
+    # ulps of cond(L) = sqrt(cond(g)).
+    rng = np.random.default_rng(29)
+    points = np.column_stack([rng.uniform(*u_range, 25), rng.uniform(*v_range, 25)])
+    geom = point_geometry(imm, structure.metric, structure, points)
+    chol = np.linalg.cholesky(structure.metric.matrix)
+    bound = 4 * imm.n * np.finfo(float).eps * math.sqrt(_cond(structure))
+    for i in range(len(points)):
+        q, r = np.linalg.qr(chol.T @ geom.frame.raw_tangents[i], mode="complete")
+        q[:, :imm.m] *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        solved = np.linalg.solve(chol.T, q)
+        assert np.abs(geom.frame.onb[i] - solved).max() <= bound * np.abs(solved).max()
+
+
+def test_point_pass_factors_the_metric_once(monkeypatch):
+    # One Cholesky factor and one inverse of it per pass; no LAPACK call broadcasts a
+    # single matrix against the stack of points.
+    calls = []
+    for name in ("cholesky", "inv", "solve", "qr", "svd"):
+        def recorded(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, tuple(np.ndim(a) for a in args)))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    points = [(0.1, 0.2), (-0.4, 0.7), (0.6, -0.3)]
+    point_geometry(SURFACE5, ILL_CONDITIONED.metric, ILL_CONDITIONED, points)
+    assert sorted(calls) == [("cholesky", (2,)), ("inv", (2,)), ("qr", (3,)), ("svd", (3,))]
+
+
+@pytest.mark.parametrize("imm,structure,derivatives,u_range,v_range,tol", CASES)
 def test_batched_slant_angles_match_per_point_reference(imm, structure, derivatives,
-                                                        u_range, v_range):
+                                                        u_range, v_range, tol):
     rng = np.random.default_rng(23)
     points = np.column_stack([rng.uniform(*u_range, 12), rng.uniform(*v_range, 12)])
     geom = point_geometry(imm, structure.metric, structure, points)
@@ -151,8 +208,8 @@ def test_batched_slant_angles_match_per_point_reference(imm, structure, derivati
         # The extreme angles over all directions are taken at P's eigenvectors.
         _, vectors = np.linalg.eigh(ref["p"])
         angles.extend(_angle(ref["p"], ref["q"], d) for d in vectors.T)
-    assert abs(report.theta - float(np.mean(angles))) <= TOL
-    assert abs(report.angle_spread - (max(angles) - min(angles))) <= TOL
+    assert abs(report.theta - float(np.mean(angles))) <= tol
+    assert abs(report.angle_spread - (max(angles) - min(angles))) <= tol
 
 
 def test_one_point_geometry_equals_its_batch_entries():
