@@ -22,13 +22,13 @@ No float enters: any other operand is a TypeError, and numpy's own
 operators defer to these.  One formula therefore serves exact matrices and
 float arrays alike.
 
-Elimination (:func:`solve`, :func:`kernel_basis` and
-:func:`leading_minors_positive`) is fraction-free on the integer rows
-over Z[sqrt5], in the manner of Bareiss (Math. Comp. 22, 1968): the pivot,
-made a positive integer by its conjugate, multiplies the rows it clears
-instead of dividing the pivot row, and each changed row is then divided by
-the gcd of its integers.  :func:`solve` and :func:`kernel_basis` divide the
-pivots out once at the end, which gives the unique reduced row echelon form.
+Elimination (:func:`solve`, :func:`kernel_basis` and the factor :func:`ldl`)
+is fraction-free on the integer rows over Z[sqrt5], in the manner of Bareiss
+(Math. Comp. 22, 1968): the pivot, made a positive integer by its conjugate,
+multiplies the rows it clears instead of dividing the pivot row, and each
+changed row is then divided by the gcd of its integers.  The pivots are
+divided out once at the end, which for :func:`solve` and :func:`kernel_basis`
+gives the unique reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -299,11 +299,12 @@ def _rows(*mats: QMatrix) -> list[list[int]]:
 
 def _divided(w: list[list[int]], pivots: list[int], cols: list[int]) -> QMatrix:
     """Columns ``cols`` of the first ``len(pivots)`` rows, each divided by its pivot."""
-    k = len(w[0]) // 2
+    k, m = len(w[0]) // 2, len(cols)
     d = lcm(*(row[c] for row, c in zip(w, pivots)))
-    scaled = np.array([[d // row[c] * x for x in row] for row, c in zip(w, pivots)],
-                      dtype=object).reshape(len(pivots), 2 * k)
-    return QMatrix(scaled[:, cols], scaled[:, [k + j for j in cols]], d)
+    picked = [*cols, *(k + j for j in cols)]  # the p and then the q integers of ``cols``
+    scaled = np.array([[d // row[c] * row[j] for j in picked] for row, c in zip(w, pivots)],
+                      dtype=object).reshape(len(pivots), 2 * m)
+    return QMatrix(scaled[:, :m], scaled[:, m:], d)
 
 
 def solve(a, b) -> QMatrix:
@@ -317,19 +318,22 @@ def solve(a, b) -> QMatrix:
     return _divided(w, pivots, list(range(n, cols))) * Fraction(a.d, b.d)
 
 
-def leading_minors_positive(a) -> bool:
-    """Sylvester's test: elimination without row swaps meets only positive pivots.
+def ldl(a) -> tuple[QMatrix, QMatrix] | None:
+    """``L^T`` and ``D^-1 L^-1`` of ``a = L D L^T`` (L unit lower triangular, D diagonal),
+    or None unless ``a`` is positive definite.
 
-    Fraction-free steps scale rows by positive factors only, so every pivot
-    keeps the sign of the pivot of plain Gaussian elimination.
+    Elimination of ``[a | I]`` without row swaps leaves ``[D L^T | L^-1]``, with rows scaled
+    by positive factors only, so all pivots are positive exactly when D is (Sylvester's test).
     """
     a = qmatrix(a)
-    n, w = len(a), _rows(a)
+    n = len(a)
+    w = _rows(a, eye(n) * a.d)  # a.d [a | I] over the integers
     for k in range(n):
-        if sign(w[k][k], w[k][n + k]) <= 0:
-            return False
+        if sign(w[k][k], w[k][2 * n + k]) <= 0:
+            return None
         _pivot_step(w, k, k, k + 1)
-    return True
+    pivots = list(range(n))
+    return _divided(w, pivots, pivots), _divided(w, pivots, list(range(n, 2 * n)))
 
 
 def kernel_basis(a) -> tuple[QMatrix, list[int]]:

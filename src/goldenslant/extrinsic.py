@@ -31,7 +31,7 @@ def _amax3(a: np.ndarray) -> np.ndarray:
 def _phi_hessian_split(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Tangent and normal coordinates of phi D2x_ij, each indexed [point, i, j, coordinate]."""
     frame, hess = geom.frame, geom.hessians
-    coords = frame.split(geom.structure.phi_float @ hess.reshape(*hess.shape[:-2], -1))
+    coords = frame.split(geom.structure.phi_hat @ hess.reshape(*hess.shape[:-2], -1))
     return coords[..., :frame.m], coords[..., frame.m:]
 
 
@@ -41,33 +41,33 @@ def _apply(op: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (op @ columns).mT.reshape(*vectors.shape[:-1], op.shape[-2])
 
 
-def gauss_split_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
+def gauss_split_residuals(geom: PointGeometry, phi_split) -> tuple[np.ndarray, np.ndarray]:
     """Per-point residuals of the tangential and normal split of ``phi`` applied to Hessians.
 
     tan(phi D2x_ij) = P tan(D2x_ij) + t h_ij and
     nor(phi D2x_ij) = Q tan(D2x_ij) + s h_ij, all in frame coordinates.  The
     split is definitional for any linear ambient operator, so these vanish
     whether or not ``phi`` is golden; they validate the frame/operator
-    bookkeeping.
+    bookkeeping.  ``phi_split`` is the :func:`_phi_hessian_split` of ``geom``.
     """
     ops = geom.ops
-    tan, nor = _phi_hessian_split(geom)
+    tan, nor = phi_split
     r_tan = _amax3(tan - _apply(ops.p, geom.tangential) - _apply(ops.t, geom.h))
     r_nor = _amax3(nor - _apply(ops.q, geom.tangential) - _apply(ops.s, geom.h))
     return r_tan, r_nor
 
 
-def invariant_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
+def invariant_residuals(geom: PointGeometry, phi_split) -> tuple[np.ndarray, np.ndarray]:
     """Per-point residuals of both invariant-submanifold identities.
 
     First value: the parallelism of the induced structure, i.e. the
     tangential part of ``phi D2x_ij`` minus ``P`` applied to the tangential
     part of ``D2x_ij`` (the ``t h`` term drops since ``t = 0`` wherever
     ``Q = 0``).  Second value: ``h(X, PY) - s h(X, Y)`` over the coordinate
-    basis.  Both presume invariant tangent spaces.
+    basis.  Both presume invariant tangent spaces.  ``phi_split`` is as above.
     """
     ops = geom.ops
-    tan, _ = _phi_hessian_split(geom)
+    tan, _ = phi_split
     # The raw tangents are E = T C, so P reads C^-1 P C in the raw basis.
     c = geom.frame.tangent_coords(geom.frame.raw_tangents)
     h_py = np.einsum("...kj,...ikc->...ijc", np.linalg.solve(c, ops.p @ c), geom.h)

@@ -16,6 +16,7 @@ is written once, in matrix operators both types share.
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -101,7 +102,12 @@ def _operands(m, metric: Metric):
 
 
 class Metric:
-    """Symmetric positive-definite bilinear form, exact or float."""
+    """Symmetric positive-definite bilinear form, exact or float, whose Euclidean model is
+    the float ``w`` = W (and ``w_inv``) with ``g = W^T W``: g is the dot product of ``y = W x``.
+
+    Exact entries are validated by their exact ``factor`` ``g = L D L^T`` (``L^T`` and
+    ``D^-1 L^-1``), and their float view has ``W = D^(1/2) L^T``; float ones by a Cholesky factor.
+    """
 
     def __init__(self, entries):
         self.n = _check_square(entries, "metric")
@@ -110,11 +116,18 @@ class Metric:
         if not np.all(self.entries == self.entries.T):
             raise InvalidStructure("metric is not symmetric")
         if self.backend == "exact":
-            positive = xl.leading_minors_positive(self.entries)
-        else:
-            positive = all(np.linalg.det(entries[:k, :k]) > 0 for k in range(1, self.n + 1))
-        if not positive:
-            raise InvalidStructure("metric is not positive definite")
+            self.factor = xl.ldl(self.entries)
+            if self.factor is None:
+                raise InvalidStructure("metric is not positive definite")
+            return
+        # numpy's Cholesky returns a non-finite factor of non-finite entries without raising.
+        if not np.isfinite(entries).all():
+            raise InvalidStructure("metric has a non-finite entry")
+        try:
+            self.w = np.linalg.cholesky(entries).T
+        except np.linalg.LinAlgError:
+            raise InvalidStructure("metric is not positive definite") from None
+        self.factor, self.w_inv = None, np.linalg.inv(self.w)
 
     @classmethod
     def euclidean(cls, n: int, backend: str = "exact") -> Metric:
@@ -126,14 +139,16 @@ class Metric:
 
     @cached_property
     def _float_view(self) -> Metric:
-        return Metric(self.matrix)
+        view = copy.copy(self)
+        view.backend, view.entries = "float", self.matrix
+        lt, lower_inv = map(as_float, self.factor)
+        root_d = 1.0 / np.sqrt(lower_inv.diagonal())  # L^-1 has a unit diagonal
+        view.w, view.w_inv = root_d[:, None] * lt, lower_inv.T * root_d
+        return view
 
     @property
     def matrix(self) -> np.ndarray:
         return as_float(self.entries)
-
-    def cholesky(self) -> np.ndarray:
-        return np.linalg.cholesky(self.matrix)
 
 
 class StructureReport(NamedTuple):
@@ -214,13 +229,27 @@ class GoldenStructure:
     def phi_float(self) -> np.ndarray:
         return as_float(self.phi)
 
+    @cached_property
+    def phi_hat(self) -> np.ndarray:
+        """phi in the metric's Euclidean model, ``W phi W^-1``: symmetric when phi is
+        g-self-adjoint.  An exact structure rounds the exact congruence
+        ``L^T phi (D^-1 L^-1)^T = (D^-1 L^-1) g phi (D^-1 L^-1)^T`` once, then scales by D^(1/2)."""
+        model = self.metric.to_float()
+        if self.backend == "float":
+            return model.w @ self.phi @ model.w_inv
+        lt, lower_inv = self.metric.factor
+        root_d = np.diagonal(model.w)  # L^T has a unit diagonal
+        return as_float(lt @ self.phi @ lower_inv.T) * np.outer(root_d, root_d)
+
     def to_float(self) -> GoldenStructure:
         """Float view, built once per exact structure."""
         return self if self.backend == "float" else self._float_view
 
     @cached_property
     def _float_view(self) -> GoldenStructure:
-        return GoldenStructure(self.phi_float, self.metric.to_float(), validate=False)
+        view = GoldenStructure(self.phi_float, self.metric.to_float(), validate=False)
+        view.phi_hat = self.phi_hat
+        return view
 
 
 class AlmostProductStructure:
@@ -300,15 +329,10 @@ def golden_eigendecomp(s: GoldenStructure) -> tuple[np.ndarray, np.ndarray]:
     """g-orthonormal float bases of the eigenspaces for psi and 1 - psi.
 
     Returns a pair of matrices whose columns span the two eigenspaces: the
-    structure is symmetrized through the metric Cholesky factor and
-    diagonalized.
+    orthonormal eigenvectors of ``phi_hat`` in the metric's Euclidean model,
+    mapped back by ``W^-1``.
     """
-    phi = s.phi_float
-    lt = s.metric.cholesky().T
-    lt_inv = np.linalg.inv(lt)
-    sym = lt @ phi @ lt_inv
-    sym = (sym + sym.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(s.phi_hat)
     mid = 0.5  # psi ~ 1.618 vs 1 - psi ~ -0.618
-    cols = lt_inv @ vecs
+    cols = s.metric.to_float().w_inv @ vecs
     return cols[:, vals > mid], cols[:, vals <= mid]

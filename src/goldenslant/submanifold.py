@@ -20,15 +20,18 @@ identities are read from the lowered matrix ``M = B^T g phi B = Gamma C``,
 where ``Gamma = diag(Gt, Gn)`` is the Gram matrix of ``B``.  One function
 reads every identity from ``(C, M, C**2)`` for both backends.
 
-The float route writes the operators in g-orthonormal frames, where
-``Gamma = I`` and ``M = C``, so plain transposes realize metric adjoints.  A
-scenario evaluates all of its sample points in one batched pass
-(:func:`point_geometry`) that forms the Cholesky factor of g and its inverse
-once and each per-point contraction as one batched matmul.  Affine immersions
-over Q(sqrt5) also get an exact route in the raw tangent basis ``T`` and the
-reduced kernel basis ``N`` of ``T^T g``, the identity on its free rows.  As
-``N`` is g-orthogonal to ``T``, the tangent rows of ``C`` solve one m x m
-system against ``Gt``, and the normal rows are read off the free rows of
+The float route works in the metric's Euclidean model: in the coordinates
+``y = W x`` with ``g = W^T W`` (:class:`~goldenslant.structures.Metric`) the
+metric is the dot product and phi is the matrix ``phi_hat = W phi W^-1``;
+W is made once per metric and ``phi_hat`` once per structure.  The frames
+are orthonormal, so ``Gamma = I`` and ``M = C``, and plain transposes
+realize metric adjoints.  A scenario evaluates all of its sample points in
+one batched pass (:func:`point_geometry`) that makes each per-point
+contraction one batched matmul.  Affine immersions over Q(sqrt5) also get
+an exact route in the raw tangent basis ``T`` and the reduced kernel basis
+``N`` of ``T^T g``, the identity on its free rows.  As ``N`` is
+g-orthogonal to ``T``, the tangent rows of ``C`` solve one m x m system
+against ``Gt``, and the normal rows are read off the free rows of
 ``phi B = B C``; the identities then check statements about exact zeros.
 """
 
@@ -84,16 +87,17 @@ class ImmersionSpec:
 
 
 class TangentFrame(NamedTuple):
-    """g-orthonormal frame [tangent | normal] at one parameter point.
+    """g-orthonormal frame [tangent | normal] at one parameter point, in the
+    coordinates ``y = W x`` of the metric's Euclidean model: ``onb`` is an
+    orthogonal matrix, so ``onb^T`` gives frame coordinates.
 
     Frames stacked over N points carry a leading point axis: ``point`` is
     then an (N, m) array and every matrix gains an axis of length N.
     """
 
     point: tuple[float, ...] | np.ndarray
-    raw_tangents: np.ndarray  # n x m Jacobian columns
+    raw_tangents: np.ndarray  # n x m Jacobian columns W J
     onb: np.ndarray  # n x n, the first m columns tangent
-    lowered: np.ndarray  # n x n, onb^T g = onb^-1, read by every frame coordinate
 
     m = property(lambda self: self.raw_tangents.shape[-1])
     n = property(lambda self: self.onb.shape[-1])
@@ -102,29 +106,29 @@ class TangentFrame(NamedTuple):
 
     def at(self, i: int) -> TangentFrame:
         """The frame at point ``i`` of a stack."""
-        return TangentFrame(tuple(self.point[i].tolist()), self.raw_tangents[i],
-                            self.onb[i], self.lowered[i])
+        return TangentFrame(tuple(self.point[i].tolist()), self.raw_tangents[i], self.onb[i])
 
     def gram_residual(self) -> np.ndarray | float:
-        """Deviation of the frame from g-orthonormality, per point of a stack."""
-        return _amax(self.lowered @ self.onb - np.eye(self.n))
+        """Deviation of the frame from orthonormality, per point of a stack."""
+        return _amax(self.onb.mT @ self.onb - np.eye(self.n))
 
-    def tangent_coords(self, ambient: np.ndarray) -> np.ndarray:
-        return self.lowered[..., :self.m, :] @ ambient
+    def tangent_coords(self, vectors: np.ndarray) -> np.ndarray:
+        # As C-ordered rows: numpy sums a product with a strided transpose in another
+        # order, and the reports keep their bits.
+        return np.ascontiguousarray(self.tangent_onb.mT) @ vectors
 
     def split(self, columns: np.ndarray) -> np.ndarray:
-        """Frame coordinates [..., i, j, k] of ambient vectors ``columns[..., :, i * m + j]``."""
-        coords = (self.lowered @ columns).reshape(*columns.shape[:-1], self.m, self.m)
+        """Frame coordinates [..., i, j, k] of the vectors ``columns[..., :, i * m + j]``."""
+        coords = (self.onb.mT @ columns).reshape(*columns.shape[:-1], self.m, self.m)
         return np.moveaxis(coords, -3, -1)
 
 
-def _stacked_frames(points: np.ndarray, jac: np.ndarray, metric: Metric) -> TangentFrame:
-    """Frames at every point from one stacked QR in Cholesky coordinates.
+def _stacked_frames(points: np.ndarray, jac: np.ndarray, w: np.ndarray) -> TangentFrame:
+    """Frames at every point from one stacked QR of the Jacobians ``W J``.
 
-    With ``G = L L^T``, the complete QR of ``L^T J`` is Euclidean-orthonormal,
-    so ``L^{-T} Q`` is g-orthonormal.  The tangent columns are signed as
-    Gram-Schmidt on the Jacobian columns signs them; the normal columns are
-    the QR completion.  ``L^{-T}`` is one triangular inverse, applied to all N as one matmul.
+    In ``y = W x`` the metric is the dot product, so the complete QR of
+    ``W J`` is the frame.  The tangent columns are signed as Gram-Schmidt on
+    the Jacobian columns signs them; the normal columns are the QR completion.
     """
     smallest = np.linalg.svd(jac, compute_uv=False).min(axis=-1)
     bad = np.flatnonzero(~(smallest >= _RANK_TOL))
@@ -133,12 +137,11 @@ def _stacked_frames(points: np.ndarray, jac: np.ndarray, metric: Metric) -> Tang
         raise RankDeficient(f"Jacobian smallest singular value {smallest[i]:.3e} "
                             f"at {tuple(points[i].tolist())}")
     m = jac.shape[-1]
-    chol = metric.cholesky()
-    q, r = np.linalg.qr(chol.T @ jac, mode="complete")
+    w_jac = w @ jac
+    q, r = np.linalg.qr(w_jac, mode="complete")
     signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
     q[..., :m] *= signs[..., None, :]
-    onb = np.linalg.inv(chol.T) @ q
-    return TangentFrame(points, jac, onb, onb.mT @ metric.matrix)
+    return TangentFrame(points, w_jac, q)
 
 
 def frame_at(imm: ImmersionSpec, point: Sequence[float], metric: Metric) -> TangentFrame:
@@ -179,15 +182,16 @@ def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> Induce
     """Project ``phi`` through the frames of ``frame`` (one point or a stack)."""
     if structure.n != frame.n:
         raise DimensionMismatch("structure and frame ambient dimensions differ")
-    blocks = frame.lowered @ (structure.phi_float @ frame.onb)
+    blocks = frame.onb.mT @ (structure.phi_hat @ frame.onb)
     return InducedOperators(blocks, frame.m)
 
 
 class PointGeometry(NamedTuple):
     """Every sample point of a scenario, evaluated once and shared by the point suites.
 
-    Arrays lead with the point axis: the stacked ``frame`` (Jacobians in
-    ``raw_tangents``), ``hessians`` (N x n x m x m), their frame coordinates
+    Arrays lead with the point axis and hold vectors in the coordinates
+    ``y = W x``: the stacked ``frame`` (Jacobians in ``raw_tangents``),
+    ``hessians`` (N x n x m x m), their frame coordinates
     split into ``tangential`` (N x m x m x m) and the second fundamental form
     ``h`` (N x m x m x (n-m)), and, given a structure, the stacked ``ops``.
     ``exact`` holds the scenario's exact route (P, Q, t, s over Q(sqrt5))
@@ -222,16 +226,18 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
     else:
         jac = evaluate_affine(*(np.asarray(x, dtype=float) for x in form), pts)
         hess = np.zeros(jac.shape + jac.shape[-1:])
-    structure = None if structure is None else structure.to_float()
+    w = metric.to_float().w
     # Products that overflow give non-finite values, which fail the checks
     # that read them.
     with np.errstate(over="ignore", invalid="ignore"):
-        frame = _stacked_frames(pts, jac, metric.to_float())
-        # Coordinates of D2x_ij in [tangent | normal]: the first m are its
+        frame = _stacked_frames(pts, jac, w)
+        columns = w @ hess.reshape(len(pts), imm.n, -1)  # W D2x_ij
+        # Coordinates of W D2x_ij in [tangent | normal]: the first m are its
         # tangential part, the rest the second fundamental form h_ij.
-        split = frame.split(hess.reshape(len(pts), imm.n, -1))
+        split = frame.split(columns)
         ops = None if structure is None else induced_operators(frame, structure)
-    return PointGeometry(frame, hess, split[..., :frame.m], split[..., frame.m:], ops, structure)
+    return PointGeometry(frame, columns.reshape(hess.shape), split[..., :frame.m],
+                         split[..., frame.m:], ops, structure)
 
 
 def block_identity_residuals(c, lowered, square, gt, form_norm=_amax) -> dict:
@@ -267,15 +273,15 @@ def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
     The two metric identities are bilinear forms, measured by the spectral
     norm of their matrices: the worst value of the form on any unit tangent
     pair, and never below the worst entry.  The reassembly residuals confirm
-    that ``phi X`` recombines from the operator blocks in ambient
-    coordinates.  For stacked operators each residual holds one value per
+    that ``phi X`` recombines from the operator blocks in the coordinates
+    ``y = W x``.  For stacked operators each residual holds one value per
     point.
     """
     # In orthonormal frames M = C.
     blocks = ops.blocks
     res = block_identity_residuals(blocks, blocks, blocks @ blocks, np.eye(ops.m),
                                    form_norm=_spectral)
-    phi = structure.phi_float
+    phi = structure.phi_hat
     tb, nb = frame.tangent_onb, frame.normal_onb
     res["reassembly_tangent"] = _amax(phi @ tb - tb @ ops.p - nb @ ops.q)
     res["reassembly_normal"] = _amax(phi @ nb - tb @ ops.t - nb @ ops.s)

@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .config import ANGLE_FORMULA_UNNORMALIZED, IMMERSION_SUITES, ScenarioConfig, Tolerances
 from .errors import ConfigError, GoldenslantError
-from .extrinsic import gauss_split_residuals, invariant_residuals, shape_vanishing_probe
+from .extrinsic import (_phi_hessian_split, gauss_split_residuals, invariant_residuals,
+                        shape_vanishing_probe)
 from .quadrat import QuadRat
 from .slant import classify_geometry, exact_slant_data, reference_cosine
 from .spaceform import SpaceFormModel, curvature_program, nabla_identities_certificate
@@ -99,7 +100,8 @@ def run_identities_suite(geom: PointGeometry, tol: Tolerances) -> dict:
 
 
 def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
-    r_tan, r_nor = (float(np.max(r)) for r in gauss_split_residuals(geom))
+    phi_split = _phi_hessian_split(geom)
+    r_tan, r_nor = (float(np.max(r)) for r in gauss_split_residuals(geom, phi_split))
     h_sym = float(np.max(np.abs(geom.h - geom.h.transpose(0, 2, 1, 3))))
     kinds = set(invariance_kinds(geom.ops, tol.tol_class).tolist())
     kind = kinds.pop() if len(kinds) == 1 else "mixed"
@@ -115,7 +117,7 @@ def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
     passed = all(v <= tol.tol_frame for v in (r_tan, r_nor, h_sym))
     findings: dict[str, Any] = {}
     if kind == "invariant":
-        r_par, r_wei = (float(np.max(r)) for r in invariant_residuals(geom))
+        r_par, r_wei = (float(np.max(r)) for r in invariant_residuals(geom, phi_split))
         result["residuals"]["invariant_parallel"] = r_par
         result["residuals"]["invariant_weingarten"] = r_wei
         passed = passed and r_par <= tol.tol_frame and r_wei <= tol.tol_frame

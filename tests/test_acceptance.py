@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 from goldenslant.expr import jacobian
-from goldenslant.extrinsic import gauss_split_residuals, invariant_residuals, shape_vanishing_probe
+from goldenslant.extrinsic import (
+    _phi_hessian_split,
+    gauss_split_residuals,
+    invariant_residuals,
+    shape_vanishing_probe,
+)
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
 from goldenslant.slant import classify, exact_slant_data
 from goldenslant.spaceform import curvature_program
@@ -209,7 +214,8 @@ def test_c6_extrinsic_suite():
         if np.linalg.svd(jacobian(imm.components, point), compute_uv=False).min() < 1e-4:
             continue
         count += 1
-        r_tan, r_nor = gauss_split_residuals(at_point(imm, point, struct4))
+        geom = at_point(imm, point, struct4)
+        r_tan, r_nor = gauss_split_residuals(geom, _phi_hessian_split(geom))
         worst_gauss = max(worst_gauss, r_tan[0], r_nor[0])
     gauss_ok = worst_gauss <= 1e-9
 
@@ -227,7 +233,7 @@ def test_c6_extrinsic_suite():
         for point in pts:
             geom = at_point(imm, point, structure)
             assert invariance_kinds(geom.ops)[0] == "invariant"
-            r_par, r_wei = invariant_residuals(geom)
+            r_par, r_wei = invariant_residuals(geom, _phi_hessian_split(geom))
             worst_inv = max(worst_inv, r_par[0], r_wei[0])
     inv_ok = worst_inv <= 1e-9
 

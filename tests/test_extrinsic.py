@@ -5,6 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import goldenslant.extrinsic as extrinsic
+import goldenslant.suites as suites
+from goldenslant.cli import resolve_config
+from goldenslant.config import load_config
 from goldenslant.extrinsic import (
     _apply,
     _h_onb,
@@ -33,7 +37,8 @@ SPHERE_PATCH = ImmersionSpec.from_strings(
 
 
 def _gauss_split(imm, point, structure):
-    r_tan, r_nor = gauss_split_residuals(at_point(imm, point, structure))
+    geom = at_point(imm, point, structure)
+    r_tan, r_nor = gauss_split_residuals(geom, _phi_hessian_split(geom))
     return float(r_tan[0]), float(r_nor[0])
 
 
@@ -41,7 +46,7 @@ def _invariant(imm, point, structure):
     """Both invariant residuals at ``point``, whose tangent space must be invariant."""
     geom = at_point(imm, point, structure)
     assert invariance_kinds(geom.ops)[0] == "invariant"
-    r_parallel, r_weingarten = invariant_residuals(geom)
+    r_parallel, r_weingarten = invariant_residuals(geom, _phi_hessian_split(geom))
     return float(r_parallel[0]), float(r_weingarten[0])
 
 
@@ -165,6 +170,22 @@ class TestInvariantConnection:
         assert np.abs(geom.h).max() > 0.1  # the check was not vacuous
 
 
+def test_extrinsic_suite_splits_the_phi_hessians_once(monkeypatch):
+    calls = []
+    original = extrinsic._phi_hessian_split
+
+    def counted(geom):
+        calls.append(geom.size)
+        return original(geom)
+
+    for module in (extrinsic, suites):
+        monkeypatch.setattr(module, "_phi_hessian_split", counted)
+    report = suites.run_scenario(load_config(resolve_config("paper_example_2")))
+    extrinsic_suite = report["suites"]["extrinsic"]
+    assert extrinsic_suite["pass"] and extrinsic_suite["classification"] == "invariant"
+    assert calls == [extrinsic_suite["points"]]
+
+
 class TestAntiInvariantProbe:
     STRUCT = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"]).to_float()
 
@@ -192,7 +213,7 @@ EPS = np.finfo(float).eps
 def _random_geometry(size, n, m):
     rng = np.random.default_rng(1000 * size + 10 * n + m)
     frame = TangentFrame(rng.standard_normal((size, m)), rng.standard_normal((size, n, m)),
-                         rng.standard_normal((size, n, n)), rng.standard_normal((size, n, n)))
+                         rng.standard_normal((size, n, n)))
     hess = rng.standard_normal((size, n, m, m))
     split = frame.split(hess.reshape(size, n, -1))
     phi = rng.standard_normal((n, n))
@@ -218,17 +239,17 @@ class TestContractionsMatchTheirEinsumDefinitions:
     def test_hessian_split(self, size, n, m):
         geom = _random_geometry(size, n, m)
         got = np.concatenate([geom.tangential, geom.h], axis=-1)
-        want = _einsum("...kn,...nij->...ijk", geom.frame.lowered, geom.hessians)
+        want = _einsum("...nk,...nij->...ijk", geom.frame.onb, geom.hessians)
         _assert_close(got, *want, n + 1)
 
     @pytest.mark.parametrize("size,n,m", STACKS)
     def test_phi_hessian_split(self, size, n, m):
         geom = _random_geometry(size, n, m)
         got = np.concatenate(_phi_hessian_split(geom), axis=-1)
-        phi, lowered = geom.structure.phi_float, geom.frame.lowered
+        phi, onb = geom.structure.phi_hat, geom.frame.onb
         v, v_scale = _einsum("ab,...bij->...aij", phi, geom.hessians)
-        want = np.einsum("...kn,...nij->...ijk", lowered, v)
-        scale = np.einsum("...kn,...nij->...ijk", np.abs(lowered), v_scale)
+        want = np.einsum("...nk,...nij->...ijk", onb, v)
+        scale = np.einsum("...nk,...nij->...ijk", np.abs(onb), v_scale)
         _assert_close(got, want, scale, 2 * n + 2)
 
     @pytest.mark.parametrize("size,n,m", STACKS)

@@ -509,13 +509,38 @@ def test_solve_with_row_swaps_and_singular_systems(args):
     assert _canonical(x) and _values(xl.qmatrix(a) @ x) == b
 
 
+def _ldl_product(factor) -> xl.QMatrix:
+    """``L D L^T`` from the ``L^T`` and ``D^-1 L^-1`` of :func:`xl.ldl`, after checking
+    their shapes: L^T is unit upper triangular and ``(D^-1 L^-1) L`` is diagonal."""
+    lt, lower_inv = factor
+    n = len(lt)
+    assert all(lt[i, j] == (i == j) for i in range(n) for j in range(i + 1))
+    d_inv = list((lower_inv @ lt.T).diagonal())
+    assert lower_inv @ lt.T == xl.qmatrix(np.diag(d_inv))
+    return lt.T @ xl.qmatrix(np.diag([1 / x for x in d_inv])) @ lt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    _rows((n, n)), st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))))
+def test_ldl_factors_exactly_the_positive_definite_matrices(args):
+    b, signs = args
+    a = xl.qmatrix(b) @ xl.qmatrix(np.diag(signs)) @ xl.qmatrix(b).T
+    # Sylvester's law of inertia: a is positive definite iff b is invertible and all signs are +1.
+    positive = min(signs) == 1 and _prank([[_pair(x) for x in row] for row in b]) == len(b)
+    factor = xl.ldl(a)
+    assert (factor is not None) == positive
+    if positive:
+        assert _ldl_product(factor) == a and all(map(_canonical, factor))
+
+
 def test_entries_beyond_64_bits_survive_elimination():
     big = QuadRat(Fraction(2**100 + 1, 3**50), Fraction(-(2**90), 7**40))
     a = xl.qmatrix([[big, 1], [2**70, big * big]])
     x = xl.solve(a, xl.eye(2))
     assert a @ x == xl.eye(2) and x @ a == xl.eye(2)
-    assert xl.leading_minors_positive(a @ a.T)
-    assert not xl.leading_minors_positive(-(a @ a.T))
+    assert _ldl_product(xl.ldl(a @ a.T)) == a @ a.T
+    assert xl.ldl(-(a @ a.T)) is None
 
 
 def test_floats_never_enter_an_exact_matrix():

@@ -190,6 +190,14 @@ class TestMetricAndInvariants:
         with pytest.raises(InvalidStructure):
             Metric(_diag_exact([1, -1]))
 
+    @pytest.mark.parametrize("entries", [
+        [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.0, 0.0], [0.0, -1.0]], [[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]],
+    ], ids=["inf_diagonal", "inf_off_diagonal", "nan", "negative", "indefinite", "singular"])
+    def test_float_metric_must_be_finite_and_positive_definite(self, entries):
+        with pytest.raises(InvalidStructure):
+            Metric(np.array(entries))
+
     def test_non_euclidean_exact_metric_with_compatible_phi(self):
         metric = Metric(_diag_exact([2, 3]))
         phi = _diag_exact([PSI, ONE_MINUS_PSI])
