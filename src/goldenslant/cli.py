@@ -69,8 +69,10 @@ curvature suite: space-form model R and its Ricci program
   R(X,Y)Z = A {g(Y,Z)X - g(X,Z)Y + g(phiY,Z)phiX - g(phiX,Z)phiY}
           + B {g(phiY,Z)X - g(phiX,Z)Y + g(Y,Z)phiX - g(X,Z)phiY}
   A = -((1-psi) c_p - psi c_q)/(2 sqrt5), B = -((1-psi) c_p + psi c_q)/4
+  evaluated in y = W x (g = W^T W): g is the dot product, phi is phi_hat
 hard checks:
-  ricci_framesum_vs_closed   sum_i g(R(E_i,Y)Z, E_i) equals the closed form
+  ricci_framesum_vs_closed   sum_i g(R(e_i,Y)Z, e_i), e_i the standard basis of
+                             y, equals the closed form
   bianchi, pair_symmetry, antisymmetry
   ricci_phi (4 identities)   S(phi^2 X, Y) = S(phi X, Y) + S(X, Y), ... ,
                              S(phi X, Y) = S(phi Y, X)

@@ -12,6 +12,12 @@ the derivation action R.S.  Every statement about these tensors is
 pointwise multilinear algebra, so checks are direct evaluations over
 seeded random tuples.
 
+R and S are built from g and phi alone, so they are evaluated in the
+metric's Euclidean model ``y = W x`` (``g = W^T W``): there g is the dot
+product and phi the symmetric ``phi_hat = W phi W^-1``.  Every vector the
+tensor functions take or return is in these coordinates, so rounding does
+not grow with the conditioning of g.
+
 The tensor functions take vectors with leading trial axes, shape
 ``(..., n)``.  :func:`curvature_program` runs every probe over one seeded
 draw of ``4 * trials * n`` normals.  A probe on k-tuples reads the first
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .quadrat import PSI
-from .structures import GoldenStructure, golden_eigendecomp
+from .structures import GoldenStructure, _amax
 
 _PSI = float(PSI)
 _SQRT5 = math.sqrt(5.0)
@@ -49,23 +55,22 @@ _SQRT5 = math.sqrt(5.0)
 class SpaceFormModel:
     """Constant-coefficient model with sectional curvatures (c_p, c_q) over a golden structure.
 
-    The constants every tensor evaluation reads (the float phi and g, a
-    g-orthonormal eigenframe, trace(phi), A, B and the two Ricci
-    coefficients) are computed once, when the model is made.
+    It reads the structure's Euclidean model only: ``phi`` is the symmetric
+    ``phi_hat``, p the number of its eigenvalues psi (those above 1/2) and
+    ``trace_phi`` its trace.  These, A, B and the two Ricci coefficients are
+    computed once, when the model is made.
     """
 
-    __slots__ = ("n", "p", "c_p", "c_q", "frame", "phi", "g", "trace_phi",
+    __slots__ = ("n", "p", "c_p", "c_q", "phi", "trace_phi",
                  "coeff_a", "coeff_b", "ricci_g_coeff", "ricci_phi_coeff")
 
     def __init__(self, structure: GoldenStructure, c_p: float, c_q: float):
-        s = structure.to_float()
-        basis_psi, basis_neg = golden_eigendecomp(s)
-        self.frame = np.hstack([basis_psi, basis_neg])  # columns: g-orthonormal frame E_1..E_n
-        n = self.n = s.n
-        self.p, self.c_p, self.c_q = basis_psi.shape[1], float(c_p), float(c_q)
-        self.phi = s.phi_float
-        self.g = s.metric.matrix
-        self.trace_phi = float(np.trace(self.phi))
+        phi = self.phi = structure.to_float().phi_hat
+        n = self.n = len(phi)
+        # psi ~ 1.618 vs 1 - psi ~ -0.618
+        self.p = int(np.count_nonzero(np.linalg.eigvalsh(phi) > 0.5))
+        self.c_p, self.c_q = float(c_p), float(c_q)
+        self.trace_phi = float(np.trace(phi))
         a = self.coeff_a = -((1.0 - _PSI) * self.c_p - _PSI * self.c_q) / (2.0 * _SQRT5)
         b = self.coeff_b = -((1.0 - _PSI) * self.c_p + _PSI * self.c_q) / 4.0
         # The coefficients of g(Y, Z) and g(phi Y, Z) in the closed-form Ricci tensor.
@@ -79,13 +84,8 @@ def _phi(model: SpaceFormModel, v: np.ndarray) -> np.ndarray:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Euclidean dot product along the last axis, over the leading axes."""
+    """g(U, V), the dot product along the last axis, over the leading axes."""
     return np.einsum("...i,...i->...", u, v)
-
-
-def _inner(model: SpaceFormModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """g(U, V) over the leading axes of ``u`` and ``v`` (g is symmetric)."""
-    return _dot(u @ model.g, v)
 
 
 def _tuples(model: SpaceFormModel, trials: int, seed: int, k: int) -> np.ndarray:
@@ -109,47 +109,37 @@ def _prefix(tuples: np.ndarray, k: int) -> np.ndarray:
     return flat[:k * trials * n].reshape(trials, k, n).transpose(1, 0, 2)
 
 
-def _worst(residual: np.ndarray) -> float:
-    """Largest |entry| of a residual; NaN when any entry is NaN."""
-    return float(np.abs(residual).max())
-
-
 def curvature(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
               z: np.ndarray) -> np.ndarray:
-    """R(X, Y)Z of the space-form model, broadcast over leading trial axes."""
+    """R(X, Y)Z of the space-form model in ``y = W x``, broadcast over leading trial axes."""
     for v in (x, y, z):
         if np.shape(v)[-1:] != (model.n,):
             raise DimensionMismatch(f"expected vectors of length {model.n}")
     px, py = _phi(model, x), _phi(model, y)
-    gz = z @ model.g
-    gyz, gxz, gpyz, gpxz = _dot(y, gz), _dot(x, gz), _dot(py, gz), _dot(px, gz)
+    gyz, gxz, gpyz, gpxz = _dot(y, z), _dot(x, z), _dot(py, z), _dot(px, z)
     a, b = model.coeff_a, model.coeff_b
     return ((a * gyz + b * gpyz)[..., None] * x - (a * gxz + b * gpxz)[..., None] * y
             + (a * gpyz + b * gyz)[..., None] * px - (a * gpxz + b * gxz)[..., None] * py)
 
 
 def ricci_framesum(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """S(Y, Z) as the frame contraction sum_i g(R(E_i, Y)Z, E_i).
+    """S(Y, Z) as the contraction sum_i g(R(e_i, Y)Z, e_i) over the standard basis e_i.
 
-    Each term of g(R(E, Y)Z, E) is a product of a Y/Z factor and a frame
-    factor.  The Y/Z factors (phi Y, g Z and their inner products) are
-    computed once, the frame factors once per frame vector as matrix
-    products over the frame, so memory stays that of Y and Z.
+    There g(e_i, V) is the component V_i and g(phi e_i, Z) is (phi Z)_i, as
+    phi is symmetric, so the n terms are componentwise products of Y, phi Y,
+    Z and phi Z, and memory stays that of Y and Z.
     """
-    e, a, b = model.frame, model.coeff_a, model.coeff_b
-    pe, ge = model.phi @ e, model.g @ e
-    py, gz = _phi(model, y), z @ model.g
-    gyz, gpyz = _dot(y, gz), _dot(py, gz)
-    gez, gpez = gz @ e, gz @ pe  # g(E_i, Z), g(phi E_i, Z)
-    return ((a * gyz + b * gpyz) * np.sum(e * ge) + (a * gpyz + b * gyz) * np.sum(pe * ge)
-            - ((a * gez + b * gpez) * (y @ ge)).sum(axis=-1)
-            - ((a * gpez + b * gez) * (py @ ge)).sum(axis=-1))
+    a, b = model.coeff_a, model.coeff_b
+    py, pz = _phi(model, y), _phi(model, z)
+    gyz, gpyz = _dot(y, z), _dot(py, z)
+    return ((a * gyz + b * gpyz) * model.n + (a * gpyz + b * gyz) * model.trace_phi
+            - ((a * z + b * pz) * y).sum(axis=-1)
+            - ((a * pz + b * z) * py).sum(axis=-1))
 
 
 def ricci_closed(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """S(Y, Z) in closed form from the two constant coefficients."""
-    return (model.ricci_g_coeff * _inner(model, y, z)
-            + model.ricci_phi_coeff * _inner(model, _phi(model, y), z))
+    return model.ricci_g_coeff * _dot(y, z) + model.ricci_phi_coeff * _dot(_phi(model, y), z)
 
 
 def r_dot_s(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
@@ -173,7 +163,7 @@ def r_dot_s_closed_form(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
 
 def _claimed_r_dot_s(model: SpaceFormModel, rw: np.ndarray, pz: np.ndarray) -> np.ndarray:
     """-2 beta g(RW, phi Z) from RW = R(X,Y)W and phi Z."""
-    return -2.0 * model.ricci_phi_coeff * _inner(model, rw, pz)
+    return -2.0 * model.ricci_phi_coeff * _dot(rw, pz)
 
 
 class CurvatureProgram(NamedTuple):
@@ -220,20 +210,20 @@ def _pair_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray):
     for path, s in (("framesum", ricci_framesum), ("closed", ricci_closed)):
         s_xy, s_pxy = s(model, x, y), s(model, px, y)
         ricci_phi[path] = {
-            "phi_sq_left": _worst(s(model, ppx, y) - s_pxy - s_xy),
-            "phi_sq_right": _worst(s(model, x, ppy) - s(model, x, py) - s_xy),
-            "phi_both": _worst(s(model, px, py) - s_pxy - s_xy),
-            "phi_swap": _worst(s_pxy - s(model, py, x)),
+            "phi_sq_left": _amax(s(model, ppx, y) - s_pxy - s_xy, None),
+            "phi_sq_right": _amax(s(model, x, ppy) - s(model, x, py) - s_xy, None),
+            "phi_both": _amax(s(model, px, py) - s_pxy - s_xy, None),
+            "phi_swap": _amax(s_pxy - s(model, py, x), None),
         }
         s_pair[path] = s_xy
-    return _worst(s_pair["framesum"] - s_pair["closed"]), ricci_phi
+    return _amax(s_pair["framesum"] - s_pair["closed"], None), ricci_phi
 
 
 def _triple_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray):
     """First Bianchi identity and antisymmetry R(X,Y)Z = -R(Y,X)Z."""
     rz = curvature(model, x, y, z)
-    bianchi = _worst(rz + curvature(model, y, z, x) + curvature(model, z, x, y))
-    return bianchi, _worst(rz + curvature(model, y, x, z))
+    bianchi = _amax(rz + curvature(model, y, z, x) + curvature(model, z, x, y), None)
+    return bianchi, _amax(rz + curvature(model, y, x, z), None)
 
 
 def _quad_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
@@ -246,37 +236,38 @@ def _quad_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndar
     """
     px, py, pz, pw = (_phi(model, v) for v in (x, y, z, w))
     rz = curvature(model, x, y, z)
-    pair_symmetry = _worst(_inner(model, rz, w) - _inner(model, curvature(model, z, w, x), y))
+    pair_symmetry = _amax(_dot(rz, w) - _dot(curvature(model, z, w, x), y), None)
     rw = curvature(model, x, y, w)
     rs = _derivation(model, ricci_closed, z, w, rz, rw)
-    gap = _worst(rs - _claimed_r_dot_s(model, rw, pz))
+    gap = _amax(rs - _claimed_r_dot_s(model, rw, pz), None)
     rpz = curvature(model, x, y, pz)
     rs_pz = _derivation(model, ricci_closed, pz, w, rpz, rw)
     del rw
     rs_pz_pw = _derivation(model, ricci_closed, pz, pw, rpz, curvature(model, x, y, pw))
-    values = _worst(rs_pz_pw - rs_pz - rs)
-    g_rz_pw = _inner(model, rz, pw)
-    phi_argument = _worst(rpz - _phi(model, rz))
-    form_both_phi = _worst(_inner(model, rpz, pw) - g_rz_pw - _inner(model, rz, w))
-    form_swap = _worst(_inner(model, rpz, w) - g_rz_pw)
+    values = _amax(rs_pz_pw - rs_pz - rs, None)
+    g_rz_pw = _dot(rz, pw)
+    phi_argument = _amax(rpz - _phi(model, rz), None)
+    form_both_phi = _amax(_dot(rpz, pw) - g_rz_pw - _dot(rz, w), None)
+    form_swap = _amax(_dot(rpz, w) - g_rz_pw, None)
     del rpz
     r_px = curvature(model, px, y, z)
-    first_slots = _worst(r_px - curvature(model, x, py, z))
+    first_slots = _amax(r_px - curvature(model, x, py, z), None)
     r_pxpy = curvature(model, px, py, z)
-    both_slots = _worst(r_pxpy - r_px - rz)
+    both_slots = _amax(r_pxpy - r_px - rz, None)
     del rz
     rs_pxpy = _derivation(model, ricci_closed, z, w, r_pxpy, curvature(model, px, py, w))
     del r_pxpy
     rw_px = curvature(model, px, y, w)
-    arguments = _worst(rs_pxpy - _derivation(model, ricci_closed, z, w, r_px, rw_px) - rs)
+    rs_px = _derivation(model, ricci_closed, z, w, r_px, rw_px)
+    arguments = _amax(rs_pxpy - rs_px - rs, None)
     del r_px
-    corollary = _worst(_derivation(model, ricci_closed, pz, w, curvature(model, px, y, pz),
-                                   rw_px))
+    corollary = _amax(_derivation(model, ricci_closed, pz, w, curvature(model, px, y, pz),
+                                  rw_px), None)
     commutation = {"phi_argument": phi_argument, "first_slots": first_slots,
                    "both_slots": both_slots, "form_both_phi": form_both_phi,
                    "form_swap": form_swap}
     rs_props = {"arguments": arguments, "values": values}
-    return pair_symmetry, commutation, corollary, rs_props, gap, _worst(rs)
+    return pair_symmetry, commutation, corollary, rs_props, gap, _amax(rs, None)
 
 
 class NablaCertificate(NamedTuple):

@@ -10,8 +10,9 @@ correspondence
 Two numeric backends coexist.  The exact backend stores matrices as
 :class:`~goldenslant.exactlin.QMatrix` (integer arrays over Q(sqrt5)) and makes
 every axiom check a statement about exact zeros; the float backend stores
-numpy arrays and checks residuals against ``DEFAULT_TOL_STRUCT``.  Each axiom
-is written once, in matrix operators both types share.
+numpy arrays and checks residuals against ``DEFAULT_TOL_STRUCT`` in the
+metric's Euclidean model ``y = W x`` (``g = W^T W``), so they do not grow with
+g.  Each axiom is written once, in matrix operators both types share.
 """
 
 from __future__ import annotations
@@ -94,11 +95,22 @@ def _check_square(m, name: str) -> int:
     return n
 
 
-def _operands(m, metric: Metric):
-    """``m`` and the metric matrix in one number type: exact when both are."""
-    if is_exact(m) and metric.backend == "exact":
-        return xl.qmatrix(m), metric.entries
-    return as_float(m), metric.matrix
+def _operand(m, metric: Metric):
+    """``m`` in the metric's number type: exact when both are."""
+    return xl.qmatrix(m) if is_exact(m) and metric.backend == "exact" else as_float(m)
+
+
+def _in_model(m, metric: Metric, name: str):
+    """``m`` and the metric matrix as the axioms are measured: exact when both are, else
+    ``W m W^-1`` in the metric's Euclidean model, where the metric is the identity."""
+    n = _check_square(m, name)
+    if n != metric.n:
+        raise DimensionMismatch(f"{name} is {n}x{n} but metric is {metric.n}x{metric.n}")
+    m = _operand(m, metric)
+    if is_exact(m):
+        return m, metric.entries
+    model = metric.to_float()
+    return model.w @ m @ model.w_inv, np.eye(n)
 
 
 class Metric:
@@ -179,12 +191,8 @@ def _structure_residuals(phi, g):
     return phi @ phi - phi - _eye(phi), g_phi - phit_g, phit_g @ phi - phit_g - g
 
 
-def _measure(phi, metric: Metric) -> tuple[StructureReport, list]:
-    """The report of phi's axioms and their max-abs residuals, exact when phi and the metric are."""
-    n = _check_square(phi, "phi")
-    if n != metric.n:
-        raise DimensionMismatch(f"phi is {n}x{n} but metric is {metric.n}x{metric.n}")
-    phi, g = _operands(phi, metric)
+def _measure(phi, g) -> tuple[StructureReport, list]:
+    """The report of phi's axioms against the metric matrix g, and their max-abs residuals."""
     # Exact zeros are read before the float view, where a residual of 10^-400 is 0.0.
     worst = [_amax(r) for r in _structure_residuals(phi, g)]
     rs, ra, rc = map(float, worst)
@@ -196,8 +204,8 @@ def _measure(phi, metric: Metric) -> tuple[StructureReport, list]:
 
 
 def verify_golden(phi, metric: Metric) -> StructureReport:
-    """Check the golden-structure axioms and report max-abs residuals."""
-    return _measure(phi, metric)[0]
+    """Check the golden-structure axioms and report max-abs residuals (``phi_hat``'s if float)."""
+    return _measure(*_in_model(phi, metric, "phi"))[0]
 
 
 class GoldenStructure:
@@ -209,7 +217,7 @@ class GoldenStructure:
 
     def __init__(self, phi, metric: Metric, validate: bool = True):
         self.n = _check_square(phi, "phi")
-        self.phi, _ = _operands(phi, metric)
+        self.phi = _operand(phi, metric)
         self.backend = "exact" if is_exact(self.phi) else "float"
         self.metric = metric if self.backend == "exact" else metric.to_float()
         if validate:
@@ -223,7 +231,10 @@ class GoldenStructure:
 
     @cached_property
     def report(self) -> StructureReport:
-        return verify_golden(self.phi, self.metric)
+        # The float view of an exact structure is measured by its exact-rounded phi_hat.
+        if self.backend == "exact":
+            return verify_golden(self.phi, self.metric)
+        return _measure(self.phi_hat, np.eye(self.n))[0]
 
     @property
     def phi_float(self) -> np.ndarray:
@@ -234,11 +245,10 @@ class GoldenStructure:
         """phi in the metric's Euclidean model, ``W phi W^-1``: symmetric when phi is
         g-self-adjoint.  An exact structure rounds the exact congruence
         ``L^T phi (D^-1 L^-1)^T = (D^-1 L^-1) g phi (D^-1 L^-1)^T`` once, then scales by D^(1/2)."""
-        model = self.metric.to_float()
         if self.backend == "float":
-            return model.w @ self.phi @ model.w_inv
+            return _in_model(self.phi, self.metric, "phi")[0]
         lt, lower_inv = self.metric.factor
-        root_d = np.diagonal(model.w)  # L^T has a unit diagonal
+        root_d = np.diagonal(self.metric.to_float().w)  # L^T has a unit diagonal
         return as_float(lt @ self.phi @ lower_inv.T) * np.outer(root_d, root_d)
 
     def to_float(self) -> GoldenStructure:
@@ -257,7 +267,7 @@ class AlmostProductStructure:
 
     def __init__(self, f, metric: Metric, validate: bool = True):
         self.n = _check_square(f, "F")
-        self.f, _ = _operands(f, metric)
+        self.f = _operand(f, metric)
         self.backend = "exact" if is_exact(self.f) else "float"
         self.metric = metric if self.backend == "exact" else metric.to_float()
         if validate:
@@ -265,10 +275,7 @@ class AlmostProductStructure:
 
 
 def _check_involution(f, metric: Metric) -> None:
-    n = _check_square(f, "F")
-    if n != metric.n:
-        raise DimensionMismatch("F and metric dimensions differ")
-    f, g = _operands(f, metric)
+    f, g = _in_model(f, metric, "F")
     g_f = g @ f  # G is symmetric, so F^T G = (G F)^T
     _require_involution(float(_amax(f @ f - _eye(f))), float(_amax(g_f - g_f.T)))
 
@@ -299,10 +306,8 @@ def golden_from_product(f: AlmostProductStructure) -> GoldenStructure:
     """Golden structure ``phi = (I + sqrt5 F)/2`` of an involution, from one check of phi's axioms:
     F's residual maxima are phi's rescaled, as ``phi^2 - phi - I = 5 (F^2 - I)/4`` and
     ``G phi - phi^T G = sqrt5 (G F - F^T G)/2`` (exactly, for an exact F and metric)."""
-    if f.n != f.metric.n:
-        raise DimensionMismatch("F and metric dimensions differ")
     phi = golden_matrix(f.f)
-    report, worst = _measure(phi, f.metric)
+    report, worst = _measure(*_in_model(phi, f.metric, "F"))
     _require_involution(float(worst[0] * 4 / 5), float(worst[1] * 2 / _sqrt5(phi)))
     structure = GoldenStructure(phi, f.metric, validate=False)
     structure.report = report

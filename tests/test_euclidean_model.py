@@ -3,22 +3,32 @@
 An exact metric is factored once as ``g = L D L^T``; the float routes work in
 ``y = W x`` with ``W = D^(1/2) L^T`` and read phi as ``phi_hat = W phi W^-1``,
 the exact congruence rounded once.  So their rounding does not grow with
-``cond(g)``, which the ill-conditioned scenarios below check.
+``cond(g)``, which the ill-conditioned scenarios below check.  A float
+structure's axioms and the space-form curvature program are measured in the
+same model.
 """
 
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import goldenslant.exactlin as xl
 from goldenslant.cli import EXIT_OK, main
-from goldenslant.config import load_config
+from goldenslant.config import SpaceformSection, Tolerances, load_config
 from goldenslant.quadrat import QuadRat
-from goldenslant.structures import AlmostProductStructure, Metric, golden_from_product
+from goldenslant.structures import (
+    AlmostProductStructure,
+    GoldenStructure,
+    Metric,
+    golden_from_product,
+    product_matrix,
+    verify_golden,
+)
 from goldenslant.submanifold import (
     ImmersionSpec,
     SampleSpec,
@@ -28,9 +38,10 @@ from goldenslant.submanifold import (
     point_geometry,
     structural_identity_residuals,
 )
-from goldenslant.suites import run_scenario
+from goldenslant.suites import run_curvature_suite, run_scenario
 
-ILL_CONDITIONED = Path(__file__).parent / "configs" / "ill_conditioned_involution.cfg"
+CONFIGS = Path(__file__).parent / "configs"
+ILL_CONDITIONED = CONFIGS / "ill_conditioned_involution.cfg"
 FLOAT_BOUND = 1e-13
 EPS = np.finfo(float).eps
 
@@ -102,6 +113,42 @@ def test_float_residuals_stay_flat_on_ill_conditioned_exact_scenarios():
         count += 1
     assert count == 150 and len(worst) == 9
     assert max(worst.values()) <= FLOAT_BOUND, worst
+
+
+def test_curvature_program_passes_on_ill_conditioned_exact_scenarios():
+    # In the ambient coordinates x all 150 failed, with pair symmetry up to 4.8.
+    worst = {}
+    for f, metric, _ in _ill_conditioned_scenarios(seed=3, count=150):
+        structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+        p = int((f.shape[0] + float(sum(f.diagonal()))) / 2)  # F is +1 on the psi-eigenspace
+        cfg = SimpleNamespace(spaceform=SpaceformSection(c_p=1.0, c_q=-1.0, p=p, seed=7))
+        report = run_curvature_suite(cfg, structure, Tolerances())
+        assert report["pass"], report["identities"]
+        for key, value in report["identities"].items():
+            worst[key] = max(worst.get(key, 0.0), value)
+    assert len(worst) == 4 and max(worst.values()) <= 1e-12, worst
+
+
+def test_float_axioms_are_measured_in_the_model():
+    # In x, g's entries of 4.4e3 gave a metric_compat residual of 9.6e-9 > tol_struct.
+    structure = load_config(ILL_CONDITIONED).build_structure()
+    view = structure.to_float()
+    report = view.report
+    assert max(report.residual_structure, report.residual_self_adjoint,
+               report.residual_compat) <= 4 * EPS
+    # A float phi or F is read through W phi W^-1, rounded in floats.
+    assert verify_golden(view.phi, view.metric).passed
+    assert GoldenStructure(view.phi, structure.metric).report.passed
+    f = AlmostProductStructure(product_matrix(view.phi), view.metric).f
+    unchecked = AlmostProductStructure(f, view.metric, validate=False)
+    assert golden_from_product(unchecked).report.passed
+
+
+@pytest.mark.parametrize("backend", ["auto", "float"])
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.stem)
+def test_regression_configs_pass(path, backend, capsys):
+    assert main(["run", str(path), "--backend", backend]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["overall_pass"]
 
 
 def _refuse(*args, **kwargs):

@@ -1,7 +1,14 @@
-"""Space-form curvature model: identities, Ricci program and probed claims."""
+"""Space-form curvature model: identities, Ricci program and probed claims.
+
+The model evaluates its tensors in the metric's Euclidean model ``y = W x``.
+The reference below is a term-by-term transcription in the ambient
+coordinates x, with the metric g and a g-orthonormal eigenframe; the two
+agree once vectors are mapped by W.
+"""
 
 import math
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,11 +19,10 @@ from goldenslant.errors import DimensionMismatch
 from goldenslant.quadrat import PSI
 from goldenslant.spaceform import (
     SpaceFormModel,
-    _inner,
+    _dot,
     _phi,
     _prefix,
     _tuples,
-    _worst,
     curvature,
     curvature_program,
     nabla_identities_certificate,
@@ -25,11 +31,38 @@ from goldenslant.spaceform import (
     ricci_closed,
     ricci_framesum,
 )
-from goldenslant.structures import GoldenStructure, Metric
+from goldenslant.structures import (
+    GoldenStructure,
+    Metric,
+    _amax,
+    diagonal_golden,
+    golden_eigendecomp,
+)
 from goldenslant.suites import run_curvature_suite
 from support import diagonal_model, random_golden
 
 PSI_F = float(PSI)
+
+
+class Ambient(NamedTuple):
+    """A model's structure in the ambient coordinates x, where the reference works."""
+
+    model: SpaceFormModel
+    phi: np.ndarray  # phi in x
+    g: np.ndarray
+    w: np.ndarray  # y = W x, with g = W^T W
+    w_inv: np.ndarray
+    frame: np.ndarray  # columns: a g-orthonormal eigenframe of phi
+
+
+def _ambient(structure, c_p, c_q):
+    s = structure.to_float()
+    return Ambient(SpaceFormModel(structure, c_p, c_q), s.phi_float, s.metric.matrix,
+                   s.metric.w, s.metric.w_inv, np.hstack(golden_eigendecomp(s)))
+
+
+def _diagonal_ambient(n, p, c_p, c_q):
+    return _ambient(diagonal_golden(["psi"] * p + ["one_minus_psi"] * (n - p)), c_p, c_q)
 
 
 def _naive_coefficients(model):
@@ -38,15 +71,15 @@ def _naive_coefficients(model):
     return a, b
 
 
-def _g(model, u, v):
-    return float(u @ model.g @ v)
+def _g(amb, u, v):
+    return float(u @ amb.g @ v)
 
 
-def _naive_curvature(model, x, y, z):
-    """Independent term-by-term transcription of the curvature formula."""
-    n = model.n
-    phi, g = model.phi, partial(_g, model)
-    a, b = _naive_coefficients(model)
+def _naive_curvature(amb, x, y, z):
+    """Independent term-by-term transcription of the curvature formula in x."""
+    n = amb.model.n
+    phi, g = amb.phi, partial(_g, amb)
+    a, b = _naive_coefficients(amb.model)
     px = phi @ x
     py = phi @ y
     out = np.zeros(n)
@@ -75,9 +108,10 @@ def _read(result, keys):
     return result
 
 
-MODELS = [diagonal_model(n, n // 2, cp, cq)
-          for n in (2, 4, 6, 8)
-          for cp, cq in ((0, 0), (1, 1), (1, -1), (2, 3))]
+DIAGONAL_AMBIENTS = [_diagonal_ambient(n, n // 2, cp, cq)
+                     for n in (2, 4, 6, 8)
+                     for cp, cq in ((0, 0), (1, 1), (1, -1), (2, 3))]
+MODELS = [amb.model for amb in DIAGONAL_AMBIENTS]
 
 
 class TestCurvatureTensor:
@@ -89,15 +123,15 @@ class TestCurvatureTensor:
             assert np.abs(curvature(model, x, y, z)).max() == 0.0
 
     def test_matches_independent_transcription(self):
-        model = diagonal_model(4, 2, 1.0, 2.0)
-        e = np.eye(4)
+        amb = _diagonal_ambient(4, 2, 1.0, 2.0)
+        model, e = amb.model, np.eye(4)
         direct = curvature(model, e[0], e[2], e[0])
-        assert np.abs(direct - _naive_curvature(model, e[0], e[2], e[0])).max() <= 1e-14
+        assert np.abs(direct - _naive_curvature(amb, e[0], e[2], e[0])).max() <= 1e-14
         rng = np.random.default_rng(1)
         for _ in range(50):
             x, y, z = rng.standard_normal((3, 4))
             assert np.abs(curvature(model, x, y, z)
-                          - _naive_curvature(model, x, y, z)).max() <= 1e-12
+                          - _naive_curvature(amb, x, y, z)).max() <= 1e-12
 
     def test_antisymmetry_manifest(self):
         for model in MODELS:
@@ -209,12 +243,13 @@ class TestCommutationFindings:
 
 class TestDerivationAction:
     def test_definitional_value_matches_independent_evaluation(self):
-        model = diagonal_model(4, 2, 1.0, -1.0)
+        amb = _diagonal_ambient(4, 2, 1.0, -1.0)
+        model = amb.model
         rng = np.random.default_rng(6)
         for _ in range(50):
             x, y, z, w = rng.standard_normal((4, 4))
-            rz = _naive_curvature(model, x, y, z)
-            rw = _naive_curvature(model, x, y, w)
+            rz = _naive_curvature(amb, x, y, z)
+            rw = _naive_curvature(amb, x, y, w)
             independent = -ricci_framesum(model, rz, w) - ricci_framesum(model, z, rw)
             assert abs(r_dot_s(model, x, y, z, w) - independent) <= 1e-9
             assert abs(r_dot_s(model, x, y, z, w, path="framesum")
@@ -285,7 +320,7 @@ class TestNablaCertificate:
 # -- batched probes against a per-trial oracle ----------------------------------
 
 
-def _skewed_model(c_p, c_q):
+def _skewed_ambient(c_p, c_q):
     """Model with a non-diagonal phi and a non-Euclidean metric.
 
     A golden phi that is self-adjoint for the identity becomes L^-1 phi L,
@@ -296,29 +331,29 @@ def _skewed_model(c_p, c_q):
         np.linspace(1.0, 2.0, n))
     phi = np.linalg.solve(lt, random_golden(n, 2, seed=5).phi_float @ lt)
     g = lt.T @ lt
-    structure = GoldenStructure(phi, Metric((g + g.T) / 2.0))
-    return SpaceFormModel(structure, c_p, c_q)
+    return _ambient(GoldenStructure(phi, Metric((g + g.T) / 2.0)), c_p, c_q)
 
 
-ORACLE_MODELS = MODELS + [_skewed_model(1.0, -1.0), _skewed_model(2.0, 3.0)]
+ORACLE_AMBIENTS = DIAGONAL_AMBIENTS + [_skewed_ambient(1.0, -1.0), _skewed_ambient(2.0, 3.0)]
+SKEWED = ORACLE_AMBIENTS[-1]
 
 
-def _naive_ricci_coefficients(model):
-    n, tr = model.n, float(np.trace(model.phi))
-    a, b = _naive_coefficients(model)
+def _naive_ricci_coefficients(amb):
+    n, tr = amb.model.n, float(np.trace(amb.phi))
+    a, b = _naive_coefficients(amb.model)
     return a * (n - 2) + b * tr, a * (tr - 1) + b * (n - 2)
 
 
-def _naive_ricci(model, y, z, path="closed"):
+def _naive_ricci(amb, y, z, path="closed"):
     if path == "framesum":
-        return sum(_g(model, _naive_curvature(model, e, y, z), e) for e in model.frame.T)
-    alpha, beta = _naive_ricci_coefficients(model)
-    return alpha * _g(model, y, z) + beta * _g(model, model.phi @ y, z)
+        return sum(_g(amb, _naive_curvature(amb, e, y, z), e) for e in amb.frame.T)
+    alpha, beta = _naive_ricci_coefficients(amb)
+    return alpha * _g(amb, y, z) + beta * _g(amb, amb.phi @ y, z)
 
 
-def _naive_rs(model, x, y, z, w):
-    rz, rw = _naive_curvature(model, x, y, z), _naive_curvature(model, x, y, w)
-    return -_naive_ricci(model, rz, w) - _naive_ricci(model, z, rw)
+def _naive_rs(amb, x, y, z, w):
+    rz, rw = _naive_curvature(amb, x, y, z), _naive_curvature(amb, x, y, w)
+    return -_naive_ricci(amb, rz, w) - _naive_ricci(amb, z, rw)
 
 
 def _trial_commutation(m, x, y, z, w):
@@ -354,14 +389,17 @@ def _trial_rs_props(m, x1, x2, x, y):
     }
 
 
-def _trial_rs_gap(m, x, y, z, w):
+def _naive_claimed_rs(m, x, y, z, w):
     _, beta = _naive_ricci_coefficients(m)
-    claimed = -2 * beta * _g(m, _naive_curvature(m, x, y, w), m.phi @ z)
-    return _naive_rs(m, x, y, z, w) - claimed
+    return -2 * beta * _g(m, _naive_curvature(m, x, y, w), m.phi @ z)
+
+
+def _trial_rs_gap(m, x, y, z, w):
+    return _naive_rs(m, x, y, z, w) - _naive_claimed_rs(m, x, y, z, w)
 
 
 # probe name, the keys of its value in the program's result, tuple size k,
-# per-trial residuals on one sequential (k, n) draw
+# per-trial residuals in x on one sequential (k, n) draw mapped to x = W^-1 y
 ORACLE = [
     ("ricci_agreement", ("identities", "ricci_framesum_vs_closed"), 2,
      lambda m, y, z: _naive_ricci(m, y, z, "framesum") - _naive_ricci(m, y, z)),
@@ -385,10 +423,22 @@ ORACLE = [
 ]
 
 
-def _per_trial_worst(model, k, trial, trials, seed):
-    """The residual maxima of a scalar loop over sequential (k, n) draws."""
+def _per_trial_worst(amb, k, trial, trials, seed):
+    """The residual maxima of a scalar loop over sequential (k, n) draws of y.
+
+    Each draw is mapped to x = W^-1 y for the reference, and each vector
+    residual back by W; scalars need no map.
+    """
     rng = np.random.default_rng(seed)
-    rows = [trial(model, *rng.standard_normal((k, model.n))) for _ in range(trials)]
+
+    def in_y(value):
+        return amb.w @ value if np.ndim(value) else value
+
+    rows = []
+    for _ in range(trials):
+        row = trial(amb, *(rng.standard_normal((k, amb.model.n)) @ amb.w_inv.T))
+        rows.append({key: in_y(v) for key, v in row.items()} if isinstance(row, dict)
+                    else in_y(row))
     if isinstance(rows[0], dict):
         return {key: max(float(np.abs(row[key]).max()) for row in rows) for key in rows[0]}
     return max(float(np.abs(row).max()) for row in rows)
@@ -403,9 +453,10 @@ class TestBatchedProbes:
     @pytest.mark.parametrize("keys,k,trial", [row[1:] for row in ORACLE],
                              ids=[row[0] for row in ORACLE])
     def test_probe_matches_per_trial_loop(self, keys, k, trial):
-        for model in ORACLE_MODELS:
+        for amb in ORACLE_AMBIENTS:
+            model = amb.model
             batched = _read(curvature_program(model, trials=6, seed=11)._asdict(), keys)
-            looped = _per_trial_worst(model, k, trial, trials=6, seed=11)
+            looped = _per_trial_worst(amb, k, trial, trials=6, seed=11)
             if isinstance(looped, dict):
                 assert batched.keys() == looped.keys()
                 for key in looped:
@@ -414,14 +465,40 @@ class TestBatchedProbes:
                 assert _agree(batched, looped), (model.n, model.c_p, model.c_q)
 
     def test_skewed_model_is_not_diagonal(self):
-        model = ORACLE_MODELS[-1]
+        model = SKEWED.model
         assert model.p == 2
-        assert np.abs(model.g - np.eye(model.n)).max() > 0.1
+        assert np.abs(SKEWED.g - np.eye(model.n)).max() > 0.1
         assert np.abs(model.phi - np.diag(np.diag(model.phi))).max() > 0.1
+        assert np.abs(model.phi - SKEWED.phi).max() > 0.1
         assert _agreement(model, trials=50) <= 1e-9
 
+    def test_tensors_are_the_ambient_ones_under_w(self):
+        # R maps by W; S, R.S and the claimed R.S are scalars and agree as they are.
+        model, w = SKEWED.model, SKEWED.w
+        ys = np.random.default_rng(14).standard_normal((20, 4, model.n))
+        for y1, y2, y3, y4 in ys:
+            x1, x2, x3, x4 = (SKEWED.w_inv @ v for v in (y1, y2, y3, y4))
+            rz = w @ _naive_curvature(SKEWED, x1, x2, x3)
+            assert np.abs(curvature(model, y1, y2, y3) - rz).max() <= 1e-12 * np.abs(rz).max()
+            pairs = [(ricci_framesum(model, y1, y2), _naive_ricci(SKEWED, x1, x2, "framesum")),
+                     (ricci_closed(model, y1, y2), _naive_ricci(SKEWED, x1, x2)),
+                     (r_dot_s(model, y1, y2, y3, y4), _naive_rs(SKEWED, x1, x2, x3, x4)),
+                     (r_dot_s(model, y1, y2, y3, y4, path="framesum"),
+                      _naive_rs(SKEWED, x1, x2, x3, x4)),
+                     (r_dot_s_closed_form(model, y1, y2, y3, y4),
+                      _naive_claimed_rs(SKEWED, x1, x2, x3, x4))]
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    def test_model_reads_the_euclidean_model_only(self):
+        for amb in ORACLE_AMBIENTS:
+            model = amb.model
+            assert not hasattr(model, "g") and not hasattr(model, "frame")
+            assert model.p == np.count_nonzero(np.linalg.eigvals(amb.phi).real > 0.5)
+            assert math.isclose(model.trace_phi, np.trace(amb.phi), abs_tol=1e-12)
+
     def test_curvature_broadcasts_over_trials(self):
-        model = ORACLE_MODELS[-1]
+        model = SKEWED.model
         x, y, z = np.random.default_rng(12).standard_normal((3, 5, model.n))
         batched = curvature(model, x, y, z)
         assert batched.shape == (5, model.n)
@@ -429,7 +506,9 @@ class TestBatchedProbes:
             single = curvature(model, x[t], y[t], z[t])
             assert single.shape == (model.n,)
             assert np.abs(single - batched[t]).max() <= 1e-12
-            assert np.abs(single - _naive_curvature(model, x[t], y[t], z[t])).max() <= 1e-12
+            reference = SKEWED.w @ _naive_curvature(
+                SKEWED, *(SKEWED.w_inv @ v for v in (x[t], y[t], z[t])))
+            assert np.abs(single - reference).max() <= 1e-12
 
     def test_dimension_mismatch_on_the_last_axis(self):
         model = diagonal_model(4, 2, 1.0, 1.0)
@@ -438,10 +517,6 @@ class TestBatchedProbes:
             curvature(model, np.ones((5, 3)), good, good)
         with pytest.raises(DimensionMismatch):
             curvature(model, good, good, np.ones((4, 5)))
-
-    def test_worst_keeps_a_single_nan(self):
-        assert math.isnan(_worst(np.array([[0.5, np.nan], [-2.0, 1.0]])))
-        assert _worst(np.array([[0.5, -3.0], [-2.0, 1.0]])) == 3.0
 
     def test_bulk_draw_equals_sequential_draws(self):
         model = diagonal_model(8, 4, 1.0, -1.0)
@@ -457,7 +532,8 @@ class TestBatchedProbes:
 
 def _probe_by_probe(model, trials, seed):
     """Each probe with its own draw, sharing nothing: the bodies before the program."""
-    r, phi, inner = partial(curvature, model), partial(_phi, model), partial(_inner, model)
+    r, phi, inner = partial(curvature, model), partial(_phi, model), _dot
+    _worst = partial(_amax, axis=None)
 
     def ricci_phi(path):
         s = ricci_framesum if path == "framesum" else ricci_closed

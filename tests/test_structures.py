@@ -1,5 +1,7 @@
 """Golden structures, involutions and their conversions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from goldenslant.structures import (
     AlmostProductStructure,
     GoldenStructure,
     Metric,
+    _amax,
     _spectral,
     diagonal_golden,
     golden_eigendecomp,
@@ -240,3 +243,11 @@ class TestSpectralNorm:
         got = _spectral(a)
         assert got[0] == 0.0 and np.isnan(got[1]) and got[2] == np.inf
         assert got[3] == 0.0 and not np.signbit(got[3])
+
+
+class TestAmax:
+    def test_keeps_a_single_nan(self):
+        assert math.isnan(_amax(np.array([[0.5, np.nan], [-2.0, 1.0]]), None))
+        worst = _amax(np.array([[0.5, -3.0], [-2.0, 1.0]]), None)
+        assert worst == 3.0 and type(worst) is float
+        assert _amax(np.array([0.5, -4.0, 1.0]), None) == 4.0
