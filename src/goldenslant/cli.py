@@ -65,24 +65,32 @@ slant suite: angles at the eigenvectors of P and classification
                        disagrees with the definitional cosine or exceeds 1.
 """,
     "curvature": """\
-curvature suite: space-form model R and its Ricci program
+curvature suite: an exact certificate of the space-form model R and its Ricci program
   R(X,Y)Z = A {g(Y,Z)X - g(X,Z)Y + g(phiY,Z)phiX - g(phiX,Z)phiY}
           + B {g(phiY,Z)X - g(phiX,Z)Y + g(Y,Z)phiX - g(X,Z)phiY}
   A = -((1-psi) c_p - psi c_q)/(2 sqrt5), B = -((1-psi) c_p + psi c_q)/4
-  evaluated in y = W x (g = W^T W): g is the dot product, phi is phi_hat
-hard checks:
-  ricci_framesum_vs_closed   sum_i g(R(e_i,Y)Z, e_i), e_i the standard basis of
-                             y, equals the closed form
+  in an orthonormal eigenframe of phi, g(R(e_i,e_j)e_k, e_l) =
+  kappa_ij (d_jk d_il - d_ik d_jl), kappa_ij = A(1 + phi_i phi_j) + B(phi_i + phi_j);
+  every check is evaluated over Q(sqrt5) on one basis tuple per class (which
+  eigenspace each index is in, which indices are equal) and reports its
+  largest basis value, exact ("exact") and as a float
+hard checks (exact zeros):
+  ricci_framesum_vs_closed   sum_i g(R(e_i,Y)Z, e_i) equals alpha g + beta g(phi.,.)
   bianchi, pair_symmetry, antisymmetry
   ricci_phi (4 identities)   S(phi^2 X, Y) = S(phi X, Y) + S(X, Y), ... ,
                              S(phi X, Y) = S(phi Y, X)
-findings (probed, reported with conforms flags):
+  ambient_oracle             R on spaceform.trials triples drawn from
+                             spaceform.seed, in y = W x, equals the certified
+                             tensor within 1e-12 |X||Y||Z| max|kappa|
+findings (exact values, conforming when 0):
   commutation (5 items)      R(X,Y)phi = phi R(X,Y) and consequences -- fails
-                             whenever B != 0 for this tensor
+                             whenever B != 0 and both eigenspaces are present;
+                             phi_argument is then sqrt5 |B|
   rs_corollary               (R(phi X, Y).S)(phi Z, W) = 0
   rs_phi_propositions        phi expansions of (R . S)
   rs_closed_form_gap         (R.S) vs -2 beta g(R(X,Y)W, phi Z)
-  non_semi_symmetry_probe    max |(R.S)| (nonvanishing for generic c_p, c_q)
+  non_semi_symmetry_probe    max |(R.S)| (nonzero exactly when beta != 0 and both
+                             eigenspaces are present)
 certificate:
   constant coefficients imply nabla R = 0 and nabla S = 0 identically.
 """,

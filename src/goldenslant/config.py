@@ -40,10 +40,10 @@ from .quadrat import QuadRat, parse_quadrat
 SUITE_ORDER = ("structure", "identities", "extrinsic", "slant", "curvature")
 IMMERSION_SUITES = {"identities", "extrinsic", "slant"}
 
-# The curvature program holds its whole draw of 4 * trials * dim numbers in
-# memory at once, so trials bound a run's memory.
+# The curvature oracle holds its draw of 3 * trials * dim numbers, and a few
+# arrays of trials * dim, in memory at once, so trials bound a run's memory.
 MAX_TRIALS = 100_000
-# Exact validation costs grow as dim^3 and the curvature draw as dim, so the
+# Exact validation costs grow as dim^3 and the oracle's draw as dim, so the
 # dimension bounds a run's work as well.
 MAX_DIM = 32
 # The point suites evaluate every sample point in one batch, so points do too.

@@ -9,24 +9,48 @@ and evaluates the closed-form curvature tensor
 with A = -((1-psi) c_p - psi c_q) / (2 sqrt5) and
 B = -((1-psi) c_p + psi c_q) / 4, together with its Ricci contraction and
 the derivation action R.S.  Every statement about these tensors is
-pointwise multilinear algebra, so checks are direct evaluations over
-seeded random tuples.
+pointwise multilinear algebra, so one exact evaluation on a basis decides it.
 
-R and S are built from g and phi alone, so they are evaluated in the
-metric's Euclidean model ``y = W x`` (``g = W^T W``): there g is the dot
-product and phi the symmetric ``phi_hat = W phi W^-1``.  Every vector the
-tensor functions take or return is in these coordinates, so rounding does
-not grow with the conditioning of g.
+**The certificate.**  In a g-orthonormal eigenframe of phi (phi e_i = phi_i e_i,
+phi_i = psi on p of them, 1 - psi on the other n - p)
 
-The tensor functions take vectors with leading trial axes, shape
-``(..., n)``.  :func:`curvature_program` runs every probe over one seeded
-draw of ``4 * trials * n`` normals.  A probe on k-tuples reads the first
-``k * trials * n`` of them, which are exactly the numbers a fresh
-``(trials, k, n)`` draw from the same seed would give, and that in turn
-equals ``trials`` sequential ``(k, n)`` draws.  Each distinct tuple, phi
-image and tensor value is evaluated once and shared by the probes that
-read it; one NumPy max reduces each residual, so a NaN anywhere shows up in
-the result.
+    g(R(e_i, e_j)e_k, e_l) = kappa_ij (d_jk d_il - d_ik d_jl),
+    kappa_ij = A (1 + phi_i phi_j) + B (phi_i + phi_j),
+
+so kappa takes three values, kappa_pp, kappa_qq and kappa_pq = B (as
+psi (1 - psi) = -1).  c_p and c_q are binary floats, hence exact rationals, and
+:func:`curvature_certificate` computes every check over Q(sqrt5) from
+``(n, p, c_p, c_q)`` alone.  Each check is multilinear in at most four
+vectors, so it vanishes if and only if it vanishes on every basis tuple, and
+its largest basis value (the largest entry, for a vector-valued check) is its
+norm from the l1 norms of its arguments to the max norm: it bounds the check
+on any tuple by that value times the product of the arguments' l1 norms, and
+is attained.  Written in the frame, a basis value is a sum of products of
+Kronecker deltas among the indices, eigenvalues phi_i and the constants
+kappa, the Ricci values S(e_a, e_b) = d_ab s_a and beta.  It therefore
+depends only on which eigenspace each index lies in and which indices are
+equal: its *class*.  A class is realized by some tuple exactly when it has at
+most p distinct psi-indices and at most n - p distinct (1 - psi)-indices, and
+one representative per realized class decides the check (94 classes of
+4-tuples once p, n - p >= 4, so the exact work does not grow with n).  A
+vector-valued check on (X, Y, Z) is read as the scalar g(V(X, Y, Z), W) on
+4-tuples, which has its entries as basis values.
+
+Each basis value is an integer combination of *atoms* (kappa, the s_a and
+beta, and their products for R.S) with coefficients ``a + b psi``, which do not
+depend on the model.  They are computed once, with numpy integer arrays, when
+the module loads; a certificate evaluates the distinct nonzero combinations its
+(n, p) realizes in :class:`~goldenslant.quadrat.QuadRat`.  The Ricci frame sum
+is the exact sum s_a = sum_b (count_b - [a = b]) kappa_ab over the eigenspaces
+b, compared with the closed form alpha + beta phi_a.
+
+**The oracle.**  The certificate is built from ``(n, p, c_p, c_q)``; the
+structure enters through :func:`ambient_oracle`, which evaluates
+:func:`curvature` on one seeded ``(trials, 3, n)`` draw and compares it with the
+certified tensor read through the orthonormal eigenvectors of ``phi_hat``.
+:func:`curvature` works in the metric's Euclidean model ``y = W x``
+(``g = W^T W``), where g is the dot product and phi the symmetric
+``phi_hat = W phi W^-1``, so rounding does not grow with the conditioning of g.
 
 The commutation of R(X,Y) with phi and its corollaries are genuinely open
 probes here: for B != 0 this tensor does NOT commute with phi (which is
@@ -40,16 +64,18 @@ nabla S vanish identically and both sides of their phi-identities are 0.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .quadrat import PSI
-from .structures import GoldenStructure, _amax
+from .quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
+from .structures import GoldenStructure
 
 _PSI = float(PSI)
 _SQRT5 = math.sqrt(5.0)
+ORACLE_TOL = 1e-12
 
 
 class SpaceFormModel:
@@ -65,7 +91,7 @@ class SpaceFormModel:
                  "coeff_a", "coeff_b", "ricci_g_coeff", "ricci_phi_coeff")
 
     def __init__(self, structure: GoldenStructure, c_p: float, c_q: float):
-        phi = self.phi = structure.to_float().phi_hat
+        phi = self.phi = structure.phi_hat
         n = self.n = len(phi)
         # psi ~ 1.618 vs 1 - psi ~ -0.618
         self.p = int(np.count_nonzero(np.linalg.eigvalsh(phi) > 0.5))
@@ -78,35 +104,9 @@ class SpaceFormModel:
         self.ricci_phi_coeff = a * (self.trace_phi - 1.0) + b * (n - 2)
 
 
-def _phi(model: SpaceFormModel, v: np.ndarray) -> np.ndarray:
-    """phi V for every vector along the last axis of ``v``."""
-    return v @ model.phi.T
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """g(U, V), the dot product along the last axis, over the leading axes."""
     return np.einsum("...i,...i->...", u, v)
-
-
-def _tuples(model: SpaceFormModel, trials: int, seed: int, k: int) -> np.ndarray:
-    """``trials`` seeded random k-tuples, as k arrays of shape (trials, n).
-
-    One bulk (trials, k, n) draw yields the same numbers as ``trials``
-    sequential (k, n) draws from a generator seeded with ``seed``.
-    """
-    draw = np.random.default_rng(seed).standard_normal((trials, k, model.n))
-    return draw.transpose(1, 0, 2)
-
-
-def _prefix(tuples: np.ndarray, k: int) -> np.ndarray:
-    """The k-tuples that ``_tuples`` would draw from the seed of ``tuples``.
-
-    NumPy fills a draw in order, so they are the first ``k * trials * n``
-    numbers of the larger draw: views, laid out as a fresh draw would be.
-    """
-    _, trials, n = tuples.shape
-    flat = tuples.transpose(1, 0, 2).reshape(-1)
-    return flat[:k * trials * n].reshape(trials, k, n).transpose(1, 0, 2)
 
 
 def curvature(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
@@ -115,159 +115,221 @@ def curvature(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
     for v in (x, y, z):
         if np.shape(v)[-1:] != (model.n,):
             raise DimensionMismatch(f"expected vectors of length {model.n}")
-    px, py = _phi(model, x), _phi(model, y)
+    px, py = x @ model.phi.T, y @ model.phi.T
     gyz, gxz, gpyz, gpxz = _dot(y, z), _dot(x, z), _dot(py, z), _dot(px, z)
     a, b = model.coeff_a, model.coeff_b
     return ((a * gyz + b * gpyz)[..., None] * x - (a * gxz + b * gpxz)[..., None] * y
             + (a * gpyz + b * gyz)[..., None] * px - (a * gpxz + b * gxz)[..., None] * py)
 
 
-def ricci_framesum(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """S(Y, Z) as the contraction sum_i g(R(e_i, Y)Z, e_i) over the standard basis e_i.
+# -- the exact certificate -------------------------------------------------------
 
-    There g(e_i, V) is the component V_i and g(phi e_i, Z) is (phi Z)_i, as
-    phi is symmetric, so the n terms are componentwise products of Y, phi Y,
-    Z and phi Z, and memory stays that of Y and Z.
+
+class CurvatureCertificate(NamedTuple):
+    """The exact largest basis value of every curvature-suite check, as QuadRat."""
+
+    kappa: dict[str, QuadRat]  # pp, pq, qq: the tensor in the eigenframe
+    identities: dict[str, QuadRat]  # hard checks: Ricci agreement, Bianchi, symmetries
+    ricci_phi: dict[str, dict[str, QuadRat]]  # path (framesum, closed) -> phi-identities
+    commutation: dict[str, QuadRat]
+    rs_corollary: QuadRat
+    rs_phi_propositions: dict[str, QuadRat]
+    rs_closed_form_gap: QuadRat
+    non_semi_symmetry_probe: QuadRat
+
+
+def _class_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One basis 4-tuple per class, with the number of psi- and (1 - psi)-indices it uses.
+
+    Indices 0-3 stand for psi-eigenvectors and 4-7 for (1 - psi)-ones; each
+    eigenspace's new indices enter in increasing order, so two tuples of one
+    class never both appear.
     """
-    a, b = model.coeff_a, model.coeff_b
-    py, pz = _phi(model, y), _phi(model, z)
-    gyz, gpyz = _dot(y, z), _dot(py, z)
-    return ((a * gyz + b * gpyz) * model.n + (a * gpyz + b * gyz) * model.trace_phi
-            - ((a * z + b * pz) * y).sum(axis=-1)
-            - ((a * pz + b * z) * py).sum(axis=-1))
+    rows = [()]
+    for _ in range(4):
+        grown = []
+        for row in rows:
+            used = sorted(set(row))
+            new_p = sum(i < 4 for i in used)
+            grown += [row + (i,) for i in (*used, new_p, 4 + len(used) - new_p)]
+        rows = grown
+    idx = np.array(rows)
+    return idx, np.where(idx < 4, idx + 1, 0).max(axis=1), np.where(idx < 4, 0, idx - 3).max(axis=1)
 
 
-def ricci_closed(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """S(Y, Z) in closed form from the two constant coefficients."""
-    return model.ricci_g_coeff * _dot(y, z) + model.ricci_phi_coeff * _dot(_phi(model, y), z)
+_CLASSES, _P_USED, _Q_USED = _class_table()
+# Numbers a + b psi of Z[psi] are integer pairs (a, b) on a last axis: 1, psi and 1 - psi.
+_ONE = np.array([1, 0])
+_PHI = np.array([[0, 1], [1, -1]])
 
 
-def r_dot_s(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-            w: np.ndarray, path: str = "closed") -> np.ndarray:
-    """Derivation action (R(X,Y).S)(Z,W) = -S(R(X,Y)Z, W) - S(Z, R(X,Y)W)."""
-    s = ricci_framesum if path == "framesum" else ricci_closed
-    return _derivation(model, s, z, w, curvature(model, x, y, z), curvature(model, x, y, w))
+def _mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(a + b psi)(c + d psi) = (ac + bd) + (ad + bc + bd) psi, as psi^2 = psi + 1."""
+    a, b, c, d = u[..., 0], u[..., 1], v[..., 0], v[..., 1]
+    return np.stack([a * c + b * d, a * d + b * c + b * d], axis=-1)
 
 
-def _derivation(model: SpaceFormModel, s, z: np.ndarray, w: np.ndarray,
-                rz: np.ndarray, rw: np.ndarray) -> np.ndarray:
-    """(R(X,Y).S)(Z, W) from RZ = R(X,Y)Z and RW = R(X,Y)W, with S = ``s``."""
-    return -s(model, rz, w) - s(model, z, rw)
+def _atom(index: np.ndarray, coeff: np.ndarray, count: int) -> np.ndarray:
+    """Per class, the integer ``coeff`` on atom ``index`` of ``count`` atoms."""
+    out = np.zeros((len(index), count), dtype=np.int64)
+    out[np.arange(len(index)), index] = coeff
+    return out
 
 
-def r_dot_s_closed_form(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
-                        z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The claimed product shape -2 beta g(R(X,Y)W, phi Z) of the derivation action."""
-    return _claimed_r_dot_s(model, curvature(model, x, y, w), _phi(model, z))
+def _times(rows: np.ndarray, factor: np.ndarray = _ONE) -> np.ndarray:
+    """Integer rows of atom coefficients times a Z[psi] factor, one per class or one for all."""
+    return rows[..., None] * factor[..., None, :]
 
 
-def _claimed_r_dot_s(model: SpaceFormModel, rw: np.ndarray, pz: np.ndarray) -> np.ndarray:
-    """-2 beta g(RW, phi Z) from RW = R(X,Y)W and phi Z."""
-    return -2.0 * model.ricci_phi_coeff * _dot(rw, pz)
+def _basis_values() -> dict[str, np.ndarray]:
+    """Every check on every class representative (X, Y, Z, W) = (e_x, e_y, e_z, e_w).
 
-
-class CurvatureProgram(NamedTuple):
-    """The worst residual of every curvature-suite probe over one draw."""
-
-    identities: dict[str, float]  # hard checks: Ricci agreement, Bianchi, symmetries
-    ricci_phi: dict[str, dict[str, float]]  # path (framesum, closed) -> phi-identities
-    commutation: dict[str, float]
-    rs_corollary: float
-    rs_phi_propositions: dict[str, float]
-    rs_closed_form_gap: float
-    non_semi_symmetry_probe: float
-
-
-def curvature_program(model: SpaceFormModel, trials: int = 100,
-                      seed: int = 0) -> CurvatureProgram:
-    """Every probe of the curvature suite over ``trials`` tuples drawn from ``seed``.
-
-    The probes on pairs and on triples read prefixes of the one 4-tuple
-    draw (see :func:`_prefix`).  Each group of probes runs in its own
-    function, so its arrays are released before the next group starts.
+    A value is a row of Z[psi] coefficients of the check's atoms: kappa_pp,
+    kappa_pq, kappa_qq for R; s_psi, s_(1-psi) for S (the frame sum's, then the
+    closed form's, for their agreement); and, for R.S with the closed-form S,
+    kappa_k s_psi, kappa_k s_(1-psi) and kappa_k beta at index 3 k, 3 k + 1, 3 k + 2.
     """
-    quads = _tuples(model, trials, seed, 4)
-    agreement, ricci_phi = _pair_probes(model, *_prefix(quads, 2))
-    bianchi, antisymmetry = _triple_probes(model, *_prefix(quads, 3))
-    pair_symmetry, commutation, corollary, rs_props, gap, probe = _quad_probes(model, *quads)
-    return CurvatureProgram(
-        identities={"ricci_framesum_vs_closed": agreement, "bianchi": bianchi,
-                    "pair_symmetry": pair_symmetry, "antisymmetry": antisymmetry},
-        ricci_phi=ricci_phi,
-        commutation=commutation,
-        rs_corollary=corollary,
-        rs_phi_propositions=rs_props,
-        rs_closed_form_gap=gap,
-        non_semi_symmetry_probe=probe,
+    idx = _CLASSES
+    q = (idx >= 4).astype(np.int64)  # 1 on the (1 - psi)-eigenspace
+    px, py, pz, pw = _PHI[q.T]  # phi_x, phi_y, phi_z, phi_w
+    pxy, pzw = _mul(px, py), _mul(pz, pw)
+
+    def sigma(i, j, k, l):
+        """g(R(e_i, e_j)e_k, e_l) / kappa_ij = d_jk d_il - d_ik d_jl, by slot."""
+        col = idx.T
+        return (((col[j] == col[k]) & (col[i] == col[l])).astype(np.int64)
+                - ((col[i] == col[k]) & (col[j] == col[l])))
+
+    def r(i, j, k, l):
+        return _atom(q[:, i] + q[:, j], sigma(i, j, k, l), 3)
+
+    r0 = r(0, 1, 2, 3)  # g(R(X,Y)Z, W)
+    s_xy = _atom(q[:, 0], idx[:, 0] == idx[:, 1], 2)  # S(X, Y) = d_xy s_x
+    s_yx = _atom(q[:, 1], idx[:, 0] == idx[:, 1], 2)
+    kind = 3 * (q[:, 0] + q[:, 1])
+    # (R(X,Y).S)(Z,W) = -S(R(X,Y)Z, W) - S(Z, R(X,Y)W) = -kappa_xy (sigma_xyzw s_w + sigma_xywz s_z)
+    rs = -_atom(kind + q[:, 3], sigma(0, 1, 2, 3), 9) - _atom(kind + q[:, 2], sigma(0, 1, 3, 2), 9)
+    claimed = _atom(kind + 2, -2 * sigma(0, 1, 3, 2), 9)  # times phi_z: -2 beta g(R(X,Y)W, phi Z)
+    return {
+        "ricci_framesum_vs_closed": _times(np.concatenate([s_xy, -s_xy], axis=1)),
+        "bianchi": _times(r0 + r(1, 2, 0, 3) + r(2, 0, 1, 3)),
+        "pair_symmetry": _times(r0 - r(2, 3, 0, 1)),
+        "antisymmetry": _times(r0 + r(1, 0, 2, 3)),
+        "phi_sq_left": _times(s_xy, _mul(px, px) - px - _ONE),
+        "phi_sq_right": _times(s_xy, _mul(py, py) - py - _ONE),
+        "phi_both": _times(s_xy, pxy - px - _ONE),
+        "phi_swap": _times(s_xy, px) - _times(s_yx, py),
+        # g(R(X,Y)phiZ - phi R(X,Y)Z, W), which is also g(R(X,Y)phiZ, W) - g(R(X,Y)Z, phi W)
+        "phi_argument": _times(r0, pz - pw),
+        "first_slots": _times(r0, px - py),
+        "both_slots": _times(r0, pxy - px - _ONE),
+        "form_both_phi": _times(r0, pzw - pw - _ONE),
+        "rs_corollary": _times(rs, _mul(px, pz)),
+        "arguments": _times(rs, pxy - px - _ONE),
+        "values": _times(rs, pzw - pz - _ONE),
+        "rs_closed_form_gap": _times(rs) - _times(claimed, pz),
+        "non_semi_symmetry_probe": _times(rs),
+    }
+
+
+def _distinct(values: np.ndarray) -> dict[tuple, set]:
+    """The distinct nonzero rows up to sign, each with the (psi, 1 - psi) index counts of
+    the classes that give it.  r and -r have one |value|, so the row kept is the one whose
+    first nonzero entry is positive."""
+    flat = values.reshape(len(values), -1)
+    nonzero = flat.any(axis=1)
+    flat = flat[nonzero]
+    flat *= np.sign(flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)])[:, None]
+    rows: dict[tuple, set] = {}
+    for row, used in zip(map(tuple, flat.tolist()),
+                         zip(_P_USED[nonzero].tolist(), _Q_USED[nonzero].tolist())):
+        rows.setdefault(row, set()).add(used)
+    return rows
+
+
+# The certificate's structure, independent of the model: each check's distinct basis values.
+_ROWS = {check: _distinct(values) for check, values in _basis_values().items()}
+# A = -((1-psi) c_p - psi c_q) / (2 sqrt5) and B = -((1-psi) c_p + psi c_q) / 4, by c_p, c_q
+_A = (-ONE_MINUS_PSI / (SQRT5 * 2), PSI / (SQRT5 * 2))
+_B = (-ONE_MINUS_PSI / 4, -PSI / 4)
+# kappa_ij = A (1 + phi_i phi_j) + B (phi_i + phi_j) for the eigenvalue pairs pp, pq, qq
+_KAPPA = [(1 + x * y, x + y) for x, y in ((PSI, PSI), (PSI, ONE_MINUS_PSI),
+                                          (ONE_MINUS_PSI, ONE_MINUS_PSI))]
+
+
+def _worst(check: str, atoms: list[QuadRat], p: int, q: int) -> QuadRat:
+    """max |sum_m (a_m + b_m psi) atom_m| over the rows of ``check`` that p psi- and q
+    (1 - psi)-eigenvectors realize, exactly: 0 when none is nonzero as a combination."""
+    values = set()
+    for row, uses in _ROWS[check].items():
+        if any(used_p <= p and used_q <= q for used_p, used_q in uses):
+            terms = [from_integers(2 * a + b, b, 2) * atom
+                     for atom, a, b in zip(atoms, row[::2], row[1::2]) if a or b]
+            values.add(abs(sum(terms[1:], terms[0])))
+    return max(values, default=QuadRat(0))
+
+
+def curvature_certificate(n: int, p: int, c_p: float, c_q: float) -> CurvatureCertificate:
+    """Every check of the curvature suite evaluated exactly on one basis tuple per class."""
+    cp, cq = Fraction(c_p), Fraction(c_q)
+    a = _A[0] * cp + _A[1] * cq
+    b = _B[0] * cp + _B[1] * cq
+    kappa = [a * a_factor + b * b_factor for a_factor, b_factor in _KAPPA]
+    counts = (p, n - p)
+    trace = PSI * p + ONE_MINUS_PSI * (n - p)
+    alpha, beta = a * (n - 2) + b * trace, a * (trace - 1) + b * (n - 2)
+    # The frame sum sum_i g(R(e_i, e_a)e_a, e_i) = sum_b (count_b - [a = b]) kappa_ab.
+    framesum = [kappa[la] * (counts[0] - (la == 0)) + kappa[la + 1] * (counts[1] - (la == 1))
+                for la in (0, 1)]
+    closed = [alpha + beta * PSI, alpha + beta * ONE_MINUS_PSI]
+    rs_atoms = [k * s for k in kappa for s in (*closed, beta)]
+
+    def worst(check, atoms):
+        return _worst(check, atoms, p, n - p)
+
+    commutator = worst("phi_argument", kappa)
+    return CurvatureCertificate(
+        kappa=dict(zip(("pp", "pq", "qq"), kappa)),
+        identities={"ricci_framesum_vs_closed": worst("ricci_framesum_vs_closed",
+                                                      framesum + closed),
+                    **{check: worst(check, kappa)
+                       for check in ("bianchi", "pair_symmetry", "antisymmetry")}},
+        ricci_phi={path: {check: worst(check, s)
+                          for check in ("phi_sq_left", "phi_sq_right", "phi_both", "phi_swap")}
+                   for path, s in (("framesum", framesum), ("closed", closed))},
+        commutation={"phi_argument": commutator,
+                     **{check: worst(check, kappa)
+                        for check in ("first_slots", "both_slots", "form_both_phi")},
+                     "form_swap": commutator},
+        rs_corollary=worst("rs_corollary", rs_atoms),
+        rs_phi_propositions={check: worst(check, rs_atoms) for check in ("arguments", "values")},
+        rs_closed_form_gap=worst("rs_closed_form_gap", rs_atoms),
+        non_semi_symmetry_probe=worst("non_semi_symmetry_probe", rs_atoms),
     )
 
 
-def _pair_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray):
-    """Framesum vs closed Ricci, and the four phi-identities of S on both paths."""
-    px, py = _phi(model, x), _phi(model, y)
-    ppx, ppy = _phi(model, px), _phi(model, py)
-    ricci_phi, s_pair = {}, {}
-    for path, s in (("framesum", ricci_framesum), ("closed", ricci_closed)):
-        s_xy, s_pxy = s(model, x, y), s(model, px, y)
-        ricci_phi[path] = {
-            "phi_sq_left": _amax(s(model, ppx, y) - s_pxy - s_xy, None),
-            "phi_sq_right": _amax(s(model, x, ppy) - s(model, x, py) - s_xy, None),
-            "phi_both": _amax(s(model, px, py) - s_pxy - s_xy, None),
-            "phi_swap": _amax(s_pxy - s(model, py, x), None),
-        }
-        s_pair[path] = s_xy
-    return _amax(s_pair["framesum"] - s_pair["closed"], None), ricci_phi
+def ambient_oracle(model: SpaceFormModel, kappa: dict[str, QuadRat], trials: int,
+                   seed: int) -> float:
+    """Worst gap between :func:`curvature` and the certified tensor on a seeded draw.
 
-
-def _triple_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """First Bianchi identity and antisymmetry R(X,Y)Z = -R(Y,X)Z."""
-    rz = curvature(model, x, y, z)
-    bianchi = _amax(rz + curvature(model, y, z, x) + curvature(model, z, x, y), None)
-    return bianchi, _amax(rz + curvature(model, y, x, z), None)
-
-
-def _quad_probes(model: SpaceFormModel, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                 w: np.ndarray):
-    """Pair symmetry, the phi-commutation family and the R.S findings.
-
-    ``rs_*`` values are (R(X,Y).S)(Z,W) with the closed-form S, the suffix
-    naming the phi images among X, Y, Z, W.  The order keeps at most three
-    curvature arrays alive at once.
+    ``trials`` triples (X, Y, Z) are drawn as one ``(trials, 3, n)`` normal
+    sample from ``seed``.  The certified R(X,Y)Z, with components
+    ``X_l sum_j kappa_lj Y_j Z_j - Y_l sum_i kappa_li X_i Z_i`` in an orthonormal
+    eigenframe of ``phi_hat``, is mapped back to ``y``.  Each gap is relative to
+    ``|X| |Y| |Z| max|kappa|``; an exact agreement is 0 (also for a flat model) and
+    a non-finite value of either side gives NaN or Inf.
     """
-    px, py, pz, pw = (_phi(model, v) for v in (x, y, z, w))
-    rz = curvature(model, x, y, z)
-    pair_symmetry = _amax(_dot(rz, w) - _dot(curvature(model, z, w, x), y), None)
-    rw = curvature(model, x, y, w)
-    rs = _derivation(model, ricci_closed, z, w, rz, rw)
-    gap = _amax(rs - _claimed_r_dot_s(model, rw, pz), None)
-    rpz = curvature(model, x, y, pz)
-    rs_pz = _derivation(model, ricci_closed, pz, w, rpz, rw)
-    del rw
-    rs_pz_pw = _derivation(model, ricci_closed, pz, pw, rpz, curvature(model, x, y, pw))
-    values = _amax(rs_pz_pw - rs_pz - rs, None)
-    g_rz_pw = _dot(rz, pw)
-    phi_argument = _amax(rpz - _phi(model, rz), None)
-    form_both_phi = _amax(_dot(rpz, pw) - g_rz_pw - _dot(rz, w), None)
-    form_swap = _amax(_dot(rpz, w) - g_rz_pw, None)
-    del rpz
-    r_px = curvature(model, px, y, z)
-    first_slots = _amax(r_px - curvature(model, x, py, z), None)
-    r_pxpy = curvature(model, px, py, z)
-    both_slots = _amax(r_pxpy - r_px - rz, None)
-    del rz
-    rs_pxpy = _derivation(model, ricci_closed, z, w, r_pxpy, curvature(model, px, py, w))
-    del r_pxpy
-    rw_px = curvature(model, px, y, w)
-    rs_px = _derivation(model, ricci_closed, z, w, r_px, rw_px)
-    arguments = _amax(rs_pxpy - rs_px - rs, None)
-    del r_px
-    corollary = _amax(_derivation(model, ricci_closed, pz, w, curvature(model, px, y, pz),
-                                  rw_px), None)
-    commutation = {"phi_argument": phi_argument, "first_slots": first_slots,
-                   "both_slots": both_slots, "form_both_phi": form_both_phi,
-                   "form_swap": form_swap}
-    rs_props = {"arguments": arguments, "values": values}
-    return pair_symmetry, commutation, corollary, rs_props, gap, _amax(rs, None)
+    draw = np.random.default_rng(seed).standard_normal((trials, 3, model.n))
+    values, frame = np.linalg.eigh(model.phi)
+    q = (values < 0.5).astype(np.int64)
+    k = np.array([float(kappa[key]) for key in ("pp", "pq", "qq")])[q[:, None] + q]
+    u, v, t = (draw @ frame).transpose(1, 0, 2)
+    certified = (u * ((v * t) @ k) - v * ((u * t) @ k)) @ frame.T
+    gap = np.abs(curvature(model, *draw.transpose(1, 0, 2)) - certified).max(axis=-1)
+    norms = np.sqrt(np.einsum("tki,tki->tk", draw, draw).prod(axis=-1))  # |X| |Y| |Z|
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = np.where(gap == 0.0, 0.0, gap / (norms * np.abs(k).max()))
+    return float(relative.max())
 
 
 class NablaCertificate(NamedTuple):

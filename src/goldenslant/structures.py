@@ -89,10 +89,13 @@ def _spectral(a):
 
 
 def _check_square(m, name: str) -> int:
-    n = len(m)
-    if any(len(row) != n for row in m):
+    if isinstance(m, (np.ndarray, xl.QMatrix)):  # iterating a QMatrix builds one per row
+        square = len(m.shape) == 2 and m.shape[0] == m.shape[1]
+    else:
+        square = all(len(row) == len(m) for row in m)
+    if not square:
         raise DimensionMismatch(f"{name} must be square")
-    return n
+    return len(m)
 
 
 def _operand(m, metric: Metric):

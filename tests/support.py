@@ -1,9 +1,11 @@
-"""Test helpers: the batched geometry pass at one point, seeded random golden structures and
-diagonal space-form models."""
+"""Test helpers: the batched geometry pass at one point, seeded random golden structures,
+diagonal space-form models and the sampled curvature program."""
+
+from typing import NamedTuple
 
 import numpy as np
 
-from goldenslant.spaceform import SpaceFormModel
+from goldenslant.spaceform import SpaceFormModel, curvature
 from goldenslant.structures import (
     AlmostProductStructure,
     Metric,
@@ -43,3 +45,177 @@ def diagonal_model(n: int, p: int, c_p: float, c_q: float) -> SpaceFormModel:
     """Space-form model on Euclidean R^n over the exact diagonal structure with psi on the
     first ``p`` axes and 1 - psi on the rest."""
     return SpaceFormModel(diagonal_golden(["psi"] * p + ["one_minus_psi"] * (n - p)), c_p, c_q)
+
+
+# -- the sampled curvature program: the reference the exact certificate replaced ----------
+#
+# Every tensor function takes vectors in the metric's Euclidean model y = W x, with leading
+# trial axes, shape (..., n).  ``curvature_program`` runs every probe over one seeded draw of
+# 4 * trials * n normals; a probe on k-tuples reads the first k * trials * n of them, which
+# are exactly the numbers a fresh (trials, k, n) draw from the same seed would give.
+# ``probe_program`` runs the same probes on given tuples, such as basis tuples.
+
+
+def _phi(model: SpaceFormModel, v: np.ndarray) -> np.ndarray:
+    """phi V for every vector along the last axis of ``v``."""
+    return v @ model.phi.T
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _amax(a) -> float:
+    """max |entry| (NaN if any entry is)."""
+    return np.abs(a).max().item()
+
+
+def tuples(model: SpaceFormModel, trials: int, seed: int, k: int) -> np.ndarray:
+    """``trials`` seeded random k-tuples, as k arrays of shape (trials, n).
+
+    One bulk (trials, k, n) draw yields the same numbers as ``trials``
+    sequential (k, n) draws from a generator seeded with ``seed``.
+    """
+    draw = np.random.default_rng(seed).standard_normal((trials, k, model.n))
+    return draw.transpose(1, 0, 2)
+
+
+def prefix(quads: np.ndarray, k: int) -> np.ndarray:
+    """The k-tuples that ``tuples`` would draw from the seed of ``quads``: views of the
+    first ``k * trials * n`` numbers of the larger draw, laid out as a fresh draw would be."""
+    _, trials, n = quads.shape
+    flat = quads.transpose(1, 0, 2).reshape(-1)
+    return flat[:k * trials * n].reshape(trials, k, n).transpose(1, 0, 2)
+
+
+def ricci_framesum(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """S(Y, Z) as the contraction sum_i g(R(e_i, Y)Z, e_i) over the standard basis e_i of y.
+
+    There g(e_i, V) is the component V_i and g(phi e_i, Z) is (phi Z)_i, as phi is
+    symmetric, so the n terms are componentwise products of Y, phi Y, Z and phi Z.
+    """
+    a, b = model.coeff_a, model.coeff_b
+    py, pz = _phi(model, y), _phi(model, z)
+    gyz, gpyz = _dot(y, z), _dot(py, z)
+    return ((a * gyz + b * gpyz) * model.n + (a * gpyz + b * gyz) * model.trace_phi
+            - ((a * z + b * pz) * y).sum(axis=-1)
+            - ((a * pz + b * z) * py).sum(axis=-1))
+
+
+def ricci_closed(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """S(Y, Z) in closed form from the two constant coefficients."""
+    return model.ricci_g_coeff * _dot(y, z) + model.ricci_phi_coeff * _dot(_phi(model, y), z)
+
+
+def _derivation(model, s, z, w, rz, rw):
+    """(R(X,Y).S)(Z, W) from RZ = R(X,Y)Z and RW = R(X,Y)W, with S = ``s``."""
+    return -s(model, rz, w) - s(model, z, rw)
+
+
+def r_dot_s(model: SpaceFormModel, x, y, z, w, path: str = "closed") -> np.ndarray:
+    """Derivation action (R(X,Y).S)(Z,W) = -S(R(X,Y)Z, W) - S(Z, R(X,Y)W)."""
+    s = ricci_framesum if path == "framesum" else ricci_closed
+    return _derivation(model, s, z, w, curvature(model, x, y, z), curvature(model, x, y, w))
+
+
+def _claimed_r_dot_s(model, rw, pz):
+    """-2 beta g(RW, phi Z) from RW = R(X,Y)W and phi Z."""
+    return -2.0 * model.ricci_phi_coeff * _dot(rw, pz)
+
+
+def r_dot_s_closed_form(model: SpaceFormModel, x, y, z, w) -> np.ndarray:
+    """The claimed product shape -2 beta g(R(X,Y)W, phi Z) of the derivation action."""
+    return _claimed_r_dot_s(model, curvature(model, x, y, w), _phi(model, z))
+
+
+class CurvatureProgram(NamedTuple):
+    """The worst residual of every curvature-suite probe over the tuples."""
+
+    identities: dict
+    ricci_phi: dict
+    commutation: dict
+    rs_corollary: float
+    rs_phi_propositions: dict
+    rs_closed_form_gap: float
+    non_semi_symmetry_probe: float
+
+
+def curvature_program(model: SpaceFormModel, trials: int = 100, seed: int = 0):
+    """Every probe over ``trials`` tuples drawn from ``seed``; pairs and triples are
+    prefixes of the one 4-tuple draw."""
+    quads = tuples(model, trials, seed, 4)
+    return probe_program(model, prefix(quads, 2), prefix(quads, 3), quads)
+
+
+def probe_program(model: SpaceFormModel, pairs, triples, quads) -> CurvatureProgram:
+    """Every probe on the given (X, Y) pairs, (X, Y, Z) triples and (X, Y, Z, W) 4-tuples."""
+    agreement, ricci_phi = _pair_probes(model, *pairs)
+    bianchi, antisymmetry = _triple_probes(model, *triples)
+    pair_symmetry, commutation, corollary, rs_props, gap, probe = _quad_probes(model, *quads)
+    return CurvatureProgram(
+        identities={"ricci_framesum_vs_closed": agreement, "bianchi": bianchi,
+                    "pair_symmetry": pair_symmetry, "antisymmetry": antisymmetry},
+        ricci_phi=ricci_phi,
+        commutation=commutation,
+        rs_corollary=corollary,
+        rs_phi_propositions=rs_props,
+        rs_closed_form_gap=gap,
+        non_semi_symmetry_probe=probe,
+    )
+
+
+def _pair_probes(model, x, y):
+    """Framesum vs closed Ricci, and the four phi-identities of S on both paths."""
+    px, py = _phi(model, x), _phi(model, y)
+    ppx, ppy = _phi(model, px), _phi(model, py)
+    ricci_phi, s_pair = {}, {}
+    for path, s in (("framesum", ricci_framesum), ("closed", ricci_closed)):
+        s_xy, s_pxy = s(model, x, y), s(model, px, y)
+        ricci_phi[path] = {
+            "phi_sq_left": _amax(s(model, ppx, y) - s_pxy - s_xy),
+            "phi_sq_right": _amax(s(model, x, ppy) - s(model, x, py) - s_xy),
+            "phi_both": _amax(s(model, px, py) - s_pxy - s_xy),
+            "phi_swap": _amax(s_pxy - s(model, py, x)),
+        }
+        s_pair[path] = s_xy
+    return _amax(s_pair["framesum"] - s_pair["closed"]), ricci_phi
+
+
+def _triple_probes(model, x, y, z):
+    """First Bianchi identity and antisymmetry R(X,Y)Z = -R(Y,X)Z."""
+    rz = curvature(model, x, y, z)
+    bianchi = _amax(rz + curvature(model, y, z, x) + curvature(model, z, x, y))
+    return bianchi, _amax(rz + curvature(model, y, x, z))
+
+
+def _quad_probes(model, x, y, z, w):
+    """Pair symmetry, the phi-commutation family and the R.S findings (closed-form S)."""
+    px, py, pz, pw = (_phi(model, v) for v in (x, y, z, w))
+    rz = curvature(model, x, y, z)
+    pair_symmetry = _amax(_dot(rz, w) - _dot(curvature(model, z, w, x), y))
+    rw = curvature(model, x, y, w)
+    rs = _derivation(model, ricci_closed, z, w, rz, rw)
+    gap = _amax(rs - _claimed_r_dot_s(model, rw, pz))
+    rpz = curvature(model, x, y, pz)
+    rs_pz = _derivation(model, ricci_closed, pz, w, rpz, rw)
+    rs_pz_pw = _derivation(model, ricci_closed, pz, pw, rpz, curvature(model, x, y, pw))
+    values = _amax(rs_pz_pw - rs_pz - rs)
+    g_rz_pw = _dot(rz, pw)
+    phi_argument = _amax(rpz - _phi(model, rz))
+    form_both_phi = _amax(_dot(rpz, pw) - g_rz_pw - _dot(rz, w))
+    form_swap = _amax(_dot(rpz, w) - g_rz_pw)
+    r_px = curvature(model, px, y, z)
+    first_slots = _amax(r_px - curvature(model, x, py, z))
+    r_pxpy = curvature(model, px, py, z)
+    both_slots = _amax(r_pxpy - r_px - rz)
+    rs_pxpy = _derivation(model, ricci_closed, z, w, r_pxpy, curvature(model, px, py, w))
+    rw_px = curvature(model, px, y, w)
+    rs_px = _derivation(model, ricci_closed, z, w, r_px, rw_px)
+    arguments = _amax(rs_pxpy - rs_px - rs)
+    corollary = _amax(_derivation(model, ricci_closed, pz, w, curvature(model, px, y, pz),
+                                  rw_px))
+    commutation = {"phi_argument": phi_argument, "first_slots": first_slots,
+                   "both_slots": both_slots, "form_both_phi": form_both_phi,
+                   "form_swap": form_swap}
+    rs_props = {"arguments": arguments, "values": values}
+    return pair_symmetry, commutation, corollary, rs_props, gap, _amax(rs)

@@ -18,12 +18,11 @@ EXPORTS = [
     "MetricIncompat", "ONE_MINUS_PSI", "PSI", "QuadRat", "RankDeficient", "SQRT5",
     "SampleSpec", "ScenarioConfig", "SlantReport", "SpaceFormModel", "StructureReport",
     "TangentFrame", "Tolerances", "UnknownIdentifier", "ZeroVector", "classify", "config",
-    "curvature", "curvature_program", "diagonal_golden", "errors", "exactlin", "expr",
+    "curvature", "curvature_certificate", "diagonal_golden", "errors", "exactlin", "expr",
     "extrinsic", "frame_at", "golden_eigendecomp", "golden_from_product",
     "induced_operators", "jets", "load_config", "nabla_identities_certificate", "parse",
-    "parse_config", "parse_quadrat", "product_from_golden", "quadrat", "r_dot_s",
-    "r_dot_s_closed_form", "reference_cosine", "render_report", "ricci_closed",
-    "ricci_framesum", "run_scenario", "slant", "spaceform",
+    "parse_config", "parse_quadrat", "product_from_golden", "quadrat", "reference_cosine",
+    "render_report", "run_scenario", "slant", "spaceform",
     "structural_identity_residuals", "structures", "submanifold", "suites", "verify_golden",
 ]
 

@@ -399,14 +399,16 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
     def test_overflowing_curvatures_fail_quietly(self, tmp_path, capsys):
-        # B = -((1-psi) c_p + psi c_q)/4 overflows, so the residuals are NaN.
+        # B = -((1-psi) c_p + psi c_q)/4 overflows in floats, so the oracle's gap is NaN;
+        # the exact certificate does not overflow, and its Bianchi identity holds exactly.
         mutate = _curvature_run(c_p=1e308, c_q=-1e308)
         assert self._run_mutated(tmp_path, mutate) == EXIT_SUITE_FAILED
         captured = capsys.readouterr()
         assert captured.err == ""
         curvature = _strict_json(captured.out)["suites"]["curvature"]
         assert not curvature["pass"]
-        assert curvature["identities"]["bianchi"] == "NaN"
+        assert curvature["identities"]["bianchi"] == 0.0
+        assert curvature["identities"]["ambient_oracle"] == "NaN"
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
     @pytest.mark.parametrize("component,grid", [

@@ -1,45 +1,59 @@
-"""Space-form curvature model: identities, Ricci program and probed claims.
+"""Space-form curvature model: the exact certificate, its oracle and the sampled reference.
 
-The model evaluates its tensors in the metric's Euclidean model ``y = W x``.
-The reference below is a term-by-term transcription in the ambient
-coordinates x, with the metric g and a g-orthonormal eigenframe; the two
-agree once vectors are mapped by W.
+The certificate (``curvature_certificate``) evaluates every check exactly on one
+basis tuple per class; ``ambient_oracle`` ties it to the structure.  The sampled
+program it replaced lives in ``tests/support.py`` as the reference: evaluated on
+every basis tuple it gives the certificate's values, and on random tuples it
+stays within the certified bounds.  The tensors are evaluated in the metric's
+Euclidean model ``y = W x``; the term-by-term transcription below works in the
+ambient coordinates x, with the metric g and a g-orthonormal eigenframe, and
+the two agree once vectors are mapped by W.
 """
 
+import itertools
 import math
+from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldenslant import spaceform
 from goldenslant.config import parse_config
 from goldenslant.errors import DimensionMismatch
-from goldenslant.quadrat import PSI
+from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat
 from goldenslant.spaceform import (
+    ORACLE_TOL,
     SpaceFormModel,
-    _dot,
-    _phi,
-    _prefix,
-    _tuples,
+    ambient_oracle,
     curvature,
-    curvature_program,
+    curvature_certificate,
     nabla_identities_certificate,
-    r_dot_s,
-    r_dot_s_closed_form,
-    ricci_closed,
-    ricci_framesum,
 )
 from goldenslant.structures import (
     GoldenStructure,
     Metric,
-    _amax,
     diagonal_golden,
     golden_eigendecomp,
 )
 from goldenslant.suites import run_curvature_suite
-from support import diagonal_model, random_golden
+from support import (
+    _amax,
+    _dot,
+    _phi,
+    curvature_program,
+    diagonal_model,
+    prefix,
+    probe_program,
+    r_dot_s,
+    r_dot_s_closed_form,
+    random_golden,
+    ricci_closed,
+    ricci_framesum,
+    tuples,
+)
 
 PSI_F = float(PSI)
 
@@ -94,12 +108,20 @@ def _naive_curvature(amb, x, y, z):
     return out
 
 
-def _agreement(model, trials):
-    return curvature_program(model, trials).identities["ricci_framesum_vs_closed"]
+def _certificate(model):
+    return curvature_certificate(model.n, model.p, model.c_p, model.c_q)
 
 
-def _commutation(model, trials):
-    return curvature_program(model, trials).commutation
+def _agreement(model):
+    return _certificate(model).identities["ricci_framesum_vs_closed"]
+
+
+def _commutation(model):
+    return _certificate(model).commutation
+
+
+def _exact_b(c_p, c_q):
+    return -(ONE_MINUS_PSI * Fraction(c_p) + PSI * Fraction(c_q)) / 4
 
 
 def _read(result, keys):
@@ -135,13 +157,13 @@ class TestCurvatureTensor:
 
     def test_antisymmetry_manifest(self):
         for model in MODELS:
-            assert curvature_program(model, trials=20).identities["antisymmetry"] <= 1e-12
+            assert _certificate(model).identities["antisymmetry"] == 0
 
     def test_bianchi_and_pair_symmetry(self):
         for model in MODELS:
-            identities = curvature_program(model, trials=50).identities
-            assert identities["bianchi"] <= 1e-10
-            assert identities["pair_symmetry"] <= 1e-10
+            identities = _certificate(model).identities
+            assert identities["bianchi"] == 0
+            assert identities["pair_symmetry"] == 0
 
     def test_dimension_mismatch(self):
         model = diagonal_model(4, 2, 1.0, 1.0)
@@ -167,7 +189,7 @@ class TestRicci:
 
     def test_framesum_agrees_with_closed_form(self):
         for model in MODELS:
-            assert _agreement(model, trials=100) <= 1e-9
+            assert _agreement(model) == 0
 
     def test_coefficient_recovery_by_least_squares(self):
         # Fitting S samples against {g(Y,Z), g(phiY,Z)} must recover the two
@@ -186,15 +208,16 @@ class TestRicci:
 
     def test_phi_identities_hold_on_both_paths(self):
         for model in MODELS:
-            ricci_phi = curvature_program(model, trials=50).ricci_phi
+            ricci_phi = _certificate(model).ricci_phi
             for path in ("framesum", "closed"):
-                assert max(ricci_phi[path].values()) <= 1e-9, (model.c_p, model.c_q, path)
+                assert not any(ricci_phi[path].values()), (model.c_p, model.c_q, path)
 
     def test_random_structure_model(self):
         structure = random_golden(6, 2, seed=5)
         model = SpaceFormModel(structure, 1.0, -1.0)
         assert model.p == 2
-        assert _agreement(model, trials=50) <= 1e-9
+        assert _agreement(model) == 0
+        assert ambient_oracle(model, _certificate(model).kappa, 50, 0) <= ORACLE_TOL
 
 
 class TestCommutationFindings:
@@ -207,19 +230,21 @@ class TestCommutationFindings:
 
     def test_flat_model_conforms(self):
         model = diagonal_model(4, 2, 0.0, 0.0)
-        assert max(_commutation(model, trials=20).values()) == 0.0
+        assert not any(_commutation(model).values())
 
     def test_scalar_structure_conforms_for_any_curvatures(self):
         # p = n: phi is a multiple of the identity and commutes with anything.
         model = diagonal_model(4, 4, 1.0, -1.0)
-        assert max(_commutation(model, trials=20).values()) <= 1e-12
+        assert not any(_commutation(model).values())
 
     def test_mixed_eigenspaces_violate_commutation_when_b_nonzero(self):
         for cp, cq in ((1.0, 1.0), (1.0, -1.0), (2.0, 3.0)):
             model = diagonal_model(4, 2, cp, cq)
             assert abs(model.coeff_b) > 0.1
-            res = _commutation(model, trials=50)
-            assert max(res.values()) > 0.1, (cp, cq, res)
+            res = _commutation(model)
+            # On a mixed basis pair the commutator has magnitude sqrt5 |B|.
+            assert res["phi_argument"] == res["first_slots"] == SQRT5 * abs(_exact_b(cp, cq))
+            assert min(res.values()) > QuadRat(Fraction(1, 10)), (cp, cq, res)
 
     def test_violation_magnitude_on_canonical_tuple(self):
         # R(e1, e3) e1 = -B e3 with e1, e3 in different eigenspaces, so the
@@ -232,13 +257,17 @@ class TestCommutationFindings:
         assert math.isclose(gap, math.sqrt(5.0) * abs(model.coeff_b), abs_tol=1e-12)
 
     def test_corrupted_structure_detected(self):
+        # The certificate reads (n, p, c_p, c_q) only; the oracle reads the structure.
         phi = np.diag([PSI_F, PSI_F, 1 - PSI_F, 1 - PSI_F])
         phi[0, 1] = 0.05
         structure = GoldenStructure(phi, Metric.euclidean(4, backend="float"),
                                     validate=False)
         model = SpaceFormModel(structure, 1.0, 1.0)
-        res = _commutation(model, trials=50)
-        assert max(res.values()) > 1e-3
+        assert ambient_oracle(model, _certificate(model).kappa, 50, 0) > 1e-3
+        cfg = _curvature_config(4, 1.0, 1.0, trials=50, seed=0)
+        report = run_curvature_suite(cfg, structure, cfg.tolerances)
+        assert not report["pass"] and report["identities"]["ambient_oracle"] > 1e-3
+        assert report["identities"]["bianchi"] == 0.0
 
 
 class TestDerivationAction:
@@ -256,24 +285,25 @@ class TestDerivationAction:
                        - independent) <= 1e-9
 
     def test_flat_model_everything_vanishes(self):
-        result = curvature_program(diagonal_model(4, 2, 0.0, 0.0), trials=20)
-        assert result.non_semi_symmetry_probe == 0.0
-        assert result.rs_corollary == 0.0
-        assert result.rs_closed_form_gap == 0.0
-        assert max(result.rs_phi_propositions.values()) == 0.0
+        result = _certificate(diagonal_model(4, 2, 0.0, 0.0))
+        assert result.non_semi_symmetry_probe == 0
+        assert result.rs_corollary == 0
+        assert result.rs_closed_form_gap == 0
+        assert not any(result.rs_phi_propositions.values())
 
     def test_balanced_equal_curvatures_kill_the_phi_coefficient(self):
         # c_p = c_q with a balanced signature forces beta = 0, hence R.S = 0.
         for n in (4, 6, 8):
             model = diagonal_model(n, n // 2, 1.0, 1.0)
             assert abs(model.ricci_phi_coeff) <= 1e-12
-            result = curvature_program(model, trials=20)
-            assert result.non_semi_symmetry_probe <= 1e-10
-            assert result.rs_corollary <= 1e-10
+            result = _certificate(model)
+            assert result.non_semi_symmetry_probe == 0
+            assert result.rs_corollary == 0
 
     def test_generic_curvatures_are_not_semi_symmetric(self):
         model = diagonal_model(4, 2, 1.0, -1.0)
-        assert curvature_program(model, trials=100, seed=1).non_semi_symmetry_probe > 1e-6
+        # |R.S| = sqrt5 |B beta| on a mixed basis pair, with B = sqrt5/4 and beta = 2/sqrt5.
+        assert _certificate(model).non_semi_symmetry_probe == SQRT5 / 2
 
     def test_closed_form_gap_formula(self):
         # definitional - claimed = -beta (g(RZ, phi W) - g(RW, phi Z))
@@ -295,9 +325,9 @@ class TestDerivationAction:
         for cp, cq in ((1.0, -1.0), (2.0, 3.0)):
             model = diagonal_model(4, 2, cp, cq)
             assert abs(model.ricci_phi_coeff) > 0.1
-            result = curvature_program(model, trials=50)
-            assert result.rs_corollary > 0.1
-            assert max(result.rs_phi_propositions.values()) > 0.1
+            result = _certificate(model)
+            assert result.rs_corollary > QuadRat(Fraction(1, 10))
+            assert min(result.rs_phi_propositions.values()) > QuadRat(Fraction(1, 10))
 
 
 class TestNablaCertificate:
@@ -470,7 +500,8 @@ class TestBatchedProbes:
         assert np.abs(SKEWED.g - np.eye(model.n)).max() > 0.1
         assert np.abs(model.phi - np.diag(np.diag(model.phi))).max() > 0.1
         assert np.abs(model.phi - SKEWED.phi).max() > 0.1
-        assert _agreement(model, trials=50) <= 1e-9
+        assert _agreement(model) == 0
+        assert ambient_oracle(model, _certificate(model).kappa, 50, 0) <= ORACLE_TOL
 
     def test_tensors_are_the_ambient_ones_under_w(self):
         # R maps by W; S, R.S and the claimed R.S are scalars and agree as they are.
@@ -520,7 +551,7 @@ class TestBatchedProbes:
 
     def test_bulk_draw_equals_sequential_draws(self):
         model = diagonal_model(8, 4, 1.0, -1.0)
-        x, y, z = _tuples(model, trials=7, seed=13, k=3)
+        x, y, z = tuples(model, trials=7, seed=13, k=3)
         rng = np.random.default_rng(13)
         for t in range(7):
             sequential = rng.standard_normal((3, model.n))
@@ -533,11 +564,11 @@ class TestBatchedProbes:
 def _probe_by_probe(model, trials, seed):
     """Each probe with its own draw, sharing nothing: the bodies before the program."""
     r, phi, inner = partial(curvature, model), partial(_phi, model), _dot
-    _worst = partial(_amax, axis=None)
+    _worst = _amax
 
     def ricci_phi(path):
         s = ricci_framesum if path == "framesum" else ricci_closed
-        x, y = _tuples(model, trials, seed, 2)
+        x, y = tuples(model, trials, seed, 2)
         px, py = phi(x), phi(y)
         s_xy, s_pxy = s(model, x, y), s(model, px, y)
         return {
@@ -547,16 +578,16 @@ def _probe_by_probe(model, trials, seed):
             "phi_swap": _worst(s_pxy - s(model, py, x)),
         }
 
-    y, z = _tuples(model, trials, seed, 2)
+    y, z = tuples(model, trials, seed, 2)
     agreement = _worst(ricci_framesum(model, y, z) - ricci_closed(model, y, z))
-    x, y, z = _tuples(model, trials, seed, 3)
+    x, y, z = tuples(model, trials, seed, 3)
     bianchi = _worst(r(x, y, z) + r(y, z, x) + r(z, x, y))
-    x, y, z = _tuples(model, trials, seed, 3)
+    x, y, z = tuples(model, trials, seed, 3)
     antisymmetry = _worst(r(x, y, z) + r(y, x, z))
-    x, y, z, w = _tuples(model, trials, seed, 4)
+    x, y, z, w = tuples(model, trials, seed, 4)
     pair_symmetry = _worst(inner(r(x, y, z), w) - inner(r(z, w, x), y))
 
-    x, y, z, w = _tuples(model, trials, seed, 4)
+    x, y, z, w = tuples(model, trials, seed, 4)
     px, py, pz, pw = (phi(v) for v in (x, y, z, w))
     rz, rpz, r_px = r(x, y, z), r(x, y, pz), r(px, y, z)
     commutation = {
@@ -566,9 +597,9 @@ def _probe_by_probe(model, trials, seed):
         "form_both_phi": _worst(inner(rpz, pw) - inner(rz, pw) - inner(rz, w)),
         "form_swap": _worst(inner(rpz, w) - inner(rz, pw)),
     }
-    x, y, z, w = _tuples(model, trials, seed, 4)
+    x, y, z, w = tuples(model, trials, seed, 4)
     corollary = _worst(r_dot_s(model, phi(x), y, phi(z), w))
-    x1, x2, x, y = _tuples(model, trials, seed, 4)
+    x1, x2, x, y = tuples(model, trials, seed, 4)
     px1, px2, px, py = (phi(v) for v in (x1, x2, x, y))
     base = r_dot_s(model, x1, x2, x, y)
     rs_props = {
@@ -577,9 +608,9 @@ def _probe_by_probe(model, trials, seed):
         "values": _worst(r_dot_s(model, x1, x2, px, py) - r_dot_s(model, x1, x2, px, y)
                          - base),
     }
-    x, y, z, w = _tuples(model, trials, seed, 4)
+    x, y, z, w = tuples(model, trials, seed, 4)
     gap = _worst(r_dot_s(model, x, y, z, w) - r_dot_s_closed_form(model, x, y, z, w))
-    x, y, z, w = _tuples(model, trials, seed, 4)
+    x, y, z, w = tuples(model, trials, seed, 4)
     probe = _worst(r_dot_s(model, x, y, z, w))
     return {
         "identities": {"ricci_framesum_vs_closed": agreement, "bianchi": bianchi,
@@ -606,35 +637,153 @@ class TestCurvatureProgram:
     @pytest.mark.parametrize("trials", [1, 5, 200])
     def test_smaller_tuples_are_prefixes_of_the_four_tuple_draw(self, trials):
         model = diagonal_model(8, 4, 1.0, -1.0)
-        quads = _tuples(model, trials, 13, 4)
+        quads = tuples(model, trials, 13, 4)
         flat = np.random.default_rng(13).standard_normal(4 * trials * model.n)
         for k in (2, 3):
-            fresh = _tuples(model, trials, 13, k)
+            fresh = tuples(model, trials, 13, k)
             head = flat[:k * trials * model.n].reshape(trials, k, model.n).transpose(1, 0, 2)
             assert np.array_equal(fresh, head)
-            shared = _prefix(quads, k)
+            shared = prefix(quads, k)
             assert np.array_equal(shared, fresh)
             # The same layout too, so every product over them rounds the same way.
             assert shared.strides == fresh.strides
 
     @pytest.mark.parametrize("trials,seed", [(100, 0), (100, 7), (1, 0), (1, 7)])
-    def test_probes_and_suite_equal_the_probe_by_probe_bodies(self, trials, seed):
+    def test_program_equals_the_probe_by_probe_bodies(self, trials, seed):
         for model in MODELS:
             expected = _probe_by_probe(model, trials, seed)
             assert curvature_program(model, trials, seed)._asdict() == expected
-            cfg = _curvature_config(model.n, model.c_p, model.c_q, trials, seed)
-            structure = cfg.build_structure()
-            expected = _probe_by_probe(
-                SpaceFormModel(structure, model.c_p, model.c_q), trials, seed)
-            report = run_curvature_suite(cfg, structure, cfg.tolerances)
-            assert report["identities"] == expected["identities"]
-            assert report["ricci_phi"] == expected["ricci_phi"]
-            for key in ("commutation", "rs_corollary", "rs_phi_propositions",
-                        "rs_closed_form_gap", "non_semi_symmetry_probe"):
-                assert report["findings"][key] == expected[key], key
 
-    def test_suite_draws_once_and_evaluates_each_curvature_once(self, monkeypatch):
-        calls = []
+
+# -- the exact certificate against the reference and the structure --------------------
+
+
+def _leaves(tree, path=()):
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, tree
+
+
+def _arity(path):
+    """How many of (X, Y, Z, W) the check at ``path`` reads."""
+    if path[0] == "ricci_phi" or path[-1] == "ricci_framesum_vs_closed":
+        return 2
+    if path[-1] in ("bianchi", "antisymmetry", "phi_argument", "first_slots", "both_slots"):
+        return 3
+    return 4
+
+
+def _scale(model):
+    """A magnitude of the tensors, for rounding allowances: (1 + max|kappa|)(1 + max|s|, |beta|)."""
+    kappa = max(abs(float(v)) for v in _certificate(model).kappa.values())
+    alpha, beta = model.ricci_g_coeff, model.ricci_phi_coeff
+    return (1.0 + kappa) * (1.0 + abs(alpha) + 2.0 * abs(beta))
+
+
+def _basis_tuples(n):
+    """Every (e_i, e_j, e_k, e_l) of the standard basis, as 4 arrays of shape (n^4, n)."""
+    index = np.array(list(itertools.product(range(n), repeat=4)))
+    return np.eye(n)[index.T]
+
+
+CERTIFIED_MODELS = [diagonal_model(n, p, cp, cq)
+                    for (n, p), (cp, cq) in zip(
+                        [(2, 1), (3, 0), (3, 3), (4, 2), (5, 2), (6, 1), (4, 1), (5, 4)],
+                        [(1.0, -1.0), (2.0, 3.0), (1.0, -1.0), (0.5, -0.25), (2.0, 3.0),
+                         (1.0, 1.0), (-3.0, 0.125), (1.0, -1.0)])]
+
+
+class TestCertificate:
+    def test_exact_on_the_acceptance_grid(self):
+        for model in MODELS:
+            cert = _certificate(model)
+            assert not any(cert.identities.values())
+            assert not any(v for path in cert.ricci_phi.values() for v in path.values())
+            b = _exact_b(model.c_p, model.c_q)
+            assert cert.kappa["pq"] == b
+            assert cert.commutation["phi_argument"] == SQRT5 * abs(b)
+            assert all(isinstance(v, QuadRat) for _, v in _leaves(cert._asdict()))
+
+    @pytest.mark.parametrize("model", CERTIFIED_MODELS,
+                             ids=[f"n{m.n}-p{m.p}-{m.c_p}-{m.c_q}" for m in CERTIFIED_MODELS])
+    def test_certificate_is_the_program_on_every_basis_tuple(self, model):
+        # phi_hat is diagonal, so the standard basis is the eigenframe.
+        quads = _basis_tuples(model.n)
+        program = probe_program(model, quads[:2], quads[:3], quads)._asdict()
+        cert = _certificate(model)._asdict()
+        allowance = 1e-12 * _scale(model)
+        for path, value in _leaves(program):
+            assert abs(value - float(_read(cert, path))) <= allowance, path
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(5) for q in range(5) if p + q])
+    def test_classes_are_one_per_realized_pattern(self, p, q):
+        def pattern(row):
+            return tuple(i >= 4 for i in row), tuple(a == b for a in row for b in row)
+
+        frame = [*range(p), *range(4, 4 + q)]
+        realized = {pattern(row) for row in itertools.product(frame, repeat=4)}
+        rows = spaceform._CLASSES[(spaceform._P_USED <= p) & (spaceform._Q_USED <= q)]
+        assert len({pattern(row) for row in rows.tolist()}) == len(rows)
+        assert {pattern(row) for row in rows.tolist()} == realized
+        if p == q == 4:
+            assert len(rows) == 94
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=st.sampled_from(MODELS + CERTIFIED_MODELS), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_residuals_within_the_certified_bound(self, model, seed):
+        # A check multilinear in k vectors is at most its largest basis value times the
+        # product of their l1 norms (in the eigenframe, here the standard basis).
+        quads = tuples(model, 1, seed, 4)
+        program = probe_program(model, quads[:2], quads[:3], quads)._asdict()
+        cert = _certificate(model)._asdict()
+        norms = np.abs(quads[:, 0]).sum(axis=-1)
+        allowance = 1e-12 * _scale(model)
+        for path, value in _leaves(program):
+            bound = float(_read(cert, path)) + allowance
+            assert value <= bound * np.prod(norms[:_arity(path)]), (path, value, bound)
+
+
+class TestOracle:
+    def test_flat_model_passes(self):
+        cfg = _curvature_config(4, 0.0, 0.0, trials=20, seed=3)
+        report = run_curvature_suite(cfg, cfg.build_structure(), cfg.tolerances)
+        assert report["pass"] and report["identities"]["ambient_oracle"] == 0.0
+        assert report["findings"]["commutation_conforms"]
+        assert not report["findings"]["non_semi_symmetry_nonvanishing"]
+
+    def test_skewed_and_random_structures_pass(self):
+        models = [amb.model for amb in ORACLE_AMBIENTS]
+        models += [SpaceFormModel(random_golden(n, p, seed=n), 2.0, -0.5)
+                   for n, p in ((3, 1), (6, 4), (8, 5))]
+        for model in models:
+            assert ambient_oracle(model, _certificate(model).kappa, 30, 1) <= ORACLE_TOL
+
+    def test_a_wrong_tensor_fails(self):
+        model = SKEWED.model
+        kappa = dict(_certificate(model).kappa, pq=QuadRat(0))
+        assert ambient_oracle(model, kappa, 30, 1) > 1e-3
+
+    def test_non_finite_curvature_fails(self):
+        # B overflows in floats; the exact kappa are finite.
+        model = diagonal_model(4, 2, 1e308, -1e308)
+        assert math.isinf(model.coeff_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = ambient_oracle(model, _certificate(model).kappa, 10, 0)
+        assert math.isnan(gap) and not gap <= ORACLE_TOL
+
+    def test_suite_calls_curvature_once_on_one_draw_with_fixed_exact_work(self, monkeypatch):
+        calls, draws, ops = [], [], []
+        real_rng = np.random.default_rng
+
+        class Recorded:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def standard_normal(self, size):
+                draws.append(size)
+                return self._rng.standard_normal(size)
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -642,11 +791,18 @@ class TestCurvatureProgram:
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.random, "default_rng",
-                            counted("draw", np.random.default_rng))
+        monkeypatch.setattr(np.random, "default_rng", Recorded)
         monkeypatch.setattr(spaceform, "curvature", counted("curvature", curvature))
-        cfg = _curvature_config(8, 1.0, -1.0, trials=200, seed=7)
-        run_curvature_suite(cfg, cfg.build_structure(), cfg.tolerances)
-        # 4 distinct R values on the triples and 11 on the 4-tuples.
-        assert calls.count("draw") == 1
-        assert calls.count("curvature") == 15
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse"):
+            monkeypatch.setattr(QuadRat, op, counted("op", vars(QuadRat)[op]))
+        for n in (4, 32):
+            cfg = _curvature_config(n, 1.0, -1.0, trials=200, seed=7)
+            structure = cfg.build_structure()
+            structure.phi_hat  # the structure's own exact work, before counting
+            calls.clear()
+            run_curvature_suite(cfg, structure, cfg.tolerances)
+            assert calls.count("curvature") == 1
+            assert draws.pop() == (200, 3, n) and not draws
+            ops.append(calls.count("op"))
+        assert ops[0] == ops[1] > 0, ops

@@ -61,6 +61,25 @@ class TestVerifyGolden:
         with pytest.raises(DimensionMismatch):
             verify_golden(_eye_exact(3), Metric.euclidean(4))
 
+    @pytest.mark.parametrize("matrix", [
+        np.ones((2, 3)),  # read by its shape
+        xl.qmatrix([[1, 0, 0], [0, 1, 0]]),  # read by its shape, not row by row
+        [[1, 0], [0, 1, 0]],  # nested rows are read row by row
+        np.ones(4),
+    ], ids=["ndarray", "qmatrix", "ragged-rows", "vector"])
+    def test_non_square_matrices(self, matrix):
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            Metric(matrix)
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            GoldenStructure(matrix, Metric.euclidean(2, backend="float"))
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            AlmostProductStructure(matrix, Metric.euclidean(2))
+
+    def test_square_check_reads_no_qmatrix_row(self, monkeypatch):
+        monkeypatch.setattr(xl.QMatrix, "__iter__", None)
+        phi = _diag_exact([PSI, ONE_MINUS_PSI])
+        assert GoldenStructure(phi, Metric(xl.eye(2))).n == 2
+
     def test_float_backend(self):
         phi = np.diag([PSI_F, 1 - PSI_F])
         report = verify_golden(phi, Metric.euclidean(2, backend="float"))
