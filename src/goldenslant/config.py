@@ -394,6 +394,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         data = json.loads(path.read_text())
     except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable or not UTF-8
         raise ConfigError("", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError("", f"invalid JSON: {exc}") from None
     return parse_config(data)

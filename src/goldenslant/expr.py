@@ -150,6 +150,9 @@ class _Token(NamedTuple):
     offset: int
 
 
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also takes "²", "①" and "٣"
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i, n = 0, len(text)
@@ -158,15 +161,15 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or text[j] not in _DIGITS:
                     raise ExprSyntaxError("malformed number", i)
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             tokens.append(_Token("NUM", text[i:j], i))
             i = j

@@ -32,7 +32,7 @@ from .errors import (
     InvalidStructure,
     MetricIncompat,
 )
-from .quadrat import ONE_MINUS_PSI, PSI, SQRT5
+from .quadrat import SQRT5
 
 DEFAULT_TOL_STRUCT = 1e-9
 
@@ -122,6 +122,8 @@ class Metric:
 
     Exact entries are validated by their exact ``factor`` ``g = L D L^T`` (``L^T`` and
     ``D^-1 L^-1``), and their float view has ``W = D^(1/2) L^T``; float ones by a Cholesky factor.
+    ``is_identity`` says the entries are exactly I, known by their value: the factor is then
+    (I, I), with no elimination.
     """
 
     def __init__(self, entries):
@@ -130,8 +132,11 @@ class Metric:
         self.entries = xl.qmatrix(entries) if self.backend == "exact" else entries
         if not np.all(self.entries == self.entries.T):
             raise InvalidStructure("metric is not symmetric")
+        e = self.entries  # exact ones are in lowest terms, where I has d = 1, p = I and q = 0
+        self.is_identity = bool(self.backend == "exact" and e.d == 1 and not e.q.any()
+                                and (e.p == np.eye(self.n, dtype=int)).all())
         if self.backend == "exact":
-            self.factor = xl.ldl(self.entries)
+            self.factor = (e, e) if self.is_identity else xl.ldl(e)
             if self.factor is None:
                 raise InvalidStructure("metric is not positive definite")
             return
@@ -247,9 +252,12 @@ class GoldenStructure:
     def phi_hat(self) -> np.ndarray:
         """phi in the metric's Euclidean model, ``W phi W^-1``: symmetric when phi is
         g-self-adjoint.  An exact structure rounds the exact congruence
-        ``L^T phi (D^-1 L^-1)^T = (D^-1 L^-1) g phi (D^-1 L^-1)^T`` once, then scales by D^(1/2)."""
+        ``L^T phi (D^-1 L^-1)^T = (D^-1 L^-1) g phi (D^-1 L^-1)^T`` once, then scales by D^(1/2);
+        over the identity metric that congruence is phi itself."""
         if self.backend == "float":
             return _in_model(self.phi, self.metric, "phi")[0]
+        if self.metric.is_identity:
+            return self.phi_float
         lt, lower_inv = self.metric.factor
         root_d = np.diagonal(self.metric.to_float().w)  # L^T has a unit diagonal
         return as_float(lt @ self.phi @ lower_inv.T) * np.outer(root_d, root_d)
@@ -325,12 +333,20 @@ def product_from_golden(s: GoldenStructure) -> AlmostProductStructure:
 
 def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> GoldenStructure:
     """Exact diagonal golden structure from a list of ``"psi"``/``"one_minus_psi"``."""
-    roots = {"psi": PSI, "one_minus_psi": ONE_MINUS_PSI}
+    roots = {"psi": 1, "one_minus_psi": -1}  # (1 +- sqrt5)/2, by the sign of sqrt5
     for name in pattern:
         if name not in roots:
             raise InvalidStructure(f"unknown eigenvalue pattern entry {name!r}")
-    phi = np.diag(np.array([roots[name] for name in pattern], dtype=object))
-    return GoldenStructure(phi, metric or Metric.euclidean(len(pattern)))
+    n, metric = len(pattern), metric or Metric.euclidean(len(pattern))
+    phi = xl.QMatrix(np.eye(n, dtype=int), np.diag([roots[name] for name in pattern]), 2)
+    if not (metric.is_identity and metric.n == n):
+        return GoldenStructure(phi, metric)
+    # Golden by construction: each root x has x^2 = x + 1, a diagonal phi is symmetric and
+    # so compatible with g = I, and the metric identity phi^T phi - phi^T - I then vanishes.
+    structure = GoldenStructure(phi, metric, validate=False)
+    structure.report = StructureReport(0.0, 0.0, 0.0, passed=True, backend="exact",
+                                       exact_zero=True, structure_exact=True)
+    return structure
 
 
 def golden_eigendecomp(s: GoldenStructure) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from goldenslant.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SUITE_FAILED, list_bundled, main
+from goldenslant.cli import (
+    EXIT_CONFIG_ERROR,
+    EXIT_OK,
+    EXIT_SUITE_FAILED,
+    list_bundled,
+    main,
+    resolve_config,
+)
 from goldenslant.config import MAX_DIM, MAX_POINTS, SampleSpec, load_config, parse_config
 from goldenslant.errors import ConfigError, DomainError
 from goldenslant.expr import parse
@@ -161,6 +168,11 @@ class TestConfigParsing:
              "/immersion/components/1"),
             (_immersion(("u", "u^9^9^9", "0", "0")), "/immersion/components/1"),
             (_immersion(("u", "u+", "0", "0")), "/immersion/components/1"),
+            # Digits are ASCII only: str.isdigit takes these, Fraction rejects the first two
+            # and would read "٣" as 3.
+            (_immersion(("u1", "u1*²", "0", "0"), params=("u1",)), "/immersion/components/1"),
+            (_immersion(("u1", "u1+①", "0", "0"), params=("u1",)), "/immersion/components/1"),
+            (_immersion(("u1", "٣*u1", "0", "0"), params=("u1",)), "/immersion/components/1"),
         ],
     )
     def test_validation_errors_carry_pointer_paths(self, mutate, path):
@@ -245,6 +257,24 @@ class TestRunScenario:
         a = render_report(run_scenario(cfg))
         b = render_report(run_scenario(cfg))
         assert a == b
+
+    def test_explicit_identity_metric_reports_as_none(self):
+        # The identity metric is known by its value, so writing it out changes nothing.
+        checked = 0
+        for name in list_bundled():
+            data = json.loads(resolve_config(name).read_text())
+            ambient = data["ambient"]
+            if "metric" in ambient or "pattern" not in ambient["phi"]:
+                continue
+            n = ambient["dim"]
+            explicit = json.loads(json.dumps(data))
+            explicit["ambient"]["metric"] = [["1" if i == j else "0" for j in range(n)]
+                                             for i in range(n)]
+            for backend in ("auto", "float"):
+                assert (render_report(run_scenario(parse_config(explicit), backend=backend))
+                        == render_report(run_scenario(parse_config(data), backend=backend)))
+            checked += 1
+        assert checked == len(list_bundled())
 
     def test_invalid_structure_fails_dependent_suites(self):
         data = {
@@ -369,7 +399,10 @@ class TestCli:
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
         binary = tmp_path / "binary.cfg"
         binary.write_bytes(b"\xff\xfe{}")
-        for source in (tmp_path, binary):  # a directory, then a file that is not UTF-8
+        nested = tmp_path / "nested.cfg"
+        nested.write_text("[" * 200_000)  # deeper than json.loads can recurse
+        # a directory, a file that is not UTF-8, then JSON nested too deep to decode
+        for source in (tmp_path, binary, nested):
             assert main(["run", str(source)]) == EXIT_CONFIG_ERROR
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -554,7 +587,8 @@ def _paths(value, path=()):
 
 _FUZZ_PATHS = _paths(FUZZ_BASE)
 _TOKENS = ["u", "v", "w", "psi", "sqrt5", "pi", "sin(", "exp(", "sqrt(", "(", ")", "+", "-",
-           "*", "/", "^", "0", "2", "0.5", "30", "9", " ", ".", "1e3", "#"]
+           "*", "/", "^", "0", "2", "0.5", "30", "9", " ", ".", "1e3", "#", "²", "①",
+           "٣"]
 _expr_text = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
 _scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 6), st.floats(width=64),

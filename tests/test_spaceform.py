@@ -39,6 +39,7 @@ from goldenslant.structures import (
     golden_eigendecomp,
 )
 from goldenslant.suites import run_curvature_suite
+import support
 from support import (
     _amax,
     _dot,
@@ -716,6 +717,33 @@ class TestCertificate:
         allowance = 1e-12 * _scale(model)
         for path, value in _leaves(program):
             assert abs(value - float(_read(cert, path))) <= allowance, path
+
+    @pytest.mark.parametrize("model", CERTIFIED_MODELS,
+                             ids=[f"n{m.n}-p{m.p}-{m.c_p}-{m.c_q}" for m in CERTIFIED_MODELS])
+    def test_each_class_value_is_the_program_on_its_representative(self, model, monkeypatch):
+        # The largest basis values alone miss a mistake that permutes values between
+        # classes, so each realized class is certified alone: every check keeps only its
+        # own row, and the program runs unreduced on the representative's basis tuple.
+        values = spaceform._basis_values()
+        realized = np.flatnonzero((spaceform._P_USED <= model.p)
+                                  & (spaceform._Q_USED <= model.n - model.p))
+        # Indices 0-3 are psi-eigenvectors and 4-7 (1 - psi)-ones; the model's eigenframe is
+        # the standard basis, psi on its first p axes.
+        rows = spaceform._CLASSES[realized]
+        quads = np.eye(model.n)[np.where(rows < 4, rows, rows - 4 + model.p).T]
+        monkeypatch.setattr(support, "_amax", lambda a: a)
+        program = probe_program(model, quads[:2], quads[:3], quads)._asdict()
+        w = quads[3]
+        allowance = 1e-12 * _scale(model)
+        for t, c in enumerate(realized.tolist()):
+            monkeypatch.setattr(spaceform, "_ROWS", {
+                check: {tuple(v[c].ravel().tolist()): {(0, 0)}} if v[c].any() else {}
+                for check, v in values.items()})
+            cert = _certificate(model)._asdict()
+            for path, value in _leaves(program):
+                # A vector-valued check is certified as g(V(X, Y, Z), W).
+                reference = abs(value[t] @ w[t] if value.ndim == 2 else value[t])
+                assert abs(reference - float(_read(cert, path))) <= allowance, (c, path)
 
     @pytest.mark.parametrize("p,q", [(p, q) for p in range(5) for q in range(5) if p + q])
     def test_classes_are_one_per_realized_pattern(self, p, q):

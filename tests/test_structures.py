@@ -1,6 +1,8 @@
 """Golden structures, involutions and their conversions."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from goldenslant.errors import (
     InvalidStructure,
     MetricIncompat,
 )
-from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
+from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat
 from goldenslant.structures import (
     AlmostProductStructure,
     GoldenStructure,
@@ -243,6 +245,77 @@ class TestMetricAndInvariants:
     def test_validate_false_escape_hatch(self):
         s = GoldenStructure(_eye_exact(2), Metric.euclidean(2), validate=False)
         assert not verify_golden(s.phi, s.metric).passed
+
+
+def _general_identity(n):
+    """``Metric.euclidean(n)`` handled as any other exact metric: factored by ``xl.ldl``."""
+    metric = Metric.euclidean(n)
+    metric.is_identity, metric.factor = False, xl.ldl(metric.entries)
+    return metric
+
+
+def _patterns():
+    """Every pattern with n <= 6, and seeded random ones at n = 8, 16 and 32."""
+    out = [list(p) for n in range(1, 7)
+           for p in itertools.product(["psi", "one_minus_psi"], repeat=n)]
+    rng = np.random.default_rng(20)
+    return out + [list(rng.choice(["psi", "one_minus_psi"], size=n))
+                  for n in (8, 16, 32) for _ in range(3)]
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls of the exactlin functions ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(xl, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(xl, name, counted)
+    return calls
+
+
+class TestIdentityMetric:
+    def test_identity_is_known_by_its_value(self):
+        assert Metric.euclidean(3).is_identity
+        assert Metric(_diag_exact([Fraction(2, 2), 1])).is_identity
+        assert Metric(_eye_exact(2)).factor == (_eye_exact(2), _eye_exact(2))
+        # p = I but d = 2, p = I and d = 1 but q != 0, and d = 1, q = 0 but p = 2 I
+        for entries in ([Fraction(1, 2)] * 2, [1 + SQRT5, 1], [2, 2]):
+            assert not Metric(_diag_exact(entries)).is_identity
+        assert not Metric.euclidean(2, backend="float").is_identity
+
+    def test_pattern_structure_equals_the_validated_reference(self):
+        roots = {"psi": PSI, "one_minus_psi": ONE_MINUS_PSI}
+        for pattern in _patterns():
+            built = diagonal_golden(pattern)
+            ref = GoldenStructure(_diag_exact([roots[name] for name in pattern]),
+                                  _general_identity(len(pattern)))
+            assert built.phi == ref.phi and built.report == ref.report, pattern
+            assert built.phi_hat.tobytes() == ref.phi_hat.tobytes(), pattern
+            view, ref_view = built.to_float(), ref.to_float()
+            for name in ("phi", "phi_hat"):
+                assert getattr(view, name).tobytes() == getattr(ref_view, name).tobytes()
+            for name in ("w", "w_inv"):
+                assert getattr(view.metric, name).tobytes() == getattr(ref_view.metric,
+                                                                         name).tobytes()
+            assert view.report == ref_view.report, pattern
+
+    def test_build_and_phi_hat_do_no_elimination_or_product(self, monkeypatch):
+        calls = _counting(monkeypatch, "ldl", "matmul")
+        for n in (4, 32):
+            s = diagonal_golden(["psi", "one_minus_psi"] * (n // 2))
+            s.report, s.phi_hat
+            assert s.report.exact_zero
+        assert calls == {"ldl": 0, "matmul": 0}
+
+    def test_other_metrics_are_still_validated(self, monkeypatch):
+        calls = _counting(monkeypatch, "ldl", "matmul")
+        s = diagonal_golden(["psi", "one_minus_psi"], Metric(_diag_exact([2, 3])))
+        assert s.report.exact_zero and calls["ldl"] == 1 and calls["matmul"] > 0
+        with pytest.raises(InvalidStructure):
+            diagonal_golden(["psi", "one_minus_psi"], Metric(xl.qmatrix([[2, 1], [1, 2]])))
+        with pytest.raises(DimensionMismatch):
+            diagonal_golden(["psi"] * 3, Metric.euclidean(4))
 
 
 class TestSpectralNorm:
