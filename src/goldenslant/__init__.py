@@ -21,8 +21,7 @@ _EXPORTS = {
     "jets": "jets Jet2",
     "quadrat": "quadrat ONE_MINUS_PSI PSI SQRT5 QuadRat parse_quadrat",
     "slant": "slant SlantReport classify reference_cosine",
-    "spaceform": "spaceform SpaceFormModel curvature curvature_certificate "
-                 "nabla_identities_certificate",
+    "spaceform": "spaceform curvature curvature_certificate",
     "structures": "structures AlmostProductStructure GoldenStructure Metric StructureReport "
                   "diagonal_golden golden_eigendecomp golden_from_product product_from_golden "
                   "verify_golden",

@@ -81,7 +81,8 @@ hard checks (exact zeros):
                              S(phi X, Y) = S(phi Y, X)
   ambient_oracle             R on spaceform.trials triples drawn from
                              spaceform.seed, in y = W x, equals the certified
-                             tensor within 1e-12 |X||Y||Z| max|kappa|
+                             tensor read with the top p eigenvectors of phi_hat
+                             as its psi-directions, within 1e-12 |X||Y||Z| max|kappa|
 findings (exact values, conforming when 0):
   commutation (5 items)      R(X,Y)phi = phi R(X,Y) and consequences -- fails
                              whenever B != 0 and both eigenspaces are present;

@@ -48,6 +48,10 @@ MAX_TRIALS = 100_000
 MAX_DIM = 32
 # The point suites evaluate every sample point in one batch, so points do too.
 MAX_POINTS = 100_000
+# That batch holds arrays of points * dim^2 numbers, about 48 bytes and 0.15 us per unit
+# (curved immersions at dim 16 and 32, up to 8,000 points), so this cap keeps a run near
+# 0.8 GB and 2.5 s; below dim 13 MAX_POINTS binds first.
+MAX_POINT_WORK = 2 ** 24
 
 ANGLE_FORMULA_PROJECTION = "projection"
 ANGLE_FORMULA_UNNORMALIZED = "unnormalized"
@@ -290,6 +294,10 @@ def parse_config(data: dict) -> ScenarioConfig:
         if imm_samples.size > MAX_POINTS:
             raise ConfigError("/immersion/samples",
                               f"{imm_samples.size} sample points exceed the cap of {MAX_POINTS}")
+        if imm_samples.size * dim ** 2 > MAX_POINT_WORK:
+            raise ConfigError("/immersion/samples",
+                              f"{imm_samples.size} sample points at dimension {dim} exceed "
+                              f"the cap of {MAX_POINT_WORK} on points * dim^2")
 
     spaceform = None
     if "spaceform" in data:

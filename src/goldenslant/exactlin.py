@@ -86,6 +86,9 @@ class QMatrix:
     def diagonal(self) -> QMatrix:
         return QMatrix(self.p.diagonal(), self.q.diagonal(), self.d)
 
+    def trace(self) -> QuadRat:
+        return from_integers(int(self.p.trace()), int(self.q.trace()), self.d)
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if dtype is None or np.dtype(dtype) == object:
             return _quadrats(self.p, self.q, self.d)

@@ -240,7 +240,7 @@ SQRT5 = QuadRat(0, 1)
 
 _ENTRY_RE = re.compile(
     r"""^\s*
-        (?:(?P<r>[+-]?[0-9][0-9/.]*)\s*)?                 # rational part
+        (?:(?P<r>[+-]?[0-9][0-9/.]*)\s*(?=[+-]|$))?      # rational part, then a sign or the end
         (?:(?P<sgn>[+-])?\s*
            (?:(?P<s>[0-9][0-9/.]*)\s*\*\s*)?sqrt5\s*)?    # sqrt5 part
         $""",

@@ -44,11 +44,16 @@ the module loads; a certificate evaluates the distinct nonzero combinations its
 is the exact sum s_a = sum_b (count_b - [a = b]) kappa_ab over the eigenspaces
 b, compared with the closed form alpha + beta phi_a.
 
-**The oracle.**  The certificate is built from ``(n, p, c_p, c_q)``; the
-structure enters through :func:`ambient_oracle`, which evaluates
-:func:`curvature` on one seeded ``(trials, 3, n)`` draw and compares it with the
-certified tensor read through the orthonormal eigenvectors of ``phi_hat``.
-:func:`curvature` works in the metric's Euclidean model ``y = W x``
+The certificate also carries the exact A, B and the Ricci coefficients alpha and
+beta of ``S(Y, Z) = alpha g(Y, Z) + beta g(phi Y, Z)``; the report reads their floats.
+
+**The oracle.**  The certificate is built from ``(n, p, c_p, c_q)``, with p the
+structure's :attr:`~goldenslant.structures.GoldenStructure.eigenspace_dims`; the
+structure itself enters through :func:`ambient_oracle`, which evaluates
+:func:`curvature` with the certificate's A and B on one seeded ``(trials, 3, n)``
+draw and compares it with the certified tensor read through the orthonormal
+eigenvectors of ``phi_hat``, the top p of them as the psi-directions, so a wrong p
+fails it.  :func:`curvature` works in the metric's Euclidean model ``y = W x``
 (``g = W^T W``), where g is the dot product and phi the symmetric
 ``phi_hat = W phi W^-1``, so rounding does not grow with the conditioning of g.
 
@@ -63,7 +68,6 @@ nabla S vanish identically and both sides of their phi-identities are 0.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,37 +75,15 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
-from .structures import GoldenStructure
 
-_PSI = float(PSI)
-_SQRT5 = math.sqrt(5.0)
 ORACLE_TOL = 1e-12
-
-
-class SpaceFormModel:
-    """Constant-coefficient model with sectional curvatures (c_p, c_q) over a golden structure.
-
-    It reads the structure's Euclidean model only: ``phi`` is the symmetric
-    ``phi_hat``, p the number of its eigenvalues psi (those above 1/2) and
-    ``trace_phi`` its trace.  These, A, B and the two Ricci coefficients are
-    computed once, when the model is made.
-    """
-
-    __slots__ = ("n", "p", "c_p", "c_q", "phi", "trace_phi",
-                 "coeff_a", "coeff_b", "ricci_g_coeff", "ricci_phi_coeff")
-
-    def __init__(self, structure: GoldenStructure, c_p: float, c_q: float):
-        phi = self.phi = structure.phi_hat
-        n = self.n = len(phi)
-        # psi ~ 1.618 vs 1 - psi ~ -0.618
-        self.p = int(np.count_nonzero(np.linalg.eigvalsh(phi) > 0.5))
-        self.c_p, self.c_q = float(c_p), float(c_q)
-        self.trace_phi = float(np.trace(phi))
-        a = self.coeff_a = -((1.0 - _PSI) * self.c_p - _PSI * self.c_q) / (2.0 * _SQRT5)
-        b = self.coeff_b = -((1.0 - _PSI) * self.c_p + _PSI * self.c_q) / 4.0
-        # The coefficients of g(Y, Z) and g(phi Y, Z) in the closed-form Ricci tensor.
-        self.ricci_g_coeff = a * (n - 2) + b * self.trace_phi
-        self.ricci_phi_coeff = a * (self.trace_phi - 1.0) + b * (n - 2)
+# The covariant-derivative statements, certified structurally (see above).
+NABLA_STATEMENTS = (
+    "curvature coefficients A, B are constants and phi, g are constant,"
+    " so nabla R = 0 and (nabla R)(X,Y)phiZ = phi (nabla R)(X,Y)Z holds as 0 = 0",
+    "Ricci coefficients are constants, so nabla S = 0 and"
+    " (nabla S)(phiX, Y) = (nabla S)(X, phiY) holds as 0 = 0",
+)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -109,15 +91,16 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", u, v)
 
 
-def curvature(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
+def curvature(phi: np.ndarray, a: float, b: float, x: np.ndarray, y: np.ndarray,
               z: np.ndarray) -> np.ndarray:
-    """R(X, Y)Z of the space-form model in ``y = W x``, broadcast over leading trial axes."""
+    """R(X, Y)Z with coefficients A = ``a`` and B = ``b`` in ``y = W x``, where phi is the
+    symmetric ``phi_hat``, broadcast over leading trial axes."""
+    n = len(phi)
     for v in (x, y, z):
-        if np.shape(v)[-1:] != (model.n,):
-            raise DimensionMismatch(f"expected vectors of length {model.n}")
-    px, py = x @ model.phi.T, y @ model.phi.T
+        if np.shape(v)[-1:] != (n,):
+            raise DimensionMismatch(f"expected vectors of length {n}")
+    px, py = x @ phi.T, y @ phi.T
     gyz, gxz, gpyz, gpxz = _dot(y, z), _dot(x, z), _dot(py, z), _dot(px, z)
-    a, b = model.coeff_a, model.coeff_b
     return ((a * gyz + b * gpyz)[..., None] * x - (a * gxz + b * gpxz)[..., None] * y
             + (a * gpyz + b * gyz)[..., None] * px - (a * gpxz + b * gxz)[..., None] * py)
 
@@ -126,8 +109,10 @@ def curvature(model: SpaceFormModel, x: np.ndarray, y: np.ndarray,
 
 
 class CurvatureCertificate(NamedTuple):
-    """The exact largest basis value of every curvature-suite check, as QuadRat."""
+    """The exact coefficients of R and S, and the largest basis value of every
+    curvature-suite check, as QuadRat."""
 
+    coefficients: dict[str, QuadRat]  # A, B, alpha and beta, by their report keys
     kappa: dict[str, QuadRat]  # pp, pq, qq: the tensor in the eigenframe
     identities: dict[str, QuadRat]  # hard checks: Ricci agreement, Bianchi, symmetries
     ricci_phi: dict[str, dict[str, QuadRat]]  # path (framesum, closed) -> phi-identities
@@ -289,6 +274,8 @@ def curvature_certificate(n: int, p: int, c_p: float, c_q: float) -> CurvatureCe
 
     commutator = worst("phi_argument", kappa)
     return CurvatureCertificate(
+        coefficients={"coeff_a": a, "coeff_b": b,
+                      "ricci_g_coeff": alpha, "ricci_phi_coeff": beta},
         kappa=dict(zip(("pp", "pq", "qq"), kappa)),
         identities={"ricci_framesum_vs_closed": worst("ricci_framesum_vs_closed",
                                                       framesum + closed),
@@ -308,57 +295,30 @@ def curvature_certificate(n: int, p: int, c_p: float, c_q: float) -> CurvatureCe
     )
 
 
-def ambient_oracle(model: SpaceFormModel, kappa: dict[str, QuadRat], trials: int,
+def ambient_oracle(phi: np.ndarray, p: int, cert: CurvatureCertificate, trials: int,
                    seed: int) -> float:
-    """Worst gap between :func:`curvature` and the certified tensor on a seeded draw.
+    """Worst gap between :func:`curvature` of ``phi_hat`` and the certified tensor on a
+    seeded draw.
 
     ``trials`` triples (X, Y, Z) are drawn as one ``(trials, 3, n)`` normal
     sample from ``seed``.  The certified R(X,Y)Z, with components
-    ``X_l sum_j kappa_lj Y_j Z_j - Y_l sum_i kappa_li X_i Z_i`` in an orthonormal
-    eigenframe of ``phi_hat``, is mapped back to ``y``.  Each gap is relative to
+    ``X_l sum_j kappa_lj Y_j Z_j - Y_l sum_i kappa_li X_i Z_i`` in the orthonormal
+    eigenframe of ``phi`` whose last p vectors (``eigh`` ascends) span the
+    psi-eigenspace, is mapped back to ``y``.  Each gap is relative to
     ``|X| |Y| |Z| max|kappa|``; an exact agreement is 0 (also for a flat model) and
     a non-finite value of either side gives NaN or Inf.
     """
-    draw = np.random.default_rng(seed).standard_normal((trials, 3, model.n))
-    values, frame = np.linalg.eigh(model.phi)
-    q = (values < 0.5).astype(np.int64)
-    k = np.array([float(kappa[key]) for key in ("pp", "pq", "qq")])[q[:, None] + q]
+    n = len(phi)
+    draw = np.random.default_rng(seed).standard_normal((trials, 3, n))
+    frame = np.linalg.eigh(phi)[1]
+    q = (np.arange(n) < n - p).astype(np.int64)  # 1 on the (1 - psi)-directions
+    k = np.array([float(cert.kappa[key]) for key in ("pp", "pq", "qq")])[q[:, None] + q]
     u, v, t = (draw @ frame).transpose(1, 0, 2)
     certified = (u * ((v * t) @ k) - v * ((u * t) @ k)) @ frame.T
-    gap = np.abs(curvature(model, *draw.transpose(1, 0, 2)) - certified).max(axis=-1)
+    a, b = (float(cert.coefficients[key]) for key in ("coeff_a", "coeff_b"))
+    r = curvature(phi, a, b, *draw.transpose(1, 0, 2))
+    gap = np.abs(r - certified).max(axis=-1)
     norms = np.sqrt(np.einsum("tki,tki->tk", draw, draw).prod(axis=-1))  # |X| |Y| |Z|
     with np.errstate(divide="ignore", invalid="ignore"):
         relative = np.where(gap == 0.0, 0.0, gap / (norms * np.abs(k).max()))
     return float(relative.max())
-
-
-class NablaCertificate(NamedTuple):
-    """Structural certificate that nabla R and nabla S vanish in this model.
-
-    All four displayed constants are point-independent, and phi and g are
-    constant matrices, so every covariant derivative of R and S is
-    identically zero; the phi-identities for nabla R and nabla S then hold
-    as 0 = 0.  No numerical residual is involved.
-    """
-
-    coeff_a: float
-    coeff_b: float
-    ricci_g_coeff: float
-    ricci_phi_coeff: float
-    statements: tuple[str, ...]
-    certified: bool = True
-
-
-def nabla_identities_certificate(model: SpaceFormModel) -> NablaCertificate:
-    return NablaCertificate(
-        coeff_a=model.coeff_a,
-        coeff_b=model.coeff_b,
-        ricci_g_coeff=model.ricci_g_coeff,
-        ricci_phi_coeff=model.ricci_phi_coeff,
-        statements=(
-            "curvature coefficients A, B are constants and phi, g are constant,"
-            " so nabla R = 0 and (nabla R)(X,Y)phiZ = phi (nabla R)(X,Y)Z holds as 0 = 0",
-            "Ricci coefficients are constants, so nabla S = 0 and"
-            " (nabla S)(phiX, Y) = (nabla S)(X, phiY) holds as 0 = 0",
-        ),
-    )

@@ -262,6 +262,18 @@ class GoldenStructure:
         root_d = np.diagonal(self.metric.to_float().w)  # L^T has a unit diagonal
         return as_float(lt @ self.phi @ lower_inv.T) * np.outer(root_d, root_d)
 
+    @cached_property
+    def eigenspace_dims(self) -> tuple[int, int]:
+        """``(p, n - p)``, the dimensions of the psi- and (1 - psi)-eigenspaces.
+
+        ``F = (2 phi - I)/sqrt5`` is +1 on the first and -1 on the second, so
+        ``p = (n + tr F)/2``: exact on an exact phi, rounded on a float one.  The
+        float view of an exact structure shares the exact one.
+        """
+        n = self.n
+        p = round(float((n + (2 * self.phi.trace() - n) / _sqrt5(self.phi)) / 2))
+        return p, n - p
+
     def to_float(self) -> GoldenStructure:
         """Float view, built once per exact structure."""
         return self if self.backend == "float" else self._float_view
@@ -269,7 +281,7 @@ class GoldenStructure:
     @cached_property
     def _float_view(self) -> GoldenStructure:
         view = GoldenStructure(self.phi_float, self.metric.to_float(), validate=False)
-        view.phi_hat = self.phi_hat
+        view.phi_hat, view.eigenspace_dims = self.phi_hat, self.eigenspace_dims
         return view
 
 
@@ -354,9 +366,9 @@ def golden_eigendecomp(s: GoldenStructure) -> tuple[np.ndarray, np.ndarray]:
 
     Returns a pair of matrices whose columns span the two eigenspaces: the
     orthonormal eigenvectors of ``phi_hat`` in the metric's Euclidean model,
-    mapped back by ``W^-1``.
+    mapped back by ``W^-1``.  ``eigh`` sorts them by ascending eigenvalue, so
+    the last p of :attr:`GoldenStructure.eigenspace_dims` are the psi-directions.
     """
-    vals, vecs = np.linalg.eigh(s.phi_hat)
-    mid = 0.5  # psi ~ 1.618 vs 1 - psi ~ -0.618
-    cols = s.metric.to_float().w_inv @ vecs
-    return cols[:, vals > mid], cols[:, vals <= mid]
+    cols = s.metric.to_float().w_inv @ np.linalg.eigh(s.phi_hat)[1]
+    q = s.eigenspace_dims[1]
+    return cols[:, q:], cols[:, :q]

@@ -30,8 +30,7 @@ from .extrinsic import (_phi_hessian_split, gauss_split_residuals, invariant_res
                         shape_vanishing_probe)
 from .quadrat import QuadRat
 from .slant import classify_geometry, exact_slant_data, reference_cosine
-from .spaceform import (ORACLE_TOL, SpaceFormModel, ambient_oracle, curvature_certificate,
-                        nabla_identities_certificate)
+from .spaceform import NABLA_STATEMENTS, ORACLE_TOL, ambient_oracle, curvature_certificate
 from .structures import GoldenStructure, _amax, golden_matrix, product_matrix
 from .submanifold import (
     PointGeometry,
@@ -50,28 +49,23 @@ EXACT_SUITES = {"identities", "slant"}
 def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
     """Report the axiom check the structure's build ran, the F round trip and the eigenspaces.
 
-    ``F = (2 phi - I)/sqrt5`` is +1 on the psi-eigenspace and -1 on the
-    (1 - psi)-eigenspace, so their dimensions are ``p = (n + tr F)/2`` and
-    ``n - p``.  The two eigenspaces of an exact phi span the space exactly
-    when ``phi^2 - phi - I`` is exactly zero, which the pass requires.
+    The two eigenspaces of an exact phi span the space exactly when
+    ``phi^2 - phi - I`` is exactly zero, which the pass requires.
     """
-    report = structure.report
-    phi, n = structure.phi, structure.n
-    f = product_matrix(phi)
+    report, phi = structure.report, structure.phi
     residuals = {
         "structure_equation": report.residual_structure,
         "self_adjoint": report.residual_self_adjoint,
         "metric_compat": report.residual_compat,
-        "product_roundtrip": float(_amax(golden_matrix(f) - phi)),
+        "product_roundtrip": float(_amax(golden_matrix(product_matrix(phi)) - phi)),
     }
-    p = round(float((n + sum(f.diagonal())) / 2))
     spans = report.backend == "float" or report.structure_exact
     return {
         "pass": all(v <= tol.tol_struct for v in residuals.values()) and spans,
         "backend": report.backend,
         "residuals": residuals,
         "exact_zero": report.exact_zero,
-        "eigenspace_dims": [p, n - p],
+        "eigenspace_dims": list(structure.eigenspace_dims),
     }
 
 
@@ -193,19 +187,19 @@ def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
     is at most ``ORACLE_TOL``; a finding conforms when its exact value is 0, so no
     tolerance of ``tol`` applies.
     """
-    sf = cfg.spaceform
-    model = SpaceFormModel(structure, sf.c_p, sf.c_q)
-    if model.p != sf.p:
-        raise ConfigError("/spaceform/p", f"must equal {model.p}, the dimension of "
+    sf, n, p = cfg.spaceform, structure.n, structure.eigenspace_dims[0]
+    if p != sf.p:
+        raise ConfigError("/spaceform/p", f"must equal {p}, the dimension of "
                           "the psi-eigenspace of the ambient phi")
-    cert = curvature_certificate(model.n, model.p, sf.c_p, sf.c_q)
+    phi = structure.phi_hat
+    cert = curvature_certificate(n, p, sf.c_p, sf.c_q)
     # Overflowing curvatures give Inf/NaN in the oracle, which fails it.
     with np.errstate(over="ignore", invalid="ignore"):
-        oracle = ambient_oracle(model, cert.kappa, sf.trials, sf.seed)
+        oracle = ambient_oracle(phi, p, cert, sf.trials, sf.seed)
     # Hard checks are exact zeros when they pass, so only the tensor and the findings
     # carry their exact values.
     exact = {key: value for key, value in cert._asdict().items()
-             if key not in ("identities", "ricci_phi")}
+             if key not in ("coefficients", "identities", "ricci_phi")}
     passed = (oracle <= ORACLE_TOL and not any(cert.identities.values())
               and not any(v for path in cert.ricci_phi.values() for v in path.values()))
     findings = {
@@ -220,23 +214,16 @@ def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
         "non_semi_symmetry_probe": float(cert.non_semi_symmetry_probe),
         "non_semi_symmetry_nonvanishing": bool(cert.non_semi_symmetry_probe),
     }
-    nabla = nabla_identities_certificate(model)
     return {
         "pass": passed,
-        "model": {"n": model.n, "p": model.p, "c_p": model.c_p, "c_q": model.c_q,
-                  "trace_phi": model.trace_phi, "trials": sf.trials, "seed": sf.seed},
+        "model": {"n": n, "p": p, "c_p": sf.c_p, "c_q": sf.c_q,
+                  "trace_phi": float(np.trace(phi)), "trials": sf.trials, "seed": sf.seed},
         "identities": {**_floats(cert.identities), "ambient_oracle": oracle},
         "ricci_phi": _floats(cert.ricci_phi),
         "findings": findings,
         "exact": exact,
-        "certificate": {
-            "certified": nabla.certified,
-            "coeff_a": nabla.coeff_a,
-            "coeff_b": nabla.coeff_b,
-            "ricci_g_coeff": nabla.ricci_g_coeff,
-            "ricci_phi_coeff": nabla.ricci_phi_coeff,
-            "statements": list(nabla.statements),
-        },
+        "certificate": {"certified": True, **_floats(cert.coefficients),
+                        "statements": list(NABLA_STATEMENTS)},
     }
 
 

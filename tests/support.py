@@ -1,11 +1,13 @@
 """Test helpers: the batched geometry pass at one point, seeded random golden structures,
-diagonal space-form models and the sampled curvature program."""
+float reference space-form models and the sampled curvature program."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from goldenslant.spaceform import SpaceFormModel, curvature
+from goldenslant import spaceform
+from goldenslant.quadrat import PSI
 from goldenslant.structures import (
     AlmostProductStructure,
     Metric,
@@ -41,10 +43,44 @@ def random_golden(n: int, p: int, seed: int):
     return golden_from_product(AlmostProductStructure(f, Metric.euclidean(n, backend="float")))
 
 
-def diagonal_model(n: int, p: int, c_p: float, c_q: float) -> SpaceFormModel:
-    """Space-form model on Euclidean R^n over the exact diagonal structure with psi on the
+class ReferenceModel(NamedTuple):
+    """A space-form model in floats, by the README formulas: the sampled program's input.
+
+    ``phi`` is the structure's ``phi_hat``, p the number of its eigenvalues above
+    1/2 and ``trace_phi`` its trace; A, B and the Ricci coefficients alpha, beta are
+    float evaluations of their closed forms.
+    """
+
+    n: int
+    p: int
+    c_p: float
+    c_q: float
+    phi: np.ndarray
+    trace_phi: float
+    coeff_a: float
+    coeff_b: float
+    ricci_g_coeff: float
+    ricci_phi_coeff: float
+
+    def curvature(self, x, y, z) -> np.ndarray:
+        """R(X, Y)Z by :func:`goldenslant.spaceform.curvature` with this model's A and B."""
+        return spaceform.curvature(self.phi, self.coeff_a, self.coeff_b, x, y, z)
+
+
+def reference_model(structure, c_p: float, c_q: float) -> ReferenceModel:
+    phi = structure.phi_hat
+    n, trace, psi = len(phi), float(np.trace(phi)), float(PSI)
+    c_p, c_q = float(c_p), float(c_q)
+    a = -((1.0 - psi) * c_p - psi * c_q) / (2.0 * math.sqrt(5.0))
+    b = -((1.0 - psi) * c_p + psi * c_q) / 4.0
+    return ReferenceModel(n, int(np.count_nonzero(np.linalg.eigvalsh(phi) > 0.5)), c_p, c_q,
+                          phi, trace, a, b, a * (n - 2) + b * trace, a * (trace - 1) + b * (n - 2))
+
+
+def diagonal_model(n: int, p: int, c_p: float, c_q: float) -> ReferenceModel:
+    """Reference model on Euclidean R^n over the exact diagonal structure with psi on the
     first ``p`` axes and 1 - psi on the rest."""
-    return SpaceFormModel(diagonal_golden(["psi"] * p + ["one_minus_psi"] * (n - p)), c_p, c_q)
+    return reference_model(diagonal_golden(["psi"] * p + ["one_minus_psi"] * (n - p)), c_p, c_q)
 
 
 # -- the sampled curvature program: the reference the exact certificate replaced ----------
@@ -56,7 +92,7 @@ def diagonal_model(n: int, p: int, c_p: float, c_q: float) -> SpaceFormModel:
 # ``probe_program`` runs the same probes on given tuples, such as basis tuples.
 
 
-def _phi(model: SpaceFormModel, v: np.ndarray) -> np.ndarray:
+def _phi(model: ReferenceModel, v: np.ndarray) -> np.ndarray:
     """phi V for every vector along the last axis of ``v``."""
     return v @ model.phi.T
 
@@ -70,7 +106,7 @@ def _amax(a) -> float:
     return np.abs(a).max().item()
 
 
-def tuples(model: SpaceFormModel, trials: int, seed: int, k: int) -> np.ndarray:
+def tuples(model: ReferenceModel, trials: int, seed: int, k: int) -> np.ndarray:
     """``trials`` seeded random k-tuples, as k arrays of shape (trials, n).
 
     One bulk (trials, k, n) draw yields the same numbers as ``trials``
@@ -88,7 +124,7 @@ def prefix(quads: np.ndarray, k: int) -> np.ndarray:
     return flat[:k * trials * n].reshape(trials, k, n).transpose(1, 0, 2)
 
 
-def ricci_framesum(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+def ricci_framesum(model: ReferenceModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """S(Y, Z) as the contraction sum_i g(R(e_i, Y)Z, e_i) over the standard basis e_i of y.
 
     There g(e_i, V) is the component V_i and g(phi e_i, Z) is (phi Z)_i, as phi is
@@ -102,7 +138,7 @@ def ricci_framesum(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.nd
             - ((a * pz + b * z) * py).sum(axis=-1))
 
 
-def ricci_closed(model: SpaceFormModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+def ricci_closed(model: ReferenceModel, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """S(Y, Z) in closed form from the two constant coefficients."""
     return model.ricci_g_coeff * _dot(y, z) + model.ricci_phi_coeff * _dot(_phi(model, y), z)
 
@@ -112,10 +148,10 @@ def _derivation(model, s, z, w, rz, rw):
     return -s(model, rz, w) - s(model, z, rw)
 
 
-def r_dot_s(model: SpaceFormModel, x, y, z, w, path: str = "closed") -> np.ndarray:
+def r_dot_s(model: ReferenceModel, x, y, z, w, path: str = "closed") -> np.ndarray:
     """Derivation action (R(X,Y).S)(Z,W) = -S(R(X,Y)Z, W) - S(Z, R(X,Y)W)."""
     s = ricci_framesum if path == "framesum" else ricci_closed
-    return _derivation(model, s, z, w, curvature(model, x, y, z), curvature(model, x, y, w))
+    return _derivation(model, s, z, w, model.curvature(x, y, z), model.curvature(x, y, w))
 
 
 def _claimed_r_dot_s(model, rw, pz):
@@ -123,9 +159,9 @@ def _claimed_r_dot_s(model, rw, pz):
     return -2.0 * model.ricci_phi_coeff * _dot(rw, pz)
 
 
-def r_dot_s_closed_form(model: SpaceFormModel, x, y, z, w) -> np.ndarray:
+def r_dot_s_closed_form(model: ReferenceModel, x, y, z, w) -> np.ndarray:
     """The claimed product shape -2 beta g(R(X,Y)W, phi Z) of the derivation action."""
-    return _claimed_r_dot_s(model, curvature(model, x, y, w), _phi(model, z))
+    return _claimed_r_dot_s(model, model.curvature(x, y, w), _phi(model, z))
 
 
 class CurvatureProgram(NamedTuple):
@@ -140,14 +176,14 @@ class CurvatureProgram(NamedTuple):
     non_semi_symmetry_probe: float
 
 
-def curvature_program(model: SpaceFormModel, trials: int = 100, seed: int = 0):
+def curvature_program(model: ReferenceModel, trials: int = 100, seed: int = 0):
     """Every probe over ``trials`` tuples drawn from ``seed``; pairs and triples are
     prefixes of the one 4-tuple draw."""
     quads = tuples(model, trials, seed, 4)
     return probe_program(model, prefix(quads, 2), prefix(quads, 3), quads)
 
 
-def probe_program(model: SpaceFormModel, pairs, triples, quads) -> CurvatureProgram:
+def probe_program(model: ReferenceModel, pairs, triples, quads) -> CurvatureProgram:
     """Every probe on the given (X, Y) pairs, (X, Y, Z) triples and (X, Y, Z, W) 4-tuples."""
     agreement, ricci_phi = _pair_probes(model, *pairs)
     bianchi, antisymmetry = _triple_probes(model, *triples)
@@ -183,36 +219,36 @@ def _pair_probes(model, x, y):
 
 def _triple_probes(model, x, y, z):
     """First Bianchi identity and antisymmetry R(X,Y)Z = -R(Y,X)Z."""
-    rz = curvature(model, x, y, z)
-    bianchi = _amax(rz + curvature(model, y, z, x) + curvature(model, z, x, y))
-    return bianchi, _amax(rz + curvature(model, y, x, z))
+    rz = model.curvature(x, y, z)
+    bianchi = _amax(rz + model.curvature(y, z, x) + model.curvature(z, x, y))
+    return bianchi, _amax(rz + model.curvature(y, x, z))
 
 
 def _quad_probes(model, x, y, z, w):
     """Pair symmetry, the phi-commutation family and the R.S findings (closed-form S)."""
     px, py, pz, pw = (_phi(model, v) for v in (x, y, z, w))
-    rz = curvature(model, x, y, z)
-    pair_symmetry = _amax(_dot(rz, w) - _dot(curvature(model, z, w, x), y))
-    rw = curvature(model, x, y, w)
+    rz = model.curvature(x, y, z)
+    pair_symmetry = _amax(_dot(rz, w) - _dot(model.curvature(z, w, x), y))
+    rw = model.curvature(x, y, w)
     rs = _derivation(model, ricci_closed, z, w, rz, rw)
     gap = _amax(rs - _claimed_r_dot_s(model, rw, pz))
-    rpz = curvature(model, x, y, pz)
+    rpz = model.curvature(x, y, pz)
     rs_pz = _derivation(model, ricci_closed, pz, w, rpz, rw)
-    rs_pz_pw = _derivation(model, ricci_closed, pz, pw, rpz, curvature(model, x, y, pw))
+    rs_pz_pw = _derivation(model, ricci_closed, pz, pw, rpz, model.curvature(x, y, pw))
     values = _amax(rs_pz_pw - rs_pz - rs)
     g_rz_pw = _dot(rz, pw)
     phi_argument = _amax(rpz - _phi(model, rz))
     form_both_phi = _amax(_dot(rpz, pw) - g_rz_pw - _dot(rz, w))
     form_swap = _amax(_dot(rpz, w) - g_rz_pw)
-    r_px = curvature(model, px, y, z)
-    first_slots = _amax(r_px - curvature(model, x, py, z))
-    r_pxpy = curvature(model, px, py, z)
+    r_px = model.curvature(px, y, z)
+    first_slots = _amax(r_px - model.curvature(x, py, z))
+    r_pxpy = model.curvature(px, py, z)
     both_slots = _amax(r_pxpy - r_px - rz)
-    rs_pxpy = _derivation(model, ricci_closed, z, w, r_pxpy, curvature(model, px, py, w))
-    rw_px = curvature(model, px, y, w)
+    rs_pxpy = _derivation(model, ricci_closed, z, w, r_pxpy, model.curvature(px, py, w))
+    rw_px = model.curvature(px, y, w)
     rs_px = _derivation(model, ricci_closed, z, w, r_px, rw_px)
     arguments = _amax(rs_pxpy - rs_px - rs)
-    corollary = _amax(_derivation(model, ricci_closed, pz, w, curvature(model, px, y, pz),
+    corollary = _amax(_derivation(model, ricci_closed, pz, w, model.curvature(px, y, pz),
                                   rw_px))
     commutation = {"phi_argument": phi_argument, "first_slots": first_slots,
                    "both_slots": both_slots, "form_both_phi": form_both_phi,

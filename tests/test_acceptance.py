@@ -283,7 +283,7 @@ def spaceform_results():
                 "probe": float(cert.non_semi_symmetry_probe),
                 "bianchi": float(cert.identities["bianchi"]),
                 "pair_symmetry": float(cert.identities["pair_symmetry"]),
-                "oracle": ambient_oracle(model, cert.kappa, 100, 7),
+                "oracle": ambient_oracle(model.phi, model.p, cert, 100, 7),
             }
     results["elapsed"] = time.perf_counter() - start
     return results

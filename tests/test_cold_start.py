@@ -16,11 +16,11 @@ EXPORTS = [
     "ExprSyntaxError", "GoldenStructure", "GoldenslantError", "ImmersionSpec",
     "InducedOperators", "InvalidInvolution", "InvalidStructure", "Jet2", "Metric",
     "MetricIncompat", "ONE_MINUS_PSI", "PSI", "QuadRat", "RankDeficient", "SQRT5",
-    "SampleSpec", "ScenarioConfig", "SlantReport", "SpaceFormModel", "StructureReport",
+    "SampleSpec", "ScenarioConfig", "SlantReport", "StructureReport",
     "TangentFrame", "Tolerances", "UnknownIdentifier", "ZeroVector", "classify", "config",
     "curvature", "curvature_certificate", "diagonal_golden", "errors", "exactlin", "expr",
     "extrinsic", "frame_at", "golden_eigendecomp", "golden_from_product",
-    "induced_operators", "jets", "load_config", "nabla_identities_certificate", "parse",
+    "induced_operators", "jets", "load_config", "parse",
     "parse_config", "parse_quadrat", "product_from_golden", "quadrat", "reference_cosine",
     "render_report", "run_scenario", "slant", "spaceform",
     "structural_identity_residuals", "structures", "submanifold", "suites", "verify_golden",

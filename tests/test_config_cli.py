@@ -18,7 +18,8 @@ from goldenslant.cli import (
     main,
     resolve_config,
 )
-from goldenslant.config import MAX_DIM, MAX_POINTS, SampleSpec, load_config, parse_config
+from goldenslant.config import (MAX_DIM, MAX_POINT_WORK, MAX_POINTS, SampleSpec, load_config,
+                                parse_config)
 from goldenslant.errors import ConfigError, DomainError
 from goldenslant.expr import parse
 from goldenslant.submanifold import point_geometry
@@ -69,6 +70,17 @@ def _immersion(components=("u", "u^2", "0", "0"), params=("u",), **samples):
         data["immersion"] = {"params": list(params), "components": list(components)}
         if samples:
             data["immersion"]["samples"] = samples
+    return mutate
+
+
+def _wide_immersion(grid, dim=MAX_DIM):
+    """Mutation to a curve, surface or 3-fold, one parameter per ``grid`` row, in ``dim``
+    dimensions."""
+    params = ["u", "v", "w"][:len(grid)]
+
+    def mutate(data):
+        _dim(dim)(data)
+        _immersion(params + ["0"] * (dim - len(params)), params, grid=grid)(data)
     return mutate
 
 
@@ -158,6 +170,8 @@ class TestConfigParsing:
             (lambda d: d.__setitem__("seed", -1), "/seed"),
             (_curvature_run(seed=-1), "/spaceform/seed"),
             (_immersion(grid=[[0, 1, MAX_POINTS]], extra_points=[[2]]), "/immersion/samples"),
+            # 46^3 points are within MAX_POINTS, but not 46^3 * 32^2 within MAX_POINT_WORK.
+            (_wide_immersion([[0, 1, 46]] * 3), "/immersion/samples"),
             (lambda d: d["ambient"].__setitem__("phi", {"matrix": [
                 ["1/0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
                 ["0", "0", "0", "1"]]}), "/ambient/phi/matrix/0/0"),
@@ -199,6 +213,16 @@ class TestConfigParsing:
         data = json.loads(json.dumps(MINIMAL))
         _immersion(["u", "v", "0", "0"], ["u", "v"], grid=[[0, 1, 1000], [0, 1, 100]])(data)
         assert parse_config(data).immersion_samples.size == MAX_POINTS
+        data["immersion"]["samples"]["extra_points"] = [[0, 0]]
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.path == "/immersion/samples"
+
+    def test_point_work_cap_is_inclusive(self):
+        data = json.loads(json.dumps(MINIMAL))
+        _wide_immersion([[0, 1, 128], [0, 1, 128]])(data)
+        cfg = parse_config(data)
+        assert cfg.immersion_samples.size * cfg.dim ** 2 == MAX_POINT_WORK
         data["immersion"]["samples"]["extra_points"] = [[0, 0]]
         with pytest.raises(ConfigError) as err:
             parse_config(data)
@@ -432,8 +456,9 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
     def test_overflowing_curvatures_fail_quietly(self, tmp_path, capsys):
-        # B = -((1-psi) c_p + psi c_q)/4 overflows in floats, so the oracle's gap is NaN;
-        # the exact certificate does not overflow, and its Bianchi identity holds exactly.
+        # A and B are near 1e307, so the products in curvature() overflow and the oracle's
+        # gap is NaN; the exact certificate does not overflow, and its Bianchi identity
+        # holds exactly.
         mutate = _curvature_run(c_p=1e308, c_q=-1e308)
         assert self._run_mutated(tmp_path, mutate) == EXIT_SUITE_FAILED
         captured = capsys.readouterr()

@@ -108,13 +108,19 @@ def test_ordering_is_total_on_distinct_values():
         ("-2*sqrt5", QuadRat(0, -2)),
         ("2-sqrt5", QuadRat(2, -1)),
         ("0.25", QuadRat(Fraction(1, 4))),
+        # A coefficient of sqrt5 is never split into a rational part and a shorter one.
+        ("12*sqrt5", QuadRat(0, 12)),
+        ("-10*sqrt5", QuadRat(0, -10)),
+        ("0.5*sqrt5", QuadRat(0, Fraction(1, 2))),
+        ("91/9*sqrt5", QuadRat(0, Fraction(91, 9))),
+        ("1 - 3/4*sqrt5", QuadRat(1, Fraction(-3, 4))),
     ],
 )
 def test_parse_quadrat(text, expected):
     assert parse_quadrat(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "psi", "sqrt2", "1+", "x*sqrt5", "1..2"])
+@pytest.mark.parametrize("bad", ["", "psi", "sqrt2", "1+", "x*sqrt5", "1..2", "2sqrt5"])
 def test_parse_quadrat_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_quadrat(bad)

@@ -25,12 +25,11 @@ from goldenslant.config import parse_config
 from goldenslant.errors import DimensionMismatch
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat
 from goldenslant.spaceform import (
+    NABLA_STATEMENTS,
     ORACLE_TOL,
-    SpaceFormModel,
     ambient_oracle,
     curvature,
     curvature_certificate,
-    nabla_identities_certificate,
 )
 from goldenslant.structures import (
     GoldenStructure,
@@ -44,6 +43,7 @@ from support import (
     _amax,
     _dot,
     _phi,
+    ReferenceModel,
     curvature_program,
     diagonal_model,
     prefix,
@@ -51,6 +51,7 @@ from support import (
     r_dot_s,
     r_dot_s_closed_form,
     random_golden,
+    reference_model,
     ricci_closed,
     ricci_framesum,
     tuples,
@@ -62,7 +63,7 @@ PSI_F = float(PSI)
 class Ambient(NamedTuple):
     """A model's structure in the ambient coordinates x, where the reference works."""
 
-    model: SpaceFormModel
+    model: ReferenceModel
     phi: np.ndarray  # phi in x
     g: np.ndarray
     w: np.ndarray  # y = W x, with g = W^T W
@@ -72,7 +73,7 @@ class Ambient(NamedTuple):
 
 def _ambient(structure, c_p, c_q):
     s = structure.to_float()
-    return Ambient(SpaceFormModel(structure, c_p, c_q), s.phi_float, s.metric.matrix,
+    return Ambient(reference_model(structure, c_p, c_q), s.phi_float, s.metric.matrix,
                    s.metric.w, s.metric.w_inv, np.hstack(golden_eigendecomp(s)))
 
 
@@ -113,6 +114,10 @@ def _certificate(model):
     return curvature_certificate(model.n, model.p, model.c_p, model.c_q)
 
 
+def _oracle(model, trials, seed):
+    return ambient_oracle(model.phi, model.p, _certificate(model), trials, seed)
+
+
 def _agreement(model):
     return _certificate(model).identities["ricci_framesum_vs_closed"]
 
@@ -143,17 +148,17 @@ class TestCurvatureTensor:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x, y, z = rng.standard_normal((3, 4))
-            assert np.abs(curvature(model, x, y, z)).max() == 0.0
+            assert np.abs(model.curvature(x, y, z)).max() == 0.0
 
     def test_matches_independent_transcription(self):
         amb = _diagonal_ambient(4, 2, 1.0, 2.0)
         model, e = amb.model, np.eye(4)
-        direct = curvature(model, e[0], e[2], e[0])
+        direct = model.curvature(e[0], e[2], e[0])
         assert np.abs(direct - _naive_curvature(amb, e[0], e[2], e[0])).max() <= 1e-14
         rng = np.random.default_rng(1)
         for _ in range(50):
             x, y, z = rng.standard_normal((3, 4))
-            assert np.abs(curvature(model, x, y, z)
+            assert np.abs(model.curvature(x, y, z)
                           - _naive_curvature(amb, x, y, z)).max() <= 1e-12
 
     def test_antisymmetry_manifest(self):
@@ -169,7 +174,7 @@ class TestCurvatureTensor:
     def test_dimension_mismatch(self):
         model = diagonal_model(4, 2, 1.0, 1.0)
         with pytest.raises(DimensionMismatch):
-            curvature(model, np.ones(3), np.ones(4), np.ones(4))
+            model.curvature(np.ones(3), np.ones(4), np.ones(4))
 
 
 class TestRicci:
@@ -215,10 +220,10 @@ class TestRicci:
 
     def test_random_structure_model(self):
         structure = random_golden(6, 2, seed=5)
-        model = SpaceFormModel(structure, 1.0, -1.0)
+        model = reference_model(structure, 1.0, -1.0)
         assert model.p == 2
         assert _agreement(model) == 0
-        assert ambient_oracle(model, _certificate(model).kappa, 50, 0) <= ORACLE_TOL
+        assert _oracle(model, 50, 0) <= ORACLE_TOL
 
 
 class TestCommutationFindings:
@@ -252,8 +257,8 @@ class TestCommutationFindings:
         # phi-argument residual on (e1, e3, e1) is exactly sqrt5 |B|.
         model = diagonal_model(4, 2, 1.0, 1.0)
         e = np.eye(4)
-        lhs = curvature(model, e[0], e[2], model.phi @ e[0])
-        rhs = model.phi @ curvature(model, e[0], e[2], e[0])
+        lhs = model.curvature(e[0], e[2], model.phi @ e[0])
+        rhs = model.phi @ model.curvature(e[0], e[2], e[0])
         gap = np.abs(lhs - rhs).max()
         assert math.isclose(gap, math.sqrt(5.0) * abs(model.coeff_b), abs_tol=1e-12)
 
@@ -263,8 +268,8 @@ class TestCommutationFindings:
         phi[0, 1] = 0.05
         structure = GoldenStructure(phi, Metric.euclidean(4, backend="float"),
                                     validate=False)
-        model = SpaceFormModel(structure, 1.0, 1.0)
-        assert ambient_oracle(model, _certificate(model).kappa, 50, 0) > 1e-3
+        model = reference_model(structure, 1.0, 1.0)
+        assert _oracle(model, 50, 0) > 1e-3
         cfg = _curvature_config(4, 1.0, 1.0, trials=50, seed=0)
         report = run_curvature_suite(cfg, structure, cfg.tolerances)
         assert not report["pass"] and report["identities"]["ambient_oracle"] > 1e-3
@@ -313,8 +318,8 @@ class TestDerivationAction:
         rng = np.random.default_rng(7)
         for _ in range(30):
             x, y, z, w = rng.standard_normal((4, 4))
-            rz = curvature(model, x, y, z)
-            rw = curvature(model, x, y, w)
+            rz = model.curvature(x, y, z)
+            rw = model.curvature(x, y, w)
             predicted_gap = -beta * (float(rz @ (model.phi @ w))
                                      - float(rw @ (model.phi @ z)))
             actual = r_dot_s(model, x, y, z, w) - r_dot_s_closed_form(model, x, y, z, w)
@@ -331,21 +336,34 @@ class TestDerivationAction:
             assert min(result.rs_phi_propositions.values()) > QuadRat(Fraction(1, 10))
 
 
-class TestNablaCertificate:
-    def test_certificate_reports_constant_coefficients(self):
-        model = diagonal_model(4, 2, 1.0, 2.0)
-        cert = nabla_identities_certificate(model)
-        assert cert.certified
+class TestCoefficients:
+    def test_certificate_carries_the_exact_coefficients(self):
+        cert = curvature_certificate(4, 2, 1.0, 2.0)
         # A = -((1-psi) - 2 psi)/(2 sqrt5) = (15 + sqrt5)/20 and
-        # B = -((1-psi) + 2 psi)/4 = -(1 + psi)/4, evaluated exactly:
-        assert math.isclose(cert.coeff_a, (15 + math.sqrt(5)) / 20, abs_tol=1e-15)
-        assert math.isclose(cert.coeff_b, -(1 + PSI_F) / 4, abs_tol=1e-15)
-        assert len(cert.statements) == 2
+        # B = -((1-psi) + 2 psi)/4 = -(1 + psi)/4; tr phi = 2 psi + 2 (1 - psi) = 2, so
+        # alpha = A (n - 2) + B tr phi = 2 A + 2 B and beta = A (tr phi - 1) + B (n - 2) = A + 2 B.
+        a, b = (15 + SQRT5) / 20, -(1 + PSI) / 4
+        assert cert.coefficients == {"coeff_a": a, "coeff_b": b,
+                                     "ricci_g_coeff": 2 * a + 2 * b, "ricci_phi_coeff": a + 2 * b}
 
     def test_flat_certificate_has_zero_coefficients(self):
-        cert = nabla_identities_certificate(diagonal_model(4, 2, 0.0, 0.0))
-        assert cert.coeff_a == 0.0 and cert.coeff_b == 0.0
-        assert cert.ricci_g_coeff == 0.0 and cert.ricci_phi_coeff == 0.0
+        assert not any(curvature_certificate(4, 2, 0.0, 0.0).coefficients.values())
+
+    def test_reference_floats_round_the_exact_coefficients(self):
+        for model in MODELS + CERTIFIED_MODELS:
+            for key, exact in _certificate(model).coefficients.items():
+                assert math.isclose(getattr(model, key), float(exact), rel_tol=1e-15,
+                                    abs_tol=1e-15), (model.n, model.p, key)
+
+    @pytest.mark.parametrize("n,c_p,c_q", [(4, 0.0, 0.0), (4, 1.0, -1.0), (6, 2.0, 3.0),
+                                           (8, -3.0, 0.125)])
+    def test_report_certificate_is_the_floats_of_the_exact_coefficients(self, n, c_p, c_q):
+        cfg = _curvature_config(n, c_p, c_q, trials=5, seed=0)
+        report = run_curvature_suite(cfg, cfg.build_structure(), cfg.tolerances)
+        cert = curvature_certificate(n, n // 2, c_p, c_q)
+        assert report["certificate"] == {
+            "certified": True, **{key: float(v) for key, v in cert.coefficients.items()},
+            "statements": list(NABLA_STATEMENTS)}
 
 
 # -- batched probes against a per-trial oracle ----------------------------------
@@ -502,7 +520,7 @@ class TestBatchedProbes:
         assert np.abs(model.phi - np.diag(np.diag(model.phi))).max() > 0.1
         assert np.abs(model.phi - SKEWED.phi).max() > 0.1
         assert _agreement(model) == 0
-        assert ambient_oracle(model, _certificate(model).kappa, 50, 0) <= ORACLE_TOL
+        assert _oracle(model, 50, 0) <= ORACLE_TOL
 
     def test_tensors_are_the_ambient_ones_under_w(self):
         # R maps by W; S, R.S and the claimed R.S are scalars and agree as they are.
@@ -511,7 +529,7 @@ class TestBatchedProbes:
         for y1, y2, y3, y4 in ys:
             x1, x2, x3, x4 = (SKEWED.w_inv @ v for v in (y1, y2, y3, y4))
             rz = w @ _naive_curvature(SKEWED, x1, x2, x3)
-            assert np.abs(curvature(model, y1, y2, y3) - rz).max() <= 1e-12 * np.abs(rz).max()
+            assert np.abs(model.curvature(y1, y2, y3) - rz).max() <= 1e-12 * np.abs(rz).max()
             pairs = [(ricci_framesum(model, y1, y2), _naive_ricci(SKEWED, x1, x2, "framesum")),
                      (ricci_closed(model, y1, y2), _naive_ricci(SKEWED, x1, x2)),
                      (r_dot_s(model, y1, y2, y3, y4), _naive_rs(SKEWED, x1, x2, x3, x4)),
@@ -532,10 +550,10 @@ class TestBatchedProbes:
     def test_curvature_broadcasts_over_trials(self):
         model = SKEWED.model
         x, y, z = np.random.default_rng(12).standard_normal((3, 5, model.n))
-        batched = curvature(model, x, y, z)
+        batched = model.curvature(x, y, z)
         assert batched.shape == (5, model.n)
         for t in range(5):
-            single = curvature(model, x[t], y[t], z[t])
+            single = model.curvature(x[t], y[t], z[t])
             assert single.shape == (model.n,)
             assert np.abs(single - batched[t]).max() <= 1e-12
             reference = SKEWED.w @ _naive_curvature(
@@ -546,9 +564,9 @@ class TestBatchedProbes:
         model = diagonal_model(4, 2, 1.0, 1.0)
         good = np.ones((5, 4))
         with pytest.raises(DimensionMismatch):
-            curvature(model, np.ones((5, 3)), good, good)
+            model.curvature(np.ones((5, 3)), good, good)
         with pytest.raises(DimensionMismatch):
-            curvature(model, good, good, np.ones((4, 5)))
+            model.curvature(good, good, np.ones((4, 5)))
 
     def test_bulk_draw_equals_sequential_draws(self):
         model = diagonal_model(8, 4, 1.0, -1.0)
@@ -564,7 +582,7 @@ class TestBatchedProbes:
 
 def _probe_by_probe(model, trials, seed):
     """Each probe with its own draw, sharing nothing: the bodies before the program."""
-    r, phi, inner = partial(curvature, model), partial(_phi, model), _dot
+    r, phi, inner = model.curvature, partial(_phi, model), _dot
     _worst = _amax
 
     def ricci_phi(path):
@@ -783,22 +801,36 @@ class TestOracle:
 
     def test_skewed_and_random_structures_pass(self):
         models = [amb.model for amb in ORACLE_AMBIENTS]
-        models += [SpaceFormModel(random_golden(n, p, seed=n), 2.0, -0.5)
+        models += [reference_model(random_golden(n, p, seed=n), 2.0, -0.5)
                    for n, p in ((3, 1), (6, 4), (8, 5))]
         for model in models:
-            assert ambient_oracle(model, _certificate(model).kappa, 30, 1) <= ORACLE_TOL
+            assert _oracle(model, 30, 1) <= ORACLE_TOL
 
     def test_a_wrong_tensor_fails(self):
         model = SKEWED.model
-        kappa = dict(_certificate(model).kappa, pq=QuadRat(0))
-        assert ambient_oracle(model, kappa, 30, 1) > 1e-3
+        cert = _certificate(model)
+        cert = cert._replace(kappa=dict(cert.kappa, pq=QuadRat(0)))
+        assert ambient_oracle(model.phi, model.p, cert, 30, 1) > 1e-3
+
+    def test_a_wrong_p_fails(self):
+        # The psi-directions are the top p eigenvectors of phi_hat, so one too many or too
+        # few puts a kappa on the wrong pairs; the certificate is the one of that p.
+        models = [SKEWED.model, reference_model(random_golden(8, 5, seed=8), 2.0, -0.5),
+                  diagonal_model(4, 2, 1.0, 1.0)]
+        for model in models:
+            for p in (model.p - 1, model.p + 1):
+                cert = curvature_certificate(model.n, p, model.c_p, model.c_q)
+                assert ambient_oracle(model.phi, p, cert, 30, 1) > 1e-3, (model.n, p)
 
     def test_non_finite_curvature_fails(self):
-        # B overflows in floats; the exact kappa are finite.
+        # The exact A, B and kappa are within the float range, but the products of
+        # curvature() overflow.
         model = diagonal_model(4, 2, 1e308, -1e308)
-        assert math.isinf(model.coeff_b)
+        cert = _certificate(model)
+        assert all(math.isfinite(float(v))
+                   for v in (*cert.coefficients.values(), *cert.kappa.values()))
         with np.errstate(over="ignore", invalid="ignore"):
-            gap = ambient_oracle(model, _certificate(model).kappa, 10, 0)
+            gap = _oracle(model, 10, 0)
         assert math.isnan(gap) and not gap <= ORACLE_TOL
 
     def test_suite_calls_curvature_once_on_one_draw_with_fixed_exact_work(self, monkeypatch):

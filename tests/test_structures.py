@@ -3,11 +3,14 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import goldenslant.exactlin as xl
+from goldenslant.cli import list_bundled, resolve_config
+from goldenslant.config import load_config
 from goldenslant.errors import (
     DimensionMismatch,
     InvalidInvolution,
@@ -203,6 +206,29 @@ class TestEigendecomp:
         assert np.abs(f @ basis_psi - basis_psi).max() <= 1e-10
         # g-orthogonality across the two spaces
         assert np.abs(basis_psi.T @ basis_neg).max() <= 1e-10
+
+
+def _count_above_one_half(s) -> int:
+    return int(np.count_nonzero(np.linalg.eigvalsh(s.phi_hat) > 0.5))
+
+
+CONFIG_PATHS = ([resolve_config(name) for name in list_bundled()]
+                + sorted((Path(__file__).parent / "configs").glob("*.cfg")))
+
+
+class TestEigenspaceDims:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+    def test_random_structures_count_the_eigenvalues_above_one_half(self, n):
+        for p in sorted({0, 1, n // 2, n - 1, n}):
+            s = random_golden(n, p, seed=n + p)
+            assert s.eigenspace_dims == (_count_above_one_half(s), n - p) == (p, n - p)
+
+    @pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda path: path.stem)
+    def test_config_structures_on_both_backends(self, path):
+        exact = load_config(path).build_structure()
+        for s in (exact, exact.to_float()):
+            p = _count_above_one_half(s)
+            assert s.eigenspace_dims == (p, s.n - p), (s.backend, s.eigenspace_dims)
 
 
 class TestMetricAndInvariants:
