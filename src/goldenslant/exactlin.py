@@ -14,8 +14,8 @@ over all of its integers, so equal matrices hold equal arrays.
   :func:`concatenate` keep the form; reading one entry gives a QuadRat.
 * ``numpy.asarray(m, dtype=float)`` is the float view: the bits of ``float(QuadRat)``
   per entry (:func:`~goldenslant.quadrat.to_float`, so an entry whose terms cancel
-  more than 2 bits, such as ``(1 - psi)^40``, is taken from the integers to within
-  an ulp, and one past the float range is infinite).  Without a dtype it is an
+  more than 2 bits, such as ``(1 - psi)^40``, or that is a multiple of sqrt5 is taken
+  from the integers to within an ulp, and one past the float range is infinite).  Without a dtype it is an
   object array of QuadRat.
 
 No float enters: any other operand is a TypeError, and numpy's own

@@ -19,7 +19,8 @@ entry read out, an exact max or a lambda.  :attr:`QuadRat.integers`,
 ``float(x)`` and the float view of an exact matrix share one formula,
 :func:`to_float`: two correctly rounded int divisions and one float sum,
 recomputed from the integers to within an ulp where the sum cancels more
-than 2 bits or leaves the float range (infinite only past it).
+than 2 bits, is the sqrt5 term alone (``p = 0``, which the fast form rounds
+twice) or leaves the float range (infinite only past it).
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ class QuadRat:
         return f"QuadRat({self.a!s}, {self.b!s})"
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        if a == 0:
-            return f"{b}*sqrt5"
-        sign = "+" if b > 0 else "-"
-        return f"{a}{sign}{abs(b)}*sqrt5"
+        p, q, d = self._p, self._q, self._d
+        if not q:
+            return _ratio(p, d)
+        if not p:
+            return f"{_ratio(q, d)}*sqrt5"
+        return f"{_ratio(p, d)}{'+' if q > 0 else '-'}{_ratio(abs(q), d)}*sqrt5"
 
     def __hash__(self) -> int:
         return hash((self._p, self._q, self._d))
@@ -185,8 +185,9 @@ def to_float(p: int, q: int, d: int) -> float:
 
 def fast_sum_holds(total, a, b):
     """Whether the float sum ``total = a + b`` of the two terms is finite and cancels at
-    most 2 bits, so that its relative error stays under 2^-49: floats or float arrays."""
-    return (abs(a) + abs(b) <= abs(total) * 4) & (abs(total) < math.inf)
+    most 2 bits, so that its relative error stays under 2^-49, and is not ``b`` alone (as
+    for p = 0), which :func:`rounded` rounds once instead of twice: floats or float arrays."""
+    return (abs(a) + abs(b) <= abs(total) * 4) & (abs(total) < math.inf) & ((a != 0) | (b == 0))
 
 
 def rounded(p: int, q: int, d: int) -> float:
@@ -200,6 +201,12 @@ def rounded(p: int, q: int, d: int) -> float:
         return num / (d << k)
     except OverflowError:
         return math.inf if num > 0 else -math.inf
+
+
+def _ratio(n: int, d: int) -> str:
+    """The text of the Fraction ``n/d`` for ``d > 0``: ``n`` alone when it reduces to an integer."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _exact(x) -> QuadRat | None:

@@ -39,10 +39,12 @@ vector-valued check on (X, Y, Z) is read as the scalar g(V(X, Y, Z), W) on
 Each basis value is an integer combination of *atoms* (kappa, the s_a and
 beta, and their products for R.S) with coefficients ``a + b psi``, which do not
 depend on the model.  They are computed once, with numpy integer arrays, when
-the module loads; a certificate evaluates the distinct nonzero combinations its
-(n, p) realizes in :class:`~goldenslant.quadrat.QuadRat`.  The Ricci frame sum
-is the exact sum s_a = sum_b (count_b - [a = b]) kappa_ab over the eigenspaces
-b, compared with the closed form alpha + beta phi_a.
+the module loads.  A certificate holds the atoms as integer pairs over one
+denominator, evaluates the distinct nonzero combinations its (n, p) realizes as
+integer dot products, and makes one :class:`~goldenslant.quadrat.QuadRat` per
+check result.  The Ricci frame sum is the exact sum
+s_a = sum_b (count_b - [a = b]) kappa_ab over the eigenspaces b, compared with
+the closed form alpha + beta phi_a.
 
 The certificate also carries the exact A, B and the Ricci coefficients alpha and
 beta of ``S(Y, Z) = alpha g(Y, Z) + beta g(phi Y, Z)``; the report reads their floats.
@@ -68,13 +70,13 @@ nabla S vanish identically and both sides of their phi-identities are 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
+from .quadrat import QuadRat, from_integers, sign
 
 ORACLE_TOL = 1e-12
 # The covariant-derivative statements, certified structurally (see above).
@@ -234,64 +236,94 @@ def _distinct(values: np.ndarray) -> dict[tuple, set]:
 
 # The certificate's structure, independent of the model: each check's distinct basis values.
 _ROWS = {check: _distinct(values) for check, values in _basis_values().items()}
-# A = -((1-psi) c_p - psi c_q) / (2 sqrt5) and B = -((1-psi) c_p + psi c_q) / 4, by c_p, c_q
-_A = (-ONE_MINUS_PSI / (SQRT5 * 2), PSI / (SQRT5 * 2))
-_B = (-ONE_MINUS_PSI / 4, -PSI / 4)
-# kappa_ij = A (1 + phi_i phi_j) + B (phi_i + phi_j) for the eigenvalue pairs pp, pq, qq
-_KAPPA = [(1 + x * y, x + y) for x, y in ((PSI, PSI), (PSI, ONE_MINUS_PSI),
-                                          (ONE_MINUS_PSI, ONE_MINUS_PSI))]
 
 
-def _worst(check: str, atoms: list[QuadRat], p: int, q: int) -> QuadRat:
-    """max |sum_m (a_m + b_m psi) atom_m| over the rows of ``check`` that p psi- and q
-    (1 - psi)-eigenvectors realize, exactly: 0 when none is nonzero as a combination."""
-    values = set()
-    for row, uses in _ROWS[check].items():
-        if any(used_p <= p and used_q <= q for used_p, used_q in uses):
-            terms = [from_integers(2 * a + b, b, 2) * atom
-                     for atom, a, b in zip(atoms, row[::2], row[1::2]) if a or b]
-            values.add(abs(sum(terms[1:], terms[0])))
-    return max(values, default=QuadRat(0))
+def _terms(rows: dict[str, dict[tuple, set]]) -> dict[str, list]:
+    """Per check, each row of ``rows`` as the (psi, 1 - psi) eigenspace dimensions, capped
+    at 4, that realize it, and its terms ``(m, 2a + b, b)``: the nonzero coefficients
+    ``a + b psi = (2a + b + b sqrt5)/2`` of the atoms m."""
+    return {check: [({(p, q) for p in range(5) for q in range(5)
+                      if any(used_p <= p and used_q <= q for used_p, used_q in uses)},
+                     [(m, 2 * a + b, b) for m, (a, b) in enumerate(zip(row[::2], row[1::2]))
+                      if a or b]) for row, uses in check_rows.items()]
+            for check, check_rows in rows.items()}
+
+
+_TERMS = _terms(_ROWS)  # the table the certificate reads
+
+
+def _product(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """(u0 + u1 sqrt5)(v0 + v1 sqrt5) as the integer pair of its two parts."""
+    return u[0] * v[0] + 5 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _worst(checks: tuple[str, ...], atoms: list[tuple[int, int]], den: int, p: int,
+           q: int) -> dict[str, QuadRat]:
+    """Per check, max |sum_m (a_m + b_m psi) atom_m| over its rows that p psi- and q
+    (1 - psi)-eigenvectors realize (0 if none is nonzero), exactly: with the atoms m given
+    as ``(P_m, Q_m)`` over ``den``, a row is ``(X + Y sqrt5)/(2 den)`` with the integer dot
+    products ``X = sum (2a + b) P + 5 b Q`` and ``Y = sum (2a + b) Q + b P``."""
+    out, dims = {}, (min(p, 4), min(q, 4))
+    for check in checks:
+        best_x = best_y = 0
+        for realized, terms in _TERMS[check]:
+            if dims in realized:
+                x = y = 0
+                for m, c, e in terms:
+                    big_p, big_q = atoms[m]
+                    x += c * big_p + 5 * e * big_q
+                    y += c * big_q + e * big_p
+                if sign(x, y) < 0:
+                    x, y = -x, -y
+                if sign(x - best_x, y - best_y) > 0:
+                    best_x, best_y = x, y
+        out[check] = from_integers(best_x, best_y, 2 * den)
+    return out
 
 
 def curvature_certificate(n: int, p: int, c_p: float, c_q: float) -> CurvatureCertificate:
-    """Every check of the curvature suite evaluated exactly on one basis tuple per class."""
-    cp, cq = Fraction(c_p), Fraction(c_q)
-    a = _A[0] * cp + _A[1] * cq
-    b = _B[0] * cp + _B[1] * cq
-    kappa = [a * a_factor + b * b_factor for a_factor, b_factor in _KAPPA]
-    counts = (p, n - p)
-    trace = PSI * p + ONE_MINUS_PSI * (n - p)
-    alpha, beta = a * (n - 2) + b * trace, a * (trace - 1) + b * (n - 2)
+    """Every check of the curvature suite evaluated exactly on one basis tuple per class.
+
+    With ``c_p = P/L`` and ``c_q = Q/L``, every atom of degree one in (c_p, c_q) is an integer
+    pair (x, y) meaning ``(x + y sqrt5)/D`` over ``D = 320 L``, and an R.S atom is one over
+    D^2: A = (5 (c_p + c_q) - (c_p - c_q) sqrt5)/20, B = ((c_p - c_q) sqrt5 - (c_p + c_q))/8,
+    kappa_pp, kappa_pq, kappa_qq = c_p, B, c_q (as 1 + psi^2 = 2 + psi), and with
+    2 tr phi = n + (2p - n) sqrt5 and 2 phi_a = 1 +- sqrt5 the Ricci coefficients and the
+    closed form, whose halvings are exact.
+    """
+    (big_p, den_p), (big_q, den_q) = c_p.as_integer_ratio(), c_q.as_integer_ratio()
+    den = 320 * lcm(den_p, den_q)
+    big_p, big_q = big_p * (den // den_p), big_q * (den // den_q)
+    a = ((big_p + big_q) // 4, (big_q - big_p) // 20)
+    b = (-(big_p + big_q) // 8, (big_p - big_q) // 8)
+    kappa = [(big_p, 0), b, (big_q, 0)]
+    alpha = tuple((n - 2) * x + y // 2 for x, y in zip(a, _product(b, (n, 2 * p - n))))
+    beta = tuple(x // 2 + (n - 2) * y for x, y in zip(_product(a, (n - 2, 2 * p - n)), b))
+    closed = [tuple(x + y // 2 for x, y in zip(alpha, _product(beta, (1, root))))
+              for root in (1, -1)]
     # The frame sum sum_i g(R(e_i, e_a)e_a, e_i) = sum_b (count_b - [a = b]) kappa_ab.
-    framesum = [kappa[la] * (counts[0] - (la == 0)) + kappa[la + 1] * (counts[1] - (la == 1))
-                for la in (0, 1)]
-    closed = [alpha + beta * PSI, alpha + beta * ONE_MINUS_PSI]
-    rs_atoms = [k * s for k in kappa for s in (*closed, beta)]
+    counts = (p, n - p)
+    framesum = [tuple((counts[0] - (la == 0)) * x + (counts[1] - (la == 1)) * y
+                      for x, y in zip(kappa[la], kappa[la + 1])) for la in (0, 1)]
 
-    def worst(check, atoms):
-        return _worst(check, atoms, p, n - p)
+    def worst(checks, atoms, atoms_den=den):
+        return _worst(checks, atoms, atoms_den, p, n - p)
 
-    commutator = worst("phi_argument", kappa)
+    commutation = worst(("phi_argument", "first_slots", "both_slots", "form_both_phi"), kappa)
+    rs = worst(("rs_corollary", "arguments", "values", "rs_closed_form_gap",
+                "non_semi_symmetry_probe"),
+               [_product(k, s) for k in kappa for s in (*closed, beta)], den * den)
+    ricci_phi = ("phi_sq_left", "phi_sq_right", "phi_both", "phi_swap")
     return CurvatureCertificate(
-        coefficients={"coeff_a": a, "coeff_b": b,
-                      "ricci_g_coeff": alpha, "ricci_phi_coeff": beta},
-        kappa=dict(zip(("pp", "pq", "qq"), kappa)),
-        identities={"ricci_framesum_vs_closed": worst("ricci_framesum_vs_closed",
-                                                      framesum + closed),
-                    **{check: worst(check, kappa)
-                       for check in ("bianchi", "pair_symmetry", "antisymmetry")}},
-        ricci_phi={path: {check: worst(check, s)
-                          for check in ("phi_sq_left", "phi_sq_right", "phi_both", "phi_swap")}
-                   for path, s in (("framesum", framesum), ("closed", closed))},
-        commutation={"phi_argument": commutator,
-                     **{check: worst(check, kappa)
-                        for check in ("first_slots", "both_slots", "form_both_phi")},
-                     "form_swap": commutator},
-        rs_corollary=worst("rs_corollary", rs_atoms),
-        rs_phi_propositions={check: worst(check, rs_atoms) for check in ("arguments", "values")},
-        rs_closed_form_gap=worst("rs_closed_form_gap", rs_atoms),
-        non_semi_symmetry_probe=worst("non_semi_symmetry_probe", rs_atoms),
+        coefficients={key: from_integers(*v, den) for key, v in zip(
+            ("coeff_a", "coeff_b", "ricci_g_coeff", "ricci_phi_coeff"), (a, b, alpha, beta))},
+        kappa={key: from_integers(*k, den) for key, k in zip(("pp", "pq", "qq"), kappa)},
+        identities={**worst(("ricci_framesum_vs_closed",), framesum + closed),
+                    **worst(("bianchi", "pair_symmetry", "antisymmetry"), kappa)},
+        ricci_phi={"framesum": worst(ricci_phi, framesum), "closed": worst(ricci_phi, closed)},
+        commutation={**commutation, "form_swap": commutation["phi_argument"]},
+        rs_phi_propositions={check: rs.pop(check) for check in ("arguments", "values")},
+        **rs,  # rs_corollary, rs_closed_form_gap and non_semi_symmetry_probe
     )
 
 

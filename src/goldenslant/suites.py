@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Any
 
 import numpy as np
@@ -292,25 +293,59 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
 
 
 # Strict JSON has no NaN or Infinity, so non-finite floats become these strings.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NON_FINITE = {"nan": '"NaN"', "inf": '"Infinity"', "-inf": '"-Infinity"'}
 
 
-def _jsonable(value):
+def _key(key) -> str:
+    """A dictionary key as ``json`` writes it: a str, or the JSON of a number, bool or None."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _quoted(key if isinstance(key, str) else json.dumps(key, allow_nan=False))
+
+
+def _float_text(value: float) -> str:
+    """A float as ``json`` writes it, or a non-finite one as its strict-JSON string."""
+    text = float.__repr__(value)
+    return text if math.isfinite(value) else _NON_FINITE[text]
+
+
+# The text of a value of each leaf type a report holds, looked up by its exact type.
+_LEAVES = {str: _quoted, float: _float_text, int: int.__repr__, bool: ("false", "true").__getitem__,
+           type(None): lambda _: "null", QuadRat: lambda value: _quoted(str(value))}
+
+
+def _text(value, newline: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it after ``newline`` (a line break
+    and the indent of its line), numpy values by ``.item()``/``.tolist()`` and QuadRat by str."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if type(value) in (list, tuple):  # not a NamedTuple record
-        return [_jsonable(v) for v in value]
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [(_quoted(k) if type(k) is str else _key(k)) + ": "
+                 + (leaf(v) if (leaf := _LEAVES.get(type(v))) else _text(v, inner))
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [leaf(v) if (leaf := _LEAVES.get(type(v))) else _text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    for kind in (str, float, int, QuadRat):  # subclasses of the leaf types, np.float64 among them
+        if isinstance(value, kind):
+            return _LEAVES[kind](value)
     if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
+        return _text(value.item(), newline)
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, QuadRat):
-        return str(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return _NON_FINITE[repr(value)]
-    return value
+        return _text(value.tolist(), newline)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_report(report: dict) -> str:
-    """Deterministic strict-JSON text of a report (sorted keys, stable floats)."""
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic strict-JSON text of a report (sorted keys, stable floats): the bytes of
+    ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)``, written in one walk
+    with non-finite floats as the strings ``"NaN"``, ``"Infinity"`` and ``"-Infinity"``."""
+    return _text(report, "\n") + "\n"

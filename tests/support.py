@@ -1,13 +1,16 @@
 """Test helpers: the batched geometry pass at one point, seeded random golden structures,
-float reference space-form models and the sampled curvature program."""
+float reference space-form models, the sampled curvature program, the curvature
+certificate in QuadRat arithmetic and the report's JSON by ``json.dumps``."""
 
+import json
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from goldenslant import spaceform
-from goldenslant.quadrat import PSI
+from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
 from goldenslant.structures import (
     AlmostProductStructure,
     Metric,
@@ -255,3 +258,95 @@ def _quad_probes(model, x, y, z, w):
                    "form_swap": form_swap}
     rs_props = {"arguments": arguments, "values": values}
     return pair_symmetry, commutation, corollary, rs_props, gap, _amax(rs)
+
+
+# -- the certificate in QuadRat arithmetic: the reference of the integer engine -----------
+
+# A = -((1-psi) c_p - psi c_q) / (2 sqrt5) and B = -((1-psi) c_p + psi c_q) / 4, by c_p, c_q
+_A = (-ONE_MINUS_PSI / (SQRT5 * 2), PSI / (SQRT5 * 2))
+_B = (-ONE_MINUS_PSI / 4, -PSI / 4)
+# kappa_ij = A (1 + phi_i phi_j) + B (phi_i + phi_j) for the eigenvalue pairs pp, pq, qq
+_KAPPA = [(1 + x * y, x + y) for x, y in ((PSI, PSI), (PSI, ONE_MINUS_PSI),
+                                          (ONE_MINUS_PSI, ONE_MINUS_PSI))]
+
+
+def reference_worst(check: str, atoms: list[QuadRat], p: int, q: int) -> QuadRat:
+    """max |sum_m (a_m + b_m psi) atom_m| over the rows of ``spaceform._ROWS[check]`` that p
+    psi- and q (1 - psi)-eigenvectors realize, term by term in QuadRat."""
+    values = set()
+    for row, uses in spaceform._ROWS[check].items():
+        if any(used_p <= p and used_q <= q for used_p, used_q in uses):
+            terms = [from_integers(2 * a + b, b, 2) * atom
+                     for atom, a, b in zip(atoms, row[::2], row[1::2]) if a or b]
+            values.add(abs(sum(terms[1:], terms[0])))
+    return max(values, default=QuadRat(0))
+
+
+def reference_certificate(n: int, p: int, c_p: float, c_q: float):
+    """:func:`goldenslant.spaceform.curvature_certificate` from QuadRat operations on the
+    closed forms of A, B, kappa, alpha, beta and the frame sums."""
+    cp, cq = Fraction(c_p), Fraction(c_q)
+    a = _A[0] * cp + _A[1] * cq
+    b = _B[0] * cp + _B[1] * cq
+    kappa = [a * a_factor + b * b_factor for a_factor, b_factor in _KAPPA]
+    counts = (p, n - p)
+    trace = PSI * p + ONE_MINUS_PSI * (n - p)
+    alpha, beta = a * (n - 2) + b * trace, a * (trace - 1) + b * (n - 2)
+    framesum = [kappa[la] * (counts[0] - (la == 0)) + kappa[la + 1] * (counts[1] - (la == 1))
+                for la in (0, 1)]
+    closed = [alpha + beta * PSI, alpha + beta * ONE_MINUS_PSI]
+    rs_atoms = [k * s for k in kappa for s in (*closed, beta)]
+
+    def worst(check, atoms):
+        return reference_worst(check, atoms, p, n - p)
+
+    commutator = worst("phi_argument", kappa)
+    return spaceform.CurvatureCertificate(
+        coefficients={"coeff_a": a, "coeff_b": b,
+                      "ricci_g_coeff": alpha, "ricci_phi_coeff": beta},
+        kappa=dict(zip(("pp", "pq", "qq"), kappa)),
+        identities={"ricci_framesum_vs_closed": worst("ricci_framesum_vs_closed",
+                                                      framesum + closed),
+                    **{check: worst(check, kappa)
+                       for check in ("bianchi", "pair_symmetry", "antisymmetry")}},
+        ricci_phi={path: {check: worst(check, s)
+                          for check in ("phi_sq_left", "phi_sq_right", "phi_both", "phi_swap")}
+                   for path, s in (("framesum", framesum), ("closed", closed))},
+        commutation={"phi_argument": commutator,
+                     **{check: worst(check, kappa)
+                        for check in ("first_slots", "both_slots", "form_both_phi")},
+                     "form_swap": commutator},
+        rs_corollary=worst("rs_corollary", rs_atoms),
+        rs_phi_propositions={check: worst(check, rs_atoms) for check in ("arguments", "values")},
+        rs_closed_form_gap=worst("rs_closed_form_gap", rs_atoms),
+        non_semi_symmetry_probe=worst("non_semi_symmetry_probe", rs_atoms),
+    )
+
+
+# -- the report's JSON: the conversion the one-pass writer replaced ------------------------
+
+# Strict JSON has no NaN or Infinity, so non-finite floats become these strings.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def jsonable(value):
+    """``value`` as plain JSON data: numpy values by ``.item()``/``.tolist()``, QuadRat by
+    str and non-finite floats by their strict-JSON strings."""
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if type(value) in (list, tuple):  # not a NamedTuple record
+        return [jsonable(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, QuadRat):
+        return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return _NON_FINITE[repr(value)]
+    return value
+
+
+def reference_render(report) -> str:
+    """The report text as ``json.dumps`` writes it from :func:`jsonable`."""
+    return json.dumps(jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"

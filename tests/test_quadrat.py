@@ -16,6 +16,7 @@ from goldenslant.quadrat import (
     QuadRat,
     SQRT5,
     fast_sum_holds,
+    from_integers,
     parse_quadrat,
     rounded,
 )
@@ -228,6 +229,7 @@ def test_canonical_form_of_unreduced_inputs():
 @given(_pairs)
 @example((Fraction(9, 4), Fraction(-1)))  # 9/4 - sqrt5 cancels 8.3 bits
 @example((Fraction(-(10**308)), Fraction(10**308)))  # 10^308 sqrt5 alone is past the range
+@example((Fraction(0), Fraction(-1, 10)))  # a multiple of sqrt5 is rounded once
 def test_float_is_the_fraction_formula_unless_it_cancels(x):
     a, b = float(x[0]), float(x[1]) * math.sqrt(5.0)
     got = float(QuadRat(*x))
@@ -238,6 +240,47 @@ def test_float_is_the_fraction_formula_unless_it_cancels(x):
             exact = float(Decimal(x[0].numerator) / x[0].denominator
                           + Decimal(x[1].numerator) / x[1].denominator * Decimal(5).sqrt())
         assert abs(got - exact) <= math.ulp(exact)
+
+
+@given(_fractions.filter(bool))
+@example(Fraction(-1, 10))  # A for (c_p, c_q) = (1, -1): (q/d) * sqrt5 reads -0.223606797749979
+@example(Fraction(2, 5))
+def test_a_multiple_of_sqrt5_is_correctly_rounded_in_both_views(b):
+    with localcontext(prec=200):
+        exact = float(Decimal(b.numerator) / b.denominator * Decimal(5).sqrt())
+    x = QuadRat(0, b)
+    assert float(x) == exact
+    view = np.asarray(xl.qmatrix([[x, QuadRat(1)], [QuadRat(b), -x]]), dtype=float)
+    assert view.tolist() == [[exact, 1.0], [float(b), -exact]]
+
+
+def test_the_report_coefficients_of_a_multiple_of_sqrt5():
+    assert float(-SQRT5 / 10) == -0.22360679774997896
+    assert float(SQRT5 * 2 / 5) == 0.8944271909999159
+
+
+def _fraction_text(x):
+    """The text of ``x`` from its Fraction parts ``a`` and ``b``."""
+    a, b = x.a, x.b
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*sqrt5"
+    return f"{a}{'+' if b > 0 else '-'}{abs(b)}*sqrt5"
+
+
+_text_ints = st.just(0) | st.integers(-50, 50) | st.integers(-2**200, 2**200)
+
+
+@given(_text_ints, _text_ints, st.integers(1, 50) | st.integers(1, 2**200))
+@example(0, 0, 7)
+@example(-3, 0, 6)
+@example(0, -4, 6)
+@example(2**199, -(2**199), 2**200)
+def test_text_is_the_fraction_text_and_parses_back(p, q, d):
+    x = from_integers(p, q, d)
+    assert str(x) == _fraction_text(x)
+    assert parse_quadrat(str(x)) == x
 
 
 def test_float_of_a_near_cancelling_value_is_within_a_few_ulps():

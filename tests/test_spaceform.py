@@ -18,12 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goldenslant import spaceform
 from goldenslant.config import parse_config
 from goldenslant.errors import DimensionMismatch
-from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat
+from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
 from goldenslant.spaceform import (
     NABLA_STATEMENTS,
     ORACLE_TOL,
@@ -707,6 +707,8 @@ def _basis_tuples(n):
     return np.eye(n)[index.T]
 
 
+# Curvatures at the ends of the float range, and both zeros.
+EXTREMES = [1e300, -1e300, 5e-324, -5e-324, 1.7976931348623157e308, 0.0, -0.0]
 CERTIFIED_MODELS = [diagonal_model(n, p, cp, cq)
                     for (n, p), (cp, cq) in zip(
                         [(2, 1), (3, 0), (3, 3), (4, 2), (5, 2), (6, 1), (4, 1), (5, 4)],
@@ -754,14 +756,46 @@ class TestCertificate:
         w = quads[3]
         allowance = 1e-12 * _scale(model)
         for t, c in enumerate(realized.tolist()):
-            monkeypatch.setattr(spaceform, "_ROWS", {
+            monkeypatch.setattr(spaceform, "_TERMS", spaceform._terms({
                 check: {tuple(v[c].ravel().tolist()): {(0, 0)}} if v[c].any() else {}
-                for check, v in values.items()})
+                for check, v in values.items()}))
             cert = _certificate(model)._asdict()
             for path, value in _leaves(program):
                 # A vector-valued check is certified as g(V(X, Y, Z), W).
                 reference = abs(value[t] @ w[t] if value.ndim == 2 else value[t])
                 assert abs(reference - float(_read(cert, path))) <= allowance, (c, path)
+
+    def test_integer_engine_is_the_quadrat_reference_on_every_certified_model(self):
+        for model in MODELS + CERTIFIED_MODELS:
+            cert = _certificate(model)
+            assert cert == support.reference_certificate(model.n, model.p, model.c_p, model.c_q)
+            assert all(isinstance(v, QuadRat) for _, v in _leaves(cert._asdict()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), share=st.floats(0.0, 1.0),
+           c_p=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES),
+           c_q=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES))
+    @example(n=8, share=0.5, c_p=1e300, c_q=5e-324)
+    @example(n=5, share=0.0, c_p=-0.0, c_q=-1e300)
+    @example(n=3, share=1.0, c_p=0.0, c_q=-5e-324)
+    def test_integer_engine_is_the_quadrat_reference_on_random_models(self, n, share, c_p, c_q):
+        p = round(share * n)
+        assert (curvature_certificate(n, p, c_p, c_q)
+                == support.reference_certificate(n, p, c_p, c_q))
+
+    def test_one_from_integers_per_check_result(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return from_integers(*args)
+
+        monkeypatch.setattr(spaceform, "from_integers", counted)
+        for n, p, c_p, c_q in ((4, 2, 1.0, -1.0), (8, 4, 2.0, 3.0), (32, 16, 1e300, 5e-324),
+                               (5, 0, 0.0, 0.0)):
+            calls.clear()
+            cert = curvature_certificate(n, p, c_p, c_q)
+            assert 0 < len(calls) <= len(list(_leaves(cert._asdict()))), (n, p)
 
     @pytest.mark.parametrize("p,q", [(p, q) for p in range(5) for q in range(5) if p + q])
     def test_classes_are_one_per_realized_pattern(self, p, q):
@@ -856,6 +890,8 @@ class TestOracle:
         for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                    "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse"):
             monkeypatch.setattr(QuadRat, op, counted("op", vars(QuadRat)[op]))
+        # The certificate's exact work is integer arithmetic, with a QuadRat per result.
+        monkeypatch.setattr(spaceform, "from_integers", counted("op", from_integers))
         for n in (4, 32):
             cfg = _curvature_config(n, 1.0, -1.0, trials=200, seed=7)
             structure = cfg.build_structure()
