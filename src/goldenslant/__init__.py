@@ -21,7 +21,7 @@ _EXPORTS = {
     "jets": "jets Jet2",
     "quadrat": "quadrat ONE_MINUS_PSI PSI SQRT5 QuadRat parse_quadrat",
     "slant": "slant SlantReport classify reference_cosine",
-    "spaceform": "spaceform curvature curvature_certificate",
+    "spaceform": "spaceform curvature_certificate",
     "structures": "structures AlmostProductStructure GoldenStructure Metric StructureReport "
                   "diagonal_golden golden_eigendecomp golden_from_product product_from_golden "
                   "verify_golden",

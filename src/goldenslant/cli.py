@@ -79,10 +79,10 @@ hard checks (exact zeros):
   bianchi, pair_symmetry, antisymmetry
   ricci_phi (4 identities)   S(phi^2 X, Y) = S(phi X, Y) + S(X, Y), ... ,
                              S(phi X, Y) = S(phi Y, X)
-  ambient_oracle             R on spaceform.trials triples drawn from
-                             spaceform.seed, in y = W x, equals the certified
-                             tensor read with the top p eigenvectors of phi_hat
-                             as its psi-directions, within 1e-12 |X||Y||Z| max|kappa|
+  ambient_oracle             R of phi_hat (in y = W x) is within 1e-12 |X||Y||Z| max|kappa|
+                             of the certified tensor on every triple, by the bound
+                             (2|A|(2 psi e + e^2) + 4|B| e)/max|kappa|, where e bounds
+                             |phi_hat - Phi|_2 for a symmetric Phi of the certified spectrum
 findings (exact values, conforming when 0):
   commutation (5 items)      R(X,Y)phi = phi R(X,Y) and consequences -- fails
                              whenever B != 0 and both eigenspaces are present;

@@ -40,11 +40,10 @@ from .quadrat import QuadRat, parse_quadrat
 SUITE_ORDER = ("structure", "identities", "extrinsic", "slant", "curvature")
 IMMERSION_SUITES = {"identities", "extrinsic", "slant"}
 
-# The curvature oracle holds its draw of 3 * trials * dim numbers, and a few
-# arrays of trials * dim, in memory at once, so trials bound a run's memory.
+# spaceform.trials and spaceform.seed size nothing: they are validated and echoed
+# because the benchmark's generated configs write them (ROADMAP items 1 and 5 delete them).
 MAX_TRIALS = 100_000
-# Exact validation costs grow as dim^3 and the oracle's draw as dim, so the
-# dimension bounds a run's work as well.
+# Exact validation costs grow as dim^3, so the dimension bounds a run's work.
 MAX_DIM = 32
 # The point suites evaluate every sample point in one batch, so points do too.
 MAX_POINTS = 100_000

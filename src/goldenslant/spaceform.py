@@ -51,13 +51,14 @@ beta of ``S(Y, Z) = alpha g(Y, Z) + beta g(phi Y, Z)``; the report reads their f
 
 **The oracle.**  The certificate is built from ``(n, p, c_p, c_q)``, with p the
 structure's :attr:`~goldenslant.structures.GoldenStructure.eigenspace_dims`; the
-structure itself enters through :func:`ambient_oracle`, which evaluates
-:func:`curvature` with the certificate's A and B on one seeded ``(trials, 3, n)``
-draw and compares it with the certified tensor read through the orthonormal
-eigenvectors of ``phi_hat``, the top p of them as the psi-directions, so a wrong p
-fails it.  :func:`curvature` works in the metric's Euclidean model ``y = W x``
-(``g = W^T W``), where g is the dot product and phi the symmetric
-``phi_hat = W phi W^-1``, so rounding does not grow with the conditioning of g.
+structure itself enters through :func:`ambient_oracle`.  It works in the metric's
+Euclidean model ``y = W x`` (``g = W^T W``), where g is the dot product and phi the
+symmetric ``phi_hat = W phi W^-1``, so rounding does not grow with the conditioning of
+g.  R is a polynomial of degree 2 in phi, and a symmetric golden Phi with the certified
+spectrum has the certified tensor, so one number ``e >= |phi_hat - Phi|_2`` bounds
+the gap between R of ``phi_hat`` and the certified tensor on every triple at once.
+``e`` comes from the skew part of ``phi_hat`` and the distance of its symmetric
+part's sorted eigenvalues from the sorted certified spectrum, so a wrong p fails it.
 
 The commutation of R(X,Y) with phi and its corollaries are genuinely open
 probes here: for B != 0 this tensor does NOT commute with phi (which is
@@ -75,8 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .quadrat import QuadRat, from_integers, sign
+from .quadrat import ONE_MINUS_PSI, PSI, QuadRat, from_integers, sign
 
 ORACLE_TOL = 1e-12
 # The covariant-derivative statements, certified structurally (see above).
@@ -86,25 +86,6 @@ NABLA_STATEMENTS = (
     "Ricci coefficients are constants, so nabla S = 0 and"
     " (nabla S)(phiX, Y) = (nabla S)(X, phiY) holds as 0 = 0",
 )
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """g(U, V), the dot product along the last axis, over the leading axes."""
-    return np.einsum("...i,...i->...", u, v)
-
-
-def curvature(phi: np.ndarray, a: float, b: float, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray) -> np.ndarray:
-    """R(X, Y)Z with coefficients A = ``a`` and B = ``b`` in ``y = W x``, where phi is the
-    symmetric ``phi_hat``, broadcast over leading trial axes."""
-    n = len(phi)
-    for v in (x, y, z):
-        if np.shape(v)[-1:] != (n,):
-            raise DimensionMismatch(f"expected vectors of length {n}")
-    px, py = x @ phi.T, y @ phi.T
-    gyz, gxz, gpyz, gpxz = _dot(y, z), _dot(x, z), _dot(py, z), _dot(px, z)
-    return ((a * gyz + b * gpyz)[..., None] * x - (a * gxz + b * gpxz)[..., None] * y
-            + (a * gpyz + b * gyz)[..., None] * px - (a * gpxz + b * gxz)[..., None] * py)
 
 
 # -- the exact certificate -------------------------------------------------------
@@ -327,30 +308,25 @@ def curvature_certificate(n: int, p: int, c_p: float, c_q: float) -> CurvatureCe
     )
 
 
-def ambient_oracle(phi: np.ndarray, p: int, cert: CurvatureCertificate, trials: int,
-                   seed: int) -> float:
-    """Worst gap between :func:`curvature` of ``phi_hat`` and the certified tensor on a
-    seeded draw.
+def ambient_oracle(phi: np.ndarray, p: int, cert: CurvatureCertificate) -> float:
+    """A bound, relative to ``|X| |Y| |Z| max|kappa|``, on the gap between R of ``phi_hat``
+    and the certified tensor, over every triple (X, Y, Z).
 
-    ``trials`` triples (X, Y, Z) are drawn as one ``(trials, 3, n)`` normal
-    sample from ``seed``.  The certified R(X,Y)Z, with components
-    ``X_l sum_j kappa_lj Y_j Z_j - Y_l sum_i kappa_li X_i Z_i`` in the orthonormal
-    eigenframe of ``phi`` whose last p vectors (``eigh`` ascends) span the
-    psi-eigenspace, is mapped back to ``y``.  Each gap is relative to
-    ``|X| |Y| |Z| max|kappa|``; an exact agreement is 0 (also for a flat model) and
-    a non-finite value of either side gives NaN or Inf.
+    ``phi_hat = Phi + E`` with Phi symmetric, of the certified spectrum: n - p values
+    1 - psi, then p values psi, in ascending order ``r``, on the eigenvectors of the
+    symmetric part of ``phi_hat`` (ascending eigenvalues ``mu``).  So
+    ``e = |phi_hat - phi_hat^T|_F / 2 + max |mu - r| >= |E|_2``, and as R is
+    quadratic in phi with ``|Phi|_2 = psi``, the gap is at most
+    ``|X| |Y| |Z| (2 |A| (2 psi e + e^2) + 4 |B| e)``.  A flat model gives 0, and a
+    non-finite ``phi_hat`` NaN, which fails it.
     """
-    n = len(phi)
-    draw = np.random.default_rng(seed).standard_normal((trials, 3, n))
-    frame = np.linalg.eigh(phi)[1]
-    q = (np.arange(n) < n - p).astype(np.int64)  # 1 on the (1 - psi)-directions
-    k = np.array([float(cert.kappa[key]) for key in ("pp", "pq", "qq")])[q[:, None] + q]
-    u, v, t = (draw @ frame).transpose(1, 0, 2)
-    certified = (u * ((v * t) @ k) - v * ((u * t) @ k)) @ frame.T
-    a, b = (float(cert.coefficients[key]) for key in ("coeff_a", "coeff_b"))
-    r = curvature(phi, a, b, *draw.transpose(1, 0, 2))
-    gap = np.abs(r - certified).max(axis=-1)
-    norms = np.sqrt(np.einsum("tki,tki->tk", draw, draw).prod(axis=-1))  # |X| |Y| |Z|
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relative = np.where(gap == 0.0, 0.0, gap / (norms * np.abs(k).max()))
-    return float(relative.max())
+    kappa = max(abs(float(v)) for v in cert.kappa.values())
+    if kappa == 0.0:
+        return 0.0
+    a, b = (abs(float(cert.coefficients[key])) / kappa for key in ("coeff_a", "coeff_b"))
+    n, psi = len(phi), float(PSI)
+    r = np.repeat([float(ONE_MINUS_PSI), psi], [n - p, p])
+    with np.errstate(invalid="ignore", over="ignore"):
+        mu = np.linalg.eigvalsh((phi + phi.T) / 2.0)
+        e = float(np.linalg.norm(phi - phi.T) / 2.0 + np.abs(mu - r).max())
+    return 2.0 * a * (2.0 * psi * e + e * e) + 4.0 * b * e

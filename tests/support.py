@@ -1,6 +1,7 @@
 """Test helpers: the batched geometry pass at one point, seeded random golden structures,
-float reference space-form models, the sampled curvature program, the curvature
-certificate in QuadRat arithmetic and the report's JSON by ``json.dumps``."""
+float reference space-form models with the reference ``curvature``, the sampled
+curvature program, the curvature certificate in QuadRat arithmetic and the report's JSON
+by ``json.dumps``."""
 
 import json
 import math
@@ -10,6 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from goldenslant import spaceform
+from goldenslant.errors import DimensionMismatch
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
 from goldenslant.structures import (
     AlmostProductStructure,
@@ -46,6 +48,26 @@ def random_golden(n: int, p: int, seed: int):
     return golden_from_product(AlmostProductStructure(f, Metric.euclidean(n, backend="float")))
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g(U, V), the dot product along the last axis, over the leading axes."""
+    return np.einsum("...i,...i->...", u, v)
+
+
+def curvature(phi: np.ndarray, a: float, b: float, x: np.ndarray, y: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
+    """R(X, Y)Z with coefficients A = ``a`` and B = ``b`` in ``y = W x``, where phi is the
+    symmetric ``phi_hat``, broadcast over leading trial axes: the reference that the
+    certificate and the oracle's bound are tested against."""
+    n = len(phi)
+    for v in (x, y, z):
+        if np.shape(v)[-1:] != (n,):
+            raise DimensionMismatch(f"expected vectors of length {n}")
+    px, py = x @ phi.T, y @ phi.T
+    gyz, gxz, gpyz, gpxz = _dot(y, z), _dot(x, z), _dot(py, z), _dot(px, z)
+    return ((a * gyz + b * gpyz)[..., None] * x - (a * gxz + b * gpxz)[..., None] * y
+            + (a * gpyz + b * gyz)[..., None] * px - (a * gpxz + b * gxz)[..., None] * py)
+
+
 class ReferenceModel(NamedTuple):
     """A space-form model in floats, by the README formulas: the sampled program's input.
 
@@ -66,8 +88,8 @@ class ReferenceModel(NamedTuple):
     ricci_phi_coeff: float
 
     def curvature(self, x, y, z) -> np.ndarray:
-        """R(X, Y)Z by :func:`goldenslant.spaceform.curvature` with this model's A and B."""
-        return spaceform.curvature(self.phi, self.coeff_a, self.coeff_b, x, y, z)
+        """R(X, Y)Z by :func:`curvature` with this model's A and B."""
+        return curvature(self.phi, self.coeff_a, self.coeff_b, x, y, z)
 
 
 def reference_model(structure, c_p: float, c_q: float) -> ReferenceModel:
@@ -98,10 +120,6 @@ def diagonal_model(n: int, p: int, c_p: float, c_q: float) -> ReferenceModel:
 def _phi(model: ReferenceModel, v: np.ndarray) -> np.ndarray:
     """phi V for every vector along the last axis of ``v``."""
     return v @ model.phi.T
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", u, v)
 
 
 def _amax(a) -> float:

@@ -18,7 +18,7 @@ EXPORTS = [
     "MetricIncompat", "ONE_MINUS_PSI", "PSI", "QuadRat", "RankDeficient", "SQRT5",
     "SampleSpec", "ScenarioConfig", "SlantReport", "StructureReport",
     "TangentFrame", "Tolerances", "UnknownIdentifier", "ZeroVector", "classify", "config",
-    "curvature", "curvature_certificate", "diagonal_golden", "errors", "exactlin", "expr",
+    "curvature_certificate", "diagonal_golden", "errors", "exactlin", "expr",
     "extrinsic", "frame_at", "golden_eigendecomp", "golden_from_product",
     "induced_operators", "jets", "load_config", "parse",
     "parse_config", "parse_quadrat", "product_from_golden", "quadrat", "reference_cosine",
@@ -93,3 +93,11 @@ def test_cli_commands_without_suites_import_nothing_numeric(argv, code):
 def test_suites_import_no_dataclasses():
     loaded = _imported_by("import goldenslant.suites")
     assert "numpy" in loaded and "dataclasses" not in loaded
+
+
+def test_curvature_run_imports_no_numpy_random():
+    # The oracle is a bound on phi_hat and draws nothing.
+    loaded = _imported_by(_cli(("run", "spaceform_n4"), 0))
+    assert "goldenslant.spaceform" in loaded and "numpy" in loaded
+    assert not any(name == "numpy.random" or name.startswith("numpy.random.")
+                   for name in loaded), sorted(name for name in loaded if "random" in name)

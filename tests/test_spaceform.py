@@ -1,10 +1,11 @@
 """Space-form curvature model: the exact certificate, its oracle and the sampled reference.
 
 The certificate (``curvature_certificate``) evaluates every check exactly on one
-basis tuple per class; ``ambient_oracle`` ties it to the structure.  The sampled
-program it replaced lives in ``tests/support.py`` as the reference: evaluated on
-every basis tuple it gives the certificate's values, and on random tuples it
-stays within the certified bounds.  The tensors are evaluated in the metric's
+basis tuple per class; ``ambient_oracle`` ties it to the structure by a bound on
+``phi_hat``.  The sampled program it replaced lives in ``tests/support.py`` as the
+reference, with ``curvature``: evaluated on every basis tuple it gives the
+certificate's values, on random tuples it stays within the certified bounds, and on
+perturbed structures within the oracle's bound.  The tensors are evaluated in the metric's
 Euclidean model ``y = W x``; the term-by-term transcription below works in the
 ambient coordinates x, with the metric g and a g-orthonormal eigenframe, and
 the two agree once vectors are mapped by W.
@@ -28,7 +29,6 @@ from goldenslant.spaceform import (
     NABLA_STATEMENTS,
     ORACLE_TOL,
     ambient_oracle,
-    curvature,
     curvature_certificate,
 )
 from goldenslant.structures import (
@@ -44,6 +44,7 @@ from support import (
     _dot,
     _phi,
     ReferenceModel,
+    curvature,
     curvature_program,
     diagonal_model,
     prefix,
@@ -114,8 +115,8 @@ def _certificate(model):
     return curvature_certificate(model.n, model.p, model.c_p, model.c_q)
 
 
-def _oracle(model, trials, seed):
-    return ambient_oracle(model.phi, model.p, _certificate(model), trials, seed)
+def _oracle(model):
+    return ambient_oracle(model.phi, model.p, _certificate(model))
 
 
 def _agreement(model):
@@ -223,7 +224,7 @@ class TestRicci:
         model = reference_model(structure, 1.0, -1.0)
         assert model.p == 2
         assert _agreement(model) == 0
-        assert _oracle(model, 50, 0) <= ORACLE_TOL
+        assert _oracle(model) <= ORACLE_TOL
 
 
 class TestCommutationFindings:
@@ -269,8 +270,8 @@ class TestCommutationFindings:
         structure = GoldenStructure(phi, Metric.euclidean(4, backend="float"),
                                     validate=False)
         model = reference_model(structure, 1.0, 1.0)
-        assert _oracle(model, 50, 0) > 1e-3
-        cfg = _curvature_config(4, 1.0, 1.0, trials=50, seed=0)
+        assert _oracle(model) > 1e-3
+        cfg = _curvature_config(4, 1.0, 1.0)
         report = run_curvature_suite(cfg, structure, cfg.tolerances)
         assert not report["pass"] and report["identities"]["ambient_oracle"] > 1e-3
         assert report["identities"]["bianchi"] == 0.0
@@ -358,7 +359,7 @@ class TestCoefficients:
     @pytest.mark.parametrize("n,c_p,c_q", [(4, 0.0, 0.0), (4, 1.0, -1.0), (6, 2.0, 3.0),
                                            (8, -3.0, 0.125)])
     def test_report_certificate_is_the_floats_of_the_exact_coefficients(self, n, c_p, c_q):
-        cfg = _curvature_config(n, c_p, c_q, trials=5, seed=0)
+        cfg = _curvature_config(n, c_p, c_q)
         report = run_curvature_suite(cfg, cfg.build_structure(), cfg.tolerances)
         cert = curvature_certificate(n, n // 2, c_p, c_q)
         assert report["certificate"] == {
@@ -520,7 +521,7 @@ class TestBatchedProbes:
         assert np.abs(model.phi - np.diag(np.diag(model.phi))).max() > 0.1
         assert np.abs(model.phi - SKEWED.phi).max() > 0.1
         assert _agreement(model) == 0
-        assert _oracle(model, 50, 0) <= ORACLE_TOL
+        assert _oracle(model) <= ORACLE_TOL
 
     def test_tensors_are_the_ambient_ones_under_w(self):
         # R maps by W; S, R.S and the claimed R.S are scalars and agree as they are.
@@ -643,11 +644,11 @@ def _probe_by_probe(model, trials, seed):
     }
 
 
-def _curvature_config(n, c_p, c_q, trials, seed):
+def _curvature_config(n, c_p, c_q):
     p = n // 2
     return parse_config({
         "ambient": {"dim": n, "phi": {"pattern": ["psi"] * p + ["one_minus_psi"] * (n - p)}},
-        "spaceform": {"c_p": c_p, "c_q": c_q, "p": p, "trials": trials, "seed": seed},
+        "spaceform": {"c_p": c_p, "c_q": c_q, "p": p},
         "suites": ["curvature"],
     })
 
@@ -825,59 +826,163 @@ class TestCertificate:
             assert value <= bound * np.prod(norms[:_arity(path)]), (path, value, bound)
 
 
+def _kappa(cert):
+    return max(abs(float(v)) for v in cert.kappa.values())
+
+
+def _coefficients(cert):
+    return tuple(float(cert.coefficients[key]) for key in ("coeff_a", "coeff_b"))
+
+
+def _golden(rng, n, p):
+    """A symmetric golden matrix of the certified spectrum (ascending: 1 - psi, then psi) in
+    a random orthonormal eigenframe."""
+    frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    golden = (frame * np.repeat([float(ONE_MINUS_PSI), PSI_F], [n - p, p])) @ frame.T
+    return (golden + golden.T) / 2.0
+
+
+def _gaps(phi_hat, golden, cert, x, y, z):
+    """|R_phi_hat(X,Y)Z - R_Phi(X,Y)Z| / max|kappa| by the reference (with A and B divided
+    by max|kappa|, as R is linear in them, so that huge curvatures do not overflow), and
+    |X| |Y| |Z|."""
+    a, b = (v / _kappa(cert) for v in _coefficients(cert))
+    gap = np.linalg.norm(curvature(phi_hat, a, b, x, y, z) - curvature(golden, a, b, x, y, z),
+                         axis=-1)
+    return gap, np.prod(np.linalg.norm([x, y, z], axis=-1), axis=0)
+
+
+def _rounding(phi_hat, cert):
+    """Slack for float rounding alone, relative to |X| |Y| |Z| max|kappa|: 1e-13 of the
+    size of R's terms, (|A| + |B|)(1 + |phi_hat|_2)^2, about 450 ulps of it."""
+    a, b = (v / _kappa(cert) for v in _coefficients(cert))
+    return 1e-13 * (abs(a) + abs(b)) * (1.0 + np.linalg.norm(phi_hat, 2)) ** 2
+
+
+CURVATURE_PAIRS = [(1.0, -1.0), (2.0, 3.0), (1.0, 0.0), (-3.0, 0.125), (1e308, -1e308)]
+
+
 class TestOracle:
     def test_flat_model_passes(self):
-        cfg = _curvature_config(4, 0.0, 0.0, trials=20, seed=3)
+        cfg = _curvature_config(4, 0.0, 0.0)
         report = run_curvature_suite(cfg, cfg.build_structure(), cfg.tolerances)
         assert report["pass"] and report["identities"]["ambient_oracle"] == 0.0
         assert report["findings"]["commutation_conforms"]
         assert not report["findings"]["non_semi_symmetry_nonvanishing"]
+        # A flat tensor is 0 for every phi, so the bound is 0 however far phi_hat is.
+        model = diagonal_model(4, 2, 0.0, 0.0)
+        assert ambient_oracle(model.phi + 1.0, 2, _certificate(model)) == 0.0
 
     def test_skewed_and_random_structures_pass(self):
         models = [amb.model for amb in ORACLE_AMBIENTS]
         models += [reference_model(random_golden(n, p, seed=n), 2.0, -0.5)
                    for n, p in ((3, 1), (6, 4), (8, 5))]
         for model in models:
-            assert _oracle(model, 30, 1) <= ORACLE_TOL
+            assert _oracle(model) <= ORACLE_TOL
 
-    def test_a_wrong_tensor_fails(self):
-        model = SKEWED.model
-        cert = _certificate(model)
-        cert = cert._replace(kappa=dict(cert.kappa, pq=QuadRat(0)))
-        assert ambient_oracle(model.phi, model.p, cert, 30, 1) > 1e-3
+    def test_reference_curvature_is_the_certified_tensor_on_every_eigenframe_triple(self):
+        # The bound compares R of phi_hat with the certified tensor, R(e_i, e_j)e_k =
+        # kappa_ij (d_jk e_i - d_ik e_j) in an orthonormal eigenframe; the reference, with
+        # the closed-form A and B, gives it, and not a tensor with a wrong kappa.
+        models = [SKEWED.model, reference_model(random_golden(8, 5, seed=8), 2.0, -0.5),
+                  diagonal_model(4, 2, 1.0, 1.0)]
+        for model in models:
+            n, p = model.n, model.p
+            frame = np.linalg.eigh(model.phi)[1]  # ascending: psi on the last p
+            q = (np.arange(n) < n - p).astype(np.int64)
+            kappa = _certificate(model).kappa
+            i, j, k = np.array(list(itertools.product(range(n), repeat=3))).T
+            got = model.curvature(frame.T[i], frame.T[j], frame.T[k]) @ frame
+            eye = np.eye(n)
+            for wrong in (False, True):
+                values = dict(kappa, pq=QuadRat(0)) if wrong else kappa
+                k_ij = np.array([float(values[key]) for key in ("pp", "pq", "qq")])[q[i] + q[j]]
+                want = k_ij[:, None] * ((j == k)[:, None] * eye[i] - (i == k)[:, None] * eye[j])
+                gap = np.abs(got - want).max() / _kappa(_certificate(model))
+                assert gap > 1e-3 if wrong else gap <= 1e-12, (n, p, wrong, gap)
 
     def test_a_wrong_p_fails(self):
-        # The psi-directions are the top p eigenvectors of phi_hat, so one too many or too
-        # few puts a kappa on the wrong pairs; the certificate is the one of that p.
+        # r puts p values psi at the top of the ascending spectrum, so one too many or too
+        # few leaves an eigenvalue sqrt5 from its r; the certificate is the one of that p.
         models = [SKEWED.model, reference_model(random_golden(8, 5, seed=8), 2.0, -0.5),
                   diagonal_model(4, 2, 1.0, 1.0)]
         for model in models:
             for p in (model.p - 1, model.p + 1):
                 cert = curvature_certificate(model.n, p, model.c_p, model.c_q)
-                assert ambient_oracle(model.phi, p, cert, 30, 1) > 1e-3, (model.n, p)
+                assert ambient_oracle(model.phi, p, cert) > 1e-3, (model.n, p)
 
-    def test_non_finite_curvature_fails(self):
-        # The exact A, B and kappa are within the float range, but the products of
-        # curvature() overflow.
-        model = diagonal_model(4, 2, 1e308, -1e308)
+    @pytest.mark.parametrize("n,p", [(4, 2), (5, 1), (5, 4), (3, 3), (6, 0)])
+    @pytest.mark.parametrize("c_p,c_q", CURVATURE_PAIRS[:4])
+    def test_bound_is_its_formula_on_a_shifted_structure(self, n, p, c_p, c_q):
+        # phi_hat = Phi + s I: no skew part and mu = r + s, so e = s, and the oracle is
+        # (2 |A| (2 psi s + s^2) + 4 |B| s) / max|kappa| with |Phi|_2 = psi.
+        cert = curvature_certificate(n, p, c_p, c_q)
+        a, b = _coefficients(cert)
+        phi = diagonal_model(n, p, c_p, c_q).phi
+        for s in (0.25, 3.0):
+            expected = (2 * abs(a) * (2 * PSI_F * s + s * s) + 4 * abs(b) * s) / _kappa(cert)
+            assert math.isclose(ambient_oracle(phi + s * np.eye(n), p, cert), expected,
+                                rel_tol=1e-12), s
+
+    @pytest.mark.parametrize("shift", [1e-6, 1.0, 10.0, -10.0])
+    @pytest.mark.parametrize("c_p,c_q", CURVATURE_PAIRS)
+    def test_bound_holds_on_the_aligned_triple(self, shift, c_p, c_q):
+        # With phi_hat = Phi + s I and X = e_0, Y = Z = e_1 in the psi-eigenspace, the gap is
+        # |A (2 psi s + s^2) + 2 B s|, half the bound when A and B have one sign (as for
+        # (1, 0)); past |s| = 2 psi + 2 |B| / |A| it needs the bound's e^2 term.
+        model = diagonal_model(4, 4, c_p, c_q)
         cert = _certificate(model)
-        assert all(math.isfinite(float(v))
-                   for v in (*cert.coefficients.values(), *cert.kappa.values()))
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = _oracle(model, 10, 0)
+        phi_hat = model.phi + shift * np.eye(4)
+        x, y = np.eye(4)[:2, None]
+        gap, scale = _gaps(phi_hat, model.phi, cert, x, y, y)
+        bound = ambient_oracle(phi_hat, 4, cert)
+        assert gap[0] <= (bound + _rounding(phi_hat, cert)) * scale[0], (gap, bound * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 10), share=st.floats(0.0, 1.0), size=st.floats(-10.0, 0.0),
+           symmetric=st.floats(0.0, 1.0), curvatures=st.sampled_from(CURVATURE_PAIRS),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=8, share=0.5, size=0.0, symmetric=0.0, curvatures=(1.0, -1.0), seed=0)
+    @example(n=2, share=1.0, size=-10.0, symmetric=1.0, curvatures=(1.0, 0.0), seed=1)
+    def test_bound_holds_on_perturbed_structures(self, n, share, size, symmetric, curvatures,
+                                                 seed):
+        # phi_hat = Phi + E, with E = t S + (1 - t) K (S symmetric, K skew) scaled to
+        # |E|_2 = 10^size: every drawn gap is within the bound, up to float rounding.
+        rng = np.random.default_rng(seed)
+        p = round(share * n)
+        golden = _golden(rng, n, p)
+        noise = rng.standard_normal((n, n))
+        e = symmetric * (noise + noise.T) + (1.0 - symmetric) * (noise - noise.T)
+        phi_hat = golden + e * (10.0 ** size / np.linalg.norm(e, 2))
+        cert = curvature_certificate(n, p, *curvatures)
+        x, y, z = rng.standard_normal((3, 50, n))
+        gap, scale = _gaps(phi_hat, golden, cert, x, y, z)
+        bound = ambient_oracle(phi_hat, p, cert)
+        assert np.all(gap <= (bound + _rounding(phi_hat, cert)) * scale), (gap / scale).max()
+
+    def test_huge_curvatures_give_a_finite_bound(self):
+        # A and B are near 1e307: they are divided by max|kappa| before any product.
+        for model in (diagonal_model(4, 2, 1e308, -1e308),
+                      reference_model(random_golden(6, 2, seed=5), 1.7976931348623157e308,
+                                      -1e308)):
+            gap = _oracle(model)
+            assert math.isfinite(gap) and gap <= ORACLE_TOL, (model.n, gap)
+
+    @pytest.mark.filterwarnings("error")  # quietly: a RuntimeWarning would reach stderr
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    def test_non_finite_phi_hat_fails(self, bad, entry):
+        model = diagonal_model(4, 2, 1.0, -1.0)
+        phi = model.phi.copy()
+        phi[entry] = bad
+        gap = ambient_oracle(phi, 2, _certificate(model))
         assert math.isnan(gap) and not gap <= ORACLE_TOL
 
-    def test_suite_calls_curvature_once_on_one_draw_with_fixed_exact_work(self, monkeypatch):
-        calls, draws, ops = [], [], []
-        real_rng = np.random.default_rng
+    def test_suite_draws_nothing_and_does_fixed_exact_work(self, monkeypatch):
+        calls, ops = [], []
 
-        class Recorded:
-            def __init__(self, seed):
-                self._rng = real_rng(seed)
-
-            def standard_normal(self, size):
-                draws.append(size)
-                return self._rng.standard_normal(size)
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the curvature suite draws nothing")
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -885,20 +990,17 @@ class TestOracle:
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.random, "default_rng", Recorded)
-        monkeypatch.setattr(spaceform, "curvature", counted("curvature", curvature))
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                    "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse"):
             monkeypatch.setattr(QuadRat, op, counted("op", vars(QuadRat)[op]))
         # The certificate's exact work is integer arithmetic, with a QuadRat per result.
         monkeypatch.setattr(spaceform, "from_integers", counted("op", from_integers))
         for n in (4, 32):
-            cfg = _curvature_config(n, 1.0, -1.0, trials=200, seed=7)
+            cfg = _curvature_config(n, 1.0, -1.0)
             structure = cfg.build_structure()
             structure.phi_hat  # the structure's own exact work, before counting
             calls.clear()
-            run_curvature_suite(cfg, structure, cfg.tolerances)
-            assert calls.count("curvature") == 1
-            assert draws.pop() == (200, 3, n) and not draws
+            assert run_curvature_suite(cfg, structure, cfg.tolerances)["pass"]
             ops.append(calls.count("op"))
         assert ops[0] == ops[1] > 0, ops
