@@ -22,9 +22,8 @@ _EXPORTS = {
     "quadrat": "quadrat ONE_MINUS_PSI PSI SQRT5 QuadRat parse_quadrat",
     "slant": "slant SlantReport classify reference_cosine",
     "spaceform": "spaceform curvature_certificate",
-    "structures": "structures AlmostProductStructure GoldenStructure Metric StructureReport "
-                  "diagonal_golden golden_eigendecomp golden_from_product product_from_golden "
-                  "verify_golden",
+    "structures": "structures GoldenStructure Metric StructureReport diagonal_golden "
+                  "golden_eigendecomp golden_from_product product_from_golden verify_golden",
     "submanifold": "submanifold ImmersionSpec InducedOperators TangentFrame frame_at "
                    "induced_operators structural_identity_residuals",
     "suites": "suites render_report run_scenario",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -11,7 +12,7 @@ from .errors import ConfigError
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
-EXIT_CONFIG_ERROR = 2  # also an unwritable --report path
+EXIT_CONFIG_ERROR = 2  # also an unwritable --report path or stdout
 
 _EXPLAIN = {
     "structure": """\
@@ -145,35 +146,40 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name in list_bundled():
-            print(name)
-        return EXIT_OK
-
-    if args.command == "explain":
-        print(_EXPLAIN[args.suite], end="")
-        return EXIT_OK
-
-    try:
-        cfg = load_config(resolve_config(args.config))
-        cfg = cfg.with_overrides(seed=args.seed, tol_angle=args.tol_angle)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    # The suites, and numpy with them, load only for a run.
-    from .suites import render_report, run_scenario
-
-    report = run_scenario(cfg, seed=args.seed, backend=args.backend)
-    text = render_report(report)
-    if args.report:
+        text, code = "".join(f"{name}\n" for name in list_bundled()), EXIT_OK
+    elif args.command == "explain":
+        text, code = _EXPLAIN[args.suite], EXIT_OK
+    else:
         try:
-            Path(args.report).write_text(text)
-        except OSError as exc:  # a directory, a missing parent, no permission
-            print(f"report error: --report {args.report}: {exc.strerror or exc}",
-                  file=sys.stderr)
+            cfg = load_config(resolve_config(args.config))
+            cfg = cfg.with_overrides(seed=args.seed, tol_angle=args.tol_angle)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-    print(text, end="")
-    return EXIT_OK if report["overall_pass"] else EXIT_SUITE_FAILED
+
+        # The suites, and numpy with them, load only for a run.
+        from .suites import render_report, run_scenario
+
+        report = run_scenario(cfg, backend=args.backend)
+        text = render_report(report)
+        if args.report:
+            try:
+                Path(args.report).write_text(text)
+            except OSError as exc:  # a directory, a missing parent, no permission
+                print(f"report error: --report {args.report}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return EXIT_CONFIG_ERROR
+        code = EXIT_OK if report["overall_pass"] else EXIT_SUITE_FAILED
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe
+        # What is left in the buffer, flushed at interpreter exit, goes to os.devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        print(f"output error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -124,21 +124,14 @@ class ScenarioConfig(NamedTuple):
         return Metric(self.metric_rows)
 
     def build_structure(self):
-        from .structures import (
-            AlmostProductStructure,
-            GoldenStructure,
-            diagonal_golden,
-            golden_from_product,
-        )
+        from .structures import GoldenStructure, diagonal_golden, golden_from_product
 
         metric = self.build_metric()
         if self.phi_kind == "pattern":
             return diagonal_golden(self.phi_payload, metric)
         if self.phi_kind == "matrix":
             return GoldenStructure(self.phi_payload, metric)
-        # golden_from_product checks the involution, once.
-        return golden_from_product(AlmostProductStructure(self.phi_payload, metric,
-                                                          validate=False))
+        return golden_from_product(self.phi_payload, metric)
 
     def build_immersion(self):
         from .submanifold import ImmersionSpec
@@ -365,12 +358,13 @@ def _parse_samples(value, m: int) -> SampleSpec:
     if not isinstance(value, dict):
         raise ConfigError("/immersion/samples", "expected an object")
     _check_keys(value, {"grid", "extra_points"}, "/immersion/samples")
-    grid = []
+    grid = SampleSpec.default(m).grid
     if "grid" in value:
         raw = value["grid"]
         if not isinstance(raw, list) or len(raw) != m:
             raise ConfigError("/immersion/samples/grid",
                               f"expected one [lo, hi, count] triple per parameter ({m})")
+        grid = []
         for i, triple in enumerate(raw):
             path = f"/immersion/samples/grid/{i}"
             if not isinstance(triple, list) or len(triple) != 3:
@@ -379,8 +373,6 @@ def _parse_samples(value, m: int) -> SampleSpec:
             hi = _as_number(triple[1], f"{path}/1")
             count = _as_int(triple[2], f"{path}/2", minimum=1)
             grid.append((lo, hi, count))
-    else:
-        grid = [(-1.0, 1.0, 3)] * m
     extra = []
     points = value.get("extra_points", [])
     if not isinstance(points, list):

@@ -1,9 +1,9 @@
-"""Golden and almost-product structures on inner-product spaces.
+"""Golden structures on inner-product spaces, and their almost-product partners.
 
 A golden structure is a (1,1) tensor ``phi`` with ``phi**2 = phi + I``
-whose metric is compatible, ``g(phi X, Y) = g(X, phi Y)``.  Together with
-an almost-product structure ``F`` (``F**2 = I``) it sits in the exact
-correspondence
+whose metric is compatible, ``g(phi X, Y) = g(X, phi Y)``.  Its partner is the
+involution ``F`` (``F**2 = I``) of the exact correspondence below; ``F`` is checked
+through phi alone, as ``phi^2 - phi - I = 5 (F^2 - I)/4``.
 
     phi = (I + sqrt5 * F) / 2        F = (2 * phi - I) / sqrt5
 
@@ -150,8 +150,8 @@ class Metric:
         self.factor, self.w_inv = None, np.linalg.inv(self.w)
 
     @classmethod
-    def euclidean(cls, n: int, backend: str = "exact") -> Metric:
-        return cls(xl.eye(n) if backend == "exact" else np.eye(n))
+    def euclidean(cls, n: int) -> Metric:
+        return cls(xl.eye(n))
 
     def to_float(self) -> Metric:
         """Float view, built once per exact metric."""
@@ -217,32 +217,28 @@ def verify_golden(phi, metric: Metric) -> StructureReport:
 
 
 class GoldenStructure:
-    """Validated golden structure ``(phi, g)`` on an n-dimensional space.
+    """Golden structure ``(phi, g)`` on an n-dimensional space.
 
-    ``report`` is the :class:`StructureReport` of the axiom check: the one
-    validation ran, or (for ``validate=False``) one run on first access.
+    ``report`` is the :class:`StructureReport` of the axiom check.  Without one the
+    constructor measures it with :func:`verify_golden` and raises
+    :class:`InvalidStructure` if it fails; a caller that already holds the check (by
+    measuring it or by construction) passes it in, and it is kept as it is.
     """
 
-    def __init__(self, phi, metric: Metric, validate: bool = True):
+    def __init__(self, phi, metric: Metric, report: StructureReport | None = None):
         self.n = _check_square(phi, "phi")
         self.phi = _operand(phi, metric)
         self.backend = "exact" if is_exact(self.phi) else "float"
         self.metric = metric if self.backend == "exact" else metric.to_float()
-        if validate:
-            report = self.report
+        if report is None:
+            report = verify_golden(self.phi, self.metric)
             if not report.passed:
                 raise InvalidStructure(
                     f"golden axioms violated: structure={report.residual_structure:.3e}, "
                     f"self-adjoint={report.residual_self_adjoint:.3e}, "
                     f"compat={report.residual_compat:.3e}"
                 )
-
-    @cached_property
-    def report(self) -> StructureReport:
-        # The float view of an exact structure is measured by its exact-rounded phi_hat.
-        if self.backend == "exact":
-            return verify_golden(self.phi, self.metric)
-        return _measure(self.phi_hat, np.eye(self.n))[0]
+        self.report = report
 
     @property
     def phi_float(self) -> np.ndarray:
@@ -280,27 +276,11 @@ class GoldenStructure:
 
     @cached_property
     def _float_view(self) -> GoldenStructure:
-        view = GoldenStructure(self.phi_float, self.metric.to_float(), validate=False)
+        # It is measured by the exact-rounded phi_hat, not by W phi_float W^-1.
+        view = GoldenStructure(self.phi_float, self.metric.to_float(),
+                               _measure(self.phi_hat, np.eye(self.n))[0])
         view.phi_hat, view.eigenspace_dims = self.phi_hat, self.eigenspace_dims
         return view
-
-
-class AlmostProductStructure:
-    """Validated involution ``F`` compatible with the metric."""
-
-    def __init__(self, f, metric: Metric, validate: bool = True):
-        self.n = _check_square(f, "F")
-        self.f = _operand(f, metric)
-        self.backend = "exact" if is_exact(self.f) else "float"
-        self.metric = metric if self.backend == "exact" else metric.to_float()
-        if validate:
-            _check_involution(self.f, self.metric)
-
-
-def _check_involution(f, metric: Metric) -> None:
-    f, g = _in_model(f, metric, "F")
-    g_f = g @ f  # G is symmetric, so F^T G = (G F)^T
-    _require_involution(float(_amax(f @ f - _eye(f))), float(_amax(g_f - g_f.T)))
 
 
 def _require_involution(r_inv, r_met) -> None:
@@ -325,22 +305,21 @@ def product_matrix(phi):
     return (2 * phi - _eye(phi)) / _sqrt5(phi)
 
 
-def golden_from_product(f: AlmostProductStructure) -> GoldenStructure:
-    """Golden structure ``phi = (I + sqrt5 F)/2`` of an involution, from one check of phi's axioms:
-    F's residual maxima are phi's rescaled, as ``phi^2 - phi - I = 5 (F^2 - I)/4`` and
-    ``G phi - phi^T G = sqrt5 (G F - F^T G)/2`` (exactly, for an exact F and metric)."""
-    phi = golden_matrix(f.f)
-    report, worst = _measure(*_in_model(phi, f.metric, "F"))
+def golden_from_product(f, metric: Metric) -> GoldenStructure:
+    """Golden structure ``phi = (I + sqrt5 F)/2`` of an involution matrix ``F``, from one check
+    of phi's axioms: F's residual maxima are phi's rescaled, as ``phi^2 - phi - I = 5 (F^2 - I)/4``
+    and ``G phi - phi^T G = sqrt5 (G F - F^T G)/2`` (exactly, for an exact F and metric)."""
+    _check_square(f, "F")
+    phi = golden_matrix(_operand(f, metric))
+    report, worst = _measure(*_in_model(phi, metric, "F"))
     _require_involution(float(worst[0] * 4 / 5), float(worst[1] * 2 / _sqrt5(phi)))
-    structure = GoldenStructure(phi, f.metric, validate=False)
-    structure.report = report
-    # A phi that fails is built again with validation, which raises its InvalidStructure.
-    return structure if report.passed else GoldenStructure(phi, f.metric)
+    # A phi that fails is measured again by the constructor, which raises its InvalidStructure.
+    return GoldenStructure(phi, metric, report if report.passed else None)
 
 
-def product_from_golden(s: GoldenStructure) -> AlmostProductStructure:
-    """Involution ``F = (2 phi - I)/sqrt5`` underlying a golden structure."""
-    return AlmostProductStructure(product_matrix(s.phi), s.metric)
+def product_from_golden(s: GoldenStructure):
+    """Involution matrix ``F = (2 phi - I)/sqrt5`` underlying a golden structure."""
+    return product_matrix(s.phi)
 
 
 def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> GoldenStructure:
@@ -355,10 +334,8 @@ def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> Gol
         return GoldenStructure(phi, metric)
     # Golden by construction: each root x has x^2 = x + 1, a diagonal phi is symmetric and
     # so compatible with g = I, and the metric identity phi^T phi - phi^T - I then vanishes.
-    structure = GoldenStructure(phi, metric, validate=False)
-    structure.report = StructureReport(0.0, 0.0, 0.0, passed=True, backend="exact",
-                                       exact_zero=True, structure_exact=True)
-    return structure
+    return GoldenStructure(phi, metric, StructureReport(
+        0.0, 0.0, 0.0, passed=True, backend="exact", exact_zero=True, structure_exact=True))
 
 
 def golden_eigendecomp(s: GoldenStructure) -> tuple[np.ndarray, np.ndarray]:

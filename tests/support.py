@@ -13,12 +13,7 @@ import numpy as np
 from goldenslant import spaceform
 from goldenslant.errors import DimensionMismatch
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
-from goldenslant.structures import (
-    AlmostProductStructure,
-    Metric,
-    diagonal_golden,
-    golden_from_product,
-)
+from goldenslant.structures import Metric, diagonal_golden, golden_from_product
 from goldenslant.submanifold import point_geometry
 
 
@@ -45,7 +40,7 @@ def random_golden(n: int, p: int, seed: int):
         q = q - 2.0 * np.outer(v, v @ q)
     f = q @ np.diag([1.0] * p + [-1.0] * (n - p)) @ q.T
     f = (f + f.T) / 2.0
-    return golden_from_product(AlmostProductStructure(f, Metric.euclidean(n, backend="float")))
+    return golden_from_product(f, Metric(np.eye(n)))
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

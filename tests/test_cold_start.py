@@ -12,7 +12,7 @@ import goldenslant
 
 # ``goldenslant.__all__``, pinned: adding or removing an export is a deliberate change.
 EXPORTS = [
-    "AlmostProductStructure", "ConfigError", "DimensionMismatch", "DomainError", "Expr",
+    "ConfigError", "DimensionMismatch", "DomainError", "Expr",
     "ExprSyntaxError", "GoldenStructure", "GoldenslantError", "ImmersionSpec",
     "InducedOperators", "InvalidInvolution", "InvalidStructure", "Jet2", "Metric",
     "MetricIncompat", "ONE_MINUS_PSI", "PSI", "QuadRat", "RankDeficient", "SQRT5",

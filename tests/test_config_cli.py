@@ -4,12 +4,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
+import goldenslant
 from goldenslant.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -402,6 +407,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"report error: --report {path}: ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["run", "paper_example_3"], ["list"], ["explain", "slant"]],
+                             ids=["run", "list", "explain"])
+    def test_closed_stdout_exits_2_without_a_traceback(self, argv):
+        # A fresh process: the handling points fd 1 at os.devnull, which pytest's must not be.
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(goldenslant.__file__).resolve().parents[1])
+        try:
+            proc = subprocess.run([sys.executable, "-m", "goldenslant", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                                  text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr.startswith("output error: stdout: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["run", "paper_example_1", "--backend", "exact"],

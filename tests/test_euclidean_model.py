@@ -22,7 +22,6 @@ from goldenslant.cli import EXIT_OK, main
 from goldenslant.config import SpaceformSection, Tolerances, load_config
 from goldenslant.quadrat import QuadRat
 from goldenslant.structures import (
-    AlmostProductStructure,
     GoldenStructure,
     Metric,
     golden_from_product,
@@ -97,7 +96,7 @@ def _ill_conditioned_scenarios(seed: int, count: int, min_cond: float = 1e5):
 def test_float_residuals_stay_flat_on_ill_conditioned_exact_scenarios():
     worst, count = {}, 0
     for f, metric, jac in _ill_conditioned_scenarios(seed=3, count=150):
-        structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+        structure = golden_from_product(f, metric)
         params = [f"u{j + 1}" for j in range(len(jac[0]))]
         components = ["+".join(f"{_text(c)}*{u}" for c, u in zip(row, params)) for row in jac]
         imm = ImmersionSpec.from_strings(params, components,
@@ -119,7 +118,7 @@ def test_curvature_program_passes_on_ill_conditioned_exact_scenarios():
     # In the ambient coordinates x all 150 failed, with pair symmetry up to 4.8.
     worst = {}
     for f, metric, _ in _ill_conditioned_scenarios(seed=3, count=150):
-        structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+        structure = golden_from_product(f, metric)
         p = int((f.shape[0] + float(sum(f.diagonal()))) / 2)  # F is +1 on the psi-eigenspace
         cfg = SimpleNamespace(spaceform=SpaceformSection(c_p=1.0, c_q=-1.0, p=p, seed=7))
         report = run_curvature_suite(cfg, structure, Tolerances())
@@ -140,9 +139,7 @@ def test_float_axioms_are_measured_in_the_model():
     # A float phi or F is read through W phi W^-1, rounded in floats.
     assert verify_golden(view.phi, view.metric).passed
     assert GoldenStructure(view.phi, structure.metric).report.passed
-    f = AlmostProductStructure(product_matrix(view.phi), view.metric).f
-    unchecked = AlmostProductStructure(f, view.metric, validate=False)
-    assert golden_from_product(unchecked).report.passed
+    assert golden_from_product(product_matrix(view.phi), view.metric).report.passed
 
 
 @pytest.mark.parametrize("backend", ["auto", "float"])

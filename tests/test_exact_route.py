@@ -23,11 +23,9 @@ from goldenslant.slant import (
     exact_slant_data,
 )
 from goldenslant.structures import (
-    AlmostProductStructure,
     GoldenStructure,
     Metric,
     _amax,
-    _check_involution,
     _structure_residuals,
     diagonal_golden,
     golden_from_product,
@@ -90,7 +88,7 @@ def exact_scenarios(draw):
 @given(exact_scenarios())
 def test_shared_identities_are_exact_zeros_and_float_small(scenario):
     f, metric, jac = scenario
-    structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+    structure = golden_from_product(f, metric)
     # phi^2 - phi - I = 5 (F^2 - I)/4 and g phi - phi^T g = sqrt5 (g F - F^T g)/2, so
     # F is an exact involution, exactly g-compatible, when these are exact zeros.
     assert structure.report.exact_zero
@@ -216,7 +214,7 @@ def counters(monkeypatch):
     return {
         "verify_golden": _count(monkeypatch, structures, "verify_golden"),
         "axioms": _count(monkeypatch, structures, "_measure"),
-        "involution": _count(monkeypatch, structures, "_check_involution"),
+        "involution": _count(monkeypatch, structures, "_require_involution"),
         "exact_frame": _count(monkeypatch, submanifold, "exact_frame"),
         "exact_induced_operators": _count(monkeypatch, submanifold, "exact_induced_operators"),
     }
@@ -230,7 +228,7 @@ class TestOnePass:
         assert report["suites"]["slant"]["exact"]["available"]
         # golden_from_product measures phi's axioms once and reads F's residuals from them.
         assert {name: len(calls) for name, calls in counters.items()} == {
-            "verify_golden": 0, "axioms": 1, "involution": 0, "exact_frame": 1,
+            "verify_golden": 0, "axioms": 1, "involution": 1, "exact_frame": 1,
             "exact_induced_operators": 1}
 
     def test_extrinsic_only_scenario_skips_the_exact_route(self, counters):
@@ -307,22 +305,13 @@ def test_structure_residuals_take_three_matmuls(monkeypatch):
     assert len(calls) == 3
 
 
-def test_involution_check_takes_two_matmuls(monkeypatch):
-    # F^2 and g F: F^T g is the transpose of g F.
-    metric = Metric(xl.qmatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]))
-    calls = _count(monkeypatch, xl, "matmul")
-    _check_involution(xl.qmatrix([[int(x) for x in row] for row in INVOLUTION]), metric)
-    assert len(calls) == 2
-
-
 def test_golden_from_product_takes_three_matmuls(monkeypatch):
     # phi^2, g phi and (phi^T g) phi for phi = (I + sqrt5 F)/2: F's residuals are
     # exact rescalings of phi's, so F^2 and g F are never formed.
     metric = Metric(xl.qmatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]))
-    f = AlmostProductStructure(xl.qmatrix([[int(x) for x in row] for row in INVOLUTION]),
-                               metric, validate=False)
+    f = xl.qmatrix([[int(x) for x in row] for row in INVOLUTION])
     calls = _count(monkeypatch, xl, "matmul")
-    structure = golden_from_product(f)
+    structure = golden_from_product(f, metric)
     assert structure.report.exact_zero
     assert len(calls) == 3
 
@@ -337,7 +326,7 @@ def test_golden_from_product_raises_past_an_involution_within_tolerance():
     with pytest.raises(InvalidStructure) as built:
         GoldenStructure(golden_matrix(f), metric)
     with pytest.raises(InvalidStructure) as induced:
-        golden_from_product(AlmostProductStructure(f, metric))
+        golden_from_product(f, metric)
     assert str(induced.value) == str(built.value)
 
 
@@ -377,7 +366,7 @@ def _oracle_blocks(frame, structure):
 @given(exact_scenarios())
 def test_blocks_equal_the_full_solve(scenario):
     f, metric, jac = scenario
-    structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+    structure = golden_from_product(f, metric)
     frame = exact_frame(_immersion(jac), metric)
     assume(frame is not None)
     eops = exact_induced_operators(frame, structure)
@@ -474,7 +463,7 @@ def test_affine_route_matches_the_jet_route_on_exact_dense(seed, tmp_path):
 def test_affine_route_matches_the_jet_route_on_drawn_immersions(scenario):
     f, metric, jac = scenario
     assume(np.linalg.svd(np.asarray(xl.qmatrix(jac), dtype=float), compute_uv=False).min() > 1e-3)
-    structure = golden_from_product(AlmostProductStructure(f, metric, validate=False))
+    structure = golden_from_product(f, metric)
     _assert_routes_agree(_immersion(jac), metric, structure)
 
 

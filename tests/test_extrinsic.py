@@ -17,7 +17,7 @@ from goldenslant.extrinsic import (
     invariant_residuals,
     shape_vanishing_probe,
 )
-from goldenslant.structures import GoldenStructure, Metric, diagonal_golden
+from goldenslant.structures import GoldenStructure, Metric, diagonal_golden, verify_golden
 from goldenslant.submanifold import (
     ImmersionSpec,
     InducedOperators,
@@ -27,7 +27,7 @@ from goldenslant.submanifold import (
 )
 from support import at_point
 
-EUCLID4 = Metric.euclidean(4, backend="float")
+EUCLID4 = Metric(np.eye(4))
 STRUCT4 = diagonal_golden(["psi", "psi", "one_minus_psi", "one_minus_psi"]).to_float()
 
 PARABOLOID = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1^2+u2^2", "0"])
@@ -114,7 +114,7 @@ class TestGaussSplit:
         phi = STRUCT4.phi_float.copy()
         phi[0, 1] += 0.3
         phi[1, 0] += 0.3
-        broken = GoldenStructure(phi, EUCLID4, validate=False)
+        broken = GoldenStructure(phi, EUCLID4, verify_golden(phi, EUCLID4))
         r_tan, r_nor = _gauss_split(PARABOLOID, (0.3, -0.2), broken)
         assert r_tan <= 1e-9 and r_nor <= 1e-9
 
@@ -217,7 +217,8 @@ def _random_geometry(size, n, m):
     hess = rng.standard_normal((size, n, m, m))
     split = frame.split(hess.reshape(size, n, -1))
     phi = rng.standard_normal((n, n))
-    structure = GoldenStructure(phi, Metric.euclidean(n, backend="float"), validate=False)
+    metric = Metric(np.eye(n))
+    structure = GoldenStructure(phi, metric, verify_golden(phi, metric))
     ops = InducedOperators(rng.standard_normal((size, n, n)), m)
     return PointGeometry(frame, hess, split[..., :m], split[..., m:], ops, structure)
 

@@ -26,7 +26,6 @@ from goldenslant.slant import (
     classify_geometry,
 )
 from goldenslant.structures import (
-    AlmostProductStructure,
     GoldenStructure,
     Metric,
     _spectral,
@@ -196,7 +195,7 @@ def _exact_skewed_structure() -> GoldenStructure:
     s_inv = xl.solve(s, xl.eye(5))
     f = s @ xl.qmatrix(np.diag([1, -1, 1, -1, -1])) @ s_inv
     g = s_inv.T @ xl.qmatrix(np.diag([1, 2, 3, 1, 2])) @ s_inv
-    return golden_from_product(AlmostProductStructure(f, Metric(g)))
+    return golden_from_product(f, Metric(g))
 
 
 @pytest.mark.parametrize("structure", [ILL_CONDITIONED, _exact_skewed_structure()],

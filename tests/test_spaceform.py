@@ -36,6 +36,7 @@ from goldenslant.structures import (
     Metric,
     diagonal_golden,
     golden_eigendecomp,
+    verify_golden,
 )
 from goldenslant.suites import run_curvature_suite
 import support
@@ -267,8 +268,8 @@ class TestCommutationFindings:
         # The certificate reads (n, p, c_p, c_q) only; the oracle reads the structure.
         phi = np.diag([PSI_F, PSI_F, 1 - PSI_F, 1 - PSI_F])
         phi[0, 1] = 0.05
-        structure = GoldenStructure(phi, Metric.euclidean(4, backend="float"),
-                                    validate=False)
+        metric = Metric(np.eye(4))
+        structure = GoldenStructure(phi, metric, verify_golden(phi, metric))
         model = reference_model(structure, 1.0, 1.0)
         assert _oracle(model) > 1e-3
         cfg = _curvature_config(4, 1.0, 1.0)

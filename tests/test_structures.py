@@ -19,7 +19,6 @@ from goldenslant.errors import (
 )
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat
 from goldenslant.structures import (
-    AlmostProductStructure,
     GoldenStructure,
     Metric,
     _amax,
@@ -76,9 +75,9 @@ class TestVerifyGolden:
         with pytest.raises(DimensionMismatch, match="must be square"):
             Metric(matrix)
         with pytest.raises(DimensionMismatch, match="must be square"):
-            GoldenStructure(matrix, Metric.euclidean(2, backend="float"))
+            GoldenStructure(matrix, Metric(np.eye(2)))
         with pytest.raises(DimensionMismatch, match="must be square"):
-            AlmostProductStructure(matrix, Metric.euclidean(2))
+            golden_from_product(matrix, Metric.euclidean(2))
 
     def test_square_check_reads_no_qmatrix_row(self, monkeypatch):
         monkeypatch.setattr(xl.QMatrix, "__iter__", None)
@@ -87,58 +86,51 @@ class TestVerifyGolden:
 
     def test_float_backend(self):
         phi = np.diag([PSI_F, 1 - PSI_F])
-        report = verify_golden(phi, Metric.euclidean(2, backend="float"))
+        report = verify_golden(phi, Metric(np.eye(2)))
         assert report.passed and report.backend == "float" and not report.exact_zero
 
 
 class TestConversions:
     def test_identity_involution_gives_psi_scaling(self):
-        f = AlmostProductStructure(_eye_exact(2), Metric.euclidean(2))
-        s = golden_from_product(f)
+        s = golden_from_product(_eye_exact(2), Metric.euclidean(2))
         assert np.array_equal(s.phi, _diag_exact([PSI, PSI]))
 
     def test_signature_involution_matches_known_structure(self):
-        f = AlmostProductStructure(_diag_exact([1, 1, -1, -1]), Metric.euclidean(4))
-        s = golden_from_product(f)
+        s = golden_from_product(_diag_exact([1, 1, -1, -1]), Metric.euclidean(4))
         assert np.array_equal(s.phi, _diag_exact([PSI, PSI, ONE_MINUS_PSI, ONE_MINUS_PSI]))
         assert verify_golden(s.phi, s.metric).exact_zero
 
     def test_negated_identity_gives_conjugate_root(self):
-        f = AlmostProductStructure(_diag_exact([-1, -1, -1]), Metric.euclidean(3))
-        s = golden_from_product(f)
+        s = golden_from_product(_diag_exact([-1, -1, -1]), Metric.euclidean(3))
         assert np.array_equal(s.phi, _diag_exact([ONE_MINUS_PSI] * 3))
 
     def test_product_from_golden_recovers_signature(self):
         s = diagonal_golden(["psi", "psi", "one_minus_psi", "one_minus_psi"])
-        f = product_from_golden(s)
-        assert np.array_equal(f.f, _diag_exact([1, 1, -1, -1]))
+        assert np.array_equal(product_from_golden(s), _diag_exact([1, 1, -1, -1]))
 
     def test_psi_identity_maps_to_identity_involution(self):
         s = diagonal_golden(["psi", "psi"])
-        assert np.array_equal(product_from_golden(s).f, _eye_exact(2))
+        assert np.array_equal(product_from_golden(s), _eye_exact(2))
 
     def test_roundtrip_exact_is_bit_exact(self):
         s = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"])
-        back = golden_from_product(product_from_golden(s))
+        back = golden_from_product(product_from_golden(s), s.metric)
         assert np.array_equal(back.phi, s.phi)
 
     def test_roundtrip_float_random(self):
         s = random_golden(6, 2, seed=11)
-        back = golden_from_product(product_from_golden(s))
+        back = golden_from_product(product_from_golden(s), s.metric)
         assert np.abs(back.phi_float - s.phi_float).max() <= 1e-12
 
     def test_invalid_involution_rejected(self):
-        bad = AlmostProductStructure(_diag_exact([1, 2]), Metric.euclidean(2),
-                                     validate=False)
         with pytest.raises(InvalidInvolution):
-            golden_from_product(bad)
+            golden_from_product(_diag_exact([1, 2]), Metric.euclidean(2))
 
     def test_metric_incompatibility_rejected(self):
         f = [[QuadRat(0), QuadRat(1)], [QuadRat(1), QuadRat(0)]]
         metric = Metric([[QuadRat(2), QuadRat(0)], [QuadRat(0), QuadRat(1)]])
-        bad = AlmostProductStructure(f, metric, validate=False)
         with pytest.raises(MetricIncompat):
-            golden_from_product(bad)
+            golden_from_product(f, metric)
 
 
 class TestRandomGolden:
@@ -202,7 +194,7 @@ class TestEigendecomp:
         assert np.abs(phi @ basis_psi - PSI_F * basis_psi).max() <= 1e-10
         assert np.abs(phi @ basis_neg - (1 - PSI_F) * basis_neg).max() <= 1e-10
         # The psi eigenspace is the +1 eigenspace of the underlying involution.
-        f = product_from_golden(s).f
+        f = product_from_golden(s)
         assert np.abs(f @ basis_psi - basis_psi).max() <= 1e-10
         # g-orthogonality across the two spaces
         assert np.abs(basis_psi.T @ basis_neg).max() <= 1e-10
@@ -268,9 +260,10 @@ class TestMetricAndInvariants:
         with pytest.raises(InvalidStructure):
             GoldenStructure(_eye_exact(2), Metric.euclidean(2))
 
-    def test_validate_false_escape_hatch(self):
-        s = GoldenStructure(_eye_exact(2), Metric.euclidean(2), validate=False)
-        assert not verify_golden(s.phi, s.metric).passed
+    def test_a_given_report_is_kept_unchecked(self):
+        report = verify_golden(_eye_exact(2), Metric.euclidean(2))
+        s = GoldenStructure(_eye_exact(2), Metric.euclidean(2), report)
+        assert s.report is report and not s.report.passed
 
 
 def _general_identity(n):
@@ -308,7 +301,7 @@ class TestIdentityMetric:
         # p = I but d = 2, p = I and d = 1 but q != 0, and d = 1, q = 0 but p = 2 I
         for entries in ([Fraction(1, 2)] * 2, [1 + SQRT5, 1], [2, 2]):
             assert not Metric(_diag_exact(entries)).is_identity
-        assert not Metric.euclidean(2, backend="float").is_identity
+        assert not Metric(np.eye(2)).is_identity
 
     def test_pattern_structure_equals_the_validated_reference(self):
         roots = {"psi": PSI, "one_minus_psi": ONE_MINUS_PSI}

@@ -64,10 +64,10 @@ class TestFrameAt:
     def test_degenerate_immersion_rank_deficient(self):
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u1", "0", "0"])
         with pytest.raises(RankDeficient):
-            frame_at(imm, (0.0, 0.0), Metric.euclidean(4, backend="float"))
+            frame_at(imm, (0.0, 0.0), Metric(np.eye(4)))
 
     def test_frame_spans_raw_tangents(self):
-        frame = frame_at(INVARIANT_IMM, (1.0, 1.0), Metric.euclidean(4, backend="float"))
+        frame = frame_at(INVARIANT_IMM, (1.0, 1.0), Metric(np.eye(4)))
         # raw tangents must be reproducible from the tangent frame alone
         coeffs = frame.tangent_onb.T @ frame.raw_tangents
         assert np.abs(frame.tangent_onb @ coeffs - frame.raw_tangents).max() <= 1e-12
@@ -80,7 +80,7 @@ class TestFrameAt:
 
     def test_metric_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            frame_at(INVARIANT_IMM, (0.0, 0.0), Metric.euclidean(3, backend="float"))
+            frame_at(INVARIANT_IMM, (0.0, 0.0), Metric(np.eye(3)))
 
 
 class TestSampleSpec:
@@ -153,8 +153,8 @@ class TestStructuralIdentities:
     def test_perturbed_structure_is_detected(self):
         phi = INVARIANT_STRUCT.to_float().phi_float.copy()
         phi[0, 0] += 0.01
-        broken = GoldenStructure(phi, Metric.euclidean(4, backend="float"),
-                                 validate=False)
+        metric = Metric(np.eye(4))
+        broken = GoldenStructure(phi, metric, verify_golden(phi, metric))
         frame = frame_at(INVARIANT_IMM, (0.3, 0.3), broken.metric)
         ops = induced_operators(frame, broken)
         res = structural_identity_residuals(ops, frame, broken)
@@ -189,7 +189,7 @@ class TestInvarianceKinds:
         ops = induced_operators(frame, INVARIANT_STRUCT.to_float())
         assert invariance_kinds(ops) == "invariant"
         # the induced pair (P, g) is itself golden
-        report = verify_golden(ops.p, Metric.euclidean(2, backend="float"))
+        report = verify_golden(ops.p, Metric(np.eye(2)))
         assert report.residual_structure <= 1e-10
         assert report.residual_self_adjoint <= 1e-10
 
