@@ -41,7 +41,7 @@ SUITE_ORDER = ("structure", "identities", "extrinsic", "slant", "curvature")
 IMMERSION_SUITES = {"identities", "extrinsic", "slant"}
 
 # spaceform.trials and spaceform.seed size nothing: they are validated and echoed
-# because the benchmark's generated configs write them (ROADMAP items 1 and 5 delete them).
+# because the benchmark's generated configs write them (ROADMAP item 1 deletes them).
 MAX_TRIALS = 100_000
 # Exact validation costs grow as dim^3, so the dimension bounds a run's work.
 MAX_DIM = 32

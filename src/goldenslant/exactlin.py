@@ -54,8 +54,8 @@ class QMatrix:
     def __init__(self, p: np.ndarray, q: np.ndarray, d: int = 1):
         # Python ints only: fixed-width integers would wrap on overflow.
         p, q = np.asarray(p, dtype=object), np.asarray(q, dtype=object)
-        g = gcd(d, *p.flat, *q.flat)
-        if g != 1:
+        g = gcd(d, *p.flat)
+        if g != 1 and (g := gcd(g, *q.flat)) != 1:  # q is read only when d and p share a factor
             p, q, d = p // g, q // g, d // g
         self.p, self.q, self.d = p, q, d
 

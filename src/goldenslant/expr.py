@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from .quadrat import PSI, SQRT5, QuadRat
+from .quadrat import PSI, SQRT5, QuadRat, from_integers
 
 CONSTANT_VALUES = {"psi": float(PSI), "sqrt5": math.sqrt(5.0), "pi": math.pi}
 EXACT_CONSTANTS = {"psi": PSI, "sqrt5": SQRT5}
@@ -328,20 +328,21 @@ _ZERO, _ONE = QuadRat(0), QuadRat(1)
 def _affine(node: Node) -> tuple[QuadRat, dict[int, QuadRat]] | None:
     """Exact affine form over Q(sqrt5): the constant and the nonzero coefficients
     by parameter index, or None when unavailable."""
-    if isinstance(node, Lit):
-        return QuadRat(node.value), {}
-    if isinstance(node, Const):
+    kind = type(node)
+    if kind is Lit:  # a Fraction, so already in lowest terms
+        return from_integers(node.value.numerator, 0, node.value.denominator), {}
+    if kind is Const:
         exact = EXACT_CONSTANTS.get(node.name)
         return (exact, {}) if exact is not None else None
-    if isinstance(node, Param):
+    if kind is Param:
         return _ZERO, {node.index: _ONE}
-    if isinstance(node, Neg):
+    if kind is Neg:
         inner = _affine(node.operand)
         if inner is None:
             return None
         c, coeffs = inner
         return -c, {i: -x for i, x in coeffs.items()}
-    if isinstance(node, Bin):
+    if kind is Bin:
         left = _affine(node.left)
         right = None if left is None else _affine(node.right)
         if right is None:
@@ -363,7 +364,7 @@ def _affine(node: Node) -> tuple[QuadRat, dict[int, QuadRat]] | None:
             return None
         inv = cr.inverse()
         return cl * inv, _scaled(vl, inv)
-    if isinstance(node, Pow):
+    if kind is Pow:
         inner = _affine(node.base)
         if inner is None:
             return None

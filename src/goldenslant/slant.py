@@ -125,13 +125,15 @@ def classify_geometry(geom: PointGeometry, tol_angle: float = DEFAULT_TOL_ANGLE,
     characterization, the P/Q product identities and the tQ identity are
     evaluated at every point and their worst residuals attached to the
     report.  The bilinear-form identities are measured by the spectral norm
-    of their matrices: the worst value of the form on any unit pair, and
-    never below the worst entry.
+    of their matrices, all in one call: the worst value of the form on any
+    unit pair, and never below the worst entry.
     """
     ops = geom.ops
     _, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
     angles = _angles(ops.p, ops.q, vectors.mT, tol_class)
-    theta = float(np.mean(angles))
+    # Each evaluated point stands for geom.repeats sample points; the mean is summed over
+    # all of their rows, in the order of a pass that evaluated each.
+    theta = float(np.mean(np.repeat(angles, geom.repeats, axis=0)))
     spread = float(angles.max() - angles.min())
     if spread <= tol_angle:
         if theta <= tol_angle:
@@ -155,33 +157,30 @@ def classify_geometry(geom: PointGeometry, tol_angle: float = DEFAULT_TOL_ANGLE,
     p, q = ops.p, ops.q
     pp = p @ p
     # Orthonormal frames: Gt = I, Gt P = P and Gn Q = Q.
-    lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, np.eye(ops.m), p), q, q,
-                                        lam, report.k, _spectral)
-    residuals = {
-        "characterization": _characterization(p, pp, lam, _spectral),
-        "lemma_p": lemma_p,
-        "lemma_q": lemma_q,
-        "tq": np.maximum(*_tq_residuals(p, pp, ops.t @ q, lam)),
-    }
+    forms = [_characterization(p, pp, lam),
+             *_lemma_residuals(*_cos2_forms(p, np.eye(ops.m), p), q, q, lam, report.k)]
     if kind != ANTI_INVARIANT:
-        residuals["corollary"] = _corollary(p, pp, lam)
+        forms.append(_corollary(p, pp, lam))
+    keys = ("characterization", "lemma_p", "lemma_q", "corollary")
+    residuals = dict(zip(keys, _spectral(np.stack(forms))))
+    residuals["tq"] = np.maximum(*_tq_residuals(p, pp, ops.t @ q, lam))
     return report._replace(residuals={k: float(np.max(v)) for k, v in residuals.items()})
 
 
 # ---------------------------------------------------------------------------
 # the slant identities, written once for exact matrices and float stacks (one
-# value per point); ``pp`` is P^2, formed once by the caller and shared
+# matrix or value per point); ``pp`` is P^2, formed once by the caller and shared
 
 
-def _characterization(p, pp, lam, norm=_amax):
-    """``norm`` of P^2 - lambda (P + I), max |entry| by default."""
-    return norm(pp - (p + _eye(p)) * lam)
+def _characterization(p, pp, lam):
+    """The matrix P^2 - lambda (P + I)."""
+    return pp - (p + _eye(p)) * lam
 
 
 def _corollary(p, pp, lam):
-    """Spectral norm of g(phi^2 X, Y) - g(P^2 X, Y) / lambda, with
+    """The matrix of g(phi^2 X, Y) - g(P^2 X, Y) / lambda, with
     g(phi^2 X, Y) = g(PX, Y) + g(X, Y)."""
-    return _spectral(p + _eye(p) - pp / lam)
+    return p + _eye(p) - pp / lam
 
 
 def _cos2_forms(p, gt, gt_p):
@@ -190,13 +189,12 @@ def _cos2_forms(p, gt, gt_p):
     return gt_p.mT @ p, gt + gt_p
 
 
-def _lemma_residuals(pp_form, p_rhs, q, gn_q, lam, k, norm=_amax):
-    """Residuals of g(PX, PY) = lambda (g(X, Y) + g(X, PY)) and
-    g(QX, QY) = k (g(X, Y) + g(PX, Y)) as ``norm`` (max |entry| by default) of
-    their matrices, from the :func:`_cos2_forms` ``pp_form`` and ``p_rhs`` (whose
-    transpose is the matrix of g(X, Y) + g(PX, Y)) and ``gn_q`` = Gn Q, the
-    matrix of g(V, QY) for normal V."""
-    return norm(pp_form - p_rhs * lam), norm(q.mT @ gn_q - p_rhs.mT * k)
+def _lemma_residuals(pp_form, p_rhs, q, gn_q, lam, k):
+    """The residual matrices of g(PX, PY) = lambda (g(X, Y) + g(X, PY)) and
+    g(QX, QY) = k (g(X, Y) + g(PX, Y)), from the :func:`_cos2_forms` ``pp_form`` and
+    ``p_rhs`` (whose transpose is the matrix of g(X, Y) + g(PX, Y)) and ``gn_q`` = Gn Q,
+    the matrix of g(V, QY) for normal V."""
+    return pp_form - p_rhs * lam, q.mT @ gn_q - p_rhs.mT * k
 
 
 def _tq_residuals(p, pp, tq, lam):
@@ -226,8 +224,8 @@ def exact_slant_data(eops: ExactInducedOperators) -> dict:
     lam = candidates[0]
     uniform = all(c == lam for c in candidates)
     pp = p @ p
-    char = _characterization(p, pp, lam)
-    lemma_p, lemma_q = _lemma_residuals(*forms, q, eops.lowered[m:], lam, 1 - lam)
+    char = _amax(_characterization(p, pp, lam))
+    lemma_p, lemma_q = map(_amax, _lemma_residuals(*forms, q, eops.lowered[m:], lam, 1 - lam))
     tq1, tq2 = _tq_residuals(p, pp, eops.square[:m, :m] - pp, lam)
     return {
         "lambda": lam,

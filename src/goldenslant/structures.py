@@ -123,7 +123,7 @@ class Metric:
     Exact entries are validated by their exact ``factor`` ``g = L D L^T`` (``L^T`` and
     ``D^-1 L^-1``), and their float view has ``W = D^(1/2) L^T``; float ones by a Cholesky factor.
     ``is_identity`` says the entries are exactly I, known by their value: the factor is then
-    (I, I), with no elimination.
+    (I, I), with no elimination, and the float view's W, W^-1 and entries are the float I.
     """
 
     def __init__(self, entries):
@@ -160,7 +160,11 @@ class Metric:
     @cached_property
     def _float_view(self) -> Metric:
         view = copy.copy(self)
-        view.backend, view.entries = "float", self.matrix
+        view.backend = "float"
+        if self.is_identity:  # no exact entry is converted
+            view.entries = view.w = view.w_inv = np.eye(self.n)
+            return view
+        view.entries = self.matrix
         lt, lower_inv = map(as_float, self.factor)
         root_d = 1.0 / np.sqrt(lower_inv.diagonal())  # L^-1 has a unit diagonal
         view.w, view.w_inv = root_d[:, None] * lt, lower_inv.T * root_d

@@ -195,7 +195,9 @@ class PointGeometry(NamedTuple):
     split into ``tangential`` (N x m x m x m) and the second fundamental form
     ``h`` (N x m x m x (n-m)), and, given a structure, the stacked ``ops``.
     ``exact`` holds the scenario's exact route (P, Q, t, s over Q(sqrt5))
-    when it has one and a suite reads it.
+    when it has one and a suite reads it.  Each evaluated point stands for
+    ``repeats`` sample points: all N of an affine immersion, whose geometry is
+    the same at each, are evaluated at the first alone.
     """
 
     frame: TangentFrame
@@ -205,10 +207,12 @@ class PointGeometry(NamedTuple):
     ops: InducedOperators | None
     structure: GoldenStructure | None
     exact: ExactInducedOperators | None = None
+    repeats: int = 1
 
     @property
     def size(self) -> int:
-        return self.hessians.shape[0]
+        """The number of sample points."""
+        return self.hessians.shape[0] * self.repeats
 
 
 def point_geometry(imm: ImmersionSpec, metric: Metric,
@@ -216,7 +220,9 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
                    points: Sequence[Sequence[float]] | None = None) -> PointGeometry:
     """One batched pass over ``points`` (default: the immersion's sample points):
     jets, frames, the frame coordinates of the Hessians and, given ``structure``, P, Q, t, s.
-    An affine immersion reads its exact form instead of jets: its second derivatives are 0."""
+    An affine immersion reads its exact form instead of jets: its second derivatives are 0,
+    and once its values are checked finite at every point, its one Jacobian is evaluated
+    at the first point alone."""
     if metric.n != imm.n:
         raise DimensionMismatch("metric dimension does not match the ambient space")
     pts = np.asarray(imm.sample_spec.points() if points is None else points, dtype=float)
@@ -224,24 +230,24 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
     if form is None:
         jac, hess = evaluate(imm.components, pts)
     else:
-        jac = evaluate_affine(*(np.asarray(x, dtype=float) for x in form), pts)
+        jac = evaluate_affine(*(np.asarray(x, dtype=float) for x in form), pts)[:1]
         hess = np.zeros(jac.shape + jac.shape[-1:])
     w = metric.to_float().w
     # Products that overflow give non-finite values, which fail the checks
     # that read them.
     with np.errstate(over="ignore", invalid="ignore"):
-        frame = _stacked_frames(pts, jac, w)
-        columns = w @ hess.reshape(len(pts), imm.n, -1)  # W D2x_ij
+        frame = _stacked_frames(pts[:len(jac)], jac, w)
+        columns = w @ hess.reshape(len(jac), imm.n, -1)  # W D2x_ij
         # Coordinates of W D2x_ij in [tangent | normal]: the first m are its
         # tangential part, the rest the second fundamental form h_ij.
         split = frame.split(columns)
         ops = None if structure is None else induced_operators(frame, structure)
     return PointGeometry(frame, columns.reshape(hess.shape), split[..., :frame.m],
-                         split[..., frame.m:], ops, structure)
+                         split[..., frame.m:], ops, structure, repeats=len(pts) // len(jac))
 
 
-def block_identity_residuals(c, lowered, square, gt, form_norm=_amax) -> dict:
-    """Max-abs residuals of the four block identities, self-adjointness and the metric split.
+def block_identity_residuals(c, lowered, square, gt) -> dict:
+    """Residual matrices of the four block identities, self-adjointness and the metric split.
 
     ``c`` is phi's matrix ``[[P, t], [Q, s]]`` in a basis [T | N] of tangent
     and normal vectors, ``square`` is ``c @ c``, ``gt`` is the Gram matrix of
@@ -249,29 +255,30 @@ def block_identity_residuals(c, lowered, square, gt, form_norm=_amax) -> dict:
     (more columns are ignored), so ``M_TT = Gt P`` and ``M_NT = Gn Q``.  The four
     block identities are the four blocks of ``c^2 - c - I``; self-adjointness
     is ``M_TT = M_TT^T`` and the metric split is
-    ``c[:, :m]^T M[:, :m] = P^T Gt P + Q^T Gn Q = Gt + M_TT^T``.  Exact
-    matrices give exact residuals; float stacks give one residual per point.
-    ``form_norm`` measures the matrices of the two bilinear-form identities.
+    ``c[:, :m]^T M[:, :m] = P^T Gt P + Q^T Gn Q = Gt + M_TT^T``, the last two the
+    m x m matrices of bilinear forms.  Exact and float matrices alike; float stacks
+    give one matrix per point.
     """
     m = gt.shape[-1]
     r = square - c - _eye(c)
     m_tt = lowered[..., :m, :m]
     return {
-        "p_squared": _amax(r[..., :m, :m]),
-        "q_projection": _amax(r[..., m:, :m]),
-        "s_squared": _amax(r[..., m:, m:]),
-        "t_projection": _amax(r[..., :m, m:]),
-        "p_self_adjoint": form_norm(m_tt - m_tt.mT),
-        "metric_split": form_norm(c[..., :m].mT @ lowered[..., :m] - gt - m_tt.mT),
+        "p_squared": r[..., :m, :m],
+        "q_projection": r[..., m:, :m],
+        "s_squared": r[..., m:, m:],
+        "t_projection": r[..., :m, m:],
+        "p_self_adjoint": m_tt - m_tt.mT,
+        "metric_split": c[..., :m].mT @ lowered[..., :m] - gt - m_tt.mT,
     }
 
 
 def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
                                   structure: GoldenStructure) -> dict:
-    """:func:`block_identity_residuals` in the orthonormal frames, plus reassembly.
+    """Residuals of :func:`block_identity_residuals` in the orthonormal frames, plus reassembly.
 
-    The two metric identities are bilinear forms, measured by the spectral
-    norm of their matrices: the worst value of the form on any unit tangent
+    The block identities are measured by their max |entry|.  The two metric
+    identities are bilinear forms, measured by the spectral norm of their
+    matrices, both in one call: the worst value of the form on any unit tangent
     pair, and never below the worst entry.  The reassembly residuals confirm
     that ``phi X`` recombines from the operator blocks in the coordinates
     ``y = W x``.  For stacked operators each residual holds one value per
@@ -279,8 +286,10 @@ def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
     """
     # In orthonormal frames M = C.
     blocks = ops.blocks
-    res = block_identity_residuals(blocks, blocks, blocks @ blocks, np.eye(ops.m),
-                                   form_norm=_spectral)
+    res = block_identity_residuals(blocks, blocks, blocks @ blocks, np.eye(ops.m))
+    forms = _spectral(np.stack([res.pop("p_self_adjoint"), res.pop("metric_split")]))
+    res = {k: _amax(v) for k, v in res.items()}
+    res["p_self_adjoint"], res["metric_split"] = forms
     phi = structure.phi_hat
     tb, nb = frame.tangent_onb, frame.normal_onb
     res["reassembly_tangent"] = _amax(phi @ tb - tb @ ops.p - nb @ ops.q)
@@ -368,5 +377,7 @@ def exact_induced_operators(frame: ExactFrame,
 
 
 def exact_identity_residuals(ops: ExactInducedOperators) -> dict[str, QuadRat]:
-    """:func:`block_identity_residuals` over Q(sqrt5) in the raw bases (all must be 0)."""
-    return block_identity_residuals(ops.blocks, ops.lowered, ops.square, ops.frame.gram_tangent)
+    """Max |entry| of each :func:`block_identity_residuals` over Q(sqrt5) in the raw bases
+    (all must be 0)."""
+    res = block_identity_residuals(ops.blocks, ops.lowered, ops.square, ops.frame.gram_tangent)
+    return {k: _amax(v) for k, v in res.items()}

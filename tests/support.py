@@ -1,7 +1,7 @@
-"""Test helpers: the batched geometry pass at one point, seeded random golden structures,
-float reference space-form models with the reference ``curvature``, the sampled
-curvature program, the curvature certificate in QuadRat arithmetic and the report's JSON
-by ``json.dumps``."""
+"""Test helpers: the batched geometry pass at one point and on the jet route, a mean over
+repeated rows, seeded random golden structures, float reference space-form models with the
+reference ``curvature``, the sampled curvature program, the curvature certificate in
+QuadRat arithmetic and the report's JSON by ``json.dumps``."""
 
 import json
 import math
@@ -9,12 +9,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from goldenslant import spaceform
 from goldenslant.errors import DimensionMismatch
+from goldenslant.expr import Expr
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
 from goldenslant.structures import Metric, diagonal_golden, golden_from_product
-from goldenslant.submanifold import point_geometry
+from goldenslant.submanifold import ImmersionSpec, point_geometry
 
 
 def at_point(imm, point, structure=None, metric=None):
@@ -22,6 +24,21 @@ def at_point(imm, point, structure=None, metric=None):
     (metric: the structure's unless given); its arrays keep a point axis of length 1."""
     return point_geometry(imm, structure.metric if metric is None else metric, structure,
                           [point])
+
+
+def jet_route(imm, metric, structure, points=None):
+    """``point_geometry`` of ``imm`` on the jet route, which evaluates every sample point
+    (or ``points``), also of an affine immersion: a copy whose components claim no affine form."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Expr, "affine_exact", lambda self: None)
+        copy = ImmersionSpec(imm.params, imm.components, imm.sample_spec)
+        return point_geometry(copy, metric, structure, points)
+
+
+def repeated_mean(row, count: int) -> float:
+    """The mean of ``count`` rows equal to ``row``, stored as one C-ordered array as a pass
+    that evaluated each row would hold them."""
+    return float(np.mean(np.tile(row, (count, 1))))
 
 
 def random_golden(n: int, p: int, seed: int):

@@ -27,13 +27,13 @@ from goldenslant.config import (MAX_DIM, MAX_POINT_WORK, MAX_POINTS, SampleSpec,
                                 parse_config)
 from goldenslant.errors import ConfigError, DomainError
 from goldenslant.expr import parse
-from goldenslant.submanifold import point_geometry
 from goldenslant.suites import (
     render_report,
     run_curvature_suite,
     run_identities_suite,
     run_scenario,
 )
+from support import jet_route
 
 MINIMAL = {
     "ambient": {"dim": 4,
@@ -320,9 +320,10 @@ class TestRunScenario:
     def test_nan_identity_residual_fails_the_suite(self):
         cfg = parse_config(SLANT_SCENARIO)
         structure = cfg.build_structure().to_float()
-        geom = point_geometry(cfg.build_immersion(), structure.metric, structure)
-        # One point after the first; s leaves the first residual, p_squared, finite,
+        # The jet route evaluates each point of the affine immersion, so a NaN can sit at
+        # one point after the first; s leaves the first residual, p_squared, finite,
         # which a Python max() seeded with it would keep over a later NaN.
+        geom = jet_route(cfg.build_immersion(), structure.metric, structure)
         geom.ops.s[1, 0, 0] = np.nan
         result = run_identities_suite(geom, cfg.tolerances)
         assert math.isnan(result["residuals"]["s_squared"])

@@ -10,16 +10,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import goldenslant.exactlin as xl
+import goldenslant.structures as structures
 from goldenslant.cli import resolve_config
 from goldenslant.config import Tolerances, load_config, parse_config
-from goldenslant.errors import InvalidStructure
+from goldenslant.errors import DomainError, InvalidStructure
 from goldenslant.expr import Expr
 from goldenslant.quadrat import PSI, QuadRat
 from goldenslant.slant import (
+    _angles,
     _characterization,
     _cos2_forms,
     _lemma_residuals,
     _tq_residuals,
+    classify_geometry,
     exact_slant_data,
 )
 from goldenslant.structures import (
@@ -33,6 +36,7 @@ from goldenslant.structures import (
     verify_golden,
 )
 from goldenslant.submanifold import (
+    DEFAULT_TOL_CLASS,
     ImmersionSpec,
     SampleSpec,
     block_identity_residuals,
@@ -42,7 +46,7 @@ from goldenslant.submanifold import (
     point_geometry,
 )
 from goldenslant.suites import run_scenario, run_structure_suite
-from support import random_golden
+from support import at_point, jet_route, random_golden, repeated_mean
 
 
 def _text(x: QuadRat) -> str:
@@ -105,7 +109,7 @@ def test_shared_identities_are_exact_zeros_and_float_small(scenario):
     assert set(floats) == set(exact)
     # The metric's Euclidean model comes from its exact factor, so the rounding in the
     # frames does not grow with the condition number of g.
-    assert all(np.max(v) <= 1e-13 for v in floats.values()), floats
+    assert all(np.abs(v).max() <= 1e-13 for v in floats.values()), floats
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,7 +136,7 @@ def test_slant_identities_are_exact_zeros_and_float_small(a, b, k, data):
     floats = (_characterization(ops.p, pp, lam),
               *_lemma_residuals(*_cos2_forms(ops.p, np.eye(k), ops.p), ops.q, ops.q, lam, 1 - lam),
               *_tq_residuals(ops.p, pp, ops.t @ ops.q, lam))
-    assert max(float(np.max(v)) for v in floats) <= 1e-12, floats
+    assert max(float(np.abs(v).max()) for v in floats) <= 1e-12, floats
 
 
 class TestExactMatrix:
@@ -403,21 +407,14 @@ ROOT = Path(__file__).resolve().parents[1]
 AFFINE_BUNDLED = ("paper_example_3", "paper_example_4_k1", "paper_example_4_k2_paperformula")
 
 
-def _jet_route(imm: ImmersionSpec, metric, structure):
-    """``point_geometry`` of ``imm`` on the jet route: a copy whose components claim
-    no affine form."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Expr, "affine_exact", lambda self: None)
-        copy = ImmersionSpec(imm.params, imm.components, imm.sample_spec)
-        return point_geometry(copy, metric, structure)
-
-
 def _assert_routes_agree(imm: ImmersionSpec, metric, structure) -> None:
     affine = point_geometry(imm, metric, structure)
     assert imm.affine_form is not None
-    jets = _jet_route(imm, metric, structure)
+    jets = jet_route(imm, metric, structure)
+    # The affine route evaluates its first point for all of them; it is compared with each.
+    assert affine.size == affine.repeats == jets.size
     for name in ("hessians", "tangential", "h"):
-        assert getattr(affine, name).shape == getattr(jets, name).shape, name
+        assert getattr(affine, name).shape == (1, *getattr(jets, name).shape[1:]), name
         assert not getattr(affine, name).any() and not getattr(jets, name).any(), name
     # A few ulp, grown by the conditioning of the metric the frames are built in.
     ulps = 8 * np.finfo(float).eps * np.linalg.cond(metric.to_float().matrix)
@@ -486,6 +483,68 @@ def test_affine_scenario_walks_each_component_once_and_evaluates_no_jets(monkeyp
     report = run_scenario(_scenario(["structure", "identities", "slant"]))
     assert report["overall_pass"] and report["suites"]["slant"]["exact"]["available"]
     assert (len(jets), len(walks)) == (0, 4)
+
+
+def _on_grid(source: str, count: int):
+    """The structure and immersion of a bundled config, sampled on a ``count`` x ``count`` grid."""
+    cfg = load_config(resolve_config(source))
+    imm = cfg.build_immersion()
+    return cfg.build_structure(), ImmersionSpec(imm.params, imm.components,
+                                                SampleSpec(grid=((-1.0, 1.0, count),) * 2))
+
+
+def test_affine_point_pass_builds_one_frame_and_counts_every_point(monkeypatch):
+    qr_shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr_shapes.append(a.shape) or qr(a, mode))
+    structure, imm = _on_grid("paper_example_3", 30)
+    geom = point_geometry(imm, structure.metric, structure)
+    assert qr_shapes == [(1, 4, 2)]
+    assert (geom.size, geom.repeats, geom.frame.onb.shape[0], geom.ops.blocks.shape[0]) == \
+        (900, 900, 1, 1)
+    cfg = load_config(resolve_config("paper_example_3"))
+    report = run_scenario(cfg._replace(immersion_samples=imm.sample_spec))
+    assert report["overall_pass"] and report["suites"]["identities"]["points"] == 900
+
+
+def test_affine_value_overflowing_at_the_last_grid_point_names_it():
+    # 10^308 (u1 + u2) is finite at every point of the 2 x 2 grid on [0, 1]^2 but (1, 1).
+    big = "1" + "0" * 308  # a literal, whose jets have no derivative to overflow
+    imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1-u2", f"{big}*(u1+u2)"],
+                                     SampleSpec(grid=((0.0, 1.0, 2),) * 2))
+    structure = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"])
+    assert imm.affine_form is not None
+    with pytest.raises(DomainError) as affine:
+        point_geometry(imm, structure.metric, structure)
+    with pytest.raises(DomainError) as jets:
+        jet_route(imm, structure.metric, structure)
+    assert str(affine.value) == str(jets.value) == "value or derivative is not finite at (1.0, 1.0)"
+
+
+def test_affine_theta_is_the_mean_over_every_point():
+    structure, imm = _on_grid("paper_example_4_k1", 300)
+    theta = classify_geometry(point_geometry(imm, structure.metric, structure)).theta
+    # The angles at the first point, which stands for all 90,000.
+    ops = at_point(imm, imm.sample_spec.points()[0], structure).ops
+    angles = _angles(ops.p, ops.q, np.linalg.eigh((ops.p + ops.p.mT) / 2.0)[1].mT,
+                     DEFAULT_TOL_CLASS)
+    assert theta == repeated_mean(angles[0], 90_000)
+    assert theta != float(np.mean(angles))  # the mean of the one point differs in its last bit
+
+
+@pytest.mark.parametrize("backend", ["auto", "float"])
+@pytest.mark.parametrize("source", ["paper_example_2", "paper_example_3"])  # curved, affine
+def test_identities_and_slant_suites_each_call_the_spectral_norm_once(monkeypatch, source,
+                                                                      backend):
+    calls = _count(monkeypatch, structures, "_spectral")
+    cfg = load_config(resolve_config(source))
+    for suites in (("identities",), ("slant",), ("identities", "slant")):
+        calls.clear()
+        report = run_scenario(cfg._replace(suites=suites), backend=backend)
+        assert report["overall_pass"] and len(calls) == len(suites), suites
+    # Neither example is anti-invariant, so the slant call measured all four of its forms.
+    assert {"characterization", "lemma_p", "lemma_q", "corollary"} <= set(
+        report["suites"]["slant"]["residuals"])
 
 
 def test_curved_scenario_evaluates_jets_once_per_component(monkeypatch):

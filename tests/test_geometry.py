@@ -370,16 +370,16 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
 
     identities = structural_identity_residuals(ops, geom.frame, structure)
     # the residuals classify_geometry attaches, at the given lambda
-    lemma_p, lemma_q = _lemma_residuals(*_cos2_forms(p, eye, p), q, q, lam, k, _spectral)
+    lemma_p, lemma_q = map(_spectral, _lemma_residuals(*_cos2_forms(p, eye, p), q, q, lam, k))
     # residual, its matrix, and the form the earlier samples evaluated on (x, y)
     cases = {
         "p_self_adjoint": (identities["p_self_adjoint"], p.mT - p, dot(px, y) - dot(x, py)),
         "metric_split": (identities["metric_split"], p.mT @ p + q.mT @ q - eye - p.mT,
                          dot(px, py) + dot(qx, qy) - dot(x, y) - dot(px, y)),
-        "characterization": (_characterization(p, p @ p, lam, _spectral),
+        "characterization": (_spectral(_characterization(p, p @ p, lam)),
                              p @ p - lam * (p + eye),
                              dot(x, px @ p.mT) - lam * (dot(x, x) + dot(x, px))),
-        "corollary": (_corollary(p, p @ p, lam), p + eye - p @ p / lam,
+        "corollary": (_spectral(_corollary(p, p @ p, lam)), p + eye - p @ p / lam,
                       dot(x, px) + dot(x, x) - dot(x, px @ p.mT) / lam),
         "lemma_p": (lemma_p, p.mT @ p - lam * (eye + p),
                     dot(px, py) - lam * (dot(x, y) + dot(x, py))),

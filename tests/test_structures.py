@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goldenslant.exactlin as xl
 from goldenslant.cli import list_bundled, resolve_config
@@ -314,7 +315,7 @@ class TestIdentityMetric:
             view, ref_view = built.to_float(), ref.to_float()
             for name in ("phi", "phi_hat"):
                 assert getattr(view, name).tobytes() == getattr(ref_view, name).tobytes()
-            for name in ("w", "w_inv"):
+            for name in ("entries", "w", "w_inv"):
                 assert getattr(view.metric, name).tobytes() == getattr(ref_view.metric,
                                                                          name).tobytes()
             assert view.report == ref_view.report, pattern
@@ -326,6 +327,16 @@ class TestIdentityMetric:
             s.report, s.phi_hat
             assert s.report.exact_zero
         assert calls == {"ldl": 0, "matmul": 0}
+
+    def test_float_view_converts_no_exact_entry(self, monkeypatch):
+        views = []
+        to_array = xl.QMatrix.__array__
+        monkeypatch.setattr(xl.QMatrix, "__array__",
+                            lambda self, *args, **kw: views.append(1) or to_array(self, *args, **kw))
+        view = Metric.euclidean(4).to_float()
+        assert not views
+        for name in ("entries", "w", "w_inv", "matrix"):
+            assert np.array_equal(getattr(view, name), np.eye(4)), name
 
     def test_other_metrics_are_still_validated(self, monkeypatch):
         calls = _counting(monkeypatch, "ldl", "matmul")
@@ -354,6 +365,23 @@ class TestSpectralNorm:
         got = _spectral(a)
         assert got[0] == 0.0 and np.isnan(got[1]) and got[2] == np.inf
         assert got[3] == 0.0 and not np.signbit(got[3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stacked_stacks_give_each_stack_its_own_bits(self, data):
+        # The point suites measure several same-shape stacks in one call.
+        k, points, rows, cols = (data.draw(st.integers(1, hi)) for hi in (4, 5, 4, 4))
+        entry = st.one_of(
+            st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+            st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 1.7e308, 5e-324]))
+        stacks = np.array(data.draw(st.lists(entry, min_size=k * points * rows * cols,
+                                             max_size=k * points * rows * cols)))
+        stacks = stacks.reshape(k, points, rows, cols)
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range
+            together = _spectral(stacks)
+            apart = np.array([_spectral(stack) for stack in stacks])
+        assert together.shape == (k, points)
+        assert together.tobytes() == apart.tobytes()
 
 
 class TestAmax:
