@@ -20,7 +20,8 @@ structure suite: golden-structure axioms on the ambient space
   structure_equation   phi^2 - phi - I = 0
   self_adjoint         g(phi X, Y) = g(X, phi Y)
   metric_compat        g(phi X, phi Y) = g(phi X, Y) + g(X, Y)
-  product_roundtrip    F = (2 phi - I)/sqrt5, then (I + sqrt5 F)/2 recovers phi
+  product_roundtrip    F = (2 phi - I)/sqrt5, then (I + sqrt5 F)/2 recovers phi:
+                       0 by the field identity on the exact backend, measured on float
   eigenspace_dims      psi and (1 - psi) eigenspace dimensions [p, n - p],
                        p = (n + tr F)/2; an exact phi passes only if
                        phi^2 - phi - I is exactly zero

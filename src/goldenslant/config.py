@@ -98,6 +98,16 @@ class SampleSpec(NamedTuple):
         extra = np.array(self.extra_points, dtype=float).reshape(-1, len(axes))
         return np.concatenate([grid, extra])
 
+    def first_and_extent(self):
+        """``points()[:1]`` and each parameter's max |x| over ``points()``, read off its two grid
+        ends (where the grid starts; no grid value lies past them) and the extra points."""
+        import numpy as np
+
+        ends = [np.linspace(lo, hi, min(count, 2)) for lo, hi, count in self.grid]
+        extra = np.reshape(self.extra_points, (-1, len(ends)))
+        extent = [np.abs(np.append(axis, column)).max() for axis, column in zip(ends, extra.T)]
+        return np.array([[axis[0] for axis in ends]]), np.array(extent)
+
 
 class ScenarioConfig(NamedTuple):
     """A validated config.  The ``build_*`` methods import the numeric modules

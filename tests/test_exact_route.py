@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import goldenslant.exactlin as xl
 import goldenslant.structures as structures
 from goldenslant.cli import resolve_config
 from goldenslant.config import Tolerances, load_config, parse_config
-from goldenslant.errors import DomainError, InvalidStructure
+from goldenslant.errors import DomainError, GoldenslantError, InvalidStructure
 from goldenslant.expr import Expr
 from goldenslant.quadrat import PSI, QuadRat
 from goldenslant.slant import (
@@ -46,7 +46,8 @@ from goldenslant.submanifold import (
     point_geometry,
 )
 from goldenslant.suites import run_scenario, run_structure_suite
-from support import at_point, jet_route, random_golden, repeated_mean
+from support import (at_point, edge_floats, jet_route, random_golden, repeated_mean,
+                     sample_specs)
 
 
 def _text(x: QuadRat) -> str:
@@ -519,6 +520,91 @@ def test_affine_value_overflowing_at_the_last_grid_point_names_it():
     with pytest.raises(DomainError) as jets:
         jet_route(imm, structure.metric, structure)
     assert str(affine.value) == str(jets.value) == "value or derivative is not finite at (1.0, 1.0)"
+
+
+_row = st.tuples(edge_floats, edge_floats, edge_floats)  # c, J[:, 0], J[:, 1]
+
+
+def _affine_component(row) -> str:
+    c, a, b = (f"({Fraction(x)})" for x in row)
+    return f"{c}+{a}*u1+{b}*u2"
+
+
+def _outcome(imm, structure, points=None):
+    """The geometry of ``point_geometry`` as bytes, or the error it raised."""
+    try:
+        geom = point_geometry(imm, structure.metric, structure, points)
+    except GoldenslantError as exc:
+        return type(exc).__name__, str(exc)
+    arrays = (geom.frame.point, geom.frame.raw_tangents, geom.frame.onb, geom.hessians,
+              geom.tangential, geom.h, geom.ops.blocks)
+    return geom.size, geom.repeats, [(a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_specs(2), _row, _row)
+@example(SampleSpec(((0.0, 1.0, 2), (-1.0, 1.0, 3))), (-1e308, 1e308, 0.0), (1.0, 1.0, 1.0))
+@example(SampleSpec(((-1.0, 1.0, 2), (0.0, 1.0, 2))), (-1e308, 1e308, 0.0), (1.0, 1.0, 1.0))
+@example(SampleSpec(((0.0, 1.0, 2),) * 2, ((2.0, 0.0),)), (0.0, 1e308, 0.0), (0.0, 1.0, 1.0))
+@example(SampleSpec(((-1.7e308, 1.7e308, 3), (-1.0, 1.0, 2))), (1.0, 0.0, 1.0), (0.0, 0.0, 2.0))
+def test_affine_bound_gives_the_scan_s_geometry_or_error(spec, row_3, row_4):
+    # The first two examples have c and J x cancel, to 0 at u1 = 1 or to -2 10^308 at u1 = -1;
+    # the third overflows at the extra point alone; the fourth has grid values past the float
+    # range in a parameter no component reads.
+    structure = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"])
+    imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", _affine_component(row_3),
+                                                    _affine_component(row_4)], spec)
+    assert imm.affine_form is not None
+    with np.errstate(all="ignore"):  # the scan of every point, as explicit points get it
+        assert _outcome(imm, structure) == _outcome(imm, structure, spec.points())
+
+
+def test_affine_run_within_the_bound_builds_no_sample_points(monkeypatch):
+    calls = _count_method(monkeypatch, SampleSpec, "points")
+    _, imm = _on_grid("paper_example_3", 300)
+    cfg = load_config(resolve_config("paper_example_3"))
+    report = run_scenario(cfg._replace(immersion_samples=imm.sample_spec))
+    assert report["overall_pass"] and report["suites"]["identities"]["points"] == 90_000
+    assert calls == []
+    curved = parse_config({
+        "ambient": {"dim": 4, "phi": {"pattern": ["psi", "one_minus_psi", "psi",
+                                                  "one_minus_psi"]}},
+        "immersion": {"params": ["u", "v"],
+                      "components": ["u*cos(v)", "u*sin(v)", "v", "u^2/3"]},
+        "suites": ["identities", "extrinsic", "slant"],
+    })
+    assert run_scenario(curved)["overall_pass"] and len(calls) == 1
+
+
+def test_affine_run_past_the_bound_builds_the_sample_points_once(monkeypatch):
+    calls = _count_method(monkeypatch, SampleSpec, "points")
+    big = "1" + "0" * 308
+    imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1-u2", f"{big}*(u1+u2)"],
+                                     SampleSpec(grid=((0.0, 0.5, 2),) * 2))
+    structure = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"])
+    # 10^308 (u1 + u2) is finite on [0, 0.5]^2, but its bound 2 10^308 x 0.5 is not.
+    assert point_geometry(imm, structure.metric, structure).size == 4 and len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [305, 306, 308])
+def test_curved_component_with_a_constant_power_is_evaluated_as_its_literal(k):
+    # k 10^(k - 1), the derivative of v^k at 10, overflows from k = 306 on; the constant
+    # base has no gradient for it to scale, so 10^k must give the jets of the literal.
+    structure = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"])
+    grid = SampleSpec(grid=((0.0, 1.0, 2),) * 2)
+    power, literal = (ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1-u2",
+                                                                f"{c}*u1+u2^2"], grid)
+                      for c in (f"10^{k}", str(10 ** k)))
+    assert power.affine_form is literal.affine_form is None
+    assert _outcome(power, structure) == _outcome(literal, structure)
+    assert _outcome(power, structure)[0] == 4
+    cfg = parse_config({"ambient": {"dim": 4, "phi": {"pattern": ["psi", "one_minus_psi", "psi",
+                                                                  "one_minus_psi"]}},
+                        "immersion": {"params": ["u1", "u2"],
+                                      "components": ["u1", "u2", "u1-u2", f"10^{k}*u1+u2^2"],
+                                      "samples": {"grid": [[0, 1, 2], [0, 1, 2]]}},
+                        "suites": ["identities", "extrinsic", "slant"]})
+    assert run_scenario(cfg)["overall_pass"]
 
 
 def test_affine_theta_is_the_mean_over_every_point():

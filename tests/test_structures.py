@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goldenslant.exactlin as xl
+import goldenslant.suites as suites
 from goldenslant.cli import list_bundled, resolve_config
 from goldenslant.config import load_config
 from goldenslant.errors import (
@@ -27,9 +28,12 @@ from goldenslant.structures import (
     diagonal_golden,
     golden_eigendecomp,
     golden_from_product,
+    golden_matrix,
     product_from_golden,
+    product_matrix,
     verify_golden,
 )
+from goldenslant.suites import run_scenario
 from support import random_golden
 
 PSI_F = float(PSI)
@@ -222,6 +226,40 @@ class TestEigenspaceDims:
         for s in (exact, exact.to_float()):
             p = _count_above_one_half(s)
             assert s.eigenspace_dims == (p, s.n - p), (s.backend, s.eigenspace_dims)
+
+
+_big = st.integers(-10 ** 40, 10 ** 40)
+_entries = st.builds(lambda a, b, d: QuadRat(Fraction(a, d), Fraction(b, d)), _big, _big,
+                     st.integers(1, 10 ** 12))
+
+
+class TestProductRoundTrip:
+    """``(I + sqrt5 (2 phi - I)/sqrt5)/2 = phi`` is an identity of Q(sqrt5), so the structure
+    suite reports 0 for an exact phi without computing it; these tests compute it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(_entries, min_size=n,
+                                                                  max_size=n),
+                                                         min_size=n, max_size=n)))
+    def test_golden_of_product_is_any_exact_matrix_exactly(self, rows):
+        phi = xl.qmatrix(rows)
+        assert golden_matrix(product_matrix(phi)) == phi
+
+    @pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda path: path.stem)
+    def test_golden_of_product_is_each_config_phi_exactly(self, path):
+        phi = load_config(path).build_structure().phi
+        assert golden_matrix(product_matrix(phi)) == phi
+
+    def test_structure_suite_measures_the_round_trip_on_the_float_backend(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(suites, "product_matrix",
+                            lambda phi: calls.append(1) or product_matrix(phi))
+        cfg = load_config(Path(__file__).parent / "configs" / "ill_conditioned_involution.cfg")
+        roundtrip = {backend: run_scenario(cfg, backend=backend)["suites"]["structure"][
+            "residuals"]["product_roundtrip"] for backend in ("auto", "float")}
+        phi = cfg.build_structure().to_float().phi
+        assert roundtrip["auto"] == 0.0 and len(calls) == 1
+        assert roundtrip["float"] == float(_amax(golden_matrix(product_matrix(phi)) - phi)) > 0
 
 
 class TestMetricAndInvariants:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldenslant.errors import DimensionMismatch, RankDeficient
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
@@ -26,7 +27,7 @@ from goldenslant.submanifold import (
     invariance_kinds,
     structural_identity_residuals,
 )
-from support import random_golden
+from support import random_golden, sample_specs
 
 PSI_F = float(PSI)
 
@@ -97,6 +98,14 @@ class TestSampleSpec:
         points = spec.points()
         assert points.shape == (spec.size, len(grid)) and len(points) == spec.size
         assert [tuple(p) for p in points.tolist()] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(sample_specs))
+    def test_first_point_and_extent_are_read_without_building_the_points(self, spec):
+        with np.errstate(all="ignore"):  # grids whose span is past the float range hold NaN
+            points, (first, extent) = spec.points(), spec.first_and_extent()
+        assert first.tobytes() == points[:1].tobytes()  # -0.0 included
+        assert np.array_equal(extent, np.abs(points).max(axis=0), equal_nan=True)
 
 
 class TestInducedOperators:

@@ -12,7 +12,9 @@ sampled on k x k grids over N = k^2 = 4, 10,000 and 90,000 points:
 curved immersion of perfbench's ``curved_grid`` (identities, extrinsic and
 slant).  Each row runs in a fresh process with one BLAS thread: one warm-up
 ``run_scenario`` at N = 4, then three timed runs at N.  It prints one JSON
-object per row with the median time and the process's ``ru_maxrss``.
+object per row with the median time and the process's ``ru_maxrss``, and after
+each immersion's rows one with ``time_ratio``, its 90,000-point time over its
+4-point time.
 """
 
 from __future__ import annotations
@@ -70,10 +72,16 @@ def main() -> None:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for kind in ("affine", "curved"):
+        rows = []
         for side in SIDES:
             out = subprocess.run([sys.executable, __file__, "--row", kind, str(side)], env=env,
                                  capture_output=True, text=True, check=True).stdout
+            rows.append(json.loads(out))
             print(out.strip(), flush=True)
+        # ROADMAP item 4 asks for the largest grid within 2 x the smallest one's time.
+        print(json.dumps({"immersion": kind, "points": [rows[0]["points"], rows[-1]["points"]],
+                          "time_ratio": round(rows[-1]["run_ms"] / rows[0]["run_ms"], 2)}),
+              flush=True)
 
 
 if __name__ == "__main__":
