@@ -382,6 +382,8 @@ def _parse_samples(value, m: int) -> SampleSpec:
             lo = _as_number(triple[0], f"{path}/0")
             hi = _as_number(triple[1], f"{path}/1")
             count = _as_int(triple[2], f"{path}/2", minimum=1)
+            if not math.isfinite(hi - lo):
+                raise ConfigError(path, "the span hi - lo is past the float range")
             grid.append((lo, hi, count))
     extra = []
     points = value.get("extra_points", [])

@@ -75,7 +75,10 @@ class Jet2:
         return self._chain(v**k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2) if k != 1 else 0.0)
 
     def _chain(self, f, fp, fpp) -> Jet2:
-        """Compose with a scalar function given f(v), f'(v), f''(v)."""
+        """Compose with a scalar function given f(v), f'(v), f''(v).  A constant (a value
+        with no point axis) reads no parameter: f' and f'', which may overflow, go unread."""
+        if np.ndim(self.value) == 0:
+            return Jet2(f, np.zeros_like(self.grad), np.zeros_like(self.hess))
         d1 = _axis(fp)
         outer = self.grad[..., :, None] * self.grad[..., None, :]
         return Jet2(f, d1 * self.grad, d1[..., None] * self.hess + _axis(fpp)[..., None] * outer)
@@ -103,7 +106,7 @@ def sqrt(x: Jet2) -> Jet2:
     v = np.asarray(x.value)
     if np.any(v < 0.0):
         raise DomainError("sqrt of a negative value")
-    if np.any(v == 0.0):
+    if v.ndim and np.any(v == 0.0):  # a constant sqrt(0) is read without derivatives
         raise DomainError("sqrt has no finite derivative at zero")
     r = np.sqrt(v)
     return x._chain(r, 0.5 / r, -0.25 / (r * v))

@@ -15,8 +15,10 @@ Q(sqrt5) for affine immersions, each by one function for both backends.
 Those functions read the matrices of ``g(X, PY)`` and ``g(V, QY)`` (V
 normal) as ``Gt P`` and ``Gn Q``, blocks of the lowered matrix
 ``M = B^T g phi B`` (see :mod:`goldenslant.submanifold`), and ``tQ`` as
-``(C^2)_TT - P^2``, so the exact certificate shares each product with the
-exact identities.  In the orthonormal frames of the float route ``M = C``.
+``(C^2)_TT - P^2``, all read from the one
+:class:`~goldenslant.submanifold.InducedOperators` record of either route,
+so the exact certificate shares each product with the exact identities.  In
+the orthonormal frames of the float route ``Gt = I`` and ``M = C``.
 
 One reference formula for a worked slant family omits the ``|X|``
 normalization from the cosine; :func:`reference_cosine` computes that
@@ -36,7 +38,6 @@ from .errors import ZeroVector
 from .structures import GoldenStructure, _amax, _eye, _spectral
 from .submanifold import (
     DEFAULT_TOL_CLASS,
-    ExactInducedOperators,
     ImmersionSpec,
     InducedOperators,
     PointGeometry,
@@ -156,9 +157,8 @@ def classify_geometry(geom: PointGeometry, tol_angle: float = DEFAULT_TOL_ANGLE,
         return report
     p, q = ops.p, ops.q
     pp = p @ p
-    # Orthonormal frames: Gt = I, Gt P = P and Gn Q = Q.
     forms = [_characterization(p, pp, lam),
-             *_lemma_residuals(*_cos2_forms(p, np.eye(ops.m), p), q, q, lam, report.k)]
+             *_lemma_residuals(ops, *_cos2_forms(ops), lam, report.k)]
     if kind != ANTI_INVARIANT:
         forms.append(_corollary(p, pp, lam))
     keys = ("characterization", "lemma_p", "lemma_q", "corollary")
@@ -183,18 +183,19 @@ def _corollary(p, pp, lam):
     return p + _eye(p) - pp / lam
 
 
-def _cos2_forms(p, gt, gt_p):
+def _cos2_forms(ops):
     """Matrices of g(PX, PY) and g(X, Y) + g(X, PY), from the tangent basis Gram
-    matrix ``gt`` and the matrix ``gt_p`` = Gt P of g(X, PY)."""
-    return gt_p.mT @ p, gt + gt_p
+    matrix Gt and the block Gt P of ``ops.lowered``, the matrix of g(X, PY)."""
+    gt_p = ops.lowered[..., :ops.m, :ops.m]
+    return gt_p.mT @ ops.p, ops.gram_tangent + gt_p
 
 
-def _lemma_residuals(pp_form, p_rhs, q, gn_q, lam, k):
+def _lemma_residuals(ops, pp_form, p_rhs, lam, k):
     """The residual matrices of g(PX, PY) = lambda (g(X, Y) + g(X, PY)) and
     g(QX, QY) = k (g(X, Y) + g(PX, Y)), from the :func:`_cos2_forms` ``pp_form`` and
-    ``p_rhs`` (whose transpose is the matrix of g(X, Y) + g(PX, Y)) and ``gn_q`` = Gn Q,
-    the matrix of g(V, QY) for normal V."""
-    return pp_form - p_rhs * lam, q.mT @ gn_q - p_rhs.mT * k
+    ``p_rhs`` (whose transpose is the matrix of g(X, Y) + g(PX, Y)) and the block Gn Q
+    of ``ops.lowered``, the matrix of g(V, QY) for normal V."""
+    return pp_form - p_rhs * lam, ops.q.mT @ ops.lowered[..., ops.m:, :ops.m] - p_rhs.mT * k
 
 
 def _tq_residuals(p, pp, tq, lam):
@@ -207,7 +208,7 @@ def _tq_residuals(p, pp, tq, lam):
 # exact route
 
 
-def exact_slant_data(eops: ExactInducedOperators) -> dict:
+def exact_slant_data(eops: InducedOperators) -> dict:
     """Exact slant certificate: lambda candidates plus all identity residuals.
 
     The immersion is exactly slant iff the lambda candidates agree and the
@@ -216,8 +217,8 @@ def exact_slant_data(eops: ExactInducedOperators) -> dict:
     blocks of ``eops.lowered`` and tQ is ``(C^2)_TT - P^2``, products the
     exact identities share; three more exact matmuls are formed here.
     """
-    p, q, m = eops.p, eops.q, eops.m
-    forms = _cos2_forms(p, eops.frame.gram_tangent, eops.lowered[:m])
+    p, m = eops.p, eops.m
+    forms = _cos2_forms(eops)
     # cos^2(theta) along each raw basis direction e_i: the ratio of the
     # diagonals of the lemma's g(PX, PY) and g(X, Y) + g(X, PY) matrices
     candidates = [x / y for x, y in zip(forms[0].diagonal(), forms[1].diagonal())]
@@ -225,7 +226,7 @@ def exact_slant_data(eops: ExactInducedOperators) -> dict:
     uniform = all(c == lam for c in candidates)
     pp = p @ p
     char = _amax(_characterization(p, pp, lam))
-    lemma_p, lemma_q = map(_amax, _lemma_residuals(*forms, q, eops.lowered[m:], lam, 1 - lam))
+    lemma_p, lemma_q = map(_amax, _lemma_residuals(eops, *forms, lam, 1 - lam))
     tq1, tq2 = _tq_residuals(p, pp, eops.square[:m, :m] - pp, lam)
     return {
         "lambda": lam,

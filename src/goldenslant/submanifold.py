@@ -17,8 +17,9 @@ the matrix of ``phi`` in a basis ``B = [T | N]`` of tangent vectors ``T``
 and normal vectors ``N``.  So ``phi**2 = phi + I`` is ``C**2 = C + I``,
 whose four blocks are the four identities above, and the two metric
 identities are read from the lowered matrix ``M = B^T g phi B = Gamma C``,
-where ``Gamma = diag(Gt, Gn)`` is the Gram matrix of ``B``.  One function
-reads every identity from ``(C, M, C**2)`` for both backends.
+where ``Gamma = diag(Gt, Gn)`` is the Gram matrix of ``B``.  One record,
+:class:`InducedOperators`, holds ``C``, ``M``, ``C**2`` and ``Gt`` for both
+backends, and one function reads every identity from it.
 
 The float route works in the metric's Euclidean model: in the coordinates
 ``y = W x`` with ``g = W^T W`` (:class:`~goldenslant.structures.Metric`) the
@@ -159,15 +160,21 @@ def _block(row: int, col: int) -> property:
 
 
 class InducedOperators(NamedTuple):
-    """phi's matrix ``[[P, t], [Q, s]]`` in the orthonormal frame [tangent | normal]
-    it was projected through, and the tangent dimension m.
+    """phi's matrix C = ``[[P, t], [Q, s]]`` in a basis B = [T | N] of tangent vectors T
+    and normal vectors N, with the products every identity reads: ``lowered``, whose
+    first m columns are those of M = B^T g phi B (``M_TT = Gt P``, ``M_NT = Gn Q``),
+    ``square`` = C^2 and ``gram_tangent`` = Gt = T^T g T, whose size is m.
 
-    Operators of stacked frames carry the same leading point axis.
+    The float route fills it in orthonormal frames, where Gt = I and M = C, with a
+    leading point axis on every matrix but Gt; the exact route over Q(sqrt5).
     """
 
-    blocks: np.ndarray  # n x n
-    m: int
+    blocks: np.ndarray | xl.QMatrix  # n x n
+    lowered: np.ndarray | xl.QMatrix  # n x n (float) or n x m (exact)
+    square: np.ndarray | xl.QMatrix  # n x n
+    gram_tangent: np.ndarray | xl.QMatrix  # m x m
 
+    m = property(lambda self: self.gram_tangent.shape[-1])
     p = _block(0, 0)  # m x m
     q = _block(1, 0)  # (n-m) x m
     t = _block(0, 1)  # m x (n-m)
@@ -175,7 +182,8 @@ class InducedOperators(NamedTuple):
 
     def at(self, i: int) -> InducedOperators:
         """The operators at point ``i`` of a stack."""
-        return InducedOperators(self.blocks[i], self.m)
+        return InducedOperators(self.blocks[i], self.lowered[i], self.square[i],
+                                self.gram_tangent)
 
 
 def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> InducedOperators:
@@ -183,7 +191,7 @@ def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> Induce
     if structure.n != frame.n:
         raise DimensionMismatch("structure and frame ambient dimensions differ")
     blocks = frame.onb.mT @ (structure.phi_hat @ frame.onb)
-    return InducedOperators(blocks, frame.m)
+    return InducedOperators(blocks, blocks, blocks @ blocks, np.eye(frame.m))
 
 
 class PointGeometry(NamedTuple):
@@ -206,7 +214,7 @@ class PointGeometry(NamedTuple):
     h: np.ndarray
     ops: InducedOperators | None
     structure: GoldenStructure | None
-    exact: ExactInducedOperators | None = None
+    exact: InducedOperators | None = None
     repeats: int = 1
 
     @property
@@ -247,21 +255,17 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
                          split[..., frame.m:], ops, structure, repeats=1 if form is None else size)
 
 
-def block_identity_residuals(c, lowered, square, gt) -> dict:
+def block_identity_residuals(ops: InducedOperators) -> dict:
     """Residual matrices of the four block identities, self-adjointness and the metric split.
 
-    ``c`` is phi's matrix ``[[P, t], [Q, s]]`` in a basis [T | N] of tangent
-    and normal vectors, ``square`` is ``c @ c``, ``gt`` is the Gram matrix of
-    T and ``lowered`` holds the first m columns of ``M = [T | N]^T g phi [T | N]``
-    (more columns are ignored), so ``M_TT = Gt P`` and ``M_NT = Gn Q``.  The four
-    block identities are the four blocks of ``c^2 - c - I``; self-adjointness
-    is ``M_TT = M_TT^T`` and the metric split is
-    ``c[:, :m]^T M[:, :m] = P^T Gt P + Q^T Gn Q = Gt + M_TT^T``, the last two the
-    m x m matrices of bilinear forms.  Exact and float matrices alike; float stacks
+    The four block identities are the four blocks of ``C^2 - C - I``;
+    self-adjointness is ``M_TT = M_TT^T`` and the metric split is
+    ``C[:, :m]^T M[:, :m] = P^T Gt P + Q^T Gn Q = Gt + M_TT^T``, the last two the
+    m x m matrices of bilinear forms.  Exact and float records alike; float stacks
     give one matrix per point.
     """
-    m = gt.shape[-1]
-    r = square - c - _eye(c)
+    c, lowered, m = ops.blocks, ops.lowered, ops.m
+    r = ops.square - c - _eye(c)
     m_tt = lowered[..., :m, :m]
     return {
         "p_squared": r[..., :m, :m],
@@ -269,7 +273,7 @@ def block_identity_residuals(c, lowered, square, gt) -> dict:
         "s_squared": r[..., m:, m:],
         "t_projection": r[..., :m, m:],
         "p_self_adjoint": m_tt - m_tt.mT,
-        "metric_split": c[..., :m].mT @ lowered[..., :m] - gt - m_tt.mT,
+        "metric_split": c[..., :m].mT @ lowered[..., :m] - ops.gram_tangent - m_tt.mT,
     }
 
 
@@ -285,9 +289,7 @@ def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
     ``y = W x``.  For stacked operators each residual holds one value per
     point.
     """
-    # In orthonormal frames M = C.
-    blocks = ops.blocks
-    res = block_identity_residuals(blocks, blocks, blocks @ blocks, np.eye(ops.m))
+    res = block_identity_residuals(ops)
     forms = _spectral(np.stack([res.pop("p_self_adjoint"), res.pop("metric_split")]))
     res = {k: _amax(v) for k, v in res.items()}
     res["p_self_adjoint"], res["metric_split"] = forms
@@ -321,26 +323,6 @@ class ExactFrame(NamedTuple):
     metric: Metric
 
 
-class ExactInducedOperators(NamedTuple):
-    """phi's matrix C = ``[[P, t], [Q, s]]`` over Q(sqrt5) in the basis B = [T | N], with
-    the products every exact identity reads: ``lowered`` = the first m columns of
-    M = B^T g phi B (``M_TT = Gt P``, ``M_NT = Gn Q``) and ``square`` = C^2."""
-
-    blocks: xl.QMatrix  # n x n
-    lowered: xl.QMatrix  # n x m
-    square: xl.QMatrix  # n x n
-    frame: ExactFrame
-
-    p = _block(0, 0)
-    q = _block(1, 0)
-    t = _block(0, 1)
-    s = _block(1, 1)
-
-    @property
-    def m(self) -> int:
-        return self.frame.tangent.shape[1]
-
-
 def exact_frame(imm: ImmersionSpec, metric: Metric) -> ExactFrame | None:
     """Exact frame data, or None when the immersion or metric is not exact."""
     if metric.backend != "exact":
@@ -356,8 +338,7 @@ def exact_frame(imm: ImmersionSpec, metric: Metric) -> ExactFrame | None:
     return ExactFrame(jac, kernel.T, free, et_g, et_g @ jac, metric)
 
 
-def exact_induced_operators(frame: ExactFrame,
-                            structure: GoldenStructure) -> ExactInducedOperators:
+def exact_induced_operators(frame: ExactFrame, structure: GoldenStructure) -> InducedOperators:
     """phi's matrix C in the basis B = [T | N], exactly, with its lowered and squared forms.
 
     ``phi B = B C``.  The tangent rows ``[P | t]`` solve the m x m system
@@ -374,11 +355,10 @@ def exact_induced_operators(frame: ExactFrame,
     c = xl.concatenate([c_t, phi_b[free] - tangent[free] @ c_t])
     m_nt = frame.normal.T @ (frame.metric.entries @ phi_b[:, :m])
     lowered = xl.concatenate([m_t[:, :m], m_nt])
-    return ExactInducedOperators(c, lowered, c @ c, frame)
+    return InducedOperators(c, lowered, c @ c, frame.gram_tangent)
 
 
-def exact_identity_residuals(ops: ExactInducedOperators) -> dict[str, QuadRat]:
+def exact_identity_residuals(ops: InducedOperators) -> dict[str, QuadRat]:
     """Max |entry| of each :func:`block_identity_residuals` over Q(sqrt5) in the raw bases
     (all must be 0)."""
-    res = block_identity_residuals(ops.blocks, ops.lowered, ops.square, ops.frame.gram_tangent)
-    return {k: _amax(v) for k, v in res.items()}
+    return {k: _amax(v) for k, v in block_identity_residuals(ops).items()}

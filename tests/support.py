@@ -19,7 +19,7 @@ from goldenslant.errors import DimensionMismatch
 from goldenslant.expr import Expr
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
 from goldenslant.structures import Metric, diagonal_golden, golden_from_product
-from goldenslant.submanifold import ImmersionSpec, point_geometry
+from goldenslant.submanifold import ImmersionSpec, InducedOperators, point_geometry
 
 
 def at_point(imm, point, structure=None, metric=None):
@@ -27,6 +27,12 @@ def at_point(imm, point, structure=None, metric=None):
     (metric: the structure's unless given); its arrays keep a point axis of length 1."""
     return point_geometry(imm, structure.metric if metric is None else metric, structure,
                           [point])
+
+
+def frame_operators(blocks: np.ndarray, m: int) -> InducedOperators:
+    """The float route's record of the operators ``blocks`` (one matrix or a stack), given
+    in orthonormal frames with m tangent axes: there Gt = I and M = C."""
+    return InducedOperators(blocks, blocks, blocks @ blocks, np.eye(m))
 
 
 def jet_route(imm, metric, structure, points=None):

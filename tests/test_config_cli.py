@@ -175,6 +175,8 @@ class TestConfigParsing:
             (lambda d: d.__setitem__("seed", -1), "/seed"),
             (_curvature_run(seed=-1), "/spaceform/seed"),
             (_immersion(grid=[[0, 1, MAX_POINTS]], extra_points=[[2]]), "/immersion/samples"),
+            (_wide_immersion([[0, 1, 2], [-1.7e308, 1.7e308, 3]], dim=4),
+             "/immersion/samples/grid/1"),
             # 46^3 points are within MAX_POINTS, but not 46^3 * 32^2 within MAX_POINT_WORK.
             (_wide_immersion([[0, 1, 46]] * 3), "/immersion/samples"),
             (lambda d: d["ambient"].__setitem__("phi", {"matrix": [
@@ -473,6 +475,22 @@ class TestCli:
         path = tmp_path / "mutated.cfg"
         path.write_text(json.dumps(data))  # NaN is written as the bare token
         return main(["run", str(path)])
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_grid_span_past_the_float_range_is_a_config_error(self, tmp_path, capsys, count):
+        # hi - lo overflows: np.linspace would give NaN sample points.
+        mutate = _immersion(grid=[[-1.7e308, 1.7e308, count]])
+        assert self._run_mutated(tmp_path, mutate) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: /immersion/samples/grid/0: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_grid_span_within_the_float_range_loads(self):
+        data = json.loads(json.dumps(MINIMAL))
+        _immersion(grid=[[-8.9e307, 8.9e307, 3]])(data)
+        assert parse_config(data).immersion_samples.grid == ((-8.9e307, 8.9e307, 3),)
 
     def test_non_finite_curvature_is_a_config_error(self, tmp_path, capsys):
         assert self._run_mutated(tmp_path, _curvature_run(c_p=math.nan)) == EXIT_CONFIG_ERROR

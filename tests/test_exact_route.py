@@ -38,6 +38,7 @@ from goldenslant.structures import (
 from goldenslant.submanifold import (
     DEFAULT_TOL_CLASS,
     ImmersionSpec,
+    InducedOperators,
     SampleSpec,
     block_identity_residuals,
     exact_frame,
@@ -104,13 +105,31 @@ def test_shared_identities_are_exact_zeros_and_float_small(scenario):
     assert all(isinstance(v, QuadRat) and not v for v in exact.values()), exact
     assume(np.linalg.svd(np.asarray(xl.qmatrix(jac), dtype=float), compute_uv=False).min() > 1e-3)
     ops = point_geometry(imm, metric, structure).ops
-    # Orthonormal frames: the lowered matrix is the blocks matrix itself.
-    floats = block_identity_residuals(ops.blocks, ops.blocks, ops.blocks @ ops.blocks,
-                                      np.eye(ops.m))
+    floats = block_identity_residuals(ops)
     assert set(floats) == set(exact)
     # The metric's Euclidean model comes from its exact factor, so the rounding in the
     # frames does not grow with the condition number of g.
     assert all(np.abs(v).max() <= 1e-13 for v in floats.values()), floats
+
+
+def test_both_routes_fill_one_operator_record():
+    cfg = _scenario(["identities", "slant"])
+    structure, imm = cfg.build_structure(), cfg.build_immersion()
+    frame = exact_frame(imm, structure.metric)
+    exact = exact_induced_operators(frame, structure)
+    floats = jet_route(imm, structure.metric, structure).ops  # a stack of 4 points
+    assert type(exact) is type(floats) is InducedOperators
+    assert exact.m == floats.m == imm.m
+    assert exact.gram_tangent == frame.gram_tangent
+    assert np.array_equal(floats.gram_tangent, np.eye(imm.m))
+    for i in range(4):
+        one = floats.at(i)
+        assert type(one) is InducedOperators and one.gram_tangent is floats.gram_tangent
+        for field in ("blocks", "lowered", "square"):
+            assert np.array_equal(getattr(one, field), getattr(floats, field)[i]), field
+    keys = {"p_squared", "q_projection", "s_squared", "t_projection", "p_self_adjoint",
+            "metric_split"}
+    assert set(block_identity_residuals(exact)) == set(block_identity_residuals(floats)) == keys
 
 
 @settings(max_examples=30, deadline=None)
@@ -135,7 +154,7 @@ def test_slant_identities_are_exact_zeros_and_float_small(a, b, k, data):
     ops = point_geometry(imm, structure.metric, structure).ops
     pp = ops.p @ ops.p
     floats = (_characterization(ops.p, pp, lam),
-              *_lemma_residuals(*_cos2_forms(ops.p, np.eye(k), ops.p), ops.q, ops.q, lam, 1 - lam),
+              *_lemma_residuals(ops, *_cos2_forms(ops), lam, 1 - lam),
               *_tq_residuals(ops.p, pp, ops.t @ ops.q, lam))
     assert max(float(np.abs(v).max()) for v in floats) <= 1e-12, floats
 

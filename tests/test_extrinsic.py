@@ -20,12 +20,11 @@ from goldenslant.extrinsic import (
 from goldenslant.structures import GoldenStructure, Metric, diagonal_golden, verify_golden
 from goldenslant.submanifold import (
     ImmersionSpec,
-    InducedOperators,
     PointGeometry,
     TangentFrame,
     invariance_kinds,
 )
-from support import at_point
+from support import at_point, frame_operators
 
 EUCLID4 = Metric(np.eye(4))
 STRUCT4 = diagonal_golden(["psi", "psi", "one_minus_psi", "one_minus_psi"]).to_float()
@@ -219,7 +218,7 @@ def _random_geometry(size, n, m):
     phi = rng.standard_normal((n, n))
     metric = Metric(np.eye(n))
     structure = GoldenStructure(phi, metric, verify_golden(phi, metric))
-    ops = InducedOperators(rng.standard_normal((size, n, n)), m)
+    ops = frame_operators(rng.standard_normal((size, n, n)), m)
     return PointGeometry(frame, hess, split[..., :m], split[..., m:], ops, structure)
 
 

@@ -40,7 +40,7 @@ from goldenslant.submanifold import (
     point_geometry,
     structural_identity_residuals,
 )
-from support import at_point, random_golden
+from support import at_point, frame_operators, random_golden
 
 TOL = 1e-12
 
@@ -358,7 +358,7 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
     # Perturbed operators, so that every identity leaves a visible residual.
     blocks = geom.ops.blocks.copy()
     blocks[..., :2] += 1e-3 * rng.standard_normal(blocks[..., :2].shape)  # P and Q
-    ops = geom.ops._replace(blocks=blocks)
+    ops = frame_operators(blocks, 2)
     lam = 0.6
     k = 1.0 - lam
     p, q, eye = ops.p, ops.q, np.eye(2)
@@ -370,7 +370,7 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
 
     identities = structural_identity_residuals(ops, geom.frame, structure)
     # the residuals classify_geometry attaches, at the given lambda
-    lemma_p, lemma_q = map(_spectral, _lemma_residuals(*_cos2_forms(p, eye, p), q, q, lam, k))
+    lemma_p, lemma_q = map(_spectral, _lemma_residuals(ops, *_cos2_forms(ops), lam, k))
     # residual, its matrix, and the form the earlier samples evaluated on (x, y)
     cases = {
         "p_self_adjoint": (identities["p_self_adjoint"], p.mT - p, dot(px, y) - dot(x, py)),
@@ -400,8 +400,7 @@ def test_spectral_residual_of_a_non_finite_operator_fails(bad):
     blocks = geom.ops.blocks.copy()
     blocks[1, 0, 1] = bad  # an entry of P
     with np.errstate(invalid="ignore"):
-        res = structural_identity_residuals(geom.ops._replace(blocks=blocks), geom.frame,
-                                            structure)
+        res = structural_identity_residuals(frame_operators(blocks, 2), geom.frame, structure)
     for key in ("p_self_adjoint", "metric_split"):
         assert res[key][0] <= 1e-12
         assert not res[key][1] <= 1e9, key
