@@ -62,9 +62,6 @@ class Tolerances(NamedTuple):
     tol_class: float = 1e-7
     tol_angle: float = 1e-6
 
-    def as_dict(self) -> dict[str, float]:
-        return self._asdict()
-
 
 class SpaceformSection(NamedTuple):
     c_p: float
@@ -166,7 +163,10 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
+def _check_keys(mapping, allowed: set[str], path: str) -> None:
+    """Every config section: an object first, then only known entries."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(path, "expected an object")
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{path}/{key}", "unknown entry")
@@ -231,8 +231,6 @@ def parse_config(data: dict) -> ScenarioConfig:
                        "tolerances", "seed"}, "")
 
     ambient = _require(data, "ambient", "")
-    if not isinstance(ambient, dict):
-        raise ConfigError("/ambient", "expected an object")
     _check_keys(ambient, {"dim", "metric", "phi"}, "/ambient")
     dim = _as_int(_require(ambient, "dim", "/ambient"), "/ambient/dim", minimum=1,
                  maximum=MAX_DIM)
@@ -242,8 +240,6 @@ def parse_config(data: dict) -> ScenarioConfig:
         metric_rows = _as_matrix(ambient["metric"], dim, "/ambient/metric")
 
     phi = _require(ambient, "phi", "/ambient")
-    if not isinstance(phi, dict):
-        raise ConfigError("/ambient/phi", "expected an object")
     _check_keys(phi, {"matrix", "pattern", "from_involution"}, "/ambient/phi")
     if len(phi) != 1:
         raise ConfigError("/ambient/phi",
@@ -272,8 +268,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     imm_params = imm_components = imm_samples = None
     if "immersion" in data:
         imm = data["immersion"]
-        if not isinstance(imm, dict):
-            raise ConfigError("/immersion", "expected an object")
         _check_keys(imm, {"params", "components", "samples"}, "/immersion")
         params = _require(imm, "params", "/immersion")
         if (not isinstance(params, list) or not params
@@ -304,8 +298,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     spaceform = None
     if "spaceform" in data:
         sf = data["spaceform"]
-        if not isinstance(sf, dict):
-            raise ConfigError("/spaceform", "expected an object")
         _check_keys(sf, {"c_p", "c_q", "p", "trials", "seed"}, "/spaceform")
         p = _as_int(_require(sf, "p", "/spaceform"), "/spaceform/p", minimum=0)
         if p > dim:
@@ -322,8 +314,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     angle_formula = ANGLE_FORMULA_PROJECTION
     if "slant" in data:
         sl = data["slant"]
-        if not isinstance(sl, dict):
-            raise ConfigError("/slant", "expected an object")
         _check_keys(sl, {"angle_formula"}, "/slant")
         angle_formula = sl.get("angle_formula", ANGLE_FORMULA_PROJECTION)
         if angle_formula not in (ANGLE_FORMULA_PROJECTION, ANGLE_FORMULA_UNNORMALIZED):
@@ -333,9 +323,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     tolerances = Tolerances()
     if "tolerances" in data:
         tols = data["tolerances"]
-        if not isinstance(tols, dict):
-            raise ConfigError("/tolerances", "expected an object")
-        _check_keys(tols, set(tolerances.as_dict()), "/tolerances")
+        _check_keys(tols, set(Tolerances._fields), "/tolerances")
         updates = {k: _as_number(v, f"/tolerances/{k}", minimum=0.0)
                    for k, v in tols.items()}
         tolerances = tolerances._replace(**updates)
@@ -365,8 +353,6 @@ def parse_config(data: dict) -> ScenarioConfig:
 
 
 def _parse_samples(value, m: int) -> SampleSpec:
-    if not isinstance(value, dict):
-        raise ConfigError("/immersion/samples", "expected an object")
     _check_keys(value, {"grid", "extra_points"}, "/immersion/samples")
     grid = SampleSpec.default(m).grid
     if "grid" in value:

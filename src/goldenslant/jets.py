@@ -70,14 +70,14 @@ class Jet2:
         if k < 0 and np.any(v == 0.0):
             raise DomainError("zero raised to a negative power")
         k = float(k)  # OverflowError beyond the float range
-        if k == 0 or not (self.grad.any() or self.hess.any()):  # constant; k v^(k-1) may overflow
+        if k == 0:  # v^0 = 1, where 0 v^-1 would be NaN at v = 0
             return Jet2(v**k, np.zeros_like(self.grad), np.zeros_like(self.hess))
         return self._chain(v**k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2) if k != 1 else 0.0)
 
     def _chain(self, f, fp, fpp) -> Jet2:
-        """Compose with a scalar function given f(v), f'(v), f''(v).  A constant (a value
-        with no point axis) reads no parameter: f' and f'', which may overflow, go unread."""
-        if np.ndim(self.value) == 0:
+        """Compose with a scalar function given f(v), f'(v), f''(v).  An argument with no
+        derivatives reads no parameter: f' and f'', which may overflow, go unread."""
+        if not (self.grad.any() or self.hess.any()):
             return Jet2(f, np.zeros_like(self.grad), np.zeros_like(self.hess))
         d1 = _axis(fp)
         outer = self.grad[..., :, None] * self.grad[..., None, :]

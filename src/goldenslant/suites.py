@@ -243,7 +243,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             "versions": {"goldenslant": __version__, "numpy": np.__version__},
             "seed": seed,
             "backend": backend,
-            "tolerances": tol.as_dict(),
+            "tolerances": tol._asdict(),
         },
         "suites": {},
     }

@@ -1,9 +1,11 @@
 """Config parsing, suite runner, bundled scenarios and the CLI."""
 
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -86,6 +88,21 @@ def _wide_immersion(grid, dim=MAX_DIM):
     def mutate(data):
         _dim(dim)(data)
         _immersion(params + ["0"] * (dim - len(params)), params, grid=grid)(data)
+    return mutate
+
+
+SECTIONS = ("/ambient", "/ambient/phi", "/immersion", "/immersion/samples", "/spaceform",
+            "/slant", "/tolerances")
+
+
+def _section(pointer, make):
+    """Mutation that replaces the config section at ``pointer`` with ``make(section)``, the
+    section being ``{}`` where absent; an immersion is present, so every section is read."""
+    def mutate(data):
+        _immersion()(data)
+        *parents, name = pointer[1:].split("/")
+        owner = functools.reduce(operator.getitem, parents, data)
+        owner[name] = make(owner.get(name, {}))
     return mutate
 
 
@@ -194,6 +211,11 @@ class TestConfigParsing:
             (_immersion(("u1", "u1*²", "0", "0"), params=("u1",)), "/immersion/components/1"),
             (_immersion(("u1", "u1+①", "0", "0"), params=("u1",)), "/immersion/components/1"),
             (_immersion(("u1", "٣*u1", "0", "0"), params=("u1",)), "/immersion/components/1"),
+            # Every section is an object first, then holds only known entries.
+            *[(_section(section, lambda _, value=value: value), section)
+              for section in SECTIONS for value in ([], 3, "x", None)],
+            *[(_section(section, lambda entries: {**entries, "bogus": 1}), f"{section}/bogus")
+              for section in SECTIONS],
         ],
     )
     def test_validation_errors_carry_pointer_paths(self, mutate, path):
@@ -491,6 +513,18 @@ class TestCli:
         data = json.loads(json.dumps(MINIMAL))
         _immersion(grid=[[-8.9e307, 8.9e307, 3]])(data)
         assert parse_config(data).immersion_samples.grid == ((-8.9e307, 8.9e307, 3),)
+
+    @pytest.mark.parametrize("config,message", [
+        ({**MINIMAL, "slant": []}, "/slant: expected an object"),
+        ({**MINIMAL, "slant": {"bogus": 1}}, "/slant/bogus: unknown entry"),
+        ([MINIMAL], ": top level must be an object"),
+    ], ids=["section-not-an-object", "unknown-entry", "top-level-not-an-object"])
+    def test_config_shape_errors_name_their_rule(self, tmp_path, capsys, config, message):
+        path = tmp_path / "shape.cfg"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {message}\n"
 
     def test_non_finite_curvature_is_a_config_error(self, tmp_path, capsys):
         assert self._run_mutated(tmp_path, _curvature_run(c_p=math.nan)) == EXIT_CONFIG_ERROR

@@ -165,19 +165,24 @@ class TestJetEvaluation:
         ("u1^2/10^-200", 2.5e199, 1e200, 2e200),
         ("u1^2*exp(0)/10^-150", 2.5e149, 1e150, 2e150),
         ("u1^2+sqrt(0)", 0.25, 1.0, 2.0),
+        ("u1^2/(u1-u1+10^-200)", 2.5e199, 1e200, 2e200),
+        ("u1^2*exp(u1-u1)/(u1-u1+10^-150)", 2.5e149, 1e150, 2e150),
     ])
     def test_constant_takes_no_derivative_rule(self, text, value, grad, hess):
-        # A constant reads no parameter: the 2/w^3 of a divisor w = 10^-200 overflows and
-        # sqrt's 1/(2 sqrt(v)) is infinite at 0, but neither scales a derivative.
+        # A constant, or an argument with a point axis but no derivatives, reads no parameter:
+        # the 2/w^3 of a divisor w = 10^-200 overflows and sqrt's 1/(2 sqrt(v)) is infinite
+        # at 0, but neither scales a derivative.
         got = _jet_at(parse(text, ["u1"]), [0.5])
         assert got[0] == pytest.approx(value, rel=1e-15)
         assert got[1][0] == pytest.approx(grad, rel=1e-15)
         assert got[2][0, 0] == pytest.approx(hess, rel=1e-15)
 
     @pytest.mark.parametrize("text,point", [("sqrt(u1)", 0.0), ("u1/0", 0.5),
-                                            ("1/(1/0)+u1", 0.5)])
+                                            ("1/(1/0)+u1", 0.5), ("sqrt(u1^3)", 0.0),
+                                            ("u1^2+sqrt(u1-u1)", 0.5), ("(u1-u1)^-1", 0.5)])
     def test_zero_divisors_and_roots_still_raise(self, text, point):
-        # u1^-1 at 0 is in test_domain_errors.
+        # u1^-1 at 0 is in test_domain_errors.  The jets of u1-u1 and of u1^3 at 0 are alike,
+        # and sqrt(u1^3) has an infinite Hessian there, so sqrt(u1-u1) raises too.
         with pytest.raises(DomainError):
             _jet_at(parse(text, ["u1"]), [point])
 
