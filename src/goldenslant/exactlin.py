@@ -2,8 +2,8 @@
 
 A :class:`QMatrix` holds a matrix as two object-dtype numpy arrays of
 Python ints, ``p`` and ``q``, over one positive denominator ``d``: its value
-is ``(p + q*sqrt5)/d``.  Every result is brought to lowest terms by one gcd
-over all of its integers, so equal matrices hold equal arrays.
+is ``(p + q*sqrt5)/d``.  Every QMatrix comes from its constructor, which brings
+it to lowest terms by one gcd over all of its integers: equal matrices hold equal arrays.
 
 * ``@`` is four integer matrix products: ``p1@p2 + 5*q1@q2`` and
   ``p1@q2 + q1@p2`` over ``d1*d2``.
@@ -12,11 +12,10 @@ over all of its integers, so equal matrices hold equal arrays.
   of the denominators.  A scalar may stand on either side.
 * ``.T``, ``.mT``, slicing, :meth:`QMatrix.diagonal`, :func:`eye` and
   :func:`concatenate` keep the form; reading one entry gives a QuadRat.
-* ``numpy.asarray(m, dtype=float)`` is the float view: the bits of ``float(QuadRat)``
-  per entry (:func:`~goldenslant.quadrat.to_float`, so an entry whose terms cancel
-  more than 2 bits, such as ``(1 - psi)^40``, or that is a multiple of sqrt5 is taken
-  from the integers to within an ulp, and one past the float range is infinite).  Without a dtype it is an
-  object array of QuadRat.
+* ``numpy.asarray(m, dtype=float)`` is the float view:
+  :func:`~goldenslant.quadrat.to_float` per entry, so each has the bits of
+  ``float(QuadRat)``.  Without a dtype it is an object array of QuadRat, by
+  :func:`~goldenslant.quadrat.from_integers` per entry.
 
 No float enters: any other operand is a TypeError, and numpy's own
 operators defer to these.  One formula therefore serves exact matrices and
@@ -38,11 +37,10 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .quadrat import SQRT5_FLOAT, QuadRat, fast_sum_holds, from_integers, rounded, sign, to_float
+from .quadrat import QuadRat, from_integers, sign, to_float
 
 _quadrats = np.frompyfunc(from_integers, 3, 1)
 _floats = np.frompyfunc(to_float, 3, 1)
-_rounded = np.frompyfunc(rounded, 3, 1)
 
 
 class QMatrix:
@@ -77,11 +75,11 @@ class QMatrix:
 
     @property
     def T(self) -> QMatrix:
-        return _lowest(self.p.T, self.q.T, self.d)
+        return QMatrix(self.p.T, self.q.T, self.d)
 
     @property
     def mT(self) -> QMatrix:
-        return _lowest(self.p.mT, self.q.mT, self.d)
+        return QMatrix(self.p.mT, self.q.mT, self.d)
 
     def diagonal(self) -> QMatrix:
         return QMatrix(self.p.diagonal(), self.q.diagonal(), self.d)
@@ -92,18 +90,8 @@ class QMatrix:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if dtype is None or np.dtype(dtype) == object:
             return _quadrats(self.p, self.q, self.d)
-        # quadrat.to_float on whole arrays, so every entry has the bits of float(QuadRat)
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                a = (self.p / self.d).astype(float)
-                b = (self.q / self.d).astype(float) * SQRT5_FLOAT
-            except OverflowError:
-                return _floats(self.p, self.q, self.d).astype(dtype)
-            view = a + b
-            redo = ~fast_sum_holds(view, a, b)
-        if np.count_nonzero(redo):
-            view[redo] = _rounded(self.p[redo], self.q[redo], self.d)
-        return view.astype(dtype, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # quietly inf past the float range
+            return _floats(self.p, self.q, self.d).astype(dtype)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
@@ -120,7 +108,7 @@ class QMatrix:
         return matmul(other, self)
 
     def __neg__(self) -> QMatrix:
-        return _lowest(-self.p, -self.q, self.d)
+        return QMatrix(-self.p, -self.q, self.d)
 
     def __add__(self, other) -> QMatrix:
         o = _operand(other)
@@ -155,13 +143,6 @@ class QMatrix:
         if o is None:
             return NotImplemented
         return self * from_integers(*o).inverse()
-
-
-def _lowest(p: np.ndarray, q: np.ndarray, d: int) -> QMatrix:
-    """A QMatrix of integers already in lowest terms (a transpose or negation)."""
-    m = object.__new__(QMatrix)
-    m.p, m.q, m.d = p, q, d
-    return m
 
 
 def _scalar(x) -> tuple[int, int, int] | None:
@@ -207,7 +188,7 @@ def qmatrix(rows) -> QMatrix:
 
 def eye(n: int) -> QMatrix:
     """The n x n identity."""
-    return _lowest(np.eye(n, dtype=object), np.zeros((n, n), dtype=object), 1)
+    return QMatrix(np.eye(n, dtype=object), np.zeros((n, n), dtype=object), 1)
 
 
 def concatenate(mats, axis: int = 0) -> QMatrix:

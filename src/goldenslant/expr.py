@@ -188,6 +188,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _number(kind: type, tok: _Token):
+    """``kind(tok.text)``; a literal past Python's int-string digit limit is an ExprSyntaxError."""
+    try:
+        return kind(tok.text)
+    except ValueError:
+        raise ExprSyntaxError("number has too many digits", tok.offset) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], params: Sequence[str]):
         self.tokens = tokens
@@ -257,7 +265,7 @@ class _Parser:
         if tok.kind != "NUM" or "." in tok.text:
             raise ExprSyntaxError("exponent must be an integer literal", tok.offset)
         self.advance()
-        value = int(tok.text)
+        value = _number(int, tok)
         if self.peek().kind == "OP" and self.peek().text == "^":
             self.advance()
             self.nest(1)
@@ -274,7 +282,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            return Lit(Fraction(tok.text))
+            return Lit(_number(Fraction, tok))
         if tok.kind == "IDENT":
             self.advance()
             name = tok.text

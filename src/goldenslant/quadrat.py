@@ -16,11 +16,11 @@ arrays of such integers over one denominator, and give a QuadRat for an
 entry read out, an exact max or a lambda.  :attr:`QuadRat.integers`,
 :func:`from_integers` and :func:`sign` move values between the two forms.
 
-``float(x)`` and the float view of an exact matrix share one formula,
-:func:`to_float`: two correctly rounded int divisions and one float sum,
-recomputed from the integers to within an ulp where the sum cancels more
-than 2 bits, is the sqrt5 term alone (``p = 0``, which the fast form rounds
-twice) or leaves the float range (infinite only past it).
+``float(x)`` is :func:`to_float`, which the float view of an exact matrix calls
+per entry: two correctly rounded int divisions and one float sum, recomputed from
+the integers to within an ulp where the sum cancels more than 2 bits, is the sqrt5
+term alone (``p = 0``, which the fast form rounds twice) or leaves the float range
+(infinite only past it).  ``str(x)`` past Python's int-string limit is a DomainError.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
+
+from .errors import DomainError
 
 Rational = int | Fraction
 
@@ -183,11 +185,11 @@ def to_float(p: int, q: int, d: int) -> float:
     return total if fast_sum_holds(total, a, b) else rounded(p, q, d)
 
 
-def fast_sum_holds(total, a, b):
+def fast_sum_holds(total: float, a: float, b: float) -> bool:
     """Whether the float sum ``total = a + b`` of the two terms is finite and cancels at
     most 2 bits, so that its relative error stays under 2^-49, and is not ``b`` alone (as
-    for p = 0), which :func:`rounded` rounds once instead of twice: floats or float arrays."""
-    return (abs(a) + abs(b) <= abs(total) * 4) & (abs(total) < math.inf) & ((a != 0) | (b == 0))
+    for p = 0), which :func:`rounded` rounds once instead of twice."""
+    return abs(a) + abs(b) <= abs(total) * 4 and abs(total) < math.inf and (a != 0 or b == 0)
 
 
 def rounded(p: int, q: int, d: int) -> float:
@@ -204,9 +206,13 @@ def rounded(p: int, q: int, d: int) -> float:
 
 
 def _ratio(n: int, d: int) -> str:
-    """The text of the Fraction ``n/d`` for ``d > 0``: ``n`` alone when it reduces to an integer."""
+    """The text of the Fraction ``n/d`` for ``d > 0``: ``n`` alone when it reduces to an integer;
+    a DomainError past Python's int-string digit limit."""
     g = gcd(n, d)
-    return str(n // g) if d == g else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if d == g else f"{n // g}/{d // g}"
+    except ValueError:
+        raise DomainError("exact value has too many digits to write") from None
 
 
 def _exact(x) -> QuadRat | None:

@@ -149,7 +149,9 @@ def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -
         "angle_formula": cfg.angle_formula,
         "flags": flags,
     }
-    passed = all(v <= tol.tol_frame for v in report.residuals.values())
+    # NaN frames give a NaN spread: non_slant, with no residual to fail.
+    passed = math.isfinite(report.angle_spread) and all(
+        v <= tol.tol_frame for v in report.residuals.values())
     if cfg.angle_formula == ANGLE_FORMULA_UNNORMALIZED:
         # The requested cosine variant must at least be a valid cosine.
         passed = passed and not flags["reference_invalid"]
@@ -228,6 +230,7 @@ def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value fails its check instead
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  backend: str = "auto") -> dict:
     """Execute the requested suites and assemble the report dictionary.

@@ -54,6 +54,30 @@ SLANT_SCENARIO = {
     "suites": ["structure", "identities", "slant"],
 }
 
+# Every jet of this immersion is finite, but the QR of its 10^308 column gives NaN frames.
+NAN_FRAMES = {
+    "ambient": SLANT_SCENARIO["ambient"],
+    "immersion": {
+        "params": ["u1", "u2"],
+        "components": ["10^308*u1+u2^2", "u1", "u2", "u1*u2"],
+        "samples": {"grid": [[-1, 1, 2], [-1, 1, 2]]},
+    },
+    "suites": ["slant"],
+}
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string digit limit")
+
+
+def _example_3(metric_00: str | None = None, component_0: str | None = None) -> dict:
+    """The bundled paper_example_3 with metric entry (0, 0) or component 0 replaced."""
+    data = json.loads(resolve_config("paper_example_3").read_text())
+    if metric_00 is not None:
+        data["ambient"]["metric"] = [[metric_00 if i == j == 0 else str(int(i == j))
+                                      for j in range(4)] for i in range(4)]
+    if component_0 is not None:
+        data["immersion"]["components"][0] = component_0
+    return data
+
 
 def _curvature_run(**spaceform):
     """Mutation that asks for the curvature suite with these spaceform entries."""
@@ -596,6 +620,67 @@ class TestCli:
             else:
                 assert report[name]["error"] == ("DomainError: exact entry (0, 0) is beyond "
                                                  "the float range"), report[name]
+
+    def _run_config(self, tmp_path, data, *args) -> int:
+        path = tmp_path / "scenario.cfg"
+        path.write_text(json.dumps(data))
+        return main(["run", str(path), *args])
+
+    def test_nan_frames_fail_the_slant_suite(self, tmp_path, capsys):
+        # A NaN angle spread classifies as non_slant, which has no residuals to fail.
+        assert self._run_config(tmp_path, NAN_FRAMES) == EXIT_SUITE_FAILED
+        slant = _strict_json(capsys.readouterr().out)["suites"]["slant"]
+        assert slant["theta"] == "NaN" and slant["angle_spread"] == "NaN"
+        assert not slant["pass"]
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
+    @pytest.mark.parametrize("backend", ["auto", "float"])
+    def test_nan_frames_fail_every_point_suite_quietly(self, tmp_path, capsys, backend):
+        data = {**NAN_FRAMES, "suites": ["identities", "extrinsic", "slant"]}
+        assert self._run_config(tmp_path, data, "--backend", backend) == EXIT_SUITE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        suites = _strict_json(captured.out)["suites"]
+        assert not any(suite["pass"] for suite in suites.values()), suites
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("operator", ["+", "^"], ids=["literal", "exponent"])
+    def test_number_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys, operator):
+        component = f"psi*u1{operator}" + "1" * (DIGIT_LIMIT + 1)
+        assert self._run_config(tmp_path, _example_3(component_0=component)) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: /immersion/components/0: number has too many "
+                                "digits (at offset 7)\n")
+
+    @needs_digit_limit
+    def test_lambda_past_the_digit_limit_is_a_typed_suite_error(self, tmp_path, capsys):
+        # A metric entry within the limit whose exact lambda has integers past it.
+        digits = DIGIT_LIMIT // 2
+        entry = "1" + "0" * (digits - 1) + "7/1" + "0" * digits
+        report = tmp_path / "report.json"
+        code = self._run_config(tmp_path, _example_3(metric_00=entry), "--report", str(report))
+        assert code == EXIT_SUITE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == "" and report.read_text() == captured.out
+        suites = _strict_json(captured.out)["suites"]
+        assert suites["slant"]["error"].startswith("DomainError: "), suites["slant"]
+        assert suites["structure"]["pass"] and suites["identities"]["pass"]
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
+    @pytest.mark.parametrize("backend", ["auto", "float"])
+    @pytest.mark.parametrize("entry", ["3" * 400, "1" + "0" * 308 + "*sqrt5"],
+                             ids=["past-the-range", "sqrt5-term-past-the-range"])
+    def test_metric_entry_past_the_float_range_fails_quietly(self, tmp_path, capsys, entry,
+                                                             backend):
+        data = _example_3(metric_00=entry)
+        assert self._run_config(tmp_path, data, "--backend", backend) == EXIT_SUITE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        suites = _strict_json(captured.out)["suites"]
+        for name in ("identities", "slant"):
+            assert suites[name]["error"] == ("DomainError: exact entry (0, 0) is beyond "
+                                             "the float range"), suites[name]
 
     def test_negative_seed_flag_is_a_config_error(self, capsys):
         assert main(["run", "paper_example_3", "--seed", "-5"]) == EXIT_CONFIG_ERROR

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import goldenslant.exactlin as xl
+from goldenslant.errors import DomainError
 from goldenslant.quadrat import (
     ONE_MINUS_PSI,
     PSI,
@@ -283,6 +286,14 @@ def test_text_is_the_fraction_text_and_parses_back(p, q, d):
     assert parse_quadrat(str(x)) == x
 
 
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-string digit limit")
+@pytest.mark.parametrize("p,q,d", [(1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 3)])
+def test_text_past_the_digit_limit_is_a_domain_error(p, q, d):
+    big = 10 ** sys.get_int_max_str_digits()  # one digit past the limit
+    with pytest.raises(DomainError, match="too many digits"):
+        str(from_integers(p * big, q * big, d))
+
+
 def test_float_of_a_near_cancelling_value_is_within_a_few_ulps():
     # p + q*sqrt5 small against its two terms: the float sum cancels up to about 22 bits.
     rng = random.Random(2718)
@@ -408,8 +419,8 @@ _scalar = st.one_of(st.integers(-5, 5), st.integers(2**64, 2**66),
                     st.fractions(min_value=-4, max_value=4, max_denominator=9), _entry)
 
 
-def _rows(shape):
-    return st.lists(st.lists(_entry, min_size=shape[1], max_size=shape[1]),
+def _rows(shape, entry=_entry):
+    return st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
                     min_size=shape[0], max_size=shape[0])
 
 
@@ -446,6 +457,8 @@ def test_qmatrix_operators_match_the_entry_oracle(pair, c):
         "scalar sub": (c - qa, _entrywise(lambda x: c - x, a)),
         "mul scalar": (qa * c, _entrywise(lambda x: x * c, a)),
         "scalar mul": (c * qa, _entrywise(lambda x: c * x, a)),
+        "eye": (xl.eye(len(a)), [[QuadRat(int(i == j)) for j in range(len(a))]
+                                 for i in range(len(a))]),
         "transpose": (qa.T, [list(col) for col in zip(*a)]),
         "mT": (qa.mT, [list(col) for col in zip(*a)]),
         "slice": (qa[::-1, :1], [row[:1] for row in a[::-1]]),
@@ -471,14 +484,6 @@ def test_qmatrix_matmul_matches_the_entry_oracle(pair):
     assert _canonical(got) and _values(got) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(_shapes.flatmap(_rows))
-def test_float_view_has_the_bits_of_each_entry(a):
-    view = np.asarray(xl.qmatrix(a), dtype=float)
-    assert [[x.hex() for x in row] for row in view.tolist()] == [
-        [float(x).hex() for x in row] for row in a]
-
-
 # Lucas over Fibonacci numbers approach sqrt5, so L_k - F_k sqrt5 nearly cancels.
 _fib = [0, 1]
 _lucas = [2, 1]
@@ -487,6 +492,23 @@ while len(_fib) < 80:
     _lucas.append(_lucas[-1] + _lucas[-2])
 _near_zero = st.builds(lambda k, s, d: QuadRat(Fraction(s * _lucas[k], d), Fraction(-s * _fib[k], d)),
                        st.integers(40, 79), st.sampled_from([1, -1]), st.integers(1, 9))
+# Entries that take the exact rounding: multiples of sqrt5 (p = 0), cancelling terms, a
+# term past the float range, over denominators up to 2^200.
+_view_entry = _entry | _near_zero | st.builds(
+    from_integers, st.just(0) | _wide | st.sampled_from([10**400, -(10**400), -256130]),
+    _wide | st.sampled_from([10**308, -(10**400), 113638]), st.integers(1, 2**200))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shapes.flatmap(lambda shape: _rows(shape, _view_entry)))
+@example([[from_integers(-256130, 113638, 1), from_integers(0, -1, 10)],
+          [from_integers(10**400, 1, 3), from_integers(0, 10**308, 2**200 + 1)]])
+def test_float_view_has_the_bits_of_each_entry(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an entry past the float range is quietly infinite
+        view = np.asarray(xl.qmatrix(a), dtype=float)
+    assert [[x.hex() for x in row] for row in view.tolist()] == [
+        [float(x).hex() for x in row] for row in a]
 
 
 @settings(max_examples=80, deadline=None)
