@@ -53,18 +53,27 @@ extrinsic suite: second fundamental form and split checks (flat ambient)
   the frames P, Q, t and s are written in.
   finding: shape_operator_max = max |A_{phi Y}| for anti-invariant tangent
   spaces; the vanishing claim is probed, not assumed.
+classification: invariant when max |Q|, anti_invariant when max |P| is within
+  tol_class at every point (exactly 0 when the exact route ran), else neither or
+  mixed: the slant suite's rule.
 """,
     "slant": """\
 slant suite: angles at the eigenvectors of P and classification
-  angle                cos theta(X) = |g(phi X, PX)| / (|PX| |phi X|)
-  classification       spread of theta over points and eigenvectors <= tol_angle
+  angle                cos theta(X) = |g(phi X, PX)| / (|PX| |phi X|) at P's eigenvectors;
+                       theta is their mean, angle_spread (hard check: finite) the range
+  classification       slant when every identity below is within tol_frame, the
+                       characterization first as mu^2 - lambda (mu + 1) on P's eigenvalues
+                       (non_slant above it); then invariant or anti_invariant by the
+                       extrinsic suite's rule, else proper_slant.  When the exact route
+                       ran its verdict decides, exact.float_classification is the float
+                       one and flags.float_exact_disagree is set if they differ
   characterization     P^2 = lambda (P + I) with lambda = cos^2 theta
   corollary            g(phi^2 X, X) = g(P^2 X, X) / lambda   (lambda > 0)
   lemma_p              g(PX, PY) = cos^2 theta (g(X, Y) + g(X, PY))
   lemma_q              g(QX, QY) = sin^2 theta (g(X, Y) + g(PX, Y))
   tq                   tQ = (1 - lambda)(P + I) = -P^2 + P + I
   reference_cosine     g(phi e1, e1)/|phi e1| on the raw tangent; flagged when it
-                       disagrees with the definitional cosine or exceeds 1.
+                       disagrees with cos theta by more than tol_angle or exceeds 1.
 """,
     "curvature": """\
 curvature suite: an exact certificate of the space-form model R and its Ricci program

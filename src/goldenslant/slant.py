@@ -34,6 +34,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import Tolerances
 from .errors import ZeroVector
 from .structures import GoldenStructure, _amax, _eye, _spectral
 from .submanifold import (
@@ -42,16 +43,14 @@ from .submanifold import (
     InducedOperators,
     PointGeometry,
     frame_at,  # noqa: F401  (perfbench's wrapper test reads this binding)
+    invariance_kinds,
     point_geometry,
 )
-
-DEFAULT_TOL_ANGLE = 1e-6
 
 INVARIANT = "invariant"
 ANTI_INVARIANT = "anti_invariant"
 PROPER_SLANT = "proper_slant"
 NON_SLANT = "non_slant"
-_SLANT_KINDS = (INVARIANT, ANTI_INVARIANT, PROPER_SLANT)
 
 
 class SlantReport(NamedTuple):
@@ -67,9 +66,6 @@ class SlantReport(NamedTuple):
     @property
     def cos_theta(self) -> float:
         return math.sqrt(max(self.lam, 0.0))
-
-    def is_slant(self) -> bool:
-        return self.classification in _SLANT_KINDS
 
 
 def _angles(p: np.ndarray, q: np.ndarray, x: np.ndarray, tol_class: float) -> np.ndarray:
@@ -106,55 +102,43 @@ def reference_cosine(ops: InducedOperators, x: Sequence[float]) -> float:
 
 
 def classify(imm: ImmersionSpec, structure: GoldenStructure,
-             tol_angle: float = DEFAULT_TOL_ANGLE,
+             tol_frame: float = Tolerances().tol_frame,
              tol_class: float = DEFAULT_TOL_CLASS) -> SlantReport:
     """:func:`classify_geometry` at the immersion's sample points."""
     geom = point_geometry(imm, structure.metric, structure)
-    return classify_geometry(geom, tol_angle, tol_class)
+    return classify_geometry(geom, tol_frame, tol_class)
 
 
-def classify_geometry(geom: PointGeometry, tol_angle: float = DEFAULT_TOL_ANGLE,
+def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_frame,
                       tol_class: float = DEFAULT_TOL_CLASS) -> SlantReport:
     """Slant angles at the eigen-directions of P at every point of a geometry, then classify.
 
     In orthonormal frames P is symmetric and ``|phi X|^2 = g(X, (P + I) X)``,
     so along ``X = sum c_i v_i`` over P's eigenvectors ``cos^2 theta(X)`` is a
     positive-weighted average of ``mu_i^2 / (mu_i + 1)``: the extreme angles
-    over all directions are taken at the eigenvectors.  Their spread
-    (max - min) decides slantness exactly; their mean angle then separates
-    invariant, anti-invariant and proper slant.  For slant results the
-    characterization, the P/Q product identities and the tQ identity are
-    evaluated at every point and their worst residuals attached to the
-    report.  The bilinear-form identities are measured by the spectral norm
-    of their matrices, all in one call: the worst value of the form on any
-    unit pair, and never below the worst entry.
+    over all directions are taken at the eigenvectors.  It is slant when every
+    slant identity holds within ``tol_frame`` for lambda = cos^2 of their mean
+    angle, the characterization tested first on P's eigenvalues as
+    ``mu^2 - lambda (mu + 1)``; only then are the characterization, the P/Q
+    product identities and the tQ identity evaluated at every point, their
+    worst residuals attached to a slant report.  The bilinear-form identities
+    are measured by the spectral norm of their matrices, all in one call: the
+    worst value of the form on any unit pair, and never below the worst entry.
+    A slant geometry is invariant or anti-invariant by :func:`invariance_kinds`
+    at every point, else proper slant.
     """
     ops = geom.ops
-    _, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
+    mu, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
     angles = _angles(ops.p, ops.q, vectors.mT, tol_class)
     # Each evaluated point stands for geom.repeats sample points; the mean is summed over
     # all of their rows, in the order of a pass that evaluated each.
     theta = float(np.mean(np.repeat(angles, geom.repeats, axis=0)))
-    spread = float(angles.max() - angles.min())
-    if spread <= tol_angle:
-        if theta <= tol_angle:
-            kind = INVARIANT
-        elif math.pi / 2 - theta <= tol_angle:
-            kind = ANTI_INVARIANT
-        else:
-            kind = PROPER_SLANT
-    else:
-        kind = NON_SLANT
     lam = math.cos(theta) ** 2
-    report = SlantReport(
-        classification=kind,
-        theta=theta,
-        lam=lam,
-        k=1.0 - lam,
-        angle_spread=spread,
-    )
-    if not report.is_slant():
+    report = SlantReport(NON_SLANT, theta, lam, 1.0 - lam, float(angles.max() - angles.min()))
+    if not _amax(mu * mu - lam * (mu + 1.0)) <= tol_frame:  # NaN frames fail here too
         return report
+    kinds = set(invariance_kinds(ops, tol_class).tolist())
+    kind = kinds.pop() if kinds in ({INVARIANT}, {ANTI_INVARIANT}) else PROPER_SLANT
     p, q = ops.p, ops.q
     pp = p @ p
     forms = [_characterization(p, pp, lam),
@@ -164,7 +148,9 @@ def classify_geometry(geom: PointGeometry, tol_angle: float = DEFAULT_TOL_ANGLE,
     keys = ("characterization", "lemma_p", "lemma_q", "corollary")
     residuals = dict(zip(keys, _spectral(np.stack(forms))))
     residuals["tq"] = np.maximum(*_tq_residuals(p, pp, ops.t @ q, lam))
-    return report._replace(residuals={k: float(np.max(v)) for k, v in residuals.items()})
+    residuals = {k: float(np.max(v)) for k, v in residuals.items()}
+    slant = all(v <= tol_frame for v in residuals.values())
+    return report._replace(classification=kind, residuals=residuals) if slant else report
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +199,10 @@ def exact_slant_data(eops: InducedOperators) -> dict:
 
     The immersion is exactly slant iff the lambda candidates agree and the
     characterization residual is zero; the remaining residuals are then
-    forced to zero and double-check the arithmetic.  Gt P and Gn Q are the
-    blocks of ``eops.lowered`` and tQ is ``(C^2)_TT - P^2``, products the
-    exact identities share; three more exact matmuls are formed here.
+    forced to zero and double-check the arithmetic.  A slant immersion is
+    invariant when lambda is 1 (Q = 0) and anti-invariant when it is 0 (P = 0).
+    Gt P and Gn Q are the blocks of ``eops.lowered`` and tQ is ``(C^2)_TT - P^2``,
+    products the exact identities share; three more exact matmuls are formed here.
     """
     p, m = eops.p, eops.m
     forms = _cos2_forms(eops)
@@ -228,10 +215,13 @@ def exact_slant_data(eops: InducedOperators) -> dict:
     char = _amax(_characterization(p, pp, lam))
     lemma_p, lemma_q = map(_amax, _lemma_residuals(eops, *forms, lam, 1 - lam))
     tq1, tq2 = _tq_residuals(p, pp, eops.square[:m, :m] - pp, lam)
+    slant = uniform and not char
     return {
+        "classification": (NON_SLANT if not slant else INVARIANT if lam == 1
+                           else ANTI_INVARIANT if not lam else PROPER_SLANT),
         "lambda": lam,
         "lambda_uniform": uniform,
-        "is_slant": uniform and not char,
+        "is_slant": slant,
         "characterization": char,
         "lemma_p": lemma_p,
         "lemma_q": lemma_q,

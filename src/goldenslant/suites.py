@@ -44,8 +44,6 @@ from .submanifold import (
     structural_identity_residuals,
 )
 
-EXACT_SUITES = {"identities", "slant"}
-
 
 def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
     """Report the axiom check the structure's build ran, the F round trip and the eigenspaces.
@@ -99,7 +97,9 @@ def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
     phi_split = _phi_hessian_split(geom)
     r_tan, r_nor = (float(np.max(r)) for r in gauss_split_residuals(geom, phi_split))
     h_sym = float(np.max(np.abs(geom.h - geom.h.transpose(0, 2, 1, 3))))
-    kinds = set(invariance_kinds(geom.ops, tol.tol_class).tolist())
+    # The exact route, when it ran, decides exactly: Q or P is 0 or it is not.
+    ops, tol_class = (geom.ops, tol.tol_class) if geom.exact is None else (geom.exact, 0)
+    kinds = set(np.ravel(invariance_kinds(ops, tol_class)).tolist())
     kind = kinds.pop() if len(kinds) == 1 else "mixed"
     result: dict[str, Any] = {
         "points": geom.size,
@@ -127,7 +127,7 @@ def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
 
 
 def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -> dict:
-    report = classify_geometry(geom, tol_angle=tol.tol_angle, tol_class=tol.tol_class)
+    report = classify_geometry(geom, tol_frame=tol.tol_frame, tol_class=tol.tol_class)
     frame, ops = geom.frame.at(0), geom.ops.at(0)
     # The variant formula is not scale-invariant, so feed it the raw tangent.
     raw_e1 = frame.tangent_coords(frame.raw_tangents[:, 0])
@@ -149,29 +149,28 @@ def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -
         "angle_formula": cfg.angle_formula,
         "flags": flags,
     }
-    # NaN frames give a NaN spread: non_slant, with no residual to fail.
-    passed = math.isfinite(report.angle_spread) and all(
-        v <= tol.tol_frame for v in report.residuals.values())
+    # A slant verdict holds its identities, so only NaN frames (a NaN spread) fail here.
+    passed = math.isfinite(report.angle_spread)
     if cfg.angle_formula == ANGLE_FORMULA_UNNORMALIZED:
         # The requested cosine variant must at least be a valid cosine.
         passed = passed and not flags["reference_invalid"]
     result["exact"] = {"available": False}
     if geom.exact is not None:
         data = exact_slant_data(geom.exact)
-        exact_result = {
+        # The exact verdict decides; the float one stays next to it, flagged if it differs.
+        result["classification"] = data["classification"]
+        flags["float_exact_disagree"] = data["classification"] != report.classification
+        result["exact"] = exact = {
             "available": True,
+            "float_classification": report.classification,
             "is_slant": bool(data["is_slant"]),
             "lambda": str(data["lambda"]),
             "lambda_float": float(data["lambda"]),
-            "residuals": {
-                k: float(data[k])
-                for k in ("characterization", "lemma_p", "lemma_q",
-                          "tq_lambda_form", "tq_block_form")
-            },
+            "residuals": {k: float(data[k]) for k in ("characterization", "lemma_p", "lemma_q",
+                                                       "tq_lambda_form", "tq_block_form")},
         }
-        result["exact"] = exact_result
         if data["is_slant"]:
-            passed = passed and all(v == 0.0 for v in exact_result["residuals"].values())
+            passed = passed and all(v == 0.0 for v in exact["residuals"].values())
     result["pass"] = passed
     return result
 
@@ -265,8 +264,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
         try:
             imm = cfg.build_immersion()
             geom = point_geometry(imm, structure.metric, structure)
-            # The exact route, when the scenario has one and a suite reads it.
-            frame = exact_frame(imm, structure.metric) if EXACT_SUITES & set(cfg.suites) else None
+            # The exact route, when the scenario has one.
+            frame = exact_frame(imm, structure.metric)
             if frame is not None:
                 geom = geom._replace(exact=exact_induced_operators(frame, structure))
         except GoldenslantError as exc:

@@ -255,10 +255,26 @@ class TestOnePass:
             "verify_golden": 0, "axioms": 1, "involution": 1, "exact_frame": 1,
             "exact_induced_operators": 1}
 
-    def test_extrinsic_only_scenario_skips_the_exact_route(self, counters):
-        assert run_scenario(_scenario(["extrinsic"]))["overall_pass"]
-        assert len(counters["exact_frame"]) == 0
-        assert len(counters["exact_induced_operators"]) == 0
+    @pytest.mark.parametrize("third,kind", [
+        (None, "neither"),
+        # Within tol_class of invariant on the float route; the exact route sees the tilt.
+        ("10^-8*u", "neither"),
+        ("0", "invariant"),
+    ])
+    def test_extrinsic_verdict_is_the_same_alone_and_next_to_slant(self, counters, third,
+                                                                   kind):
+        # None: the involution scenario; else the plane [u, v, third, 0] over a pattern.
+        cfg = _scenario(["extrinsic"]) if third is None else parse_config({
+            "ambient": {"dim": 4, "phi": {"pattern": ["psi", "psi", "one_minus_psi",
+                                                      "one_minus_psi"]}},
+            "immersion": {"params": ["u", "v"], "components": ["u", "v", third, "0"]},
+            "suites": ["extrinsic"]})
+        alone = run_scenario(cfg)
+        assert len(counters["exact_induced_operators"]) == 1  # the exact route ran for it
+        together = run_scenario(cfg._replace(suites=("extrinsic", "slant")))
+        assert alone["overall_pass"] and together["overall_pass"]
+        assert alone["suites"]["extrinsic"] == together["suites"]["extrinsic"]
+        assert alone["suites"]["extrinsic"]["classification"] == kind
 
     def test_structure_suite_reports_the_build_validation(self):
         cfg = _scenario(["structure"])

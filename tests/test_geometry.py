@@ -269,20 +269,29 @@ def test_gauss_split_sees_a_small_change_at_one_point(field):
     assert after[0] == before[0] and after[2] == before[2]
 
 
-def _sampled_classification(geom, tol_angle, tol_class=1e-7, directions=20, seed=0):
-    """The earlier estimate: each point's m frame axes plus ``directions`` random
-    unit directions, all drawn from one stream, point by point."""
+def _sampled_classification(geom, tol_frame, tol_class=1e-7, directions=20, seed=0):
+    """A sampled oracle of the slant rule: each point's m frame axes plus ``directions``
+    random unit directions, all drawn from one stream, point by point, with lambda cos^2 of
+    their mean angle.  In orthonormal frames every slant identity is the characterization
+    P^2 - lambda (P + I) up to sign, the corollary divided by lambda, so the worst identity
+    is estimated by the largest |(P^2 - lambda (P + I)) X| over the directions, over lambda
+    unless P vanishes.  Returns the sampled spread, that estimate and the verdict."""
     ops, n_points, m = geom.ops, geom.size, geom.ops.m
     drawn = np.random.default_rng(seed).standard_normal((n_points, directions, m))
     drawn /= np.linalg.norm(drawn, axis=-1, keepdims=True)
     axes = np.broadcast_to(np.eye(m), (n_points, m, m))
-    angles = _angles(ops.p, ops.q, np.concatenate([axes, drawn], axis=1), tol_class)
-    theta, spread = float(np.mean(angles)), float(angles.max() - angles.min())
-    if spread > tol_angle:
-        return spread, "non_slant"
-    if theta <= tol_angle:
-        return spread, "invariant"
-    return spread, "anti_invariant" if math.pi / 2 - theta <= tol_angle else "proper_slant"
+    x = np.concatenate([axes, drawn], axis=1)
+    angles = _angles(ops.p, ops.q, x, tol_class)
+    lam, spread = math.cos(float(np.mean(angles))) ** 2, float(angles.max() - angles.min())
+    p = ops.p
+    residual = float(np.linalg.norm(x @ (p @ p - lam * (p + np.eye(m))).mT, axis=-1).max())
+    invariant = bool(np.all(np.abs(ops.q).max(axis=(-2, -1)) <= tol_class))
+    anti = bool(np.all(np.abs(p).max(axis=(-2, -1)) <= tol_class))
+    residual = residual if anti else residual / lam
+    if residual > tol_frame:
+        return spread, residual, "non_slant"
+    return spread, residual, ("invariant" if invariant else "anti_invariant" if anti
+                              else "proper_slant")
 
 
 def _eigenbases(structure):
@@ -331,15 +340,15 @@ def _random_scenario(rng, seed):
 
 def test_exact_spread_bounds_the_sampled_spread_on_random_scenarios():
     rng = np.random.default_rng(2024)
-    tol_angle = 1e-6
+    tol_frame = 1e-9
     kinds = set()
     for seed in range(60):
         imm, structure = _random_scenario(rng, seed)
         geom = point_geometry(imm, structure.metric, structure)
-        report = classify_geometry(geom, tol_angle=tol_angle)
-        sampled_spread, sampled_kind = _sampled_classification(geom, tol_angle)
+        report = classify_geometry(geom, tol_frame=tol_frame)
+        sampled_spread, residual, sampled_kind = _sampled_classification(geom, tol_frame)
         assert report.angle_spread >= sampled_spread - 1e-12, seed
-        if not tol_angle / 10 <= sampled_spread <= 10 * tol_angle:
+        if not tol_frame / 10 <= residual <= 10 * tol_frame:
             assert report.classification == sampled_kind, seed
         kinds.add(report.classification)
     assert kinds == {"invariant", "anti_invariant", "proper_slant", "non_slant"}

@@ -10,10 +10,14 @@ Run from the repository root::
 outputs shows every report, message or exit code that changed.  The inputs are
 the bundled configs, the regression configs under ``tests/configs`` and the
 ``curved_grid``, ``exact_dense`` and ``spaceform_trials`` configs of seeds 1, 7
-and 101, written by perfbench's generators into a temporary directory, and six
+and 101, written by perfbench's generators into a temporary directory, and nine
 edge configs written next to them: five ``paper_example_3`` variants past the
-float range or the int-string digit limit, and a curved immersion whose finite
-jets give NaN tangent frames.  Each runs as ``python -m goldenslant run CONFIG
+float range or the int-string digit limit, a curved immersion whose finite
+jets give NaN tangent frames, two ``paper_example_3`` variants whose last
+coefficient is off by ``1/10^7`` and ``1/10^12`` (not slant, the first within
+reach of the float slant identities, the second below it), and the invariant
+plane ``[u1, u2, 0, 0]`` tilted by ``10^-7 u1``, at the float invariance rule's
+threshold.  Each runs as ``python -m goldenslant run CONFIG
 --backend B`` in a fresh process, for B = auto and float.  One line per run gives
 the config, the backend, the exit code and the SHA-256 of stdout and of stderr.
 """
@@ -35,8 +39,8 @@ BACKENDS = ("auto", "float")
 
 
 def _example_3(metric_00: str | None = None, component_0: str | None = None,
-               extra_points=None) -> dict:
-    """The bundled paper_example_3 with metric entry (0, 0), component 0 or the extra
+               extra_points=None, component_3: str | None = None) -> dict:
+    """The bundled paper_example_3 with metric entry (0, 0), component 0 or 3 or the extra
     sample points replaced."""
     data = json.loads((ROOT / "src" / "goldenslant" / "configs" / "paper_example_3.cfg")
                       .read_text())
@@ -45,17 +49,24 @@ def _example_3(metric_00: str | None = None, component_0: str | None = None,
                                       for j in range(4)] for i in range(4)]
     if component_0 is not None:
         data["immersion"]["components"][0] = component_0
+    if component_3 is not None:
+        data["immersion"]["components"][3] = component_3
     if extra_points is not None:
         data["immersion"]["samples"]["extra_points"] = extra_points
     return data
 
 
 def _edge_configs() -> dict[str, dict]:
-    """Configs that reach the float range, the int-string digit limit and NaN frames."""
+    """Configs that reach the float range, the int-string digit limit, NaN frames and the
+    slant and invariance verdicts' thresholds."""
     nan_frames = _example_3()
     nan_frames["immersion"]["components"] = ["10^308*u1+u2^2", "u1", "u2", "u1*u2"]
     nan_frames["immersion"]["samples"]["grid"] = [[-1, 1, 2], [-1, 1, 2]]
     nan_frames["suites"] = ["identities", "extrinsic", "slant"]
+    tilted = _example_3()
+    tilted["ambient"]["phi"]["pattern"] = ["psi", "psi", "one_minus_psi", "one_minus_psi"]
+    tilted["immersion"]["components"] = ["u1", "u2", "10^-7*u1", "0"]
+    tilted["suites"] = ["extrinsic", "slant"]
     return {
         "overflow_metric": _example_3(metric_00="3" * 400),
         "affine_extra_overflow": _example_3(component_0="10^308*u1*psi", extra_points=[[2, 0]]),
@@ -63,6 +74,9 @@ def _edge_configs() -> dict[str, dict]:
         "long_literal": _example_3(component_0="psi*u1+" + "1" * 5000),
         "long_lambda": _example_3(metric_00="1" + "0" * 2499 + "7/1" + "0" * 2500),
         "curved_nan_frames": nan_frames,
+        "slant_off_by_e7": _example_3(component_3="(1-psi+1/10^7)*u2"),
+        "slant_off_by_e12": _example_3(component_3="(1-psi+1/10^12)*u2"),
+        "invariant_tilted_e7": tilted,
     }
 
 
