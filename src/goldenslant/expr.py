@@ -21,9 +21,9 @@ before its value would pass 64 bits.  The exact lift stops short of constant
 powers beyond ``MAX_POWER_BITS``.
 
 Parsing and the exact lift need no numpy: only the evaluation entry points
-(``Expr.eval_jets``, :func:`evaluate`, :func:`evaluate_affine`,
-:func:`jacobian`, :func:`hessians`) import it when they run, and the jet
-route also imports :mod:`.jets`, so a config loads without either.
+(:func:`evaluate`, :func:`evaluate_affine`, :func:`jacobian`,
+:func:`hessians`) import it when they run, and the jet route also imports
+:mod:`.jets`, so a config loads without either.
 """
 
 from __future__ import annotations
@@ -110,27 +110,6 @@ class Expr(_Record):
     @property
     def m(self) -> int:
         return len(self.params)
-
-    def eval_jets(self, points):
-        """Jets at the N rows of ``points`` from one pass over the AST: value (N,),
-        grad (N, m), hess (N, m, m).  Overflowing or undefined ones raise DomainError."""
-        import numpy as np
-
-        from .jets import Jet2, evaluate_tree
-
-        points = _points(points, self.m)
-        try:
-            with np.errstate(all="ignore"):
-                jet = evaluate_tree(self.root, points)
-        except OverflowError as exc:
-            raise DomainError(f"overflow: {exc}") from None
-        n, m = points.shape
-        value = np.array(np.broadcast_to(jet.value, (n,)))
-        grad = np.array(np.broadcast_to(jet.grad, (n, m)))
-        hess = np.array(np.broadcast_to(jet.hess, (n, m, m)))
-        _require_finite(points, np.isfinite(value) & np.isfinite(grad).all(-1)
-                        & np.isfinite(hess).all((-2, -1)))
-        return Jet2(value, grad, hess)
 
     def affine_exact(self) -> tuple[QuadRat, list[QuadRat]] | None:
         """Exact ``(constant, coefficients)`` if the expression is affine over Q(sqrt5)."""
@@ -408,18 +387,40 @@ def _points(points, m: int):
 
 
 def _require_finite(points, finite) -> None:
-    """DomainError at the first of the (N, m) ``points`` where the (N,) ``finite`` is False."""
+    """DomainError at the point of the first False in the first column of ``finite`` with one."""
     if not finite.all():
-        bad = tuple(points[finite.argmin()].tolist())
+        bad = tuple(points[finite[:, finite.all(0).argmin()].argmin()].tolist())
         raise DomainError(f"value or derivative is not finite at {bad}")
 
 
 def evaluate(components: Sequence[Expr], points):
-    """Jacobians (N, n, m) and Hessians (N, n, m, m) of an immersion at (N, m) ``points``."""
+    """Jacobians (N, n, m) and Hessians (N, n, m, m) of an immersion at (N, m) ``points``.  The
+    first component in order whose tree raises or whose jets are not finite raises DomainError."""
     import numpy as np
 
-    jets = [comp.eval_jets(points) for comp in components]
-    return np.stack([j.grad for j in jets], axis=1), np.stack([j.hess for j in jets], axis=1)
+    from .jets import evaluate_tree
+
+    points = _points(points, components[0].m)
+    n, m = points.shape
+    # Every component's values, gradients and Hessians in one buffer, for one finiteness check.
+    k, error = len(components), None
+    jets, size = np.empty(n * k * (1 + m + m * m)), n * k
+    value, jac, hess = (jets[:size].reshape(n, k), jets[size:size * (1 + m)].reshape(n, k, m),
+                        jets[size * (1 + m):].reshape(n, k, m, m))
+    with np.errstate(all="ignore"):
+        for i, comp in enumerate(components):
+            try:
+                jet = evaluate_tree(comp.root, points)
+            except (DomainError, OverflowError) as exc:
+                k, error = i, exc
+                break
+            value[:, i], jac[:, i], hess[:, i] = jet.value, jet.grad, jet.hess
+    if error is not None or not np.isfinite(jets).all():
+        _require_finite(points, (np.isfinite(value) & np.isfinite(jac).all(-1)
+                                 & np.isfinite(hess).all((-2, -1)))[:, :k])
+    if error is not None:
+        raise error if isinstance(error, DomainError) else DomainError(f"overflow: {error}")
+    return jac, hess
 
 
 def evaluate_affine(constant, jacobian, points):
@@ -437,9 +438,7 @@ def evaluate_affine(constant, jacobian, points):
             points = points.points()
         points = _points(points, jacobian.shape[1])
         values = constant + points @ jacobian.T
-    finite = np.isfinite(values) & np.isfinite(jacobian).all(-1)
-    for column in finite.T:  # component by component, as in evaluate()
-        _require_finite(points, column)
+    _require_finite(points, np.isfinite(values) & np.isfinite(jacobian).all(-1))
     return jacobian[None], points[:1], len(points)
 
 

@@ -7,7 +7,7 @@ elementary functions used by the immersion DSL.  Leading axes are a batch
 broadcasts over, so one pass differentiates an expression at every sample
 point (Taylor propagation, Griewank & Walther, *Evaluating Derivatives*).
 :func:`evaluate_tree` runs a parsed :mod:`.expr` tree on these rules.
-Overflow gives ``inf``/``nan`` here; ``Expr.eval_jets`` rejects those.
+Overflow gives ``inf``/``nan`` here; :func:`.expr.evaluate` rejects those.
 """
 
 from __future__ import annotations

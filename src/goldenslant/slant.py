@@ -68,7 +68,7 @@ class SlantReport(NamedTuple):
         return math.sqrt(max(self.lam, 0.0))
 
 
-def _angles(p: np.ndarray, q: np.ndarray, x: np.ndarray, tol_class: float) -> np.ndarray:
+def _angles(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Angles of phi X with the tangent space for directions ``x`` (..., D, m)."""
     # Because g(phi X, PX) = |PX|^2, the defining arccos equals
     # atan2(|QX|, |PX|), which stays accurate where arccos degenerates.
@@ -76,7 +76,7 @@ def _angles(p: np.ndarray, q: np.ndarray, x: np.ndarray, tol_class: float) -> np
     qn = np.linalg.norm(x @ q.mT, axis=-1)
     if np.any((pn == 0.0) & (qn == 0.0)):
         raise ZeroVector("phi X vanished; structure cannot be golden")
-    return np.where(pn <= tol_class * np.hypot(pn, qn), math.pi / 2, np.arctan2(qn, pn))
+    return np.arctan2(qn, pn)
 
 
 def reference_cosine(ops: InducedOperators, x: Sequence[float]) -> float:
@@ -129,7 +129,7 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     """
     ops = geom.ops
     mu, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
-    angles = _angles(ops.p, ops.q, vectors.mT, tol_class)
+    angles = _angles(ops.p, ops.q, vectors.mT)
     # Each evaluated point stands for geom.repeats sample points; the mean is summed over
     # all of their rows, in the order of a pass that evaluated each.
     theta = float(np.mean(np.repeat(angles, geom.repeats, axis=0)))

@@ -130,18 +130,19 @@ def _stacked_frames(points: np.ndarray, jac: np.ndarray, w: np.ndarray) -> Tange
     In ``y = W x`` the metric is the dot product, so the complete QR of
     ``W J`` is the frame.  The tangent columns are signed as Gram-Schmidt on
     the Jacobian columns signs them; the normal columns are the QR completion.
+    Its ``R`` gives the rank: ``|r_jj| / |R[:, j]|`` is the sine of column j's angle to the
+    columns before it, which no scaling of a column changes (van der Sluis 1969).  A zero
+    column has no angle; one with a non-finite norm is left to the checks that read the frame.
     """
-    smallest = np.linalg.svd(jac, compute_uv=False).min(axis=-1)
-    bad = np.flatnonzero(~(smallest >= _RANK_TOL))
-    if bad.size:
-        i = bad[0]
-        raise RankDeficient(f"Jacobian smallest singular value {smallest[i]:.3e} "
-                            f"at {tuple(points[i].tolist())}")
-    m = jac.shape[-1]
     w_jac = w @ jac
     q, r = np.linalg.qr(w_jac, mode="complete")
-    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
-    q[..., :m] *= signs[..., None, :]
+    diag, norms = np.diagonal(r, axis1=-2, axis2=-1), np.hypot.reduce(r, axis=-2)  # |R[:, j]|
+    bad = (np.abs(diag) < _RANK_TOL * norms) & (norms < np.inf) | (norms == 0.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise RankDeficient(f"Jacobian column {j + 1} is within sine {_RANK_TOL:g} of the "
+                            f"columns before it at {tuple(points[i].tolist())}")
+    q[..., :jac.shape[-1]] *= np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
     return TangentFrame(points, w_jac, q)
 
 

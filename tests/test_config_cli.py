@@ -28,7 +28,7 @@ from goldenslant.cli import (
 from goldenslant.config import (MAX_DIM, MAX_POINT_WORK, MAX_POINTS, SampleSpec, load_config,
                                 parse_config)
 from goldenslant.errors import ConfigError, DomainError
-from goldenslant.expr import parse
+from goldenslant.expr import evaluate, parse
 from goldenslant.suites import (
     render_report,
     run_curvature_suite,
@@ -585,7 +585,7 @@ class TestCli:
         suites = _strict_json(captured.out)["suites"]
         # The jet route's message and witness point, whichever route ran.
         with pytest.raises(DomainError) as jets:
-            parse(component, ["u"]).eval_jets(SampleSpec(grid=(tuple(grid),)).points())
+            evaluate([parse(component, ["u"])], SampleSpec(grid=(tuple(grid),)).points())
         for name in ("identities", "extrinsic", "slant"):
             assert suites[name]["error"] == f"DomainError: {jets.value}", suites[name]
 

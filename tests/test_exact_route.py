@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import goldenslant.exactlin as xl
+import goldenslant.jets as jets
 import goldenslant.structures as structures
 from goldenslant.cli import resolve_config
 from goldenslant.config import Tolerances, load_config, parse_config
-from goldenslant.errors import DomainError, GoldenslantError, InvalidStructure
+from goldenslant.errors import DomainError, GoldenslantError, InvalidStructure, RankDeficient
 from goldenslant.expr import Expr
 from goldenslant.quadrat import PSI, QuadRat
 from goldenslant.slant import (
@@ -36,7 +37,6 @@ from goldenslant.structures import (
     verify_golden,
 )
 from goldenslant.submanifold import (
-    DEFAULT_TOL_CLASS,
     ImmersionSpec,
     InducedOperators,
     SampleSpec,
@@ -513,12 +513,30 @@ def _count_method(monkeypatch, cls, name) -> list:
     return calls
 
 
+def _count_tree_evaluations(monkeypatch) -> list:
+    """The root of each tree ``jets.evaluate_tree`` evaluates, leaving out its recursion."""
+    roots, depth = [], []
+    original = jets.evaluate_tree
+
+    def counted(node, points):
+        if not depth:
+            roots.append(node)
+        depth.append(node)
+        try:
+            return original(node, points)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(jets, "evaluate_tree", counted)
+    return roots
+
+
 def test_affine_scenario_walks_each_component_once_and_evaluates_no_jets(monkeypatch):
-    jets = _count_method(monkeypatch, Expr, "eval_jets")
+    trees = _count_tree_evaluations(monkeypatch)
     walks = _count_method(monkeypatch, Expr, "affine_exact")
     report = run_scenario(_scenario(["structure", "identities", "slant"]))
     assert report["overall_pass"] and report["suites"]["slant"]["exact"]["available"]
-    assert (len(jets), len(walks)) == (0, 4)
+    assert (len(trees), len(walks)) == (0, 4)
 
 
 def _on_grid(source: str, count: int):
@@ -614,11 +632,22 @@ def test_affine_run_within_the_bound_builds_no_sample_points(monkeypatch):
 def test_affine_run_past_the_bound_builds_the_sample_points_once(monkeypatch):
     calls = _count_method(monkeypatch, SampleSpec, "points")
     big = "1" + "0" * 308
+    imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1-u2", f"{big}*u1"],
+                                     SampleSpec(grid=((0.0, 1.0, 2), (0.0, 0.5, 2))))
+    structure = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"])
+    # 10^308 u1 is finite on [0, 1] x [0, 0.5], but its bound 2 10^308 x 1 is not.  The columns
+    # (1, 0, 1, 10^308) and (0, 1, -1, 0) are all but orthogonal.
+    assert point_geometry(imm, structure.metric, structure).size == 4 and len(calls) == 1
+
+
+def test_affine_columns_agreeing_to_one_part_in_10_308_are_rank_deficient():
+    # (1, 0, 1, 10^308) and (0, 1, -1, 10^308) are at an angle of about 10^-308.
+    big = "1" + "0" * 308
     imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1-u2", f"{big}*(u1+u2)"],
                                      SampleSpec(grid=((0.0, 0.5, 2),) * 2))
     structure = diagonal_golden(["psi", "one_minus_psi", "psi", "one_minus_psi"])
-    # 10^308 (u1 + u2) is finite on [0, 0.5]^2, but its bound 2 10^308 x 0.5 is not.
-    assert point_geometry(imm, structure.metric, structure).size == 4 and len(calls) == 1
+    with pytest.raises(RankDeficient, match=r"column 2 .* at \(0\.0, 0\.0\)$"):
+        point_geometry(imm, structure.metric, structure)
 
 
 @pytest.mark.parametrize("k", [305, 306, 308])
@@ -647,8 +676,7 @@ def test_affine_theta_is_the_mean_over_every_point():
     theta = classify_geometry(point_geometry(imm, structure.metric, structure)).theta
     # The angles at the first point, which stands for all 90,000.
     ops = at_point(imm, imm.sample_spec.points()[0], structure).ops
-    angles = _angles(ops.p, ops.q, np.linalg.eigh((ops.p + ops.p.mT) / 2.0)[1].mT,
-                     DEFAULT_TOL_CLASS)
+    angles = _angles(ops.p, ops.q, np.linalg.eigh((ops.p + ops.p.mT) / 2.0)[1].mT)
     assert theta == repeated_mean(angles[0], 90_000)
     assert theta != float(np.mean(angles))  # the mean of the one point differs in its last bit
 
@@ -669,7 +697,7 @@ def test_identities_and_slant_suites_each_call_the_spectral_norm_once(monkeypatc
 
 
 def test_curved_scenario_evaluates_jets_once_per_component(monkeypatch):
-    jets = _count_method(monkeypatch, Expr, "eval_jets")
+    trees = _count_tree_evaluations(monkeypatch)
     cfg = parse_config({
         "ambient": {"dim": 4, "phi": {"pattern": ["psi", "one_minus_psi", "psi",
                                                   "one_minus_psi"]}},
@@ -678,4 +706,4 @@ def test_curved_scenario_evaluates_jets_once_per_component(monkeypatch):
         "suites": ["identities", "extrinsic", "slant"],
     })
     assert run_scenario(cfg)["overall_pass"]
-    assert len(jets) == 4
+    assert trees == [comp.root for comp in cfg.build_immersion().components]

@@ -21,6 +21,7 @@ from goldenslant.expr import (
     evaluate_affine,
     parse,
 )
+from goldenslant.jets import evaluate_tree
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
 
 PARAMS = ["u1", "u2"]
@@ -28,9 +29,12 @@ U1, U2 = Param("u1", 0), Param("u2", 1)
 
 
 def _jet_at(expr, point):
-    """Value, gradient and Hessian of ``expr`` at one point: its jets at a batch of one."""
-    jets = expr.eval_jets([point])
-    return float(jets.value[0]), jets.grad[0], jets.hess[0]
+    """Value, gradient and Hessian of ``expr`` at one point: the checked derivatives of
+    :func:`evaluate` at a batch of one, and the value of the tree it evaluates."""
+    jac, hess = evaluate([expr], [point])
+    with np.errstate(all="ignore"):  # as evaluate runs it
+        value = evaluate_tree(expr.root, np.array([point], dtype=float)).value
+    return float(np.ravel(value)[0]), jac[0, 0], hess[0, 0]
 
 
 class TestParsing:
@@ -315,3 +319,24 @@ class TestAffineExtraction:
         with pytest.raises(DomainError) as affine:
             evaluate_affine(constant, jacobian, points)
         assert str(affine.value) == str(jets.value)
+
+
+@pytest.mark.parametrize("texts,points,message", [
+    # exp(u1) overflows at the second point, before 1/u1 divides by the zero of the first.
+    (["exp(u1)", "1/u1"], [[0.0], [1000.0]], "value or derivative is not finite at (1000.0,)"),
+    # ... and before a power's exponent overflows a float.
+    (["exp(u1)", "u1^1" + "0" * 400], [[0.0], [1000.0]],
+     "value or derivative is not finite at (1000.0,)"),
+    # The first component not finite somewhere names its first such point, although the
+    # second is not finite at an earlier one.
+    (["exp(u1)", "exp(-u1)"], [[-1000.0], [0.0], [1000.0], [2000.0]],
+     "value or derivative is not finite at (1000.0,)"),
+    # A tree that raises, after components finite everywhere, gives its own error.
+    (["u1", "1/u1"], [[1.0], [0.0]], "division by zero"),
+    (["u1", "u1^1" + "0" * 400], [[1.0], [0.0]], "overflow: int too large to convert to float"),
+])
+def test_evaluation_errors_name_the_first_component_then_its_first_point(texts, points,
+                                                                         message):
+    with pytest.raises(DomainError) as err:
+        evaluate([parse(text, ["u1"]) for text in texts], points)
+    assert str(err.value) == message

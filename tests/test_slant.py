@@ -17,7 +17,6 @@ from goldenslant.slant import (
 )
 from goldenslant.structures import diagonal_golden
 from goldenslant.submanifold import (
-    DEFAULT_TOL_CLASS,
     ImmersionSpec,
     exact_frame,
     exact_induced_operators,
@@ -59,7 +58,7 @@ def _residual(imm, structure, point, name):
 
 def _angle_of(ops, x):
     """Angle between phi X and the tangent space, X in tangent-frame coordinates."""
-    return float(_angles(ops.p, ops.q, np.asarray(x, dtype=float)[None], DEFAULT_TOL_CLASS)[0])
+    return float(_angles(ops.p, ops.q, np.asarray(x, dtype=float)[None])[0])
 
 
 class TestSlantAngle:

@@ -1,13 +1,17 @@
 """Frames, induced operators and the structural identity suite."""
 
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from goldenslant.cli import resolve_config
+from goldenslant.config import parse_config
 from goldenslant.errors import DimensionMismatch, RankDeficient
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
 from goldenslant.structures import (
@@ -25,8 +29,10 @@ from goldenslant.submanifold import (
     frame_at,
     induced_operators,
     invariance_kinds,
+    point_geometry,
     structural_identity_residuals,
 )
+from goldenslant.suites import run_scenario
 from support import random_golden, sample_specs
 
 PSI_F = float(PSI)
@@ -66,6 +72,28 @@ class TestFrameAt:
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u1", "0", "0"])
         with pytest.raises(RankDeficient):
             frame_at(imm, (0.0, 0.0), Metric(np.eye(4)))
+
+    @pytest.mark.parametrize("components,points,bad", [
+        # Column 2, (0, 2 u2, u1, 0), is zero at the origin alone.
+        (["u1", "u2^2", "u1*u2", "u1^2"], [(1.0, 1.0), (0.0, 0.0), (0.0, 1.0)], (0.0, 0.0)),
+        # The columns (1, 2, u2, 0) and (1, 2, u1, 0) are parallel where u1 = u2.
+        (["u1+u2", "2*u1+2*u2", "u1*u2", "0"], [(0.5, 1.0), (0.3, 0.3), (0.7, 0.7)],
+         (0.3, 0.3)),
+    ], ids=["zero_column", "parallel_columns"])
+    def test_rank_deficiency_names_the_first_bad_point(self, components, points, bad):
+        imm = ImmersionSpec.from_strings(["u1", "u2"], components)
+        with pytest.raises(RankDeficient) as err:
+            point_geometry(imm, Metric(np.eye(4)), points=points)
+        assert str(err.value) == ("Jacobian column 2 is within sine 1e-08 of the columns "
+                                  f"before it at {bad}")
+
+    def test_non_finite_frame_columns_are_not_rank_deficient(self):
+        # The QR of (10^308, 1, 0, u2) and (2 u2, 0, 1, u1) has r_12 = +-inf: NaN frames,
+        # which fail the checks that read them, and not a rank deficiency.
+        imm = ImmersionSpec.from_strings(["u1", "u2"], ["10^308*u1+u2^2", "u1", "u2", "u1*u2"],
+                                         SampleSpec(grid=((-1.0, 1.0, 2),) * 2))
+        geom = point_geometry(imm, Metric(np.eye(4)))
+        assert geom.size == 4 and not np.isfinite(geom.frame.onb).all(axis=(1, 2)).any()
 
     def test_frame_spans_raw_tangents(self):
         frame = frame_at(INVARIANT_IMM, (1.0, 1.0), Metric(np.eye(4)))
@@ -230,3 +258,72 @@ class TestInvarianceKinds:
         assert np.abs(
             phi @ frame.normal_onb - frame.tangent_onb @ ops.t - frame.normal_onb @ ops.s
         ).max() <= 1e-9
+
+
+# The immersion of perfbench's curved_grid workload, on a 3 x 3 grid.
+CURVED_GRID = {
+    "ambient": {"dim": 4, "phi": {"pattern": ["psi", "one_minus_psi", "psi", "one_minus_psi"]}},
+    "immersion": {"params": ["u", "v"], "components": ["u*cos(v)", "u*sin(v)", "v", "u^2/3"],
+                  "samples": {"grid": [[0.5, 1.5, 3], [-1.0, 1.0, 3]]}},
+    "suites": ["identities", "extrinsic", "slant"],
+}
+
+
+def _source(name: str) -> dict:
+    if name == "curved_grid":
+        return CURVED_GRID
+    data = json.loads(resolve_config(name).read_text())
+    data["suites"] = [*data["suites"], "extrinsic"]
+    return data
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _literal(x: Fraction) -> str:
+    return f"({x.numerator}/{x.denominator})"
+
+
+def _rescaled(data: dict, c: Fraction, scales, shifts) -> dict:
+    """``data`` with its immersion x(u) rewritten as c x(s u + b), each parameter u_i read as
+    ``s_i u_i + b_i``, and its grid mapped to sample the same points of the submanifold."""
+    params = data["immersion"]["params"]
+    affine = {name: f"({_literal(s)}*{name}+{_literal(b)})"
+              for name, s, b in zip(params, scales, shifts)}
+    components = [f"{_literal(c)}*({IDENTIFIER.sub(lambda t: affine.get(t[0], t[0]), text)})"
+                  for text in data["immersion"]["components"]]
+    grid = [[float((Fraction(lo) - b) / s), float((Fraction(hi) - b) / s), count]
+            for (lo, hi, count), s, b in zip(data["immersion"]["samples"]["grid"], scales, shifts)]
+    return {**data, "immersion": {**data["immersion"], "components": components,
+                                  "samples": {"grid": grid}}}
+
+
+def _classifications(data: dict) -> dict:
+    report = run_scenario(parse_config(data))
+    assert not any("error" in suite for suite in report["suites"].values()), report["suites"]
+    return {name: suite.get("classification") for name, suite in report["suites"].items()}
+
+
+_power = st.builds(lambda k, e: k * Fraction(10) ** e, st.integers(1, 9), st.integers(-9, 8))
+_shift = st.builds(Fraction, st.integers(-8, 8), st.just(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(source=st.sampled_from(["curved_grid", "paper_example_3"]), c=_power,
+       scales=st.tuples(_power, _power), shifts=st.tuples(_shift, _shift))
+@example("curved_grid", Fraction(1, 10**9), (Fraction(1),) * 2, (Fraction(0),) * 2)
+@example("curved_grid", Fraction(1, 10**9), (Fraction(1, 10**9),) * 2, (Fraction(0),) * 2)
+@example("paper_example_3", Fraction(9 * 10**8), (Fraction(1, 10**9),) * 2, (Fraction(2),) * 2)
+def test_rank_and_classifications_do_not_depend_on_units(source, c, scales, shifts):
+    # The rank test reads sines, so no change of units makes an immersion rank deficient, and
+    # every classification is that of the unscaled run.  The extrinsic residuals are absolute,
+    # so their pass or fail may change with scale.
+    data = _source(source)
+    assert _classifications(_rescaled(data, c, scales, shifts)) == _classifications(data)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 10**9), Fraction(1, 10**12)])
+def test_curved_grid_in_small_units_is_not_rank_deficient(c):
+    unit = (Fraction(1),) * 2
+    data = _rescaled(CURVED_GRID, c, unit, (Fraction(0),) * 2)
+    assert _classifications(data) == _classifications(CURVED_GRID)
