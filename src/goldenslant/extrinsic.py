@@ -10,7 +10,9 @@ checks.  Everything is written in the frames that P, Q, t and s live in, so
 no connection coefficients are solved for.
 
 The checks take a :class:`~goldenslant.submanifold.PointGeometry` and
-return one residual per point.
+return one residual per point.  Each entry (i, j) of a residual is divided by
+max|W D2x_ij|, the largest entry of its own Hessian column at its point, before
+the reduction, so that no change of units (x -> c x, u -> s u, g -> c g) moves it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,13 @@ from .submanifold import (
 )
 
 
-def _amax3(a: np.ndarray) -> np.ndarray:
-    return _amax(a, (-3, -2, -1))
+def _relative(geom: PointGeometry, *residuals: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per point, for each residual, the max of |``residual[..., i, j, :]``| / max|W D2x_ij|
+    over (i, j), dividing by 1 where the Hessian column is 0 or not finite, so that NaN and
+    Inf stay what they are."""
+    scale = _amax(geom.hessians, -3)
+    scale = np.where((scale > 0.0) & (scale < np.inf), scale, 1.0)[..., None]
+    return tuple(_amax(residual / scale, (-3, -2, -1)) for residual in residuals)
 
 
 def _phi_hessian_split(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -52,9 +59,8 @@ def gauss_split_residuals(geom: PointGeometry, phi_split) -> tuple[np.ndarray, n
     """
     ops = geom.ops
     tan, nor = phi_split
-    r_tan = _amax3(tan - _apply(ops.p, geom.tangential) - _apply(ops.t, geom.h))
-    r_nor = _amax3(nor - _apply(ops.q, geom.tangential) - _apply(ops.s, geom.h))
-    return r_tan, r_nor
+    return _relative(geom, tan - _apply(ops.p, geom.tangential) - _apply(ops.t, geom.h),
+                     nor - _apply(ops.q, geom.tangential) - _apply(ops.s, geom.h))
 
 
 def invariant_residuals(geom: PointGeometry, phi_split) -> tuple[np.ndarray, np.ndarray]:
@@ -71,22 +77,15 @@ def invariant_residuals(geom: PointGeometry, phi_split) -> tuple[np.ndarray, np.
     # The raw tangents are E = T C, so P reads C^-1 P C in the raw basis.
     c = geom.frame.tangent_coords(geom.frame.raw_tangents)
     h_py = np.einsum("...kj,...ikc->...ijc", np.linalg.solve(c, ops.p @ c), geom.h)
-    return _amax3(tan - _apply(ops.p, geom.tangential)), _amax3(h_py - _apply(ops.s, geom.h))
+    return _relative(geom, tan - _apply(ops.p, geom.tangential), h_py - _apply(ops.s, geom.h))
 
 
 def shape_vanishing_probe(geom: PointGeometry) -> np.ndarray:
-    """Per-point max-abs of the shape operators A_{phi Y} over tangent frame directions Y.
+    """Per-point max-abs of g(h(X_i, X_j), phi e_b) over the raw tangents X_i and the
+    orthonormal tangent frame e_b: the shape operators A_{phi Y}, by the defining relation
+    g(A_V X, Z) = g(h(X, Z), V), with ``Q e_b`` the normal coordinates of ``phi e_b``.
 
-    The anti-invariant claim under test predicts this is zero.  The value is
-    computed from the defining relation g(A_V X, Z) = g(h(X, Z), V), with
-    ``Q e_b`` the normal coordinates of ``phi e_b``, so a nonzero result is
-    a genuine finding about the claim, not an artifact.
+    The anti-invariant claim under test predicts this is zero, so a nonzero result is a
+    genuine finding about the claim, not an artifact.
     """
-    return _amax3(np.einsum("...abc,...cd->...abd", _h_onb(geom), geom.ops.q))
-
-
-def _h_onb(geom: PointGeometry) -> np.ndarray:
-    """h re-indexed by the orthonormal tangent frame instead of raw tangents."""
-    # The raw tangents are E = T C, so the frame is T = E C^-1.
-    coords = np.linalg.inv(geom.frame.tangent_coords(geom.frame.raw_tangents))
-    return np.einsum("...ia,...jb,...ijc->...abc", coords, coords, geom.h)
+    return _relative(geom, geom.h @ geom.ops.q[:, None])[0]

@@ -4,12 +4,8 @@ The angle between ``phi X`` and the tangent space has cosine
 ``|g(phi X, PX)| / (|PX| |phi X|)``; a submanifold is slant when that angle
 is direction- and point-independent.  Slantness is equivalent to the
 operator identity ``P^2 = lambda (P + I)`` on tangent vectors with
-``lambda = cos^2(theta)``, which also pins the companion identities
-
-    g(PX, PY) = cos^2(theta) (g(X, Y) + g(X, PY))
-    g(QX, QY) = sin^2(theta) (g(X, Y) + g(PX, Y))
-    tQ = (1 - lambda) (P + I) = -P^2 + P + I
-
+``lambda = cos^2(theta)``, which also pins the companion identities of the
+slant rows of :mod:`goldenslant.checks` (lemmas, corollary and ``tQ``),
 checked here both in floating point at every sample point and exactly over
 Q(sqrt5) for affine immersions, each by one function for both backends.
 Those functions read the matrices of ``g(X, PY)`` and ``g(V, QY)`` (V

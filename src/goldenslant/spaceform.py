@@ -78,7 +78,6 @@ import numpy as np
 
 from .quadrat import ONE_MINUS_PSI, PSI, QuadRat, from_integers, sign
 
-ORACLE_TOL = 1e-12
 # The covariant-derivative statements, certified structurally (see above).
 NABLA_STATEMENTS = (
     "curvature coefficients A, B are constants and phi, g are constant,"

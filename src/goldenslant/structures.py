@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import exactlin as xl
+from .config import Tolerances
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .quadrat import SQRT5
 
-DEFAULT_TOL_STRUCT = 1e-9
+DEFAULT_TOL_STRUCT = Tolerances().tol_struct
 
 
 def is_exact(m) -> bool:

@@ -4,13 +4,9 @@ For a submanifold of a golden Riemannian manifold, applying ``phi`` to
 tangent and normal vectors and splitting the results orthogonally yields
 four operators: ``P`` (tangent -> tangent), ``Q`` (tangent -> normal),
 ``t`` (normal -> tangent) and ``s`` (normal -> normal).  Because
-``phi**2 = phi + I``, the block decomposition forces
-
-    P^2 = P + I - tQ        Q = QP + sQ
-    s^2 = s + I - Qt        t = Pt + ts
-
-together with self-adjointness of ``P`` and the metric split
-``g(PX,PY) + g(QX,QY) = g(X,Y) + g(PX,Y)``.
+``phi**2 = phi + I``, the block decomposition forces four block identities
+(``P^2 = P + I - tQ`` and its kin), the self-adjointness of ``P`` and the
+metric split: the identities rows of :mod:`goldenslant.checks`.
 
 The four operators are the blocks of one matrix ``C = [[P, t], [Q, s]]``,
 the matrix of ``phi`` in a basis ``B = [T | N]`` of tangent vectors ``T``
@@ -44,14 +40,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import exactlin as xl
-from .config import SampleSpec
+from .checks import BOUNDS
+from .config import SampleSpec, Tolerances
 from .errors import DimensionMismatch, RankDeficient
 from .expr import Expr, evaluate, evaluate_affine, parse
 from .quadrat import QuadRat
 from .structures import GoldenStructure, Metric, _amax, _eye, _spectral, is_exact
 
-DEFAULT_TOL_CLASS = 1e-7
-_RANK_TOL = 1e-8
+DEFAULT_TOL_CLASS = Tolerances().tol_class
 
 
 class ImmersionSpec:
@@ -137,11 +133,11 @@ def _stacked_frames(points: np.ndarray, jac: np.ndarray, w: np.ndarray) -> Tange
     w_jac = w @ jac
     q, r = np.linalg.qr(w_jac, mode="complete")
     diag, norms = np.diagonal(r, axis1=-2, axis2=-1), np.hypot.reduce(r, axis=-2)  # |R[:, j]|
-    bad = (np.abs(diag) < _RANK_TOL * norms) & (norms < np.inf) | (norms == 0.0)
+    bad = (np.abs(diag) < BOUNDS["RANK_SINE"] * norms) & (norms < np.inf) | (norms == 0.0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise RankDeficient(f"Jacobian column {j + 1} is within sine {_RANK_TOL:g} of the "
-                            f"columns before it at {tuple(points[i].tolist())}")
+        raise RankDeficient(f"Jacobian column {j + 1} is within sine {BOUNDS['RANK_SINE']:g} "
+                            f"of the columns before it at {tuple(points[i].tolist())}")
     q[..., :jac.shape[-1]] *= np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
     return TangentFrame(points, w_jac, q)
 

@@ -1,14 +1,10 @@
 """Verification suites: turn a scenario config into a deterministic report.
 
 Suites run in the fixed order structure -> identities -> extrinsic ->
-slant -> curvature.  Each suite result separates two kinds of content:
-
-* hard checks whose failure fails the suite (axioms, definitional splits,
-  internal consistency between independent evaluation routes), and
-* findings: claims the toolkit probes rather than assumes (the
-  phi-commutation family for the space-form tensor, the anti-invariant
-  shape-operator claim, the unnormalized reference cosine).  Findings carry
-  ``conforms`` flags and never flip the exit code by themselves.
+slant -> curvature.  What each reported value states, and whether it is a
+hard check, a finding, a flag or metadata, is a row of :mod:`goldenslant.checks`;
+every suite decides its pass by :func:`~goldenslant.checks.verdict` over those
+rows, and its findings and flags by :func:`~goldenslant.checks.holds`.
 
 Reports are plain dictionaries of numbers, classifications, certificates
 and flags, rendered as sorted JSON so identical (config, seed) pairs give
@@ -25,13 +21,15 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from .checks import holds, verdict
 from .config import ANGLE_FORMULA_UNNORMALIZED, IMMERSION_SUITES, ScenarioConfig, Tolerances
 from .errors import ConfigError, GoldenslantError
-from .extrinsic import (_phi_hessian_split, gauss_split_residuals, invariant_residuals,
-                        shape_vanishing_probe)
+from .extrinsic import (_phi_hessian_split, _relative, gauss_split_residuals,
+                        invariant_residuals, shape_vanishing_probe)
 from .quadrat import QuadRat
-from .slant import classify_geometry, exact_slant_data, reference_cosine
-from .spaceform import NABLA_STATEMENTS, ORACLE_TOL, ambient_oracle, curvature_certificate
+from .slant import (INVARIANT, NON_SLANT, PROPER_SLANT, classify_geometry, exact_slant_data,
+                    reference_cosine)
+from .spaceform import NABLA_STATEMENTS, ambient_oracle, curvature_certificate
 from .structures import GoldenStructure, _amax, golden_matrix, product_matrix
 from .submanifold import (
     PointGeometry,
@@ -52,51 +50,48 @@ def run_structure_suite(structure: GoldenStructure, tol: Tolerances) -> dict:
     exactly zero, which the pass requires.  Its F round trip is 0, an identity of Q(sqrt5).
     """
     report, phi = structure.report, structure.phi
-    residuals = {
-        "structure_equation": report.residual_structure,
-        "self_adjoint": report.residual_self_adjoint,
-        "metric_compat": report.residual_compat,
-        "product_roundtrip": 0.0 if structure.backend == "exact"
-        else float(_amax(golden_matrix(product_matrix(phi)) - phi)),
-    }
-    spans = report.backend == "float" or report.structure_exact
-    return {
-        "pass": all(v <= tol.tol_struct for v in residuals.values()) and spans,
+    result = {
         "backend": report.backend,
-        "residuals": residuals,
+        "residuals": {
+            "structure_equation": report.residual_structure,
+            "self_adjoint": report.residual_self_adjoint,
+            "metric_compat": report.residual_compat,
+            "product_roundtrip": 0.0 if structure.backend == "exact"
+            else float(_amax(golden_matrix(product_matrix(phi)) - phi)),
+        },
         "exact_zero": report.exact_zero,
         "eigenspace_dims": list(structure.eigenspace_dims),
     }
+    result["pass"] = verdict("structure", {**result, "eigenspace_dims": report.structure_exact},
+                             tol, exact=report.backend == "exact")
+    return result
 
 
 def run_identities_suite(geom: PointGeometry, tol: Tolerances) -> dict:
     residuals = structural_identity_residuals(geom.ops, geom.frame, geom.structure)
-    worst = {key: float(np.max(values)) for key, values in residuals.items()}
-    gram = float(np.max(geom.frame.gram_residual()))
     result = {
         "points": geom.size,
-        "residuals": worst,
-        "frame_gram": gram,
+        "residuals": {key: float(np.max(values)) for key, values in residuals.items()},
+        "frame_gram": float(np.max(geom.frame.gram_residual())),
+        "exact": {"available": False},
     }
-    passed = all(v <= tol.tol_frame for v in worst.values()) and gram <= 1e-10
-    result["exact"] = {"available": False}
+    values = result
     if geom.exact is not None:
         exact = exact_identity_residuals(geom.exact)
-        all_zero = all(not v for v in exact.values())
         result["exact"] = {
             "available": True,
-            "all_zero": all_zero,
+            "all_zero": holds("identities", "exact.residuals", exact, tol),
             "residuals": {k: float(v) for k, v in exact.items()},
         }
-        passed = passed and all_zero
-    result["pass"] = passed
+        values = {**result, "exact": {"residuals": exact}}
+    result["pass"] = verdict("identities", values, tol, exact=geom.exact is not None)
     return result
 
 
 def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
     phi_split = _phi_hessian_split(geom)
     r_tan, r_nor = (float(np.max(r)) for r in gauss_split_residuals(geom, phi_split))
-    h_sym = float(np.max(np.abs(geom.h - geom.h.transpose(0, 2, 1, 3))))
+    h_sym = float(np.max(_relative(geom, geom.h - geom.h.transpose(0, 2, 1, 3))[0]))
     # The exact route, when it ran, decides exactly: Q or P is 0 or it is not.
     ops, tol_class = (geom.ops, tol.tol_class) if geom.exact is None else (geom.exact, 0)
     kinds = set(np.ravel(invariance_kinds(ops, tol_class)).tolist())
@@ -109,20 +104,20 @@ def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
             "gauss_normal": r_nor,
             "h_symmetry": h_sym,
         },
+        "findings": {},
     }
-    passed = all(v <= tol.tol_frame for v in (r_tan, r_nor, h_sym))
-    findings: dict[str, Any] = {}
     if kind == "invariant":
         r_par, r_wei = (float(np.max(r)) for r in invariant_residuals(geom, phi_split))
         result["residuals"]["invariant_parallel"] = r_par
         result["residuals"]["invariant_weingarten"] = r_wei
-        passed = passed and r_par <= tol.tol_frame and r_wei <= tol.tol_frame
     elif kind == "anti_invariant":
         probe = float(np.max(shape_vanishing_probe(geom)))
-        findings["shape_operator_max"] = probe
-        findings["shape_vanishing_conforms"] = probe <= tol.tol_frame
-    result["findings"] = findings
-    result["pass"] = passed
+        result["findings"] = {
+            "shape_operator_max": probe,
+            "shape_vanishing_conforms": holds("extrinsic", "findings.shape_operator_max", probe,
+                                              tol),
+        }
+    result["pass"] = verdict("extrinsic", result, tol, invariant=kind == "invariant")
     return result
 
 
@@ -132,10 +127,11 @@ def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -
     # The variant formula is not scale-invariant, so feed it the raw tangent.
     raw_e1 = frame.tangent_coords(frame.raw_tangents[:, 0])
     ref = reference_cosine(ops, raw_e1)
-    # Written so that a non-finite cosine sets both flags.
+    # A non-finite cosine meets no bound, so it sets both flags.
     flags = {
-        "reference_mismatch": not abs(abs(ref) - report.cos_theta) <= tol.tol_angle,
-        "reference_invalid": not abs(ref) <= 1.0 + 1e-12,
+        "reference_mismatch": not holds("slant", "flags.reference_mismatch",
+                                        abs(abs(ref) - report.cos_theta), tol),
+        "reference_invalid": not holds("slant", "flags.reference_invalid", abs(ref), tol),
     }
     result: dict[str, Any] = {
         "classification": report.classification,
@@ -148,19 +144,15 @@ def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -
         "reference_cosine": ref,
         "angle_formula": cfg.angle_formula,
         "flags": flags,
+        "exact": {"available": False},
     }
-    # A slant verdict holds its identities, so only NaN frames (a NaN spread) fail here.
-    passed = math.isfinite(report.angle_spread)
-    if cfg.angle_formula == ANGLE_FORMULA_UNNORMALIZED:
-        # The requested cosine variant must at least be a valid cosine.
-        passed = passed and not flags["reference_invalid"]
-    result["exact"] = {"available": False}
-    if geom.exact is not None:
-        data = exact_slant_data(geom.exact)
+    values = {**result, "flags": {"reference_invalid": abs(ref)}}
+    data = None if geom.exact is None else exact_slant_data(geom.exact)
+    if data is not None:
         # The exact verdict decides; the float one stays next to it, flagged if it differs.
         result["classification"] = data["classification"]
         flags["float_exact_disagree"] = data["classification"] != report.classification
-        result["exact"] = exact = {
+        result["exact"] = {
             "available": True,
             "float_classification": report.classification,
             "is_slant": bool(data["is_slant"]),
@@ -169,9 +161,12 @@ def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -
             "residuals": {k: float(data[k]) for k in ("characterization", "lemma_p", "lemma_q",
                                                        "tq_lambda_form", "tq_block_form")},
         }
-        if data["is_slant"]:
-            passed = passed and all(v == 0.0 for v in exact["residuals"].values())
-    result["pass"] = passed
+        values["exact"] = {"residuals": data}
+    result["pass"] = verdict(
+        "slant", values, tol, float_slant=report.classification != NON_SLANT,
+        float_lambda_positive=report.classification in (INVARIANT, PROPER_SLANT),
+        is_slant=data is not None and bool(data["is_slant"]),
+        unnormalized=cfg.angle_formula == ANGLE_FORMULA_UNNORMALIZED)
     return result
 
 
@@ -186,9 +181,8 @@ def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
                         tol: Tolerances) -> dict:
     """The exact certificate of ``(n, p, c_p, c_q)`` and the oracle tying it to the structure.
 
-    Hard checks pass when their exact values are 0 and the oracle's relative bound
-    is at most ``ORACLE_TOL``; a finding conforms when its exact value is 0, so no
-    tolerance of ``tol`` applies.
+    Every check but the oracle is decided on its exact value, so no tolerance of ``tol``
+    applies.
     """
     sf, n, p = cfg.spaceform, structure.n, structure.eigenspace_dims[0]
     if p != sf.p:
@@ -201,26 +195,29 @@ def run_curvature_suite(cfg: ScenarioConfig, structure: GoldenStructure,
     # carry their exact values.
     exact = {key: value for key, value in cert._asdict().items()
              if key not in ("coefficients", "identities", "ricci_phi")}
-    passed = (oracle <= ORACLE_TOL and not any(cert.identities.values())
-              and not any(v for path in cert.ricci_phi.values() for v in path.values()))
+    identities = {**cert.identities, "ambient_oracle": oracle}
+
+    def conforms(key):
+        return holds("curvature", f"findings.{key}", exact[key], tol)
+
     findings = {
         "commutation": _floats(cert.commutation),
-        "commutation_conforms": not any(cert.commutation.values()),
+        "commutation_conforms": conforms("commutation"),
         "rs_corollary": float(cert.rs_corollary),
-        "rs_corollary_conforms": not cert.rs_corollary,
+        "rs_corollary_conforms": conforms("rs_corollary"),
         "rs_phi_propositions": _floats(cert.rs_phi_propositions),
-        "rs_phi_conforms": not any(cert.rs_phi_propositions.values()),
+        "rs_phi_conforms": conforms("rs_phi_propositions"),
         "rs_closed_form_gap": float(cert.rs_closed_form_gap),
-        "rs_closed_form_conforms": not cert.rs_closed_form_gap,
+        "rs_closed_form_conforms": conforms("rs_closed_form_gap"),
         "non_semi_symmetry_probe": float(cert.non_semi_symmetry_probe),
-        "non_semi_symmetry_nonvanishing": bool(cert.non_semi_symmetry_probe),
+        "non_semi_symmetry_nonvanishing": not conforms("non_semi_symmetry_probe"),
     }
     # spaceform.trials and spaceform.seed size nothing: they are only echoed.
     return {
-        "pass": passed,
+        "pass": verdict("curvature", {"identities": identities, "ricci_phi": cert.ricci_phi}, tol),
         "model": {"n": n, "p": p, "c_p": sf.c_p, "c_q": sf.c_q,
                   "trace_phi": float(np.trace(phi)), "trials": sf.trials, "seed": sf.seed},
-        "identities": {**_floats(cert.identities), "ambient_oracle": oracle},
+        "identities": _floats(identities),
         "ricci_phi": _floats(cert.ricci_phi),
         "findings": findings,
         "exact": exact,

@@ -76,8 +76,9 @@ def test_loading_every_bundled_config_imports_nothing_numeric():
         "for name in list_bundled():\n"
         "    goldenslant.load_config(resolve_config(name))")
     assert "goldenslant.config" in loaded
-    # Only ``main`` parses a command line, so the config path needs no argparse.
-    unwanted = (*NUMERIC, "argparse")
+    # Only ``main`` parses a command line, and only ``explain`` reads the table of checks, so
+    # the config path needs neither argparse nor the table.
+    unwanted = (*NUMERIC, "argparse", "goldenslant.checks")
     assert loaded.isdisjoint(unwanted), sorted(loaded.intersection(unwanted))
 
 
@@ -88,6 +89,11 @@ def test_loading_every_bundled_config_imports_nothing_numeric():
 def test_cli_commands_without_suites_import_nothing_numeric(argv, code):
     loaded = _imported_by(_cli(argv, code))
     assert loaded.isdisjoint(NUMERIC), sorted(loaded.intersection(NUMERIC))
+
+
+def test_explain_reads_the_table_of_checks_and_list_does_not():
+    assert "goldenslant.checks" in _imported_by(_cli(("explain", "curvature"), 0))
+    assert "goldenslant.checks" not in _imported_by(_cli(("list",), 0))
 
 
 def test_suites_import_no_dataclasses():

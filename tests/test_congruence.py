@@ -23,9 +23,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import goldenslant.exactlin as xl
+from goldenslant.checks import BOUNDS
 from goldenslant.cli import main, resolve_config
 from goldenslant.config import load_config
-from goldenslant.spaceform import ORACLE_TOL
+
+ORACLE_TOL = BOUNDS["ORACLE_TOL"]
 
 SOURCES = [resolve_config("spaceform_n4"),
            Path(__file__).parent / "configs" / "ill_conditioned_spaceform.cfg"]

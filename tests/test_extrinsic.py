@@ -11,7 +11,6 @@ from goldenslant.cli import resolve_config
 from goldenslant.config import load_config
 from goldenslant.extrinsic import (
     _apply,
-    _h_onb,
     _phi_hessian_split,
     gauss_split_residuals,
     invariant_residuals,
@@ -93,7 +92,10 @@ class TestSecondFundamentalForm:
 
     def test_shape_operator_self_adjoint(self):
         # A_V is the contraction of h with V: g(A_V X, Y) = g(h(X, Y), V).
-        h_onb = _h_onb(at_point(PARABOLOID, (0.2, 0.6), metric=EUCLID4))[0]
+        geom = at_point(PARABOLOID, (0.2, 0.6), metric=EUCLID4)
+        # h re-indexed by the orthonormal tangent frame T = E C^-1 instead of raw tangents E.
+        coords = np.linalg.inv(geom.frame.tangent_coords(geom.frame.raw_tangents))[0]
+        h_onb = np.einsum("ia,jb,ijc->abc", coords, coords, geom.h[0])
         a_v = np.einsum("abc,c->ab", h_onb, np.array([1.0, -2.0]))
         assert np.abs(a_v - a_v.T).max() <= 1e-12
 

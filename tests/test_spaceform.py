@@ -22,12 +22,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from goldenslant import spaceform
+from goldenslant.checks import BOUNDS
 from goldenslant.config import parse_config
 from goldenslant.errors import DimensionMismatch
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
 from goldenslant.spaceform import (
     NABLA_STATEMENTS,
-    ORACLE_TOL,
     ambient_oracle,
     curvature_certificate,
 )
@@ -58,6 +58,8 @@ from support import (
     ricci_framesum,
     tuples,
 )
+
+ORACLE_TOL = BOUNDS["ORACLE_TOL"]
 
 PSI_F = float(PSI)
 
