@@ -28,10 +28,9 @@ from .submanifold import (
 
 def _relative(geom: PointGeometry, *residuals: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per point, for each residual, the max of |``residual[..., i, j, :]``| / max|W D2x_ij|
-    over (i, j), dividing by 1 where the Hessian column is 0 or not finite, so that NaN and
-    Inf stay what they are."""
-    scale = _amax(geom.hessians, -3)
-    scale = np.where((scale > 0.0) & (scale < np.inf), scale, 1.0)[..., None]
+    over (i, j), by ``geom.hessian_scale``, which is 1 where the Hessian column is 0 or not
+    finite, so that NaN and Inf stay what they are."""
+    scale = geom.hessian_scale[..., None]
     return tuple(_amax(residual / scale, (-3, -2, -1)) for residual in residuals)
 
 

@@ -32,14 +32,14 @@ import numpy as np
 
 from .config import Tolerances
 from .errors import ZeroVector
-from .structures import GoldenStructure, _amax, _eye, _spectral
+from .structures import GoldenStructure, _amax, _eye, _worst_spectral
 from .submanifold import (
     DEFAULT_TOL_CLASS,
     ImmersionSpec,
     InducedOperators,
     PointGeometry,
     frame_at,  # noqa: F401  (perfbench's wrapper test reads this binding)
-    invariance_kinds,
+    invariance_kind,
     point_geometry,
 )
 
@@ -118,10 +118,10 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     ``mu^2 - lambda (mu + 1)``; only then are the characterization, the P/Q
     product identities and the tQ identity evaluated at every point, their
     worst residuals attached to a slant report.  The bilinear-form identities
-    are measured by the spectral norm of their matrices, all in one call: the
-    worst value of the form on any unit pair, and never below the worst entry.
-    A slant geometry is invariant or anti-invariant by :func:`invariance_kinds`
-    at every point, else proper slant.
+    are measured by the spectral norm of their matrices, all in one
+    :func:`~goldenslant.structures._worst_spectral` call: the worst value of the form on
+    any unit pair, and never below the worst entry.  A slant geometry is invariant or
+    anti-invariant when :func:`invariance_kind` says so, else proper slant.
     """
     ops = geom.ops
     mu, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
@@ -133,8 +133,8 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     report = SlantReport(NON_SLANT, theta, lam, 1.0 - lam, float(angles.max() - angles.min()))
     if not _amax(mu * mu - lam * (mu + 1.0)) <= tol_frame:  # NaN frames fail here too
         return report
-    kinds = set(invariance_kinds(ops, tol_class).tolist())
-    kind = kinds.pop() if kinds in ({INVARIANT}, {ANTI_INVARIANT}) else PROPER_SLANT
+    kind = invariance_kind(ops, tol_class)
+    kind = kind if kind in (INVARIANT, ANTI_INVARIANT) else PROPER_SLANT
     p, q = ops.p, ops.q
     pp = p @ p
     forms = [_characterization(p, pp, lam),
@@ -142,9 +142,8 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     if kind != ANTI_INVARIANT:
         forms.append(_corollary(p, pp, lam))
     keys = ("characterization", "lemma_p", "lemma_q", "corollary")
-    residuals = dict(zip(keys, _spectral(np.stack(forms))))
-    residuals["tq"] = np.maximum(*_tq_residuals(p, pp, ops.t @ q, lam))
-    residuals = {k: float(np.max(v)) for k, v in residuals.items()}
+    residuals = dict(zip(keys, map(float, _worst_spectral(np.stack(forms)))))
+    residuals["tq"] = float(np.maximum(*_tq_residuals(p, pp, ops.t @ q, lam)))
     slant = all(v <= tol_frame for v in residuals.values())
     return report._replace(classification=kind, residuals=residuals) if slant else report
 
@@ -181,9 +180,9 @@ def _lemma_residuals(ops, pp_form, p_rhs, lam, k):
 
 
 def _tq_residuals(p, pp, tq, lam):
-    """Worst residuals of tQ = (1 - lambda)(P + I) and tQ = -P^2 + P + I."""
+    """Worst residuals, over every point, of tQ = (1 - lambda)(P + I) and tQ = -P^2 + P + I."""
     eye = _eye(p)
-    return _amax(tq - (p + eye) * (1 - lam)), _amax(tq + pp - p - eye)
+    return _amax(tq - (p + eye) * (1 - lam), None), _amax(tq + pp - p - eye, None)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,22 @@ def _spectral(a):
     return out.item() if out.ndim == 0 else out
 
 
+def _worst_spectral(stack):
+    """The max of :func:`_spectral` over the point axis (-3), one per form, bit for bit, with
+    ``eigvalsh`` only where it can be: as ``max |a_ij| <= |A|_2 <= |A|_F``, a point whose
+    Frobenius norm, times ``1 + 1e-12``, is below the largest entry of its form's stack is
+    dropped, if that entry is in (1e-150, 1e150), where no sum of squares overflows or loses
+    to underflow.  A NaN compares below nothing, so it is kept."""
+    if stack.shape[-3] == 1:
+        return _spectral(stack)[..., 0]
+    top = np.abs(stack).max(axis=(-3, -2, -1))[..., None]
+    fro = np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
+    keep = ~((fro * (1.0 + 1e-12) < top) & (1e-150 < top) & (top < 1e150))
+    worst = np.zeros(keep.shape)
+    worst[keep] = _spectral(stack[keep])
+    return worst.max(axis=-1)
+
+
 def _check_square(m, name: str) -> int:
     if isinstance(m, (np.ndarray, xl.QMatrix)):  # iterating a QMatrix builds one per row
         square = len(m.shape) == 2 and m.shape[0] == m.shape[1]

@@ -45,7 +45,7 @@ from .config import SampleSpec, Tolerances
 from .errors import DimensionMismatch, RankDeficient
 from .expr import Expr, evaluate, evaluate_affine, parse
 from .quadrat import QuadRat
-from .structures import GoldenStructure, Metric, _amax, _eye, _spectral, is_exact
+from .structures import GoldenStructure, Metric, _amax, _eye, _worst_spectral, is_exact
 
 DEFAULT_TOL_CLASS = Tolerances().tol_class
 
@@ -198,7 +198,8 @@ class PointGeometry(NamedTuple):
     ``y = W x``: the stacked ``frame`` (Jacobians in ``raw_tangents``),
     ``hessians`` (N x n x m x m), their frame coordinates
     split into ``tangential`` (N x m x m x m) and the second fundamental form
-    ``h`` (N x m x m x (n-m)), and, given a structure, the stacked ``ops``.
+    ``h`` (N x m x m x (n-m)), ``hessian_scale`` (N x m x m), max|W D2x_ij| or 1 where that is
+    0 or not finite, and, given a structure, the stacked ``ops``.
     ``exact`` holds the scenario's exact route (P, Q, t, s over Q(sqrt5))
     when it has one and a suite reads it.  Each evaluated point stands for
     ``repeats`` sample points: all N of an affine immersion, whose geometry is
@@ -209,6 +210,7 @@ class PointGeometry(NamedTuple):
     hessians: np.ndarray
     tangential: np.ndarray
     h: np.ndarray
+    hessian_scale: np.ndarray
     ops: InducedOperators | None
     structure: GoldenStructure | None
     exact: InducedOperators | None = None
@@ -244,12 +246,15 @@ def point_geometry(imm: ImmersionSpec, metric: Metric,
     with np.errstate(over="ignore", invalid="ignore"):
         frame = _stacked_frames(pts[:len(jac)], jac, w)
         columns = w @ hess.reshape(len(jac), imm.n, -1)  # W D2x_ij
+        scale = _amax(columns, -2).reshape(len(jac), *hess.shape[2:])  # max|W D2x_ij|
+        scale = np.where((scale > 0.0) & (scale < np.inf), scale, 1.0)
         # Coordinates of W D2x_ij in [tangent | normal]: the first m are its
         # tangential part, the rest the second fundamental form h_ij.
         split = frame.split(columns)
         ops = None if structure is None else induced_operators(frame, structure)
     return PointGeometry(frame, columns.reshape(hess.shape), split[..., :frame.m],
-                         split[..., frame.m:], ops, structure, repeats=1 if form is None else size)
+                         split[..., frame.m:], scale, ops, structure,
+                         repeats=1 if form is None else size)
 
 
 def block_identity_residuals(ops: InducedOperators) -> dict:
@@ -276,33 +281,34 @@ def block_identity_residuals(ops: InducedOperators) -> dict:
 
 def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
                                   structure: GoldenStructure) -> dict:
-    """Residuals of :func:`block_identity_residuals` in the orthonormal frames, plus reassembly.
+    """Worst residuals of :func:`block_identity_residuals` in the orthonormal frames, plus
+    reassembly, over one point or every point of a stack.
 
     The block identities are measured by their max |entry|.  The two metric
     identities are bilinear forms, measured by the spectral norm of their
-    matrices, both in one call: the worst value of the form on any unit tangent
-    pair, and never below the worst entry.  The reassembly residuals confirm
-    that ``phi X`` recombines from the operator blocks in the coordinates
-    ``y = W x``.  For stacked operators each residual holds one value per
-    point.
+    matrices, both in one :func:`~goldenslant.structures._worst_spectral` call: the worst
+    value of the form on any unit tangent pair, and never below the worst entry.  The
+    reassembly residuals confirm that ``phi X`` recombines from the operator blocks in
+    the coordinates ``y = W x``.
     """
-    res = block_identity_residuals(ops)
-    forms = _spectral(np.stack([res.pop("p_self_adjoint"), res.pop("metric_split")]))
-    res = {k: _amax(v) for k, v in res.items()}
-    res["p_self_adjoint"], res["metric_split"] = forms
+    res, m = block_identity_residuals(ops), ops.m
+    forms = np.stack([res.pop("p_self_adjoint"), res.pop("metric_split")]).reshape(2, -1, m, m)
+    res = {k: _amax(v, None) for k, v in res.items()}
+    res["p_self_adjoint"], res["metric_split"] = _worst_spectral(forms)
     phi = structure.phi_hat
     tb, nb = frame.tangent_onb, frame.normal_onb
-    res["reassembly_tangent"] = _amax(phi @ tb - tb @ ops.p - nb @ ops.q)
-    res["reassembly_normal"] = _amax(phi @ nb - tb @ ops.t - nb @ ops.s)
-    return {k: float(v) if np.ndim(v) == 0 else v for k, v in res.items()}
+    res["reassembly_tangent"] = _amax(phi @ tb - tb @ ops.p - nb @ ops.q, None)
+    res["reassembly_normal"] = _amax(phi @ nb - tb @ ops.t - nb @ ops.s, None)
+    return {k: float(v) for k, v in res.items()}
 
 
-def invariance_kinds(ops: InducedOperators,
-                     tol_class: float = DEFAULT_TOL_CLASS) -> np.ndarray:
-    """invariant where Q vanishes, anti-invariant where P vanishes, else neither: at one
-    point (a 0-d array) or at every point of a stack."""
-    return np.where(_amax(ops.q) <= tol_class, "invariant",
-                    np.where(_amax(ops.p) <= tol_class, "anti_invariant", "neither"))
+def invariance_kind(ops: InducedOperators, tol_class: float = DEFAULT_TOL_CLASS) -> str:
+    """invariant where Q vanishes, else anti-invariant where P vanishes, else neither, when
+    that is so at every point of ``ops`` (one point or a stack); mixed when the points differ."""
+    invariant, anti = _amax(ops.q) <= tol_class, _amax(ops.p) <= tol_class
+    if np.any(invariant):
+        return "invariant" if np.all(invariant) else "mixed"
+    return "anti_invariant" if np.all(anti) else "mixed" if np.any(anti) else "neither"
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from goldenslant.submanifold import (
     exact_induced_operators,
     frame_at,
     induced_operators,
-    invariance_kinds,
+    invariance_kind,
     structural_identity_residuals,
 )
 from goldenslant.suites import render_report, run_scenario
@@ -232,7 +232,7 @@ def test_c6_extrinsic_suite():
                                 (affine, struct4, [(0.2, 0.4)])):
         for point in pts:
             geom = at_point(imm, point, structure)
-            assert invariance_kinds(geom.ops)[0] == "invariant"
+            assert invariance_kind(geom.ops) == "invariant"
             r_par, r_wei = invariant_residuals(geom, _phi_hessian_split(geom))
             worst_inv = max(worst_inv, r_par[0], r_wei[0])
     inv_ok = worst_inv <= 1e-9
@@ -244,7 +244,7 @@ def test_c6_extrinsic_suite():
         ["u1", "u2"], ["u1", "psi*u1+0.05*u1^2", "u2", "psi*u2"]
     )
     geom = at_point(bent, (0.0, 0.0), anti_struct)
-    assert invariance_kinds(geom.ops)[0] == "anti_invariant"
+    assert invariance_kind(geom.ops) == "anti_invariant"
     probe = float(shape_vanishing_probe(geom)[0])
     conforms = probe <= 1e-9
     probe_reported = math.isfinite(probe)

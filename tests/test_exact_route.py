@@ -696,6 +696,24 @@ def test_identities_and_slant_suites_each_call_the_spectral_norm_once(monkeypatc
         report["suites"]["slant"]["residuals"])
 
 
+def test_curved_identities_suite_sends_fewer_matrices_than_points_to_eigvalsh(monkeypatch):
+    # The curved benchmark workload: 196 points, two bilinear forms at each.
+    sizes, original = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: sizes.append(math.prod(a.shape[:-2])) or original(a))
+    cfg = parse_config({
+        "ambient": {"dim": 4, "phi": {"pattern": ["psi", "one_minus_psi", "psi",
+                                                  "one_minus_psi"]}},
+        "immersion": {"params": ["u", "v"],
+                      "components": ["u*cos(v)", "u*sin(v)", "v", "u^2/3"],
+                      "samples": {"grid": [[0.5, 1.5, 14], [-1.0, 1.0, 14]]}},
+        "suites": ["identities"],
+    })
+    report = run_scenario(cfg)
+    assert report["overall_pass"] and report["suites"]["identities"]["points"] == 196
+    assert len(sizes) == 1 and 0 < sizes[0] < 196
+
+
 def test_curved_scenario_evaluates_jets_once_per_component(monkeypatch):
     trees = _count_tree_evaluations(monkeypatch)
     cfg = parse_config({

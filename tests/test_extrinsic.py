@@ -21,7 +21,7 @@ from goldenslant.submanifold import (
     ImmersionSpec,
     PointGeometry,
     TangentFrame,
-    invariance_kinds,
+    invariance_kind,
 )
 from support import at_point, frame_operators
 
@@ -43,7 +43,7 @@ def _gauss_split(imm, point, structure):
 def _invariant(imm, point, structure):
     """Both invariant residuals at ``point``, whose tangent space must be invariant."""
     geom = at_point(imm, point, structure)
-    assert invariance_kinds(geom.ops)[0] == "invariant"
+    assert invariance_kind(geom.ops) == "invariant"
     r_parallel, r_weingarten = invariant_residuals(geom, _phi_hessian_split(geom))
     return float(r_parallel[0]), float(r_weingarten[0])
 
@@ -51,7 +51,7 @@ def _invariant(imm, point, structure):
 def _shape_probe(imm, point, structure):
     """The shape-vanishing probe at ``point``, whose tangent space must be anti-invariant."""
     geom = at_point(imm, point, structure)
-    assert invariance_kinds(geom.ops)[0] == "anti_invariant"
+    assert invariance_kind(geom.ops) == "anti_invariant"
     return float(shape_vanishing_probe(geom)[0])
 
 
@@ -221,7 +221,8 @@ def _random_geometry(size, n, m):
     metric = Metric(np.eye(n))
     structure = GoldenStructure(phi, metric, verify_golden(phi, metric))
     ops = frame_operators(rng.standard_normal((size, n, n)), m)
-    return PointGeometry(frame, hess, split[..., :m], split[..., m:], ops, structure)
+    return PointGeometry(frame, hess, split[..., :m], split[..., m:], np.abs(hess).max(axis=-3),
+                         ops, structure)
 
 
 def _einsum(spec, *operands):

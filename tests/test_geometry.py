@@ -238,6 +238,9 @@ def test_one_point_geometry_equals_its_batch_entries():
     points = [(0.1, 0.2), (-0.4, 0.7), (0.6, -0.3)]
     geom = point_geometry(SURFACE5, structure.metric, structure, points)
     batched = structural_identity_residuals(geom.ops, geom.frame, structure)
+    entries = [structural_identity_residuals(geom.ops.at(i), geom.frame.at(i), structure)
+               for i in range(len(points))]
+    assert batched == {key: max(entry[key] for entry in entries) for key in batched}
     gauss = gauss_split_residuals(geom, _phi_hessian_split(geom))
     for i, point in enumerate(points):
         frame = frame_at(SURFACE5, point, structure.metric)
@@ -246,7 +249,7 @@ def test_one_point_geometry_equals_its_batch_entries():
         assert np.abs(frame.tangent_onb - geom.frame.tangent_onb[i]).max() <= 1e-14
         assert np.abs(ops.s - geom.ops.s[i]).max() <= 1e-14
         for key, value in structural_identity_residuals(ops, frame, structure).items():
-            assert abs(value - batched[key][i]) <= 1e-14, key
+            assert abs(value - entries[i][key]) <= 1e-14, key
         one = at_point(SURFACE5, point, structure)
         assert np.abs(one.h[0] - geom.h[i]).max() <= 1e-14
         r_tan, r_nor = gauss_split_residuals(one, _phi_hessian_split(one))
@@ -378,12 +381,16 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
         return np.einsum("...i,...i->...", a, b)
 
     identities = structural_identity_residuals(ops, geom.frame, structure)
+    at_points = [structural_identity_residuals(ops.at(i), geom.frame.at(i), structure)
+                 for i in range(9)]
+    per_point = {key: np.array([values[key] for values in at_points]) for key in identities}
+    assert all(identities[key] == per_point[key].max() for key in identities)
     # the residuals classify_geometry attaches, at the given lambda
     lemma_p, lemma_q = map(_spectral, _lemma_residuals(ops, *_cos2_forms(ops), lam, k))
     # residual, its matrix, and the form the earlier samples evaluated on (x, y)
     cases = {
-        "p_self_adjoint": (identities["p_self_adjoint"], p.mT - p, dot(px, y) - dot(x, py)),
-        "metric_split": (identities["metric_split"], p.mT @ p + q.mT @ q - eye - p.mT,
+        "p_self_adjoint": (per_point["p_self_adjoint"], p.mT - p, dot(px, y) - dot(x, py)),
+        "metric_split": (per_point["metric_split"], p.mT @ p + q.mT @ q - eye - p.mT,
                          dot(px, py) + dot(qx, qy) - dot(x, y) - dot(px, y)),
         "characterization": (_spectral(_characterization(p, p @ p, lam)),
                              p @ p - lam * (p + eye),
@@ -409,7 +416,11 @@ def test_spectral_residual_of_a_non_finite_operator_fails(bad):
     blocks = geom.ops.blocks.copy()
     blocks[1, 0, 1] = bad  # an entry of P
     with np.errstate(invalid="ignore"):
-        res = structural_identity_residuals(frame_operators(blocks, 2), geom.frame, structure)
+        ops = frame_operators(blocks, 2)
+        worst = structural_identity_residuals(ops, geom.frame, structure)
+        res = [structural_identity_residuals(ops.at(i), geom.frame.at(i), structure)
+               for i in range(2)]
     for key in ("p_self_adjoint", "metric_split"):
-        assert res[key][0] <= 1e-12
-        assert not res[key][1] <= 1e9, key
+        assert res[0][key] <= 1e-12
+        assert not res[1][key] <= 1e9, key
+        assert not worst[key] <= 1e9, key

@@ -25,6 +25,7 @@ from goldenslant.structures import (
     Metric,
     _amax,
     _spectral,
+    _worst_spectral,
     diagonal_golden,
     golden_eigendecomp,
     golden_from_product,
@@ -420,6 +421,46 @@ class TestSpectralNorm:
             apart = np.array([_spectral(stack) for stack in stacks])
         assert together.shape == (k, points)
         assert together.tobytes() == apart.tobytes()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_worst_value_has_the_bits_of_the_max_over_points(self, data):
+        k, points, rows, cols = (data.draw(st.integers(1, hi)) for hi in (3, 6, 3, 3))
+        size = k * points * rows * cols
+        # Few distinct values give tied maxima; the scale moves them past either float limit.
+        entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0]))
+        stack = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)))
+        stack *= data.draw(st.sampled_from([1.0, 1e-300, 1e-160, 1e145, 1e300, 5e-324]))
+        special = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 5e-324,
+                                   1.7e308])
+        for i, value in data.draw(st.lists(st.tuples(st.integers(0, size - 1), special),
+                                           max_size=2)):
+            stack[i] = value
+        stack = stack.reshape(k, points, rows, cols)
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range
+            worst = _worst_spectral(stack)
+            want = _spectral(stack).max(axis=-1)
+        assert worst.shape == (k,)
+        assert worst.tobytes() == want.tobytes()
+
+    def test_worst_value_keeps_a_point_whose_sum_of_squares_underflows(self):
+        # Every square of 5e-324 rounds to 0, but the 3 x 3 matrix of it has norm 1.5e-323,
+        # above the largest entry, 1e-323, of the other point.
+        tiny = np.finfo(float).smallest_subnormal
+        stack = np.zeros((1, 2, 3, 3))
+        stack[0, 0], stack[0, 1, 0, 0] = tiny, 2 * tiny
+        assert _worst_spectral(stack)[0] == _spectral(stack[0, 0]) == 3 * tiny
+
+    def test_worst_value_runs_eigvalsh_only_where_the_worst_can_be(self, monkeypatch):
+        sizes, original = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: sizes.append(a.shape[:-2]) or original(a))
+        stack = np.zeros((2, 50, 2, 2))
+        stack[:, :, 0, 0] = np.arange(1.0, 51.0)  # the last point holds each form's worst
+        stack[1, 10, 1, 1] = np.nan  # is kept, and makes its form's worst NaN
+        worst = _worst_spectral(stack)
+        assert worst[0] == 50.0 and np.isnan(worst[1]) and sizes == [(51,)]
 
 
 class TestAmax:

@@ -29,12 +29,12 @@ from goldenslant.submanifold import (
     exact_induced_operators,
     frame_at,
     induced_operators,
-    invariance_kinds,
+    invariance_kind,
     point_geometry,
     structural_identity_residuals,
 )
 from goldenslant.suites import run_scenario
-from support import random_golden, sample_specs
+from support import frame_operators, random_golden, sample_specs
 
 PSI_F = float(PSI)
 
@@ -222,10 +222,24 @@ class TestStructuralIdentities:
 
 
 class TestInvarianceKinds:
+    @pytest.mark.parametrize("points,tol_class,kind", [
+        ("II", 1e-7, "invariant"), ("AA", 1e-7, "anti_invariant"), ("NN", 1e-7, "neither"),
+        ("IN", 1e-7, "mixed"), ("IA", 1e-7, "mixed"), ("AN", 1e-7, "mixed"),
+        ("NX", 1e-7, "neither"), ("NA", 2.0, "invariant")])
+    def test_a_stack_gets_one_verdict(self, points, tol_class, kind):
+        # P is block (0, 0) and Q block (1, 0) of a 2 x 2 C with m = 1: invariant points
+        # have Q = 0, anti-invariant ones P = 0, neither ones both 1, and X a NaN.
+        pq = {"I": (1.0, 0.0), "A": (0.0, 1.0), "N": (1.0, 1.0), "X": (np.nan, np.nan)}
+        blocks = np.zeros((len(points), 2, 2))
+        blocks[:, :, 0] = [pq[point] for point in points]
+        with np.errstate(invalid="ignore"):
+            ops = frame_operators(blocks, 1)
+        assert invariance_kind(ops, tol_class) == kind
+
     def test_invariant_case_checks_induced_structure(self):
         frame = frame_at(INVARIANT_IMM, (0.3, 0.3), INVARIANT_STRUCT.metric.to_float())
         ops = induced_operators(frame, INVARIANT_STRUCT.to_float())
-        assert invariance_kinds(ops) == "invariant"
+        assert invariance_kind(ops) == "invariant"
         # the induced pair (P, g) is itself golden
         report = verify_golden(ops.p, Metric(np.eye(2)))
         assert report.residual_structure <= 1e-10
@@ -234,12 +248,12 @@ class TestInvarianceKinds:
     def test_anti_invariant_case(self):
         frame = frame_at(ANTI_IMM, (0.0,), ANTI_STRUCT.metric.to_float())
         ops = induced_operators(frame, ANTI_STRUCT.to_float())
-        assert invariance_kinds(ops) == "anti_invariant"
+        assert invariance_kind(ops) == "anti_invariant"
 
     def test_slant_case_is_neither(self):
         frame = frame_at(SLANT_IMM, (0.0, 0.0), SLANT_STRUCT.metric.to_float())
         ops = induced_operators(frame, SLANT_STRUCT.to_float())
-        assert invariance_kinds(ops) == "neither"
+        assert invariance_kind(ops) == "neither"
         # converse of the induced-structure theorem: Q != 0 here, and (P, g)
         # is indeed not golden: P^2 - P - I = -(5/9) I
         gap = np.abs(ops.p @ ops.p - ops.p - np.eye(2)).max()

@@ -44,8 +44,8 @@ MUTATIONS = {
                               "view.w = view.w_inv = np.eye(self.n)"),
     "ldl_without_d": ("structures.py", "root_d = 1.0 / np.sqrt(lower_inv.diagonal())",
                       "root_d = np.ones(self.n)"),
-    "absolute_extrinsic_residuals": ("extrinsic.py", "_amax(residual / scale, (-3, -2, -1))",
-                                     "_amax(residual, (-3, -2, -1))"),
+    "absolute_extrinsic_residuals": ("extrinsic.py", "scale = geom.hessian_scale[..., None]",
+                                     "scale = 1.0"),
     # The table of checks.
     "verdict_ignores_conditions": ("checks.py",
                                    "and (row.when is None or conditions[row.when]))",
@@ -91,6 +91,16 @@ MUTATIONS = {
     "non_finite_column_deficient": ("submanifold.py", " & (norms < np.inf)", ""),
     "sine_comparison_flipped": ("submanifold.py", "bad = (np.abs(diag) < BOUNDS",
                                 "bad = (np.abs(diag) > BOUNDS"),
+    # The worst-value reduction: eigvalsh only where the worst spectral norm can be.
+    "prune_by_largest_entry": ("structures.py",
+                               'fro = np.sqrt(np.einsum("...ij,...ij->...", stack, stack))',
+                               "fro = np.abs(stack).max(axis=(-2, -1))"),
+    "drop_nan_points": ("structures.py", "& (1e-150 < top) & (top < 1e150))",
+                        "& (1e-150 < top) & (top < 1e150)) & (fro == fro)"),
+    "prune_past_the_square_range": ("structures.py", " & (1e-150 < top) & (top < 1e150)", ""),
+    "invariance_ignores_mixed_points": ("submanifold.py",
+                                       'return "invariant" if np.all(invariant) else "mixed"',
+                                       'return "invariant"'),
 }
 
 
