@@ -20,7 +20,7 @@ _EXPORTS = {
     "extrinsic": "extrinsic",
     "jets": "jets Jet2",
     "quadrat": "quadrat ONE_MINUS_PSI PSI SQRT5 QuadRat parse_quadrat",
-    "slant": "slant SlantReport classify reference_cosine",
+    "slant": "slant classify reference_cosine",
     "spaceform": "spaceform curvature_certificate",
     "structures": "structures GoldenStructure Metric StructureReport diagonal_golden "
                   "golden_eigendecomp golden_from_product product_from_golden verify_golden",

@@ -133,12 +133,12 @@ class ScenarioConfig(NamedTuple):
     def build_structure(self):
         from .structures import GoldenStructure, diagonal_golden, golden_from_product
 
-        metric = self.build_metric()
+        metric, tol = self.build_metric(), self.tolerances.tol_struct
         if self.phi_kind == "pattern":
-            return diagonal_golden(self.phi_payload, metric)
+            return diagonal_golden(self.phi_payload, metric, tol)
         if self.phi_kind == "matrix":
-            return GoldenStructure(self.phi_payload, metric)
-        return golden_from_product(self.phi_payload, metric)
+            return GoldenStructure(self.phi_payload, metric, tol=tol)
+        return golden_from_product(self.phi_payload, metric, tol)
 
     def build_immersion(self):
         from .submanifold import ImmersionSpec

@@ -25,8 +25,7 @@ steep members of the family) without guessing intent.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,21 +46,6 @@ INVARIANT = "invariant"
 ANTI_INVARIANT = "anti_invariant"
 PROPER_SLANT = "proper_slant"
 NON_SLANT = "non_slant"
-
-
-class SlantReport(NamedTuple):
-    """Classification plus the angle data and identity residuals backing it."""
-
-    classification: str
-    theta: float
-    lam: float  # cos^2 theta
-    k: float  # sin^2 theta
-    angle_spread: float
-    residuals: Mapping[str, float] = MappingProxyType({})
-
-    @property
-    def cos_theta(self) -> float:
-        return math.sqrt(max(self.lam, 0.0))
 
 
 def _angles(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -99,14 +83,14 @@ def reference_cosine(ops: InducedOperators, x: Sequence[float]) -> float:
 
 def classify(imm: ImmersionSpec, structure: GoldenStructure,
              tol_frame: float = Tolerances().tol_frame,
-             tol_class: float = DEFAULT_TOL_CLASS) -> SlantReport:
+             tol_class: float = DEFAULT_TOL_CLASS) -> dict:
     """:func:`classify_geometry` at the immersion's sample points."""
     geom = point_geometry(imm, structure.metric, structure)
     return classify_geometry(geom, tol_frame, tol_class)
 
 
 def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_frame,
-                      tol_class: float = DEFAULT_TOL_CLASS) -> SlantReport:
+                      tol_class: float = DEFAULT_TOL_CLASS) -> dict:
     """Slant angles at the eigen-directions of P at every point of a geometry, then classify.
 
     In orthonormal frames P is symmetric and ``|phi X|^2 = g(X, (P + I) X)``,
@@ -117,11 +101,14 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     angle, the characterization tested first on P's eigenvalues as
     ``mu^2 - lambda (mu + 1)``; only then are the characterization, the P/Q
     product identities and the tQ identity evaluated at every point, their
-    worst residuals attached to a slant report.  The bilinear-form identities
+    worst residuals attached to a slant record.  The bilinear-form identities
     are measured by the spectral norm of their matrices, all in one
     :func:`~goldenslant.structures._worst_spectral` call: the worst value of the form on
     any unit pair, and never below the worst entry.  A slant geometry is invariant or
     anti-invariant when :func:`invariance_kind` says so, else proper slant.
+
+    Returns the slant suite's float fields: ``classification``, ``theta``, ``cos_theta``,
+    ``lambda``, ``sin_sq``, ``angle_spread`` and ``residuals`` (empty unless slant).
     """
     ops = geom.ops
     mu, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
@@ -130,22 +117,25 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     # all of their rows, in the order of a pass that evaluated each.
     theta = float(np.mean(np.repeat(angles, geom.repeats, axis=0)))
     lam = math.cos(theta) ** 2
-    report = SlantReport(NON_SLANT, theta, lam, 1.0 - lam, float(angles.max() - angles.min()))
+    record = {"classification": NON_SLANT, "theta": theta, "cos_theta": math.sqrt(max(lam, 0.0)),
+              "lambda": lam, "sin_sq": 1.0 - lam,
+              "angle_spread": float(angles.max() - angles.min()), "residuals": {}}
     if not _amax(mu * mu - lam * (mu + 1.0)) <= tol_frame:  # NaN frames fail here too
-        return report
+        return record
     kind = invariance_kind(ops, tol_class)
     kind = kind if kind in (INVARIANT, ANTI_INVARIANT) else PROPER_SLANT
     p, q = ops.p, ops.q
     pp = p @ p
     forms = [_characterization(p, pp, lam),
-             *_lemma_residuals(ops, *_cos2_forms(ops), lam, report.k)]
+             *_lemma_residuals(ops, *_cos2_forms(ops), lam, record["sin_sq"])]
     if kind != ANTI_INVARIANT:
         forms.append(_corollary(p, pp, lam))
     keys = ("characterization", "lemma_p", "lemma_q", "corollary")
     residuals = dict(zip(keys, map(float, _worst_spectral(np.stack(forms)))))
     residuals["tq"] = float(np.maximum(*_tq_residuals(p, pp, ops.t @ q, lam)))
-    slant = all(v <= tol_frame for v in residuals.values())
-    return report._replace(classification=kind, residuals=residuals) if slant else report
+    if all(v <= tol_frame for v in residuals.values()):
+        record.update(classification=kind, residuals=residuals)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +180,8 @@ def _tq_residuals(p, pp, tq, lam):
 
 
 def exact_slant_data(eops: InducedOperators) -> dict:
-    """Exact slant certificate: lambda candidates plus all identity residuals.
+    """Exact slant certificate: the classification, lambda, ``is_slant`` and, under
+    ``residuals``, every identity residual.
 
     The immersion is exactly slant iff the lambda candidates agree and the
     characterization residual is zero; the remaining residuals are then
@@ -215,11 +206,7 @@ def exact_slant_data(eops: InducedOperators) -> dict:
         "classification": (NON_SLANT if not slant else INVARIANT if lam == 1
                            else ANTI_INVARIANT if not lam else PROPER_SLANT),
         "lambda": lam,
-        "lambda_uniform": uniform,
         "is_slant": slant,
-        "characterization": char,
-        "lemma_p": lemma_p,
-        "lemma_q": lemma_q,
-        "tq_lambda_form": tq1,
-        "tq_block_form": tq2,
+        "residuals": {"characterization": char, "lemma_p": lemma_p, "lemma_q": lemma_q,
+                      "tq_lambda_form": tq1, "tq_block_form": tq2},
     }

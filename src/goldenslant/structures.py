@@ -10,7 +10,7 @@ through phi alone, as ``phi^2 - phi - I = 5 (F^2 - I)/4``.
 Two numeric backends coexist.  The exact backend stores matrices as
 :class:`~goldenslant.exactlin.QMatrix` (integer arrays over Q(sqrt5)) and makes
 every axiom check a statement about exact zeros; the float backend stores
-numpy arrays and checks residuals against ``DEFAULT_TOL_STRUCT`` in the
+numpy arrays and checks residuals against ``tol`` (``DEFAULT_TOL_STRUCT``) in the
 metric's Euclidean model ``y = W x`` (``g = W^T W``), so they do not grow with
 g.  Each axiom is written once, in matrix operators both types share.
 """
@@ -220,39 +220,41 @@ def _structure_residuals(phi, g):
     return phi @ phi - phi - _eye(phi), g_phi - phit_g, phit_g @ phi - phit_g - g
 
 
-def _measure(phi, g) -> tuple[StructureReport, list]:
-    """The report of phi's axioms against the metric matrix g, and their max-abs residuals."""
+def _measure(phi, g, tol: float = DEFAULT_TOL_STRUCT) -> tuple[StructureReport, list]:
+    """Phi's axiom report against the metric matrix g within ``tol``, and the max-abs residuals."""
     # Exact zeros are read before the float view, where a residual of 10^-400 is 0.0.
     worst = [_amax(r) for r in _structure_residuals(phi, g)]
     rs, ra, rc = map(float, worst)
     exact = is_exact(phi)
-    return StructureReport(rs, ra, rc, passed=all(r <= DEFAULT_TOL_STRUCT for r in (rs, ra, rc)),
+    return StructureReport(rs, ra, rc, passed=all(r <= tol for r in (rs, ra, rc)),
                            backend="exact" if exact else "float",
                            exact_zero=exact and not any(worst),
                            structure_exact=exact and not worst[0]), worst
 
 
-def verify_golden(phi, metric: Metric) -> StructureReport:
-    """Check the golden-structure axioms and report max-abs residuals (``phi_hat``'s if float)."""
-    return _measure(*_in_model(phi, metric, "phi"))[0]
+def verify_golden(phi, metric: Metric, tol: float = DEFAULT_TOL_STRUCT) -> StructureReport:
+    """The golden axioms checked within ``tol``: max-abs residuals (``phi_hat``'s if float)."""
+    return _measure(*_in_model(phi, metric, "phi"), tol)[0]
 
 
 class GoldenStructure:
     """Golden structure ``(phi, g)`` on an n-dimensional space.
 
     ``report`` is the :class:`StructureReport` of the axiom check.  Without one the
-    constructor measures it with :func:`verify_golden` and raises
+    constructor measures it with :func:`verify_golden` within ``tol`` and raises
     :class:`InvalidStructure` if it fails; a caller that already holds the check (by
     measuring it or by construction) passes it in, and it is kept as it is.
     """
 
-    def __init__(self, phi, metric: Metric, report: StructureReport | None = None):
+    def __init__(self, phi, metric: Metric, report: StructureReport | None = None,
+                 tol: float = DEFAULT_TOL_STRUCT):
         self.n = _check_square(phi, "phi")
         self.phi = _operand(phi, metric)
         self.backend = "exact" if is_exact(self.phi) else "float"
         self.metric = metric if self.backend == "exact" else metric.to_float()
+        self.tol = tol
         if report is None:
-            report = verify_golden(self.phi, self.metric)
+            report = verify_golden(self.phi, self.metric, tol)
             if not report.passed:
                 raise InvalidStructure(
                     f"golden axioms violated: structure={report.residual_structure:.3e}, "
@@ -299,15 +301,15 @@ class GoldenStructure:
     def _float_view(self) -> GoldenStructure:
         # It is measured by the exact-rounded phi_hat, not by W phi_float W^-1.
         view = GoldenStructure(self.phi_float, self.metric.to_float(),
-                               _measure(self.phi_hat, np.eye(self.n))[0])
+                               _measure(self.phi_hat, np.eye(self.n), self.tol)[0], self.tol)
         view.phi_hat, view.eigenspace_dims = self.phi_hat, self.eigenspace_dims
         return view
 
 
-def _require_involution(r_inv, r_met) -> None:
-    if r_inv > DEFAULT_TOL_STRUCT:
+def _require_involution(r_inv, r_met, tol: float) -> None:
+    if r_inv > tol:
         raise InvalidInvolution(f"F^2 - I has residual {r_inv:.3e}")
-    if r_met > DEFAULT_TOL_STRUCT:
+    if r_met > tol:
         raise MetricIncompat(f"G F - F^T G has residual {r_met:.3e}")
 
 
@@ -326,16 +328,16 @@ def product_matrix(phi):
     return (2 * phi - _eye(phi)) / _sqrt5(phi)
 
 
-def golden_from_product(f, metric: Metric) -> GoldenStructure:
+def golden_from_product(f, metric: Metric, tol: float = DEFAULT_TOL_STRUCT) -> GoldenStructure:
     """Golden structure ``phi = (I + sqrt5 F)/2`` of an involution matrix ``F``, from one check
     of phi's axioms: F's residual maxima are phi's rescaled, as ``phi^2 - phi - I = 5 (F^2 - I)/4``
     and ``G phi - phi^T G = sqrt5 (G F - F^T G)/2`` (exactly, for an exact F and metric)."""
     _check_square(f, "F")
     phi = golden_matrix(_operand(f, metric))
-    report, worst = _measure(*_in_model(phi, metric, "F"))
-    _require_involution(float(worst[0] * 4 / 5), float(worst[1] * 2 / _sqrt5(phi)))
+    report, worst = _measure(*_in_model(phi, metric, "F"), tol)
+    _require_involution(float(worst[0] * 4 / 5), float(worst[1] * 2 / _sqrt5(phi)), tol)
     # A phi that fails is measured again by the constructor, which raises its InvalidStructure.
-    return GoldenStructure(phi, metric, report if report.passed else None)
+    return GoldenStructure(phi, metric, report if report.passed else None, tol)
 
 
 def product_from_golden(s: GoldenStructure):
@@ -343,7 +345,8 @@ def product_from_golden(s: GoldenStructure):
     return product_matrix(s.phi)
 
 
-def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> GoldenStructure:
+def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None,
+                    tol: float = DEFAULT_TOL_STRUCT) -> GoldenStructure:
     """Exact diagonal golden structure from a list of ``"psi"``/``"one_minus_psi"``."""
     roots = {"psi": 1, "one_minus_psi": -1}  # (1 +- sqrt5)/2, by the sign of sqrt5
     for name in pattern:
@@ -352,7 +355,7 @@ def diagonal_golden(pattern: Sequence[str], metric: Metric | None = None) -> Gol
     n, metric = len(pattern), metric or Metric.euclidean(len(pattern))
     phi = xl.QMatrix(np.eye(n, dtype=int), np.diag([roots[name] for name in pattern]), 2)
     if not (metric.is_identity and metric.n == n):
-        return GoldenStructure(phi, metric)
+        return GoldenStructure(phi, metric, tol=tol)
     # Golden by construction: each root x has x^2 = x + 1, a diagonal phi is symmetric and
     # so compatible with g = I, and the metric identity phi^T phi - phi^T - I then vanishes.
     return GoldenStructure(phi, metric, StructureReport(

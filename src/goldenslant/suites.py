@@ -24,8 +24,7 @@ from . import __version__
 from .checks import holds, verdict
 from .config import ANGLE_FORMULA_UNNORMALIZED, IMMERSION_SUITES, ScenarioConfig, Tolerances
 from .errors import ConfigError, GoldenslantError
-from .extrinsic import (_phi_hessian_split, _relative, gauss_split_residuals,
-                        invariant_residuals, shape_vanishing_probe)
+from .extrinsic import extrinsic_residuals
 from .quadrat import QuadRat
 from .slant import (INVARIANT, NON_SLANT, PROPER_SLANT, classify_geometry, exact_slant_data,
                     reference_cosine)
@@ -88,39 +87,24 @@ def run_identities_suite(geom: PointGeometry, tol: Tolerances) -> dict:
 
 
 def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
-    phi_split = _phi_hessian_split(geom)
-    r_tan, r_nor = (float(np.max(r)) for r in gauss_split_residuals(geom, phi_split))
-    h_sym = float(np.max(_relative(geom, geom.h - geom.h.transpose(0, 2, 1, 3))[0]))
     # The exact route, when it ran, decides exactly: Q or P is 0 or it is not.
     ops, tol_class = (geom.ops, tol.tol_class) if geom.exact is None else (geom.exact, 0)
     kind = invariance_kind(ops, tol_class)
-    result: dict[str, Any] = {
-        "points": geom.size,
-        "classification": kind,
-        "residuals": {
-            "gauss_tangential": r_tan,
-            "gauss_normal": r_nor,
-            "h_symmetry": h_sym,
-        },
-        "findings": {},
-    }
-    if kind == "invariant":
-        r_par, r_wei = (float(np.max(r)) for r in invariant_residuals(geom, phi_split))
-        result["residuals"]["invariant_parallel"] = r_par
-        result["residuals"]["invariant_weingarten"] = r_wei
-    elif kind == "anti_invariant":
-        probe = float(np.max(shape_vanishing_probe(geom)))
-        result["findings"] = {
-            "shape_operator_max": probe,
-            "shape_vanishing_conforms": holds("extrinsic", "findings.shape_operator_max", probe,
-                                              tol),
-        }
+    residuals = extrinsic_residuals(geom, kind)
+    findings = {}
+    if kind == "anti_invariant":
+        probe = residuals.pop("shape_operator_max")
+        findings = {"shape_operator_max": probe, "shape_vanishing_conforms": holds(
+            "extrinsic", "findings.shape_operator_max", probe, tol)}
+    result = {"points": geom.size, "classification": kind, "residuals": residuals,
+              "findings": findings}
     result["pass"] = verdict("extrinsic", result, tol, invariant=kind == "invariant")
     return result
 
 
 def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -> dict:
-    report = classify_geometry(geom, tol_frame=tol.tol_frame, tol_class=tol.tol_class)
+    record = classify_geometry(geom, tol_frame=tol.tol_frame, tol_class=tol.tol_class)
+    float_kind = record["classification"]
     frame, ops = geom.frame.at(0), geom.ops.at(0)
     # The variant formula is not scale-invariant, so feed it the raw tangent.
     raw_e1 = frame.tangent_coords(frame.raw_tangents[:, 0])
@@ -128,41 +112,30 @@ def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -
     # A non-finite cosine meets no bound, so it sets both flags.
     flags = {
         "reference_mismatch": not holds("slant", "flags.reference_mismatch",
-                                        abs(abs(ref) - report.cos_theta), tol),
+                                        abs(abs(ref) - record["cos_theta"]), tol),
         "reference_invalid": not holds("slant", "flags.reference_invalid", abs(ref), tol),
     }
-    result: dict[str, Any] = {
-        "classification": report.classification,
-        "theta": report.theta,
-        "cos_theta": report.cos_theta,
-        "lambda": report.lam,
-        "sin_sq": report.k,
-        "angle_spread": report.angle_spread,
-        "residuals": dict(report.residuals),
-        "reference_cosine": ref,
-        "angle_formula": cfg.angle_formula,
-        "flags": flags,
-        "exact": {"available": False},
-    }
+    result: dict[str, Any] = {**record, "reference_cosine": ref,
+                              "angle_formula": cfg.angle_formula, "flags": flags,
+                              "exact": {"available": False}}
     values = {**result, "flags": {"reference_invalid": abs(ref)}}
     data = None if geom.exact is None else exact_slant_data(geom.exact)
     if data is not None:
         # The exact verdict decides; the float one stays next to it, flagged if it differs.
         result["classification"] = data["classification"]
-        flags["float_exact_disagree"] = data["classification"] != report.classification
+        flags["float_exact_disagree"] = data["classification"] != float_kind
         result["exact"] = {
             "available": True,
-            "float_classification": report.classification,
+            "float_classification": float_kind,
             "is_slant": bool(data["is_slant"]),
             "lambda": str(data["lambda"]),
             "lambda_float": float(data["lambda"]),
-            "residuals": {k: float(data[k]) for k in ("characterization", "lemma_p", "lemma_q",
-                                                       "tq_lambda_form", "tq_block_form")},
+            "residuals": {k: float(v) for k, v in data["residuals"].items()},
         }
-        values["exact"] = {"residuals": data}
+        values["exact"] = data
     result["pass"] = verdict(
-        "slant", values, tol, float_slant=report.classification != NON_SLANT,
-        float_lambda_positive=report.classification in (INVARIANT, PROPER_SLANT),
+        "slant", values, tol, float_slant=float_kind != NON_SLANT,
+        float_lambda_positive=float_kind in (INVARIANT, PROPER_SLANT),
         is_slant=data is not None and bool(data["is_slant"]),
         unnormalized=cfg.angle_formula == ANGLE_FORMULA_UNNORMALIZED)
     return result

@@ -1,8 +1,8 @@
 """Test helpers: the batched geometry pass at one point and on the jet route, a mean over
-repeated rows, sample specs and floats at the float range's edges, seeded random golden
-structures, float reference space-form models with the reference ``curvature``, the sampled
-curvature program, the curvature certificate in QuadRat arithmetic and the report's JSON by
-``json.dumps``."""
+repeated rows, sample specs and floats at the float range's edges, the extrinsic residuals
+point by point, seeded random golden structures, float reference space-form models with the
+reference ``curvature``, the sampled curvature program, the curvature certificate in QuadRat
+arithmetic and the report's JSON by ``json.dumps``."""
 
 import json
 import math
@@ -17,6 +17,7 @@ from goldenslant import spaceform
 from goldenslant.config import SampleSpec
 from goldenslant.errors import DimensionMismatch
 from goldenslant.expr import Expr
+from goldenslant.extrinsic import _apply, _phi_hessian_split
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, SQRT5, QuadRat, from_integers
 from goldenslant.structures import Metric, diagonal_golden, golden_from_product
 from goldenslant.submanifold import ImmersionSpec, InducedOperators, point_geometry
@@ -61,6 +62,53 @@ def sample_specs(m: int):
     axis = st.tuples(edge_floats, edge_floats, st.integers(1, 3))
     extra = st.lists(st.tuples(*[edge_floats] * m), max_size=2).map(tuple)
     return st.builds(SampleSpec, st.tuples(*[axis] * m), extra)
+
+
+# -- the extrinsic residuals point by point: the reference of the one worst-value pass ------
+
+
+def _relative(geom, *residuals):
+    """Per point, for each residual, the max of |``residual[..., i, j, :]``| / max|W D2x_ij|
+    over (i, j), by ``geom.hessian_scale``."""
+    scale = geom.hessian_scale[..., None]
+    return tuple(np.abs(residual / scale).max(axis=(-3, -2, -1)) for residual in residuals)
+
+
+def gauss_split_residuals(geom, phi_split):
+    """Per point: tan(phi D2x_ij) - P tan(D2x_ij) - t h_ij and
+    nor(phi D2x_ij) - Q tan(D2x_ij) - s h_ij, from ``phi_split`` = ``_phi_hessian_split``."""
+    ops = geom.ops
+    tan, nor = phi_split
+    return _relative(geom, tan - _apply(ops.p, geom.tangential) - _apply(ops.t, geom.h),
+                     nor - _apply(ops.q, geom.tangential) - _apply(ops.s, geom.h))
+
+
+def invariant_residuals(geom, phi_split):
+    """Per point: tan(phi D2x_ij) - P tan(D2x_ij) and h(X, PY) - s h(X, Y)."""
+    ops = geom.ops
+    tan, _ = phi_split
+    # The raw tangents are E = T C, so P reads C^-1 P C in the raw basis.
+    c = geom.frame.tangent_coords(geom.frame.raw_tangents)
+    h_py = np.einsum("...kj,...ikc->...ijc", np.linalg.solve(c, ops.p @ c), geom.h)
+    return _relative(geom, tan - _apply(ops.p, geom.tangential), h_py - _apply(ops.s, geom.h))
+
+
+def shape_vanishing_probe(geom):
+    """Per point: max |g(h(X_i, X_j), phi e_b)|, with ``Q e_b`` the normal part of phi e_b."""
+    return _relative(geom, geom.h @ geom.ops.q[:, None])[0]
+
+
+def extrinsic_per_point(geom, kind: str) -> dict:
+    """Every residual of ``extrinsic_residuals(geom, kind)``, one value per point."""
+    phi_split = _phi_hessian_split(geom)
+    out = dict(zip(("gauss_tangential", "gauss_normal"), gauss_split_residuals(geom, phi_split)))
+    out["h_symmetry"] = _relative(geom, geom.h - geom.h.transpose(0, 2, 1, 3))[0]
+    if kind == "invariant":
+        out["invariant_parallel"], out["invariant_weingarten"] = invariant_residuals(geom,
+                                                                                     phi_split)
+    elif kind == "anti_invariant":
+        out["shape_operator_max"] = shape_vanishing_probe(geom)
+    return out
 
 
 def random_golden(n: int, p: int, seed: int):

@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 
 from goldenslant.expr import jacobian
-from goldenslant.extrinsic import (
-    _phi_hessian_split,
-    gauss_split_residuals,
-    invariant_residuals,
-    shape_vanishing_probe,
-)
+from goldenslant.extrinsic import extrinsic_residuals
 from goldenslant.quadrat import ONE_MINUS_PSI, PSI, QuadRat
 from goldenslant.slant import classify, exact_slant_data
 from goldenslant.spaceform import ambient_oracle, curvature_certificate
@@ -87,14 +82,14 @@ def test_c2_invariant_example_reproduction():
     eigs = np.sort(np.linalg.eigvalsh(ops.p))
     tq = np.abs(ops.t @ ops.q).max()
     elapsed = time.perf_counter() - start
-    ok = (report.classification == "invariant"
-          and report.theta <= 1e-9
+    ok = (report["classification"] == "invariant"
+          and report["theta"] <= 1e-9
           and abs(eigs[0] - (1 - PSI_F)) <= 1e-12
           and abs(eigs[1] - PSI_F) <= 1e-12
           and tq <= 1e-12
           and elapsed < 1.0)
     _criterion("2 invariant example", ok,
-               f"theta={report.theta:.2e}, tQ={tq:.2e}, {elapsed:.3f}s")
+               f"theta={report['theta']:.2e}, tQ={tq:.2e}, {elapsed:.3f}s")
 
 
 # -- 3: proper slant reproduction, exact backend -------------------------------
@@ -110,12 +105,13 @@ def test_c3_slant_example_exact_reproduction():
     p_ok = np.array_equal(eops.p, [[four_thirds, QuadRat(0)], [QuadRat(0), four_thirds]])
     data = exact_slant_data(eops)
     lam_ok = data["lambda"] == QuadRat(Fraction(16, 21))
-    char_ok = data["characterization"].sign() == 0
-    lemma_ok = data["lemma_p"].sign() == 0 and data["lemma_q"].sign() == 0
+    residuals = data["residuals"]
+    char_ok = residuals["characterization"].sign() == 0
+    lemma_ok = residuals["lemma_p"].sign() == 0 and residuals["lemma_q"].sign() == 0
     five_ninths = QuadRat(Fraction(5, 9))
     tq_ok = np.array_equal(eops.t @ eops.q, [[five_ninths, QuadRat(0)], [QuadRat(0), five_ninths]])
     rep = classify(imm, structure.to_float())
-    cos_ok = abs(rep.cos_theta - 4 / math.sqrt(21)) <= 1e-12
+    cos_ok = abs(rep["cos_theta"] - 4 / math.sqrt(21)) <= 1e-12
     ok = p_ok and lam_ok and char_ok and lemma_ok and tq_ok and cos_ok
     _criterion("3 slant example exact", ok,
                "P=(4/3)I, lambda=16/21, tQ=(5/9)I exactly; cos within 1e-12")
@@ -142,8 +138,8 @@ def test_c4_steep_example_and_reference_flag():
     )
     structure = diagonal_golden(["one_minus_psi", "one_minus_psi", "psi", "psi"])
     rep = classify(imm, structure.to_float())
-    cos_ok = abs(rep.cos_theta - 1 / math.sqrt(6)) <= 1e-12
-    cos_matches_oracle = abs(rep.cos_theta - oracle_cos) <= 1e-12
+    cos_ok = abs(rep["cos_theta"] - 1 / math.sqrt(6)) <= 1e-12
+    cos_matches_oracle = abs(rep["cos_theta"] - oracle_cos) <= 1e-12
 
     # k = 2: the unnormalized reference value leaves [-1, 1] and is flagged.
     report = run_scenario(load_config(resolve_config("paper_example_4_k2_paperformula")))
@@ -153,7 +149,7 @@ def test_c4_steep_example_and_reference_flag():
                and 0.0 <= slant["cos_theta"] <= 1.0)
     ok = oracle_ok and cos_ok and cos_matches_oracle and flag_ok
     _criterion("4 steep example + reference flag", ok,
-               f"cos={rep.cos_theta:.12f}=1/sqrt6, k=2 reference "
+               f"cos={rep['cos_theta']:.12f}=1/sqrt6, k=2 reference "
                f"{slant['reference_cosine']:.3f} flagged")
 
 
@@ -214,9 +210,8 @@ def test_c6_extrinsic_suite():
         if np.linalg.svd(jacobian(imm.components, point), compute_uv=False).min() < 1e-4:
             continue
         count += 1
-        geom = at_point(imm, point, struct4)
-        r_tan, r_nor = gauss_split_residuals(geom, _phi_hessian_split(geom))
-        worst_gauss = max(worst_gauss, r_tan[0], r_nor[0])
+        residuals = extrinsic_residuals(at_point(imm, point, struct4), "neither")
+        worst_gauss = max(worst_gauss, residuals["gauss_tangential"], residuals["gauss_normal"])
     gauss_ok = worst_gauss <= 1e-9
 
     # invariant identity h(X, PY) = s h(X, Y) on genuinely invariant cases
@@ -233,8 +228,9 @@ def test_c6_extrinsic_suite():
         for point in pts:
             geom = at_point(imm, point, structure)
             assert invariance_kind(geom.ops) == "invariant"
-            r_par, r_wei = invariant_residuals(geom, _phi_hessian_split(geom))
-            worst_inv = max(worst_inv, r_par[0], r_wei[0])
+            residuals = extrinsic_residuals(geom, "invariant")
+            worst_inv = max(worst_inv, residuals["invariant_parallel"],
+                            residuals["invariant_weingarten"])
     inv_ok = worst_inv <= 1e-9
 
     # the anti-invariant shape-vanishing claim is probed and reported
@@ -245,7 +241,7 @@ def test_c6_extrinsic_suite():
     )
     geom = at_point(bent, (0.0, 0.0), anti_struct)
     assert invariance_kind(geom.ops) == "anti_invariant"
-    probe = float(shape_vanishing_probe(geom)[0])
+    probe = extrinsic_residuals(geom, "anti_invariant")["shape_operator_max"]
     conforms = probe <= 1e-9
     probe_reported = math.isfinite(probe)
     print(f"[acceptance] 6 shape-vanishing finding: value={probe:.3e}, "

@@ -114,8 +114,13 @@ def test_an_exact_slant_residual_below_the_float_range_fails_the_suite(monkeypat
     # Its float is 0.0, so only the exact value shows that the identity does not hold.
     exact_slant_data = suites.exact_slant_data
     tiny = QuadRat(Fraction(1, 10**400))
-    monkeypatch.setattr(suites, "exact_slant_data",
-                        lambda eops: {**exact_slant_data(eops), "lemma_p": tiny})
+
+    def injected(eops):
+        data = exact_slant_data(eops)
+        data["residuals"]["lemma_p"] = tiny
+        return data
+
+    monkeypatch.setattr(suites, "exact_slant_data", injected)
     slant = run_scenario(load_config(resolve_config("paper_example_3")))["suites"]["slant"]
     assert slant["exact"]["is_slant"] and slant["exact"]["residuals"]["lemma_p"] == 0.0
     assert slant["pass"] is False

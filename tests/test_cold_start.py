@@ -16,7 +16,7 @@ EXPORTS = [
     "ExprSyntaxError", "GoldenStructure", "GoldenslantError", "ImmersionSpec",
     "InducedOperators", "InvalidInvolution", "InvalidStructure", "Jet2", "Metric",
     "MetricIncompat", "ONE_MINUS_PSI", "PSI", "QuadRat", "RankDeficient", "SQRT5",
-    "SampleSpec", "ScenarioConfig", "SlantReport", "StructureReport",
+    "SampleSpec", "ScenarioConfig", "StructureReport",
     "TangentFrame", "Tolerances", "UnknownIdentifier", "ZeroVector", "classify", "config",
     "curvature_certificate", "diagonal_golden", "errors", "exactlin", "expr",
     "extrinsic", "frame_at", "golden_eigendecomp", "golden_from_product",

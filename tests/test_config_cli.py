@@ -27,6 +27,7 @@ from goldenslant.cli import (
 )
 from goldenslant.config import (MAX_DIM, MAX_POINT_WORK, MAX_POINTS, SampleSpec, load_config,
                                 parse_config)
+from goldenslant.checks import verdict
 from goldenslant.errors import ConfigError, DomainError
 from goldenslant.expr import evaluate, parse
 from goldenslant.suites import (
@@ -860,3 +861,56 @@ def test_non_finite_reference_cosine_sets_both_flags(monkeypatch):
     slant = run_scenario(parse_config(_huge_sample(-1.0)))["suites"]["slant"]
     assert slant["flags"] == {"reference_invalid": True, "reference_mismatch": True}
     assert slant["pass"] is False
+
+
+def _off_golden(entry: str, tol_struct: float | None = None, **ambient) -> dict:
+    """A 2 x 2 phi whose (0, 0) entry ``entry`` is near psi, and the structure suite alone."""
+    data = {"ambient": {"dim": 2, "phi": {"matrix": [[entry, "0"], ["0", "1/2-1/2*sqrt5"]]},
+                        **ambient}, "suites": ["structure"]}
+    if tol_struct is not None:
+        data["tolerances"] = {"tol_struct": tol_struct}
+    return data
+
+
+def test_a_config_tol_struct_loosens_the_structure_build():
+    cfg = parse_config(_off_golden("5001/10000+1/2*sqrt5", 1e-3))
+    suites = {backend: run_scenario(cfg, backend=backend)["suites"]["structure"]
+              for backend in ("auto", "float")}
+    for suite in suites.values():
+        assert "error" not in suite
+        assert suite["residuals"]["structure_equation"] == pytest.approx(2.236e-4, rel=1e-3)
+        assert verdict("structure", suite, cfg.tolerances, exact=False)
+    # phi is not exactly golden, so on the exact backend its eigenspaces fail the suite.
+    assert suites["auto"]["backend"] == "exact" and suites["auto"]["pass"] is False
+    assert suites["float"]["pass"] is True
+    # Without the config's bound the build rejects it, as before.
+    report = run_scenario(parse_config(_off_golden("5001/10000+1/2*sqrt5")))
+    assert report["suites"]["structure"]["error"].startswith(
+        "InvalidStructure: golden axioms violated: structure=2.236e-04")
+
+
+def test_a_config_tol_struct_tightens_the_structure_build():
+    entry = "50000000001/100000000000+1/2*sqrt5"  # a residual of 2.236e-11
+    assert "error" not in run_scenario(parse_config(_off_golden(entry)))["suites"]["structure"]
+    cfg = parse_config(_off_golden(entry, 1e-12))
+    for backend in ("auto", "float"):
+        suite = run_scenario(cfg, backend=backend)["suites"]["structure"]
+        assert suite["pass"] is False and suite["error"].startswith(
+            "InvalidStructure: golden axioms violated: structure=2.236e-11")
+
+
+@pytest.mark.parametrize("tol_struct,builds", [(None, False), (1e-3, True)])
+def test_a_config_tol_struct_reaches_pattern_and_involution_builds(tol_struct, builds):
+    # A pattern over a metric it is not quite compatible with, and an involution F whose
+    # F^2 - I is about 2e-6.
+    metric = [["2", "1/1000000"], ["1/1000000", "1"]]
+    pattern = _off_golden("0", tol_struct, metric=metric)
+    pattern["ambient"]["phi"] = {"pattern": ["psi", "one_minus_psi"]}
+    involution = _off_golden("0", tol_struct)
+    involution["ambient"]["phi"] = {"from_involution": [["1000001/1000000", "0"], ["0", "-1"]]}
+    for data, kind in ((pattern, "InvalidStructure"), (involution, "InvalidInvolution")):
+        suite = run_scenario(parse_config(data))["suites"]["structure"]
+        if builds:
+            assert "error" not in suite and suite["backend"] == "exact"
+        else:
+            assert suite["error"].startswith(f"{kind}: ")

@@ -148,8 +148,10 @@ def test_slant_identities_are_exact_zeros_and_float_small(a, b, k, data):
     imm = _immersion(jac, grid=1)
     data_exact = exact_slant_data(exact_induced_operators(exact_frame(imm, metric), structure))
     assert data_exact["is_slant"]
+    residuals = data_exact["residuals"]
     keys = ("characterization", "lemma_p", "lemma_q", "tq_lambda_form", "tq_block_form")
-    assert all(isinstance(data_exact[key], QuadRat) and not data_exact[key] for key in keys)
+    assert residuals.keys() == set(keys)
+    assert all(isinstance(residuals[key], QuadRat) and not residuals[key] for key in keys)
     lam = float(data_exact["lambda"])
     ops = point_geometry(imm, structure.metric, structure).ops
     pp = ops.p @ ops.p
@@ -673,7 +675,7 @@ def test_curved_component_with_a_constant_power_is_evaluated_as_its_literal(k):
 
 def test_affine_theta_is_the_mean_over_every_point():
     structure, imm = _on_grid("paper_example_4_k1", 300)
-    theta = classify_geometry(point_geometry(imm, structure.metric, structure)).theta
+    theta = classify_geometry(point_geometry(imm, structure.metric, structure))["theta"]
     # The angles at the first point, which stands for all 90,000.
     ops = at_point(imm, imm.sample_spec.points()[0], structure).ops
     angles = _angles(ops.p, ops.q, np.linalg.eigh((ops.p + ops.p.mT) / 2.0)[1].mT)

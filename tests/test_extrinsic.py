@@ -4,18 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goldenslant.extrinsic as extrinsic
 import goldenslant.suites as suites
 from goldenslant.cli import resolve_config
 from goldenslant.config import load_config
-from goldenslant.extrinsic import (
-    _apply,
-    _phi_hessian_split,
-    gauss_split_residuals,
-    invariant_residuals,
-    shape_vanishing_probe,
-)
+from goldenslant.extrinsic import _apply, _phi_hessian_split, extrinsic_residuals
 from goldenslant.structures import GoldenStructure, Metric, diagonal_golden, verify_golden
 from goldenslant.submanifold import (
     ImmersionSpec,
@@ -23,7 +18,7 @@ from goldenslant.submanifold import (
     TangentFrame,
     invariance_kind,
 )
-from support import at_point, frame_operators
+from support import at_point, extrinsic_per_point, frame_operators
 
 EUCLID4 = Metric(np.eye(4))
 STRUCT4 = diagonal_golden(["psi", "psi", "one_minus_psi", "one_minus_psi"]).to_float()
@@ -35,24 +30,23 @@ SPHERE_PATCH = ImmersionSpec.from_strings(
 
 
 def _gauss_split(imm, point, structure):
-    geom = at_point(imm, point, structure)
-    r_tan, r_nor = gauss_split_residuals(geom, _phi_hessian_split(geom))
-    return float(r_tan[0]), float(r_nor[0])
+    residuals = extrinsic_residuals(at_point(imm, point, structure), "neither")
+    return residuals["gauss_tangential"], residuals["gauss_normal"]
 
 
 def _invariant(imm, point, structure):
     """Both invariant residuals at ``point``, whose tangent space must be invariant."""
     geom = at_point(imm, point, structure)
     assert invariance_kind(geom.ops) == "invariant"
-    r_parallel, r_weingarten = invariant_residuals(geom, _phi_hessian_split(geom))
-    return float(r_parallel[0]), float(r_weingarten[0])
+    residuals = extrinsic_residuals(geom, "invariant")
+    return residuals["invariant_parallel"], residuals["invariant_weingarten"]
 
 
 def _shape_probe(imm, point, structure):
     """The shape-vanishing probe at ``point``, whose tangent space must be anti-invariant."""
     geom = at_point(imm, point, structure)
     assert invariance_kind(geom.ops) == "anti_invariant"
-    return float(shape_vanishing_probe(geom)[0])
+    return extrinsic_residuals(geom, "anti_invariant")["shape_operator_max"]
 
 
 class TestSecondFundamentalForm:
@@ -179,8 +173,7 @@ def test_extrinsic_suite_splits_the_phi_hessians_once(monkeypatch):
         calls.append(geom.size)
         return original(geom)
 
-    for module in (extrinsic, suites):
-        monkeypatch.setattr(module, "_phi_hessian_split", counted)
+    monkeypatch.setattr(extrinsic, "_phi_hessian_split", counted)
     report = suites.run_scenario(load_config(resolve_config("paper_example_2")))
     extrinsic_suite = report["suites"]["extrinsic"]
     assert extrinsic_suite["pass"] and extrinsic_suite["classification"] == "invariant"
@@ -211,8 +204,8 @@ STACKS = [(size, n, m) for size in (1, 9, 196) for n in (3, 5) for m in (1, 2, 3
 EPS = np.finfo(float).eps
 
 
-def _random_geometry(size, n, m):
-    rng = np.random.default_rng(1000 * size + 10 * n + m)
+def _random_geometry(size, n, m, seed=None):
+    rng = np.random.default_rng(1000 * size + 10 * n + m if seed is None else seed)
     frame = TangentFrame(rng.standard_normal((size, m)), rng.standard_normal((size, n, m)),
                          rng.standard_normal((size, n, n)))
     hess = rng.standard_normal((size, n, m, m))
@@ -262,3 +255,32 @@ class TestContractionsMatchTheirEinsumDefinitions:
                             (geom.ops.q, geom.tangential), (geom.ops.s, geom.h)]:
             want = _einsum("...ab,...ijb->...ija", op, vectors)
             _assert_close(_apply(op, vectors), *want, op.shape[-1] + 1)
+
+
+KINDS = ("invariant", "anti_invariant", "neither", "mixed")
+# The arrays an edge value may be written into: three of the geometry's and the operators'.
+INJECTED_INTO = ("hessians", "tangential", "h", "blocks")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_extrinsic_residuals_have_the_bits_of_the_max_over_points(data):
+    size, n = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 5))
+    m = data.draw(st.integers(1, n - 1))
+    geom = _random_geometry(size, n, m, seed=data.draw(st.integers(0, 2**32 - 1)))
+    arrays = {"hessians": geom.hessians.copy(), "tangential": geom.tangential.copy(),
+              "h": geom.h.copy(), "blocks": geom.ops.blocks.copy()}
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324, 0.0])
+    for field, index, value in data.draw(st.lists(st.tuples(
+            st.sampled_from(INJECTED_INTO), st.integers(0, 10**6), special), max_size=3)):
+        arrays[field].flat[index % arrays[field].size] = value
+    kind = data.draw(st.sampled_from(KINDS))
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range
+        ops = frame_operators(arrays.pop("blocks"), m)
+        geom = geom._replace(**arrays, ops=ops)
+        got = extrinsic_residuals(geom, kind)
+        want = {key: value.max() for key, value in extrinsic_per_point(geom, kind).items()}
+    assert got.keys() == want.keys()
+    assert all(type(value) is float for value in got.values())
+    assert {key: np.float64(value).tobytes() for key, value in got.items()} == {
+        key: value.tobytes() for key, value in want.items()}

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import goldenslant.exactlin as xl
-from goldenslant.extrinsic import _phi_hessian_split, gauss_split_residuals
+from goldenslant.extrinsic import _phi_hessian_split, extrinsic_residuals
 from goldenslant.slant import (
     _angles,
     _characterization,
@@ -40,7 +40,7 @@ from goldenslant.submanifold import (
     point_geometry,
     structural_identity_residuals,
 )
-from support import at_point, frame_operators, random_golden
+from support import at_point, frame_operators, gauss_split_residuals, random_golden
 
 TOL = 1e-12
 
@@ -229,8 +229,8 @@ def test_batched_slant_angles_match_per_point_reference(imm, structure, derivati
         # The extreme angles over all directions are taken at P's eigenvectors.
         _, vectors = np.linalg.eigh(ref["p"])
         angles.extend(_angle(ref["p"], ref["q"], d) for d in vectors.T)
-    assert abs(report.theta - float(np.mean(angles))) <= tol
-    assert abs(report.angle_spread - (max(angles) - min(angles))) <= tol
+    assert abs(report["theta"] - float(np.mean(angles))) <= tol
+    assert abs(report["angle_spread"] - (max(angles) - min(angles))) <= tol
 
 
 def test_one_point_geometry_equals_its_batch_entries():
@@ -241,7 +241,11 @@ def test_one_point_geometry_equals_its_batch_entries():
     entries = [structural_identity_residuals(geom.ops.at(i), geom.frame.at(i), structure)
                for i in range(len(points))]
     assert batched == {key: max(entry[key] for entry in entries) for key in batched}
+    extrinsic = extrinsic_residuals(geom, "neither")
     gauss = gauss_split_residuals(geom, _phi_hessian_split(geom))
+    assert extrinsic["gauss_tangential"] == gauss[0].max()
+    assert extrinsic["gauss_normal"] == gauss[1].max()
+    one_points = []
     for i, point in enumerate(points):
         frame = frame_at(SURFACE5, point, structure.metric)
         ops = induced_operators(frame, structure)
@@ -252,8 +256,11 @@ def test_one_point_geometry_equals_its_batch_entries():
             assert abs(value - entries[i][key]) <= 1e-14, key
         one = at_point(SURFACE5, point, structure)
         assert np.abs(one.h[0] - geom.h[i]).max() <= 1e-14
-        r_tan, r_nor = gauss_split_residuals(one, _phi_hessian_split(one))
-        assert (r_tan[0], r_nor[0]) == pytest.approx((gauss[0][i], gauss[1][i]), abs=1e-14)
+        one_points.append(extrinsic_residuals(one, "neither"))
+        r_tan, r_nor = one_points[-1]["gauss_tangential"], one_points[-1]["gauss_normal"]
+        assert (r_tan, r_nor) == pytest.approx((gauss[0][i], gauss[1][i]), abs=1e-14)
+    assert extrinsic == pytest.approx(
+        {key: max(entry[key] for entry in one_points) for key in extrinsic}, abs=1e-14)
 
 
 @pytest.mark.parametrize("field", ["tangential", "h"])
@@ -265,7 +272,10 @@ def test_gauss_split_sees_a_small_change_at_one_point(field):
     before = np.maximum(*gauss_split_residuals(geom, phi_split))
     changed = getattr(geom, field).copy()
     changed[1, 0, 1, 0] += 1e-6
-    after = np.maximum(*gauss_split_residuals(geom._replace(**{field: changed}), phi_split))
+    geom = geom._replace(**{field: changed})
+    after = np.maximum(*gauss_split_residuals(geom, phi_split))
+    residuals = extrinsic_residuals(geom, "neither")
+    assert max(residuals["gauss_tangential"], residuals["gauss_normal"]) == after.max()
     assert np.all(before <= 1e-12)
     # phi is invertible, so the changed column of [P; Q] or [t; s] is not zero.
     assert after[1] >= 1e-7
@@ -350,10 +360,10 @@ def test_exact_spread_bounds_the_sampled_spread_on_random_scenarios():
         geom = point_geometry(imm, structure.metric, structure)
         report = classify_geometry(geom, tol_frame=tol_frame)
         sampled_spread, residual, sampled_kind = _sampled_classification(geom, tol_frame)
-        assert report.angle_spread >= sampled_spread - 1e-12, seed
+        assert report["angle_spread"] >= sampled_spread - 1e-12, seed
         if not tol_frame / 10 <= residual <= 10 * tol_frame:
-            assert report.classification == sampled_kind, seed
-        kinds.add(report.classification)
+            assert report["classification"] == sampled_kind, seed
+        kinds.add(report["classification"])
     assert kinds == {"invariant", "anti_invariant", "proper_slant", "non_slant"}
 
 

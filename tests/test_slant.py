@@ -2,14 +2,18 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from goldenslant.cli import list_bundled, resolve_config
+from goldenslant.config import load_config
 from goldenslant.errors import ZeroVector
 from goldenslant.quadrat import PSI, QuadRat
 from goldenslant.slant import (
     _angles,
+    _cos2_forms,
     classify,
     classify_geometry,
     exact_slant_data,
@@ -22,7 +26,9 @@ from goldenslant.submanifold import (
     exact_induced_operators,
     frame_at,
     induced_operators,
+    point_geometry,
 )
+from goldenslant.suites import run_scenario
 from support import at_point
 
 INVARIANT_IMM = ImmersionSpec.from_strings(
@@ -53,7 +59,7 @@ def _ops(imm, structure, point):
 
 def _residual(imm, structure, point, name):
     """The slant identity residual ``name`` that classification attaches at one point."""
-    return classify_geometry(at_point(imm, point, structure)).residuals[name]
+    return classify_geometry(at_point(imm, point, structure))["residuals"][name]
 
 
 def _angle_of(ops, x):
@@ -95,42 +101,42 @@ class TestSlantAngle:
 class TestClassify:
     def test_invariant_example(self):
         rep = classify(INVARIANT_IMM, INVARIANT_STRUCT)
-        assert rep.classification == "invariant"
-        assert rep.theta <= 1e-9
-        assert rep.angle_spread <= 1e-9
+        assert rep["classification"] == "invariant"
+        assert rep["theta"] <= 1e-9
+        assert rep["angle_spread"] <= 1e-9
 
     def test_proper_slant_example(self):
         rep = classify(SLANT_IMM, SLANT_STRUCT)
-        assert rep.classification == "proper_slant"
-        assert math.isclose(rep.cos_theta, 4 / math.sqrt(21), abs_tol=1e-12)
-        assert math.isclose(rep.theta, math.acos(4 / math.sqrt(21)), abs_tol=1e-12)
-        assert math.isclose(rep.theta, 0.5097396788, abs_tol=1e-9)
+        assert rep["classification"] == "proper_slant"
+        assert math.isclose(rep["cos_theta"], 4 / math.sqrt(21), abs_tol=1e-12)
+        assert math.isclose(rep["theta"], math.acos(4 / math.sqrt(21)), abs_tol=1e-12)
+        assert math.isclose(rep["theta"], 0.5097396788, abs_tol=1e-9)
 
     def test_steep_example_cosine_is_one_over_sqrt_six(self):
         rep = classify(STEEP_IMM, STEEP_STRUCT)
-        assert rep.classification == "proper_slant"
-        assert math.isclose(rep.cos_theta, 1 / math.sqrt(6), abs_tol=1e-12)
+        assert rep["classification"] == "proper_slant"
+        assert math.isclose(rep["cos_theta"], 1 / math.sqrt(6), abs_tol=1e-12)
 
     def test_anti_invariant_toy(self):
         rep = classify(ANTI_IMM, ANTI_STRUCT)
-        assert rep.classification == "anti_invariant"
-        assert math.isclose(rep.theta, math.pi / 2, abs_tol=1e-12)
+        assert rep["classification"] == "anti_invariant"
+        assert math.isclose(rep["theta"], math.pi / 2, abs_tol=1e-12)
 
     def test_non_slant_surface(self):
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1^2", "0"])
         rep = classify(imm, INVARIANT_STRUCT)
-        assert rep.classification == "non_slant"
-        assert rep.angle_spread > 1e-3
+        assert rep["classification"] == "non_slant"
+        assert rep["angle_spread"] > 1e-3
 
     def test_lambda_k_partition_of_unity(self):
         for rep in (classify(SLANT_IMM, SLANT_STRUCT), classify(ANTI_IMM, ANTI_STRUCT)):
-            assert abs(rep.lam + rep.k - 1.0) <= 1e-12
+            assert abs(rep["lambda"] + rep["sin_sq"] - 1.0) <= 1e-12
 
     def test_residuals_attached_for_slant_results(self):
         rep = classify(SLANT_IMM, SLANT_STRUCT)
-        assert set(rep.residuals) == {"characterization", "lemma_p", "lemma_q",
-                                      "tq", "corollary"}
-        assert max(rep.residuals.values()) <= 1e-10
+        assert set(rep["residuals"]) == {"characterization", "lemma_p", "lemma_q",
+                                         "tq", "corollary"}
+        assert max(rep["residuals"].values()) <= 1e-10
 
     def test_p_eigenvalues_solve_slant_quadratic(self):
         # eigenvalues of P satisfy mu^2 - lam*mu - lam = 0 for slant samples
@@ -139,7 +145,7 @@ class TestClassify:
             rep = classify(imm, structure)
             _, ops = _ops(imm, structure, (0.25, -0.75))
             for mu in np.linalg.eigvalsh(ops.p):
-                assert abs(mu * mu - rep.lam * mu - rep.lam) <= 1e-8
+                assert abs(mu * mu - rep["lambda"] * mu - rep["lambda"]) <= 1e-8
 
 
 class TestCharacterization:
@@ -154,14 +160,14 @@ class TestCharacterization:
 
     def test_invariant_reduces_to_golden_identity(self):
         rep = classify(INVARIANT_IMM, INVARIANT_STRUCT)
-        assert rep.lam == pytest.approx(1.0, abs=1e-12)
+        assert rep["lambda"] == pytest.approx(1.0, abs=1e-12)
         assert _residual(INVARIANT_IMM, INVARIANT_STRUCT, (0.3, 0.3),
                          "characterization") <= 1e-9
 
     def test_not_slant_gets_no_residuals(self):
         imm = ImmersionSpec.from_strings(["u1", "u2"], ["u1", "u2", "u1^2", "0"])
         rep = classify(imm, INVARIANT_STRUCT)
-        assert rep.classification == "non_slant" and not rep.residuals
+        assert rep["classification"] == "non_slant" and not rep["residuals"]
 
 
 class TestCorollaryAndLemma:
@@ -174,8 +180,8 @@ class TestCorollaryAndLemma:
     def test_corollary_skipped_for_anti_invariant(self):
         # The corollary divides by lambda, which is 0 here.
         rep = classify(ANTI_IMM, ANTI_STRUCT)
-        assert rep.classification == "anti_invariant" and rep.lam <= 1e-24
-        assert "corollary" not in rep.residuals and "tq" in rep.residuals
+        assert rep["classification"] == "anti_invariant" and rep["lambda"] <= 1e-24
+        assert "corollary" not in rep["residuals"] and "tq" in rep["residuals"]
 
     def test_lemma_identities_small_on_examples(self):
         for imm, structure in [(SLANT_IMM, SLANT_STRUCT), (STEEP_IMM, STEEP_STRUCT),
@@ -213,9 +219,9 @@ class TestExactRoute:
         data = exact_slant_data(eops)
         assert data["lambda"] == QuadRat(Fraction(16, 21))
         assert data["is_slant"]
-        assert all(data[k].sign() == 0 for k in
-                   ("characterization", "lemma_p", "lemma_q",
-                    "tq_lambda_form", "tq_block_form"))
+        assert set(data["residuals"]) == {"characterization", "lemma_p", "lemma_q",
+                                          "tq_lambda_form", "tq_block_form"}
+        assert all(value.sign() == 0 for value in data["residuals"].values())
 
     def test_steep_example_lambda_is_one_sixth(self):
         eops = exact_induced_operators(
@@ -229,7 +235,12 @@ class TestExactRoute:
         eops = exact_induced_operators(
             exact_frame(SLANT_IMM, SLANT_STRUCT_EXACT.metric), SLANT_STRUCT_EXACT
         )
-        assert exact_slant_data(eops)["lambda_uniform"]
+        # cos^2(theta) along each raw basis direction: the ratio of the diagonals of the
+        # lemma's g(PX, PY) and g(X, Y) + g(X, PY) matrices
+        pp_form, p_rhs = _cos2_forms(eops)
+        candidates = [x / y for x, y in zip(pp_form.diagonal(), p_rhs.diagonal())]
+        assert len(candidates) == 2
+        assert all(c == exact_slant_data(eops)["lambda"] for c in candidates)
 
 
 class TestReferenceCosine:
@@ -251,7 +262,7 @@ class TestReferenceCosine:
         assert abs(value) > 1.0
         # while the definitional cosine stays in [0, 1]
         rep = classify(imm, STEEP_STRUCT)
-        assert 0.0 <= rep.cos_theta <= 1.0
+        assert 0.0 <= rep["cos_theta"] <= 1.0
 
     def test_k1_reference_value_is_valid_but_differs(self):
         frame, ops = _ops(STEEP_IMM, STEEP_STRUCT, (0.0, 0.0))
@@ -259,4 +270,24 @@ class TestReferenceCosine:
         value = reference_cosine(ops, raw)
         assert math.isclose(value, -1 / math.sqrt(2.0), abs_tol=1e-12)
         rep = classify(STEEP_IMM, STEEP_STRUCT)
-        assert abs(abs(value) - rep.cos_theta) > 0.1  # mismatch to be flagged
+        assert abs(abs(value) - rep["cos_theta"]) > 0.1  # mismatch to be flagged
+
+
+def test_the_slant_record_is_the_float_report_of_the_slant_suite():
+    configs = [resolve_config(name) for name in list_bundled()]
+    configs += sorted((Path(__file__).parent / "configs").glob("*.cfg"))
+    checked = 0
+    for path in configs:
+        cfg = load_config(path)
+        if "slant" not in cfg.suites:
+            continue
+        structure = cfg.build_structure().to_float()
+        geom = point_geometry(cfg.build_immersion(), structure.metric, structure)
+        tol = cfg.tolerances
+        record = classify_geometry(geom, tol_frame=tol.tol_frame, tol_class=tol.tol_class)
+        slant = run_scenario(cfg, backend="float")["suites"]["slant"]
+        assert record.keys() == {"classification", "theta", "cos_theta", "lambda", "sin_sq",
+                                 "angle_spread", "residuals"}, path
+        assert record == {key: slant[key] for key in record}, path
+        checked += 1
+    assert checked == 5

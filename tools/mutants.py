@@ -34,8 +34,8 @@ TARGETS_TEST = "tests/test_checks.py::test_every_mutation_target_occurs_once_in_
 # name -> (file in the package, target text, replacement): each a fault a test should see.
 MUTATIONS = {
     # Scale-free residuals and the Euclidean model (the unit-free verdicts).
-    "drop_t_h": ("extrinsic.py", "_apply(ops.p, geom.tangential) - _apply(ops.t, geom.h),",
-                 "_apply(ops.p, geom.tangential),"),
+    "drop_t_h": ("extrinsic.py", '"gauss_tangential": tan - p_tan - _apply(ops.t, h),',
+                 '"gauss_tangential": tan - p_tan,'),
     "phi_hat_without_w": ("structures.py",
                           "return as_float(lt @ self.phi @ lower_inv.T) * np.outer(root_d, root_d)",
                           "return self.phi_float"),
@@ -50,7 +50,7 @@ MUTATIONS = {
     "verdict_ignores_conditions": ("checks.py",
                                    "and (row.when is None or conditions[row.when]))",
                                    "and row.when is None)"),
-    "exact_slant_rows_on_floats": ("suites.py", 'values["exact"] = {"residuals": data}',
+    "exact_slant_rows_on_floats": ("suites.py", 'values["exact"] = data',
                                    'values["exact"] = result["exact"]'),
     "frame_gram_unbounded": ("checks.py", '"FRAME_GRAM": 1e-10', '"FRAME_GRAM": 1e10'),
     "reference_invalid_never_hard": ("suites.py",
@@ -81,8 +81,8 @@ MUTATIONS = {
                               "if error is not None or not np.isfinite(hess[:, -1]).all():"),
     # One slant verdict.
     "slant_without_residual_test": ("slant.py",
-                                    "slant = all(v <= tol_frame for v in residuals.values())",
-                                    "slant = True"),
+                                    "if all(v <= tol_frame for v in residuals.values()):",
+                                    "if True:"),
     "extrinsic_reads_float_operators": ("suites.py",
                                         "if geom.exact is None else (geom.exact, 0)",
                                         "if True else (geom.exact, 0)"),
@@ -101,6 +101,11 @@ MUTATIONS = {
     "invariance_ignores_mixed_points": ("submanifold.py",
                                        'return "invariant" if np.all(invariant) else "mixed"',
                                        'return "invariant"'),
+    # One function per point suite: the kind branches of the extrinsic residuals.
+    "invariant_parallel_keeps_t_h": ("extrinsic.py", '["invariant_parallel"] = tan - p_tan',
+                                     '["invariant_parallel"] = tan - p_tan - _apply(ops.t, h)'),
+    "shape_probe_reads_p": ("extrinsic.py", "h @ ops.q[:, None]", "h @ ops.p[:, None]"),
+    "weingarten_in_the_frame_basis": ("extrinsic.py", "np.linalg.solve(c, ops.p @ c)", "ops.p"),
 }
 
 

@@ -3,11 +3,13 @@
 
 Run from the repository root::
 
-    python3 tools/report_digests.py [SRC] > digests.txt
+    python3 tools/report_digests.py [SRC [REF]] > digests.txt
 
 ``SRC`` is the goldenslant source tree to run (default: this repository's
-``src``), so the same inputs run on two checkouts and ``diff`` of the two
-outputs shows every report, message or exit code that changed.  The inputs are
+``src``).  Given a second tree ``REF``, both run on the same inputs and only the
+runs whose lines differ are printed, the line of ``REF`` after ``-`` and that of
+``SRC`` after ``+``; the exit code is 1 if any line differs, else 0.  So every
+report, message or exit code that changed between two checkouts is shown.  The inputs are
 the bundled configs, the regression configs under ``tests/configs`` and the
 ``curved_grid``, ``exact_dense`` and ``spaceform_trials`` configs of seeds 1, 7
 and 101, written by perfbench's generators into a temporary directory, and nine
@@ -101,18 +103,29 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> None:
-    src = Path(sys.argv[1] if len(sys.argv) > 1 else ROOT / "src").resolve()
-    env = dict(os.environ, PYTHONPATH=str(src))
+def _line(tree: Path, source: str, backend: str) -> str:
+    """The digest line of one run of ``source`` on the goldenslant source ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "goldenslant", "run", source, "--backend", backend],
+        env=dict(os.environ, PYTHONPATH=str(tree)), capture_output=True, check=False)
+    return " ".join([Path(source).name, backend, str(proc.returncode), _digest(proc.stdout),
+                     _digest(proc.stderr)])
+
+
+def main() -> int:
+    trees = [Path(arg).resolve() for arg in sys.argv[1:3]] or [(ROOT / "src").resolve()]
+    differ = False
     with tempfile.TemporaryDirectory() as workdir:
         for source in _sources(Path(workdir)):
             for backend in BACKENDS:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "goldenslant", "run", source, "--backend", backend],
-                    env=env, capture_output=True, check=False)
-                print(Path(source).name, backend, proc.returncode, _digest(proc.stdout),
-                      _digest(proc.stderr), flush=True)
+                lines = [_line(tree, source, backend) for tree in trees]
+                if len(lines) == 1:
+                    print(lines[0], flush=True)
+                elif lines[0] != lines[1]:
+                    differ = True
+                    print(f"- {lines[1]}\n+ {lines[0]}", flush=True)
+    return int(differ)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
