@@ -19,7 +19,7 @@ from typing import NamedTuple
 HARD, FINDING, FLAG, METADATA = "hard", "finding", "flag", "metadata"
 ZERO, FINITE, TRUE = "exactly 0", "finite", "true"
 # The fixed bounds, each written only here; the README's tolerance tables list them.
-BOUNDS = {"FRAME_GRAM": 1e-10, "COSINE_MAX": 1.0 + 1e-12, "ORACLE_TOL": 1e-12, "RANK_SINE": 1e-8}
+BOUNDS = {"COSINE_MAX": 1.0 + 1e-12, "ORACLE_TOL": 1e-12, "RANK_SINE": 1e-8}
 # The conditions of a run under which a row applies, by the names the suites pass.
 WHEN = {"exact": "when the exact backend or route ran",
         "invariant": "on an invariant classification",
@@ -81,12 +81,6 @@ TABLE = {
         {"backend": "exact (over Q(sqrt5)) or float"}),
     "identities": _suite((
         *((f"residuals.{key}", HARD, "tol_frame", text) for key, text, _ in _BLOCKS),
-        ("residuals.reassembly_tangent", HARD, "tol_frame",
-         "phi X recombines from PX and QX in ambient coordinates", None, ("frame_gram",)),
-        ("residuals.reassembly_normal", HARD, "tol_frame",
-         "phi V recombines from tV and sV in ambient coordinates", None, ("frame_gram",)),
-        ("frame_gram", HARD, "FRAME_GRAM",
-         "max |B^T B - I|, the frames' distance from orthonormal"),
         *((f"exact.residuals.{key}", HARD, ZERO, f"{text}: {block}", "exact")
           for key, text, block in _BLOCKS),
         ("exact.all_zero", FLAG, None, "every exact residual is exactly 0", "exact")),
@@ -115,8 +109,6 @@ TABLE = {
           for key, text, when in _SLANT),
         *((f"exact.residuals.{key}", HARD, ZERO, text, "is_slant") for key, text, _ in _SLANT[:3]),
         ("exact.residuals.tq_lambda_form", HARD, ZERO, "tQ = (1 - lambda)(P + I)", "is_slant"),
-        ("exact.residuals.tq_block_form", HARD, ZERO, "tQ = -P^2 + P + I, tQ = (C^2)_TT - P^2",
-         "is_slant"),
         ("flags.reference_invalid", HARD, "COSINE_MAX", "|reference_cosine|: the flag is set "
          "when it is above the bound", "unnormalized"),
         ("flags.reference_mismatch", FLAG, "tol_angle", "| |reference_cosine| - cos_theta |"),

@@ -10,11 +10,11 @@ checked here both in floating point at every sample point and exactly over
 Q(sqrt5) for affine immersions, each by one function for both backends.
 Those functions read the matrices of ``g(X, PY)`` and ``g(V, QY)`` (V
 normal) as ``Gt P`` and ``Gn Q``, blocks of the lowered matrix
-``M = B^T g phi B`` (see :mod:`goldenslant.submanifold`), and ``tQ`` as
-``(C^2)_TT - P^2``, all read from the one
-:class:`~goldenslant.submanifold.InducedOperators` record of either route,
-so the exact certificate shares each product with the exact identities.  In
-the orthonormal frames of the float route ``Gt = I`` and ``M = C``.
+``M = B^T g phi B`` (see :mod:`goldenslant.submanifold`), both read from the
+one :class:`~goldenslant.submanifold.InducedOperators` record of either route;
+the exact certificate reads ``tQ`` as ``(C^2)_TT - P^2``, so it shares each
+product with the exact identities.  In the orthonormal frames of the float
+route ``Gt = I`` and ``M = C``.
 
 One reference formula for a worked slant family omits the ``|X|``
 normalization from the cosine; :func:`reference_cosine` computes that
@@ -132,7 +132,9 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
         forms.append(_corollary(p, pp, lam))
     keys = ("characterization", "lemma_p", "lemma_q", "corollary")
     residuals = dict(zip(keys, map(float, _worst_spectral(np.stack(forms)))))
-    residuals["tq"] = float(np.maximum(*_tq_residuals(p, pp, ops.t @ q, lam)))
+    tq = ops.t @ q
+    residuals["tq"] = float(np.maximum(_amax(_tq_lambda_form(p, tq, lam), None),
+                                       _amax(tq + pp - p - _eye(p), None)))
     if all(v <= tol_frame for v in residuals.values()):
         record.update(classification=kind, residuals=residuals)
     return record
@@ -169,10 +171,9 @@ def _lemma_residuals(ops, pp_form, p_rhs, lam, k):
     return pp_form - p_rhs * lam, ops.q.mT @ ops.lowered[..., ops.m:, :ops.m] - p_rhs.mT * k
 
 
-def _tq_residuals(p, pp, tq, lam):
-    """Worst residuals, over every point, of tQ = (1 - lambda)(P + I) and tQ = -P^2 + P + I."""
-    eye = _eye(p)
-    return _amax(tq - (p + eye) * (1 - lam), None), _amax(tq + pp - p - eye, None)
+def _tq_lambda_form(p, tq, lam):
+    """The matrix tQ - (1 - lambda)(P + I)."""
+    return tq - (p + _eye(p)) * (1 - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def exact_slant_data(eops: InducedOperators) -> dict:
     pp = p @ p
     char = _amax(_characterization(p, pp, lam))
     lemma_p, lemma_q = map(_amax, _lemma_residuals(eops, *forms, lam, 1 - lam))
-    tq1, tq2 = _tq_residuals(p, pp, eops.square[:m, :m] - pp, lam)
+    tq = _amax(_tq_lambda_form(p, eops.square[:m, :m] - pp, lam))
     slant = uniform and not char
     return {
         "classification": (NON_SLANT if not slant else INVARIANT if lam == 1
@@ -208,5 +209,5 @@ def exact_slant_data(eops: InducedOperators) -> dict:
         "lambda": lam,
         "is_slant": slant,
         "residuals": {"characterization": char, "lemma_p": lemma_p, "lemma_q": lemma_q,
-                      "tq_lambda_form": tq1, "tq_block_form": tq2},
+                      "tq_lambda_form": tq},
     }

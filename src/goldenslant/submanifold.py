@@ -21,12 +21,13 @@ The float route works in the metric's Euclidean model: in the coordinates
 ``y = W x`` with ``g = W^T W`` (:class:`~goldenslant.structures.Metric`) the
 metric is the dot product and phi is the matrix ``phi_hat = W phi W^-1``;
 W is made once per metric and ``phi_hat`` once per structure.  The frames
-are orthonormal, so ``Gamma = I`` and ``M = C``, and plain transposes
-realize metric adjoints.  A scenario evaluates all of its sample points in
-one batched pass (:func:`point_geometry`) that makes each per-point
-contraction one batched matmul.  Affine immersions over Q(sqrt5) also get
-an exact route in the raw tangent basis ``T`` and the reduced kernel basis
-``N`` of ``T^T g``, the identity on its free rows.  As ``N`` is
+are the ``Q`` of a Householder QR, orthonormal to a small multiple of n times
+the unit roundoff for any finite input (Higham 2002, §19.3), so ``Gamma = I``
+and ``M = C``, and plain transposes realize metric adjoints.  A scenario
+evaluates all of its sample points in one batched pass (:func:`point_geometry`)
+that makes each per-point contraction one batched matmul.  Affine immersions
+over Q(sqrt5) also get an exact route in the raw tangent basis ``T`` and the
+reduced kernel basis ``N`` of ``T^T g``, the identity on its free rows.  As ``N`` is
 g-orthogonal to ``T``, the tangent rows of ``C`` solve one m x m system
 against ``Gt``, and the normal rows are read off the free rows of
 ``phi B = B C``; the identities then check statements about exact zeros.
@@ -97,17 +98,11 @@ class TangentFrame(NamedTuple):
     onb: np.ndarray  # n x n, the first m columns tangent
 
     m = property(lambda self: self.raw_tangents.shape[-1])
-    n = property(lambda self: self.onb.shape[-1])
     tangent_onb = property(lambda self: self.onb[..., :self.m])  # n x m, a view
-    normal_onb = property(lambda self: self.onb[..., self.m:])  # n x (n - m), a view
 
     def at(self, i: int) -> TangentFrame:
         """The frame at point ``i`` of a stack."""
         return TangentFrame(tuple(self.point[i].tolist()), self.raw_tangents[i], self.onb[i])
-
-    def gram_residual(self) -> np.ndarray | float:
-        """Deviation of the frame from orthonormality, per point of a stack."""
-        return _amax(self.onb.mT @ self.onb - np.eye(self.n))
 
     def tangent_coords(self, vectors: np.ndarray) -> np.ndarray:
         # As C-ordered rows: numpy sums a product with a strided transpose in another
@@ -185,7 +180,7 @@ class InducedOperators(NamedTuple):
 
 def induced_operators(frame: TangentFrame, structure: GoldenStructure) -> InducedOperators:
     """Project ``phi`` through the frames of ``frame`` (one point or a stack)."""
-    if structure.n != frame.n:
+    if structure.n != frame.onb.shape[-1]:
         raise DimensionMismatch("structure and frame ambient dimensions differ")
     blocks = frame.onb.mT @ (structure.phi_hat @ frame.onb)
     return InducedOperators(blocks, blocks, blocks @ blocks, np.eye(frame.m))
@@ -279,26 +274,19 @@ def block_identity_residuals(ops: InducedOperators) -> dict:
     }
 
 
-def structural_identity_residuals(ops: InducedOperators, frame: TangentFrame,
-                                  structure: GoldenStructure) -> dict:
-    """Worst residuals of :func:`block_identity_residuals` in the orthonormal frames, plus
-    reassembly, over one point or every point of a stack.
+def structural_identity_residuals(ops: InducedOperators) -> dict:
+    """Worst residuals of :func:`block_identity_residuals` in the orthonormal frames, over
+    one point or every point of a stack.
 
     The block identities are measured by their max |entry|.  The two metric
     identities are bilinear forms, measured by the spectral norm of their
     matrices, both in one :func:`~goldenslant.structures._worst_spectral` call: the worst
-    value of the form on any unit tangent pair, and never below the worst entry.  The
-    reassembly residuals confirm that ``phi X`` recombines from the operator blocks in
-    the coordinates ``y = W x``.
+    value of the form on any unit tangent pair, and never below the worst entry.
     """
     res, m = block_identity_residuals(ops), ops.m
     forms = np.stack([res.pop("p_self_adjoint"), res.pop("metric_split")]).reshape(2, -1, m, m)
     res = {k: _amax(v, None) for k, v in res.items()}
     res["p_self_adjoint"], res["metric_split"] = _worst_spectral(forms)
-    phi = structure.phi_hat
-    tb, nb = frame.tangent_onb, frame.normal_onb
-    res["reassembly_tangent"] = _amax(phi @ tb - tb @ ops.p - nb @ ops.q, None)
-    res["reassembly_normal"] = _amax(phi @ nb - tb @ ops.t - nb @ ops.s, None)
     return {k: float(v) for k, v in res.items()}
 
 

@@ -1,6 +1,7 @@
-"""Test helpers: the batched geometry pass at one point and on the jet route, a mean over
-repeated rows, sample specs and floats at the float range's edges, the extrinsic residuals
-point by point, seeded random golden structures, float reference space-form models with the
+"""Test helpers: the batched geometry pass at one point and on the jet route, the frames'
+distance from orthonormal, a mean over repeated rows, sample specs and floats at the float
+range's edges, the extrinsic residuals point by point, seeded random golden structures,
+planes with a known class and lambda, float reference space-form models with the
 reference ``curvature``, the sampled curvature program, the curvature certificate in QuadRat
 arithmetic and the report's JSON by ``json.dumps``."""
 
@@ -28,6 +29,11 @@ def at_point(imm, point, structure=None, metric=None):
     (metric: the structure's unless given); its arrays keep a point axis of length 1."""
     return point_geometry(imm, structure.metric if metric is None else metric, structure,
                           [point])
+
+
+def orthonormality_gap(onb: np.ndarray) -> np.ndarray:
+    """max |onb^T onb - I|, the frames' distance from orthonormal, per point of a stack."""
+    return np.abs(onb.mT @ onb - np.eye(onb.shape[-1])).max(axis=(-2, -1))
 
 
 def frame_operators(blocks: np.ndarray, m: int) -> InducedOperators:
@@ -128,6 +134,66 @@ def random_golden(n: int, p: int, seed: int):
     f = q @ np.diag([1.0] * p + [-1.0] * (n - p)) @ q.T
     f = (f + f.T) / 2.0
     return golden_from_product(f, Metric(np.eye(n)))
+
+
+# -- planes whose class and lambda are known before the run ---------------------------------
+
+# Ratios b/a of a direction a e_i + b e_j, with e_i in the psi- and e_j in the
+# (1 - psi)-eigenspace of a pattern phi: 0 is invariant (lambda = 1), psi anti-invariant
+# (lambda = 0), psi - 1 (mu = 1) and 2 + sqrt5 (mu = -1/2) share lambda = 1/2, and psi - 2
+# is paper_example_3's (lambda = 16/21).  Every other pair of lambdas differs by 0.035 or more.
+PLANE_RATIOS = (QuadRat(0), PSI, PSI - 1, 2 + SQRT5, QuadRat(1), QuadRat(2), PSI - 2,
+                QuadRat(Fraction(1, 2)), QuadRat(3), SQRT5)
+_PLANE_SCALES = (QuadRat(1), QuadRat(2), QuadRat(Fraction(1, 3)), PSI, SQRT5 - 1)
+
+
+class KnownPlane(NamedTuple):
+    config: dict  # a config with the structure, identities, extrinsic and slant suites
+    classification: str
+    lam: QuadRat | None  # the exact lambda when the plane is slant
+
+
+def plane_lambda(ratio: QuadRat) -> QuadRat:
+    """cos^2 theta = mu^2 / (mu + 1) of a direction a e_i + b e_j with ``b/a = ratio``: it is
+    a unit P-eigenvector times |X|, with ``mu = (psi + (1 - psi) r) / (1 + r)``, r = b^2/a^2,
+    and |phi v|^2 = g(phi^2 v, v) = mu + 1 on a unit P-eigenvector v."""
+    r = ratio * ratio
+    mu = (PSI + (1 - PSI) * r) / (1 + r)
+    return mu * mu / (mu + 1)
+
+
+@st.composite
+def known_planes(draw) -> KnownPlane:
+    """An affine plane of R^n (n <= 8) under the identity metric and a pattern phi, spanned
+    by m <= 3 directions ``a e_i + b e_j`` on distinct coordinates, with signed scales a, b/a
+    from :data:`PLANE_RATIOS`, its coordinates permuted.  The directions are g-orthogonal
+    P-eigenvectors, so the plane is slant exactly when every :func:`plane_lambda` agrees:
+    invariant at lambda 1, anti-invariant at 0, else proper slant; non_slant otherwise."""
+    m = draw(st.integers(1, 3))
+    ratios = draw(st.one_of(
+        st.sampled_from(PLANE_RATIOS).map(lambda ratio: [ratio] * m),
+        st.lists(st.sampled_from((PSI - 1, 2 + SQRT5)), min_size=m, max_size=m),
+        st.lists(st.sampled_from(PLANE_RATIOS), min_size=m, max_size=m)))
+    normals = sum(1 for ratio in ratios if ratio)
+    p = draw(st.integers(m, 8 - normals))  # coordinates in the psi-eigenspace
+    n = draw(st.integers(max(p + normals, m + 1), 8))
+    axes = draw(st.permutations(range(n)))  # the first p in the psi-eigenspace
+    pattern = ["psi" if axes.index(axis) < p else "one_minus_psi" for axis in range(n)]
+    components, free = ["0"] * n, iter(axes[p:])
+    for k, ratio in enumerate(ratios):
+        a = draw(st.sampled_from(_PLANE_SCALES)) * draw(st.sampled_from((1, -1)))
+        components[axes[k]] = f"({a})*u{k + 1}"
+        if ratio:
+            components[next(free)] = f"({a * ratio * draw(st.sampled_from((1, -1)))})*u{k + 1}"
+    lams = {plane_lambda(ratio) for ratio in ratios}
+    lam = lams.pop() if len(lams) == 1 else None
+    classification = ("non_slant" if lam is None else "invariant" if lam == 1
+                      else "anti_invariant" if not lam else "proper_slant")
+    config = {"ambient": {"dim": n, "phi": {"pattern": pattern}},
+              "immersion": {"params": [f"u{k + 1}" for k in range(m)], "components": components,
+                            "samples": {"grid": [[-1, 1, 2]] * m}},
+              "suites": ["structure", "identities", "extrinsic", "slant"]}
+    return KnownPlane(config, classification, lam)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

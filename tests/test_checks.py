@@ -126,15 +126,6 @@ def test_an_exact_slant_residual_below_the_float_range_fails_the_suite(monkeypat
     assert slant["pass"] is False
 
 
-def test_a_frame_gram_within_tol_frame_still_fails_its_own_bound():
-    identities = run_scenario(load_config(resolve_config("paper_example_3")),
-                              backend="float")["suites"]["identities"]
-    assert verdict("identities", identities, Tolerances(), exact=False)
-    for gram in (Tolerances().tol_frame, float("nan")):
-        assert not verdict("identities", {**identities, "frame_gram": gram}, Tolerances(),
-                           exact=False)
-
-
 def test_every_mutation_target_occurs_once_in_the_package():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)

@@ -22,7 +22,7 @@ from goldenslant.slant import (
     _characterization,
     _cos2_forms,
     _lemma_residuals,
-    _tq_residuals,
+    _tq_lambda_form,
     classify_geometry,
     exact_slant_data,
 )
@@ -149,7 +149,7 @@ def test_slant_identities_are_exact_zeros_and_float_small(a, b, k, data):
     data_exact = exact_slant_data(exact_induced_operators(exact_frame(imm, metric), structure))
     assert data_exact["is_slant"]
     residuals = data_exact["residuals"]
-    keys = ("characterization", "lemma_p", "lemma_q", "tq_lambda_form", "tq_block_form")
+    keys = ("characterization", "lemma_p", "lemma_q", "tq_lambda_form")
     assert residuals.keys() == set(keys)
     assert all(isinstance(residuals[key], QuadRat) and not residuals[key] for key in keys)
     lam = float(data_exact["lambda"])
@@ -157,7 +157,7 @@ def test_slant_identities_are_exact_zeros_and_float_small(a, b, k, data):
     pp = ops.p @ ops.p
     floats = (_characterization(ops.p, pp, lam),
               *_lemma_residuals(ops, *_cos2_forms(ops), lam, 1 - lam),
-              *_tq_residuals(ops.p, pp, ops.t @ ops.q, lam))
+              _tq_lambda_form(ops.p, ops.t @ ops.q, lam))
     assert max(float(np.abs(v).max()) for v in floats) <= 1e-12, floats
 
 
@@ -458,8 +458,7 @@ def _assert_routes_agree(imm: ImmersionSpec, metric, structure) -> None:
     ulps = 8 * np.finfo(float).eps * np.linalg.cond(metric.to_float().matrix)
     pairs = {
         "jacobian": (affine.frame.raw_tangents, jets.frame.raw_tangents),
-        "tangent_onb": (affine.frame.tangent_onb, jets.frame.tangent_onb),
-        "normal_onb": (affine.frame.normal_onb, jets.frame.normal_onb),
+        "onb": (affine.frame.onb, jets.frame.onb),
         **{name: (getattr(affine.ops, name), getattr(jets.ops, name)) for name in "pqts"},
     }
     for name, (a, b) in pairs.items():

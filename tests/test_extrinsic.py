@@ -61,13 +61,13 @@ class TestSecondFundamentalForm:
         # normal with unit magnitude along the first axis.
         geom = at_point(SPHERE_PATCH, (0.0, 0.0), metric=EUCLID4)
         h = geom.h[0]
-        ambient_h11 = geom.frame.normal_onb[0] @ h[0, 0]
+        ambient_h11 = geom.frame.onb[0, :, 2:] @ h[0, 0]
         assert np.abs(ambient_h11 - np.array([-1.0, 0.0, 0.0, 0.0])).max() <= 1e-12
         assert math.isclose(np.linalg.norm(h[0, 0]), 1.0, abs_tol=1e-12)
 
     def test_paraboloid_hessian_split(self):
         geom = at_point(PARABOLOID, (0.0, 0.0), metric=EUCLID4)
-        h, normal = geom.h[0], geom.frame.normal_onb[0]
+        h, normal = geom.h[0], geom.frame.onb[0, :, 2:]
         h11 = normal @ h[0, 0]
         h22 = normal @ h[1, 1]
         assert np.abs(h11 - np.array([0, 0, 2.0, 0])).max() <= 1e-12

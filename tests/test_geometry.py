@@ -40,7 +40,8 @@ from goldenslant.submanifold import (
     point_geometry,
     structural_identity_residuals,
 )
-from support import at_point, frame_operators, gauss_split_residuals, random_golden
+from support import (at_point, frame_operators, gauss_split_residuals, orthonormality_gap,
+                     random_golden)
 
 TOL = 1e-12
 
@@ -157,7 +158,7 @@ def test_batched_geometry_matches_per_point_reference(imm, structure, derivative
     g, phi = structure.metric.matrix, structure.phi_float
     # The pass works in y = W x; W^-1 maps its vectors back to ambient coordinates.
     w_inv = structure.metric.w_inv
-    assert np.all(geom.frame.gram_residual() <= tol)
+    assert np.all(orthonormality_gap(geom.frame.onb) <= tol)
     for i, (u, v) in enumerate(points):
         jac, hess = derivatives(u, v)
         ref = _reference(jac, hess, g, phi)
@@ -166,7 +167,7 @@ def test_batched_geometry_matches_per_point_reference(imm, structure, derivative
         assert np.abs(geom.ops.p[i] - ref["p"]).max() <= tol
         assert np.abs(geom.ops.q[i].T @ geom.ops.q[i] - ref["q"].T @ ref["q"]).max() <= tol
         assert np.abs(geom.tangential[i] - ref["tangential"]).max() <= tol
-        normal_part = np.einsum("nc,ijc->ijn", w_inv @ geom.frame.normal_onb[i], geom.h[i])
+        normal_part = np.einsum("nc,ijc->ijn", w_inv @ geom.frame.onb[i, :, 2:], geom.h[i])
         assert np.abs(normal_part - ref["normal_part"]).max() <= tol
 
 
@@ -237,9 +238,8 @@ def test_one_point_geometry_equals_its_batch_entries():
     structure = _skewed_structure(5, 2, seed=3)
     points = [(0.1, 0.2), (-0.4, 0.7), (0.6, -0.3)]
     geom = point_geometry(SURFACE5, structure.metric, structure, points)
-    batched = structural_identity_residuals(geom.ops, geom.frame, structure)
-    entries = [structural_identity_residuals(geom.ops.at(i), geom.frame.at(i), structure)
-               for i in range(len(points))]
+    batched = structural_identity_residuals(geom.ops)
+    entries = [structural_identity_residuals(geom.ops.at(i)) for i in range(len(points))]
     assert batched == {key: max(entry[key] for entry in entries) for key in batched}
     extrinsic = extrinsic_residuals(geom, "neither")
     gauss = gauss_split_residuals(geom, _phi_hessian_split(geom))
@@ -252,7 +252,7 @@ def test_one_point_geometry_equals_its_batch_entries():
         assert frame.point == point
         assert np.abs(frame.tangent_onb - geom.frame.tangent_onb[i]).max() <= 1e-14
         assert np.abs(ops.s - geom.ops.s[i]).max() <= 1e-14
-        for key, value in structural_identity_residuals(ops, frame, structure).items():
+        for key, value in structural_identity_residuals(ops).items():
             assert abs(value - entries[i][key]) <= 1e-14, key
         one = at_point(SURFACE5, point, structure)
         assert np.abs(one.h[0] - geom.h[i]).max() <= 1e-14
@@ -390,9 +390,8 @@ def test_spectral_residuals_bound_entries_and_forms_on_unit_pairs():
     def dot(a, b):
         return np.einsum("...i,...i->...", a, b)
 
-    identities = structural_identity_residuals(ops, geom.frame, structure)
-    at_points = [structural_identity_residuals(ops.at(i), geom.frame.at(i), structure)
-                 for i in range(9)]
+    identities = structural_identity_residuals(ops)
+    at_points = [structural_identity_residuals(ops.at(i)) for i in range(9)]
     per_point = {key: np.array([values[key] for values in at_points]) for key in identities}
     assert all(identities[key] == per_point[key].max() for key in identities)
     # the residuals classify_geometry attaches, at the given lambda
@@ -427,9 +426,8 @@ def test_spectral_residual_of_a_non_finite_operator_fails(bad):
     blocks[1, 0, 1] = bad  # an entry of P
     with np.errstate(invalid="ignore"):
         ops = frame_operators(blocks, 2)
-        worst = structural_identity_residuals(ops, geom.frame, structure)
-        res = [structural_identity_residuals(ops.at(i), geom.frame.at(i), structure)
-               for i in range(2)]
+        worst = structural_identity_residuals(ops)
+        res = [structural_identity_residuals(ops.at(i)) for i in range(2)]
     for key in ("p_self_adjoint", "metric_split"):
         assert res[0][key] <= 1e-12
         assert not res[1][key] <= 1e9, key

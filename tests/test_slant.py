@@ -220,7 +220,7 @@ class TestExactRoute:
         assert data["lambda"] == QuadRat(Fraction(16, 21))
         assert data["is_slant"]
         assert set(data["residuals"]) == {"characterization", "lemma_p", "lemma_q",
-                                          "tq_lambda_form", "tq_block_form"}
+                                          "tq_lambda_form"}
         assert all(value.sign() == 0 for value in data["residuals"].values())
 
     def test_steep_example_lambda_is_one_sixth(self):

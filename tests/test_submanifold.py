@@ -34,7 +34,7 @@ from goldenslant.submanifold import (
     structural_identity_residuals,
 )
 from goldenslant.suites import run_scenario
-from support import frame_operators, random_golden, sample_specs
+from support import frame_operators, orthonormality_gap, random_golden, sample_specs
 
 PSI_F = float(PSI)
 
@@ -60,7 +60,7 @@ class TestFrameAt:
         expected = np.array([math.cos(0.5), math.sin(0.5), 0.0, 0.0])
         assert np.abs(frame.tangent_onb[:, 0] - expected).max() <= 1e-12
         assert np.abs(frame.tangent_onb[:, 1] - np.array([0, 0, 1, 0])).max() <= 1e-12
-        assert frame.gram_residual() <= 1e-10
+        assert orthonormality_gap(frame.onb) <= 1e-10
 
     def test_raw_tangent_norms_are_sqrt_three(self):
         frame = frame_at(SLANT_IMM, (0.0, 0.0), SLANT_STRUCT.metric.to_float())
@@ -106,7 +106,7 @@ class TestFrameAt:
         g = np.diag([2.0, 1.0, 3.0, 1.0])
         metric = Metric(g)
         frame = frame_at(INVARIANT_IMM, (0.5, 0.5), metric)
-        assert frame.gram_residual() <= 1e-10
+        assert orthonormality_gap(frame.onb) <= 1e-10
 
     def test_metric_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -170,7 +170,7 @@ class TestStructuralIdentities:
     def test_invariant_example_passes_with_extra_identities(self):
         frame = frame_at(INVARIANT_IMM, (0.3, 0.3), INVARIANT_STRUCT.metric.to_float())
         ops = induced_operators(frame, INVARIANT_STRUCT.to_float())
-        res = structural_identity_residuals(ops, frame, INVARIANT_STRUCT.to_float())
+        res = structural_identity_residuals(ops)
         assert max(res.values()) <= 1e-10
         # invariant case: tQ = 0 and P^2 - P - I = 0 on their own
         assert np.abs(ops.t @ ops.q).max() <= 1e-12
@@ -179,7 +179,7 @@ class TestStructuralIdentities:
     def test_slant_example_passes(self):
         frame = frame_at(SLANT_IMM, (0.1, -0.2), SLANT_STRUCT.metric.to_float())
         ops = induced_operators(frame, SLANT_STRUCT.to_float())
-        res = structural_identity_residuals(ops, frame, SLANT_STRUCT.to_float())
+        res = structural_identity_residuals(ops)
         assert max(res.values()) <= 1e-9
 
     def test_exact_residuals_are_zero(self):
@@ -195,7 +195,7 @@ class TestStructuralIdentities:
         broken = GoldenStructure(phi, metric, verify_golden(phi, metric))
         frame = frame_at(INVARIANT_IMM, (0.3, 0.3), broken.metric)
         ops = induced_operators(frame, broken)
-        res = structural_identity_residuals(ops, frame, broken)
+        res = structural_identity_residuals(ops)
         assert max(res.values()) > 1e-9
 
     def test_random_pairs_property(self):
@@ -217,7 +217,7 @@ class TestStructuralIdentities:
             for point in imm.sample_spec.points()[:2]:
                 frame = frame_at(imm, point, structure.metric)
                 ops = induced_operators(frame, structure)
-                res = structural_identity_residuals(ops, frame, structure)
+                res = structural_identity_residuals(ops)
                 assert max(res.values()) <= 1e-9, res
 
 
@@ -266,13 +266,9 @@ class TestInvarianceKinds:
         )
         frame = frame_at(imm, (0.3, 0.9), structure.metric)
         ops = induced_operators(frame, structure)
-        phi = structure.phi_float
-        assert np.abs(
-            phi @ frame.tangent_onb - frame.tangent_onb @ ops.p - frame.normal_onb @ ops.q
-        ).max() <= 1e-9
-        assert np.abs(
-            phi @ frame.normal_onb - frame.tangent_onb @ ops.t - frame.normal_onb @ ops.s
-        ).max() <= 1e-9
+        phi, tb, nb = structure.phi_float, frame.tangent_onb, frame.onb[:, 2:]
+        assert np.abs(phi @ tb - tb @ ops.p - nb @ ops.q).max() <= 1e-9
+        assert np.abs(phi @ nb - tb @ ops.t - nb @ ops.s).max() <= 1e-9
 
 
 # The immersion of perfbench's curved_grid workload, on a 3 x 3 grid.

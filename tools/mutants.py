@@ -52,7 +52,6 @@ MUTATIONS = {
                                    "and row.when is None)"),
     "exact_slant_rows_on_floats": ("suites.py", 'values["exact"] = data',
                                    'values["exact"] = result["exact"]'),
-    "frame_gram_unbounded": ("checks.py", '"FRAME_GRAM": 1e-10', '"FRAME_GRAM": 1e10'),
     "reference_invalid_never_hard": ("suites.py",
                                      "unnormalized=cfg.angle_formula == ANGLE_FORMULA_UNNORMALIZED",
                                      "unnormalized=False"),
@@ -80,12 +79,20 @@ MUTATIONS = {
     "last_jet_checked_only": ("expr.py", "if error is not None or not np.isfinite(jets).all():",
                               "if error is not None or not np.isfinite(hess[:, -1]).all():"),
     # One slant verdict.
+    "tq_lambda_form_plus": ("slant.py", "return tq - (p + _eye(p)) * (1 - lam)",
+                            "return tq - (p + _eye(p)) * (1 + lam)"),
     "slant_without_residual_test": ("slant.py",
                                     "if all(v <= tol_frame for v in residuals.values()):",
                                     "if True:"),
     "extrinsic_reads_float_operators": ("suites.py",
                                         "if geom.exact is None else (geom.exact, 0)",
                                         "if True else (geom.exact, 0)"),
+    # The frames: one stacked QR of W J, signed as Gram-Schmidt signs its columns.
+    "frame_without_w": ("submanifold.py", "w_jac = w @ jac", "w_jac = jac"),
+    "frame_signs_dropped": ("submanifold.py", "*= np.where(diag < 0.0, -1.0, 1.0)",
+                            "*= np.where(diag < 0.0, 1.0, 1.0)"),
+    "frame_scaled": ("submanifold.py", "return TangentFrame(points, w_jac, q)",
+                     "return TangentFrame(points, w_jac, q * (1 + 1e-7))"),
     # The rank read off the frame's QR.
     "zero_column_not_deficient": ("submanifold.py", " | (norms == 0.0)", ""),
     "non_finite_column_deficient": ("submanifold.py", " & (norms < np.inf)", ""),
