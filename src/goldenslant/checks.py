@@ -92,17 +92,18 @@ TABLE = {
         ("residuals.gauss_normal", HARD, "tol_frame", "nor(phi D2x_ij) = Q tan(D2x_ij) + s h_ij"),
         ("residuals.h_symmetry", HARD, "tol_frame", "h_ij = h_ji, with h_ij = nor(D2x_ij)"),
         ("residuals.invariant_parallel", HARD, "tol_frame", "tan(phi D2x_ij) = P tan(D2x_ij)",
-         "invariant"),
+         "invariant", ("classification",)),
         ("residuals.invariant_weingarten", HARD, "tol_frame", "h(X_i, P X_j) = s h(X_i, X_j)",
-         "invariant"),
+         "invariant", ("classification",)),
         ("findings.shape_operator_max", FINDING, "tol_frame", "max |g(h(X_i, X_j), phi e_b)|:\n"
          "the claim that every A_{phi Y} vanishes", "anti_invariant"),
         ("findings.shape_vanishing_conforms", FLAG, None, "shape_operator_max conforms",
          "anti_invariant")),
         {"points": "the number of sample points",
-         "classification": "invariant when max |Q|, anti_invariant when max |P| is\nwithin "
-         "tol_class at every point (exactly 0 when the exact route ran),\nelse neither, or "
-         "mixed when the points differ: the slant suite's rule"}),
+         "classification": "invariant when max |Q| is within tol_class and both invariant rows\n"
+         "within tol_frame, anti_invariant when max |P| is within tol_class,\nat every point "
+         "(|Q| or |P| exactly 0 when the exact route ran),\nelse neither, or mixed when the "
+         "points differ: the slant suite's rule"}),
     "slant": _suite((
         ("angle_spread", HARD, FINITE, "max - min of theta(X) over the directions and points"),
         *((f"residuals.{key}", HARD, "tol_frame", text, when, ("classification",))
@@ -114,11 +115,12 @@ TABLE = {
         ("flags.reference_mismatch", FLAG, "tol_angle", "| |reference_cosine| - cos_theta |"),
         ("flags.float_exact_disagree", FLAG, None, "the exact and the float verdicts differ",
          "exact")),
-        {"classification": "slant when every identity in residuals is within tol_frame,\n"
-         "the characterization first as mu^2 - lambda (mu + 1) on P's eigenvalues\n"
-         "(non_slant above it); then invariant or anti_invariant by the extrinsic\n"
-         "suite's rule, else proper_slant.  When the exact route ran its verdict\n"
-         "decides: non_slant unless exact.is_slant, then by the exact lambda",
+        {"classification": "slant when every identity in residuals is within tol_frame, and so "
+         "are\nthe extrinsic suite's invariant rows at every point within tol_class\nof invariant; "
+         "the characterization first as mu^2 - lambda (mu + 1) on\nP's eigenvalues (non_slant "
+         "above it).  Then invariant or anti_invariant\nby the extrinsic suite's rule, else "
+         "proper_slant.  When the exact route\nran its verdict decides: non_slant unless "
+         "exact.is_slant, then by the\nexact lambda",
          "theta": "the mean of theta(X) at P's eigenvectors at every point",
          "cos_theta": "cos theta", "lambda": "cos^2 theta", "sin_sq": "sin^2 theta",
          "reference_cosine": "g(phi e1, e1)/|phi e1| on the raw first tangent, without |X|",

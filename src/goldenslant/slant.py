@@ -31,6 +31,7 @@ import numpy as np
 
 from .config import Tolerances
 from .errors import ZeroVector
+from .extrinsic import invariance
 from .structures import GoldenStructure, _amax, _eye, _worst_spectral
 from .submanifold import (
     DEFAULT_TOL_CLASS,
@@ -38,7 +39,6 @@ from .submanifold import (
     InducedOperators,
     PointGeometry,
     frame_at,  # noqa: F401  (perfbench's wrapper test reads this binding)
-    invariance_kind,
     point_geometry,
 )
 
@@ -104,8 +104,10 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     worst residuals attached to a slant record.  The bilinear-form identities
     are measured by the spectral norm of their matrices, all in one
     :func:`~goldenslant.structures._worst_spectral` call: the worst value of the form on
-    any unit pair, and never below the worst entry.  A slant geometry is invariant or
-    anti-invariant when :func:`invariance_kind` says so, else proper slant.
+    any unit pair, and never below the worst entry.  The invariant rows that
+    :func:`~goldenslant.extrinsic.invariance` finds at points within ``tol_class`` of invariant
+    must hold too (theta = 0 there, so no other angle can); a slant geometry is invariant or
+    anti-invariant when that function says so, else proper slant.
 
     Returns the slant suite's float fields: ``classification``, ``theta``, ``cos_theta``,
     ``lambda``, ``sin_sq``, ``angle_spread`` and ``residuals`` (empty unless slant).
@@ -122,7 +124,7 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
               "angle_spread": float(angles.max() - angles.min()), "residuals": {}}
     if not _amax(mu * mu - lam * (mu + 1.0)) <= tol_frame:  # NaN frames fail here too
         return record
-    kind = invariance_kind(ops, tol_class)
+    kind, rows = invariance(geom, ops, tol_class, tol_frame)
     kind = kind if kind in (INVARIANT, ANTI_INVARIANT) else PROPER_SLANT
     p, q = ops.p, ops.q
     pp = p @ p
@@ -135,7 +137,7 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     tq = ops.t @ q
     residuals["tq"] = float(np.maximum(_amax(_tq_lambda_form(p, tq, lam), None),
                                        _amax(tq + pp - p - _eye(p), None)))
-    if all(v <= tol_frame for v in residuals.values()):
+    if all(v <= tol_frame for v in (*residuals.values(), *rows.values())):
         record.update(classification=kind, residuals=residuals)
     return record
 

@@ -290,10 +290,11 @@ def structural_identity_residuals(ops: InducedOperators) -> dict:
     return {k: float(v) for k, v in res.items()}
 
 
-def invariance_kind(ops: InducedOperators, tol_class: float = DEFAULT_TOL_CLASS) -> str:
-    """invariant where Q vanishes, else anti-invariant where P vanishes, else neither, when
-    that is so at every point of ``ops`` (one point or a stack); mixed when the points differ."""
-    invariant, anti = _amax(ops.q) <= tol_class, _amax(ops.p) <= tol_class
+def invariance_kind(ops: InducedOperators, tol_class: float = DEFAULT_TOL_CLASS,
+                    rows_hold: np.ndarray | bool = True) -> str:
+    """invariant where Q vanishes and ``rows_hold`` (per point), else anti-invariant where P
+    vanishes, else neither, when so at every point of ``ops``; mixed when the points differ."""
+    invariant, anti = (_amax(ops.q) <= tol_class) & rows_hold, _amax(ops.p) <= tol_class
     if np.any(invariant):
         return "invariant" if np.all(invariant) else "mixed"
     return "anti_invariant" if np.all(anti) else "mixed" if np.any(anti) else "neither"

@@ -36,7 +36,6 @@ from .submanifold import (
     exact_identity_residuals,
     exact_induced_operators,
     frame_at,  # noqa: F401  (perfbench's wrapper test reads this binding)
-    invariance_kind,
     point_geometry,
     structural_identity_residuals,
 )
@@ -83,10 +82,7 @@ def run_identities_suite(geom: PointGeometry, tol: Tolerances) -> dict:
 
 
 def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
-    # The exact route, when it ran, decides exactly: Q or P is 0 or it is not.
-    ops, tol_class = (geom.ops, tol.tol_class) if geom.exact is None else (geom.exact, 0)
-    kind = invariance_kind(ops, tol_class)
-    residuals = extrinsic_residuals(geom, kind)
+    kind, residuals = extrinsic_residuals(geom, tol)
     findings = {}
     if kind == "anti_invariant":
         probe = residuals.pop("shape_operator_max")

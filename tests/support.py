@@ -1,12 +1,13 @@
 """Test helpers: the batched geometry pass at one point and on the jet route, the frames'
 distance from orthonormal, a mean over repeated rows, sample specs and floats at the float
 range's edges, the extrinsic residuals point by point, seeded random golden structures,
-planes with a known class and lambda, float reference space-form models with the
+planes with a known class and lambda and their reparametrizations, float reference space-form models with the
 reference ``curvature``, the sampled curvature program, the curvature certificate in QuadRat
 arithmetic and the report's JSON by ``json.dumps``."""
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -105,7 +106,8 @@ def shape_vanishing_probe(geom):
 
 
 def extrinsic_per_point(geom, kind: str) -> dict:
-    """Every residual of ``extrinsic_residuals(geom, kind)``, one value per point."""
+    """Every residual that ``extrinsic_residuals`` reports on invariance ``kind``, one value per
+    point."""
     phi_split = _phi_hessian_split(geom)
     out = dict(zip(("gauss_tangential", "gauss_normal"), gauss_split_residuals(geom, phi_split)))
     out["h_symmetry"] = _relative(geom, geom.h - geom.h.transpose(0, 2, 1, 3))[0]
@@ -163,14 +165,15 @@ def plane_lambda(ratio: QuadRat) -> QuadRat:
 
 
 @st.composite
-def known_planes(draw) -> KnownPlane:
+def known_planes(draw, ratio: QuadRat | None = None) -> KnownPlane:
     """An affine plane of R^n (n <= 8) under the identity metric and a pattern phi, spanned
     by m <= 3 directions ``a e_i + b e_j`` on distinct coordinates, with signed scales a, b/a
     from :data:`PLANE_RATIOS`, its coordinates permuted.  The directions are g-orthogonal
     P-eigenvectors, so the plane is slant exactly when every :func:`plane_lambda` agrees:
-    invariant at lambda 1, anti-invariant at 0, else proper slant; non_slant otherwise."""
+    invariant at lambda 1, anti-invariant at 0, else proper slant; non_slant otherwise.
+    Given ``ratio``, every direction has it."""
     m = draw(st.integers(1, 3))
-    ratios = draw(st.one_of(
+    ratios = [ratio] * m if ratio is not None else draw(st.one_of(
         st.sampled_from(PLANE_RATIOS).map(lambda ratio: [ratio] * m),
         st.lists(st.sampled_from((PSI - 1, 2 + SQRT5)), min_size=m, max_size=m),
         st.lists(st.sampled_from(PLANE_RATIOS), min_size=m, max_size=m)))
@@ -194,6 +197,26 @@ def known_planes(draw) -> KnownPlane:
                             "samples": {"grid": [[-1, 1, 2]] * m}},
               "suites": ["structure", "identities", "extrinsic", "slant"]}
     return KnownPlane(config, classification, lam)
+
+
+def reparametrized(plane: KnownPlane, scales=None, shifts=None) -> KnownPlane:
+    """``plane`` with each parameter u_k replaced by ``u_k + u_k^3``, the same plane with
+    h = 0 but nonzero Hessians; or, given ``scales`` and ``shifts``, by ``s_k u_k + b_k``, an
+    affine one whose grid is mapped so that it samples the same points of the plane."""
+    immersion = plane.config["immersion"]
+    params, grid = immersion["params"], immersion["samples"]["grid"]
+    if scales is None:
+        new = {u: f"({u}+{u}^3)" for u in params}
+    else:
+        new = {u: f"({s}*{u}+{b})" for u, s, b in zip(params, scales, shifts)}
+        grid = [[(lo - b) / s, (hi - b) / s, count]
+                for (lo, hi, count), s, b in zip(grid, scales, shifts)]
+    components = [re.sub(r"u\d", lambda match: new[match[0]], text)
+                  for text in immersion["components"]]
+    samples = {**immersion["samples"], "grid": grid}
+    config = {**plane.config, "immersion": {**immersion, "components": components,
+                                            "samples": samples}}
+    return plane._replace(config=config)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -30,11 +30,10 @@ from goldenslant.submanifold import (
     exact_induced_operators,
     frame_at,
     induced_operators,
-    invariance_kind,
     structural_identity_residuals,
 )
 from goldenslant.suites import render_report, run_scenario
-from goldenslant.config import load_config
+from goldenslant.config import Tolerances, load_config
 from goldenslant.cli import resolve_config
 from support import at_point, diagonal_model, random_golden
 
@@ -210,7 +209,7 @@ def test_c6_extrinsic_suite():
         if np.linalg.svd(jacobian(imm.components, point), compute_uv=False).min() < 1e-4:
             continue
         count += 1
-        residuals = extrinsic_residuals(at_point(imm, point, struct4), "neither")
+        residuals = extrinsic_residuals(at_point(imm, point, struct4), Tolerances())[1]
         worst_gauss = max(worst_gauss, residuals["gauss_tangential"], residuals["gauss_normal"])
     gauss_ok = worst_gauss <= 1e-9
 
@@ -227,8 +226,8 @@ def test_c6_extrinsic_suite():
                                 (affine, struct4, [(0.2, 0.4)])):
         for point in pts:
             geom = at_point(imm, point, structure)
-            assert invariance_kind(geom.ops) == "invariant"
-            residuals = extrinsic_residuals(geom, "invariant")
+            kind, residuals = extrinsic_residuals(geom, Tolerances())
+            assert kind == "invariant"
             worst_inv = max(worst_inv, residuals["invariant_parallel"],
                             residuals["invariant_weingarten"])
     inv_ok = worst_inv <= 1e-9
@@ -240,8 +239,9 @@ def test_c6_extrinsic_suite():
         ["u1", "u2"], ["u1", "psi*u1+0.05*u1^2", "u2", "psi*u2"]
     )
     geom = at_point(bent, (0.0, 0.0), anti_struct)
-    assert invariance_kind(geom.ops) == "anti_invariant"
-    probe = extrinsic_residuals(geom, "anti_invariant")["shape_operator_max"]
+    kind, residuals = extrinsic_residuals(geom, Tolerances())
+    assert kind == "anti_invariant"
+    probe = residuals["shape_operator_max"]
     conforms = probe <= 1e-9
     probe_reported = math.isfinite(probe)
     print(f"[acceptance] 6 shape-vanishing finding: value={probe:.3e}, "

@@ -1,6 +1,8 @@
 """Second fundamental form, Gauss split and the invariant/anti-invariant probes."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import goldenslant.extrinsic as extrinsic
 import goldenslant.suites as suites
 from goldenslant.cli import resolve_config
-from goldenslant.config import load_config
+from goldenslant.config import Tolerances, load_config
 from goldenslant.extrinsic import _apply, _phi_hessian_split, extrinsic_residuals
 from goldenslant.structures import GoldenStructure, Metric, diagonal_golden, verify_golden
 from goldenslant.submanifold import (
@@ -20,6 +22,7 @@ from goldenslant.submanifold import (
 )
 from support import at_point, extrinsic_per_point, frame_operators
 
+ROOT = Path(__file__).resolve().parent.parent
 EUCLID4 = Metric(np.eye(4))
 STRUCT4 = diagonal_golden(["psi", "psi", "one_minus_psi", "one_minus_psi"]).to_float()
 
@@ -30,23 +33,24 @@ SPHERE_PATCH = ImmersionSpec.from_strings(
 
 
 def _gauss_split(imm, point, structure):
-    residuals = extrinsic_residuals(at_point(imm, point, structure), "neither")
+    residuals = extrinsic_residuals(at_point(imm, point, structure), Tolerances())[1]
     return residuals["gauss_tangential"], residuals["gauss_normal"]
 
 
 def _invariant(imm, point, structure):
     """Both invariant residuals at ``point``, whose tangent space must be invariant."""
     geom = at_point(imm, point, structure)
-    assert invariance_kind(geom.ops) == "invariant"
-    residuals = extrinsic_residuals(geom, "invariant")
+    kind, residuals = extrinsic_residuals(geom, Tolerances())
+    assert kind == "invariant"
     return residuals["invariant_parallel"], residuals["invariant_weingarten"]
 
 
 def _shape_probe(imm, point, structure):
     """The shape-vanishing probe at ``point``, whose tangent space must be anti-invariant."""
     geom = at_point(imm, point, structure)
-    assert invariance_kind(geom.ops) == "anti_invariant"
-    return extrinsic_residuals(geom, "anti_invariant")["shape_operator_max"]
+    kind, residuals = extrinsic_residuals(geom, Tolerances())
+    assert kind == "anti_invariant"
+    return residuals["shape_operator_max"]
 
 
 class TestSecondFundamentalForm:
@@ -177,7 +181,36 @@ def test_extrinsic_suite_splits_the_phi_hessians_once(monkeypatch):
     report = suites.run_scenario(load_config(resolve_config("paper_example_2")))
     extrinsic_suite = report["suites"]["extrinsic"]
     assert extrinsic_suite["pass"] and extrinsic_suite["classification"] == "invariant"
-    assert calls == [extrinsic_suite["points"]]
+    # One split in the extrinsic suite, one in the slant suite's invariance rule.
+    assert calls == [extrinsic_suite["points"]] * 2
+
+
+@pytest.mark.parametrize("source,rows", [("curved_grid", 0), ("paper_example_2", 1)])
+@pytest.mark.parametrize("suite", ["extrinsic", "slant"])
+def test_a_point_suite_computes_the_invariant_rows_at_most_once(monkeypatch, tmp_path, source,
+                                                               rows, suite):
+    # The Weingarten row's solve is the only one a run makes.  No point of curved_grid is
+    # within tol_class of invariant (min max|Q| is about 0.36), so neither suite forms a row.
+    if source == "curved_grid":
+        sys.path.insert(0, str(ROOT))
+        try:
+            from perfbench import workloads
+        finally:
+            sys.path.remove(str(ROOT))
+        cfg = load_config(workloads.build(source, 7, tmp_path).sources[0])
+    else:
+        cfg = load_config(resolve_config(source))
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    report = suites.run_scenario(cfg._replace(suites=(suite,)))
+    assert report["overall_pass"]
+    assert len(solves) == rows
 
 
 class TestAntiInvariantProbe:
@@ -257,7 +290,6 @@ class TestContractionsMatchTheirEinsumDefinitions:
             _assert_close(_apply(op, vectors), *want, op.shape[-1] + 1)
 
 
-KINDS = ("invariant", "anti_invariant", "neither", "mixed")
 # The arrays an edge value may be written into: three of the geometry's and the operators'.
 INJECTED_INTO = ("hessians", "tangential", "h", "blocks")
 
@@ -274,11 +306,18 @@ def test_extrinsic_residuals_have_the_bits_of_the_max_over_points(data):
     for field, index, value in data.draw(st.lists(st.tuples(
             st.sampled_from(INJECTED_INTO), st.integers(0, 10**6), special), max_size=3)):
         arrays[field].flat[index % arrays[field].size] = value
-    kind = data.draw(st.sampled_from(KINDS))
+    # Tolerances that reach every kind: no point, some or every point near invariant, with
+    # its rows holding or not.
+    tol = Tolerances(tol_class=data.draw(st.sampled_from([-1.0, 2.0, np.inf])),
+                     tol_frame=data.draw(st.sampled_from([-1.0, 1.0, np.inf])))
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range
         ops = frame_operators(arrays.pop("blocks"), m)
         geom = geom._replace(**arrays, ops=ops)
-        got = extrinsic_residuals(geom, kind)
+        kind, got = extrinsic_residuals(geom, tol)
+        rows = extrinsic_per_point(geom, "invariant")
+        rows_hold = ((rows["invariant_parallel"] <= tol.tol_frame)
+                     & (rows["invariant_weingarten"] <= tol.tol_frame))
+        assert kind == invariance_kind(ops, tol.tol_class, rows_hold)
         want = {key: value.max() for key, value in extrinsic_per_point(geom, kind).items()}
     assert got.keys() == want.keys()
     assert all(type(value) is float for value in got.values())

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import goldenslant.exactlin as xl
+from goldenslant.config import Tolerances
 from goldenslant.extrinsic import _phi_hessian_split, extrinsic_residuals
 from goldenslant.slant import (
     _angles,
@@ -241,7 +242,7 @@ def test_one_point_geometry_equals_its_batch_entries():
     batched = structural_identity_residuals(geom.ops)
     entries = [structural_identity_residuals(geom.ops.at(i)) for i in range(len(points))]
     assert batched == {key: max(entry[key] for entry in entries) for key in batched}
-    extrinsic = extrinsic_residuals(geom, "neither")
+    extrinsic = extrinsic_residuals(geom, Tolerances())[1]
     gauss = gauss_split_residuals(geom, _phi_hessian_split(geom))
     assert extrinsic["gauss_tangential"] == gauss[0].max()
     assert extrinsic["gauss_normal"] == gauss[1].max()
@@ -256,7 +257,7 @@ def test_one_point_geometry_equals_its_batch_entries():
             assert abs(value - entries[i][key]) <= 1e-14, key
         one = at_point(SURFACE5, point, structure)
         assert np.abs(one.h[0] - geom.h[i]).max() <= 1e-14
-        one_points.append(extrinsic_residuals(one, "neither"))
+        one_points.append(extrinsic_residuals(one, Tolerances())[1])
         r_tan, r_nor = one_points[-1]["gauss_tangential"], one_points[-1]["gauss_normal"]
         assert (r_tan, r_nor) == pytest.approx((gauss[0][i], gauss[1][i]), abs=1e-14)
     assert extrinsic == pytest.approx(
@@ -274,7 +275,7 @@ def test_gauss_split_sees_a_small_change_at_one_point(field):
     changed[1, 0, 1, 0] += 1e-6
     geom = geom._replace(**{field: changed})
     after = np.maximum(*gauss_split_residuals(geom, phi_split))
-    residuals = extrinsic_residuals(geom, "neither")
+    residuals = extrinsic_residuals(geom, Tolerances())[1]
     assert max(residuals["gauss_tangential"], residuals["gauss_normal"]) == after.max()
     assert np.all(before <= 1e-12)
     # phi is invertible, so the changed column of [P; Q] or [t; s] is not zero.

@@ -5,13 +5,13 @@ slant plane must still fail on."""
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from goldenslant.cli import resolve_config
 from goldenslant.config import parse_config
-from goldenslant.quadrat import parse_quadrat
+from goldenslant.quadrat import PSI, QuadRat, parse_quadrat
 from goldenslant.suites import run_scenario
-from support import KnownPlane, known_planes
+from support import KnownPlane, known_planes, reparametrized
 
 # The float lambda is cos^2 of a mean of atan2 angles in orthonormal frames of the identity
 # metric: c * eps from the exact one with c = 16 (1.5 ulp measured over 600 draws).
@@ -34,6 +34,34 @@ def test_a_known_plane_gets_its_class_and_lambda_under_both_backends(plane: Know
         assert abs(slant["lambda"] - float(plane.lam)) <= LAMBDA_ULPS, backend
         if backend == "auto":
             assert slant["exact"]["is_slant"]
+            assert parse_quadrat(slant["exact"]["lambda"]) == plane.lam
+
+
+# Exact binary scales and shifts, so the mapped grid is exact in floats.
+SCALES, SHIFTS = st.sampled_from([2, -1/2, 4, -1/4, 1/8]), st.sampled_from([0, 1/2, -3/4, 5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(known_planes() | known_planes(QuadRat(0)) | known_planes(PSI), st.lists(SCALES, min_size=3, max_size=3),
+       st.lists(SHIFTS, min_size=3, max_size=3))
+def test_a_reparametrized_known_plane_keeps_its_class_and_lambda(plane: KnownPlane, scales,
+                                                                 shifts):
+    # u -> u + u^3 keeps the plane and h = 0 but gives nonzero Hessians, so its invariant rows
+    # are formed and must hold; u -> s u + b with the grid mapped stays on the exact route.
+    runs = [(reparametrized(plane), "float"), (reparametrized(plane, scales, shifts), "auto")]
+    for changed, backend in runs:
+        report = run_scenario(parse_config(changed.config), backend=backend)
+        suites = report["suites"]
+        assert report["overall_pass"], (backend, suites)
+        slant = suites["slant"]
+        assert slant["classification"] == plane.classification, backend
+        assert suites["extrinsic"]["classification"] == (
+            plane.classification if plane.lam in (0, 1) else "neither"), backend
+        if plane.lam is None:
+            continue
+        if backend == "float":
+            assert abs(slant["lambda"] - float(plane.lam)) <= LAMBDA_ULPS
+        else:
             assert parse_quadrat(slant["exact"]["lambda"]) == plane.lam
 
 

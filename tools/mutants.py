@@ -34,8 +34,9 @@ TARGETS_TEST = "tests/test_checks.py::test_every_mutation_target_occurs_once_in_
 # name -> (file in the package, target text, replacement): each a fault a test should see.
 MUTATIONS = {
     # Scale-free residuals and the Euclidean model (the unit-free verdicts).
-    "drop_t_h": ("extrinsic.py", '"gauss_tangential": tan - p_tan - _apply(ops.t, h),',
-                 '"gauss_tangential": tan - p_tan,'),
+    "drop_t_h": ("extrinsic.py",
+                 '"gauss_tangential": tan - _apply(ops.p, tangential) - _apply(ops.t, h),',
+                 '"gauss_tangential": tan - _apply(ops.p, tangential),'),
     "phi_hat_without_w": ("structures.py",
                           "return as_float(lt @ self.phi @ lower_inv.T) * np.outer(root_d, root_d)",
                           "return self.phi_float"),
@@ -81,10 +82,9 @@ MUTATIONS = {
     # One slant verdict.
     "tq_lambda_form_plus": ("slant.py", "return tq - (p + _eye(p)) * (1 - lam)",
                             "return tq - (p + _eye(p)) * (1 + lam)"),
-    "slant_without_residual_test": ("slant.py",
-                                    "if all(v <= tol_frame for v in residuals.values()):",
-                                    "if True:"),
-    "extrinsic_reads_float_operators": ("suites.py",
+    "slant_without_residual_test": ("slant.py", "if all(v <= tol_frame for v in (*residuals",
+                                    "if True or all(v <= tol_frame for v in (*residuals"),
+    "extrinsic_reads_float_operators": ("extrinsic.py",
                                         "if geom.exact is None else (geom.exact, 0)",
                                         "if True else (geom.exact, 0)"),
     # The frames: one stacked QR of W J, signed as Gram-Schmidt signs its columns.
@@ -109,10 +109,18 @@ MUTATIONS = {
                                        'return "invariant" if np.all(invariant) else "mixed"',
                                        'return "invariant"'),
     # One function per point suite: the kind branches of the extrinsic residuals.
-    "invariant_parallel_keeps_t_h": ("extrinsic.py", '["invariant_parallel"] = tan - p_tan',
-                                     '["invariant_parallel"] = tan - p_tan - _apply(ops.t, h)'),
+    "invariant_parallel_keeps_t_h": ("extrinsic.py", "tan - _apply(geom.ops.p, geom.tangential),",
+                                     "tan - _apply(geom.ops.p, geom.tangential)"
+                                     " - _apply(geom.ops.t, geom.h),"),
     "shape_probe_reads_p": ("extrinsic.py", "h @ ops.q[:, None]", "h @ ops.p[:, None]"),
-    "weingarten_in_the_frame_basis": ("extrinsic.py", "np.linalg.solve(c, ops.p @ c)", "ops.p"),
+    "weingarten_in_the_frame_basis": ("extrinsic.py", "np.linalg.solve(c, geom.ops.p @ c)",
+                                      "geom.ops.p"),
+    # One invariance rule: a point is invariant only where the invariant rows hold.
+    "invariance_ignores_the_rows": ("extrinsic.py",
+                                    "np.logical_and(*(v <= tol_frame for v in rows.values()))",
+                                    "True"),
+    "slant_q_small_is_proper": ("slant.py", "for v in (*residuals.values(), *rows.values())",
+                                "for v in residuals.values()"),
 }
 
 
