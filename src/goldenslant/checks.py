@@ -91,19 +91,21 @@ TABLE = {
          "tan(phi D2x_ij) = P tan(D2x_ij) + t h_ij"),
         ("residuals.gauss_normal", HARD, "tol_frame", "nor(phi D2x_ij) = Q tan(D2x_ij) + s h_ij"),
         ("residuals.h_symmetry", HARD, "tol_frame", "h_ij = h_ji, with h_ij = nor(D2x_ij)"),
-        ("residuals.invariant_parallel", HARD, "tol_frame", "tan(phi D2x_ij) = P tan(D2x_ij)",
-         "invariant", ("classification",)),
-        ("residuals.invariant_weingarten", HARD, "tol_frame", "h(X_i, P X_j) = s h(X_i, X_j)",
-         "invariant", ("classification",)),
+        ("residuals.invariant_parallel", HARD, "tol_frame", "t h_ij = 0, so tan(phi D2x_ij) = "
+         "P tan(D2x_ij)", "invariant", ("classification",)),
+        ("residuals.invariant_weingarten", HARD, "tol_frame", "h(X_i, P X_j) = s h(X_i, X_j): "
+         "dQ_i = s H_i - H_i P = 0", "invariant", ("classification",)),
         ("findings.shape_operator_max", FINDING, "tol_frame", "max |g(h(X_i, X_j), phi e_b)|:\n"
          "the claim that every A_{phi Y} vanishes", "anti_invariant"),
         ("findings.shape_vanishing_conforms", FLAG, None, "shape_operator_max conforms",
          "anti_invariant")),
         {"points": "the number of sample points",
          "classification": "invariant when max |Q| is within tol_class and both invariant rows\n"
-         "within tol_frame, anti_invariant when max |P| is within tol_class,\nat every point "
-         "(|Q| or |P| exactly 0 when the exact route ran),\nelse neither, or mixed when the "
-         "points differ: the slant suite's rule"}),
+         "within tol_frame, anti_invariant when max |P| is within tol_class and\ndP within "
+         "tol_frame, at every point (|Q| or |P| exactly 0 when the exact\nroute ran), else "
+         "neither, or mixed when the points differ: the slant\nsuite's rule",
+         "first_order": "the worst first-order term tested, or null: the invariant rows where\n"
+         "max |Q| is within tol_class, dP_i = S_i = Q^T H_i + H_i^T Q where max |P| is"}),
     "slant": _suite((
         ("angle_spread", HARD, FINITE, "max - min of theta(X) over the directions and points"),
         *((f"residuals.{key}", HARD, "tol_frame", text, when, ("classification",))
@@ -115,12 +117,12 @@ TABLE = {
         ("flags.reference_mismatch", FLAG, "tol_angle", "| |reference_cosine| - cos_theta |"),
         ("flags.float_exact_disagree", FLAG, None, "the exact and the float verdicts differ",
          "exact")),
-        {"classification": "slant when every identity in residuals is within tol_frame, and so "
-         "are\nthe extrinsic suite's invariant rows at every point within tol_class\nof invariant; "
-         "the characterization first as mu^2 - lambda (mu + 1) on\nP's eigenvalues (non_slant "
-         "above it).  Then invariant or anti_invariant\nby the extrinsic suite's rule, else "
-         "proper_slant.  When the exact route\nran its verdict decides: non_slant unless "
-         "exact.is_slant, then by the\nexact lambda",
+        {"classification": "invariant or anti_invariant by the extrinsic suite's rule, else "
+         "proper_slant\nwhen angle_spread is within tol_frame (one bound on the angle at every\n"
+         "theta) and so is the slant term at every point; slant only when every\ntested term "
+         "and every identity in residuals is within tol_frame.  When the\nexact route ran its "
+         "verdict decides: non_slant unless exact.is_slant, then\nby the exact lambda",
+         "first_order": "the extrinsic suite's, and the slant term on a slant candidate",
          "theta": "the mean of theta(X) at P's eigenvectors at every point",
          "cos_theta": "cos theta", "lambda": "cos^2 theta", "sin_sq": "sin^2 theta",
          "reference_cosine": "g(phi e1, e1)/|phi e1| on the raw first tangent, without |X|",
@@ -176,10 +178,12 @@ Exact route (affine immersions over Q(sqrt5)): phi as one block matrix
 extrinsic suite: second fundamental form and split checks (flat ambient)
   tan and nor are coordinates in the orthonormal frames P, Q, t and s are
   written in.  Each entry (i, j) is relative to max|W D2x_ij|, the largest
-  entry of its own Hessian column at its point (1 where that column is 0).""",
+  entry of its own Hessian column at its point (1 where that column is 0).
+  First-order terms along u_i, times C: H_i = h_i C^-1, C the raw tangents' coordinates.""",
     "slant": """\
 slant suite: angles at the eigenvectors of P and classification
-  cos theta(X) = |g(phi X, PX)| / (|PX| |phi X|), lambda = cos^2 theta""",
+  cos theta(X) = |g(phi X, PX)| / (|PX| |phi X|), lambda = cos^2 theta
+  slant term: S_i P + P S_i - lambda S_i at lambda = tr P^2 / (tr P + m), S_i as extrinsic's""",
     "curvature": """\
 curvature suite: an exact certificate of the space-form model R and its Ricci program
   R(X,Y)Z = A {g(Y,Z)X - g(X,Z)Y + g(phiY,Z)phiX - g(phiX,Z)phiY}

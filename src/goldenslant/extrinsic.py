@@ -38,26 +38,22 @@ def _apply(op: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def invariance(geom: PointGeometry, ops: InducedOperators, tol_class: float, tol_frame: float,
-               tan: np.ndarray | None = None) -> tuple[str, dict[str, float]]:
-    """:func:`invariance_kind` of ``ops``, where a point within ``tol_class`` of invariant is
-    invariant only if both invariant rows of ``geom.ops`` hold there within ``tol_frame``, and
-    each row's worst value over those points (no row is formed when there is none):
-    tan(phi D2x_ij) = P tan(D2x_ij), ``tan`` its left side if split, and h(X, PY) = s h(X, Y)."""
-    near, scale = _amax(ops.q) <= tol_class, geom.hessian_scale[..., None]
-    if not np.any(near):
-        return invariance_kind(ops, tol_class), {}
-    tan = _phi_hessian_split(geom)[0] if tan is None else tan
-    # The raw tangents are E = T C, so P reads C^-1 P C in the raw basis.
-    c = geom.frame.tangent_coords(geom.frame.raw_tangents)
-    h_py = np.einsum("...kj,...ikc->...ijc", np.linalg.solve(c, geom.ops.p @ c), geom.h)
-    rows = {"invariant_parallel": tan - _apply(geom.ops.p, geom.tangential),
-            "invariant_weingarten": h_py - _apply(geom.ops.s, geom.h)}
-    rows = {key: _amax(row / scale, (-3, -2, -1)) for key, row in rows.items()}
-    kind = invariance_kind(ops, tol_class, np.logical_and(*(v <= tol_frame for v in rows.values())))
-    return kind, {key: _amax(row[near], None) for key, row in rows.items()}
+               first_order=None) -> tuple[str, dict[str, float]]:
+    """:func:`invariance_kind` of ``ops``, a point within ``tol_class`` of invariant (of
+    anti-invariant) being so only where ``first_order()`` (default ``geom.first_order``; not
+    called when no point is, which is neither) has ``invariant_parallel`` and
+    ``invariant_weingarten`` (``anti_invariant``) within ``tol_frame``; and each term's worst."""
+    near_q, near_p = _amax(ops.q) <= tol_class, _amax(ops.p) <= tol_class
+    if not (np.any(near_q) or np.any(near_p)):
+        return "neither", {}
+    first = (first_order or geom.first_order)()
+    invariant = np.maximum(first["invariant_parallel"], first["invariant_weingarten"]) <= tol_frame
+    kind = invariance_kind(ops, tol_class, invariant, first["anti_invariant"] <= tol_frame)
+    terms = {"invariant_parallel": near_q, "invariant_weingarten": near_q, "anti_invariant": near_p}
+    return kind, {key: _amax(first[key][near], None) for key, near in terms.items() if np.any(near)}
 
 
-def extrinsic_residuals(geom: PointGeometry, tol: Tolerances) -> tuple[str, dict[str, float]]:
+def extrinsic_residuals(geom: PointGeometry, tol: Tolerances, first_order=None) -> tuple[str, dict]:
     """The :func:`invariance` kind (exact when the exact route ran) and the worst value, over
     every point and pair (i, j), of each residual that applies to it, each entry (i, j)
     divided by ``geom.hessian_scale`` first.
@@ -66,17 +62,17 @@ def extrinsic_residuals(geom: PointGeometry, tol: Tolerances) -> tuple[str, dict
     tan(phi D2x_ij) = P tan(D2x_ij) + t h_ij and nor(phi D2x_ij) = Q tan(D2x_ij) + s h_ij
     in frame coordinates, and the symmetry of h.  The split is definitional for any linear
     ambient operator, so these vanish whether or not ``phi`` is golden; they validate the
-    frame/operator bookkeeping.  ``invariant`` adds the rows that decided it, where ``t h``
-    drops (t = 0 within ``tol_class`` of Q = 0, and the rows must hold).  ``anti_invariant``
-    adds ``shape_operator_max``, max |g(h(X_i, X_j), phi e_b)| over the raw tangents X_i and
-    the orthonormal tangent frame e_b: the shape operators A_{phi Y}, by g(A_V X, Z) =
-    g(h(X, Z), V), with ``Q e_b`` the normal coordinates of ``phi e_b``.  The claim under
-    test predicts it is zero, so a nonzero result is a genuine finding, not an artifact.
+    frame/operator bookkeeping.  ``invariant`` adds the two invariant terms that decided it.
+    ``anti_invariant`` adds ``shape_operator_max``, max |g(h(X_i, X_j), phi e_b)| over the raw
+    tangents X_i and the orthonormal tangent frame e_b: the shape operators A_{phi Y}, by
+    g(A_V X, Z) = g(h(X, Z), V), with ``Q e_b`` the normal coordinates of ``phi e_b``.  The
+    claim under test predicts it is zero, so a nonzero result is a genuine finding, not an
+    artifact.  ``first_order`` is the worst :func:`invariance` term, if one was tested.
     """
     ops, tangential, h = geom.ops, geom.tangential, geom.h
     tan, nor = _phi_hessian_split(geom)
     route = (ops, tol.tol_class) if geom.exact is None else (geom.exact, 0)
-    kind, rows = invariance(geom, *route, tol.tol_frame, tan)
+    kind, terms = invariance(geom, *route, tol.tol_frame, first_order)
     residuals = {
         "gauss_tangential": tan - _apply(ops.p, tangential) - _apply(ops.t, h),
         "gauss_normal": nor - _apply(ops.q, tangential) - _apply(ops.s, h),
@@ -87,4 +83,8 @@ def extrinsic_residuals(geom: PointGeometry, tol: Tolerances) -> tuple[str, dict
     # Where the Hessian column is 0 or not finite the scale is 1, so NaN and Inf stay.
     scale = geom.hessian_scale[..., None]
     worst = {key: _amax(value / scale, None) for key, value in residuals.items()}
-    return kind, {**worst, **rows} if kind == "invariant" else worst
+    if kind == "invariant":
+        worst.update((key, terms[key]) for key in ("invariant_parallel", "invariant_weingarten"))
+    if terms:
+        worst["first_order"] = _amax(np.array([*terms.values()]), None)
+    return kind, worst

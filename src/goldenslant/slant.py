@@ -90,30 +90,28 @@ def classify(imm: ImmersionSpec, structure: GoldenStructure,
 
 
 def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_frame,
-                      tol_class: float = DEFAULT_TOL_CLASS) -> dict:
+                      tol_class: float = DEFAULT_TOL_CLASS, first_order=None) -> dict:
     """Slant angles at the eigen-directions of P at every point of a geometry, then classify.
 
     In orthonormal frames P is symmetric and ``|phi X|^2 = g(X, (P + I) X)``,
     so along ``X = sum c_i v_i`` over P's eigenvectors ``cos^2 theta(X)`` is a
     positive-weighted average of ``mu_i^2 / (mu_i + 1)``: the extreme angles
-    over all directions are taken at the eigenvectors.  It is slant when every
-    slant identity holds within ``tol_frame`` for lambda = cos^2 of their mean
-    angle, the characterization tested first on P's eigenvalues as
-    ``mu^2 - lambda (mu + 1)``; only then are the characterization, the P/Q
-    product identities and the tQ identity evaluated at every point, their
-    worst residuals attached to a slant record.  The bilinear-form identities
-    are measured by the spectral norm of their matrices, all in one
-    :func:`~goldenslant.structures._worst_spectral` call: the worst value of the form on
-    any unit pair, and never below the worst entry.  The invariant rows that
-    :func:`~goldenslant.extrinsic.invariance` finds at points within ``tol_class`` of invariant
-    must hold too (theta = 0 there, so no other angle can); a slant geometry is invariant or
-    anti-invariant when that function says so, else proper slant.
+    over all directions are taken at the eigenvectors.  The
+    :func:`~goldenslant.extrinsic.invariance` kind decides invariant and anti-invariant; any
+    other geometry is proper slant only if ``angle_spread`` (one bound on the angle at every
+    theta) and its ``slant`` term of ``first_order()`` (default ``geom.first_order``) at every
+    point are within ``tol_frame``.  Then the characterization, the P/Q product identities and
+    the tQ identity at lambda = cos^2 of the mean angle, and every first-order term tested,
+    must be within ``tol_frame`` too.  The bilinear-form identities are measured by the
+    spectral norm of their matrices, all in one :func:`~goldenslant.structures._worst_spectral`
+    call: the worst value of the form on any unit pair, and never below the worst entry.
 
     Returns the slant suite's float fields: ``classification``, ``theta``, ``cos_theta``,
-    ``lambda``, ``sin_sq``, ``angle_spread`` and ``residuals`` (empty unless slant).
+    ``lambda``, ``sin_sq``, ``angle_spread``, ``first_order`` (the worst first-order term
+    tested, or None) and ``residuals`` (empty unless slant).
     """
     ops = geom.ops
-    mu, vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)
+    vectors = np.linalg.eigh((ops.p + ops.p.mT) / 2.0)[1]
     angles = _angles(ops.p, ops.q, vectors.mT)
     # Each evaluated point stands for geom.repeats sample points; the mean is summed over
     # all of their rows, in the order of a pass that evaluated each.
@@ -122,10 +120,13 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     record = {"classification": NON_SLANT, "theta": theta, "cos_theta": math.sqrt(max(lam, 0.0)),
               "lambda": lam, "sin_sq": 1.0 - lam,
               "angle_spread": float(angles.max() - angles.min()), "residuals": {}}
-    if not _amax(mu * mu - lam * (mu + 1.0)) <= tol_frame:  # NaN frames fail here too
+    first_order = first_order or geom.first_order
+    kind, terms = invariance(geom, ops, tol_class, tol_frame, first_order)
+    if kind not in (INVARIANT, ANTI_INVARIANT) and record["angle_spread"] <= tol_frame:
+        kind, terms["slant"] = PROPER_SLANT, _amax(first_order()["slant"], None)
+    record["first_order"] = _amax(np.array([*terms.values()]), None) if terms else None
+    if kind not in (INVARIANT, ANTI_INVARIANT, PROPER_SLANT):  # NaN frames fail the spread too
         return record
-    kind, rows = invariance(geom, ops, tol_class, tol_frame)
-    kind = kind if kind in (INVARIANT, ANTI_INVARIANT) else PROPER_SLANT
     p, q = ops.p, ops.q
     pp = p @ p
     forms = [_characterization(p, pp, lam),
@@ -137,7 +138,7 @@ def classify_geometry(geom: PointGeometry, tol_frame: float = Tolerances().tol_f
     tq = ops.t @ q
     residuals["tq"] = float(np.maximum(_amax(_tq_lambda_form(p, tq, lam), None),
                                        _amax(tq + pp - p - _eye(p), None)))
-    if all(v <= tol_frame for v in (*residuals.values(), *rows.values())):
+    if all(v <= tol_frame for v in (*residuals.values(), *terms.values())):
         record.update(classification=kind, residuals=residuals)
     return record
 

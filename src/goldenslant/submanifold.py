@@ -216,6 +216,25 @@ class PointGeometry(NamedTuple):
         """The number of sample points."""
         return self.hessians.shape[0] * self.repeats
 
+    def first_order(self) -> dict[str, np.ndarray]:
+        """Per point, the worst first-order term of each class over the directions u_i, entry
+        (i, ., j) times C and relative to ``hessian_scale[i, j]``, with H_i = h_i C^-1 the turn
+        of the tangents into the normals (C the raw tangents' coordinates): ``invariant_parallel``
+        t h_i and ``invariant_weingarten`` dQ_i = s H_i - H_i P (at Q = 0), ``anti_invariant``
+        dP_i = S_i = Q^T H_i + H_i^T Q (at P = 0) and ``slant`` S_i P + P S_i - lambda S_i (at
+        P^2 = lambda (P + I), so lambda = tr P^2 / (tr P + m))."""
+        ops, h, scale = self.ops, self.h, self.hessian_scale[..., None, :]
+        c = self.frame.tangent_coords(self.frame.raw_tangents)[:, None]
+        p, q = ops.p[:, None], ops.q[:, None]
+        # H_i^T = C^-T h_i^T, which is 0 where h is (an affine immersion): no system is solved.
+        h_t = np.linalg.solve(c.mT, h) if h.any() else h
+        s = q.mT @ h_t.mT + h_t @ q
+        lam = (np.trace(p @ p, 0, -2, -1) / (np.trace(p, 0, -2, -1) + ops.m))[..., None, None]
+        terms = {"invariant_parallel": (h @ ops.t.mT[:, None]).mT,
+                 "invariant_weingarten": ops.s[:, None] @ h.mT - h_t.mT @ (p @ c),
+                 "anti_invariant": s @ c, "slant": (s @ p + p @ s - lam * s) @ c}
+        return {key: _amax(term / scale, (-3, -2, -1)) for key, term in terms.items()}
+
 
 def point_geometry(imm: ImmersionSpec, metric: Metric,
                    structure: GoldenStructure | None = None,
@@ -291,10 +310,11 @@ def structural_identity_residuals(ops: InducedOperators) -> dict:
 
 
 def invariance_kind(ops: InducedOperators, tol_class: float = DEFAULT_TOL_CLASS,
-                    rows_hold: np.ndarray | bool = True) -> str:
-    """invariant where Q vanishes and ``rows_hold`` (per point), else anti-invariant where P
-    vanishes, else neither, when so at every point of ``ops``; mixed when the points differ."""
-    invariant, anti = (_amax(ops.q) <= tol_class) & rows_hold, _amax(ops.p) <= tol_class
+                    invariant_holds=True, anti_holds=True) -> str:
+    """invariant where Q vanishes and ``invariant_holds``, else anti-invariant where P vanishes
+    and ``anti_holds`` (per point), else neither, when so at every point; mixed when they differ."""
+    invariant = (_amax(ops.q) <= tol_class) & invariant_holds
+    anti = (_amax(ops.p) <= tol_class) & anti_holds
     if np.any(invariant):
         return "invariant" if np.all(invariant) else "mixed"
     return "anti_invariant" if np.all(anti) else "mixed" if np.any(anti) else "neither"

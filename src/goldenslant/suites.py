@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quoted
 from typing import Any
 
@@ -81,21 +82,22 @@ def run_identities_suite(geom: PointGeometry, tol: Tolerances) -> dict:
     return result
 
 
-def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances) -> dict:
-    kind, residuals = extrinsic_residuals(geom, tol)
+def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances, first_order=None) -> dict:
+    kind, residuals = extrinsic_residuals(geom, tol, first_order)
     findings = {}
     if kind == "anti_invariant":
         probe = residuals.pop("shape_operator_max")
         findings = {"shape_operator_max": probe, "shape_vanishing_conforms": holds(
             "extrinsic", "findings.shape_operator_max", probe, tol)}
     result = {"points": geom.size, "classification": kind, "residuals": residuals,
-              "findings": findings}
+              "findings": findings, "first_order": residuals.pop("first_order", None)}
     result["pass"] = verdict("extrinsic", result, tol, invariant=kind == "invariant")
     return result
 
 
-def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances) -> dict:
-    record = classify_geometry(geom, tol_frame=tol.tol_frame, tol_class=tol.tol_class)
+def run_slant_suite(cfg: ScenarioConfig, geom: PointGeometry, tol: Tolerances,
+                    first_order=None) -> dict:
+    record = classify_geometry(geom, tol.tol_frame, tol.tol_class, first_order)
     float_kind = record["classification"]
     frame, ops = geom.frame.at(0), geom.ops.at(0)
     # The variant formula is not scale-invariant, so feed it the raw tangent.
@@ -218,8 +220,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     except GoldenslantError as exc:
         build_error = f"{type(exc).__name__}: {exc}"
 
-    # Every point suite reads one batched pass over the sample points.
-    geom, geom_error = None, None
+    # The point suites share one batched pass and its first-order terms, formed at most once.
+    geom, geom_error, first_order = None, None, None
     if build_error is None and IMMERSION_SUITES.intersection(cfg.suites):
         try:
             imm = cfg.build_immersion()
@@ -228,6 +230,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             frame = exact_frame(imm, structure.metric)
             if frame is not None:
                 geom = geom._replace(exact=exact_induced_operators(frame, structure))
+            first_order = cache(geom.first_order)
         except GoldenslantError as exc:
             geom_error = f"{type(exc).__name__}: {exc}"
 
@@ -242,9 +245,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             elif suite == "identities":
                 report["suites"][suite] = run_identities_suite(geom, tol)
             elif suite == "extrinsic":
-                report["suites"][suite] = run_extrinsic_suite(geom, tol)
+                report["suites"][suite] = run_extrinsic_suite(geom, tol, first_order)
             elif suite == "slant":
-                report["suites"][suite] = run_slant_suite(cfg, geom, tol)
+                report["suites"][suite] = run_slant_suite(cfg, geom, tol, first_order)
             elif suite == "curvature":
                 report["suites"][suite] = run_curvature_suite(cfg, structure, tol)
         except GoldenslantError as exc:

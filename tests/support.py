@@ -1,9 +1,10 @@
 """Test helpers: the batched geometry pass at one point and on the jet route, the frames'
 distance from orthonormal, a mean over repeated rows, sample specs and floats at the float
 range's edges, the extrinsic residuals point by point, seeded random golden structures,
-planes with a known class and lambda and their reparametrizations, float reference space-form models with the
-reference ``curvature``, the sampled curvature program, the curvature certificate in QuadRat
-arithmetic and the report's JSON by ``json.dumps``."""
+planes with a known class and lambda, their reparametrizations and congruent copies, float
+reference space-form models with the reference ``curvature``, the sampled curvature
+program, the curvature certificate in QuadRat arithmetic and the report's JSON by
+``json.dumps``."""
 
 import json
 import math
@@ -90,16 +91,6 @@ def gauss_split_residuals(geom, phi_split):
                      nor - _apply(ops.q, geom.tangential) - _apply(ops.s, geom.h))
 
 
-def invariant_residuals(geom, phi_split):
-    """Per point: tan(phi D2x_ij) - P tan(D2x_ij) and h(X, PY) - s h(X, Y)."""
-    ops = geom.ops
-    tan, _ = phi_split
-    # The raw tangents are E = T C, so P reads C^-1 P C in the raw basis.
-    c = geom.frame.tangent_coords(geom.frame.raw_tangents)
-    h_py = np.einsum("...kj,...ikc->...ijc", np.linalg.solve(c, ops.p @ c), geom.h)
-    return _relative(geom, tan - _apply(ops.p, geom.tangential), h_py - _apply(ops.s, geom.h))
-
-
 def shape_vanishing_probe(geom):
     """Per point: max |g(h(X_i, X_j), phi e_b)|, with ``Q e_b`` the normal part of phi e_b."""
     return _relative(geom, geom.h @ geom.ops.q[:, None])[0]
@@ -107,13 +98,14 @@ def shape_vanishing_probe(geom):
 
 def extrinsic_per_point(geom, kind: str) -> dict:
     """Every residual that ``extrinsic_residuals`` reports on invariance ``kind``, one value per
-    point."""
+    point; the invariant rows are ``geom.first_order()``'s."""
     phi_split = _phi_hessian_split(geom)
     out = dict(zip(("gauss_tangential", "gauss_normal"), gauss_split_residuals(geom, phi_split)))
     out["h_symmetry"] = _relative(geom, geom.h - geom.h.transpose(0, 2, 1, 3))[0]
     if kind == "invariant":
-        out["invariant_parallel"], out["invariant_weingarten"] = invariant_residuals(geom,
-                                                                                     phi_split)
+        first = geom.first_order()
+        out["invariant_parallel"] = first["invariant_parallel"]
+        out["invariant_weingarten"] = first["invariant_weingarten"]
     elif kind == "anti_invariant":
         out["shape_operator_max"] = shape_vanishing_probe(geom)
     return out
@@ -217,6 +209,20 @@ def reparametrized(plane: KnownPlane, scales=None, shifts=None) -> KnownPlane:
     config = {**plane.config, "immersion": {**immersion, "components": components,
                                             "samples": samples}}
     return plane._replace(config=config)
+
+
+def congruent(plane: KnownPlane, order, scales) -> KnownPlane:
+    """``plane`` read in the coordinates x = A x', A a permutation times a diagonal: x'_k is
+    x_order[k] / scales[k].  The identity metric becomes A^T A = diag(scales^2), phi becomes
+    A^-1 phi A, the pattern read in ``order``, and the class and lambda stay the plane's."""
+    ambient, immersion = plane.config["ambient"], plane.config["immersion"]
+    pattern, components = ambient["phi"]["pattern"], immersion["components"]
+    metric = [[str(Fraction(scale) ** 2) if i == j else "0" for j in range(len(order))]
+              for i, scale in enumerate(scales)]
+    ambient = {**ambient, "metric": metric, "phi": {"pattern": [pattern[k] for k in order]}}
+    components = [f"({components[k]})/({scale})" for k, scale in zip(order, scales)]
+    return plane._replace(config={**plane.config, "ambient": ambient,
+                                  "immersion": {**immersion, "components": components}})
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

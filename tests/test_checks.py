@@ -20,13 +20,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = ([resolve_config(name) for name in list_bundled()]
            + sorted((ROOT / "tests" / "configs").glob("*.cfg")))
 BACKENDS = ("auto", "float")
-# A curved immersion whose tangent space at the origin is anti-invariant: its extrinsic
-# suite reports the shape-operator finding, which no bundled config reaches.
+# A curved anti-invariant curve (phi X is normal to X = (cos u, psi, sin u, 0)): its
+# extrinsic suite reports the shape-operator finding, which no bundled config reaches.
 ANTI_INVARIANT = {
     "ambient": {"dim": 4, "phi": {"pattern": ["psi", "one_minus_psi", "psi", "one_minus_psi"]}},
-    "immersion": {"params": ["u1", "u2"],
-                  "components": ["u1", "psi*u1+1/20*u1^2", "u2", "psi*u2"],
-                  "samples": {"grid": [[0, 0, 1], [0, 0, 1]]}},
+    "immersion": {"params": ["u"], "components": ["sin(u)", "psi*u", "1-cos(u)", "0"],
+                  "samples": {"grid": [[0, 1, 3]]}},
     "suites": ["extrinsic"],
 }
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import goldenslant.extrinsic as extrinsic
 import goldenslant.suites as suites
 from goldenslant.cli import resolve_config
-from goldenslant.config import Tolerances, load_config
+from goldenslant.config import Tolerances, load_config, parse_config
 from goldenslant.extrinsic import _apply, _phi_hessian_split, extrinsic_residuals
 from goldenslant.structures import GoldenStructure, Metric, diagonal_golden, verify_golden
 from goldenslant.submanifold import (
@@ -181,36 +181,60 @@ def test_extrinsic_suite_splits_the_phi_hessians_once(monkeypatch):
     report = suites.run_scenario(load_config(resolve_config("paper_example_2")))
     extrinsic_suite = report["suites"]["extrinsic"]
     assert extrinsic_suite["pass"] and extrinsic_suite["classification"] == "invariant"
-    # One split in the extrinsic suite, one in the slant suite's invariance rule.
-    assert calls == [extrinsic_suite["points"]] * 2
+    # One split per run, the extrinsic suite's: the invariance rule reads t h instead.
+    assert calls == [extrinsic_suite["points"]]
 
 
-@pytest.mark.parametrize("source,rows", [("curved_grid", 0), ("paper_example_2", 1)])
-@pytest.mark.parametrize("suite", ["extrinsic", "slant"])
-def test_a_point_suite_computes_the_invariant_rows_at_most_once(monkeypatch, tmp_path, source,
-                                                               rows, suite):
-    # The Weingarten row's solve is the only one a run makes.  No point of curved_grid is
-    # within tol_class of invariant (min max|Q| is about 0.36), so neither suite forms a row.
-    if source == "curved_grid":
+# A curved invariant surface: each tangent space is spanned by a vector of the
+# psi-eigenspace (axes 0 and 1) and one of the 1 - psi-eigenspace (axes 2 and 3).
+SHEARED = {"ambient": {"dim": 4, "phi": {"pattern": ["psi", "psi", "one_minus_psi",
+                                                     "one_minus_psi"]}},
+           "immersion": {"params": ["u", "v"], "components": ["u+v", "(u+v)^2", "v", "v^3/3"],
+                         "samples": {"grid": [[-1, 1, 3], [-1, 1, 3]]}},
+           "suites": ["extrinsic", "slant"]}
+SOURCES = {**{f"curved_grid-{seed}": (0, 0) for seed in (1, 7, 101)},
+           "paper_example_2": (1, 0), "sheared": (1, 1)}
+
+
+def _config(source, tmp_path):
+    if source.startswith("curved_grid"):
         sys.path.insert(0, str(ROOT))
         try:
             from perfbench import workloads
         finally:
             sys.path.remove(str(ROOT))
-        cfg = load_config(workloads.build(source, 7, tmp_path).sources[0])
-    else:
-        cfg = load_config(resolve_config(source))
-    solves = []
-    solve = np.linalg.solve
+        seed = int(source.split("-")[1])
+        return load_config(workloads.build("curved_grid", seed, tmp_path).sources[0])
+    if source == "sheared":
+        return parse_config(SHEARED)
+    return load_config(resolve_config(source))
 
-    def counted(*args):
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("point_suites", [("extrinsic",), ("slant",), ("extrinsic", "slant")])
+def test_a_point_suite_computes_the_invariant_rows_at_most_once(monkeypatch, tmp_path, source,
+                                                               point_suites):
+    # A run forms the first-order terms at most once, with one solve of the frames'
+    # coordinates, shared by both point suites.  No point of curved_grid is within tol_class
+    # of invariant or anti-invariant (min max|Q| is about 0.36) and it is no slant candidate,
+    # so nothing is formed there; paper_example_2 is affine, so H = 0 and nothing is solved.
+    formed, solves = [], []
+    first_order, solve = PointGeometry.first_order, np.linalg.solve
+
+    def counted_first_order(self):
+        formed.append(self.size)
+        return first_order(self)
+
+    def counted_solve(*args):
         solves.append(args[0].shape)
         return solve(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    report = suites.run_scenario(cfg._replace(suites=(suite,)))
+    monkeypatch.setattr(PointGeometry, "first_order", counted_first_order)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    cfg = _config(source, tmp_path)
+    report = suites.run_scenario(cfg._replace(suites=point_suites))
     assert report["overall_pass"]
-    assert len(solves) == rows
+    assert (len(formed), len(solves)) == SOURCES[source]
 
 
 class TestAntiInvariantProbe:
@@ -221,14 +245,26 @@ class TestAntiInvariantProbe:
         assert _shape_probe(imm, (0.2, 0.8), self.STRUCT) == 0.0
 
     def test_curved_anti_invariant_patch_reports_violation(self):
-        # Quadratic normal bending keeps the origin tangent space
-        # anti-invariant but makes h nonzero; since the normal space equals
-        # phi(TM) here, A_{phi Y} cannot vanish.  The probe must report that.
+        # Quadratic normal bending keeps the origin tangent space anti-invariant but makes h
+        # nonzero; since the normal space equals phi(TM) here, A_{phi Y} cannot vanish.  P
+        # leaves 0 at first order there (dP = Q^T H + H^T Q), so the patch is anti-invariant
+        # at the origin alone: it is neither, and its first-order term reports the bending.
         imm = ImmersionSpec.from_strings(
             ["u1", "u2"], ["u1", "psi*u1+0.05*u1^2", "u2", "psi*u2"]
         )
-        probe = _shape_probe(imm, (0.0, 0.0), self.STRUCT)
-        assert probe > 1e-3  # finding: the vanishing claim fails off the affine case
+        kind, residuals = extrinsic_residuals(at_point(imm, (0.0, 0.0), self.STRUCT),
+                                              Tolerances())
+        assert kind == "neither" and "shape_operator_max" not in residuals
+        assert residuals["first_order"] > 1e-3
+
+    def test_curved_anti_invariant_curve_conforms(self):
+        # phi X is normal to X = (cos u, psi, sin u, 0) at every u, so the curve is
+        # anti-invariant to first order, and then every A_{phi Y} vanishes: g(h(X, Y), phi Z)
+        # is symmetric in X, Y and, as dP = 0, antisymmetric in Y, Z.
+        imm = ImmersionSpec.from_strings(["u"], ["sin(u)", "psi*u", "1-cos(u)", "0"])
+        for point in [(0.0,), (0.7,)]:
+            assert abs(at_point(imm, point, self.STRUCT).h).max() > 0.5
+            assert _shape_probe(imm, point, self.STRUCT) <= 1e-15
 
 
 # Random stacks stand in for the point pass, with m < n as an immersion needs: the
@@ -314,11 +350,19 @@ def test_extrinsic_residuals_have_the_bits_of_the_max_over_points(data):
         ops = frame_operators(arrays.pop("blocks"), m)
         geom = geom._replace(**arrays, ops=ops)
         kind, got = extrinsic_residuals(geom, tol)
-        rows = extrinsic_per_point(geom, "invariant")
-        rows_hold = ((rows["invariant_parallel"] <= tol.tol_frame)
-                     & (rows["invariant_weingarten"] <= tol.tol_frame))
-        assert kind == invariance_kind(ops, tol.tol_class, rows_hold)
+        first = geom.first_order()
+        rows_hold = ((first["invariant_parallel"] <= tol.tol_frame)
+                     & (first["invariant_weingarten"] <= tol.tol_frame))
+        assert kind == invariance_kind(ops, tol.tol_class, rows_hold,
+                                       first["anti_invariant"] <= tol.tol_frame)
         want = {key: value.max() for key, value in extrinsic_per_point(geom, kind).items()}
+        near_q = np.abs(ops.q).max(axis=(-2, -1)) <= tol.tol_class
+        near_p = np.abs(ops.p).max(axis=(-2, -1)) <= tol.tol_class
+        tested = np.concatenate([first["invariant_parallel"][near_q],
+                                 first["invariant_weingarten"][near_q],
+                                 first["anti_invariant"][near_p]])
+        if tested.size:
+            want["first_order"] = tested.max()
     assert got.keys() == want.keys()
     assert all(type(value) is float for value in got.values())
     assert {key: np.float64(value).tobytes() for key, value in got.items()} == {

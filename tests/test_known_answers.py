@@ -1,6 +1,6 @@
 """Scenarios whose verdicts are known before the run: planes built from the slant
-characterization, a sheared curved invariant surface, and an off-golden exact phi that a
-slant plane must still fail on."""
+characterization, their reparametrizations and congruent copies, a sheared curved invariant
+surface, and an off-golden exact phi that a slant plane must still fail on."""
 
 import json
 
@@ -11,10 +11,11 @@ from goldenslant.cli import resolve_config
 from goldenslant.config import parse_config
 from goldenslant.quadrat import PSI, QuadRat, parse_quadrat
 from goldenslant.suites import run_scenario
-from support import KnownPlane, known_planes, reparametrized
+from support import KnownPlane, congruent, known_planes, reparametrized
 
 # The float lambda is cos^2 of a mean of atan2 angles in orthonormal frames of the identity
-# metric: c * eps from the exact one with c = 16 (1.5 ulp measured over 600 draws).
+# metric: c * eps from the exact one with c = 16 (1.5 ulp measured over 600 draws, and 1.75
+# over 400 draws of congruent copies, whose W = diag(scales) is rounded).
 LAMBDA_ULPS = 16 * np.finfo(float).eps
 
 
@@ -62,6 +63,31 @@ def test_a_reparametrized_known_plane_keeps_its_class_and_lambda(plane: KnownPla
         if backend == "float":
             assert abs(slant["lambda"] - float(plane.lam)) <= LAMBDA_ULPS
         else:
+            assert parse_quadrat(slant["exact"]["lambda"]) == plane.lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(known_planes(), st.data())
+def test_a_congruent_known_plane_keeps_its_class_and_lambda(plane: KnownPlane, data):
+    # x = A x' with A a permutation times a small rational diagonal: the metric is
+    # diag(scales^2), exact under auto, and W = diag(scales) is no power of 2 in floats.
+    n = plane.config["ambient"]["dim"]
+    order = data.draw(st.permutations(range(n)))
+    scales = data.draw(st.lists(st.sampled_from(["2", "1/2", "3", "2/3", "5/4"]),
+                                min_size=n, max_size=n))
+    changed = congruent(plane, order, scales)
+    for backend in ("auto", "float"):
+        report = run_scenario(parse_config(changed.config), backend=backend)
+        suites = report["suites"]
+        assert report["overall_pass"], (backend, suites)
+        assert all(suite["pass"] for suite in suites.values())
+        slant = suites["slant"]
+        assert slant["classification"] == plane.classification, backend
+        assert not slant["flags"].get("float_exact_disagree", False), backend
+        if plane.lam is None:
+            continue
+        assert abs(slant["lambda"] - float(plane.lam)) <= LAMBDA_ULPS, backend
+        if backend == "auto":
             assert parse_quadrat(slant["exact"]["lambda"]) == plane.lam
 
 

@@ -287,7 +287,7 @@ def test_the_slant_record_is_the_float_report_of_the_slant_suite():
         record = classify_geometry(geom, tol_frame=tol.tol_frame, tol_class=tol.tol_class)
         slant = run_scenario(cfg, backend="float")["suites"]["slant"]
         assert record.keys() == {"classification", "theta", "cos_theta", "lambda", "sin_sq",
-                                 "angle_spread", "residuals"}, path
+                                 "angle_spread", "first_order", "residuals"}, path
         assert record == {key: slant[key] for key in record}, path
         checked += 1
     assert checked == 5

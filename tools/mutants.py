@@ -109,18 +109,27 @@ MUTATIONS = {
                                        'return "invariant" if np.all(invariant) else "mixed"',
                                        'return "invariant"'),
     # One function per point suite: the kind branches of the extrinsic residuals.
-    "invariant_parallel_keeps_t_h": ("extrinsic.py", "tan - _apply(geom.ops.p, geom.tangential),",
-                                     "tan - _apply(geom.ops.p, geom.tangential)"
-                                     " - _apply(geom.ops.t, geom.h),"),
     "shape_probe_reads_p": ("extrinsic.py", "h @ ops.q[:, None]", "h @ ops.p[:, None]"),
-    "weingarten_in_the_frame_basis": ("extrinsic.py", "np.linalg.solve(c, geom.ops.p @ c)",
-                                      "geom.ops.p"),
-    # One invariance rule: a point is invariant only where the invariant rows hold.
-    "invariance_ignores_the_rows": ("extrinsic.py",
-                                    "np.logical_and(*(v <= tol_frame for v in rows.values()))",
-                                    "True"),
-    "slant_q_small_is_proper": ("slant.py", "for v in (*residuals.values(), *rows.values())",
+    # One first-order rule for every class: a point is of a class only where its term holds.
+    "invariant_parallel_reads_s": ("submanifold.py", "(h @ ops.t.mT[:, None]).mT",
+                                   "(h @ ops.s.mT[:, None]).mT"),
+    "weingarten_in_the_frame_basis": ("submanifold.py",
+                                      "h_t = np.linalg.solve(c.mT, h) if h.any() else h",
+                                      "h_t = h"),
+    "invariant_drops_its_term": ("extrinsic.py",
+                                 'invariant = np.maximum(first["invariant_parallel"], '
+                                 'first["invariant_weingarten"]) <= tol_frame',
+                                 "invariant = True"),
+    "anti_invariant_drops_its_term": ("extrinsic.py", 'first["anti_invariant"] <= tol_frame)',
+                                      "True)"),
+    "slant_drops_its_term": ("slant.py", '_amax(first_order()["slant"], None)', "0.0"),
+    "anti_invariant_reads_the_slant_term": ("submanifold.py", '"anti_invariant": s @ c,',
+                                            '"anti_invariant": (s @ p + p @ s - lam * s) @ c,'),
+    "slant_q_small_is_proper": ("slant.py", "for v in (*residuals.values(), *terms.values())",
                                 "for v in residuals.values()"),
+    # One tolerance means one angle: a slant candidate's angle spread is within tol_frame.
+    "slant_without_the_spread_rule": ("slant.py", ' and record["angle_spread"] <= tol_frame:',
+                                      ":"),
 }
 
 
