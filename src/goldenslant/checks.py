@@ -23,7 +23,6 @@ BOUNDS = {"COSINE_MAX": 1.0 + 1e-12, "ORACLE_TOL": 1e-12, "RANK_SINE": 1e-8}
 # The conditions of a run under which a row applies, by the names the suites pass.
 WHEN = {"exact": "when the exact backend or route ran",
         "invariant": "on an invariant classification",
-        "anti_invariant": "on an anti-invariant classification",
         "float_slant": "when the float verdict is slant", "is_slant": "when exact.is_slant",
         "float_lambda_positive": "when the float verdict is slant and not anti_invariant",
         "unnormalized": "when angle_formula is unnormalized"}
@@ -94,18 +93,17 @@ TABLE = {
         ("residuals.invariant_parallel", HARD, "tol_frame", "t h_ij = 0, so tan(phi D2x_ij) = "
          "P tan(D2x_ij)", "invariant", ("classification",)),
         ("residuals.invariant_weingarten", HARD, "tol_frame", "h(X_i, P X_j) = s h(X_i, X_j): "
-         "dQ_i = s H_i - H_i P = 0", "invariant", ("classification",)),
-        ("findings.shape_operator_max", FINDING, "tol_frame", "max |g(h(X_i, X_j), phi e_b)|:\n"
-         "the claim that every A_{phi Y} vanishes", "anti_invariant"),
-        ("findings.shape_vanishing_conforms", FLAG, None, "shape_operator_max conforms",
-         "anti_invariant")),
+         "dQ_i = s H_i - H_i P = 0", "invariant", ("classification",))),
         {"points": "the number of sample points",
          "classification": "invariant when max |Q| is within tol_class and both invariant rows\n"
          "within tol_frame, anti_invariant when max |P| is within tol_class and\ndP within "
          "tol_frame, at every point (|Q| or |P| exactly 0 when the exact\nroute ran), else "
-         "neither, or mixed when the points differ: the slant\nsuite's rule",
+         "neither, or mixed when the points differ: the slant\nsuite's rule.  On "
+         "anti_invariant every A_{phi Y} vanishes: g(h(X, Y), phi Z)\nis symmetric in X, Y "
+         "and, as dP = 0, antisymmetric in Y, Z",
          "first_order": "the worst first-order term tested, or null: the invariant rows where\n"
-         "max |Q| is within tol_class, dP_i = S_i = Q^T H_i + H_i^T Q where max |P| is"}),
+         "max |Q| is within tol_class, dP_i = S_i = Q^T H_i + H_i^T Q where max |P|\nis "
+         "within tol_class"}),
     "slant": _suite((
         ("angle_spread", HARD, FINITE, "max - min of theta(X) over the directions and points"),
         *((f"residuals.{key}", HARD, "tol_frame", text, when, ("classification",))

@@ -1,4 +1,4 @@
-"""Second fundamental form, shape operator and tangential/normal split checks.
+"""Second fundamental form and tangential/normal split checks.
 
 The ambient space is flat with a constant ``phi``, so the ambient
 derivative of a coordinate tangent field is just the immersion Hessian and
@@ -63,11 +63,7 @@ def extrinsic_residuals(geom: PointGeometry, tol: Tolerances, first_order=None) 
     in frame coordinates, and the symmetry of h.  The split is definitional for any linear
     ambient operator, so these vanish whether or not ``phi`` is golden; they validate the
     frame/operator bookkeeping.  ``invariant`` adds the two invariant terms that decided it.
-    ``anti_invariant`` adds ``shape_operator_max``, max |g(h(X_i, X_j), phi e_b)| over the raw
-    tangents X_i and the orthonormal tangent frame e_b: the shape operators A_{phi Y}, by
-    g(A_V X, Z) = g(h(X, Z), V), with ``Q e_b`` the normal coordinates of ``phi e_b``.  The
-    claim under test predicts it is zero, so a nonzero result is a genuine finding, not an
-    artifact.  ``first_order`` is the worst :func:`invariance` term, if one was tested.
+    ``first_order`` is the worst :func:`invariance` term, if one was tested.
     """
     ops, tangential, h = geom.ops, geom.tangential, geom.h
     tan, nor = _phi_hessian_split(geom)
@@ -78,8 +74,6 @@ def extrinsic_residuals(geom: PointGeometry, tol: Tolerances, first_order=None) 
         "gauss_normal": nor - _apply(ops.q, tangential) - _apply(ops.s, h),
         "h_symmetry": h - h.transpose(0, 2, 1, 3),
     }
-    if kind == "anti_invariant":
-        residuals["shape_operator_max"] = h @ ops.q[:, None]
     # Where the Hessian column is 0 or not finite the scale is 1, so NaN and Inf stay.
     scale = geom.hessian_scale[..., None]
     worst = {key: _amax(value / scale, None) for key, value in residuals.items()}

@@ -226,8 +226,7 @@ class PointGeometry(NamedTuple):
         ops, h, scale = self.ops, self.h, self.hessian_scale[..., None, :]
         c = self.frame.tangent_coords(self.frame.raw_tangents)[:, None]
         p, q = ops.p[:, None], ops.q[:, None]
-        # H_i^T = C^-T h_i^T, which is 0 where h is (an affine immersion): no system is solved.
-        h_t = np.linalg.solve(c.mT, h) if h.any() else h
+        h_t = np.linalg.solve(c.mT, h)  # H_i^T = C^-T h_i^T
         s = q.mT @ h_t.mT + h_t @ q
         lam = (np.trace(p @ p, 0, -2, -1) / (np.trace(p, 0, -2, -1) + ops.m))[..., None, None]
         terms = {"invariant_parallel": (h @ ops.t.mT[:, None]).mT,

@@ -84,13 +84,8 @@ def run_identities_suite(geom: PointGeometry, tol: Tolerances) -> dict:
 
 def run_extrinsic_suite(geom: PointGeometry, tol: Tolerances, first_order=None) -> dict:
     kind, residuals = extrinsic_residuals(geom, tol, first_order)
-    findings = {}
-    if kind == "anti_invariant":
-        probe = residuals.pop("shape_operator_max")
-        findings = {"shape_operator_max": probe, "shape_vanishing_conforms": holds(
-            "extrinsic", "findings.shape_operator_max", probe, tol)}
     result = {"points": geom.size, "classification": kind, "residuals": residuals,
-              "findings": findings, "first_order": residuals.pop("first_order", None)}
+              "first_order": residuals.pop("first_order", None)}
     result["pass"] = verdict("extrinsic", result, tol, invariant=kind == "invariant")
     return result
 

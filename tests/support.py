@@ -91,23 +91,32 @@ def gauss_split_residuals(geom, phi_split):
                      nor - _apply(ops.q, geom.tangential) - _apply(ops.s, geom.h))
 
 
+def invariant_residuals(geom, phi_split):
+    """Per point: tan(phi D2x_ij) - P tan(D2x_ij) and h(X, PY) - s h(X, Y), the invariant
+    rows written from the Gauss split and the Weingarten formula, not from H_i = h_i C^-1."""
+    ops = geom.ops
+    tan, _ = phi_split
+    # The raw tangents are E = T C, so P reads C^-1 P C in the raw basis.
+    c = geom.frame.tangent_coords(geom.frame.raw_tangents)
+    h_py = np.einsum("...kj,...ikc->...ijc", np.linalg.solve(c, ops.p @ c), geom.h)
+    return _relative(geom, tan - _apply(ops.p, geom.tangential), h_py - _apply(ops.s, geom.h))
+
+
 def shape_vanishing_probe(geom):
-    """Per point: max |g(h(X_i, X_j), phi e_b)|, with ``Q e_b`` the normal part of phi e_b."""
+    """Per point: max |g(h(X_i, X_j), phi e_b)|, with ``Q e_b`` the normal part of phi e_b:
+    the shape operators A_{phi Y}, which vanish on an anti-invariant submanifold."""
     return _relative(geom, geom.h @ geom.ops.q[:, None])[0]
 
 
-def extrinsic_per_point(geom, kind: str) -> dict:
-    """Every residual that ``extrinsic_residuals`` reports on invariance ``kind``, one value per
-    point; the invariant rows are ``geom.first_order()``'s."""
+def extrinsic_per_point(geom, invariant: bool = False) -> dict:
+    """The Gauss split and ``h`` symmetry residuals of ``extrinsic_residuals``, one value per
+    point, and with ``invariant`` the two invariant rows by :func:`invariant_residuals`."""
     phi_split = _phi_hessian_split(geom)
     out = dict(zip(("gauss_tangential", "gauss_normal"), gauss_split_residuals(geom, phi_split)))
     out["h_symmetry"] = _relative(geom, geom.h - geom.h.transpose(0, 2, 1, 3))[0]
-    if kind == "invariant":
-        first = geom.first_order()
-        out["invariant_parallel"] = first["invariant_parallel"]
-        out["invariant_weingarten"] = first["invariant_weingarten"]
-    elif kind == "anti_invariant":
-        out["shape_operator_max"] = shape_vanishing_probe(geom)
+    if invariant:
+        out["invariant_parallel"], out["invariant_weingarten"] = invariant_residuals(geom,
+                                                                                     phi_split)
     return out
 
 

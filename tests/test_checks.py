@@ -21,7 +21,7 @@ SOURCES = ([resolve_config(name) for name in list_bundled()]
            + sorted((ROOT / "tests" / "configs").glob("*.cfg")))
 BACKENDS = ("auto", "float")
 # A curved anti-invariant curve (phi X is normal to X = (cos u, psi, sin u, 0)): its
-# extrinsic suite reports the shape-operator finding, which no bundled config reaches.
+# extrinsic suite reports the anti-invariant first-order term, which no bundled config tests.
 ANTI_INVARIANT = {
     "ambient": {"dim": 4, "phi": {"pattern": ["psi", "one_minus_psi", "psi", "one_minus_psi"]}},
     "immersion": {"params": ["u"], "components": ["sin(u)", "psi*u", "1-cos(u)", "0"],

@@ -20,7 +20,7 @@ from goldenslant.submanifold import (
     TangentFrame,
     invariance_kind,
 )
-from support import at_point, extrinsic_per_point, frame_operators
+from support import at_point, extrinsic_per_point, frame_operators, shape_vanishing_probe
 
 ROOT = Path(__file__).resolve().parent.parent
 EUCLID4 = Metric(np.eye(4))
@@ -46,11 +46,10 @@ def _invariant(imm, point, structure):
 
 
 def _shape_probe(imm, point, structure):
-    """The shape-vanishing probe at ``point``, whose tangent space must be anti-invariant."""
+    """max |g(h(X_i, X_j), phi e_b)| at ``point``, which the rule must call anti-invariant."""
     geom = at_point(imm, point, structure)
-    kind, residuals = extrinsic_residuals(geom, Tolerances())
-    assert kind == "anti_invariant"
-    return residuals["shape_operator_max"]
+    assert extrinsic_residuals(geom, Tolerances())[0] == "anti_invariant"
+    return shape_vanishing_probe(geom)[0]
 
 
 class TestSecondFundamentalForm:
@@ -193,7 +192,7 @@ SHEARED = {"ambient": {"dim": 4, "phi": {"pattern": ["psi", "psi", "one_minus_ps
                          "samples": {"grid": [[-1, 1, 3], [-1, 1, 3]]}},
            "suites": ["extrinsic", "slant"]}
 SOURCES = {**{f"curved_grid-{seed}": (0, 0) for seed in (1, 7, 101)},
-           "paper_example_2": (1, 0), "sheared": (1, 1)}
+           "paper_example_2": (1, 1), "sheared": (1, 1)}
 
 
 def _config(source, tmp_path):
@@ -217,7 +216,7 @@ def test_a_point_suite_computes_the_invariant_rows_at_most_once(monkeypatch, tmp
     # A run forms the first-order terms at most once, with one solve of the frames'
     # coordinates, shared by both point suites.  No point of curved_grid is within tol_class
     # of invariant or anti-invariant (min max|Q| is about 0.36) and it is no slant candidate,
-    # so nothing is formed there; paper_example_2 is affine, so H = 0 and nothing is solved.
+    # so nothing is formed there.
     formed, solves = [], []
     first_order, solve = PointGeometry.first_order, np.linalg.solve
 
@@ -252,10 +251,10 @@ class TestAntiInvariantProbe:
         imm = ImmersionSpec.from_strings(
             ["u1", "u2"], ["u1", "psi*u1+0.05*u1^2", "u2", "psi*u2"]
         )
-        kind, residuals = extrinsic_residuals(at_point(imm, (0.0, 0.0), self.STRUCT),
-                                              Tolerances())
-        assert kind == "neither" and "shape_operator_max" not in residuals
-        assert residuals["first_order"] > 1e-3
+        geom = at_point(imm, (0.0, 0.0), self.STRUCT)
+        kind, residuals = extrinsic_residuals(geom, Tolerances())
+        assert kind == "neither" and residuals["first_order"] > 1e-3
+        assert shape_vanishing_probe(geom)[0] > 1e-3
 
     def test_curved_anti_invariant_curve_conforms(self):
         # phi X is normal to X = (cos u, psi, sin u, 0) at every u, so the curve is
@@ -355,7 +354,12 @@ def test_extrinsic_residuals_have_the_bits_of_the_max_over_points(data):
                      & (first["invariant_weingarten"] <= tol.tol_frame))
         assert kind == invariance_kind(ops, tol.tol_class, rows_hold,
                                        first["anti_invariant"] <= tol.tol_frame)
-        want = {key: value.max() for key, value in extrinsic_per_point(geom, kind).items()}
+        want = {key: value.max() for key, value in extrinsic_per_point(geom).items()}
+        # The terms are checked against their own references elsewhere; here only the worst
+        # over the points that the rule tested.
+        if kind == "invariant":
+            want.update((key, first[key].max()) for key in ("invariant_parallel",
+                                                            "invariant_weingarten"))
         near_q = np.abs(ops.q).max(axis=(-2, -1)) <= tol.tol_class
         near_p = np.abs(ops.p).max(axis=(-2, -1)) <= tol.tol_class
         tested = np.concatenate([first["invariant_parallel"][near_q],

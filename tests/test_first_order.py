@@ -4,9 +4,11 @@ Along u_i the orthonormal frames B = [T | N] move as dB = B Omega_i, and phi's m
 C = B^T phi B as dC = [C, Omega_i].  Differencing the frames and C of the point pass at
 u +- delta e_i gives Omega_i, dP, dQ and the derivative of P^2 - lambda (P + I); taking out
 the turn of the frames (the blocks A and D of Omega_i) leaves the terms:
-S_i = dP - [P, A] = Q^T H_i + H_i^T Q, s H_i - H_i P = dQ - Q A + D Q and
+S_i = dP - [P, A] = Q^T H_i + H_i^T Q, its part t H_i = S_i - H_i^T Q,
+s H_i - H_i P = dQ - Q A + D Q and
 S_i P + P S_i - lambda S_i = d(P^2 - lambda (P + I)) - [P^2 - lambda (P + I), A] at
 lambda = tr P^2 / (tr P + m), with H_i = h_i C^-1 the normal-tangent block of Omega_i.
+The invariant terms are also the rows their Gauss split and Weingarten formula give.
 Random curved immersions under diagonal metrics and permuted pattern structures; affine
 ones give exactly 0.
 """
@@ -14,8 +16,11 @@ ones give exactly 0.
 import numpy as np
 import pytest
 
+from goldenslant.extrinsic import _phi_hessian_split
 from goldenslant.structures import Metric, diagonal_golden
 from goldenslant.submanifold import ImmersionSpec, point_geometry
+
+from support import invariant_residuals
 
 DELTA = 1e-5
 TOL = 1e-6  # central differences: about delta^2 and eps / delta, relative to the terms
@@ -81,17 +86,32 @@ def test_each_term_is_its_central_difference_less_the_turn_of_the_frames(seed):
     # lambda = tr P^2 / (tr P + m), held at its value at the point
     lam = np.trace(p @ p) / (np.trace(p) + m)
     char = p @ p - lam * (p + np.eye(m))
-    worst = {"invariant_weingarten": 0.0, "anti_invariant": 0.0, "slant": 0.0}
+    worst = dict.fromkeys(("invariant_parallel", "invariant_weingarten", "anti_invariant",
+                           "slant"), 0.0)
     for i in range(m):
-        a, d = omega[i][:m, :m], omega[i][m:, m:]
+        a, d, turn = omega[i][:m, :m], omega[i][m:, m:], omega[i][m:, :m]
         dp, dq = d_c[i][:m, :m], d_c[i][m:, :m]
-        terms = {"invariant_weingarten": dq - q @ a + d @ q, "anti_invariant": dp - p @ a + a @ p,
+        terms = {"invariant_parallel": dp - p @ a + a @ p - turn.T @ q,
+                 "invariant_weingarten": dq - q @ a + d @ q, "anti_invariant": dp - p @ a + a @ p,
                  "slant": dp @ p + p @ dp - lam * dp - char @ a + a @ char}
         for key, term in terms.items():
             # relative to the Hessian column (i, j), each times C to read in column j
             worst[key] = max(worst[key], np.abs(term @ c / geom.hessian_scale[0, i]).max())
     for key, value in worst.items():
         _close(first[key][0], value)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_invariant_terms_are_their_gauss_split_and_weingarten_rows(seed):
+    # t h_ij = tan(phi D2x_ij) - P tan(D2x_ij) by the Gauss split, and
+    # s H_i - H_i P = s h(X_i, .) - h(X_i, P .), both nonzero here (Q != 0 and h != 0).
+    imm, structure, point = _scenario(seed)
+    geom = point_geometry(imm, structure.metric, structure, [point])
+    first = geom.first_order()
+    for key, want in zip(("invariant_parallel", "invariant_weingarten"),
+                         invariant_residuals(geom, _phi_hessian_split(geom))):
+        assert want[0] > 1e-3
+        assert abs(first[key][0] - want[0]) <= 1e-12 * want[0], (key, first[key], want)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -108,18 +108,20 @@ MUTATIONS = {
     "invariance_ignores_mixed_points": ("submanifold.py",
                                        'return "invariant" if np.all(invariant) else "mixed"',
                                        'return "invariant"'),
-    # One function per point suite: the kind branches of the extrinsic residuals.
-    "shape_probe_reads_p": ("extrinsic.py", "h @ ops.q[:, None]", "h @ ops.p[:, None]"),
     # One first-order rule for every class: a point is of a class only where its term holds.
     "invariant_parallel_reads_s": ("submanifold.py", "(h @ ops.t.mT[:, None]).mT",
                                    "(h @ ops.s.mT[:, None]).mT"),
     "weingarten_in_the_frame_basis": ("submanifold.py",
-                                      "h_t = np.linalg.solve(c.mT, h) if h.any() else h",
+                                      "h_t = np.linalg.solve(c.mT, h)",
                                       "h_t = h"),
     "invariant_drops_its_term": ("extrinsic.py",
                                  'invariant = np.maximum(first["invariant_parallel"], '
                                  'first["invariant_weingarten"]) <= tol_frame',
                                  "invariant = True"),
+    "invariant_rule_drops_parallel": ("extrinsic.py",
+                                      'np.maximum(first["invariant_parallel"], '
+                                      'first["invariant_weingarten"])',
+                                      'first["invariant_weingarten"]'),
     "anti_invariant_drops_its_term": ("extrinsic.py", 'first["anti_invariant"] <= tol_frame)',
                                       "True)"),
     "slant_drops_its_term": ("slant.py", '_amax(first_order()["slant"], None)', "0.0"),
